@@ -4,9 +4,7 @@
 //! overhead story — tiny batches pay real merge/channel overhead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mflow_runtime::{
-    generate_frames, process_parallel, process_serial, RuntimeConfig, Transport,
-};
+use mflow_runtime::{generate_frames, process_parallel, process_serial, RuntimeConfig};
 
 fn bench_workers(c: &mut Criterion) {
     let frames = generate_frames(4_096, 1_400);
@@ -55,37 +53,5 @@ fn bench_batch_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_transport(c: &mut Criterion) {
-    // Mutex+condvar channels vs the lock-free request rings, at the CI
-    // reference point's worker counts and batch sizes. The machine-
-    // readable sweep (`mflow_cli --bench-transport`) is the artifact CI
-    // gates on; this group gives the interactive `cargo bench` view.
-    let frames = generate_frames(4_096, 256);
-    let bytes: u64 = frames.iter().map(|f| f.bytes().len() as u64).sum();
-    let mut group = c.benchmark_group("runtime_transport");
-    group.throughput(Throughput::Bytes(bytes));
-    group.sample_size(10);
-    for transport in [Transport::Mpsc, Transport::Ring] {
-        for (workers, batch) in [(2usize, 32usize), (4, 32), (4, 256)] {
-            let name = format!("{transport:?}").to_lowercase();
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("w{workers}_b{batch}")),
-                &(workers, batch),
-                |b, &(workers, batch)| {
-                    let cfg = RuntimeConfig {
-                        workers,
-                        batch_size: batch,
-                        queue_depth: 8,
-                        transport,
-                        ..RuntimeConfig::default()
-                    };
-                    b.iter(|| process_parallel(&frames, &cfg).unwrap().digests.len())
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_workers, bench_batch_size, bench_transport);
+criterion_group!(benches, bench_workers, bench_batch_size);
 criterion_main!(benches);

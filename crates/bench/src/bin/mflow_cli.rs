@@ -19,13 +19,13 @@ use mflow_runtime::{
     frame_wire_len, frames_from_pcap, generate_frames, generate_frames_into, process_parallel,
     process_parallel_faulty, process_serial, process_serial_stateful, BackpressurePolicy, BufPool,
     DispatchMode, Frame, LaneStall, MergerKill, MergerStall, PolicyKind, RuntimeConfig,
-    RuntimeFaults, SlowWorker, StatefulMode, Transport as RtTransport, WorkerKill,
+    RuntimeFaults, SlowWorker, StatefulMode, WorkerKill,
 };
 use mflow_sim::MS;
 use mflow_workloads::sockperf::UDP_CLIENTS;
 use mflow_workloads::System;
 
-/// Counting allocator, so the transport sweep can report allocations
+/// Counting allocator, so the runtime sweep can report allocations
 /// per frame — the zero-copy datapath's headline metric.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -56,7 +56,6 @@ struct Args {
     inline_fallback: bool,
     high_watermark: Option<usize>,
     rt_faults: RuntimeFaults,
-    rt_transport: RtTransport,
     merger_depth: usize,
     rt_policy: PolicyKind,
     dispatch_mode: DispatchMode,
@@ -78,8 +77,7 @@ struct Args {
     chaos_seed: u64,
     chaos_frames: usize,
     chaos_policies: Vec<PolicyKind>,
-    chaos_transports: Vec<RtTransport>,
-    // Transport-comparison bench mode.
+    // Runtime sweep bench mode ({workers, batch, dispatch mode}).
     bench_transport: bool,
     // Policy-comparison bench mode.
     bench_policy: bool,
@@ -103,7 +101,7 @@ fn usage() -> ! {
          \x20                [--backpressure block|drop-tail|inline] [--drop-budget PKTS]\n\
          \x20                [--inline-fallback] [--high-watermark DEPTH]\n\
          \x20                [--fault-lane-stall WORKER:MS] [--fault-slow-worker WORKER:US]\n\
-         \x20                [--flush-timeout-ms MS] [--rt-transport mpsc|ring]\n\
+         \x20                [--flush-timeout-ms MS]\n\
          \x20                [--dispatch-mode post-parse|packet-request]\n\
          \x20                [--pool-slots N] [--pool-slab BYTES] [--pcap FILE]\n\
          \x20                [--merger-depth RESULTS] [--restart-budget N]\n\
@@ -113,7 +111,7 @@ fn usage() -> ! {
          \x20                [--fault-merger-stall OFFERS:MS]\n\
          \x20                [--stateful-mode merge-before-tcp|scr] [--stateful-work ROUNDS]\n\
          \x20  chaos mode:   --chaos-soak [--chaos-seed N] [--chaos-frames N]\n\
-         \x20                [--chaos-policies p1,p2,..] [--chaos-transports mpsc,ring]\n\
+         \x20                [--chaos-policies p1,p2,..]\n\
          \x20  bench mode:   --bench-transport | --bench-policy | --bench-stateful\n\
          \x20                [--frames N] [--bench-out PATH] [--bench-enforce]"
     );
@@ -145,7 +143,6 @@ fn parse_args() -> Args {
         inline_fallback: false,
         high_watermark: None,
         rt_faults: RuntimeFaults::none(),
-        rt_transport: RtTransport::Mpsc,
         merger_depth: RuntimeConfig::default().merger_depth,
         rt_policy: PolicyKind::Mflow,
         dispatch_mode: DispatchMode::PostParse,
@@ -162,7 +159,6 @@ fn parse_args() -> Args {
         chaos_seed: 42,
         chaos_frames: 4_000,
         chaos_policies: PolicyKind::ALL.to_vec(),
-        chaos_transports: vec![RtTransport::Mpsc, RtTransport::Ring],
         bench_transport: false,
         bench_policy: false,
         bench_stateful: false,
@@ -287,16 +283,6 @@ fn parse_args() -> Args {
                 args.rt_faults.flush_timeout_ms =
                     Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
-            "--rt-transport" => {
-                args.rt_transport = match value(&mut i).as_str() {
-                    "mpsc" => RtTransport::Mpsc,
-                    "ring" => RtTransport::Ring,
-                    other => {
-                        eprintln!("unknown runtime transport '{other}'");
-                        usage()
-                    }
-                }
-            }
             "--merger-depth" => {
                 args.merger_depth = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
@@ -378,19 +364,6 @@ fn parse_args() -> Args {
                     })
                     .collect()
             }
-            "--chaos-transports" => {
-                args.chaos_transports = value(&mut i)
-                    .split(',')
-                    .map(|t| match t {
-                        "mpsc" => RtTransport::Mpsc,
-                        "ring" => RtTransport::Ring,
-                        other => {
-                            eprintln!("unknown runtime transport '{other}'");
-                            usage()
-                        }
-                    })
-                    .collect()
-            }
             "--bench-transport" => args.bench_transport = true,
             "--bench-policy" => args.bench_policy = true,
             "--bench-stateful" => args.bench_stateful = true,
@@ -423,7 +396,6 @@ fn run_runtime(a: &Args) {
         backpressure: policy,
         high_watermark: a.high_watermark,
         inline_fallback: a.inline_fallback,
-        transport: a.rt_transport,
         dispatch_mode: a.dispatch_mode,
         merger_depth: a.merger_depth,
         policy: a.rt_policy,
@@ -433,6 +405,7 @@ fn run_runtime(a: &Args) {
         stateful_mode: a.stateful_mode,
         stateful_work: a.stateful_work,
         checkpoint_every: a.checkpoint_every,
+        ..RuntimeConfig::default()
     };
     // Frames live in an explicit buffer pool: generated traffic sizes it
     // exactly, pcap replay sizes slots for the largest typical MTU frame
@@ -479,12 +452,11 @@ fn run_runtime(a: &Args) {
     let bytes: u64 = frames.iter().map(|f| f.bytes().len() as u64).sum();
     let secs = out.elapsed.as_secs_f64();
     println!(
-        "runtime: {} workers x {} batch (depth {}, policy {:?}, transport {:?}, dispatch {}) — {:.2} Gbps over {} frames in {:.1} ms",
+        "runtime: {} workers x {} batch (depth {}, policy {:?}, dispatch {}) — {:.2} Gbps over {} frames in {:.1} ms",
         a.workers,
         a.batch,
         a.queue_depth,
         policy,
-        a.rt_transport,
         a.dispatch_mode.name(),
         bytes as f64 * 8.0 / secs / 1e9,
         n_frames,
@@ -572,26 +544,18 @@ fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives a cell seed from the soak seed and the cell's *names* (not
-/// its index): a replay run filtered to one policy/transport pair folds
-/// the identical strings and reproduces the identical seed.
-fn cell_seed(soak_seed: u64, policy: PolicyKind, transport: RtTransport) -> u64 {
+/// Derives a cell seed from the soak seed and the cell's policy *name*
+/// (not its index): a replay run filtered to one policy folds the
+/// identical string and reproduces the identical seed. The literal
+/// `"ring"` is part of the derivation: CI's fixed seeds and every
+/// recorded `REPLAY:` line name schedules computed with it, so dropping
+/// it would silently change them all.
+fn cell_seed(soak_seed: u64, policy: PolicyKind) -> u64 {
     let mut acc = splitmix(soak_seed);
-    for b in policy
-        .name()
-        .bytes()
-        .chain(rt_transport_name(transport).bytes())
-    {
+    for b in policy.name().bytes().chain("ring".bytes()) {
         acc = splitmix(acc ^ b as u64);
     }
     acc
-}
-
-fn rt_transport_name(t: RtTransport) -> &'static str {
-    match t {
-        RtTransport::Mpsc => "mpsc",
-        RtTransport::Ring => "ring",
-    }
 }
 
 /// Replays the dispatcher's batching walk to predict, from the seed
@@ -637,7 +601,7 @@ struct CellReport {
     elapsed_ms: f64,
 }
 
-/// Runs one policy x transport cell of the chaos soak and checks the
+/// Runs one policy cell of the chaos soak and checks the
 /// full degradation contract. Every fault decision is a pure function
 /// of the cell seed, so a violation message is a complete reproduction
 /// recipe.
@@ -645,7 +609,6 @@ fn run_chaos_cell(
     frames: &[Frame],
     reference: &BTreeMap<u64, u64>,
     policy: PolicyKind,
-    transport: RtTransport,
     seed: u64,
 ) -> Result<CellReport, String> {
     let cfg = RuntimeConfig {
@@ -653,7 +616,6 @@ fn run_chaos_cell(
         batch_size: 32,
         queue_depth: 8,
         backpressure: BackpressurePolicy::Block,
-        transport,
         policy,
         heartbeat_interval_ms: Some(25),
         restart_budget: 32,
@@ -818,7 +780,7 @@ fn run_chaos_cell(
 
 /// `--chaos-soak`: run a seed-derived randomized fault schedule (worker
 /// deaths, stalls, packet drops, duplicate and late micro-flows) over
-/// every requested policy x transport cell and check the degradation
+/// every requested policy cell and check the degradation
 /// contract continuously. On any violation, prints a single replay
 /// command that reproduces the failing cell byte-for-byte and exits
 /// nonzero.
@@ -827,48 +789,43 @@ fn run_chaos_soak(a: &Args) {
     let serial = process_serial(&frames);
     let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
     println!(
-        "chaos soak: seed {} over {} frames, {} policies x {} transports",
+        "chaos soak: seed {} over {} frames, {} policies",
         a.chaos_seed,
         a.chaos_frames,
-        a.chaos_policies.len(),
-        a.chaos_transports.len()
+        a.chaos_policies.len()
     );
     let mut violations = 0usize;
     let mut total_restarts = 0u64;
     for &policy in &a.chaos_policies {
-        for &transport in &a.chaos_transports {
-            let seed = cell_seed(a.chaos_seed, policy, transport);
-            let tname = rt_transport_name(transport);
-            match run_chaos_cell(&frames, &reference, policy, transport, seed) {
-                Ok(r) => {
-                    total_restarts += r.restarts;
-                    println!(
-                        "chaos[{policy}/{tname}]: OK — {} delivered, {} flushed mfs, \
-                         {} died / {} restarts, {} merger respawns ({} offers replayed), \
-                         {} heartbeat misses, {:.1} ms",
-                        r.delivered,
-                        r.flushed,
-                        r.workers_died,
-                        r.restarts,
-                        r.merger_restarts,
-                        r.replayed_offers,
-                        r.heartbeat_misses,
-                        r.elapsed_ms
-                    );
-                }
-                Err(msg) => {
-                    violations += 1;
-                    println!("chaos[{policy}/{tname}]: VIOLATION — {msg}");
-                    println!(
-                        "REPLAY: cargo run --release -p mflow-bench --bin mflow_cli -- \
-                         --chaos-soak --chaos-seed {} --chaos-frames {} \
-                         --chaos-policies {} --chaos-transports {}",
-                        a.chaos_seed,
-                        a.chaos_frames,
-                        policy.name(),
-                        tname
-                    );
-                }
+        let seed = cell_seed(a.chaos_seed, policy);
+        match run_chaos_cell(&frames, &reference, policy, seed) {
+            Ok(r) => {
+                total_restarts += r.restarts;
+                println!(
+                    "chaos[{policy}]: OK — {} delivered, {} flushed mfs, \
+                     {} died / {} restarts, {} merger respawns ({} offers replayed), \
+                     {} heartbeat misses, {:.1} ms",
+                    r.delivered,
+                    r.flushed,
+                    r.workers_died,
+                    r.restarts,
+                    r.merger_restarts,
+                    r.replayed_offers,
+                    r.heartbeat_misses,
+                    r.elapsed_ms
+                );
+            }
+            Err(msg) => {
+                violations += 1;
+                println!("chaos[{policy}]: VIOLATION — {msg}");
+                println!(
+                    "REPLAY: cargo run --release -p mflow-bench --bin mflow_cli -- \
+                     --chaos-soak --chaos-seed {} --chaos-frames {} \
+                     --chaos-policies {}",
+                    a.chaos_seed,
+                    a.chaos_frames,
+                    policy.name()
+                );
             }
         }
     }
@@ -878,7 +835,7 @@ fn run_chaos_soak(a: &Args) {
     }
     println!(
         "chaos soak passed: {} cells, {} restarts total, 0 violations",
-        a.chaos_policies.len() * a.chaos_transports.len(),
+        a.chaos_policies.len(),
         total_restarts
     );
     run_checkpoint_sweep();
@@ -948,11 +905,16 @@ fn run_checkpoint_sweep() {
     }
 }
 
-/// One measured point of the transport sweep.
+/// Host core count for the bench-file headers: a sweep point with more
+/// threads than cores measures time-slicing, not scaling.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// One measured point of the runtime sweep.
 struct BenchPoint {
     workers: usize,
     batch: usize,
-    transport: RtTransport,
     mode: DispatchMode,
     best_ns: u128,
     mean_ns: u128,
@@ -965,9 +927,9 @@ struct BenchPoint {
     pool_hit_rate: f64,
 }
 
-/// `--bench-transport`: sweep {workers} x {batch} x {transport} x
-/// {dispatch mode} over the fault-free pipeline and write the results as
-/// JSON (hand-serialized — the workspace is dependency-free). Each point
+/// `--bench-transport`: sweep {workers} x {batch} x {dispatch mode}
+/// over the fault-free pipeline and write the results as JSON
+/// (hand-serialized — the workspace is dependency-free). Each point
 /// reports best-of-K wall time; throughput derives from the best run,
 /// the standard way to strip scheduler noise from a short benchmark.
 /// Frames are regenerated into one shared [`BufPool`] before every run,
@@ -975,26 +937,20 @@ struct BenchPoint {
 /// (`pool_hit_rate`) and the pipeline's allocator traffic
 /// (`allocs_per_frame`, from the counting global allocator).
 ///
-/// With `--bench-enforce` the process exits nonzero when either gate
-/// fails:
-///
-/// * transport gate — the ring transport is more than 10% slower than
-///   mpsc at the reference point {4 workers, batch 32} (post-parse);
-/// * zero-copy gate — ring throughput at the reference point fell under
-///   2x the pre-pool baseline, the pipeline allocates more than the
-///   per-frame budget there, or packet-request dispatch stops scaling
-///   (w=4 not strictly faster than w=1).
+/// With `--bench-enforce` the process exits nonzero when the zero-copy
+/// gate fails: throughput at the reference point {4 workers, batch 32}
+/// fell under 2x the pre-pool baseline, or the pipeline allocates more
+/// than the per-frame budget there in either dispatch mode.
 fn run_bench_transport(a: &Args) {
     const PAYLOAD: usize = 256;
     const WORKERS: [usize; 3] = [1, 2, 4];
     const BATCHES: [usize; 3] = [8, 32, 256];
-    const TRANSPORTS: [RtTransport; 2] = [RtTransport::Mpsc, RtTransport::Ring];
     const MODES: [DispatchMode; 2] = [DispatchMode::PostParse, DispatchMode::PacketRequest];
     // Best-of-9: on a contended host the per-run variance at the
     // reference points is larger than the gate margins, and `best_ns`
     // estimates the noise floor — more samples only tighten it.
     const ITERS: usize = 9;
-    // The ring reference point {4 workers, batch 32} measured just
+    // The reference point {4 workers, batch 32} measured just
     // before the pooled zero-copy datapath landed — the denominator of
     // the speedup gate.
     const BASELINE_W4_B32_RING_MPPS: f64 = 1.4015;
@@ -1007,134 +963,99 @@ fn run_bench_transport(a: &Args) {
     let mut points: Vec<BenchPoint> = Vec::new();
     for workers in WORKERS {
         for batch in BATCHES {
-            for transport in TRANSPORTS {
-                for mode in MODES {
-                    let cfg = RuntimeConfig {
-                        workers,
-                        batch_size: batch,
-                        queue_depth: 8,
-                        transport,
-                        dispatch_mode: mode,
-                        ..RuntimeConfig::default()
-                    };
-                    let pool_start = pool.stats();
-                    // One warmup run pages everything in and checks
-                    // delivery, then K timed runs. Frames are rebuilt
-                    // into the shared pool before every run and dropped
-                    // after it, so the slab recycles at every point.
-                    {
-                        let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
-                        let out =
-                            process_parallel(&frames, &cfg).expect("bench config must be valid");
-                        assert_eq!(out.digests.len(), n_frames, "bench run lost packets");
-                    }
-                    let mut best_ns = u128::MAX;
-                    let mut total_ns = 0u128;
-                    let mut run_allocs = 0u64;
-                    for _ in 0..ITERS {
-                        let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
-                        let allocs_at_start = ALLOC.allocations();
-                        let out =
-                            process_parallel(&frames, &cfg).expect("bench config must be valid");
-                        run_allocs += ALLOC.allocations() - allocs_at_start;
-                        let ns = out.elapsed.as_nanos();
-                        best_ns = best_ns.min(ns);
-                        total_ns += ns;
-                    }
-                    let pool_end = pool.stats();
-                    let d_hits = pool_end.hits - pool_start.hits;
-                    let d_misses = pool_end.misses - pool_start.misses;
-                    let pool_hit_rate = if d_hits + d_misses == 0 {
-                        1.0
-                    } else {
-                        d_hits as f64 / (d_hits + d_misses) as f64
-                    };
-                    let secs = best_ns as f64 / 1e9;
-                    let point = BenchPoint {
-                        workers,
-                        batch,
-                        transport,
-                        mode,
-                        best_ns,
-                        mean_ns: total_ns / ITERS as u128,
-                        gbps: bytes as f64 * 8.0 / secs / 1e9,
-                        mpps: n_frames as f64 / secs / 1e6,
-                        allocs_per_frame: run_allocs as f64 / (ITERS * n_frames) as f64,
-                        pool_hit_rate,
-                    };
-                    println!(
-                        "bench: w={} b={:<4} {:<5} {:<15} best {:>9} ns  mean {:>9} ns  {:.2} Gbps  {:.2} Mpps  {:.3} allocs/frame  pool {:.1}%",
-                        point.workers,
-                        point.batch,
-                        rt_transport_name(point.transport),
-                        point.mode.name(),
-                        point.best_ns,
-                        point.mean_ns,
-                        point.gbps,
-                        point.mpps,
-                        point.allocs_per_frame,
-                        point.pool_hit_rate * 100.0,
-                    );
-                    points.push(point);
+            for mode in MODES {
+                let cfg = RuntimeConfig {
+                    workers,
+                    batch_size: batch,
+                    queue_depth: 8,
+                    dispatch_mode: mode,
+                    ..RuntimeConfig::default()
+                };
+                let pool_start = pool.stats();
+                // One warmup run pages everything in and checks
+                // delivery, then K timed runs. Frames are rebuilt
+                // into the shared pool before every run and dropped
+                // after it, so the slab recycles at every point.
+                {
+                    let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
+                    let out =
+                        process_parallel(&frames, &cfg).expect("bench config must be valid");
+                    assert_eq!(out.digests.len(), n_frames, "bench run lost packets");
                 }
+                let mut best_ns = u128::MAX;
+                let mut total_ns = 0u128;
+                let mut run_allocs = 0u64;
+                for _ in 0..ITERS {
+                    let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
+                    let allocs_at_start = ALLOC.allocations();
+                    let out =
+                        process_parallel(&frames, &cfg).expect("bench config must be valid");
+                    run_allocs += ALLOC.allocations() - allocs_at_start;
+                    let ns = out.elapsed.as_nanos();
+                    best_ns = best_ns.min(ns);
+                    total_ns += ns;
+                }
+                let pool_end = pool.stats();
+                let d_hits = pool_end.hits - pool_start.hits;
+                let d_misses = pool_end.misses - pool_start.misses;
+                let pool_hit_rate = if d_hits + d_misses == 0 {
+                    1.0
+                } else {
+                    d_hits as f64 / (d_hits + d_misses) as f64
+                };
+                let secs = best_ns as f64 / 1e9;
+                let point = BenchPoint {
+                    workers,
+                    batch,
+                    mode,
+                    best_ns,
+                    mean_ns: total_ns / ITERS as u128,
+                    gbps: bytes as f64 * 8.0 / secs / 1e9,
+                    mpps: n_frames as f64 / secs / 1e6,
+                    allocs_per_frame: run_allocs as f64 / (ITERS * n_frames) as f64,
+                    pool_hit_rate,
+                };
+                println!(
+                    "bench: w={} b={:<4} {:<15} best {:>9} ns  mean {:>9} ns  {:.2} Gbps  {:.2} Mpps  {:.3} allocs/frame  pool {:.1}%",
+                    point.workers,
+                    point.batch,
+                    point.mode.name(),
+                    point.best_ns,
+                    point.mean_ns,
+                    point.gbps,
+                    point.mpps,
+                    point.allocs_per_frame,
+                    point.pool_hit_rate * 100.0,
+                );
+                points.push(point);
             }
         }
     }
 
-    let at = |workers: usize, batch: usize, transport: RtTransport, mode: DispatchMode| {
+    let at = |workers: usize, batch: usize, mode: DispatchMode| {
         points
             .iter()
-            .find(|p| {
-                p.workers == workers
-                    && p.batch == batch
-                    && p.transport == transport
-                    && p.mode == mode
-            })
+            .find(|p| p.workers == workers && p.batch == batch && p.mode == mode)
             .expect("sweep covers the reference point")
     };
-    // The transport gate: ring vs mpsc at {4 workers, batch 32},
-    // post-parse (the historical reference configuration).
-    let mpsc_ns = at(4, 32, RtTransport::Mpsc, DispatchMode::PostParse).best_ns;
-    let ring_ns = at(4, 32, RtTransport::Ring, DispatchMode::PostParse).best_ns;
-    let ratio = ring_ns as f64 / mpsc_ns as f64;
-    let transport_pass = ratio <= 1.10;
-    println!(
-        "gate @ w=4 b=32: ring/mpsc time ratio {:.3} ({}; threshold 1.10)",
-        ratio,
-        if transport_pass { "pass" } else { "FAIL" }
-    );
-
     // The zero-copy gate: (a) >= 2x the pre-pool throughput baseline at
-    // the ring reference point, (b) allocator traffic under budget in
-    // both dispatch modes, (c) packet-request dispatch actually
-    // parallelizes the parse (w=4 strictly beats w=1). The scaling leg
-    // is measured on the mpsc transport: the busy-polled ring pipeline
-    // saturates a CPU-constrained host at one worker, so worker count
-    // stops being the throughput lever there, while the blocking mpsc
-    // transport yields the CPU between batches and exposes exactly the
-    // parse-stage parallelism packet-request dispatch adds.
-    let ring_ref = at(4, 32, RtTransport::Ring, DispatchMode::PostParse);
-    let pkt_ref = at(4, 32, RtTransport::Ring, DispatchMode::PacketRequest);
-    let pkt_w4 = at(4, 32, RtTransport::Mpsc, DispatchMode::PacketRequest);
-    let pkt_w1 = at(1, 32, RtTransport::Mpsc, DispatchMode::PacketRequest);
-    let speedup = ring_ref.mpps / BASELINE_W4_B32_RING_MPPS;
+    // the reference point, (b) allocator traffic under budget in both
+    // dispatch modes.
+    let post_ref = at(4, 32, DispatchMode::PostParse);
+    let pkt_ref = at(4, 32, DispatchMode::PacketRequest);
+    let speedup = post_ref.mpps / BASELINE_W4_B32_RING_MPPS;
     let speedup_pass = speedup >= SPEEDUP_THRESHOLD;
-    let alloc_pass = ring_ref.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME
+    let alloc_pass = post_ref.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME
         && pkt_ref.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME;
-    let scaling_pass = pkt_w4.mpps > pkt_w1.mpps;
-    let zerocopy_pass = speedup_pass && alloc_pass && scaling_pass;
+    let zerocopy_pass = speedup_pass && alloc_pass;
     println!(
-        "zerocopy gate @ w=4 b=32: ring {:.2}x vs {BASELINE_W4_B32_RING_MPPS} Mpps baseline ({}; threshold {SPEEDUP_THRESHOLD}x), \
-         allocs/frame {:.3} post-parse / {:.3} packet-request ({}; budget {ALLOC_BUDGET_PER_FRAME}), \
-         packet-request mpsc w4 {:.2} vs w1 {:.2} Mpps ({})",
+        "zerocopy gate @ w=4 b=32: {:.2}x vs {BASELINE_W4_B32_RING_MPPS} Mpps baseline ({}; threshold {SPEEDUP_THRESHOLD}x), \
+         allocs/frame {:.3} post-parse / {:.3} packet-request ({}; budget {ALLOC_BUDGET_PER_FRAME})",
         speedup,
         if speedup_pass { "pass" } else { "FAIL" },
-        ring_ref.allocs_per_frame,
+        post_ref.allocs_per_frame,
         pkt_ref.allocs_per_frame,
         if alloc_pass { "pass" } else { "FAIL" },
-        pkt_w4.mpps,
-        pkt_w1.mpps,
-        if scaling_pass { "pass" } else { "FAIL" },
     );
 
     let mut json = String::new();
@@ -1144,6 +1065,7 @@ fn run_bench_transport(a: &Args) {
     json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
     json.push_str(&format!("  \"bytes_per_run\": {bytes},\n"));
     json.push_str(&format!("  \"iters_per_point\": {ITERS},\n"));
+    json.push_str(&format!("  \"nproc\": {},\n", nproc()));
     json.push_str(&format!(
         "  \"pool\": {{\"slots\": {n_frames}, \"slot_bytes\": {}}},\n",
         frame_wire_len(PAYLOAD)
@@ -1151,10 +1073,9 @@ fn run_bench_transport(a: &Args) {
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workers\": {}, \"batch\": {}, \"transport\": \"{}\", \"dispatch_mode\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"gbps\": {:.4}, \"mpps\": {:.4}, \"allocs_per_frame\": {:.4}, \"pool_hit_rate\": {:.4}}}{}\n",
+            "    {{\"workers\": {}, \"batch\": {}, \"dispatch_mode\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"gbps\": {:.4}, \"mpps\": {:.4}, \"allocs_per_frame\": {:.4}, \"pool_hit_rate\": {:.4}}}{}\n",
             p.workers,
             p.batch,
-            rt_transport_name(p.transport),
             p.mode.name(),
             p.best_ns,
             p.mean_ns,
@@ -1167,11 +1088,8 @@ fn run_bench_transport(a: &Args) {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"gate\": {{\"workers\": 4, \"batch\": 32, \"mpsc_best_ns\": {mpsc_ns}, \"ring_best_ns\": {ring_ns}, \"ring_over_mpsc_time\": {ratio:.4}, \"threshold\": 1.10, \"pass\": {transport_pass}}},\n",
-    ));
-    json.push_str(&format!(
-        "  \"zerocopy_gate\": {{\"workers\": 4, \"batch\": 32, \"transport\": \"ring\", \"baseline_mpps\": {BASELINE_W4_B32_RING_MPPS}, \"post_parse_mpps\": {:.4}, \"packet_request_mpps\": {:.4}, \"speedup\": {speedup:.4}, \"speedup_threshold\": {SPEEDUP_THRESHOLD}, \"allocs_per_frame_post_parse\": {:.4}, \"allocs_per_frame_packet_request\": {:.4}, \"alloc_budget_per_frame\": {ALLOC_BUDGET_PER_FRAME}, \"scaling_transport\": \"mpsc\", \"packet_request_w4_mpps\": {:.4}, \"packet_request_w1_mpps\": {:.4}, \"scaling_pass\": {scaling_pass}, \"pass\": {zerocopy_pass}}}\n",
-        ring_ref.mpps, pkt_ref.mpps, ring_ref.allocs_per_frame, pkt_ref.allocs_per_frame, pkt_w4.mpps, pkt_w1.mpps,
+        "  \"zerocopy_gate\": {{\"workers\": 4, \"batch\": 32, \"baseline_mpps\": {BASELINE_W4_B32_RING_MPPS}, \"post_parse_mpps\": {:.4}, \"packet_request_mpps\": {:.4}, \"speedup\": {speedup:.4}, \"speedup_threshold\": {SPEEDUP_THRESHOLD}, \"allocs_per_frame_post_parse\": {:.4}, \"allocs_per_frame_packet_request\": {:.4}, \"alloc_budget_per_frame\": {ALLOC_BUDGET_PER_FRAME}, \"pass\": {zerocopy_pass}}}\n",
+        post_ref.mpps, pkt_ref.mpps, post_ref.allocs_per_frame, pkt_ref.allocs_per_frame,
     ));
     json.push_str("}\n");
     let out_path = if a.bench_out.is_empty() {
@@ -1184,21 +1102,12 @@ fn run_bench_transport(a: &Args) {
         std::process::exit(1);
     }
     println!("wrote {out_path}");
-    if a.bench_enforce && !(transport_pass && zerocopy_pass) {
-        if !transport_pass {
-            eprintln!(
-                "bench gate failed: ring transport is {:.1}% slower than mpsc at w=4 b=32",
-                (ratio - 1.0) * 100.0
-            );
-        }
-        if !zerocopy_pass {
-            eprintln!(
-                "zerocopy gate failed: speedup {speedup:.2}x (need {SPEEDUP_THRESHOLD}x), \
-                 allocs/frame {:.3}/{:.3} (budget {ALLOC_BUDGET_PER_FRAME}), \
-                 packet-request scaling pass = {scaling_pass}",
-                ring_ref.allocs_per_frame, pkt_ref.allocs_per_frame
-            );
-        }
+    if a.bench_enforce && !zerocopy_pass {
+        eprintln!(
+            "zerocopy gate failed: speedup {speedup:.2}x (need {SPEEDUP_THRESHOLD}x), \
+             allocs/frame {:.3}/{:.3} (budget {ALLOC_BUDGET_PER_FRAME})",
+            post_ref.allocs_per_frame, pkt_ref.allocs_per_frame
+        );
         std::process::exit(1);
     }
 }
@@ -1206,7 +1115,6 @@ fn run_bench_transport(a: &Args) {
 /// One measured point of the policy sweep.
 struct PolicyPoint {
     policy: PolicyKind,
-    transport: RtTransport,
     best_ns: u128,
     mean_ns: u128,
     gbps: f64,
@@ -1216,17 +1124,16 @@ struct PolicyPoint {
 
 /// `--bench-policy`: race the steering policies over the same
 /// elephant-flow workload (one heavy flow, the scenario MFLOW exists
-/// for) at the reference point {4 workers, batch 32}, on both
-/// transports. Writes `BENCH_policy_compare.json`.
+/// for) at the reference point {4 workers, batch 32}. Writes
+/// `BENCH_policy_compare.json`.
 ///
 /// With `--bench-enforce` the process exits nonzero unless MFLOW's
-/// packet-level parallelism beats RPS-style whole-flow pinning on every
-/// transport — the paper's headline claim as a regression gate.
+/// packet-level parallelism beats RPS-style whole-flow pinning — the
+/// paper's headline claim as a regression gate.
 fn run_bench_policy(a: &Args) {
     const PAYLOAD: usize = 256;
     const POLICIES: [PolicyKind; 3] =
         [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc];
-    const TRANSPORTS: [RtTransport; 2] = [RtTransport::Mpsc, RtTransport::Ring];
     const ITERS: usize = 5;
 
     let n_frames = a.frames;
@@ -1235,76 +1142,66 @@ fn run_bench_policy(a: &Args) {
     let frames = generate_frames(n_frames, PAYLOAD);
     let bytes: u64 = frames.iter().map(|f| f.bytes().len() as u64).sum();
     let mut points: Vec<PolicyPoint> = Vec::new();
-    for transport in TRANSPORTS {
-        for policy in POLICIES {
-            let cfg = RuntimeConfig {
-                workers: 4,
-                batch_size: 32,
-                queue_depth: 8,
-                transport,
-                policy,
-                ..RuntimeConfig::default()
-            };
+    for policy in POLICIES {
+        let cfg = RuntimeConfig {
+            workers: 4,
+            batch_size: 32,
+            queue_depth: 8,
+            policy,
+            ..RuntimeConfig::default()
+        };
+        let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
+        assert_eq!(out.digests.len(), n_frames, "bench run lost packets");
+        let mut best_ns = u128::MAX;
+        let mut total_ns = 0u128;
+        let mut ooo = 0u64;
+        for _ in 0..ITERS {
             let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
-            assert_eq!(out.digests.len(), n_frames, "bench run lost packets");
-            let mut best_ns = u128::MAX;
-            let mut total_ns = 0u128;
-            let mut ooo = 0u64;
-            for _ in 0..ITERS {
-                let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
-                let ns = out.elapsed.as_nanos();
-                if ns < best_ns {
-                    best_ns = ns;
-                    ooo = out.telemetry.ooo;
-                }
-                total_ns += ns;
+            let ns = out.elapsed.as_nanos();
+            if ns < best_ns {
+                best_ns = ns;
+                ooo = out.telemetry.ooo;
             }
-            let secs = best_ns as f64 / 1e9;
-            let point = PolicyPoint {
-                policy,
-                transport,
-                best_ns,
-                mean_ns: total_ns / ITERS as u128,
-                gbps: bytes as f64 * 8.0 / secs / 1e9,
-                mpps: n_frames as f64 / secs / 1e6,
-                ooo,
-            };
-            println!(
-                "bench: {:<12} {:<5} best {:>9} ns  mean {:>9} ns  {:.2} Gbps  {:.2} Mpps  ooo {}",
-                point.policy,
-                format!("{:?}", point.transport).to_lowercase(),
-                point.best_ns,
-                point.mean_ns,
-                point.gbps,
-                point.mpps,
-                point.ooo,
-            );
-            points.push(point);
+            total_ns += ns;
         }
+        let secs = best_ns as f64 / 1e9;
+        let point = PolicyPoint {
+            policy,
+            best_ns,
+            mean_ns: total_ns / ITERS as u128,
+            gbps: bytes as f64 * 8.0 / secs / 1e9,
+            mpps: n_frames as f64 / secs / 1e6,
+            ooo,
+        };
+        println!(
+            "bench: {:<12} best {:>9} ns  mean {:>9} ns  {:.2} Gbps  {:.2} Mpps  ooo {}",
+            point.policy,
+            point.best_ns,
+            point.mean_ns,
+            point.gbps,
+            point.mpps,
+            point.ooo,
+        );
+        points.push(point);
     }
 
     // The headline gate: micro-flow splitting must out-run whole-flow
-    // pinning on the elephant workload, on every transport.
-    let best_of = |policy: PolicyKind, transport: RtTransport| {
+    // pinning on the elephant workload.
+    let best_of = |policy: PolicyKind| {
         points
             .iter()
-            .find(|p| p.policy == policy && p.transport == transport)
+            .find(|p| p.policy == policy)
             .map(|p| p.best_ns)
-            .expect("sweep covers every policy x transport")
+            .expect("sweep covers every policy")
     };
-    let mut pass = true;
-    for transport in TRANSPORTS {
-        let mflow_ns = best_of(PolicyKind::Mflow, transport);
-        let rps_ns = best_of(PolicyKind::Rps, transport);
-        let ok = mflow_ns < rps_ns;
-        pass &= ok;
-        println!(
-            "gate @ w=4 b=32 {}: mflow/rps time ratio {:.3} ({})",
-            format!("{transport:?}").to_lowercase(),
-            mflow_ns as f64 / rps_ns as f64,
-            if ok { "pass" } else { "FAIL" }
-        );
-    }
+    let mflow_ns = best_of(PolicyKind::Mflow);
+    let rps_ns = best_of(PolicyKind::Rps);
+    let pass = mflow_ns < rps_ns;
+    println!(
+        "gate @ w=4 b=32: mflow/rps time ratio {:.3} ({})",
+        mflow_ns as f64 / rps_ns as f64,
+        if pass { "pass" } else { "FAIL" }
+    );
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -1317,9 +1214,8 @@ fn run_bench_policy(a: &Args) {
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"transport\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"gbps\": {:.4}, \"mpps\": {:.4}, \"ooo\": {}}}{}\n",
+            "    {{\"policy\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"gbps\": {:.4}, \"mpps\": {:.4}, \"ooo\": {}}}{}\n",
             p.policy,
-            format!("{:?}", p.transport).to_lowercase(),
             p.best_ns,
             p.mean_ns,
             p.gbps,
@@ -1353,7 +1249,6 @@ fn run_bench_policy(a: &Args) {
 struct StatefulPoint {
     work: u32,
     mode: StatefulMode,
-    transport: RtTransport,
     best_ns: u128,
     mean_ns: u128,
     /// Merger-thread busy time of the best run: the serial stage's cost.
@@ -1373,7 +1268,7 @@ struct StatefulPoint {
 ///
 /// With `--bench-enforce` the process exits nonzero unless
 /// state-compute replication beats merge-before-tcp at the heaviest
-/// stateful point on every transport. The gated quantity is the
+/// stateful point. The gated quantity is the
 /// *serial-stage time* — the merger thread's busy time
 /// ([`RunOutput::stateful_serial_ns`]) — because that is the cost the
 /// paper's design moves off the critical serial stage, and it reads the
@@ -1384,7 +1279,6 @@ fn run_bench_stateful(a: &Args) {
     const PAYLOAD: usize = 256;
     const WORKS: [u32; 3] = [0, 64, 512];
     const MODES: [StatefulMode; 2] = StatefulMode::ALL;
-    const TRANSPORTS: [RtTransport; 2] = [RtTransport::Mpsc, RtTransport::Ring];
     const ITERS: usize = 5;
 
     let n_frames = a.frames;
@@ -1392,92 +1286,80 @@ fn run_bench_stateful(a: &Args) {
     let mut points: Vec<StatefulPoint> = Vec::new();
     for work in WORKS {
         let reference = process_serial_stateful(&frames, work);
-        for transport in TRANSPORTS {
-            for mode in MODES {
-                let cfg = RuntimeConfig {
-                    workers: 4,
-                    batch_size: 32,
-                    queue_depth: 8,
-                    transport,
-                    policy: PolicyKind::Mflow,
-                    stateful_mode: mode,
-                    stateful_work: work,
-                    ..RuntimeConfig::default()
-                };
-                // One warmup run doubles as the differential check: both
-                // placements must deliver the serial stream exactly.
+        for mode in MODES {
+            let cfg = RuntimeConfig {
+                workers: 4,
+                batch_size: 32,
+                queue_depth: 8,
+                policy: PolicyKind::Mflow,
+                stateful_mode: mode,
+                stateful_work: work,
+                ..RuntimeConfig::default()
+            };
+            // One warmup run doubles as the differential check: both
+            // placements must deliver the serial stream exactly.
+            let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
+            assert_eq!(
+                reference.digests, out.digests,
+                "stateful mode {mode:?} diverged from the serial reference"
+            );
+            let mut best_ns = u128::MAX;
+            let mut total_ns = 0u128;
+            let mut replicated = 0u64;
+            let mut serial_ns = 0u64;
+            for _ in 0..ITERS {
                 let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
-                assert_eq!(
-                    reference.digests, out.digests,
-                    "stateful mode {mode:?} diverged from the serial reference"
-                );
-                let mut best_ns = u128::MAX;
-                let mut total_ns = 0u128;
-                let mut replicated = 0u64;
-                let mut serial_ns = 0u64;
-                for _ in 0..ITERS {
-                    let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
-                    let ns = out.elapsed.as_nanos();
-                    if ns < best_ns {
-                        best_ns = ns;
-                        replicated = out.telemetry.replicated_transitions;
-                        serial_ns = out.stateful_serial_ns;
-                    }
-                    total_ns += ns;
+                let ns = out.elapsed.as_nanos();
+                if ns < best_ns {
+                    best_ns = ns;
+                    replicated = out.telemetry.replicated_transitions;
+                    serial_ns = out.stateful_serial_ns;
                 }
-                let secs = best_ns as f64 / 1e9;
-                let point = StatefulPoint {
-                    work,
-                    mode,
-                    transport,
-                    best_ns,
-                    mean_ns: total_ns / ITERS as u128,
-                    serial_ns,
-                    mpps: n_frames as f64 / secs / 1e6,
-                    replicated,
-                };
-                println!(
-                    "bench: work={:<4} {:<16} {:<5} best {:>10} ns  mean {:>10} ns  serial {:>10} ns  {:.2} Mpps",
-                    point.work,
-                    point.mode.name(),
-                    rt_transport_name(point.transport),
-                    point.best_ns,
-                    point.mean_ns,
-                    point.serial_ns,
-                    point.mpps,
-                );
-                points.push(point);
+                total_ns += ns;
             }
+            let secs = best_ns as f64 / 1e9;
+            let point = StatefulPoint {
+                work,
+                mode,
+                best_ns,
+                mean_ns: total_ns / ITERS as u128,
+                serial_ns,
+                mpps: n_frames as f64 / secs / 1e6,
+                replicated,
+            };
+            println!(
+                "bench: work={:<4} {:<16} best {:>10} ns  mean {:>10} ns  serial {:>10} ns  {:.2} Mpps",
+                point.work,
+                point.mode.name(),
+                point.best_ns,
+                point.mean_ns,
+                point.serial_ns,
+                point.mpps,
+            );
+            points.push(point);
         }
     }
 
     // The gate: at the heaviest stateful point, replicating the state
     // computation across the lanes must beat serializing it after the
-    // merge, on every transport.
+    // merge.
     let heavy = *WORKS.last().expect("non-empty sweep");
-    let serial_of = |mode: StatefulMode, transport: RtTransport| {
+    let serial_of = |mode: StatefulMode| {
         points
             .iter()
-            .find(|p| p.work == heavy && p.mode == mode && p.transport == transport)
+            .find(|p| p.work == heavy && p.mode == mode)
             .map(|p| p.serial_ns)
             .expect("sweep covers the gate point")
     };
-    let mut pass = true;
-    let mut gate_ratios: Vec<(RtTransport, u64, u64, f64)> = Vec::new();
-    for transport in TRANSPORTS {
-        let mbt_ns = serial_of(StatefulMode::MergeBeforeTcp, transport);
-        let scr_ns = serial_of(StatefulMode::StateComputeReplication, transport);
-        let ratio = scr_ns as f64 / mbt_ns as f64;
-        let ok = ratio < 1.0;
-        pass &= ok;
-        println!(
-            "gate @ w=4 b=32 work={heavy} {}: scr/mbt serial-stage time ratio {:.3} ({})",
-            rt_transport_name(transport),
-            ratio,
-            if ok { "pass" } else { "FAIL" }
-        );
-        gate_ratios.push((transport, mbt_ns, scr_ns, ratio));
-    }
+    let mbt_ns = serial_of(StatefulMode::MergeBeforeTcp);
+    let scr_ns = serial_of(StatefulMode::StateComputeReplication);
+    let ratio = scr_ns as f64 / mbt_ns as f64;
+    let pass = ratio < 1.0;
+    println!(
+        "gate @ w=4 b=32 work={heavy}: scr/mbt serial-stage time ratio {:.3} ({})",
+        ratio,
+        if pass { "pass" } else { "FAIL" }
+    );
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -1485,14 +1367,14 @@ fn run_bench_stateful(a: &Args) {
     json.push_str(&format!("  \"frames\": {n_frames},\n"));
     json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
     json.push_str(&format!("  \"iters_per_point\": {ITERS},\n"));
+    json.push_str(&format!("  \"nproc\": {},\n", nproc()));
     json.push_str("  \"workers\": 4,\n  \"batch\": 32,\n  \"policy\": \"mflow\",\n");
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"stateful_work\": {}, \"mode\": \"{}\", \"transport\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"serial_stage_ns\": {}, \"mpps\": {:.4}, \"replicated_transitions\": {}}}{}\n",
+            "    {{\"stateful_work\": {}, \"mode\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"serial_stage_ns\": {}, \"mpps\": {:.4}, \"replicated_transitions\": {}}}{}\n",
             p.work,
             p.mode.name(),
-            rt_transport_name(p.transport),
             p.best_ns,
             p.mean_ns,
             p.serial_ns,
@@ -1503,19 +1385,8 @@ fn run_bench_stateful(a: &Args) {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"gate\": {{\"stateful_work\": {heavy}, \"claim\": \"scr relieves the serial merge stage once stateful work dominates\", \"metric\": \"merger-thread busy time (serial-stage cost, host-core-count independent)\", \"transports\": [\n"
+        "  \"gate\": {{\"stateful_work\": {heavy}, \"claim\": \"scr relieves the serial merge stage once stateful work dominates\", \"metric\": \"merger-thread busy time (serial-stage cost, host-core-count independent)\", \"mbt_serial_ns\": {mbt_ns}, \"scr_serial_ns\": {scr_ns}, \"scr_over_mbt_serial_time\": {ratio:.4}, \"threshold\": 1.0, \"pass\": {pass}}}\n"
     ));
-    for (i, (t, mbt_ns, scr_ns, ratio)) in gate_ratios.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"mbt_serial_ns\": {}, \"scr_serial_ns\": {}, \"scr_over_mbt_serial_time\": {:.4}}}{}\n",
-            rt_transport_name(*t),
-            mbt_ns,
-            scr_ns,
-            ratio,
-            if i + 1 == gate_ratios.len() { "" } else { "," },
-        ));
-    }
-    json.push_str(&format!("  ], \"threshold\": 1.0, \"pass\": {pass}}}\n"));
     json.push_str("}\n");
     let out_path = if a.bench_out.is_empty() {
         "BENCH_stateful.json"

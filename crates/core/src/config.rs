@@ -113,19 +113,9 @@ impl MflowConfig {
 
     /// A multi-flow configuration over a kernel core pool: per-flow
     /// dispatch core chosen by hash, each flow split across `lanes`
-    /// neighbouring cores, no dedicated branch tails. Panics on an invalid
-    /// pool.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_multi_flow` and handle the error"
-    )]
-    pub fn multi_flow(kernel_cores: Vec<CoreId>, lanes: usize, merge_core: CoreId) -> Self {
-        Self::try_multi_flow(kernel_cores, lanes, merge_core).expect("invalid MflowConfig")
-    }
-
-    /// Fallible [`MflowConfig::multi_flow`]: rejects an empty pool, zero
-    /// lanes, or a pool too small to give every flow a dispatch core plus
-    /// `lanes` distinct splitting cores.
+    /// neighbouring cores, no dedicated branch tails. Rejects an empty
+    /// pool, zero lanes, or a pool too small to give every flow a
+    /// dispatch core plus `lanes` distinct splitting cores.
     pub fn try_multi_flow(
         kernel_cores: Vec<CoreId>,
         lanes: usize,

@@ -132,12 +132,6 @@ pub struct ElephantDetector {
 }
 
 impl ElephantDetector {
-    /// Creates a detector, panicking on an invalid config.
-    #[deprecated(since = "0.2.0", note = "use `try_new` and handle the error")]
-    pub fn new(cfg: ElephantConfig) -> Self {
-        Self::try_new(cfg).expect("invalid ElephantConfig")
-    }
-
     /// Creates a detector, rejecting configs that violate the documented
     /// invariants (hysteresis ordering, nonzero window, alpha in (0, 1]).
     pub fn try_new(cfg: ElephantConfig) -> Result<Self, MflowError> {

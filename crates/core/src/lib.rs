@@ -47,13 +47,6 @@ pub use splitter::MflowSteering;
 use mflow_netstack::{MergeSetup, PacketSteering};
 
 /// Builds the steering policy and merge hook for a configuration,
-/// panicking on an invalid one.
-#[deprecated(since = "0.2.0", note = "use `try_install` and handle the error")]
-pub fn install(cfg: MflowConfig) -> (Box<dyn PacketSteering>, MergeSetup) {
-    try_install(cfg).expect("invalid MflowConfig")
-}
-
-/// Builds the steering policy and merge hook for a configuration,
 /// rejecting one that violates [`MflowConfig::validate`].
 pub fn try_install(cfg: MflowConfig) -> Result<(Box<dyn PacketSteering>, MergeSetup), MflowError> {
     let merge_before = cfg.merge_before();

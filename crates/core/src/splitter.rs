@@ -72,13 +72,6 @@ pub struct MflowSteering {
 }
 
 impl MflowSteering {
-    /// Creates the policy for a configuration, panicking on an invalid
-    /// one.
-    #[deprecated(since = "0.2.0", note = "use `try_new` and handle the error")]
-    pub fn new(cfg: MflowConfig) -> Self {
-        Self::try_new(cfg).expect("invalid MflowConfig")
-    }
-
     /// Creates the policy, rejecting configurations that violate
     /// [`MflowConfig::validate`].
     pub fn try_new(cfg: MflowConfig) -> Result<Self, mflow_error::MflowError> {

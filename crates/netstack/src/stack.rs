@@ -279,17 +279,6 @@ impl StackSim {
         })
     }
 
-    /// Convenience: builds, seeds initial events and runs to completion,
-    /// returning the report. Panics on a malformed [`StackConfig`].
-    #[deprecated(since = "0.2.0", note = "use `try_run` and handle the error")]
-    pub fn run(
-        cfg: StackConfig,
-        policy: Box<dyn PacketSteering>,
-        merge: Option<MergeSetup>,
-    ) -> RunReport {
-        Self::try_run(cfg, policy, merge).expect("invalid StackConfig")
-    }
-
     /// Builds, seeds initial events and runs to completion; a malformed
     /// configuration is reported as [`MflowError::InvalidConfig`].
     pub fn try_run(

@@ -31,9 +31,8 @@ pub struct WorkerKill {
 
 /// Kill one merger incarnation mid-run. The trigger counts *offers* —
 /// results the merger has received — rather than wall-clock or batches:
-/// both transports deliver the same total offer count, so the schedule
-/// fires identically under `Mpsc` and `Ring` even though arrival
-/// interleavings differ.
+/// every run delivers the same total offer count, so the schedule fires
+/// identically from run to run even though arrival interleavings differ.
 #[derive(Clone, Copy, Debug)]
 pub struct MergerKill {
     /// The merger panics once it has received this many offers.
@@ -59,7 +58,7 @@ pub struct MergerStall {
 /// One injected fault, as recorded by [`FaultLog`]. The variants carry
 /// only schedule-determined data (micro-flow ids, packet seqs, slots) —
 /// never timing — so two runs of the same seed produce the same multiset
-/// of events regardless of transport or thread interleaving.
+/// of events regardless of thread interleaving.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultEvent {
     /// A packet was deleted at dispatch.
@@ -88,8 +87,8 @@ pub enum FaultEvent {
 /// Shared log of injected fault events, filled in by the pipeline as the
 /// schedule fires. Clone it, hand the clone to [`RuntimeFaults::log`],
 /// and read it back after the run — the canonically sorted event list is
-/// the transport-invariance witness the chaos tests compare across
-/// `Mpsc` and `Ring`.
+/// the run-to-run determinism witness the chaos tests compare across two
+/// runs of one seed.
 #[derive(Clone, Debug, Default)]
 pub struct FaultLog(Arc<Mutex<Vec<FaultEvent>>>);
 
@@ -105,7 +104,7 @@ impl FaultLog {
     }
 
     /// All recorded events, canonically sorted (schedule order, not
-    /// arrival order) so logs from different transports compare equal.
+    /// arrival order) so logs from two runs of one seed compare equal.
     pub fn sorted(&self) -> Vec<FaultEvent> {
         let mut events = self.0.lock().expect("fault log poisoned").clone();
         events.sort_unstable();

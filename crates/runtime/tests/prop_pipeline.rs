@@ -1,19 +1,11 @@
 //! Property-based tests of the threaded pipeline: for arbitrary frame
-//! counts, payload sizes, worker counts, batch sizes and transports, the
-//! parallel pipeline must emit exactly the serial result.
+//! counts, payload sizes, worker counts and batch sizes, the parallel
+//! pipeline must emit exactly the serial result.
 
 use mflow_runtime::{
-    generate_frames, process_parallel, process_serial, BackpressurePolicy, RuntimeConfig, Transport,
+    generate_frames, process_parallel, process_serial, BackpressurePolicy, RuntimeConfig,
 };
 use proptest::prelude::*;
-
-fn pick_transport(sel: usize) -> Transport {
-    if sel == 1 {
-        Transport::Ring
-    } else {
-        Transport::Mpsc
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -25,7 +17,6 @@ proptest! {
         workers in 1usize..6,
         batch in 1usize..512,
         depth in 1usize..8,
-        transport_sel in 0usize..2,
     ) {
         let frames = generate_frames(n, payload);
         let serial = process_serial(&frames);
@@ -35,7 +26,6 @@ proptest! {
                 workers,
                 batch_size: batch,
                 queue_depth: depth,
-                transport: pick_transport(transport_sel),
                 ..RuntimeConfig::default()
             },
         ).unwrap();
@@ -47,7 +37,6 @@ proptest! {
         n in 1usize..1500,
         workers in 2usize..5,
         batch in 1usize..64,
-        transport_sel in 0usize..2,
     ) {
         let frames = generate_frames(n, 32);
         let out = process_parallel(
@@ -56,7 +45,6 @@ proptest! {
                 workers,
                 batch_size: batch,
                 queue_depth: 4,
-                transport: pick_transport(transport_sel),
                 ..RuntimeConfig::default()
             },
         ).unwrap();
@@ -74,7 +62,6 @@ proptest! {
         depth in 1usize..5,
         watermark in 1usize..5,
         policy_sel in 0usize..2,
-        transport_sel in 0usize..2,
     ) {
         // Block and Inline never lose packets, whatever the watermark
         // does — the output must equal the serial run bit for bit.
@@ -93,7 +80,6 @@ proptest! {
                 },
                 high_watermark: Some(watermark.min(depth)),
                 inline_fallback: false,
-                transport: pick_transport(transport_sel),
                 ..RuntimeConfig::default()
             },
         ).unwrap();
@@ -120,7 +106,6 @@ proptest! {
                 batch_size: batch,
                 queue_depth: 2,
                 merger_depth: 1usize << depth_exp,
-                transport: Transport::Ring,
                 ..RuntimeConfig::default()
             },
         ).unwrap();

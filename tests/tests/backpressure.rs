@@ -7,20 +7,14 @@
 //! to the saturated lane), or a member of a flushed micro-flow; with
 //! `Inline` (and with `Block`) nothing is ever lost and the delivered
 //! stream is bit-identical to the serial run.
-//!
-//! Every scenario runs over both transports (`Mpsc` and `Ring`): the
-//! policy semantics are part of the dispatcher, not the channel, so the
-//! lock-free rings must uphold the identical contract.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, BackpressurePolicy, Frame, LaneStall,
-    RunOutput, RuntimeConfig, RuntimeFaults, Transport,
+    RunOutput, RuntimeConfig, RuntimeFaults,
 };
-
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
 
 /// A fault plan that stalls worker 0 before every batch — the sustained
 /// slow consumer of the acceptance scenario — and nothing else.
@@ -86,114 +80,102 @@ fn check_accounting(frames: &[Frame], batch_size: usize, out: &RunOutput) -> BTr
 #[test]
 fn drop_tail_sheds_on_the_stalled_lane_and_accounts_every_packet() {
     let frames = generate_frames(3000, 64);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 30,
-            queue_depth: 2,
-            backpressure: BackpressurePolicy::DropTail { budget: u64::MAX },
-            high_watermark: Some(1),
-            inline_fallback: false,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(10)).unwrap();
+    let cfg = RuntimeConfig {
+        workers: 3,
+        batch_size: 30,
+        queue_depth: 2,
+        backpressure: BackpressurePolicy::DropTail { budget: u64::MAX },
+        high_watermark: Some(1),
+        inline_fallback: false,
+        ..RuntimeConfig::default()
+    };
+    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(10)).unwrap();
 
-        let shed_mfs = check_accounting(&frames, cfg.batch_size, &out);
-        assert!(out.telemetry.shed > 0, "a 10 ms/batch stall never tripped the watermark");
-        assert!(out.backpressure_events > 0);
-        assert_eq!(out.block_fallbacks, 0, "unlimited budget must never fall back to blocking");
-        assert!(
-            out.sheds.iter().any(|&(_, lane)| lane == 0),
-            "no shed attributed to the stalled lane: {:?}",
-            out.sheds
-        );
-        for &(_, lane) in &out.sheds {
-            assert!(lane < cfg.workers, "shed attributed to non-primary lane {lane}");
-        }
-        // Shedding decouples the run from the stalled worker: the whole
-        // run must finish in a bounded handful of stall periods, not one
-        // per batch routed at lane 0.
-        assert!(
-            out.elapsed < Duration::from_secs(5),
-            "run serialized behind the stalled lane ({transport:?}): {:?} for {} sheds",
-            out.elapsed,
-            shed_mfs.len()
-        );
+    let shed_mfs = check_accounting(&frames, cfg.batch_size, &out);
+    assert!(out.telemetry.shed > 0, "a 10 ms/batch stall never tripped the watermark");
+    assert!(out.backpressure_events > 0);
+    assert_eq!(out.block_fallbacks, 0, "unlimited budget must never fall back to blocking");
+    assert!(
+        out.sheds.iter().any(|&(_, lane)| lane == 0),
+        "no shed attributed to the stalled lane: {:?}",
+        out.sheds
+    );
+    for &(_, lane) in &out.sheds {
+        assert!(lane < cfg.workers, "shed attributed to non-primary lane {lane}");
     }
+    // Shedding decouples the run from the stalled worker: the whole
+    // run must finish in a bounded handful of stall periods, not one
+    // per batch routed at lane 0.
+    assert!(
+        out.elapsed < Duration::from_secs(5),
+        "run serialized behind the stalled lane: {:?} for {} sheds",
+        out.elapsed,
+        shed_mfs.len()
+    );
 }
 
 #[test]
 fn inline_under_sustained_stall_is_exact_in_order_and_dupfree() {
     let frames = generate_frames(2000, 64);
     let serial = process_serial(&frames);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 16,
-            queue_depth: 2,
-            backpressure: BackpressurePolicy::Inline,
-            high_watermark: Some(1),
-            inline_fallback: false,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(5)).unwrap();
-        assert_eq!(out.digests, serial.digests, "inline fallback lost, reordered or duplicated");
-        assert_eq!(out.telemetry.shed, 0);
-        assert!(out.inline_batches > 0, "the stall never pushed a batch inline");
-        assert!(out.telemetry.inline >= out.inline_batches, "inline batches must carry packets");
-        assert!(out.flushed_mfs.is_empty(), "nothing was lost, nothing to flush");
-    }
+    let cfg = RuntimeConfig {
+        workers: 3,
+        batch_size: 16,
+        queue_depth: 2,
+        backpressure: BackpressurePolicy::Inline,
+        high_watermark: Some(1),
+        inline_fallback: false,
+        ..RuntimeConfig::default()
+    };
+    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(5)).unwrap();
+    assert_eq!(out.digests, serial.digests, "inline fallback lost, reordered or duplicated");
+    assert_eq!(out.telemetry.shed, 0);
+    assert!(out.inline_batches > 0, "the stall never pushed a batch inline");
+    assert!(out.telemetry.inline >= out.inline_batches, "inline batches must carry packets");
+    assert!(out.flushed_mfs.is_empty(), "nothing was lost, nothing to flush");
 }
 
 #[test]
 fn drop_tail_budget_exhaustion_falls_back_inline_when_asked() {
     let frames = generate_frames(3000, 64);
     let budget = 60; // exactly two 30-packet batches
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 30,
-            queue_depth: 2,
-            backpressure: BackpressurePolicy::DropTail { budget },
-            high_watermark: Some(1),
-            inline_fallback: true,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(10)).unwrap();
-        check_accounting(&frames, cfg.batch_size, &out);
-        assert!(out.telemetry.shed <= budget, "shed past the budget");
-        assert!(
-            out.inline_batches > 0,
-            "budget exhausted under a sustained stall but nothing went inline"
-        );
-        assert_eq!(out.block_fallbacks, 0, "inline fallback was configured");
-    }
+    let cfg = RuntimeConfig {
+        workers: 3,
+        batch_size: 30,
+        queue_depth: 2,
+        backpressure: BackpressurePolicy::DropTail { budget },
+        high_watermark: Some(1),
+        inline_fallback: true,
+        ..RuntimeConfig::default()
+    };
+    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(10)).unwrap();
+    check_accounting(&frames, cfg.batch_size, &out);
+    assert!(out.telemetry.shed <= budget, "shed past the budget");
+    assert!(
+        out.inline_batches > 0,
+        "budget exhausted under a sustained stall but nothing went inline"
+    );
+    assert_eq!(out.block_fallbacks, 0, "inline fallback was configured");
 }
 
 #[test]
 fn drop_tail_without_fallback_blocks_after_budget_and_loses_nothing_more() {
     let frames = generate_frames(3000, 64);
     let budget = 60;
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 30,
-            queue_depth: 2,
-            backpressure: BackpressurePolicy::DropTail { budget },
-            high_watermark: Some(1),
-            inline_fallback: false,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(2)).unwrap();
-        check_accounting(&frames, cfg.batch_size, &out);
-        assert!(out.telemetry.shed <= budget);
-        if out.telemetry.shed == budget {
-            assert!(out.block_fallbacks > 0, "budget gone, pressure still on, never blocked");
-        }
+    let cfg = RuntimeConfig {
+        workers: 3,
+        batch_size: 30,
+        queue_depth: 2,
+        backpressure: BackpressurePolicy::DropTail { budget },
+        high_watermark: Some(1),
+        inline_fallback: false,
+        ..RuntimeConfig::default()
+    };
+    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(2)).unwrap();
+    check_accounting(&frames, cfg.batch_size, &out);
+    assert!(out.telemetry.shed <= budget);
+    if out.telemetry.shed == budget {
+        assert!(out.block_fallbacks > 0, "budget gone, pressure still on, never blocked");
     }
 }
 
@@ -202,23 +184,20 @@ fn slow_consumer_with_block_policy_stays_lossless() {
     use mflow_runtime::SlowWorker;
     let frames = generate_frames(4000, 64);
     let serial = process_serial(&frames);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 4,
-            batch_size: 32,
-            queue_depth: 2,
-            backpressure: BackpressurePolicy::Block,
-            high_watermark: Some(2),
-            inline_fallback: false,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        faults.slow_worker = Some(SlowWorker { worker: 1, per_batch_us: 200 });
-        faults.flush_timeout_ms = Some(250);
-        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-        assert_eq!(out.digests, serial.digests);
-        assert_eq!(out.telemetry.shed, 0);
-        assert_eq!(out.inline_batches, 0);
-    }
+    let cfg = RuntimeConfig {
+        workers: 4,
+        batch_size: 32,
+        queue_depth: 2,
+        backpressure: BackpressurePolicy::Block,
+        high_watermark: Some(2),
+        inline_fallback: false,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    faults.slow_worker = Some(SlowWorker { worker: 1, per_batch_us: 200 });
+    faults.flush_timeout_ms = Some(250);
+    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    assert_eq!(out.digests, serial.digests);
+    assert_eq!(out.telemetry.shed, 0);
+    assert_eq!(out.inline_batches, 0);
 }

@@ -9,10 +9,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, Frame, PolicyKind, RuntimeConfig,
-    RuntimeFaults, Transport, WorkerKill,
+    RuntimeFaults, WorkerKill,
 };
-
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
 
 /// SplitMix64, matching the CLI harness's per-cell seed derivation.
 fn splitmix(x: u64) -> u64 {
@@ -98,9 +96,8 @@ fn check_conservation(
     );
     assert!(
         out.telemetry.lane_depths.iter().all(|&d| d == 0),
-        "stale end-of-run lane depths {:?} ({:?})",
-        out.telemetry.lane_depths,
-        cfg.transport
+        "stale end-of-run lane depths {:?}",
+        out.telemetry.lane_depths
     );
     out
 }
@@ -125,119 +122,110 @@ fn killing_every_worker_heals_conserves_and_recovers_throughput() {
     // post-respawn window long enough to amortize respawn backoff.
     let workers = 4usize;
     let frames = generate_frames(60_000, 64);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers,
-            batch_size: 32,
-            queue_depth: 8,
-            policy: PolicyKind::Mflow,
-            transport,
-            heartbeat_interval_ms: Some(25),
-            restart_budget: 16,
-            restart_backoff_ms: 1,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        for slot in 0..workers {
-            faults.kills.push(WorkerKill {
-                worker: slot,
-                after_batches: 100 + 50 * slot as u64,
-                incarnation: 0,
-            });
-        }
-        faults.flush_timeout_ms = Some(40);
-        // Conservation, healing and window existence are strict on every
-        // attempt. The 20% throughput bound is a wall-clock assertion:
-        // under full-suite CPU contention either window can be deflated
-        // by whatever else the scheduler interleaves, so it gets a small
-        // retry budget — a real post-recovery bottleneck fails every
-        // attempt, a scheduler artifact does not repeat.
-        let mut rates = Vec::new();
-        let recovered = (0..3).any(|_| {
-            let out = check_conservation(&frames, &cfg, &faults);
-            assert_eq!(
-                out.workers_died, workers,
-                "{transport:?}: every scheduled kill must fire"
-            );
-            assert!(
-                out.telemetry.restarts >= workers as u64,
-                "{transport:?}: supervisor healed {} of {workers} deaths",
-                out.telemetry.restarts
-            );
-            let pre = out.recovery.prefault_rate();
-            let post = out.recovery.recovered_rate();
-            assert!(
-                pre > 0.0 && post > 0.0,
-                "{transport:?}: both rate windows must be measured (pre {pre}, post {post})"
-            );
-            rates.push((pre, post));
-            post >= 0.8 * pre
+    let cfg = RuntimeConfig {
+        workers,
+        batch_size: 32,
+        queue_depth: 8,
+        policy: PolicyKind::Mflow,
+        heartbeat_interval_ms: Some(25),
+        restart_budget: 16,
+        restart_backoff_ms: 1,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    for slot in 0..workers {
+        faults.kills.push(WorkerKill {
+            worker: slot,
+            after_batches: 100 + 50 * slot as u64,
+            incarnation: 0,
         });
-        assert!(
-            recovered,
-            "{transport:?}: post-recovery dispatch rate fell more than 20% below \
-             the pre-fault rate on every attempt: {rates:?}"
-        );
     }
+    faults.flush_timeout_ms = Some(40);
+    // Conservation, healing and window existence are strict on every
+    // attempt. The 20% throughput bound is a wall-clock assertion:
+    // under full-suite CPU contention either window can be deflated
+    // by whatever else the scheduler interleaves, so it gets a small
+    // retry budget — a real post-recovery bottleneck fails every
+    // attempt, a scheduler artifact does not repeat.
+    let mut rates = Vec::new();
+    let recovered = (0..3).any(|_| {
+        let out = check_conservation(&frames, &cfg, &faults);
+        assert_eq!(out.workers_died, workers, "every scheduled kill must fire");
+        assert!(
+            out.telemetry.restarts >= workers as u64,
+            "supervisor healed {} of {workers} deaths",
+            out.telemetry.restarts
+        );
+        let pre = out.recovery.prefault_rate();
+        let post = out.recovery.recovered_rate();
+        assert!(
+            pre > 0.0 && post > 0.0,
+            "both rate windows must be measured (pre {pre}, post {post})"
+        );
+        rates.push((pre, post));
+        post >= 0.8 * pre
+    });
+    assert!(
+        recovered,
+        "post-recovery dispatch rate fell more than 20% below \
+         the pre-fault rate on every attempt: {rates:?}"
+    );
 }
 
 #[test]
-fn fixed_seed_soak_over_every_policy_and_transport() {
+fn fixed_seed_soak_over_every_policy() {
     // The CLI harness's schedule, in miniature: one seed-derived kill
     // per materialised worker slot plus background drops, dups, lates
-    // and stalls, over every policy x transport cell.
+    // and stalls, over every policy.
     let soak_seed = 42u64;
     let frames = generate_frames(1_500, 64);
     for policy in PolicyKind::ALL {
-        for transport in TRANSPORTS {
-            let cfg = RuntimeConfig {
-                workers: 4,
-                batch_size: 32,
-                queue_depth: 8,
-                policy,
-                transport,
-                heartbeat_interval_ms: Some(25),
-                restart_budget: 32,
-                restart_backoff_ms: 1,
-                ..RuntimeConfig::default()
-            };
-            let seed = splitmix(soak_seed ^ policy.name().len() as u64);
-            let kills = (0..policy.worker_slots(cfg.workers))
-                .map(|slot| WorkerKill {
-                    worker: slot,
-                    after_batches: 2 + splitmix(seed ^ slot as u64) % 6,
-                    incarnation: 0,
-                })
-                .collect();
-            let faults = RuntimeFaults {
-                seed,
-                drop_rate: 0.01,
-                drop_last_rate: 0.02,
-                dup_mf_rate: 0.03,
-                late_mf_rate: 0.03,
-                late_by: 3,
-                stall_rate: 0.01,
-                stall_ms: 1,
-                kills,
-                flush_timeout_ms: Some(40),
-                ..RuntimeFaults::none()
-            };
-            let out = check_conservation(&frames, &cfg, &faults);
-            // Traffic-bearing slots must have died and been healed:
-            // MFLOW spreads over every lane, FALCON chains pipe through
-            // every stage, pinned policies concentrate on one lane.
-            let expected = match policy {
-                PolicyKind::Mflow => cfg.workers as u64,
-                PolicyKind::FalconDev | PolicyKind::FalconFunc => {
-                    policy.worker_slots(cfg.workers) as u64
-                }
-                _ => 1,
-            };
-            assert!(
-                out.telemetry.restarts >= expected,
-                "{policy}/{transport:?}: healed {} slots, expected at least {expected}",
-                out.telemetry.restarts
-            );
-        }
+        let cfg = RuntimeConfig {
+            workers: 4,
+            batch_size: 32,
+            queue_depth: 8,
+            policy,
+            heartbeat_interval_ms: Some(25),
+            restart_budget: 32,
+            restart_backoff_ms: 1,
+            ..RuntimeConfig::default()
+        };
+        let seed = splitmix(soak_seed ^ policy.name().len() as u64);
+        let kills = (0..policy.worker_slots(cfg.workers))
+            .map(|slot| WorkerKill {
+                worker: slot,
+                after_batches: 2 + splitmix(seed ^ slot as u64) % 6,
+                incarnation: 0,
+            })
+            .collect();
+        let faults = RuntimeFaults {
+            seed,
+            drop_rate: 0.01,
+            drop_last_rate: 0.02,
+            dup_mf_rate: 0.03,
+            late_mf_rate: 0.03,
+            late_by: 3,
+            stall_rate: 0.01,
+            stall_ms: 1,
+            kills,
+            flush_timeout_ms: Some(40),
+            ..RuntimeFaults::none()
+        };
+        let out = check_conservation(&frames, &cfg, &faults);
+        // Traffic-bearing slots must have died and been healed:
+        // MFLOW spreads over every lane, FALCON chains pipe through
+        // every stage, pinned policies concentrate on one lane.
+        let expected = match policy {
+            PolicyKind::Mflow => cfg.workers as u64,
+            PolicyKind::FalconDev | PolicyKind::FalconFunc => {
+                policy.worker_slots(cfg.workers) as u64
+            }
+            _ => 1,
+        };
+        assert!(
+            out.telemetry.restarts >= expected,
+            "{policy}: healed {} slots, expected at least {expected}",
+            out.telemetry.restarts
+        );
     }
 }

@@ -7,7 +7,6 @@ use mflow::{try_install, MflowConfig};
 use mflow_netstack::{FlowSpec, PathKind, StackConfig, StackSim};
 use mflow_runtime::{
     generate_frames, process_parallel, process_serial, PolicyKind, RuntimeConfig,
-    Transport as RtTransport,
 };
 
 #[test]
@@ -39,31 +38,25 @@ fn every_steering_policy_preserves_byte_exact_order() {
     let frames = generate_frames(6_000, 256);
     let serial = process_serial(&frames);
     for policy in PolicyKind::ALL {
-        for transport in [RtTransport::Mpsc, RtTransport::Ring] {
-            let out = process_parallel(
-                &frames,
-                &RuntimeConfig {
-                    workers: 4,
-                    batch_size: 64,
-                    queue_depth: 8,
-                    policy,
-                    transport,
-                    ..RuntimeConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                out.digests, serial.digests,
-                "{policy} diverged ({transport:?})"
+        let out = process_parallel(
+            &frames,
+            &RuntimeConfig {
+                workers: 4,
+                batch_size: 64,
+                queue_depth: 8,
+                policy,
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(out.digests, serial.digests, "{policy} diverged");
+        assert_eq!(out.telemetry.policy, policy.name());
+        if !policy.reorders() {
+            assert_eq!(out.telemetry.ooo, 0, "{policy} must not reorder");
+            assert!(
+                out.flushed_mfs.is_empty(),
+                "{policy} flushed micro-flows on a benign run"
             );
-            assert_eq!(out.telemetry.policy, policy.name());
-            if !policy.reorders() {
-                assert_eq!(out.telemetry.ooo, 0, "{policy} must not reorder");
-                assert!(
-                    out.flushed_mfs.is_empty(),
-                    "{policy} flushed micro-flows on a benign run"
-                );
-            }
         }
     }
 }

@@ -16,10 +16,9 @@ use std::collections::BTreeMap;
 use mflow_runtime::{
     frame_wire_len, generate_frames_into, process_parallel, process_parallel_faulty,
     process_serial, BackpressurePolicy, BufPool, DispatchMode, MergerKill, PolicyKind,
-    RuntimeConfig, RuntimeFaults, Transport, WorkerKill,
+    RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
 const MODES: [DispatchMode; 2] = [DispatchMode::PostParse, DispatchMode::PacketRequest];
 const PAYLOAD: usize = 128;
 
@@ -39,35 +38,32 @@ fn assert_pool_drained(pool: &BufPool, ctx: &str) {
 #[test]
 fn clean_runs_conserve_the_pool_and_match_serial() {
     let n = 4096;
-    for transport in TRANSPORTS {
-        for mode in MODES {
-            for policy in [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc] {
-                let ctx = format!("{transport:?}/{mode:?}/{policy:?}");
-                let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-                let frames = generate_frames_into(&pool, n, PAYLOAD);
-                let serial = process_serial(&frames);
-                let cfg = RuntimeConfig {
-                    workers: 4,
-                    batch_size: 16,
-                    queue_depth: 8,
-                    transport,
-                    dispatch_mode: mode,
-                    policy,
-                    ..RuntimeConfig::default()
-                };
-                let out = process_parallel(&frames, &cfg).unwrap();
-                assert_eq!(
-                    out.digests, serial.digests,
-                    "{ctx}: parallel output diverged from serial reference"
-                );
-                assert!(
-                    pool.in_flight() >= n as u64,
-                    "{ctx}: frames still alive must hold their slots"
-                );
-                drop(out);
-                drop(frames);
-                assert_pool_drained(&pool, &ctx);
-            }
+    for mode in MODES {
+        for policy in [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc] {
+            let ctx = format!("{mode:?}/{policy:?}");
+            let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+            let frames = generate_frames_into(&pool, n, PAYLOAD);
+            let serial = process_serial(&frames);
+            let cfg = RuntimeConfig {
+                workers: 4,
+                batch_size: 16,
+                queue_depth: 8,
+                dispatch_mode: mode,
+                policy,
+                ..RuntimeConfig::default()
+            };
+            let out = process_parallel(&frames, &cfg).unwrap();
+            assert_eq!(
+                out.digests, serial.digests,
+                "{ctx}: parallel output diverged from serial reference"
+            );
+            assert!(
+                pool.in_flight() >= n as u64,
+                "{ctx}: frames still alive must hold their slots"
+            );
+            drop(out);
+            drop(frames);
+            assert_pool_drained(&pool, &ctx);
         }
     }
 }
@@ -88,50 +84,47 @@ fn chaos_kills_conserve_the_pool_in_both_dispatch_modes() {
     // watchdog-aware blocking dispatch).
     let n = 12_000;
     let workers = 4usize;
-    for transport in TRANSPORTS {
-        for mode in MODES {
-            let ctx = format!("{transport:?}/{mode:?}");
-            let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-            let frames = generate_frames_into(&pool, n, PAYLOAD);
-            let cfg = RuntimeConfig {
-                workers,
-                batch_size: 32,
-                queue_depth: 8,
-                merger_depth: 16_384,
-                transport,
-                dispatch_mode: mode,
-                heartbeat_interval_ms: Some(25),
-                restart_budget: 16,
-                restart_backoff_ms: 1,
-                ..RuntimeConfig::default()
-            };
-            let mut faults = RuntimeFaults::none();
-            for slot in 0..workers {
-                faults.kills.push(WorkerKill {
-                    worker: slot,
-                    after_batches: 20 + 10 * slot as u64,
-                    incarnation: 0,
-                });
-            }
-            faults.merger_kill = Some(MergerKill {
-                after_offers: 40,
+    for mode in MODES {
+        let ctx = format!("{mode:?}");
+        let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+        let frames = generate_frames_into(&pool, n, PAYLOAD);
+        let cfg = RuntimeConfig {
+            workers,
+            batch_size: 32,
+            queue_depth: 8,
+            merger_depth: 16_384,
+            dispatch_mode: mode,
+            heartbeat_interval_ms: Some(25),
+            restart_budget: 16,
+            restart_backoff_ms: 1,
+            ..RuntimeConfig::default()
+        };
+        let mut faults = RuntimeFaults::none();
+        for slot in 0..workers {
+            faults.kills.push(WorkerKill {
+                worker: slot,
+                after_batches: 20 + 10 * slot as u64,
                 incarnation: 0,
             });
-            faults.flush_timeout_ms = Some(40);
-            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-            assert_eq!(out.workers_died, workers, "{ctx}: every kill must fire");
-            for pair in out.digests.windows(2) {
-                assert!(
-                    pair[0].seq < pair[1].seq,
-                    "{ctx}: inversion or duplicate at seq {} -> {}",
-                    pair[0].seq,
-                    pair[1].seq
-                );
-            }
-            drop(out);
-            drop(frames);
-            assert_pool_drained(&pool, &ctx);
         }
+        faults.merger_kill = Some(MergerKill {
+            after_offers: 40,
+            incarnation: 0,
+        });
+        faults.flush_timeout_ms = Some(40);
+        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+        assert_eq!(out.workers_died, workers, "{ctx}: every kill must fire");
+        for pair in out.digests.windows(2) {
+            assert!(
+                pair[0].seq < pair[1].seq,
+                "{ctx}: inversion or duplicate at seq {} -> {}",
+                pair[0].seq,
+                pair[1].seq
+            );
+        }
+        drop(out);
+        drop(frames);
+        assert_pool_drained(&pool, &ctx);
     }
 }
 
@@ -147,43 +140,40 @@ fn every_backpressure_policy_conserves_the_pool() {
         BackpressurePolicy::DropTail { budget: 2048 },
         BackpressurePolicy::Inline,
     ];
-    for transport in TRANSPORTS {
-        for mode in MODES {
-            for backpressure in policies {
-                let ctx = format!("{transport:?}/{mode:?}/{backpressure:?}");
-                let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-                let frames = generate_frames_into(&pool, n, PAYLOAD);
-                let cfg = RuntimeConfig {
-                    workers: 2,
-                    batch_size: 16,
-                    queue_depth: 2,
-                    high_watermark: Some(1),
-                    backpressure,
-                    inline_fallback: true,
-                    transport,
-                    dispatch_mode: mode,
-                    ..RuntimeConfig::default()
-                };
-                let out = process_parallel(&frames, &cfg).unwrap();
-                for pair in out.digests.windows(2) {
-                    assert!(
-                        pair[0].seq < pair[1].seq,
-                        "{ctx}: inversion or duplicate at seq {} -> {}",
-                        pair[0].seq,
-                        pair[1].seq
-                    );
-                }
-                if matches!(backpressure, BackpressurePolicy::Block | BackpressurePolicy::Inline) {
-                    assert_eq!(
-                        out.digests.len(),
-                        n,
-                        "{ctx}: lossless policies must deliver every packet"
-                    );
-                }
-                drop(out);
-                drop(frames);
-                assert_pool_drained(&pool, &ctx);
+    for mode in MODES {
+        for backpressure in policies {
+            let ctx = format!("{mode:?}/{backpressure:?}");
+            let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+            let frames = generate_frames_into(&pool, n, PAYLOAD);
+            let cfg = RuntimeConfig {
+                workers: 2,
+                batch_size: 16,
+                queue_depth: 2,
+                high_watermark: Some(1),
+                backpressure,
+                inline_fallback: true,
+                dispatch_mode: mode,
+                ..RuntimeConfig::default()
+            };
+            let out = process_parallel(&frames, &cfg).unwrap();
+            for pair in out.digests.windows(2) {
+                assert!(
+                    pair[0].seq < pair[1].seq,
+                    "{ctx}: inversion or duplicate at seq {} -> {}",
+                    pair[0].seq,
+                    pair[1].seq
+                );
             }
+            if matches!(backpressure, BackpressurePolicy::Block | BackpressurePolicy::Inline) {
+                assert_eq!(
+                    out.digests.len(),
+                    n,
+                    "{ctx}: lossless policies must deliver every packet"
+                );
+            }
+            drop(out);
+            drop(frames);
+            assert_pool_drained(&pool, &ctx);
         }
     }
 }
@@ -194,43 +184,40 @@ fn duplicate_and_late_microflows_conserve_the_pool() {
     // refcounts on the same slots); late release holds batches back in
     // the dispatcher. Both paths must unwind to a fully free slab.
     let n = 10_000;
-    for transport in TRANSPORTS {
-        for mode in MODES {
-            let ctx = format!("{transport:?}/{mode:?}");
-            let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-            let frames = generate_frames_into(&pool, n, PAYLOAD);
-            let serial = process_serial(&frames);
-            let reference: BTreeMap<u64, u64> =
-                serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-            let cfg = RuntimeConfig {
-                workers: 4,
-                batch_size: 32,
-                queue_depth: 8,
-                transport,
-                dispatch_mode: mode,
-                ..RuntimeConfig::default()
-            };
-            let faults = RuntimeFaults {
-                seed: 0xD15EA5E,
-                dup_mf_rate: 0.05,
-                late_mf_rate: 0.05,
-                late_by: 3,
-                ..RuntimeFaults::none()
-            };
-            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-            assert_eq!(out.digests.len(), n, "{ctx}: dup/late faults must not lose packets");
-            for r in &out.digests {
-                assert_eq!(
-                    reference.get(&r.seq),
-                    Some(&r.digest),
-                    "{ctx}: digest mismatch at seq {}",
-                    r.seq
-                );
-            }
-            drop(out);
-            drop(frames);
-            assert_pool_drained(&pool, &ctx);
+    for mode in MODES {
+        let ctx = format!("{mode:?}");
+        let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+        let frames = generate_frames_into(&pool, n, PAYLOAD);
+        let serial = process_serial(&frames);
+        let reference: BTreeMap<u64, u64> =
+            serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
+        let cfg = RuntimeConfig {
+            workers: 4,
+            batch_size: 32,
+            queue_depth: 8,
+            dispatch_mode: mode,
+            ..RuntimeConfig::default()
+        };
+        let faults = RuntimeFaults {
+            seed: 0xD15EA5E,
+            dup_mf_rate: 0.05,
+            late_mf_rate: 0.05,
+            late_by: 3,
+            ..RuntimeFaults::none()
+        };
+        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+        assert_eq!(out.digests.len(), n, "{ctx}: dup/late faults must not lose packets");
+        for r in &out.digests {
+            assert_eq!(
+                reference.get(&r.seq),
+                Some(&r.digest),
+                "{ctx}: digest mismatch at seq {}",
+                r.seq
+            );
         }
+        drop(out);
+        drop(frames);
+        assert_pool_drained(&pool, &ctx);
     }
 }
 
@@ -244,26 +231,23 @@ fn packet_request_scales_and_keeps_exact_order() {
     let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
     let frames = generate_frames_into(&pool, n, PAYLOAD);
     let serial = process_serial(&frames);
-    for transport in TRANSPORTS {
-        for workers in [1, 2, 4, 8] {
-            let cfg = RuntimeConfig {
-                workers,
-                batch_size: 32,
-                queue_depth: 8,
-                transport,
-                dispatch_mode: DispatchMode::PacketRequest,
-                ..RuntimeConfig::default()
-            };
-            let out = process_parallel(&frames, &cfg).unwrap();
-            assert_eq!(
-                out.digests, serial.digests,
-                "{transport:?} w={workers}: packet-request output diverged from serial"
-            );
-            assert_eq!(
-                out.telemetry.dispatch_mode, "packet-request",
-                "telemetry must record the dispatch mode"
-            );
-        }
+    for workers in [1, 2, 4, 8] {
+        let cfg = RuntimeConfig {
+            workers,
+            batch_size: 32,
+            queue_depth: 8,
+            dispatch_mode: DispatchMode::PacketRequest,
+            ..RuntimeConfig::default()
+        };
+        let out = process_parallel(&frames, &cfg).unwrap();
+        assert_eq!(
+            out.digests, serial.digests,
+            "w={workers}: packet-request output diverged from serial"
+        );
+        assert_eq!(
+            out.telemetry.dispatch_mode, "packet-request",
+            "telemetry must record the dispatch mode"
+        );
     }
     drop(frames);
     assert_pool_drained(&pool, "packet-request sweep");

@@ -198,7 +198,7 @@ mod backpressure_accounting {
     use super::*;
     use mflow_runtime::{
         generate_frames, process_parallel_faulty, BackpressurePolicy, LaneStall, PolicyKind,
-        RuntimeConfig, RuntimeFaults, Transport,
+        RuntimeConfig, RuntimeFaults,
     };
 
     proptest! {
@@ -212,25 +212,20 @@ mod backpressure_accounting {
             depth in 1usize..4,
             watermark in 1usize..4,
             policy_sel in 0usize..3,
-            transport_sel in 0usize..2,
             steer_sel in 0usize..6,
         ) {
             // Pressure a lane with a sustained stall and check the
             // conservation law of the overload model: every offered
             // packet ends up delivered, shed (whole micro-flows, with a
             // lane attributed), or inside a flushed micro-flow — under
-            // Block, DropTail and Inline alike, over both transports and
-            // every steering policy (pinned, chained, or splitting).
+            // Block, DropTail and Inline alike, over every steering policy
+            // (pinned, chained, or splitting).
             let policy = match policy_sel {
                 0 => BackpressurePolicy::Block,
                 1 => BackpressurePolicy::DropTail { budget: u64::MAX },
                 _ => BackpressurePolicy::Inline,
             };
             let steering = PolicyKind::ALL[steer_sel];
-            let transport = match transport_sel {
-                0 => Transport::Mpsc,
-                _ => Transport::Ring,
-            };
             let frames = generate_frames(n, 32);
             let cfg = RuntimeConfig {
                 workers,
@@ -239,7 +234,6 @@ mod backpressure_accounting {
                 backpressure: policy,
                 high_watermark: Some(watermark.min(depth)),
                 inline_fallback: false,
-                transport,
                 policy: steering,
                 ..RuntimeConfig::default()
             };

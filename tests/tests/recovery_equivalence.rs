@@ -3,7 +3,7 @@
 //! The contract under test: a fixed-seed run whose merger is killed (and
 //! killed again on its replacement) must deliver a stream byte-identical
 //! to the benign run of the same configuration — across every steering
-//! policy, both transports and both stateful modes — with every restore
+//! policy and both stateful modes — with every restore
 //! replaying at most one inter-checkpoint window, conservation balanced
 //! through every respawn, and the fault log recording the full
 //! death/respawn/restore lifecycle.
@@ -18,12 +18,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial_stateful, FaultEvent, FaultLog,
-    MergerKill, PolicyKind, RuntimeConfig, RuntimeFaults, ScrReconciler, StatefulMode, Transport,
-    WorkerKill,
+    MergerKill, PolicyKind, RuntimeConfig, RuntimeFaults, ScrReconciler, StatefulMode, WorkerKill,
 };
 use proptest::prelude::*;
 
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
 const MODES: [StatefulMode; 2] = [
     StatefulMode::MergeBeforeTcp,
     StatefulMode::StateComputeReplication,
@@ -42,14 +40,13 @@ const WORK: u32 = 8;
 /// `merger_depth / 2 = 4096` exceeds any frame count used here, so
 /// `sent - recvd` cannot reach the pump's threshold and every journaled
 /// offer is attributable to a merger incarnation's write-ahead append.
-fn pump_idle_cfg(policy: PolicyKind, transport: Transport, mode: StatefulMode) -> RuntimeConfig {
+fn pump_idle_cfg(policy: PolicyKind, mode: StatefulMode) -> RuntimeConfig {
     RuntimeConfig {
         workers: 4,
         batch_size: 16,
         queue_depth: 4,
         merger_depth: 8192,
         policy,
-        transport,
         stateful_mode: mode,
         stateful_work: WORK,
         heartbeat_interval_ms: Some(25),
@@ -79,52 +76,50 @@ fn double_kill() -> RuntimeFaults {
 
 #[test]
 fn killed_runs_match_benign_runs_across_the_full_matrix() {
-    // 6 policies x 2 transports x 2 stateful modes: byte-identical
+    // 6 policies x 2 stateful modes: byte-identical
     // ordered delivery with and without the merger kills, both deaths
     // healed, and every restore inside one checkpoint window.
     let frames = generate_frames(2_000, 64);
     let serial = process_serial_stateful(&frames, WORK);
     for mode in MODES {
-        for transport in TRANSPORTS {
-            for policy in PolicyKind::ALL {
-                let cfg = pump_idle_cfg(policy, transport, mode);
-                let benign = process_parallel_faulty(&frames, &cfg, &RuntimeFaults::none())
-                    .unwrap_or_else(|e| panic!("benign {policy}/{transport:?}/{mode:?}: {e}"));
-                let killed = process_parallel_faulty(&frames, &cfg, &double_kill())
-                    .unwrap_or_else(|e| panic!("killed {policy}/{transport:?}/{mode:?}: {e}"));
-                assert_eq!(
-                    killed.digests, benign.digests,
-                    "delivery diverged after merger kills ({policy}/{transport:?}/{mode:?})"
-                );
-                assert_eq!(
-                    benign.digests, serial.digests,
-                    "benign run diverged from the serial reference \
-                     ({policy}/{transport:?}/{mode:?})"
-                );
-                assert_eq!(killed.merger_deaths, 2, "{policy}/{transport:?}/{mode:?}");
-                assert!(
-                    killed.telemetry.merger_restarts >= 2,
-                    "both deaths must be healed ({policy}/{transport:?}/{mode:?})"
-                );
-                assert_eq!(killed.telemetry.residue, 0);
-                // The strict recovery bound: each restore replays at most
-                // the one window journaled since the last checkpoint.
-                let bound = CHECKPOINT_EVERY * (killed.telemetry.merger_restarts + 1);
-                assert!(
-                    killed.telemetry.restore_replayed_offers <= bound,
-                    "replayed {} offers, bound {bound} ({policy}/{transport:?}/{mode:?})",
-                    killed.telemetry.restore_replayed_offers
-                );
-                assert!(
-                    killed.telemetry.restore_replayed_offers >= 2,
-                    "each journaled fatal offer must be replayed \
-                     ({policy}/{transport:?}/{mode:?})"
-                );
-                assert!(killed.checkpoints > 0, "{policy}/{transport:?}/{mode:?}");
-                // Benign supervised runs pay checkpoints but never restore.
-                assert_eq!(benign.telemetry.restore_replayed_offers, 0);
-                assert_eq!(benign.merger_deaths, 0);
-            }
+        for policy in PolicyKind::ALL {
+            let cfg = pump_idle_cfg(policy, mode);
+            let benign = process_parallel_faulty(&frames, &cfg, &RuntimeFaults::none())
+                .unwrap_or_else(|e| panic!("benign {policy}/{mode:?}: {e}"));
+            let killed = process_parallel_faulty(&frames, &cfg, &double_kill())
+                .unwrap_or_else(|e| panic!("killed {policy}/{mode:?}: {e}"));
+            assert_eq!(
+                killed.digests, benign.digests,
+                "delivery diverged after merger kills ({policy}/{mode:?})"
+            );
+            assert_eq!(
+                benign.digests, serial.digests,
+                "benign run diverged from the serial reference \
+                 ({policy}/{mode:?})"
+            );
+            assert_eq!(killed.merger_deaths, 2, "{policy}/{mode:?}");
+            assert!(
+                killed.telemetry.merger_restarts >= 2,
+                "both deaths must be healed ({policy}/{mode:?})"
+            );
+            assert_eq!(killed.telemetry.residue, 0);
+            // The strict recovery bound: each restore replays at most
+            // the one window journaled since the last checkpoint.
+            let bound = CHECKPOINT_EVERY * (killed.telemetry.merger_restarts + 1);
+            assert!(
+                killed.telemetry.restore_replayed_offers <= bound,
+                "replayed {} offers, bound {bound} ({policy}/{mode:?})",
+                killed.telemetry.restore_replayed_offers
+            );
+            assert!(
+                killed.telemetry.restore_replayed_offers >= 2,
+                "each journaled fatal offer must be replayed \
+                 ({policy}/{mode:?})"
+            );
+            assert!(killed.checkpoints > 0, "{policy}/{mode:?}");
+            // Benign supervised runs pay checkpoints but never restore.
+            assert_eq!(benign.telemetry.restore_replayed_offers, 0);
+            assert_eq!(benign.merger_deaths, 0);
         }
     }
 }
@@ -132,51 +127,49 @@ fn killed_runs_match_benign_runs_across_the_full_matrix() {
 #[test]
 fn fault_log_records_the_merger_lifecycle() {
     let frames = generate_frames(2_000, 64);
-    for transport in TRANSPORTS {
-        let cfg = pump_idle_cfg(PolicyKind::Mflow, transport, StatefulMode::MergeBeforeTcp);
-        let log = FaultLog::new();
-        let mut faults = double_kill();
-        faults.log = Some(log.clone());
-        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-        assert_eq!(out.merger_deaths, 2);
-        let events = log.sorted();
-        let deaths: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::MergerDeath { incarnation } => Some(*incarnation),
-                _ => None,
-            })
-            .collect();
-        let respawns: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::MergerRespawn { incarnation } => Some(*incarnation),
-                _ => None,
-            })
-            .collect();
-        let restores: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::SnapshotRestore { incarnation } => Some(*incarnation),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(deaths, vec![0, 1], "{transport:?}: both scheduled kills fire");
-        assert!(
-            respawns.len() >= 2,
-            "{transport:?}: each death must log a respawn ({respawns:?})"
-        );
-        // Every successor (incarnation > 0) that took the lease restored
-        // from the checkpoint layer and said so.
-        assert!(
-            restores.len() >= 2,
-            "{transport:?}: each respawn must log its restore ({restores:?})"
-        );
-        assert!(
-            restores.iter().all(|&i| i >= 1),
-            "{transport:?}: incarnation 0 must never claim a restore"
-        );
-    }
+    let cfg = pump_idle_cfg(PolicyKind::Mflow, StatefulMode::MergeBeforeTcp);
+    let log = FaultLog::new();
+    let mut faults = double_kill();
+    faults.log = Some(log.clone());
+    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    assert_eq!(out.merger_deaths, 2);
+    let events = log.sorted();
+    let deaths: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            FaultEvent::MergerDeath { incarnation } => Some(*incarnation),
+            _ => None,
+        })
+        .collect();
+    let respawns: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            FaultEvent::MergerRespawn { incarnation } => Some(*incarnation),
+            _ => None,
+        })
+        .collect();
+    let restores: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            FaultEvent::SnapshotRestore { incarnation } => Some(*incarnation),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(deaths, vec![0, 1], "both scheduled kills fire");
+    assert!(
+        respawns.len() >= 2,
+        "each death must log a respawn ({respawns:?})"
+    );
+    // Every successor (incarnation > 0) that took the lease restored
+    // from the checkpoint layer and said so.
+    assert!(
+        restores.len() >= 2,
+        "each respawn must log its restore ({restores:?})"
+    );
+    assert!(
+        restores.iter().all(|&i| i >= 1),
+        "incarnation 0 must never claim a restore"
+    );
 }
 
 /// Mirrors the dispatcher's batching walk so lost packets can be
@@ -213,63 +206,61 @@ fn conservation_balances_through_simultaneous_worker_and_merger_deaths() {
     // the death window) and merger kills (which must lose nothing) in
     // the same run: the ledger has to balance across both domains.
     let frames = generate_frames(3_000, 64);
-    for transport in TRANSPORTS {
-        let cfg = pump_idle_cfg(PolicyKind::Mflow, transport, StatefulMode::MergeBeforeTcp);
-        let mut faults = double_kill();
-        for worker in [0usize, 2] {
-            faults.kills.push(WorkerKill {
-                worker,
-                after_batches: 3,
-                incarnation: 0,
-            });
-        }
-        faults.flush_timeout_ms = Some(40);
-        let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-        let serial = process_serial_stateful(&frames, WORK);
-        let reference: BTreeMap<u64, u64> =
-            serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
+    let cfg = pump_idle_cfg(PolicyKind::Mflow, StatefulMode::MergeBeforeTcp);
+    let mut faults = double_kill();
+    for worker in [0usize, 2] {
+        faults.kills.push(WorkerKill {
+            worker,
+            after_batches: 3,
+            incarnation: 0,
+        });
+    }
+    faults.flush_timeout_ms = Some(40);
+    let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
+    let serial = process_serial_stateful(&frames, WORK);
+    let reference: BTreeMap<u64, u64> =
+        serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
 
-        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-        assert_eq!(out.merger_deaths, 2, "{transport:?}");
-        assert_eq!(out.workers_died, 2, "{transport:?}");
+    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    assert_eq!(out.merger_deaths, 2);
+    assert_eq!(out.workers_died, 2);
 
-        for pair in out.digests.windows(2) {
-            assert!(
-                pair[0].seq < pair[1].seq,
-                "{transport:?}: inversion or duplicate at {} -> {}",
-                pair[0].seq,
-                pair[1].seq
-            );
-        }
-        for r in &out.digests {
-            assert_eq!(
-                reference.get(&r.seq),
-                Some(&r.digest),
-                "{transport:?}: digest mismatch at seq {}",
-                r.seq
-            );
-        }
-        assert_eq!(out.telemetry.residue, 0, "{transport:?}");
-
-        let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
-        let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-        let mut unattributed = BTreeSet::new();
-        for seq in 0..frames.len() as u64 {
-            if present.contains(&seq) || dropped.contains(&seq) {
-                continue;
-            }
-            if !flushed.contains(&mf_of[&seq]) {
-                unattributed.insert(mf_of[&seq]);
-            }
-        }
-        let window = (cfg.queue_depth + 2) * out.workers_died;
+    for pair in out.digests.windows(2) {
         assert!(
-            unattributed.len() <= window,
-            "{transport:?}: {} micro-flows lost without attribution \
-             ({window}-batch death window): {unattributed:?}",
-            unattributed.len()
+            pair[0].seq < pair[1].seq,
+            "inversion or duplicate at {} -> {}",
+            pair[0].seq,
+            pair[1].seq
         );
     }
+    for r in &out.digests {
+        assert_eq!(
+            reference.get(&r.seq),
+            Some(&r.digest),
+            "digest mismatch at seq {}",
+            r.seq
+        );
+    }
+    assert_eq!(out.telemetry.residue, 0);
+
+    let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
+    let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
+    let mut unattributed = BTreeSet::new();
+    for seq in 0..frames.len() as u64 {
+        if present.contains(&seq) || dropped.contains(&seq) {
+            continue;
+        }
+        if !flushed.contains(&mf_of[&seq]) {
+            unattributed.insert(mf_of[&seq]);
+        }
+    }
+    let window = (cfg.queue_depth + 2) * out.workers_died;
+    assert!(
+        unattributed.len() <= window,
+        "{} micro-flows lost without attribution \
+         ({window}-batch death window): {unattributed:?}",
+        unattributed.len()
+    );
 }
 
 #[test]
@@ -280,42 +271,40 @@ fn degraded_paths_still_deliver_the_benign_stream() {
     // never costs packets, only parallelism.
     let frames = generate_frames(2_000, 64);
     for mode in MODES {
-        for transport in TRANSPORTS {
-            let supervised = pump_idle_cfg(PolicyKind::Mflow, transport, mode);
-            let benign =
-                process_parallel_faulty(&frames, &supervised, &RuntimeFaults::none()).unwrap();
+        let supervised = pump_idle_cfg(PolicyKind::Mflow, mode);
+        let benign =
+            process_parallel_faulty(&frames, &supervised, &RuntimeFaults::none()).unwrap();
 
-            let mut one_kill = RuntimeFaults::none();
-            one_kill.merger_kill = Some(MergerKill {
-                after_offers: 100,
-                incarnation: 0,
-            });
+        let mut one_kill = RuntimeFaults::none();
+        one_kill.merger_kill = Some(MergerKill {
+            after_offers: 100,
+            incarnation: 0,
+        });
 
-            let unsupervised = RuntimeConfig {
-                heartbeat_interval_ms: None,
-                restart_budget: 0,
-                ..supervised
-            };
-            let out = process_parallel_faulty(&frames, &unsupervised, &one_kill).unwrap();
-            assert_eq!(
-                out.digests, benign.digests,
-                "unsupervised degradation diverged ({transport:?}/{mode:?})"
-            );
-            assert_eq!(out.merger_deaths, 1);
-            assert_eq!(out.telemetry.merger_restarts, 0);
+        let unsupervised = RuntimeConfig {
+            heartbeat_interval_ms: None,
+            restart_budget: 0,
+            ..supervised
+        };
+        let out = process_parallel_faulty(&frames, &unsupervised, &one_kill).unwrap();
+        assert_eq!(
+            out.digests, benign.digests,
+            "unsupervised degradation diverged ({mode:?})"
+        );
+        assert_eq!(out.merger_deaths, 1);
+        assert_eq!(out.telemetry.merger_restarts, 0);
 
-            let no_budget = RuntimeConfig {
-                restart_budget: 0,
-                ..supervised
-            };
-            let out = process_parallel_faulty(&frames, &no_budget, &one_kill).unwrap();
-            assert_eq!(
-                out.digests, benign.digests,
-                "budget-exhausted degradation diverged ({transport:?}/{mode:?})"
-            );
-            assert_eq!(out.merger_deaths, 1);
-            assert_eq!(out.telemetry.merger_restarts, 0);
-        }
+        let no_budget = RuntimeConfig {
+            restart_budget: 0,
+            ..supervised
+        };
+        let out = process_parallel_faulty(&frames, &no_budget, &one_kill).unwrap();
+        assert_eq!(
+            out.digests, benign.digests,
+            "budget-exhausted degradation diverged ({mode:?})"
+        );
+        assert_eq!(out.merger_deaths, 1);
+        assert_eq!(out.telemetry.merger_restarts, 0);
     }
 }
 

@@ -14,12 +14,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, Frame, PolicyKind, RuntimeConfig,
-    RuntimeFaults, Transport, WorkerKill,
+    RuntimeFaults, WorkerKill,
 };
-
-/// Every scenario runs over both transports: the degradation contract is
-/// channel-implementation-blind.
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
 
 /// Replays the dispatcher's batching walk to predict, from the seed
 /// alone, which packets the fault plan deletes at dispatch and which
@@ -118,9 +114,8 @@ fn check_degraded(
     // death was discovered (the stale-counter bugfix under test).
     assert!(
         out.telemetry.lane_depths.iter().all(|&d| d == 0),
-        "stale end-of-run lane depths {:?} ({:?})",
-        out.telemetry.lane_depths,
-        cfg.transport
+        "stale end-of-run lane depths {:?}",
+        out.telemetry.lane_depths
     );
     out
 }
@@ -130,12 +125,10 @@ fn stress_matrix_survives_loss_dups_lates_stalls_and_a_killed_worker() {
     let frames = generate_frames(2000, 64);
     let matrix = [(2usize, 8usize, 2usize), (3, 16, 4), (4, 32, 2), (2, 64, 8)];
     for (i, &(workers, batch_size, queue_depth)) in matrix.iter().enumerate() {
-        for transport in TRANSPORTS {
         let cfg = RuntimeConfig {
             workers,
             batch_size,
             queue_depth,
-            transport,
             ..RuntimeConfig::default()
         };
         let faults = RuntimeFaults {
@@ -159,41 +152,37 @@ fn stress_matrix_survives_loss_dups_lates_stalls_and_a_killed_worker() {
         assert!(
             out.workers_died <= 1,
             "config {:?}: only one worker was told to die",
-            (workers, batch_size, queue_depth, transport)
+            (workers, batch_size, queue_depth)
         );
         assert!(
             !out.digests.is_empty(),
             "config {:?}: run delivered nothing",
-            (workers, batch_size, queue_depth, transport)
+            (workers, batch_size, queue_depth)
         );
-        }
     }
 }
 
 #[test]
 fn killed_worker_is_reported_and_its_queue_redispatched() {
     let frames = generate_frames(1200, 64);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 2,
-            batch_size: 16,
-            queue_depth: 2,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        faults.kill = Some(WorkerKill {
-            worker: 1,
-            after_batches: 3,
-            incarnation: 0,
-        });
-        faults.flush_timeout_ms = Some(40);
-        let out = check_degraded(&frames, &cfg, &faults);
-        // With ~37 batches headed at the doomed lane the kill always
-        // fires, and the dispatcher always hits the dead channel after.
-        assert_eq!(out.workers_died, 1);
-        assert!(out.telemetry.redispatched >= 1, "death must trigger redispatch");
-    }
+    let cfg = RuntimeConfig {
+        workers: 2,
+        batch_size: 16,
+        queue_depth: 2,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    faults.kill = Some(WorkerKill {
+        worker: 1,
+        after_batches: 3,
+        incarnation: 0,
+    });
+    faults.flush_timeout_ms = Some(40);
+    let out = check_degraded(&frames, &cfg, &faults);
+    // With ~37 batches headed at the doomed lane the kill always
+    // fires, and the dispatcher always hits the dead channel after.
+    assert_eq!(out.workers_died, 1);
+    assert!(out.telemetry.redispatched >= 1, "death must trigger redispatch");
 }
 
 #[test]
@@ -202,35 +191,32 @@ fn losing_every_batch_closer_flushes_every_microflow_exactly() {
     // counter cannot advance without: no micro-flow ever closes, and the
     // end-of-stream flush must release everything else, in order.
     let frames = generate_frames(640, 64);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 8,
-            queue_depth: 4,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        faults.drop_last_rate = 1.0;
-        // Long deadline: recovery comes from the end-of-stream flush
-        // alone, keeping the run fully deterministic.
-        faults.flush_timeout_ms = Some(2000);
-        let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-        let out = check_degraded(&frames, &cfg, &faults);
+    let cfg = RuntimeConfig {
+        workers: 3,
+        batch_size: 8,
+        queue_depth: 4,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    faults.drop_last_rate = 1.0;
+    // Long deadline: recovery comes from the end-of-stream flush
+    // alone, keeping the run fully deterministic.
+    faults.flush_timeout_ms = Some(2000);
+    let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
+    let out = check_degraded(&frames, &cfg, &faults);
 
-        // Exactly the batch closers were deleted, nothing else missing.
-        let expected: Vec<u64> = (0..frames.len() as u64)
-            .filter(|s| !dropped.contains(s))
-            .collect();
-        let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
-        assert_eq!(got, expected);
-        assert_eq!(out.telemetry.fault_drops, dropped.len() as u64);
+    // Exactly the batch closers were deleted, nothing else missing.
+    let expected: Vec<u64> = (0..frames.len() as u64)
+        .filter(|s| !dropped.contains(s))
+        .collect();
+    let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
+    assert_eq!(got, expected);
+    assert_eq!(out.telemetry.fault_drops, dropped.len() as u64);
 
-        // Every dispatched micro-flow was force-flushed and reported.
-        let n_mfs = mf_of.values().copied().collect::<BTreeSet<_>>().len();
-        assert_eq!(out.flushed_mfs.len(), n_mfs);
-        assert_eq!(out.workers_died, 0);
-    }
+    // Every dispatched micro-flow was force-flushed and reported.
+    let n_mfs = mf_of.values().copied().collect::<BTreeSet<_>>().len();
+    assert_eq!(out.flushed_mfs.len(), n_mfs);
+    assert_eq!(out.workers_died, 0);
 }
 
 #[test]
@@ -240,26 +226,23 @@ fn duplicated_microflows_are_rejected_and_output_is_exact() {
     // bit-identical to the serial run.
     let frames = generate_frames(800, 64);
     let serial = process_serial(&frames);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 10,
-            queue_depth: 4,
-            transport,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        faults.dup_mf_rate = 1.0;
-        faults.flush_timeout_ms = Some(2000);
-        let out = check_degraded(&frames, &cfg, &faults);
-        assert_eq!(out.digests, serial.digests);
-        assert_eq!(
-            out.telemetry.dup + out.telemetry.late,
-            frames.len() as u64,
-            "each packet's second copy must be rejected exactly once"
-        );
-        assert!(out.flushed_mfs.is_empty(), "no loss, nothing to flush");
-    }
+    let cfg = RuntimeConfig {
+        workers: 3,
+        batch_size: 10,
+        queue_depth: 4,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    faults.dup_mf_rate = 1.0;
+    faults.flush_timeout_ms = Some(2000);
+    let out = check_degraded(&frames, &cfg, &faults);
+    assert_eq!(out.digests, serial.digests);
+    assert_eq!(
+        out.telemetry.dup + out.telemetry.late,
+        frames.len() as u64,
+        "each packet's second copy must be rejected exactly once"
+    );
+    assert!(out.flushed_mfs.is_empty(), "no loss, nothing to flush");
 }
 
 #[test]
@@ -270,37 +253,31 @@ fn degradation_contract_holds_under_every_policy() {
     // MFLOW spreads it — the attribution contract must hold regardless.
     let frames = generate_frames(1_500, 64);
     for policy in PolicyKind::ALL {
-        for transport in TRANSPORTS {
-            let cfg = RuntimeConfig {
-                workers: 3,
-                batch_size: 16,
-                queue_depth: 4,
-                policy,
-                transport,
-                ..RuntimeConfig::default()
-            };
-            let faults = RuntimeFaults {
-                seed: 0xF00D,
-                drop_rate: 0.01,
-                drop_last_rate: 0.03,
-                dup_mf_rate: 0.05,
-                late_mf_rate: 0.05,
-                late_by: 2,
-                kill: Some(WorkerKill {
-                    worker: 0,
-                    after_batches: 5,
-                    incarnation: 0,
-                }),
-                flush_timeout_ms: Some(40),
-                ..RuntimeFaults::none()
-            };
-            let out = check_degraded(&frames, &cfg, &faults);
-            // A pinned policy may leave worker 0 idle, in which case the
-            // kill never fires; at most the one doomed worker dies.
-            assert!(
-                out.workers_died <= 1,
-                "{policy}: more deaths than injected ({transport:?})"
-            );
-        }
+        let cfg = RuntimeConfig {
+            workers: 3,
+            batch_size: 16,
+            queue_depth: 4,
+            policy,
+            ..RuntimeConfig::default()
+        };
+        let faults = RuntimeFaults {
+            seed: 0xF00D,
+            drop_rate: 0.01,
+            drop_last_rate: 0.03,
+            dup_mf_rate: 0.05,
+            late_mf_rate: 0.05,
+            late_by: 2,
+            kill: Some(WorkerKill {
+                worker: 0,
+                after_batches: 5,
+                incarnation: 0,
+            }),
+            flush_timeout_ms: Some(40),
+            ..RuntimeFaults::none()
+        };
+        let out = check_degraded(&frames, &cfg, &faults);
+        // A pinned policy may leave worker 0 idle, in which case the
+        // kill never fires; at most the one doomed worker dies.
+        assert!(out.workers_died <= 1, "{policy}: more deaths than injected");
     }
 }

@@ -1,7 +1,7 @@
 //! Differential proof that state-compute replication is observationally
 //! equivalent to merge-before-tcp: the same seed, workload and fault
 //! schedule must yield the same delivered stream under both stateful
-//! modes, across every steering policy and both transports.
+//! modes, across every steering policy.
 //!
 //! The serial reference is [`process_serial_stateful`] — parse, checksum,
 //! digest, then the stateful stage applied in flow order. Merge-before-tcp
@@ -15,24 +15,19 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mflow_runtime::{
     generate_frames, process_parallel, process_parallel_faulty, process_serial_stateful, Frame,
-    PolicyKind, RunOutput, RuntimeConfig, RuntimeFaults, StatefulMode, Transport, WorkerKill,
+    PolicyKind, RunOutput, RuntimeConfig, RuntimeFaults, StatefulMode, WorkerKill,
 };
-
-/// Every scenario runs over both transports: equivalence must be
-/// channel-implementation-blind.
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
 
 /// Enough stateful rounds that a skipped, duplicated or reordered
 /// transition would corrupt the digest, while keeping runs CI-fast.
 const WORK: u32 = 24;
 
-fn cfg_for(policy: PolicyKind, transport: Transport, mode: StatefulMode) -> RuntimeConfig {
+fn cfg_for(policy: PolicyKind, mode: StatefulMode) -> RuntimeConfig {
     RuntimeConfig {
         workers: 4,
         batch_size: 16,
         queue_depth: 4,
         policy,
-        transport,
         stateful_mode: mode,
         stateful_work: WORK,
         ..RuntimeConfig::default()
@@ -142,40 +137,38 @@ fn assert_attributed(
 
 #[test]
 fn both_modes_reproduce_the_serial_stateful_stream() {
-    // The headline differential: same workload through every policy,
-    // transport and mode; delivered streams must be byte-identical to the
-    // serial stateful reference and therefore to each other.
+    // The headline differential: same workload through every policy and
+    // mode; delivered streams must be byte-identical to the serial
+    // stateful reference and therefore to each other.
     let frames = generate_frames(1536, 64);
     for work in [0u32, WORK] {
         let reference = process_serial_stateful(&frames, work);
         for policy in PolicyKind::ALL {
-            for transport in TRANSPORTS {
-                for mode in StatefulMode::ALL {
-                    let mut cfg = cfg_for(policy, transport, mode);
-                    cfg.stateful_work = work;
-                    let out = process_parallel(&frames, &cfg).unwrap();
-                    assert_eq!(
-                        out.digests, reference.digests,
-                        "{policy}/{transport:?}/{mode:?}/work={work}: diverged from serial"
-                    );
-                    assert_eq!(
-                        out.telemetry.stateful_mode,
-                        mode.name(),
-                        "telemetry must report the active mode"
-                    );
-                    match mode {
-                        StatefulMode::StateComputeReplication => {
-                            assert_eq!(
-                                out.telemetry.replicated_transitions,
-                                frames.len() as u64,
-                                "{policy}/{transport:?}: every packet's transition replicates"
-                            );
-                            assert_eq!(out.telemetry.reconciled_dups, 0, "benign run has no dups");
-                        }
-                        StatefulMode::MergeBeforeTcp => {
-                            assert_eq!(out.telemetry.replicated_transitions, 0);
-                            assert_eq!(out.telemetry.reconciled_dups, 0);
-                        }
+            for mode in StatefulMode::ALL {
+                let mut cfg = cfg_for(policy, mode);
+                cfg.stateful_work = work;
+                let out = process_parallel(&frames, &cfg).unwrap();
+                assert_eq!(
+                    out.digests, reference.digests,
+                    "{policy}/{mode:?}/work={work}: diverged from serial"
+                );
+                assert_eq!(
+                    out.telemetry.stateful_mode,
+                    mode.name(),
+                    "telemetry must report the active mode"
+                );
+                match mode {
+                    StatefulMode::StateComputeReplication => {
+                        assert_eq!(
+                            out.telemetry.replicated_transitions,
+                            frames.len() as u64,
+                            "{policy}: every packet's transition replicates"
+                        );
+                        assert_eq!(out.telemetry.reconciled_dups, 0, "benign run has no dups");
+                    }
+                    StatefulMode::MergeBeforeTcp => {
+                        assert_eq!(out.telemetry.replicated_transitions, 0);
+                        assert_eq!(out.telemetry.reconciled_dups, 0);
                     }
                 }
             }
@@ -190,30 +183,28 @@ fn duplicated_microflows_reconcile_to_the_exact_stream() {
     // the second copy of every position without disturbing the first.
     let frames = generate_frames(800, 64);
     let reference = process_serial_stateful(&frames, WORK);
-    for transport in TRANSPORTS {
-        for mode in StatefulMode::ALL {
-            let cfg = cfg_for(PolicyKind::Mflow, transport, mode);
-            let mut faults = RuntimeFaults::none();
-            faults.dup_mf_rate = 1.0;
-            faults.flush_timeout_ms = Some(2000);
-            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    for mode in StatefulMode::ALL {
+        let cfg = cfg_for(PolicyKind::Mflow, mode);
+        let mut faults = RuntimeFaults::none();
+        faults.dup_mf_rate = 1.0;
+        faults.flush_timeout_ms = Some(2000);
+        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+        assert_eq!(
+            out.digests, reference.digests,
+            "{mode:?}: duplication leaked into the stream"
+        );
+        assert!(out.flushed_mfs.is_empty(), "no loss, nothing to flush");
+        if mode == StatefulMode::StateComputeReplication {
             assert_eq!(
-                out.digests, reference.digests,
-                "{transport:?}/{mode:?}: duplication leaked into the stream"
+                out.telemetry.replicated_transitions,
+                2 * frames.len() as u64,
+                "both copies of every transition reach the reconciler"
             );
-            assert!(out.flushed_mfs.is_empty(), "no loss, nothing to flush");
-            if mode == StatefulMode::StateComputeReplication {
-                assert_eq!(
-                    out.telemetry.replicated_transitions,
-                    2 * frames.len() as u64,
-                    "{transport:?}: both copies of every transition reach the reconciler"
-                );
-                assert_eq!(
-                    out.telemetry.reconciled_dups,
-                    frames.len() as u64,
-                    "{transport:?}: exactly the second copy of each position is dropped"
-                );
-            }
+            assert_eq!(
+                out.telemetry.reconciled_dups,
+                frames.len() as u64,
+                "exactly the second copy of each position is dropped"
+            );
         }
     }
 }
@@ -224,27 +215,25 @@ fn delayed_microflows_deliver_exactly_under_both_modes() {
     // reconciler parks replicated transitions and releases them in order.
     let frames = generate_frames(1000, 64);
     let reference = process_serial_stateful(&frames, WORK);
-    for transport in TRANSPORTS {
-        for mode in StatefulMode::ALL {
-            let cfg = cfg_for(PolicyKind::Mflow, transport, mode);
-            let mut faults = RuntimeFaults::none();
-            faults.seed = 0x51ED;
-            faults.late_mf_rate = 0.25;
-            faults.late_by = 3;
-            faults.flush_timeout_ms = Some(2000);
-            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    for mode in StatefulMode::ALL {
+        let cfg = cfg_for(PolicyKind::Mflow, mode);
+        let mut faults = RuntimeFaults::none();
+        faults.seed = 0x51ED;
+        faults.late_mf_rate = 0.25;
+        faults.late_by = 3;
+        faults.flush_timeout_ms = Some(2000);
+        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+        assert_eq!(
+            out.digests, reference.digests,
+            "{mode:?}: delay leaked into the stream"
+        );
+        if mode == StatefulMode::StateComputeReplication {
+            // General no-loss invariant: arrivals = deliveries + dups.
             assert_eq!(
-                out.digests, reference.digests,
-                "{transport:?}/{mode:?}: delay leaked into the stream"
+                out.telemetry.replicated_transitions,
+                frames.len() as u64 + out.telemetry.reconciled_dups,
+                "replicated arrivals must be accounted for"
             );
-            if mode == StatefulMode::StateComputeReplication {
-                // General no-loss invariant: arrivals = deliveries + dups.
-                assert_eq!(
-                    out.telemetry.replicated_transitions,
-                    frames.len() as u64 + out.telemetry.reconciled_dups,
-                    "{transport:?}: replicated arrivals must be accounted for"
-                );
-            }
         }
     }
 }
@@ -256,53 +245,48 @@ fn dispatch_time_loss_degrades_both_modes_to_the_same_stream() {
     // exactly the surviving packets — and replication must additionally
     // report the dropped positions as its skipped seqs.
     let frames = generate_frames(640, 64);
-    for transport in TRANSPORTS {
-        let mut streams = Vec::new();
-        for mode in StatefulMode::ALL {
-            let mut cfg = cfg_for(PolicyKind::Mflow, transport, mode);
-            cfg.workers = 3;
-            cfg.batch_size = 8;
-            let mut faults = RuntimeFaults::none();
-            faults.drop_last_rate = 1.0;
-            faults.flush_timeout_ms = Some(2000);
-            let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-            assert_ordered_correct(&out, &frames, &format!("{transport:?}/{mode:?}"));
+    let mut streams = Vec::new();
+    for mode in StatefulMode::ALL {
+        let mut cfg = cfg_for(PolicyKind::Mflow, mode);
+        cfg.workers = 3;
+        cfg.batch_size = 8;
+        let mut faults = RuntimeFaults::none();
+        faults.drop_last_rate = 1.0;
+        faults.flush_timeout_ms = Some(2000);
+        let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
+        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+        assert_ordered_correct(&out, &frames, &format!("{mode:?}"));
 
-            let expected: Vec<u64> = (0..frames.len() as u64)
-                .filter(|s| !dropped.contains(s))
-                .collect();
-            let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
-            assert_eq!(got, expected, "{transport:?}/{mode:?}: loss beyond the plan");
+        let expected: Vec<u64> = (0..frames.len() as u64)
+            .filter(|s| !dropped.contains(s))
+            .collect();
+        let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
+        assert_eq!(got, expected, "{mode:?}: loss beyond the plan");
 
-            match mode {
-                StatefulMode::StateComputeReplication => {
-                    // The reconciler's flush report is the dropped seqs it
-                    // skipped over. A drop past the last delivered packet
-                    // is never skipped *over* — the stream simply ends —
-                    // so the report covers exactly the interior gaps.
-                    let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-                    let horizon = out.digests.last().map_or(0, |r| r.seq);
-                    let interior: BTreeSet<u64> =
-                        dropped.iter().copied().filter(|&s| s < horizon).collect();
-                    assert_eq!(
-                        flushed, interior,
-                        "{transport:?}: skipped seqs must be exactly the interior drops"
-                    );
-                }
-                StatefulMode::MergeBeforeTcp => {
-                    // The merging counter reports whole flushed micro-flows.
-                    let n_mfs = mf_of.values().copied().collect::<BTreeSet<_>>().len();
-                    assert_eq!(out.flushed_mfs.len(), n_mfs);
-                }
+        match mode {
+            StatefulMode::StateComputeReplication => {
+                // The reconciler's flush report is the dropped seqs it
+                // skipped over. A drop past the last delivered packet
+                // is never skipped *over* — the stream simply ends —
+                // so the report covers exactly the interior gaps.
+                let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
+                let horizon = out.digests.last().map_or(0, |r| r.seq);
+                let interior: BTreeSet<u64> =
+                    dropped.iter().copied().filter(|&s| s < horizon).collect();
+                assert_eq!(
+                    flushed, interior,
+                    "skipped seqs must be exactly the interior drops"
+                );
             }
-            streams.push(out.digests);
+            StatefulMode::MergeBeforeTcp => {
+                // The merging counter reports whole flushed micro-flows.
+                let n_mfs = mf_of.values().copied().collect::<BTreeSet<_>>().len();
+                assert_eq!(out.flushed_mfs.len(), n_mfs);
+            }
         }
-        assert_eq!(
-            streams[0], streams[1],
-            "{transport:?}: modes diverged under identical loss"
-        );
+        streams.push(out.digests);
     }
+    assert_eq!(streams[0], streams[1], "modes diverged under identical loss");
 }
 
 #[test]
@@ -313,32 +297,30 @@ fn worker_kill_degrades_each_mode_to_an_ordered_correct_subset() {
     // window the dead worker took with it.
     let frames = generate_frames(1500, 64);
     for policy in [PolicyKind::Mflow, PolicyKind::Rss, PolicyKind::FalconFunc] {
-        for transport in TRANSPORTS {
-            for mode in StatefulMode::ALL {
-                let mut cfg = cfg_for(policy, transport, mode);
-                cfg.workers = 3;
-                let faults = RuntimeFaults {
-                    seed: 0xF00D,
-                    drop_rate: 0.01,
-                    drop_last_rate: 0.03,
-                    dup_mf_rate: 0.05,
-                    late_mf_rate: 0.05,
-                    late_by: 2,
-                    kill: Some(WorkerKill {
-                        worker: 0,
-                        after_batches: 5,
-                        incarnation: 0,
-                    }),
-                    flush_timeout_ms: Some(40),
-                    ..RuntimeFaults::none()
-                };
-                let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-                let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-                let label = format!("{policy}/{transport:?}/{mode:?}");
-                assert_ordered_correct(&out, &frames, &label);
-                assert_attributed(&out, frames.len(), &cfg, &dropped, &mf_of, &label);
-                assert!(out.workers_died <= 1, "{label}: one injected death at most");
-            }
+        for mode in StatefulMode::ALL {
+            let mut cfg = cfg_for(policy, mode);
+            cfg.workers = 3;
+            let faults = RuntimeFaults {
+                seed: 0xF00D,
+                drop_rate: 0.01,
+                drop_last_rate: 0.03,
+                dup_mf_rate: 0.05,
+                late_mf_rate: 0.05,
+                late_by: 2,
+                kill: Some(WorkerKill {
+                    worker: 0,
+                    after_batches: 5,
+                    incarnation: 0,
+                }),
+                flush_timeout_ms: Some(40),
+                ..RuntimeFaults::none()
+            };
+            let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
+            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+            let label = format!("{policy}/{mode:?}");
+            assert_ordered_correct(&out, &frames, &label);
+            assert_attributed(&out, frames.len(), &cfg, &dropped, &mf_of, &label);
+            assert!(out.workers_died <= 1, "{label}: one injected death at most");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Supervised self-healing: heartbeat-driven death detection, respawn
 //! with backoff, FALCON stage re-homing, graceful degradation to
 //! dispatcher-inline processing when the restart budget is exhausted,
-//! and the transport-invariance of the injected fault schedule.
+//! and the run-to-run determinism of the injected fault schedule.
 //!
 //! The healing contract under test: a supervised run survives every
 //! scheduled worker death without wedging, the output stays a strictly
@@ -14,21 +14,18 @@ use std::time::Duration;
 
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, FaultLog, Frame, MergerKill,
-    PolicyKind, RuntimeConfig, RuntimeFaults, Transport, WorkerKill,
+    PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 use proptest::prelude::*;
 
-const TRANSPORTS: [Transport; 2] = [Transport::Mpsc, Transport::Ring];
-
 /// A supervised baseline: heartbeats on, respawns allowed, short
 /// backoff so recovery happens well inside a test-sized run.
-fn supervised_cfg(policy: PolicyKind, transport: Transport) -> RuntimeConfig {
+fn supervised_cfg(policy: PolicyKind) -> RuntimeConfig {
     RuntimeConfig {
         workers: 4,
         batch_size: 16,
         queue_depth: 4,
         policy,
-        transport,
         heartbeat_interval_ms: Some(25),
         restart_budget: 16,
         restart_backoff_ms: 1,
@@ -120,9 +117,8 @@ fn check_supervised(
     );
     assert!(
         out.telemetry.lane_depths.iter().all(|&d| d == 0),
-        "stale end-of-run lane depths {:?} ({:?})",
-        out.telemetry.lane_depths,
-        cfg.transport
+        "stale end-of-run lane depths {:?}",
+        out.telemetry.lane_depths
     );
 
     // Supervisor bookkeeping: every death has exactly one disposition,
@@ -142,26 +138,18 @@ fn check_supervised(
 #[test]
 fn killed_fanout_worker_is_respawned_and_the_run_stays_whole() {
     let frames = generate_frames(2_000, 64);
-    for transport in TRANSPORTS {
-        let cfg = supervised_cfg(PolicyKind::Mflow, transport);
-        let mut faults = RuntimeFaults::none();
-        faults.kills.push(WorkerKill {
-            worker: 0,
-            after_batches: 3,
-            incarnation: 0,
-        });
-        faults.flush_timeout_ms = Some(40);
-        let out = check_supervised(&frames, &cfg, &faults);
-        assert_eq!(out.workers_died, 1, "{transport:?}: exactly one scheduled death");
-        assert_eq!(
-            out.workers_respawned, 1,
-            "{transport:?}: the supervisor must heal the slot"
-        );
-        assert!(
-            !out.digests.is_empty(),
-            "{transport:?}: run delivered nothing"
-        );
-    }
+    let cfg = supervised_cfg(PolicyKind::Mflow);
+    let mut faults = RuntimeFaults::none();
+    faults.kills.push(WorkerKill {
+        worker: 0,
+        after_batches: 3,
+        incarnation: 0,
+    });
+    faults.flush_timeout_ms = Some(40);
+    let out = check_supervised(&frames, &cfg, &faults);
+    assert_eq!(out.workers_died, 1, "exactly one scheduled death");
+    assert_eq!(out.workers_respawned, 1, "the supervisor must heal the slot");
+    assert!(!out.digests.is_empty(), "run delivered nothing");
 }
 
 #[test]
@@ -171,29 +159,21 @@ fn falcon_chain_rehomes_a_killed_interior_stage() {
     // replacement worker and re-link the stage, not just observe it.
     let frames = generate_frames(2_000, 64);
     for policy in [PolicyKind::FalconDev, PolicyKind::FalconFunc] {
-        for transport in TRANSPORTS {
-            let cfg = supervised_cfg(policy, transport);
-            let mut faults = RuntimeFaults::none();
-            faults.kills.push(WorkerKill {
-                worker: 1, // interior stage for both chain shapes
-                after_batches: 2,
-                incarnation: 0,
-            });
-            faults.flush_timeout_ms = Some(40);
-            let out = check_supervised(&frames, &cfg, &faults);
-            assert_eq!(
-                out.workers_died, 1,
-                "{policy}/{transport:?}: exactly one scheduled death"
-            );
-            assert_eq!(
-                out.workers_respawned, 1,
-                "{policy}/{transport:?}: the chain stage must be re-homed"
-            );
-            assert!(
-                !out.digests.is_empty(),
-                "{policy}/{transport:?}: run delivered nothing"
-            );
-        }
+        let cfg = supervised_cfg(policy);
+        let mut faults = RuntimeFaults::none();
+        faults.kills.push(WorkerKill {
+            worker: 1, // interior stage for both chain shapes
+            after_batches: 2,
+            incarnation: 0,
+        });
+        faults.flush_timeout_ms = Some(40);
+        let out = check_supervised(&frames, &cfg, &faults);
+        assert_eq!(out.workers_died, 1, "{policy}: exactly one scheduled death");
+        assert_eq!(
+            out.workers_respawned, 1,
+            "{policy}: the chain stage must be re-homed"
+        );
+        assert!(!out.digests.is_empty(), "{policy}: run delivered nothing");
     }
 }
 
@@ -203,24 +183,22 @@ fn respawned_incarnation_can_be_killed_again() {
     // the supervisor must heal the slot twice, with the second respawn
     // backed off but still inside the budget.
     let frames = generate_frames(3_000, 64);
-    for transport in TRANSPORTS {
-        let cfg = supervised_cfg(PolicyKind::Mflow, transport);
-        let mut faults = RuntimeFaults::none();
-        for incarnation in [0, 1] {
-            faults.kills.push(WorkerKill {
-                worker: 0,
-                after_batches: 2,
-                incarnation,
-            });
-        }
-        faults.flush_timeout_ms = Some(40);
-        let out = check_supervised(&frames, &cfg, &faults);
-        assert_eq!(out.workers_died, 2, "{transport:?}: both incarnations die");
-        assert!(
-            out.workers_respawned >= 1,
-            "{transport:?}: at least the first death must be healed"
-        );
+    let cfg = supervised_cfg(PolicyKind::Mflow);
+    let mut faults = RuntimeFaults::none();
+    for incarnation in [0, 1] {
+        faults.kills.push(WorkerKill {
+            worker: 0,
+            after_batches: 2,
+            incarnation,
+        });
     }
+    faults.flush_timeout_ms = Some(40);
+    let out = check_supervised(&frames, &cfg, &faults);
+    assert_eq!(out.workers_died, 2, "both incarnations die");
+    assert!(
+        out.workers_respawned >= 1,
+        "at least the first death must be healed"
+    );
 }
 
 #[test]
@@ -230,42 +208,33 @@ fn exhausted_budget_degrades_to_dispatcher_inline() {
     // the degradation ladder ends at dispatcher-inline processing, and
     // every death is accounted as abandoned.
     let frames = generate_frames(1_500, 64);
-    for transport in TRANSPORTS {
-        let cfg = RuntimeConfig {
-            workers: 2,
-            batch_size: 16,
-            queue_depth: 2,
-            policy: PolicyKind::Mflow,
-            transport,
-            heartbeat_interval_ms: Some(25),
-            restart_budget: 0,
-            restart_backoff_ms: 1,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        for worker in 0..cfg.workers {
-            faults.kills.push(WorkerKill {
-                worker,
-                after_batches: 2,
-                incarnation: 0,
-            });
-        }
-        faults.flush_timeout_ms = Some(40);
-        let out = check_supervised(&frames, &cfg, &faults);
-        assert_eq!(out.workers_died, 2, "{transport:?}: both workers die");
-        assert_eq!(out.workers_respawned, 0, "{transport:?}: no budget, no respawn");
-        assert_eq!(out.workers_abandoned, 2, "{transport:?}: both abandoned");
-        assert!(
-            !out.digests.is_empty(),
-            "{transport:?}: inline degradation must still deliver"
-        );
-        // The tail of the stream has no workers left; it can only have
-        // arrived via the dispatcher's inline path.
-        assert!(
-            out.telemetry.inline > 0,
-            "{transport:?}: tail frames must be processed inline"
-        );
+    let cfg = RuntimeConfig {
+        workers: 2,
+        batch_size: 16,
+        queue_depth: 2,
+        policy: PolicyKind::Mflow,
+        heartbeat_interval_ms: Some(25),
+        restart_budget: 0,
+        restart_backoff_ms: 1,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    for worker in 0..cfg.workers {
+        faults.kills.push(WorkerKill {
+            worker,
+            after_batches: 2,
+            incarnation: 0,
+        });
     }
+    faults.flush_timeout_ms = Some(40);
+    let out = check_supervised(&frames, &cfg, &faults);
+    assert_eq!(out.workers_died, 2, "both workers die");
+    assert_eq!(out.workers_respawned, 0, "no budget, no respawn");
+    assert_eq!(out.workers_abandoned, 2, "both abandoned");
+    assert!(!out.digests.is_empty(), "inline degradation must still deliver");
+    // The tail of the stream has no workers left; it can only have
+    // arrived via the dispatcher's inline path.
+    assert!(out.telemetry.inline > 0, "tail frames must be processed inline");
 }
 
 #[test]
@@ -282,7 +251,6 @@ fn post_respawn_batches_merge_promptly_on_the_ring() {
         batch_size: 16,
         queue_depth: 2,
         policy: PolicyKind::Mflow,
-        transport: Transport::Ring,
         heartbeat_interval_ms: Some(25),
         restart_budget: 16,
         restart_backoff_ms: 1,
@@ -311,9 +279,9 @@ fn post_respawn_batches_merge_promptly_on_the_ring() {
 }
 
 #[test]
-fn fault_schedule_is_transport_invariant() {
+fn fault_schedule_is_deterministic_across_runs() {
     // Same seed, same schedule: the canonically sorted fault-event log
-    // must be identical under Mpsc and Ring. Dispatch-time decisions
+    // must be identical across two runs. Dispatch-time decisions
     // (drops, dups, lates) are checked under MFLOW steering; worker-side
     // stalls under RPS, whose single-flow pin makes the stalling worker
     // schedule-determined too.
@@ -325,8 +293,8 @@ fn fault_schedule_is_transport_invariant() {
     ];
     for (policy, drop_rate, drop_last_rate, dup_mf_rate, late_mf_rate, stall_rate) in cases {
         let mut logs = Vec::new();
-        for transport in TRANSPORTS {
-            let cfg = supervised_cfg(policy, transport);
+        for _run in 0..2 {
+            let cfg = supervised_cfg(policy);
             let log = FaultLog::new();
             let faults = RuntimeFaults {
                 seed: 0xC0FFEE,
@@ -350,17 +318,17 @@ fn fault_schedule_is_transport_invariant() {
         );
         assert_eq!(
             logs[0], logs[1],
-            "{policy}: same seed produced different fault schedules across transports"
+            "{policy}: same seed produced different fault schedules across runs"
         );
     }
 }
 
 #[test]
-fn merger_fault_schedule_is_transport_invariant() {
+fn merger_fault_schedule_is_deterministic_across_runs() {
     // Merger kills are keyed to absolute applied-offer counts, so the
     // full death/respawn/restore lifecycle — which incarnations died,
     // which replaced them, which restored — must come out identical
-    // under Mpsc and Ring. Kills only: wedge (stall) healing is
+    // across two runs. Kills only: wedge (stall) healing is
     // wall-clock-driven and legitimately timing-dependent. The stall
     // watchdog stays off (budget-only supervision) so a loaded host
     // cannot inject spurious supersede events, and `merger_depth` keeps
@@ -368,11 +336,11 @@ fn merger_fault_schedule_is_transport_invariant() {
     // merger incarnation's.
     let frames = generate_frames(1_200, 64);
     let mut logs = Vec::new();
-    for transport in TRANSPORTS {
+    for _run in 0..2 {
         let cfg = RuntimeConfig {
             merger_depth: 8192,
             heartbeat_interval_ms: None,
-            ..supervised_cfg(PolicyKind::Mflow, transport)
+            ..supervised_cfg(PolicyKind::Mflow)
         };
         let log = FaultLog::new();
         let mut faults = RuntimeFaults::none();
@@ -395,10 +363,7 @@ fn merger_fault_schedule_is_transport_invariant() {
         "two kills must log two deaths, two respawns and two restores: {:?}",
         logs[0]
     );
-    assert_eq!(
-        logs[0], logs[1],
-        "merger lifecycle diverged across transports"
-    );
+    assert_eq!(logs[0], logs[1], "merger lifecycle diverged across runs");
 }
 
 proptest! {
@@ -406,27 +371,24 @@ proptest! {
 
     /// Conservation and per-lane FIFO survive arbitrary restart
     /// schedules: any mix of kills across slots and incarnations, under
-    /// any policy, transport and restart budget (including zero — the
+    /// any policy and restart budget (including zero — the
     /// budget-exhausted inline-degradation path).
     #[test]
     fn conservation_holds_under_random_restart_schedules(
         seed in any::<u64>(),
         policy_ix in 0usize..PolicyKind::ALL.len(),
-        transport_ix in 0usize..2,
         workers in 2usize..=4,
         batch_size in 8usize..=24,
         budget_ix in 0usize..4,
         kill_points in prop::collection::vec((0usize..4, 2u64..8, 0u64..2), 1..5),
     ) {
         let policy = PolicyKind::ALL[policy_ix];
-        let transport = TRANSPORTS[transport_ix];
         let budget = [0u32, 1, 2, 16][budget_ix];
         let cfg = RuntimeConfig {
             workers,
             batch_size,
             queue_depth: 4,
             policy,
-            transport,
             heartbeat_interval_ms: Some(25),
             restart_budget: budget,
             restart_backoff_ms: 1,
