@@ -1,10 +1,14 @@
 //! Micro-benches of the wire-format substrate: building and fully
-//! verifying VXLAN overlay frames, and the Toeplitz RSS hash — the raw
-//! per-packet costs the simulator's cost model abstracts.
+//! verifying VXLAN overlay frames, the checksum kernel under them, the
+//! runtime's per-frame work over a batch of them, and the Toeplitz RSS
+//! hash — the raw per-packet costs the simulator's cost model abstracts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mflow_net::checksum::ones_complement_sum;
 use mflow_net::frame::{build_overlay_frame, parse_overlay_frame, OverlayFrameSpec};
 use mflow_net::toeplitz::rss_hash_v4;
+use mflow_runtime::work::{process_batch, process_frame};
+use mflow_runtime::{frame_wire_len, generate_frames};
 
 fn bench_frames(c: &mut Criterion) {
     let mut group = c.benchmark_group("overlay_frame");
@@ -27,6 +31,51 @@ fn bench_frames(c: &mut Criterion) {
     group.finish();
 }
 
+/// The checksum kernel alone, over a cache-resident payload: compute,
+/// not memory.
+fn bench_checksum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checksum");
+    group.sample_size(30);
+    for len in [64usize, 1448] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(len), &payload, |b, payload| {
+            b.iter(|| ones_complement_sum(payload, 0))
+        });
+    }
+    group.finish();
+}
+
+/// Parse + verify + checksum + digest over one 32-frame micro-flow, through
+/// the lookahead loop every runtime thread uses.
+fn bench_process_batch(c: &mut Criterion) {
+    const BATCH: usize = 32;
+    let mut group = c.benchmark_group("process_batch");
+    group.sample_size(30);
+    for payload in [64usize, 1448] {
+        let frames = generate_frames(BATCH, payload);
+        let mut results = Vec::with_capacity(BATCH);
+        group.throughput(Throughput::Bytes((BATCH * frame_wire_len(payload)) as u64));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(payload),
+            &frames,
+            |b, frames| {
+                b.iter(|| {
+                    results.clear();
+                    process_batch(
+                        frames.iter(),
+                        |rest| rest.as_slice().first(),
+                        process_frame,
+                        &mut results,
+                    );
+                    results.len()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_rss(c: &mut Criterion) {
     let mut group = c.benchmark_group("rss");
     group.sample_size(30);
@@ -40,5 +89,11 @@ fn bench_rss(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_frames, bench_rss);
+criterion_group!(
+    benches,
+    bench_frames,
+    bench_checksum,
+    bench_process_batch,
+    bench_rss
+);
 criterion_main!(benches);

@@ -9,6 +9,7 @@
 //!
 //! A native frame omits everything up to and including the VXLAN header.
 
+use crate::checksum;
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
 use crate::flow::{FlowKey, Proto};
 use crate::ipv4::{Ipv4Header, PROTO_TCP, PROTO_UDP};
@@ -274,6 +275,16 @@ pub fn parse_overlay_frame(frame: &[u8]) -> Result<ParsedOverlay, ParseError> {
 /// by the outer UDP destination port), inner IP checksum, inner transport
 /// checksum. The returned payload borrows from `frame`.
 ///
+/// The transport payload is the bulk of both the outer UDP and the inner
+/// TCP/UDP checksum, so it is summed once: the headers are walked down to
+/// it first, and each verification adds its own pseudo-header and header
+/// words — and the outer one the tunnel and inner headers in between — to
+/// that one sum. Both checksums still cover exactly the bytes the wire
+/// format says they cover.
+///
+/// Errors keep the precedence of verifying layer by layer, outside in: a
+/// bad outer UDP checksum is reported before anything wrong inside it.
+///
 /// This is the byte-level ground truth the simulator's decapsulation stage
 /// models the cost of.
 pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> {
@@ -291,30 +302,68 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
         return Err(ParseError::Truncated);
     }
     let udp_payload = &rest[..udp_payload_len];
-    if !outer_udp.verify(outer_ip.src, outer_ip.dst, udp_payload) {
-        return Err(ParseError::BadChecksum("outer udp"));
-    }
+
+    // An error found on the way down to the transport payload: there is
+    // no payload sum to share yet, so the outer checksum gets a pass of
+    // its own, and still speaks first.
+    let inner_error = |e: ParseError| {
+        if outer_udp.verify(outer_ip.src, outer_ip.dst, udp_payload) {
+            e
+        } else {
+            ParseError::BadChecksum("outer udp")
+        }
+    };
+    // The transport payload found (`len` bytes at the front of
+    // `after_header`): sums it, settles the outer UDP checksum with that
+    // sum, and hands the sum on for the inner checksum. The outer UDP
+    // payload is header prefix ++ payload ++ trailer, where the prefix is
+    // whole headers of even length (tunnel 8 + 4n, Ethernet 14, IPv4
+    // 4·IHL, TCP 20 or UDP 8), so the payload starts on a word boundary;
+    // the trailer is whatever follows an inner UDP datagram shorter than
+    // its packet — nothing, for TCP and for every frame this crate
+    // builds — and a run of bytes that starts at an odd offset
+    // contributes its sum byte-swapped (RFC 1071 §2(B)).
+    let sum_payload = |after_header: &[u8], len: usize| {
+        let start = udp_payload.len() - after_header.len();
+        let (prefix, payload) = udp_payload.split_at(start);
+        let (payload, trailer) = payload.split_at(len);
+        let payload_sum = checksum::ones_complement_sum(payload, 0);
+        let mut trailer_sum = 0;
+        if !trailer.is_empty() {
+            trailer_sum = checksum::ones_complement_sum(trailer, 0);
+            if len % 2 == 1 {
+                trailer_sum = (trailer_sum as u16).swap_bytes() as u32;
+            }
+        }
+        let outer_sum = checksum::ones_complement_sum(prefix, payload_sum + trailer_sum);
+        if outer_udp.verify_summed(outer_ip.src, outer_ip.dst, outer_sum) {
+            Ok(payload_sum)
+        } else {
+            Err(ParseError::BadChecksum("outer udp"))
+        }
+    };
+
     let (vni, inner) = match outer_udp.dst_port {
         VXLAN_PORT => {
-            let (vxlan, inner) = VxlanHeader::parse(udp_payload)?;
+            let (vxlan, inner) = VxlanHeader::parse(udp_payload).map_err(inner_error)?;
             (vxlan.vni, inner)
         }
         GENEVE_PORT => {
-            let (geneve, inner) = GeneveHeader::parse(udp_payload)?;
+            let (geneve, inner) = GeneveHeader::parse(udp_payload).map_err(inner_error)?;
             (geneve.vni, inner)
         }
-        _ => return Err(ParseError::Malformed("tunnel port")),
+        _ => return Err(inner_error(ParseError::Malformed("tunnel port"))),
     };
-
-    let (inner_eth, rest) = EthernetHeader::parse(inner)?;
+    let (inner_eth, rest) = EthernetHeader::parse(inner).map_err(inner_error)?;
     if inner_eth.ethertype != EtherType::Ipv4 {
-        return Err(ParseError::Malformed("inner ethertype"));
+        return Err(inner_error(ParseError::Malformed("inner ethertype")));
     }
-    let (inner_ip, rest) = Ipv4Header::parse(rest)?;
+    let (inner_ip, rest) = Ipv4Header::parse(rest).map_err(inner_error)?;
     let (inner_flow, tcp_seq, payload) = match inner_ip.protocol {
         PROTO_TCP => {
-            let (tcp, payload) = TcpHeader::parse(rest)?;
-            if !tcp.verify(inner_ip.src, inner_ip.dst, payload) {
+            let (tcp, payload) = TcpHeader::parse(rest).map_err(inner_error)?;
+            let payload_sum = sum_payload(payload, payload.len())?;
+            if !tcp.verify_summed(inner_ip.src, inner_ip.dst, payload.len(), payload_sum) {
                 return Err(ParseError::BadChecksum("inner tcp"));
             }
             (
@@ -324,22 +373,22 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
             )
         }
         PROTO_UDP => {
-            let (udp, payload) = UdpHeader::parse(rest)?;
+            let (udp, payload) = UdpHeader::parse(rest).map_err(inner_error)?;
             let plen = udp.length as usize - UdpHeader::LEN;
             if payload.len() < plen {
-                return Err(ParseError::Truncated);
+                return Err(inner_error(ParseError::Truncated));
             }
-            let payload = &payload[..plen];
-            if !udp.verify(inner_ip.src, inner_ip.dst, payload) {
+            let payload_sum = sum_payload(payload, plen)?;
+            if !udp.verify_summed(inner_ip.src, inner_ip.dst, payload_sum) {
                 return Err(ParseError::BadChecksum("inner udp"));
             }
             (
                 FlowKey::udp(inner_ip.src, udp.src_port, inner_ip.dst, udp.dst_port),
                 0,
-                payload,
+                &payload[..plen],
             )
         }
-        _ => return Err(ParseError::Malformed("inner protocol")),
+        _ => return Err(inner_error(ParseError::Malformed("inner protocol"))),
     };
     Ok(ParsedOverlayRef {
         outer_flow: FlowKey::udp(

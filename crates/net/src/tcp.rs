@@ -52,13 +52,28 @@ impl TcpHeader {
             window,
             checksum: 0,
         };
-        let len = (Self::LEN + payload.len()) as u16;
-        let pseudo = checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, len);
-        let mut bytes = Vec::with_capacity(Self::LEN + payload.len());
-        h.encode(&mut bytes);
-        bytes.extend_from_slice(payload);
-        h.checksum = checksum::finish(checksum::ones_complement_sum(&bytes, pseudo));
+        let header = h.header_sum(src_ip, dst_ip, payload.len());
+        h.checksum = checksum::finish(checksum::ones_complement_sum(payload, header));
         h
+    }
+
+    /// Unfolded sum of the pseudo-header and this header's wire words —
+    /// the same big-endian u16s [`Self::encode`] emits, including the
+    /// `data offset | flags` word and the zero urgent pointer. The
+    /// header is an even number of bytes, so a payload summed on top of
+    /// this keeps its own word alignment.
+    fn header_sum(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_len: usize) -> u32 {
+        let len = (Self::LEN + payload_len) as u16;
+        checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, len)
+            + self.src_port as u32
+            + self.dst_port as u32
+            + (self.seq >> 16)
+            + (self.seq & 0xFFFF)
+            + (self.ack >> 16)
+            + (self.ack & 0xFFFF)
+            + (((5u32 << 4) << 8) | self.flags as u32)
+            + self.window as u32
+            + self.checksum as u32
     }
 
     /// Writes the header into `out`.
@@ -83,6 +98,12 @@ impl TcpHeader {
         if data_off < Self::LEN || buf.len() < data_off {
             return Err(ParseError::Malformed("tcp data offset"));
         }
+        if data_off != Self::LEN {
+            // `encode` and the checksum both fix the header at 5 words;
+            // skipping option bytes here would fail a valid segment's
+            // checksum instead of naming the unsupported feature.
+            return Err(ParseError::Malformed("tcp options"));
+        }
         Ok((
             Self {
                 src_port: u16::from_be_bytes([buf[0], buf[1]]),
@@ -93,32 +114,30 @@ impl TcpHeader {
                 window: u16::from_be_bytes([buf[14], buf[15]]),
                 checksum: u16::from_be_bytes([buf[16], buf[17]]),
             },
-            &buf[data_off..],
+            &buf[Self::LEN..],
         ))
     }
 
     /// Verifies the checksum of header + payload against the pseudo-header.
     ///
     /// Allocation-free: the header's wire words are folded straight into
-    /// the running sum (they are the same big-endian u16s `encode` would
-    /// emit — including the `data offset | flags` word and the zero
-    /// urgent pointer), and the payload is summed in place. The header
-    /// is an even number of bytes, so the payload's word alignment is
-    /// unchanged.
+    /// the running sum and the payload is summed in place.
     pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
-        let len = (Self::LEN + payload.len()) as u16;
-        let pseudo = checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, len);
-        let header = pseudo
-            + self.src_port as u32
-            + self.dst_port as u32
-            + (self.seq >> 16)
-            + (self.seq & 0xFFFF)
-            + (self.ack >> 16)
-            + (self.ack & 0xFFFF)
-            + (((5u32 << 4) << 8) | self.flags as u32)
-            + self.window as u32
-            + self.checksum as u32;
-        checksum::ones_complement_sum(payload, header) == 0xFFFF
+        let payload_sum = checksum::ones_complement_sum(payload, 0);
+        self.verify_summed(src_ip, dst_ip, payload.len(), payload_sum)
+    }
+
+    /// [`Self::verify`] for a caller that already holds the payload's
+    /// one's-complement sum (`payload_sum`, taken from an even offset).
+    pub fn verify_summed(
+        &self,
+        src_ip: [u8; 4],
+        dst_ip: [u8; 4],
+        payload_len: usize,
+        payload_sum: u32,
+    ) -> bool {
+        let header = self.header_sum(src_ip, dst_ip, payload_len);
+        checksum::fold(header as u64 + payload_sum as u64) == 0xFFFF
     }
 
     /// True if the ACK flag is set.
@@ -179,6 +198,57 @@ mod tests {
             TcpHeader::parse(&buf),
             Err(ParseError::Malformed("tcp data offset"))
         ));
+    }
+
+    #[test]
+    fn options_rejected_by_name_not_as_a_bad_checksum() {
+        // A valid 6-word header (one NOP-padded option word) with a
+        // correct checksum: this type fixes the offset at 5 words, so
+        // the honest answer is "unsupported", not "corrupt".
+        let payload = b"after options";
+        let mut seg = Vec::new();
+        TcpHeader::for_payload(1, 2, 7, 0, flags::ACK, 100, SRC, DST, &[]).encode(&mut seg);
+        seg[12] = 6 << 4;
+        seg[16..18].copy_from_slice(&[0, 0]);
+        seg.extend_from_slice(&[1, 1, 1, 1]);
+        seg.extend_from_slice(payload);
+        let pseudo = checksum::pseudo_header_sum(SRC, DST, PROTO_TCP, seg.len() as u16);
+        let ck = checksum::finish(checksum::ones_complement_sum(&seg, pseudo));
+        seg[16..18].copy_from_slice(&ck.to_be_bytes());
+        assert!(
+            checksum::verify(&seg, pseudo),
+            "the segment itself is valid"
+        );
+        assert_eq!(
+            TcpHeader::parse(&seg).unwrap_err(),
+            ParseError::Malformed("tcp options")
+        );
+    }
+
+    #[test]
+    fn for_payload_matches_the_copy_based_construction() {
+        // The construction `for_payload` replaced: encode the header with
+        // a zero checksum, append the payload, sum the copy.
+        for len in [0usize, 1, 2, 31, 32, 33, 999, 1448] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let h = TcpHeader::for_payload(
+                40001,
+                5201,
+                0xDEAD_BEEF,
+                17,
+                flags::ACK,
+                0xFFFF,
+                SRC,
+                DST,
+                &payload,
+            );
+            let mut bytes = Vec::new();
+            TcpHeader { checksum: 0, ..h }.encode(&mut bytes);
+            bytes.extend_from_slice(&payload);
+            let pseudo = checksum::pseudo_header_sum(SRC, DST, PROTO_TCP, bytes.len() as u16);
+            let copied = checksum::finish(checksum::ones_complement_sum(&bytes, pseudo));
+            assert_eq!(h.checksum, copied, "payload len {len}");
+        }
     }
 
     #[test]

@@ -34,16 +34,25 @@ impl UdpHeader {
             length,
             checksum: 0,
         };
-        let pseudo = checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, length);
-        let mut bytes = Vec::with_capacity(Self::LEN + payload.len());
-        h.encode(&mut bytes);
-        bytes.extend_from_slice(payload);
-        let mut ck = checksum::finish(checksum::ones_complement_sum(&bytes, pseudo));
+        let header = h.header_sum(src_ip, dst_ip);
+        let mut ck = checksum::finish(checksum::ones_complement_sum(payload, header));
         if ck == 0 {
             ck = 0xFFFF; // RFC 768: zero checksum means "not computed"
         }
         h.checksum = ck;
         h
+    }
+
+    /// Unfolded sum of the pseudo-header and this header's wire words
+    /// (the same big-endian u16s [`Self::encode`] emits). The header is
+    /// an even number of bytes, so a payload summed on top of this keeps
+    /// its own word alignment.
+    fn header_sum(&self, src_ip: [u8; 4], dst_ip: [u8; 4]) -> u32 {
+        checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, self.length)
+            + self.src_port as u32
+            + self.dst_port as u32
+            + self.length as u32
+            + self.checksum as u32
     }
 
     /// Writes the header into `out`.
@@ -74,20 +83,19 @@ impl UdpHeader {
     /// Verifies the checksum of header + payload against the pseudo-header.
     ///
     /// Allocation-free: the header's wire words are folded straight into
-    /// the running sum (they are the same big-endian u16s `encode` would
-    /// emit), and the payload is summed in place. The header is an even
-    /// number of bytes, so the payload's word alignment is unchanged.
+    /// the running sum and the payload is summed in place.
     pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
-        if self.checksum == 0 {
-            return true; // checksum not computed by sender
-        }
-        let pseudo = checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, self.length);
-        let header = pseudo
-            + self.src_port as u32
-            + self.dst_port as u32
-            + self.length as u32
-            + self.checksum as u32;
-        checksum::ones_complement_sum(payload, header) == 0xFFFF
+        // Checked here too so an unverified datagram skips the walk.
+        self.checksum == 0
+            || self.verify_summed(src_ip, dst_ip, checksum::ones_complement_sum(payload, 0))
+    }
+
+    /// [`Self::verify`] for a caller that already holds the payload's
+    /// one's-complement sum (`payload_sum`, taken from an even offset).
+    pub fn verify_summed(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_sum: u32) -> bool {
+        // A zero checksum means "not computed by the sender".
+        self.checksum == 0
+            || checksum::fold(self.header_sum(src_ip, dst_ip) as u64 + payload_sum as u64) == 0xFFFF
     }
 }
 
@@ -117,6 +125,25 @@ mod tests {
         let mut bad = payload.clone();
         bad[0] ^= 0x01;
         assert!(!h.verify(SRC, DST, &bad));
+    }
+
+    #[test]
+    fn for_payload_matches_the_copy_based_construction() {
+        // The construction `for_payload` replaced: encode the header with
+        // a zero checksum, append the payload, sum the copy.
+        for len in [0usize, 1, 2, 31, 32, 33, 999, 1498] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
+            let h = UdpHeader::for_payload(49153, 4789, SRC, DST, &payload);
+            let mut bytes = Vec::new();
+            UdpHeader { checksum: 0, ..h }.encode(&mut bytes);
+            bytes.extend_from_slice(&payload);
+            let pseudo = checksum::pseudo_header_sum(SRC, DST, PROTO_UDP, h.length);
+            let mut copied = checksum::finish(checksum::ones_complement_sum(&bytes, pseudo));
+            if copied == 0 {
+                copied = 0xFFFF;
+            }
+            assert_eq!(h.checksum, copied, "payload len {len}");
+        }
     }
 
     #[test]

@@ -2,11 +2,20 @@
 //! the fields and payload it was built from, and corruption must never be
 //! silently accepted as the original.
 
+use mflow_net::checksum;
+use mflow_net::ethernet::EtherType;
 use mflow_net::flow::{FlowKey, Proto};
-use mflow_net::frame::{build_overlay_frame, parse_overlay_frame, OverlayFrameSpec};
-use mflow_net::ipv4::{fragment_payload, FragmentReassembler};
+use mflow_net::frame::{
+    build_geneve_frame, build_overlay_frame, parse_overlay_frame, parse_overlay_frame_ref,
+    OverlayFrameSpec, ParsedOverlayRef,
+};
+use mflow_net::geneve::{GeneveHeader, GENEVE_PORT};
+use mflow_net::ipv4::{fragment_payload, FragmentReassembler, PROTO_TCP, PROTO_UDP};
 use mflow_net::toeplitz::rss_hash_v4;
-use mflow_net::{EthernetHeader, Ipv4Header, MacAddr, TcpHeader, UdpHeader};
+use mflow_net::vxlan::VXLAN_PORT;
+use mflow_net::{
+    EthernetHeader, Ipv4Header, MacAddr, ParseError, TcpHeader, UdpHeader, VxlanHeader,
+};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = OverlayFrameSpec> {
@@ -41,7 +50,159 @@ fn arb_spec() -> impl Strategy<Value = OverlayFrameSpec> {
         )
 }
 
+/// The two-pass parse `parse_overlay_frame_ref` replaced, kept as the
+/// reference: verify the outer UDP checksum over its whole payload, then
+/// walk inward and verify the inner transport checksum over the payload
+/// again. Defines both the accepted set and which error speaks first.
+fn two_pass_reference(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> {
+    let (outer_eth, rest) = EthernetHeader::parse(frame)?;
+    if outer_eth.ethertype != EtherType::Ipv4 {
+        return Err(ParseError::Malformed("outer ethertype"));
+    }
+    let (outer_ip, rest) = Ipv4Header::parse(rest)?;
+    if outer_ip.protocol != PROTO_UDP {
+        return Err(ParseError::Malformed("outer protocol"));
+    }
+    let (outer_udp, rest) = UdpHeader::parse(rest)?;
+    let udp_payload_len = outer_udp.length as usize - UdpHeader::LEN;
+    if rest.len() < udp_payload_len {
+        return Err(ParseError::Truncated);
+    }
+    let udp_payload = &rest[..udp_payload_len];
+    if !outer_udp.verify(outer_ip.src, outer_ip.dst, udp_payload) {
+        return Err(ParseError::BadChecksum("outer udp"));
+    }
+    let (vni, inner) = match outer_udp.dst_port {
+        VXLAN_PORT => {
+            let (vxlan, inner) = VxlanHeader::parse(udp_payload)?;
+            (vxlan.vni, inner)
+        }
+        GENEVE_PORT => {
+            let (geneve, inner) = GeneveHeader::parse(udp_payload)?;
+            (geneve.vni, inner)
+        }
+        _ => return Err(ParseError::Malformed("tunnel port")),
+    };
+    let (inner_eth, rest) = EthernetHeader::parse(inner)?;
+    if inner_eth.ethertype != EtherType::Ipv4 {
+        return Err(ParseError::Malformed("inner ethertype"));
+    }
+    let (inner_ip, rest) = Ipv4Header::parse(rest)?;
+    let (inner_flow, tcp_seq, payload) = match inner_ip.protocol {
+        PROTO_TCP => {
+            let (tcp, payload) = TcpHeader::parse(rest)?;
+            if !tcp.verify(inner_ip.src, inner_ip.dst, payload) {
+                return Err(ParseError::BadChecksum("inner tcp"));
+            }
+            (
+                FlowKey::tcp(inner_ip.src, tcp.src_port, inner_ip.dst, tcp.dst_port),
+                tcp.seq,
+                payload,
+            )
+        }
+        PROTO_UDP => {
+            let (udp, payload) = UdpHeader::parse(rest)?;
+            let plen = udp.length as usize - UdpHeader::LEN;
+            if payload.len() < plen {
+                return Err(ParseError::Truncated);
+            }
+            let payload = &payload[..plen];
+            if !udp.verify(inner_ip.src, inner_ip.dst, payload) {
+                return Err(ParseError::BadChecksum("inner udp"));
+            }
+            (
+                FlowKey::udp(inner_ip.src, udp.src_port, inner_ip.dst, udp.dst_port),
+                0,
+                payload,
+            )
+        }
+        _ => return Err(ParseError::Malformed("inner protocol")),
+    };
+    Ok(ParsedOverlayRef {
+        outer_flow: FlowKey::udp(
+            outer_ip.src,
+            outer_udp.src_port,
+            outer_ip.dst,
+            outer_udp.dst_port,
+        ),
+        outer_src_mac: outer_eth.src,
+        outer_dst_mac: outer_eth.dst,
+        vni,
+        inner_flow,
+        inner_src_mac: inner_eth.src,
+        inner_dst_mac: inner_eth.dst,
+        tcp_seq,
+        payload,
+    })
+}
+
+// Offsets into a built frame's outer headers (Ethernet 14, IPv4 20).
+const OUTER_IP: usize = 14;
+const OUTER_UDP: usize = 34;
+const OUTER_UDP_PAYLOAD: usize = 42;
+
+/// Appends `trailer` to the outer UDP payload — bytes past the inner
+/// packet, as link padding would be — and re-seals the outer IPv4 and
+/// UDP lengths and checksums around it.
+fn append_trailer(frame: &mut Vec<u8>, trailer: &[u8]) {
+    frame.extend_from_slice(trailer);
+    let ip_len = (frame.len() - OUTER_IP) as u16;
+    frame[OUTER_IP + 2..OUTER_IP + 4].copy_from_slice(&ip_len.to_be_bytes());
+    frame[OUTER_IP + 10..OUTER_IP + 12].copy_from_slice(&[0, 0]);
+    let ck = checksum::checksum(&frame[OUTER_IP..OUTER_UDP]);
+    frame[OUTER_IP + 10..OUTER_IP + 12].copy_from_slice(&ck.to_be_bytes());
+    let (ip, udp) = (
+        Ipv4Header::parse(&frame[OUTER_IP..]).unwrap().0,
+        UdpHeader::parse(&frame[OUTER_UDP..]).unwrap().0,
+    );
+    let sealed = UdpHeader::for_payload(
+        udp.src_port,
+        udp.dst_port,
+        ip.src,
+        ip.dst,
+        &frame[OUTER_UDP_PAYLOAD..],
+    );
+    let mut header = Vec::new();
+    sealed.encode(&mut header);
+    frame[OUTER_UDP..OUTER_UDP_PAYLOAD].copy_from_slice(&header);
+}
+
 proptest! {
+    #[test]
+    fn single_sum_parse_agrees_with_the_two_pass_reference(
+        spec in arb_spec(),
+        geneve in any::<bool>(),
+        zero_outer_checksum in any::<bool>(),
+        trailer in prop::collection::vec(any::<u8>(), 0..4),
+        mask_seed in any::<u64>(),
+    ) {
+        let mut frame = if geneve { build_geneve_frame(&spec) } else { build_overlay_frame(&spec) };
+        append_trailer(&mut frame, &trailer);
+        if zero_outer_checksum {
+            frame[OUTER_UDP + 6..OUTER_UDP + 8].copy_from_slice(&[0, 0]);
+        }
+        // Intact: accepted by both with the same view. A trailer makes
+        // an inner TCP segment longer than its checksum covers, which
+        // both must reject the same way; inner UDP carries its own length
+        // and just sheds it.
+        let intact = parse_overlay_frame_ref(&frame);
+        prop_assert_eq!(&intact, &two_pass_reference(&frame));
+        prop_assert_eq!(intact.is_ok(), trailer.is_empty() || spec.proto == Proto::Udp);
+        // Every single-byte corruption: same view or same error.
+        let mut x = mask_seed | 1;
+        for pos in 0..frame.len() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let mask = ((x >> 56) as u8).max(1);
+            frame[pos] ^= mask;
+            prop_assert_eq!(
+                parse_overlay_frame_ref(&frame),
+                two_pass_reference(&frame),
+                "byte {} ^ {:#04x}", pos, mask
+            );
+            frame[pos] ^= mask;
+        }
+    }
+
     #[test]
     fn overlay_frame_roundtrips(spec in arb_spec()) {
         let frame = build_overlay_frame(&spec);

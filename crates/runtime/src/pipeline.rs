@@ -109,7 +109,9 @@ use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::packet::Frame;
 use crate::ring::{self, MuxRecvError, RingClosed, RingConsumer, RingMux, RingProducer, RingSendError};
 use crate::supervise::{HeartbeatBoard, Supervisor};
-use crate::work::{process_frame, stage_group_sizes, stateful_stage, PacketResult, StagedWork};
+use crate::work::{
+    process_batch, process_frame, stage_group_sizes, stateful_stage, PacketResult, StagedWork,
+};
 
 /// Inert name for the one transport, the lock-free SPSC request rings
 /// of [`crate::ring`]. Nothing reads it: it survives only because the
@@ -455,10 +457,13 @@ pub fn process_serial(frames: &[Frame]) -> RunOutput {
 /// [`RuntimeConfig::stateful_mode`]s must reproduce exactly.
 pub fn process_serial_stateful(frames: &[Frame], stateful_work: u32) -> RunOutput {
     let start = Instant::now();
-    let digests = frames
-        .iter()
-        .map(|f| stateful_stage(process_frame(f), stateful_work))
-        .collect();
+    let mut digests = Vec::new();
+    process_batch(
+        frames.iter(),
+        |rest| rest.as_slice().first(),
+        |f| stateful_stage(process_frame(f), stateful_work),
+        &mut digests,
+    );
     RunOutput::new(digests, start.elapsed(), "serial")
 }
 
@@ -839,7 +844,7 @@ fn merger_loop(
             lease.clean = true; // superseded: hand over, not a death
             return;
         }
-        match lease.rx().recv_deadline(flush_timeout.map(|t| Instant::now() + t)) {
+        match lease.rx().recv_timeout(flush_timeout) {
             Ok((tag, result)) => {
                 beats.bump(merger_slot);
                 shared.recvd.fetch_add(1, Ordering::Relaxed);
@@ -1474,6 +1479,24 @@ fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
     }
 }
 
+/// [`process_batch`]'s lookahead over a micro-flow batch: the frame the
+/// thread will work on next, peeked in place.
+fn upcoming_frame(rest: &std::vec::IntoIter<(MfTag, Frame)>) -> Option<&Frame> {
+    rest.as_slice().first().map(|(_, frame)| frame)
+}
+
+/// The full per-packet work for one micro-flow, appended to `results`:
+/// what a fan-out lane worker does with a batch, and what the dispatcher
+/// does with one it keeps inline.
+fn process_tagged(batch: Batch, scr_work: Option<u32>, results: &mut Vec<Merged>) {
+    process_batch(
+        batch.into_iter(),
+        upcoming_frame,
+        |(tag, frame)| (tag, apply_scr(process_frame(&frame), scr_work)),
+        results,
+    );
+}
+
 /// One re-wireable FALCON chain link: the sender feeding the next stage.
 /// Lives in a shared slot (instead of being owned by the upstream
 /// worker) so the watchdog can swap in a fresh link when the downstream
@@ -1578,6 +1601,9 @@ fn fanout_worker_loop(
     observe: Option<&PolicyCell>,
 ) {
     let mut processed = 0u64;
+    // One results buffer for the life of the worker: `push_all` drains it
+    // into the ring, so its capacity is reused batch after batch.
+    let mut results: Vec<Merged> = Vec::new();
     while let Some(batch) = rx.pop() {
         depth_dec(&depths[slot]);
         beats.bump(slot);
@@ -1594,12 +1620,9 @@ fn fanout_worker_loop(
         }
         // Whole-batch processing, whole-batch publish: one merge-side
         // handoff per micro-flow, not per packet.
-        let mut results = Vec::with_capacity(batch.len());
-        for (tag, frame) in batch {
-            results.push((tag, apply_scr(process_frame(&frame), scr_work)));
-        }
+        process_tagged(batch, scr_work, &mut results);
         sent.fetch_add(results.len() as u64, Ordering::Relaxed);
-        if tx.push_all(results).is_err() {
+        if tx.push_all(results.drain(..)).is_err() {
             // Merger gone; nothing useful left to do.
             return;
         }
@@ -1627,10 +1650,13 @@ fn chain_head_loop(
         depth_dec(&depths[0]);
         beats.bump(0);
         apply_worker_faults(faults, 0, incarnation, processed, batch.first().map(|(t, _)| t.id));
-        let staged: StageBatch = batch
-            .into_iter()
-            .map(|(tag, frame)| (tag, StagedWork::Raw(frame).advance_n(head_group)))
-            .collect();
+        let mut staged = StageBatch::new();
+        process_batch(
+            batch.into_iter(),
+            upcoming_frame,
+            |(tag, frame)| (tag, StagedWork::Raw(frame).advance_n(head_group)),
+            &mut staged,
+        );
         if forward_shared(chain, 0, &mut merge, sent, staged, scr_work).is_err() {
             return;
         }
@@ -1956,10 +1982,8 @@ pub fn process_parallel_faulty(
                     lock_policy(policy_cell).observe(tag.id, hash, tag.lane, batch.len());
                 }
             }
-            let mut results = Vec::with_capacity(batch.len());
-            for (tag, frame) in batch {
-                results.push((tag, apply_scr(process_frame(&frame), scr_work)));
-            }
+            let mut results = Vec::new();
+            process_tagged(batch, scr_work, &mut results);
             shared.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
             let _ = tx.push_all(results);
         };

@@ -535,6 +535,21 @@ impl<T> RingMux<T> {
         }
     }
 
+    /// Receives one item, waiting at most `timeout` (forever when `None`)
+    /// counted from the moment the mux is found empty: anything already
+    /// buffered or sitting in a ring is returned without reading the
+    /// clock, so a consumer that is kept busy pays for `Instant::now()`
+    /// only when it is about to wait anyway.
+    pub fn recv_timeout(&mut self, timeout: Option<Duration>) -> Result<T, MuxRecvError> {
+        if self.scratch.is_empty() {
+            self.refill();
+        }
+        match self.scratch.pop_front() {
+            Some(v) => Ok(v),
+            None => self.recv_deadline(timeout.map(|t| Instant::now() + t)),
+        }
+    }
+
     /// Absorbs any consumers queued by a [`MuxRegistrar`] into the
     /// round-robin set.
     fn absorb_pending(&mut self) {
@@ -849,5 +864,26 @@ mod tests {
         assert_eq!(mux.recv_deadline(None), Ok(42));
         drop(txs);
         assert_eq!(mux.recv_deadline(None), Err(MuxRecvError::Disconnected));
+    }
+
+    #[test]
+    fn recv_timeout_waits_only_when_nothing_is_queued() {
+        let (mut txs, mut mux) = ring_mux::<u8>(2, 4);
+        txs[0].try_push(1).expect("space");
+        txs[1].try_push(2).expect("space");
+        // Queued items come back even under a zero timeout: the timeout
+        // starts only once the mux has been found empty.
+        let mut got = [
+            mux.recv_timeout(Some(Duration::ZERO)).expect("queued"),
+            mux.recv_timeout(Some(Duration::ZERO)).expect("queued"),
+        ];
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]);
+        let start = Instant::now();
+        let wait = Duration::from_millis(5);
+        assert_eq!(mux.recv_timeout(Some(wait)), Err(MuxRecvError::Timeout));
+        assert!(start.elapsed() >= wait);
+        drop(txs);
+        assert_eq!(mux.recv_timeout(None), Err(MuxRecvError::Disconnected));
     }
 }

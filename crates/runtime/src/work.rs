@@ -36,6 +36,34 @@ pub fn process_frame(frame: &Frame) -> PacketResult {
     digest_stage(frame.seq, payload)
 }
 
+/// Runs `work` over a batch in order, appending each output to `out`,
+/// with one frame of lookahead: before item *k* is worked on, the bytes
+/// of item *k + 1*'s frame are prefetched, so the cache misses of the
+/// next frame overlap the parse, checksum and digest of this one instead
+/// of stalling them line by line. Every site where a thread touches
+/// frame bytes for the first time — lane workers, the dispatcher's inline
+/// path, the chain head, the serial baseline — runs its per-frame work
+/// through this loop.
+///
+/// `upcoming` looks at the iterator's remaining items without taking one
+/// (`as_slice().first()` on a `Vec` or slice iterator): peeking in place
+/// keeps the loop from moving every item a second time, which a
+/// `Peekable` did at a measured 7 % of `elephant64` throughput.
+pub fn process_batch<I: Iterator, R>(
+    mut items: I,
+    upcoming: impl Fn(&I) -> Option<&Frame>,
+    mut work: impl FnMut(I::Item) -> R,
+    out: &mut Vec<R>,
+) {
+    out.reserve(items.size_hint().0);
+    while let Some(item) = items.next() {
+        if let Some(next) = upcoming(&items) {
+            next.prefetch();
+        }
+        out.push(work(item));
+    }
+}
+
 /// How many pipelined stages [`process_frame`] decomposes into: parse,
 /// checksum, digest. FALCON chains contiguous groups of these across
 /// workers instead of fanning batches out.
@@ -188,7 +216,55 @@ pub fn stage_group_sizes(groups: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::generate_frames;
+    use crate::packet::{frame_wire_len, generate_frames, generate_frames_into};
+    use crate::pool::BufPool;
+
+    #[test]
+    fn process_batch_equals_per_frame_processing_and_returns_every_buffer() {
+        // Mixed payload sizes — empty, sub-line, line-straddling, MTU —
+        // cycling through one pool, so neighbours differ in length.
+        let sizes = [0usize, 1, 64, 63, 1448, 200, 65];
+        let pool = BufPool::for_frames(33, frame_wire_len(1448));
+        let frames: Vec<Frame> = (0..33)
+            .map(|i| generate_frames_into(&pool, 1, sizes[i % sizes.len()]).remove(0))
+            .collect();
+        let in_flight = pool.in_flight();
+        for n in [0usize, 1, 2, 33] {
+            let expected: Vec<PacketResult> = frames[..n].iter().map(process_frame).collect();
+            // Borrowed, as the serial baseline runs it ...
+            let mut by_ref = Vec::new();
+            process_batch(
+                frames[..n].iter(),
+                |rest| rest.as_slice().first(),
+                process_frame,
+                &mut by_ref,
+            );
+            assert_eq!(by_ref, expected, "borrowed batch of {n}");
+            // ... and consuming cloned handles, as a lane worker does.
+            let mut owned = Vec::new();
+            let handles: Vec<Frame> = frames[..n].to_vec();
+            process_batch(
+                handles.into_iter(),
+                |rest| rest.as_slice().first(),
+                |f| process_frame(&f),
+                &mut owned,
+            );
+            assert_eq!(owned, expected, "owned batch of {n}");
+            assert_eq!(pool.in_flight(), in_flight, "batch of {n} leaked a buffer");
+        }
+        // Appends: earlier contents of `out` are the caller's.
+        let mut out = vec![process_frame(&frames[0])];
+        process_batch(
+            frames[1..3].iter(),
+            |rest| rest.as_slice().first(),
+            process_frame,
+            &mut out,
+        );
+        assert_eq!(
+            out,
+            frames[..3].iter().map(process_frame).collect::<Vec<_>>()
+        );
+    }
 
     #[test]
     fn digest_is_deterministic() {
