@@ -18,7 +18,7 @@ use mflow_metrics::CountingAlloc;
 use mflow_runtime::{
     frame_wire_len, frames_from_pcap, generate_frames, generate_frames_into, process_parallel,
     process_parallel_faulty, process_serial, process_serial_stateful, BackpressurePolicy, BufPool,
-    DispatchMode, Frame, LaneStall, MergerKill, MergerStall, PolicyKind, RuntimeConfig,
+    Frame, LaneStall, MergerKill, MergerStall, PolicyKind, RuntimeConfig,
     RuntimeFaults, SlowWorker, StatefulMode, WorkerKill,
 };
 use mflow_sim::MS;
@@ -58,7 +58,6 @@ struct Args {
     rt_faults: RuntimeFaults,
     merger_depth: usize,
     rt_policy: PolicyKind,
-    dispatch_mode: DispatchMode,
     // Buffer-pool sizing (0 = derived from the frame count / payload).
     pool_slots: usize,
     pool_slab: usize,
@@ -77,7 +76,7 @@ struct Args {
     chaos_seed: u64,
     chaos_frames: usize,
     chaos_policies: Vec<PolicyKind>,
-    // Runtime sweep bench mode ({workers, batch, dispatch mode}).
+    // Runtime sweep bench mode ({workers, batch}).
     bench_transport: bool,
     // Policy-comparison bench mode.
     bench_policy: bool,
@@ -102,7 +101,6 @@ fn usage() -> ! {
          \x20                [--inline-fallback] [--high-watermark DEPTH]\n\
          \x20                [--fault-lane-stall WORKER:MS] [--fault-slow-worker WORKER:US]\n\
          \x20                [--flush-timeout-ms MS]\n\
-         \x20                [--dispatch-mode post-parse|packet-request]\n\
          \x20                [--pool-slots N] [--pool-slab BYTES] [--pcap FILE]\n\
          \x20                [--merger-depth RESULTS] [--restart-budget N]\n\
          \x20                [--heartbeat-interval-ms MS] [--restart-backoff-ms MS]\n\
@@ -145,7 +143,6 @@ fn parse_args() -> Args {
         rt_faults: RuntimeFaults::none(),
         merger_depth: RuntimeConfig::default().merger_depth,
         rt_policy: PolicyKind::Mflow,
-        dispatch_mode: DispatchMode::PostParse,
         pool_slots: 0,
         pool_slab: 0,
         pcap: None,
@@ -286,13 +283,6 @@ fn parse_args() -> Args {
             "--merger-depth" => {
                 args.merger_depth = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
-            "--dispatch-mode" => {
-                let v = value(&mut i);
-                args.dispatch_mode = DispatchMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown dispatch mode '{v}'");
-                    usage()
-                })
-            }
             "--pool-slots" => {
                 args.pool_slots = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
@@ -396,7 +386,6 @@ fn run_runtime(a: &Args) {
         backpressure: policy,
         high_watermark: a.high_watermark,
         inline_fallback: a.inline_fallback,
-        dispatch_mode: a.dispatch_mode,
         merger_depth: a.merger_depth,
         policy: a.rt_policy,
         heartbeat_interval_ms: a.heartbeat_interval_ms,
@@ -452,12 +441,11 @@ fn run_runtime(a: &Args) {
     let bytes: u64 = frames.iter().map(|f| f.bytes().len() as u64).sum();
     let secs = out.elapsed.as_secs_f64();
     println!(
-        "runtime: {} workers x {} batch (depth {}, policy {:?}, dispatch {}) — {:.2} Gbps over {} frames in {:.1} ms",
+        "runtime: {} workers x {} batch (depth {}, policy {:?}) — {:.2} Gbps over {} frames in {:.1} ms",
         a.workers,
         a.batch,
         a.queue_depth,
         policy,
-        a.dispatch_mode.name(),
         bytes as f64 * 8.0 / secs / 1e9,
         n_frames,
         secs * 1e3,
@@ -915,7 +903,6 @@ fn nproc() -> usize {
 struct BenchPoint {
     workers: usize,
     batch: usize,
-    mode: DispatchMode,
     best_ns: u128,
     mean_ns: u128,
     gbps: f64,
@@ -927,8 +914,8 @@ struct BenchPoint {
     pool_hit_rate: f64,
 }
 
-/// `--bench-transport`: sweep {workers} x {batch} x {dispatch mode}
-/// over the fault-free pipeline and write the results as JSON
+/// `--bench-transport`: sweep {workers} x {batch} over the fault-free
+/// pipeline and write the results as JSON
 /// (hand-serialized — the workspace is dependency-free). Each point
 /// reports best-of-K wall time; throughput derives from the best run,
 /// the standard way to strip scheduler noise from a short benchmark.
@@ -940,12 +927,11 @@ struct BenchPoint {
 /// With `--bench-enforce` the process exits nonzero when the zero-copy
 /// gate fails: throughput at the reference point {4 workers, batch 32}
 /// fell under 2x the pre-pool baseline, or the pipeline allocates more
-/// than the per-frame budget there in either dispatch mode.
+/// than the per-frame budget there.
 fn run_bench_transport(a: &Args) {
     const PAYLOAD: usize = 256;
     const WORKERS: [usize; 3] = [1, 2, 4];
     const BATCHES: [usize; 3] = [8, 32, 256];
-    const MODES: [DispatchMode; 2] = [DispatchMode::PostParse, DispatchMode::PacketRequest];
     // Best-of-9: on a contended host the per-run variance at the
     // reference points is larger than the gate margins, and `best_ns`
     // estimates the noise floor — more samples only tighten it.
@@ -963,98 +949,84 @@ fn run_bench_transport(a: &Args) {
     let mut points: Vec<BenchPoint> = Vec::new();
     for workers in WORKERS {
         for batch in BATCHES {
-            for mode in MODES {
-                let cfg = RuntimeConfig {
-                    workers,
-                    batch_size: batch,
-                    queue_depth: 8,
-                    dispatch_mode: mode,
-                    ..RuntimeConfig::default()
-                };
-                let pool_start = pool.stats();
-                // One warmup run pages everything in and checks
-                // delivery, then K timed runs. Frames are rebuilt
-                // into the shared pool before every run and dropped
-                // after it, so the slab recycles at every point.
-                {
-                    let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
-                    let out =
-                        process_parallel(&frames, &cfg).expect("bench config must be valid");
-                    assert_eq!(out.digests.len(), n_frames, "bench run lost packets");
-                }
-                let mut best_ns = u128::MAX;
-                let mut total_ns = 0u128;
-                let mut run_allocs = 0u64;
-                for _ in 0..ITERS {
-                    let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
-                    let allocs_at_start = ALLOC.allocations();
-                    let out =
-                        process_parallel(&frames, &cfg).expect("bench config must be valid");
-                    run_allocs += ALLOC.allocations() - allocs_at_start;
-                    let ns = out.elapsed.as_nanos();
-                    best_ns = best_ns.min(ns);
-                    total_ns += ns;
-                }
-                let pool_end = pool.stats();
-                let d_hits = pool_end.hits - pool_start.hits;
-                let d_misses = pool_end.misses - pool_start.misses;
-                let pool_hit_rate = if d_hits + d_misses == 0 {
-                    1.0
-                } else {
-                    d_hits as f64 / (d_hits + d_misses) as f64
-                };
-                let secs = best_ns as f64 / 1e9;
-                let point = BenchPoint {
-                    workers,
-                    batch,
-                    mode,
-                    best_ns,
-                    mean_ns: total_ns / ITERS as u128,
-                    gbps: bytes as f64 * 8.0 / secs / 1e9,
-                    mpps: n_frames as f64 / secs / 1e6,
-                    allocs_per_frame: run_allocs as f64 / (ITERS * n_frames) as f64,
-                    pool_hit_rate,
-                };
-                println!(
-                    "bench: w={} b={:<4} {:<15} best {:>9} ns  mean {:>9} ns  {:.2} Gbps  {:.2} Mpps  {:.3} allocs/frame  pool {:.1}%",
-                    point.workers,
-                    point.batch,
-                    point.mode.name(),
-                    point.best_ns,
-                    point.mean_ns,
-                    point.gbps,
-                    point.mpps,
-                    point.allocs_per_frame,
-                    point.pool_hit_rate * 100.0,
-                );
-                points.push(point);
+            let cfg = RuntimeConfig {
+                workers,
+                batch_size: batch,
+                queue_depth: 8,
+                ..RuntimeConfig::default()
+            };
+            let pool_start = pool.stats();
+            // One warmup run pages everything in and checks delivery,
+            // then K timed runs. Frames are rebuilt into the shared pool
+            // before every run and dropped after it, so the slab
+            // recycles at every point.
+            {
+                let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
+                let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
+                assert_eq!(out.digests.len(), n_frames, "bench run lost packets");
             }
+            let mut best_ns = u128::MAX;
+            let mut total_ns = 0u128;
+            let mut run_allocs = 0u64;
+            for _ in 0..ITERS {
+                let frames = generate_frames_into(&pool, n_frames, PAYLOAD);
+                let allocs_at_start = ALLOC.allocations();
+                let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
+                run_allocs += ALLOC.allocations() - allocs_at_start;
+                let ns = out.elapsed.as_nanos();
+                best_ns = best_ns.min(ns);
+                total_ns += ns;
+            }
+            let pool_end = pool.stats();
+            let d_hits = pool_end.hits - pool_start.hits;
+            let d_misses = pool_end.misses - pool_start.misses;
+            let pool_hit_rate = if d_hits + d_misses == 0 {
+                1.0
+            } else {
+                d_hits as f64 / (d_hits + d_misses) as f64
+            };
+            let secs = best_ns as f64 / 1e9;
+            let point = BenchPoint {
+                workers,
+                batch,
+                best_ns,
+                mean_ns: total_ns / ITERS as u128,
+                gbps: bytes as f64 * 8.0 / secs / 1e9,
+                mpps: n_frames as f64 / secs / 1e6,
+                allocs_per_frame: run_allocs as f64 / (ITERS * n_frames) as f64,
+                pool_hit_rate,
+            };
+            println!(
+                "bench: w={} b={:<4} best {:>9} ns  mean {:>9} ns  {:.2} Gbps  {:.2} Mpps  {:.3} allocs/frame  pool {:.1}%",
+                point.workers,
+                point.batch,
+                point.best_ns,
+                point.mean_ns,
+                point.gbps,
+                point.mpps,
+                point.allocs_per_frame,
+                point.pool_hit_rate * 100.0,
+            );
+            points.push(point);
         }
     }
 
-    let at = |workers: usize, batch: usize, mode: DispatchMode| {
-        points
-            .iter()
-            .find(|p| p.workers == workers && p.batch == batch && p.mode == mode)
-            .expect("sweep covers the reference point")
-    };
     // The zero-copy gate: (a) >= 2x the pre-pool throughput baseline at
-    // the reference point, (b) allocator traffic under budget in both
-    // dispatch modes.
-    let post_ref = at(4, 32, DispatchMode::PostParse);
-    let pkt_ref = at(4, 32, DispatchMode::PacketRequest);
-    let speedup = post_ref.mpps / BASELINE_W4_B32_RING_MPPS;
+    // the reference point, (b) allocator traffic under budget there.
+    let gate = points
+        .iter()
+        .find(|p| p.workers == 4 && p.batch == 32)
+        .expect("sweep covers the reference point");
+    let speedup = gate.mpps / BASELINE_W4_B32_RING_MPPS;
     let speedup_pass = speedup >= SPEEDUP_THRESHOLD;
-    let alloc_pass = post_ref.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME
-        && pkt_ref.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME;
+    let alloc_pass = gate.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME;
     let zerocopy_pass = speedup_pass && alloc_pass;
     println!(
         "zerocopy gate @ w=4 b=32: {:.2}x vs {BASELINE_W4_B32_RING_MPPS} Mpps baseline ({}; threshold {SPEEDUP_THRESHOLD}x), \
-         allocs/frame {:.3} post-parse / {:.3} packet-request ({}; budget {ALLOC_BUDGET_PER_FRAME})",
+         allocs/frame {:.3} ({}; budget {ALLOC_BUDGET_PER_FRAME})",
         speedup,
         if speedup_pass { "pass" } else { "FAIL" },
-        post_ref.allocs_per_frame,
-        pkt_ref.allocs_per_frame,
+        gate.allocs_per_frame,
         if alloc_pass { "pass" } else { "FAIL" },
     );
 
@@ -1073,10 +1045,9 @@ fn run_bench_transport(a: &Args) {
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workers\": {}, \"batch\": {}, \"dispatch_mode\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"gbps\": {:.4}, \"mpps\": {:.4}, \"allocs_per_frame\": {:.4}, \"pool_hit_rate\": {:.4}}}{}\n",
+            "    {{\"workers\": {}, \"batch\": {}, \"best_ns\": {}, \"mean_ns\": {}, \"gbps\": {:.4}, \"mpps\": {:.4}, \"allocs_per_frame\": {:.4}, \"pool_hit_rate\": {:.4}}}{}\n",
             p.workers,
             p.batch,
-            p.mode.name(),
             p.best_ns,
             p.mean_ns,
             p.gbps,
@@ -1088,8 +1059,8 @@ fn run_bench_transport(a: &Args) {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"zerocopy_gate\": {{\"workers\": 4, \"batch\": 32, \"baseline_mpps\": {BASELINE_W4_B32_RING_MPPS}, \"post_parse_mpps\": {:.4}, \"packet_request_mpps\": {:.4}, \"speedup\": {speedup:.4}, \"speedup_threshold\": {SPEEDUP_THRESHOLD}, \"allocs_per_frame_post_parse\": {:.4}, \"allocs_per_frame_packet_request\": {:.4}, \"alloc_budget_per_frame\": {ALLOC_BUDGET_PER_FRAME}, \"pass\": {zerocopy_pass}}}\n",
-        post_ref.mpps, pkt_ref.mpps, post_ref.allocs_per_frame, pkt_ref.allocs_per_frame,
+        "  \"zerocopy_gate\": {{\"workers\": 4, \"batch\": 32, \"baseline_mpps\": {BASELINE_W4_B32_RING_MPPS}, \"mpps\": {:.4}, \"speedup\": {speedup:.4}, \"speedup_threshold\": {SPEEDUP_THRESHOLD}, \"allocs_per_frame\": {:.4}, \"alloc_budget_per_frame\": {ALLOC_BUDGET_PER_FRAME}, \"pass\": {zerocopy_pass}}}\n",
+        gate.mpps, gate.allocs_per_frame,
     ));
     json.push_str("}\n");
     let out_path = if a.bench_out.is_empty() {
@@ -1105,8 +1076,8 @@ fn run_bench_transport(a: &Args) {
     if a.bench_enforce && !zerocopy_pass {
         eprintln!(
             "zerocopy gate failed: speedup {speedup:.2}x (need {SPEEDUP_THRESHOLD}x), \
-             allocs/frame {:.3}/{:.3} (budget {ALLOC_BUDGET_PER_FRAME})",
-            post_ref.allocs_per_frame, pkt_ref.allocs_per_frame
+             allocs/frame {:.3} (budget {ALLOC_BUDGET_PER_FRAME})",
+            gate.allocs_per_frame
         );
         std::process::exit(1);
     }

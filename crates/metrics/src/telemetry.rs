@@ -64,10 +64,6 @@
 ///   lane that performed it — duplicated dispatches replicate too).
 /// * `reconciled_dups` — replicated transitions the reconciler
 ///   discarded as already emitted (exactly-once enforcement).
-/// * `dispatch_mode` — when the dispatcher reads packet bytes:
-///   `post-parse` (dispatcher parses and flow-hashes before steering) or
-///   `packet-request` (IRQ splitting: the dispatcher round-robins buffer
-///   descriptors and workers parse in parallel; runtime engine).
 /// * `pool_recycled` — packet-buffer slots returned to the buffer pool's
 ///   free list during the run (runtime engine; zero without a pool).
 /// * `pool_misses` — packet allocations that fell back to the heap
@@ -102,8 +98,6 @@ pub struct Telemetry {
     pub stateful_mode: String,
     pub replicated_transitions: u64,
     pub reconciled_dups: u64,
-    /// Dispatch-side parse placement: `post-parse` or `packet-request`.
-    pub dispatch_mode: String,
     pub pool_recycled: u64,
     pub pool_misses: u64,
     pub lane_depths: Vec<u64>,
@@ -115,7 +109,6 @@ impl Telemetry {
         Self {
             policy: policy.into(),
             stateful_mode: "merge-before-tcp".into(),
-            dispatch_mode: "post-parse".into(),
             ..Self::default()
         }
     }
@@ -193,10 +186,6 @@ impl Telemetry {
         out.push_str(&format!(
             ", \"stateful_mode\": \"{}\"",
             escape(&self.stateful_mode)
-        ));
-        out.push_str(&format!(
-            ", \"dispatch_mode\": \"{}\"",
-            escape(&self.dispatch_mode)
         ));
         for (key, value) in Self::SCALAR_KEYS.iter().zip(self.scalars()) {
             out.push_str(&format!(", \"{key}\": {value}"));

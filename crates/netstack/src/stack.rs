@@ -1027,9 +1027,7 @@ impl StackSim {
             stateful_mode: stateful_mode.name().to_string(),
             replicated_transitions: self.scr.records,
             reconciled_dups: self.scr.lane_dups + scr_rx_dups,
-            // The simulator's dispatcher always parses before steering,
-            // and packet memory is modelled, not pooled.
-            dispatch_mode: "post-parse".to_string(),
+            // Packet memory is modelled, not pooled.
             pool_recycled: 0,
             pool_misses: 0,
             lane_depths: self.backlog_watermark.clone(),

@@ -39,7 +39,7 @@ pub use mflow_steering::{PolicyKind, SteeringPolicy};
 pub use packet::{frame_wire_len, frames_from_pcap, generate_frames, generate_frames_into, Frame};
 pub use pipeline::{
     process_parallel, process_parallel_faulty, process_serial, process_serial_stateful,
-    BackpressurePolicy, DispatchMode, RecoveryRates, RunOutput, RuntimeConfig, Transport,
+    BackpressurePolicy, RecoveryRates, RunOutput, RuntimeConfig, Transport,
 };
 pub use pool::{BufPool, PktBuf, PoolStats};
 pub use supervise::HeartbeatBoard;

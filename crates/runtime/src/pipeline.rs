@@ -124,46 +124,6 @@ pub enum Transport {
     Ring,
 }
 
-/// When in the packet's life the dispatcher reads its bytes — MFLOW's
-/// two softirq-splitting designs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The dispatcher parses every frame itself (computes the real flow
-    /// hash before steering), then hands parsed-context batches to the
-    /// workers — today's behavior, analogous to splitting after the
-    /// protocol demux.
-    #[default]
-    PostParse,
-    /// IRQ splitting: the dispatcher never touches frame bytes. It
-    /// round-robins lightweight packet *requests* (pooled-buffer
-    /// descriptors) across lanes, and each worker performs the parse,
-    /// flow-hash, and steering-feedback work in parallel. Steering sees
-    /// a constant surrogate hash at dispatch time, so flow-affine
-    /// policies pin the stream to one lane (per-lane FIFO holds) while
-    /// the hash-indifferent MFLOW policy still spreads every batch.
-    PacketRequest,
-}
-
-impl DispatchMode {
-    /// Stable lowercase name, as reported in [`Telemetry`] and accepted
-    /// by [`Self::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchMode::PostParse => "post-parse",
-            DispatchMode::PacketRequest => "packet-request",
-        }
-    }
-
-    /// Parses a CLI spelling of the mode.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "post-parse" | "postparse" | "post_parse" => Some(DispatchMode::PostParse),
-            "packet-request" | "pktreq" | "packet_request" => Some(DispatchMode::PacketRequest),
-            _ => None,
-        }
-    }
-}
-
 /// What the dispatcher does when a lane is at its watermark (or its queue
 /// is outright full).
 ///
@@ -213,10 +173,6 @@ pub struct RuntimeConfig {
     pub inline_fallback: bool,
     /// Inert: every lane is a request ring (see [`Transport`]).
     pub transport: Transport,
-    /// Where per-packet parsing happens: on the dispatcher before
-    /// steering (`PostParse`) or on the workers, with the dispatcher
-    /// reduced to descriptor round-robin (`PacketRequest`).
-    pub dispatch_mode: DispatchMode,
     /// Worker→merger queue capacity in results: each producer's merge
     /// ring holds this many. Power of two (the ring masks indices with
     /// it).
@@ -262,7 +218,6 @@ impl Default for RuntimeConfig {
             high_watermark: None,
             inline_fallback: false,
             transport: Transport::Ring,
-            dispatch_mode: DispatchMode::PostParse,
             merger_depth: 4096,
             policy: PolicyKind::Mflow,
             heartbeat_interval_ms: None,
@@ -476,17 +431,6 @@ fn build_policy(kind: PolicyKind) -> Result<Box<dyn SteeringPolicy>, MflowError>
         Some(p) => Ok(p),
         None => Ok(Box::new(MflowLanes::try_new(ElephantConfig::always())?)),
     }
-}
-
-/// The shared steering-policy cell: the dispatcher steers through it,
-/// and in packet-request mode the workers feed observations back through
-/// it after parsing.
-type PolicyCell = Mutex<Box<dyn SteeringPolicy>>;
-
-/// Locks the policy cell, ignoring poisoning — a worker panicking
-/// between observe calls leaves the policy structurally valid.
-fn lock_policy(cell: &PolicyCell) -> std::sync::MutexGuard<'_, Box<dyn SteeringPolicy>> {
-    cell.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One micro-flow's tagged frames, as sent to a worker.
@@ -1598,7 +1542,6 @@ fn fanout_worker_loop(
     depths: &[AtomicUsize],
     beats: &HeartbeatBoard,
     scr_work: Option<u32>,
-    observe: Option<&PolicyCell>,
 ) {
     let mut processed = 0u64;
     // One results buffer for the life of the worker: `push_all` drains it
@@ -1608,16 +1551,6 @@ fn fanout_worker_loop(
         depth_dec(&depths[slot]);
         beats.bump(slot);
         apply_worker_faults(faults, slot, incarnation, processed, batch.first().map(|(t, _)| t.id));
-        if let Some(cell) = observe {
-            // Packet-request dispatch: this worker is the first thread
-            // to read the frame bytes, so it performs the flow-hash and
-            // steering feedback the dispatcher deferred. Every policy
-            // ignores the lane argument, so the physical slot is fine.
-            if let Some((tag, frame)) = batch.first() {
-                let hash = frame.try_flow_hash().unwrap_or(0);
-                lock_policy(cell).observe(tag.id, hash, slot, batch.len());
-            }
-        }
         // Whole-batch processing, whole-batch publish: one merge-side
         // handoff per micro-flow, not per packet.
         process_tagged(batch, scr_work, &mut results);
@@ -1718,7 +1651,7 @@ pub fn process_parallel_faulty(
     faults: &RuntimeFaults,
 ) -> Result<RunOutput, MflowError> {
     cfg.validate()?;
-    let policy = build_policy(cfg.policy)?;
+    let mut policy = build_policy(cfg.policy)?;
     let start = Instant::now();
     let n_workers = cfg.workers;
     // FALCON pipelines stages across a worker chain instead of fanning
@@ -1828,22 +1761,6 @@ pub fn process_parallel_faulty(
         dead_gens: &dead_gens,
     };
 
-    // Packet-request dispatch (IRQ splitting): the dispatcher steers on
-    // a constant surrogate hash without reading frame bytes, and the
-    // workers perform the flow-hash + steering feedback after parsing.
-    // The policy moves into a shared cell for that feedback path; lock
-    // traffic is one uncontended acquisition per micro-flow batch.
-    // Structural reads (`stage_groups`, `reorders`) happened above,
-    // before the move.
-    let pkt_req = cfg.dispatch_mode == DispatchMode::PacketRequest;
-    let policy_store = Mutex::new(policy);
-    let policy_cell = &policy_store;
-    let worker_observe = if pkt_req && chain_len == 0 {
-        Some(policy_cell)
-    } else {
-        None
-    };
-
     // Buffer-pool telemetry: snapshot the frames' pool so the run can
     // report the recycle and heap-fallback deltas it caused.
     let frame_pool = frames.iter().find_map(|f| f.buf().pool());
@@ -1916,7 +1833,6 @@ pub fn process_parallel_faulty(
                             depths,
                             beats,
                             scr_work,
-                            worker_observe,
                         )
                     }),
                 ));
@@ -1974,14 +1890,6 @@ pub fn process_parallel_faulty(
             let batch = d.retag(batch);
             d.inline_batches += 1;
             d.inline_packets += batch.len() as u64;
-            if pkt_req {
-                // The inline path is the parsing thread for this batch,
-                // so it owes the policy the deferred observation.
-                if let Some((tag, frame)) = batch.first() {
-                    let hash = frame.try_flow_hash().unwrap_or(0);
-                    lock_policy(policy_cell).observe(tag.id, hash, tag.lane, batch.len());
-                }
-            }
             let mut results = Vec::new();
             process_tagged(batch, scr_work, &mut results);
             shared.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
@@ -2020,19 +1928,16 @@ pub fn process_parallel_faulty(
                     // A micro-flow opens: ask the policy for its lane,
                     // with a fresh view of per-lane occupancy. The tag
                     // carries the lane's merge-counter id, which diverges
-                    // from the physical slot after a respawn. Under
-                    // packet-request dispatch the frame bytes stay
-                    // untouched here: steering sees a constant surrogate
-                    // hash, so flow-affine policies pin the stream to one
-                    // lane (per-lane FIFO preserves order) and the real
-                    // hash is computed by the worker that parses.
-                    cur_hash = if pkt_req { 0 } else { frame.flow_hash() };
+                    // from the physical slot after a respawn. This one
+                    // outer-header read per micro-flow is all the
+                    // dispatcher parses; a frame it cannot hash steers as
+                    // flow 0 and fails on the worker that parses it, the
+                    // thread whose death the run already accounts for.
+                    cur_hash = frame.try_flow_hash().unwrap_or(0);
                     for (snap, depth) in depth_snap.iter_mut().zip(depths.iter()) {
                         *snap = depth.load(Ordering::Relaxed);
                     }
-                    lane = lock_policy(policy_cell)
-                        .steer(mf_id, cur_hash, &depth_snap)
-                        .min(n_lanes - 1);
+                    lane = policy.steer(mf_id, cur_hash, &depth_snap).min(n_lanes - 1);
                     tag_lane = d.tag_lane(lane);
                 }
                 batch.push((
@@ -2063,13 +1968,7 @@ pub fn process_parallel_faulty(
                     }
                     // Completion feedback: the policy hears what it
                     // placed (rate accounting for elephant detection).
-                    // In packet-request mode that feedback comes from
-                    // whichever thread parses the batch — a worker, or
-                    // the dispatcher's own inline path — with the real
-                    // flow hash.
-                    if !pkt_req {
-                        lock_policy(policy_cell).observe(mf_id, cur_hash, lane, placed);
-                    }
+                    policy.observe(mf_id, cur_hash, lane, placed);
                 }
                 let due: Vec<Batch> = {
                     let mut rest = Vec::new();
@@ -2124,7 +2023,6 @@ pub fn process_parallel_faulty(
                                                 depths,
                                                 beats,
                                                 scr_work,
-                                                worker_observe,
                                             )
                                         }),
                                     ));
@@ -2365,11 +2263,6 @@ pub fn process_parallel_faulty(
     });
     let (merger_deaths, fault_drops, redispatched, workers_died, lane_depths, supervision, bp) =
         scope_out?;
-    // Every scoped thread has joined; reclaim the policy for its
-    // end-of-run reads.
-    let policy = policy_store
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
     let (
         restarts,
         heartbeat_misses,
@@ -2452,7 +2345,6 @@ pub fn process_parallel_faulty(
     let telemetry = Telemetry {
         policy: policy.name().to_string(),
         stateful_mode: cfg.stateful_mode.name().to_string(),
-        dispatch_mode: cfg.dispatch_mode.name().to_string(),
         pool_recycled,
         pool_misses,
         delivered: digests.len() as u64,

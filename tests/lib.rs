@@ -1,6 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use mflow_netstack::{NoiseConfig, StackConfig};
+use mflow_runtime::PacketResult;
 use mflow_sim::MS;
 
 /// Shortens and de-noises a config for CI-speed integration runs.
@@ -17,4 +18,18 @@ pub fn within(a: f64, b: f64, tol: f64) -> bool {
         return a == 0.0;
     }
     (a / b - 1.0).abs() <= tol
+}
+
+/// Asserts a runtime output stream is strictly increasing in `seq`: in
+/// order and duplicate-free. `ctx` names the scenario in the failure.
+#[track_caller]
+pub fn assert_strictly_increasing(digests: &[PacketResult], ctx: &str) {
+    for pair in digests.windows(2) {
+        assert!(
+            pair[0].seq < pair[1].seq,
+            "{ctx}: inversion or duplicate at seq {} -> {}",
+            pair[0].seq,
+            pair[1].seq
+        );
+    }
 }

@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, BackpressurePolicy, Frame, LaneStall,
     RunOutput, RuntimeConfig, RuntimeFaults,
@@ -31,14 +32,7 @@ fn stalled_lane(ms: u64) -> RuntimeFaults {
 fn check_accounting(frames: &[Frame], batch_size: usize, out: &RunOutput) -> BTreeSet<u64> {
     let serial = process_serial(frames);
     let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-    for pair in out.digests.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "inversion or duplicate at seq {} -> {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    assert_strictly_increasing(&out.digests, "check_accounting");
     for r in &out.digests {
         assert_eq!(reference.get(&r.seq), Some(&r.digest), "digest mismatch at {}", r.seq);
     }

@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, Frame, PolicyKind, RuntimeConfig,
     RuntimeFaults, WorkerKill,
@@ -61,14 +62,7 @@ fn check_conservation(
     let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, faults);
     let out = process_parallel_faulty(frames, cfg, faults).unwrap();
 
-    for pair in out.digests.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "inversion or duplicate at seq {} -> {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    assert_strictly_increasing(&out.digests, "check_conservation");
     for r in &out.digests {
         assert_eq!(reference.get(&r.seq), Some(&r.digest), "digest mismatch at seq {}", r.seq);
     }

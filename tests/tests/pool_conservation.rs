@@ -6,20 +6,19 @@
 //! of that, once the run output and the source frames are dropped, the
 //! pool must report zero buffers in flight and a completely free slab.
 //!
-//! The same sweeps double as the packet-request equivalence suite: for
-//! every scenario the digests are checked against the serial reference,
-//! so IRQ-splitting dispatch proves both ordering and content under the
-//! exact conditions that stress the pool.
+//! Every scenario also checks its digests against the serial reference,
+//! so ordering and content are proven under the exact conditions that
+//! stress the pool.
 
 use std::collections::BTreeMap;
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     frame_wire_len, generate_frames_into, process_parallel, process_parallel_faulty,
-    process_serial, BackpressurePolicy, BufPool, DispatchMode, MergerKill, PolicyKind,
-    RuntimeConfig, RuntimeFaults, WorkerKill,
+    process_serial, BackpressurePolicy, BufPool, MergerKill, PolicyKind, RuntimeConfig,
+    RuntimeFaults, WorkerKill,
 };
 
-const MODES: [DispatchMode; 2] = [DispatchMode::PostParse, DispatchMode::PacketRequest];
 const PAYLOAD: usize = 128;
 
 /// Asserts the pool is fully drained: nothing in flight, every slot
@@ -38,38 +37,35 @@ fn assert_pool_drained(pool: &BufPool, ctx: &str) {
 #[test]
 fn clean_runs_conserve_the_pool_and_match_serial() {
     let n = 4096;
-    for mode in MODES {
-        for policy in [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc] {
-            let ctx = format!("{mode:?}/{policy:?}");
-            let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-            let frames = generate_frames_into(&pool, n, PAYLOAD);
-            let serial = process_serial(&frames);
-            let cfg = RuntimeConfig {
-                workers: 4,
-                batch_size: 16,
-                queue_depth: 8,
-                dispatch_mode: mode,
-                policy,
-                ..RuntimeConfig::default()
-            };
-            let out = process_parallel(&frames, &cfg).unwrap();
-            assert_eq!(
-                out.digests, serial.digests,
-                "{ctx}: parallel output diverged from serial reference"
-            );
-            assert!(
-                pool.in_flight() >= n as u64,
-                "{ctx}: frames still alive must hold their slots"
-            );
-            drop(out);
-            drop(frames);
-            assert_pool_drained(&pool, &ctx);
-        }
+    for policy in [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc] {
+        let ctx = format!("{policy:?}");
+        let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+        let frames = generate_frames_into(&pool, n, PAYLOAD);
+        let serial = process_serial(&frames);
+        let cfg = RuntimeConfig {
+            workers: 4,
+            batch_size: 16,
+            queue_depth: 8,
+            policy,
+            ..RuntimeConfig::default()
+        };
+        let out = process_parallel(&frames, &cfg).unwrap();
+        assert_eq!(
+            out.digests, serial.digests,
+            "{ctx}: parallel output diverged from serial reference"
+        );
+        assert!(
+            pool.in_flight() >= n as u64,
+            "{ctx}: frames still alive must hold their slots"
+        );
+        drop(out);
+        drop(frames);
+        assert_pool_drained(&pool, &ctx);
     }
 }
 
 #[test]
-fn chaos_kills_conserve_the_pool_in_both_dispatch_modes() {
+fn chaos_kills_conserve_the_pool() {
     // Kill every worker plus the merger mid-run. Killed threads drop
     // their queued batches (and the merger its parked results) on the
     // floor — each of those held cloned frame handles, and every one
@@ -84,48 +80,38 @@ fn chaos_kills_conserve_the_pool_in_both_dispatch_modes() {
     // watchdog-aware blocking dispatch).
     let n = 12_000;
     let workers = 4usize;
-    for mode in MODES {
-        let ctx = format!("{mode:?}");
-        let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-        let frames = generate_frames_into(&pool, n, PAYLOAD);
-        let cfg = RuntimeConfig {
-            workers,
-            batch_size: 32,
-            queue_depth: 8,
-            merger_depth: 16_384,
-            dispatch_mode: mode,
-            heartbeat_interval_ms: Some(25),
-            restart_budget: 16,
-            restart_backoff_ms: 1,
-            ..RuntimeConfig::default()
-        };
-        let mut faults = RuntimeFaults::none();
-        for slot in 0..workers {
-            faults.kills.push(WorkerKill {
-                worker: slot,
-                after_batches: 20 + 10 * slot as u64,
-                incarnation: 0,
-            });
-        }
-        faults.merger_kill = Some(MergerKill {
-            after_offers: 40,
+    let ctx = "chaos kills";
+    let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+    let frames = generate_frames_into(&pool, n, PAYLOAD);
+    let cfg = RuntimeConfig {
+        workers,
+        batch_size: 32,
+        queue_depth: 8,
+        merger_depth: 16_384,
+        heartbeat_interval_ms: Some(25),
+        restart_budget: 16,
+        restart_backoff_ms: 1,
+        ..RuntimeConfig::default()
+    };
+    let mut faults = RuntimeFaults::none();
+    for slot in 0..workers {
+        faults.kills.push(WorkerKill {
+            worker: slot,
+            after_batches: 20 + 10 * slot as u64,
             incarnation: 0,
         });
-        faults.flush_timeout_ms = Some(40);
-        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-        assert_eq!(out.workers_died, workers, "{ctx}: every kill must fire");
-        for pair in out.digests.windows(2) {
-            assert!(
-                pair[0].seq < pair[1].seq,
-                "{ctx}: inversion or duplicate at seq {} -> {}",
-                pair[0].seq,
-                pair[1].seq
-            );
-        }
-        drop(out);
-        drop(frames);
-        assert_pool_drained(&pool, &ctx);
     }
+    faults.merger_kill = Some(MergerKill {
+        after_offers: 40,
+        incarnation: 0,
+    });
+    faults.flush_timeout_ms = Some(40);
+    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    assert_eq!(out.workers_died, workers, "{ctx}: every kill must fire");
+    assert_strictly_increasing(&out.digests, ctx);
+    drop(out);
+    drop(frames);
+    assert_pool_drained(&pool, ctx);
 }
 
 #[test]
@@ -140,79 +126,26 @@ fn every_backpressure_policy_conserves_the_pool() {
         BackpressurePolicy::DropTail { budget: 2048 },
         BackpressurePolicy::Inline,
     ];
-    for mode in MODES {
-        for backpressure in policies {
-            let ctx = format!("{mode:?}/{backpressure:?}");
-            let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
-            let frames = generate_frames_into(&pool, n, PAYLOAD);
-            let cfg = RuntimeConfig {
-                workers: 2,
-                batch_size: 16,
-                queue_depth: 2,
-                high_watermark: Some(1),
-                backpressure,
-                inline_fallback: true,
-                dispatch_mode: mode,
-                ..RuntimeConfig::default()
-            };
-            let out = process_parallel(&frames, &cfg).unwrap();
-            for pair in out.digests.windows(2) {
-                assert!(
-                    pair[0].seq < pair[1].seq,
-                    "{ctx}: inversion or duplicate at seq {} -> {}",
-                    pair[0].seq,
-                    pair[1].seq
-                );
-            }
-            if matches!(backpressure, BackpressurePolicy::Block | BackpressurePolicy::Inline) {
-                assert_eq!(
-                    out.digests.len(),
-                    n,
-                    "{ctx}: lossless policies must deliver every packet"
-                );
-            }
-            drop(out);
-            drop(frames);
-            assert_pool_drained(&pool, &ctx);
-        }
-    }
-}
-
-#[test]
-fn duplicate_and_late_microflows_conserve_the_pool() {
-    // Duplication clones whole micro-flows onto recovery lanes (extra
-    // refcounts on the same slots); late release holds batches back in
-    // the dispatcher. Both paths must unwind to a fully free slab.
-    let n = 10_000;
-    for mode in MODES {
-        let ctx = format!("{mode:?}");
+    for backpressure in policies {
+        let ctx = format!("{backpressure:?}");
         let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
         let frames = generate_frames_into(&pool, n, PAYLOAD);
-        let serial = process_serial(&frames);
-        let reference: BTreeMap<u64, u64> =
-            serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
         let cfg = RuntimeConfig {
-            workers: 4,
-            batch_size: 32,
-            queue_depth: 8,
-            dispatch_mode: mode,
+            workers: 2,
+            batch_size: 16,
+            queue_depth: 2,
+            high_watermark: Some(1),
+            backpressure,
+            inline_fallback: true,
             ..RuntimeConfig::default()
         };
-        let faults = RuntimeFaults {
-            seed: 0xD15EA5E,
-            dup_mf_rate: 0.05,
-            late_mf_rate: 0.05,
-            late_by: 3,
-            ..RuntimeFaults::none()
-        };
-        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-        assert_eq!(out.digests.len(), n, "{ctx}: dup/late faults must not lose packets");
-        for r in &out.digests {
+        let out = process_parallel(&frames, &cfg).unwrap();
+        assert_strictly_increasing(&out.digests, &ctx);
+        if matches!(backpressure, BackpressurePolicy::Block | BackpressurePolicy::Inline) {
             assert_eq!(
-                reference.get(&r.seq),
-                Some(&r.digest),
-                "{ctx}: digest mismatch at seq {}",
-                r.seq
+                out.digests.len(),
+                n,
+                "{ctx}: lossless policies must deliver every packet"
             );
         }
         drop(out);
@@ -222,11 +155,50 @@ fn duplicate_and_late_microflows_conserve_the_pool() {
 }
 
 #[test]
-fn packet_request_scales_and_keeps_exact_order() {
-    // The IRQ-splitting analogue end to end: descriptor round-robin at
-    // the dispatcher, parse + flow-hash + steering observation on the
-    // workers, merge-counter reassembly at the tail. Output must be
-    // byte-identical to serial at every worker count.
+fn duplicate_and_late_microflows_conserve_the_pool() {
+    // Duplication clones whole micro-flows onto recovery lanes (extra
+    // refcounts on the same slots); late release holds batches back in
+    // the dispatcher. Both paths must unwind to a fully free slab.
+    let n = 10_000;
+    let ctx = "dup/late";
+    let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
+    let frames = generate_frames_into(&pool, n, PAYLOAD);
+    let serial = process_serial(&frames);
+    let reference: BTreeMap<u64, u64> =
+        serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
+    let cfg = RuntimeConfig {
+        workers: 4,
+        batch_size: 32,
+        queue_depth: 8,
+        ..RuntimeConfig::default()
+    };
+    let faults = RuntimeFaults {
+        seed: 0xD15EA5E,
+        dup_mf_rate: 0.05,
+        late_mf_rate: 0.05,
+        late_by: 3,
+        ..RuntimeFaults::none()
+    };
+    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    assert_eq!(out.digests.len(), n, "{ctx}: dup/late faults must not lose packets");
+    for r in &out.digests {
+        assert_eq!(
+            reference.get(&r.seq),
+            Some(&r.digest),
+            "{ctx}: digest mismatch at seq {}",
+            r.seq
+        );
+    }
+    drop(out);
+    drop(frames);
+    assert_pool_drained(&pool, ctx);
+}
+
+#[test]
+fn output_matches_serial_at_every_worker_count() {
+    // Descriptors on every lane, parse on the workers, merge-counter
+    // reassembly at the tail: output must be byte-identical to serial at
+    // every worker count.
     let n = 8192;
     let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
     let frames = generate_frames_into(&pool, n, PAYLOAD);
@@ -236,19 +208,14 @@ fn packet_request_scales_and_keeps_exact_order() {
             workers,
             batch_size: 32,
             queue_depth: 8,
-            dispatch_mode: DispatchMode::PacketRequest,
             ..RuntimeConfig::default()
         };
         let out = process_parallel(&frames, &cfg).unwrap();
         assert_eq!(
             out.digests, serial.digests,
-            "w={workers}: packet-request output diverged from serial"
-        );
-        assert_eq!(
-            out.telemetry.dispatch_mode, "packet-request",
-            "telemetry must record the dispatch mode"
+            "w={workers}: parallel output diverged from serial"
         );
     }
     drop(frames);
-    assert_pool_drained(&pool, "packet-request sweep");
+    assert_pool_drained(&pool, "worker-count sweep");
 }

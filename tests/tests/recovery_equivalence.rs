@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial_stateful, FaultEvent, FaultLog,
     MergerKill, PolicyKind, RuntimeConfig, RuntimeFaults, ScrReconciler, StatefulMode, WorkerKill,
@@ -225,14 +226,7 @@ fn conservation_balances_through_simultaneous_worker_and_merger_deaths() {
     assert_eq!(out.merger_deaths, 2);
     assert_eq!(out.workers_died, 2);
 
-    for pair in out.digests.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "inversion or duplicate at {} -> {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    assert_strictly_increasing(&out.digests, "worker+merger kills");
     for r in &out.digests {
         assert_eq!(
             reference.get(&r.seq),

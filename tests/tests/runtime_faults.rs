@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, Frame, PolicyKind, RuntimeConfig,
     RuntimeFaults, WorkerKill,
@@ -63,14 +64,7 @@ fn check_degraded(
     let out = process_parallel_faulty(frames, cfg, faults).unwrap();
 
     // Strictly ordered and duplicate-free, every digest correct.
-    for pair in out.digests.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "inversion or duplicate at seq {} -> {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    assert_strictly_increasing(&out.digests, "check_degraded");
     for r in &out.digests {
         assert_eq!(
             reference.get(&r.seq),
@@ -280,4 +274,32 @@ fn degradation_contract_holds_under_every_policy() {
         // kill never fires; at most the one doomed worker dies.
         assert!(out.workers_died <= 1, "{policy}: more deaths than injected");
     }
+}
+
+#[test]
+fn unparseable_opening_frame_fails_on_its_worker_not_in_the_caller() {
+    // A non-overlay record (ARP here) is ordinary outside input through
+    // `frames_from_pcap`. The dispatcher reads one outer header per
+    // micro-flow to steer; where the bad frame sits in its micro-flow
+    // must not decide which thread pays for it. Frame 64 opens
+    // micro-flow 2 at b=32, frame 65 is interior to it.
+    let run = |poisoned: usize| {
+        let mut frames = generate_frames(256, 64);
+        let mut bytes = frames[poisoned].bytes().to_vec();
+        bytes[12..14].copy_from_slice(&[0x08, 0x06]);
+        frames[poisoned] = Frame::from_vec(poisoned as u64, bytes);
+        let cfg = RuntimeConfig {
+            batch_size: 32,
+            ..RuntimeConfig::default()
+        };
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            process_parallel_faulty(&frames, &cfg, &RuntimeFaults::none())
+        }))
+        .expect("an unhashable frame must not unwind into the caller")
+        .expect("the surviving worker keeps the run Ok");
+        (out.digests.len(), out.workers_died, out.telemetry.residue)
+    };
+    let opening = run(64);
+    assert_eq!(opening.1, 1, "the worker that parses the frame owns the failure");
+    assert_eq!(opening, run(65), "opening vs interior position must not matter");
 }

@@ -13,6 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     generate_frames, process_parallel, process_parallel_faulty, process_serial_stateful, Frame,
     PolicyKind, RunOutput, RuntimeConfig, RuntimeFaults, StatefulMode, WorkerKill,
@@ -69,14 +70,7 @@ fn replay_dispatch(
 fn assert_ordered_correct(out: &RunOutput, frames: &[Frame], label: &str) {
     let serial = process_serial_stateful(frames, WORK);
     let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-    for pair in out.digests.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "{label}: inversion or duplicate at seq {} -> {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    assert_strictly_increasing(&out.digests, label);
     for r in &out.digests {
         assert_eq!(
             reference.get(&r.seq),

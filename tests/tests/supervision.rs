@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
+use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, FaultLog, Frame, MergerKill,
     PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
@@ -77,14 +78,7 @@ fn check_supervised(
 
     let out = process_parallel_faulty(frames, cfg, faults).unwrap();
 
-    for pair in out.digests.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "inversion or duplicate at seq {} -> {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    assert_strictly_increasing(&out.digests, "check_supervised");
     for r in &out.digests {
         assert_eq!(
             reference.get(&r.seq),
