@@ -1181,6 +1181,7 @@ fn run_bench_policy(a: &Args) {
     json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
     json.push_str(&format!("  \"bytes_per_run\": {bytes},\n"));
     json.push_str(&format!("  \"iters_per_point\": {ITERS},\n"));
+    json.push_str(&format!("  \"nproc\": {},\n", nproc()));
     json.push_str("  \"workers\": 4,\n  \"batch\": 32,\n");
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {

@@ -1,19 +1,30 @@
 //! The threaded split/merge pipeline, steered by a pluggable policy.
 //!
-//! Topology (mirroring Figure 6 of the paper on real cores):
+//! Topology (Figure 6 of the paper on real cores, and FALCON's softirq
+//! pipelining, its baseline, as the same machine with different wiring):
+//! `lanes` dispatcher entry lanes, each a chain of `depth` stage workers,
+//! all feeding one merger.
 //!
 //! ```text
-//!             +-> worker 0 --\
-//! dispatcher -+-> worker 1 ---+-> merger (MergeCounter) -> ordered output
-//!             +-> worker N-1-/
+//!             +-> stage 0 -> .. -> stage D-1 --\    lane 0
+//! dispatcher -+-> stage 0 -> .. -> stage D-1 ---+-> merger -> ordered output
+//!             +-> stage 0 -> .. -> stage D-1 --/     lane L-1
 //! ```
+//!
+//! Fan-out policies (mflow, rps, rss, rfs) are `workers` x 1: every
+//! worker is both head and tail of its lane and does all the per-packet
+//! work. FALCON is 1 x min(stage groups, workers): the worker at stage
+//! *k* applies stage group *k* of [`crate::work::STAGES`] and forwards.
+//! The shape is one [`Topology`] value computed per run; one
+//! [`worker_loop`] runs at every position of it.
 //!
 //! The dispatcher groups micro-flows of `batch_size` consecutive frames
 //! and asks the configured [`SteeringPolicy`]
-//! ([`RuntimeConfig::policy`]) for a lane per batch; each worker performs
-//! the per-packet work; the merger restores the original order with the
-//! merging-counter algorithm. Workers run genuinely concurrently, so the
-//! merger sees every interleaving a real kernel would.
+//! ([`RuntimeConfig::policy`]) for a lane per batch; the lane's workers
+//! perform the per-packet work; the merger restores the original order
+//! with the merging-counter algorithm. Workers run genuinely
+//! concurrently, so the merger sees every interleaving a real kernel
+//! would.
 //!
 //! # Steering policies
 //!
@@ -25,13 +36,17 @@
 //!   lands on one pinned lane, so per-lane FIFO alone preserves order
 //!   and the merger degenerates to passthrough (zero `ooo`, zero
 //!   `flushed`).
-//! * **falcon-dev / falcon-func** — FALCON's softirq pipelining: batches
-//!   enter a *chain* of workers (2 or 3 stage groups of
-//!   [`crate::work::STAGES`]); each worker applies its group and
-//!   forwards to the next, the tail feeds the merger. Order is FIFO
-//!   along the chain. If a downstream worker dies, the upstream one
-//!   finishes batches locally; if the chain head dies, the dispatcher
-//!   processes inline — degraded but never wedged.
+//! * **falcon-dev / falcon-func** — one lane of depth 2 or 3 (fewer
+//!   when `workers` is smaller). Order is FIFO along the lane.
+//!
+//! A stage whose next hop has died finishes its batches itself. A batch
+//! with no reachable lane head is lost — unless the run hands orphans to
+//! the dispatcher for inline processing ([`Topology::inline_orphans`]):
+//! chain policies do (one entry lane, so a dead head is routine) and so
+//! does every supervised run; an unsupervised run of any other policy
+//! that loses every worker returns [`MflowError::NoLiveWorkers`]. The
+//! rule follows the policy, not the shape — `falcon-func` and `mflow` at
+//! one worker are both 1 x 1.
 //!
 //! The merge counter is engaged for reordering policies and whenever
 //! faults, shedding or recovery lanes are possible; otherwise results
@@ -39,7 +54,7 @@
 //!
 //! # The transport
 //!
-//! Every lane — dispatcher→worker, worker→worker along a FALCON chain,
+//! Every ring — dispatcher→lane head, stage→next stage inside a lane,
 //! and worker→merger — is an in-tree lock-free SPSC ring of
 //! [`crate::ring`], the userspace analogue of the paper's per-core
 //! packet-request ring buffers: atomic head/tail, batch-granular
@@ -107,7 +122,7 @@ use mflow_steering::{build_baseline, PolicyKind, SteeringPolicy};
 
 use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::packet::Frame;
-use crate::ring::{self, MuxRecvError, RingClosed, RingConsumer, RingMux, RingProducer, RingSendError};
+use crate::ring::{self, MuxRecvError, RingConsumer, RingMux, RingProducer, RingSendError};
 use crate::supervise::{HeartbeatBoard, Supervisor};
 use crate::work::{
     process_batch, process_frame, stage_group_sizes, stateful_stage, PacketResult, StagedWork,
@@ -741,18 +756,8 @@ fn merger_checkpoint(shared: &MergerShared, state: &MergerState, out: &[PacketRe
 /// The body of one merger incarnation. Waits for the receiver lease,
 /// restores from the durable block (snapshot + delta replay), then runs
 /// the receive loop: journal, fault checks, apply, periodic checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn merger_loop(
-    shared: &MergerShared,
-    faults: &RuntimeFaults,
-    beats: &HeartbeatBoard,
-    merger_slot: usize,
-    incarnation: u64,
-    my_gen: u64,
-    flush_timeout: Option<Duration>,
-    wal_on: bool,
-    checkpoint_every: u64,
-) {
+fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
+    let (shared, faults) = (w.shared, w.faults);
     let mut lease = loop {
         if shared.gen.load(Ordering::Acquire) != my_gen {
             return; // superseded before acquiring the lease
@@ -762,7 +767,7 @@ fn merger_loop(
         }
         // Predecessor still unwinding (or a pump holds the lease): stay
         // visibly alive while waiting.
-        beats.bump(merger_slot);
+        w.beats.bump(w.merger_slot);
         thread::sleep(Duration::from_micros(50));
     };
     // Restore strictly *after* taking the lease: only then is the delta
@@ -788,14 +793,14 @@ fn merger_loop(
             lease.clean = true; // superseded: hand over, not a death
             return;
         }
-        match lease.rx().recv_timeout(flush_timeout) {
+        match lease.rx().recv_timeout(w.flush_timeout) {
             Ok((tag, result)) => {
-                beats.bump(merger_slot);
+                w.beats.bump(w.merger_slot);
                 shared.recvd.fetch_add(1, Ordering::Relaxed);
                 // Journal before any processing: once in the WAL the
                 // offer survives this incarnation's death — including
                 // the injected one two lines down.
-                if wal_on {
+                if w.wal_on {
                     shared.durable().delta.push((tag, result));
                 }
                 let offer_no = state.offers + 1;
@@ -814,7 +819,7 @@ fn merger_loop(
                     }
                 }
                 state.apply(tag, result, &mut out);
-                if wal_on && state.offers % checkpoint_every == 0 {
+                if w.wal_on && state.offers % w.checkpoint_every == 0 {
                     merger_checkpoint(shared, &state, &out);
                 }
             }
@@ -826,7 +831,7 @@ fn merger_loop(
                 // cannot read as a wedge and supersede a healthy
                 // merger once per heartbeat deadline until the shared
                 // restart budget is gone.
-                beats.bump(merger_slot);
+                w.beats.bump(w.merger_slot);
                 state.flush_one(&mut out);
             }
             Err(MuxRecvError::Disconnected) => break,
@@ -872,10 +877,10 @@ fn pump_merge_backlog(shared: &MergerShared) {
     }
 }
 
-/// The read-only half of the merger watchdog's context, bundled so the
-/// dispatch loop and the teardown joins can run supervision passes
-/// without a dozen-argument call at every site. `Copy`, so call sites
-/// borrow nothing.
+/// The read-only context of the merger failure domain: what an
+/// incarnation runs on ([`merger_loop`]) and what the dispatch loop and
+/// the teardown joins need to run supervision passes, bundled so neither
+/// is a dozen-argument call. `Copy`, so call sites borrow nothing.
 #[derive(Clone, Copy)]
 struct MergerWatch<'scope, 'env> {
     s: &'scope thread::Scope<'scope, 'env>,
@@ -884,17 +889,23 @@ struct MergerWatch<'scope, 'env> {
     beats: &'env HeartbeatBoard,
     merger_slot: usize,
     flush_timeout: Option<Duration>,
+    /// The merger failure domain is armed (supervision on, or merger
+    /// faults injected): offers are journaled and checkpointed, and the
+    /// watchdog methods act. Off — a benign unsupervised run — every
+    /// method is a no-op and the single merger incarnation runs to EOS
+    /// exactly as the unsupervised pipeline always has.
     wal_on: bool,
     checkpoint_every: u64,
     merger_depth: usize,
     supervised: bool,
-    /// Whole watchdog disarmed (benign unsupervised run): every method
-    /// is a no-op and the single merger incarnation runs to EOS exactly
-    /// as the unsupervised pipeline always has.
-    armed: bool,
 }
 
 impl<'scope, 'env> MergerWatch<'scope, 'env> {
+    /// Starts one merger incarnation on its own thread.
+    fn spawn(self, incarnation: u64, my_gen: u64) -> thread::ScopedJoinHandle<'scope, ()> {
+        self.s.spawn(move || merger_loop(self, incarnation, my_gen))
+    }
+
     /// One non-blocking pass: respawn a dead merger from its last
     /// checkpoint (budget and backoff permitting), degrade to WAL
     /// pumping when respawn is off the table, supersede a wedged
@@ -906,7 +917,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
         merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
         frames_done: u64,
     ) {
-        if !self.armed || self.shared.eos.load(Ordering::Acquire) {
+        if !self.wal_on || self.shared.eos.load(Ordering::Acquire) {
             return;
         }
         let shared = self.shared;
@@ -918,22 +929,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
                 self.faults.note(FaultEvent::MergerRespawn { incarnation });
                 shared.down.store(false, Ordering::Release);
                 let my_gen = shared.gen.load(Ordering::Acquire);
-                let (faults, beats) = (self.faults, self.beats);
-                let (merger_slot, flush_timeout) = (self.merger_slot, self.flush_timeout);
-                let (wal_on, checkpoint_every) = (self.wal_on, self.checkpoint_every);
-                merger_handles.push(self.s.spawn(move || {
-                    merger_loop(
-                        shared,
-                        faults,
-                        beats,
-                        merger_slot,
-                        incarnation,
-                        my_gen,
-                        flush_timeout,
-                        wal_on,
-                        checkpoint_every,
-                    )
-                }));
+                merger_handles.push(self.spawn(incarnation, my_gen));
             } else if !self.supervised || sup.budget_exhausted() {
                 // Terminal degradation: no respawn is coming. Journal
                 // the backlog so producers never block on a
@@ -977,7 +973,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
         merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
         frames_done: u64,
     ) -> thread::Result<()> {
-        while self.armed && !h.is_finished() {
+        while self.wal_on && !h.is_finished() {
             self.tend(sup, merger_handles, frames_done);
             thread::sleep(Duration::from_micros(50));
         }
@@ -995,7 +991,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
         merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
         frames_done: u64,
     ) {
-        while self.armed && !self.shared.eos.load(Ordering::Acquire) {
+        while self.wal_on && !self.shared.eos.load(Ordering::Acquire) {
             self.tend(sup, merger_handles, frames_done);
             thread::sleep(Duration::from_micros(50));
         }
@@ -1052,10 +1048,10 @@ struct Dispatcher<'a> {
     inline_packets: u64,
     block_fallbacks: u64,
     backpressure_events: u64,
-    /// Chain mode: batches that lost their only reachable worker are
-    /// handed back for inline processing instead of being dropped (the
-    /// chain has exactly one entry lane, so "no live worker" does not
-    /// mean the pipeline is dead — the dispatcher itself still is).
+    /// [`Topology::inline_orphans`]: batches that lost their only
+    /// reachable worker are handed back for inline processing instead of
+    /// being dropped ("no live worker" does not mean the pipeline is
+    /// dead — the dispatcher itself still is).
     orphan_inline: bool,
     orphans: Vec<Batch>,
 }
@@ -1101,7 +1097,7 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Batches with no reachable worker, handed back for inline
-    /// processing (chain mode only; empty otherwise).
+    /// processing (empty unless `orphan_inline`).
     fn take_orphans(&mut self) -> Vec<Batch> {
         std::mem::take(&mut self.orphans)
     }
@@ -1297,9 +1293,9 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Retags a lost batch onto a fresh recovery lane and targets the
-    /// next live worker. Returns `None` when no workers are left — in
-    /// chain mode the batch is parked for inline processing instead of
-    /// being dropped.
+    /// next live worker. Returns `None` when no workers are left — with
+    /// `orphan_inline` the batch is parked for inline processing instead
+    /// of being dropped.
     fn reroute(&mut self, batch: Batch, was_recovery: bool) -> Option<(usize, Batch, bool)> {
         let Some(target) = self.pick_live_worker() else {
             if self.orphan_inline {
@@ -1340,7 +1336,8 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Sends a recovery-tagged copy of `batch` to the next live worker
-    /// (parked for inline processing in chain mode when none is left).
+    /// (parked for inline processing under `orphan_inline` when none is
+    /// left).
     fn send_recovery(&mut self, batch: Batch) {
         let retagged = self.retag(batch);
         if let Some(target) = self.pick_live_worker() {
@@ -1348,11 +1345,6 @@ impl<'a> Dispatcher<'a> {
         } else if self.orphan_inline {
             self.orphans.push(retagged);
         }
-    }
-
-    fn finish(self) -> u64 {
-        // Dropping the senders lets workers drain and exit.
-        self.redispatched
     }
 }
 
@@ -1392,28 +1384,6 @@ fn apply_worker_faults(
     }
 }
 
-/// Completes every remaining stage of a staged batch and publishes the
-/// results, applying the replicated stateful stage when SCR is on
-/// (`scr_work`). `Err` when the merger is gone.
-fn complete_to_merger(
-    merge: &mut RingProducer<Merged>,
-    sent: &AtomicU64,
-    staged: StageBatch,
-    scr_work: Option<u32>,
-) -> Result<(), RingClosed> {
-    let results: Vec<Merged> = staged
-        .into_iter()
-        .map(|(tag, w)| {
-            let r = w.complete();
-            (tag, apply_scr(r, scr_work))
-        })
-        .collect();
-    // Count before publishing, so the merger watchdog's backlog signal
-    // (`sent - recvd`) can never under-report queued results.
-    sent.fetch_add(results.len() as u64, Ordering::Relaxed);
-    merge.push_all(results)
-}
-
 /// Applies the lane-replicated stateful stage under SCR; identity under
 /// merge-before-tcp (the merger runs the stage there instead).
 fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
@@ -1423,49 +1393,62 @@ fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
     }
 }
 
-/// [`process_batch`]'s lookahead over a micro-flow batch: the frame the
-/// thread will work on next, peeked in place.
-fn upcoming_frame(rest: &std::vec::IntoIter<(MfTag, Frame)>) -> Option<&Frame> {
-    rest.as_slice().first().map(|(_, frame)| frame)
+/// What a stage worker dequeues: wire frames at a lane head, staged work
+/// at an interior stage. Either converts into [`StagedWork`] to be
+/// advanced by one stage group; the two differ in how a batch is walked
+/// and in what finishing an item costs.
+trait StageInput: Into<StagedWork> + Send {
+    /// Runs `work` over a micro-flow batch in order, appending to `out`.
+    fn walk<R>(batch: Vec<(MfTag, Self)>, work: impl FnMut((MfTag, Self)) -> R, out: &mut Vec<R>);
+
+    /// Every remaining stage. Not `self.into().complete()`: a worker
+    /// that owns every stage must pay what [`process_frame`] costs, and
+    /// building the enum on the stack per frame only to match it apart
+    /// again measured 4.35 against 4.78 Mframes/s on `elephant64`.
+    fn complete(self) -> PacketResult;
 }
 
-/// The full per-packet work for one micro-flow, appended to `results`:
-/// what a fan-out lane worker does with a batch, and what the dispatcher
-/// does with one it keeps inline.
-fn process_tagged(batch: Batch, scr_work: Option<u32>, results: &mut Vec<Merged>) {
-    process_batch(
-        batch.into_iter(),
-        upcoming_frame,
-        |(tag, frame)| (tag, apply_scr(process_frame(&frame), scr_work)),
-        results,
-    );
+impl StageInput for Frame {
+    /// With [`process_batch`]'s one-frame lookahead: this thread is the
+    /// first to touch the frames' bytes.
+    fn walk<R>(batch: Vec<(MfTag, Self)>, work: impl FnMut((MfTag, Self)) -> R, out: &mut Vec<R>) {
+        process_batch(
+            batch.into_iter(),
+            |rest| rest.as_slice().first().map(|(_, frame)| frame),
+            work,
+            out,
+        );
+    }
+
+    fn complete(self) -> PacketResult {
+        process_frame(&self)
+    }
 }
 
-/// One re-wireable FALCON chain link: the sender feeding the next stage.
-/// Lives in a shared slot (instead of being owned by the upstream
-/// worker) so the watchdog can swap in a fresh link when the downstream
-/// stage is respawned — re-homing the stage onto the new worker. The
-/// generation counter invalidates senders taken out before a re-wire.
-struct ChainSlot {
-    gen: u64,
-    tx: Option<RingProducer<StageBatch>>,
+impl StageInput for StagedWork {
+    /// Plainly: there is nothing to prefetch (upstream pulled the bytes
+    /// in), and moving 64-byte staged items through the take-then-peek
+    /// loop measured 2.47 against 2.96 Mframes/s on `falcon-func`.
+    fn walk<R>(batch: Vec<(MfTag, Self)>, work: impl FnMut((MfTag, Self)) -> R, out: &mut Vec<R>) {
+        out.extend(batch.into_iter().map(work));
+    }
+
+    fn complete(self) -> PacketResult {
+        StagedWork::complete(self)
+    }
 }
 
-/// Shared chain state every stage worker (and the watchdog) sees.
-/// `slots[i]` / `dead_gens[i+1]` / `link_depths[i+1]` describe the link
-/// from stage `i` to stage `i+1`; the tail's slot stays empty forever.
-#[derive(Clone, Copy)]
-struct ChainCtx<'a> {
-    /// `slots[i]`: sender into stage `i + 1` (tail: always `None`).
-    slots: &'a [Mutex<ChainSlot>],
-    /// `link_depths[i]`: staged batches queued into stage `i` (index 0
-    /// unused — the head's backlog is the dispatcher lane depth).
-    link_depths: &'a [AtomicUsize],
-    /// `dead_gens[i]`: generation at which stage `i`'s upstream observed
-    /// it dead (`u64::MAX` = no pending death signal). The watchdog only
-    /// honors a signal matching the link's current generation, so stale
-    /// discoveries of an already-replaced link are ignored.
-    dead_gens: &'a [AtomicU64],
+/// Every remaining stage of one micro-flow, appended to `results` (plus
+/// the replicated stateful stage when SCR is on): what a tail worker
+/// does with its input, what any stage does with a batch whose next hop
+/// died, and what the dispatcher does with a batch it keeps inline.
+fn complete_batch<T: StageInput>(
+    batch: Vec<(MfTag, T)>,
+    scr_work: Option<u32>,
+    results: &mut Vec<Merged>,
+) {
+    let work = |(tag, item): (MfTag, T)| (tag, apply_scr(item.complete(), scr_work));
+    T::walk(batch, work, results);
 }
 
 /// Saturating depth decrement: a replaced-but-still-draining incarnation
@@ -1477,153 +1460,239 @@ fn depth_dec(depth: &AtomicUsize) {
     });
 }
 
-/// Forwards a staged batch down the chain through the shared link slot.
-/// When the next hop has died, the remaining stages are completed
-/// locally and the results go straight to the merger — this worker's
-/// merger sends stay FIFO, so order survives the degradation. A death
-/// discovery is flagged (keyed by link generation) for the watchdog to
-/// respawn. `Err` when the merger itself is gone.
-fn forward_shared(
-    chain: ChainCtx<'_>,
-    slot: usize,
-    merge: &mut RingProducer<Merged>,
-    sent: &AtomicU64,
-    staged: StageBatch,
-    scr_work: Option<u32>,
-) -> Result<(), RingClosed> {
-    let (gen, tx) = {
-        let mut s = chain.slots[slot].lock().expect("chain slot lock");
-        (s.gen, s.tx.take())
-    };
-    let Some(mut tx) = tx else {
-        return complete_to_merger(merge, sent, staged, scr_work);
-    };
-    // Count the batch as queued before publishing it, so the downstream
-    // decrement can never observe the counter early.
-    chain.link_depths[slot + 1].fetch_add(1, Ordering::Relaxed);
-    match tx.push(staged) {
-        Ok(()) => {
-            let mut s = chain.slots[slot].lock().expect("chain slot lock");
-            if s.gen == gen {
-                s.tx = Some(tx);
-            }
-            // Generation moved: the watchdog re-wired this link while the
-            // send was in flight; the taken-out sender fed the replaced
-            // ring and is dropped here. The batch it carried is lost with
-            // that ring and flushed by the merge counter.
-            Ok(())
+/// The shape of a run (module docs, "Topology"): `lanes` entry lanes of
+/// `depth` stage workers each. Computed once per run; nothing downstream
+/// asks which family a policy belongs to, only for these numbers.
+#[derive(Debug, PartialEq, Eq)]
+struct Topology {
+    lanes: usize,
+    depth: usize,
+    /// `groups[stage]`: how many of [`crate::work::STAGES`] the worker at
+    /// that stage applies; they sum to `STAGES`.
+    groups: Vec<usize>,
+    /// Batches with no reachable worker go to the dispatcher for inline
+    /// processing instead of being dropped: chain policies and
+    /// supervised runs (module docs, "Steering policies").
+    inline_orphans: bool,
+}
+
+impl Topology {
+    fn new(stage_groups: usize, workers: usize, supervised: bool) -> Self {
+        let chained = stage_groups >= 2;
+        let (lanes, depth) = if chained {
+            (1, stage_groups.min(workers))
+        } else {
+            (workers, 1)
+        };
+        Self {
+            lanes,
+            depth,
+            groups: stage_group_sizes(depth),
+            inline_orphans: chained || supervised,
         }
-        Err(bounced) => {
-            depth_dec(&chain.link_depths[slot + 1]);
-            // Downstream death discovered: flag it for the watchdog and
-            // finish this batch locally.
-            chain.dead_gens[slot + 1].store(gen, Ordering::Release);
-            {
-                let mut s = chain.slots[slot].lock().expect("chain slot lock");
-                if s.gen == gen {
-                    s.tx = None;
-                }
-            }
-            complete_to_merger(merge, sent, bounced, scr_work)
-        }
+    }
+
+    /// Worker threads, and worker slots: `slot = lane * depth + stage`.
+    fn threads(&self) -> usize {
+        self.lanes * self.depth
+    }
+
+    /// Index of the [`Link`] from `(lane, stage)` to `(lane, stage + 1)`.
+    fn link(&self, lane: usize, stage: usize) -> usize {
+        lane * (self.depth - 1) + stage
     }
 }
 
-/// One fan-out worker incarnation: dequeue, heartbeat, full per-packet
-/// work, publish to the merger.
-#[allow(clippy::too_many_arguments)]
-fn fanout_worker_loop(
+/// The sender half of a [`Link`]. The generation counter invalidates
+/// senders taken out before a re-wire.
+struct LinkSlot {
+    gen: u64,
+    tx: Option<RingProducer<StageBatch>>,
+}
+
+/// One re-wireable link between consecutive stages of a lane. The sender
+/// lives in a shared slot (instead of being owned by the upstream
+/// worker) so the watchdog can swap in a fresh ring when the downstream
+/// stage is respawned — re-homing the stage onto the new worker.
+struct Link {
+    slot: Mutex<LinkSlot>,
+    /// Staged batches queued in the link: counted up by the upstream
+    /// before it publishes, down by the downstream as it dequeues.
+    depth: AtomicUsize,
+    /// Generation at which the upstream observed the downstream dead
+    /// (`u64::MAX` = no pending death signal). The watchdog only honors
+    /// a signal matching the current generation, so stale discoveries of
+    /// an already-replaced link are ignored.
+    dead_gen: AtomicU64,
+}
+
+impl Link {
+    fn new(tx: RingProducer<StageBatch>) -> Self {
+        Self {
+            slot: Mutex::new(LinkSlot {
+                gen: 0,
+                tx: Some(tx),
+            }),
+            depth: AtomicUsize::new(0),
+            dead_gen: AtomicU64::new(u64::MAX),
+        }
+    }
+
+    fn slot(&self) -> std::sync::MutexGuard<'_, LinkSlot> {
+        self.slot.lock().expect("link slot lock")
+    }
+
+    /// Sends a staged batch to the next stage. `Err` hands it back when
+    /// the next hop is gone (cut, or its ring just bounced the send); a
+    /// bounce also flags the death, keyed by generation, for the watchdog
+    /// to respawn.
+    fn forward(&self, staged: StageBatch) -> Result<(), StageBatch> {
+        let (gen, tx) = {
+            let mut s = self.slot();
+            (s.gen, s.tx.take())
+        };
+        let Some(mut tx) = tx else {
+            return Err(staged);
+        };
+        // Count the batch as queued before publishing it, so the
+        // downstream decrement can never observe the counter early.
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        match tx.push(staged) {
+            Ok(()) => {
+                let mut s = self.slot();
+                if s.gen == gen {
+                    s.tx = Some(tx);
+                }
+                // Generation moved: the watchdog re-wired this link while
+                // the send was in flight; the taken-out sender fed the
+                // replaced ring and is dropped here. The batch it carried
+                // is lost with that ring and flushed by the merge counter.
+                Ok(())
+            }
+            Err(bounced) => {
+                depth_dec(&self.depth);
+                self.dead_gen.store(gen, Ordering::Release);
+                let mut s = self.slot();
+                if s.gen == gen {
+                    s.tx = None;
+                }
+                Err(bounced)
+            }
+        }
+    }
+
+    /// Cuts the link: the upstream completes batches locally from now
+    /// on, and the downstream sees end-of-stream once its ring drains.
+    /// The generation bump invalidates a sender still in flight upstream.
+    fn cut(&self) {
+        let mut s = self.slot();
+        s.gen += 1;
+        s.tx = None;
+    }
+
+    /// Re-homes the downstream stage onto a fresh ring.
+    fn rewire(&self, tx: RingProducer<StageBatch>) {
+        {
+            let mut s = self.slot();
+            s.gen += 1;
+            s.tx = Some(tx);
+        }
+        self.depth.store(0, Ordering::Relaxed);
+        self.dead_gen.store(u64::MAX, Ordering::Release);
+    }
+}
+
+/// Everything a stage worker reads, bundled like its merger-side twin
+/// [`MergerWatch`] so initial spawn and every respawn are one call.
+/// `Copy`, so call sites borrow nothing.
+#[derive(Clone, Copy)]
+struct WorkerCtx<'scope, 'env> {
+    s: &'scope thread::Scope<'scope, 'env>,
+    topo: &'env Topology,
+    /// Per-lane dispatcher queue depths (a head's backlog).
+    depths: &'env [AtomicUsize],
+    /// Indexed by [`Topology::link`]; empty when `depth == 1`.
+    links: &'env [Link],
+    /// [`MergerShared::sent`].
+    sent: &'env AtomicU64,
+    faults: &'env RuntimeFaults,
+    beats: &'env HeartbeatBoard,
+    scr_work: Option<u32>,
+}
+
+impl<'scope> WorkerCtx<'scope, '_> {
+    /// Starts incarnation `incarnation` of worker `slot` on its own
+    /// thread, draining `rx` and publishing results through `merge`.
+    /// The handle comes back tagged with its slot, so join-time panics
+    /// can be attributed per slot even after respawns reorder the list.
+    fn spawn_worker<T: StageInput + 'scope>(
+        self,
+        slot: usize,
+        incarnation: u64,
+        rx: RingConsumer<Vec<(MfTag, T)>>,
+        merge: RingProducer<Merged>,
+    ) -> (usize, thread::ScopedJoinHandle<'scope, ()>) {
+        let s = self.s;
+        let h = s.spawn(move || worker_loop(self, slot, incarnation, rx, merge));
+        (slot, h)
+    }
+}
+
+/// One stage-worker incarnation, at any position of any topology:
+/// dequeue, heartbeat, injected faults, this stage's group of the
+/// per-packet work, then hand on. A tail (every fan-out worker; the last
+/// stage of a chain) completes into the merger; any other stage forwards
+/// through its link, and finishes the batch itself when the next hop has
+/// died — this worker's merger sends stay FIFO, so order survives the
+/// degradation.
+fn worker_loop<T: StageInput>(
+    ctx: WorkerCtx<'_, '_>,
     slot: usize,
     incarnation: u64,
-    mut rx: RingConsumer<Batch>,
-    mut tx: RingProducer<Merged>,
-    sent: &AtomicU64,
-    faults: &RuntimeFaults,
-    depths: &[AtomicUsize],
-    beats: &HeartbeatBoard,
-    scr_work: Option<u32>,
+    mut rx: RingConsumer<Vec<(MfTag, T)>>,
+    mut merge: RingProducer<Merged>,
 ) {
+    let topo = ctx.topo;
+    let (lane, stage) = (slot / topo.depth, slot % topo.depth);
+    let group = topo.groups[stage];
+    // The backlog counter of the ring this worker drains: the dispatcher
+    // lane's at a head, the incoming link's at an interior stage.
+    let backlog = match stage {
+        0 => &ctx.depths[lane],
+        _ => &ctx.links[topo.link(lane, stage - 1)].depth,
+    };
+    // A tail has no link at all, so it takes no lock per batch.
+    let next = (stage + 1 < topo.depth).then(|| &ctx.links[topo.link(lane, stage)]);
     let mut processed = 0u64;
     // One results buffer for the life of the worker: `push_all` drains it
     // into the ring, so its capacity is reused batch after batch.
     let mut results: Vec<Merged> = Vec::new();
     while let Some(batch) = rx.pop() {
-        depth_dec(&depths[slot]);
-        beats.bump(slot);
-        apply_worker_faults(faults, slot, incarnation, processed, batch.first().map(|(t, _)| t.id));
-        // Whole-batch processing, whole-batch publish: one merge-side
-        // handoff per micro-flow, not per packet.
-        process_tagged(batch, scr_work, &mut results);
-        sent.fetch_add(results.len() as u64, Ordering::Relaxed);
-        if tx.push_all(results.drain(..)).is_err() {
-            // Merger gone; nothing useful left to do.
-            return;
+        depth_dec(backlog);
+        ctx.beats.bump(slot);
+        let first_mf = batch.first().map(|(t, _)| t.id);
+        apply_worker_faults(ctx.faults, slot, incarnation, processed, first_mf);
+        match next {
+            None => complete_batch(batch, ctx.scr_work, &mut results),
+            Some(link) => {
+                let mut staged = StageBatch::new();
+                let work = |(tag, item): (MfTag, T)| (tag, item.into().advance_n(group));
+                T::walk(batch, work, &mut staged);
+                if let Err(bounced) = link.forward(staged) {
+                    complete_batch(bounced, ctx.scr_work, &mut results);
+                }
+            }
         }
-        processed += 1;
-    }
-}
-
-/// The chain-head incarnation: consumes dispatcher batches, applies the
-/// first stage group, forwards down the chain.
-#[allow(clippy::too_many_arguments)]
-fn chain_head_loop(
-    incarnation: u64,
-    head_group: usize,
-    mut rx: RingConsumer<Batch>,
-    mut merge: RingProducer<Merged>,
-    sent: &AtomicU64,
-    faults: &RuntimeFaults,
-    depths: &[AtomicUsize],
-    beats: &HeartbeatBoard,
-    chain: ChainCtx<'_>,
-    scr_work: Option<u32>,
-) {
-    let mut processed = 0u64;
-    while let Some(batch) = rx.pop() {
-        depth_dec(&depths[0]);
-        beats.bump(0);
-        apply_worker_faults(faults, 0, incarnation, processed, batch.first().map(|(t, _)| t.id));
-        let mut staged = StageBatch::new();
-        process_batch(
-            batch.into_iter(),
-            upcoming_frame,
-            |(tag, frame)| (tag, StagedWork::Raw(frame).advance_n(head_group)),
-            &mut staged,
-        );
-        if forward_shared(chain, 0, &mut merge, sent, staged, scr_work).is_err() {
-            return;
-        }
-        processed += 1;
-    }
-}
-
-/// An interior or tail chain-stage incarnation: applies its stage group
-/// and forwards (the tail's shared slot is always empty, so it completes
-/// to the merger).
-#[allow(clippy::too_many_arguments)]
-fn chain_worker_loop(
-    slot: usize,
-    incarnation: u64,
-    my_group: usize,
-    mut rx: RingConsumer<StageBatch>,
-    mut merge: RingProducer<Merged>,
-    sent: &AtomicU64,
-    faults: &RuntimeFaults,
-    beats: &HeartbeatBoard,
-    chain: ChainCtx<'_>,
-    scr_work: Option<u32>,
-) {
-    let mut processed = 0u64;
-    while let Some(staged) = rx.pop() {
-        depth_dec(&chain.link_depths[slot]);
-        beats.bump(slot);
-        apply_worker_faults(faults, slot, incarnation, processed, staged.first().map(|(t, _)| t.id));
-        let staged: StageBatch = staged
-            .into_iter()
-            .map(|(tag, w)| (tag, w.advance_n(my_group)))
-            .collect();
-        if forward_shared(chain, slot, &mut merge, sent, staged, scr_work).is_err() {
-            return;
+        if !results.is_empty() {
+            // Whole-batch publish: one merge-side handoff per micro-flow,
+            // not per packet. Counted before publishing, so the merger
+            // watchdog's backlog signal (`sent - recvd`) can never
+            // under-report queued results.
+            ctx.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
+            if merge.push_all(results.drain(..)).is_err() {
+                // Merger gone; nothing useful left to do.
+                return;
+            }
         }
         processed += 1;
     }
@@ -1635,9 +1704,10 @@ fn chain_worker_loop(
 ///
 /// Returns [`MflowError::InvalidConfig`] for a malformed configuration,
 /// [`MflowError::MergerPoisoned`] if the merge stage panics, and
-/// [`MflowError::NoLiveWorkers`] when every fan-out worker died with
-/// input still pending (chain policies instead fall back to inline
-/// processing on the dispatcher).
+/// [`MflowError::NoLiveWorkers`] when every worker of an unsupervised
+/// fan-out policy died with input still pending (chain policies and
+/// supervised runs instead fall back to inline processing on the
+/// dispatcher).
 pub fn process_parallel(frames: &[Frame], cfg: &RuntimeConfig) -> Result<RunOutput, MflowError> {
     process_parallel_faulty(frames, cfg, &RuntimeFaults::none())
 }
@@ -1653,16 +1723,8 @@ pub fn process_parallel_faulty(
     cfg.validate()?;
     let mut policy = build_policy(cfg.policy)?;
     let start = Instant::now();
-    let n_workers = cfg.workers;
-    // FALCON pipelines stages across a worker chain instead of fanning
-    // batches out: one entry lane, min(stage groups, workers) workers.
-    let chain_len = if policy.stage_groups() >= 2 {
-        policy.stage_groups().min(n_workers)
-    } else {
-        0
-    };
-    let n_lanes = if chain_len > 0 { 1 } else { n_workers };
-    let n_threads = if chain_len > 0 { chain_len } else { n_workers };
+    let supervised = cfg.supervised();
+    let topo = &Topology::new(policy.stage_groups(), cfg.workers, supervised);
     // DropTail removes whole micro-flows from the stream, which stalls
     // the merge counter exactly like injected loss does, and any policy
     // that can go inline (Inline itself, DropTail's inline fallback)
@@ -1672,7 +1734,6 @@ pub fn process_parallel_faulty(
     // runs, not just DropTail. Supervision counts too: a stall-respawn
     // redispatches the retained window while the stalled worker may still
     // drain its copy, so recovery lanes and duplicates become possible.
-    let supervised = cfg.supervised();
     let can_shed_or_recover =
         !matches!(cfg.backpressure, BackpressurePolicy::Block) || supervised;
     let flush_timeout = if faults.is_active() || can_shed_or_recover {
@@ -1687,17 +1748,18 @@ pub fn process_parallel_faulty(
     // streams results through unbuffered.
     let use_counter = policy.reorders() || faults.is_active() || can_shed_or_recover;
     // Stateful-stage placement: under SCR the lanes (and every degraded
-    // path that stands in for a lane — chain-local completion, inline
-    // processing) apply the stage; under merge-before-tcp the merger
-    // does, serially, after reassembly.
+    // path that stands in for a lane — local completion past a dead next
+    // hop, inline processing) apply the stage; under merge-before-tcp the
+    // merger does, serially, after reassembly.
     let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
     let sw = cfg.stateful_work;
     let scr_work = if scr { Some(sw) } else { None };
 
-    // Dispatcher -> worker lanes (SPSC: one producer, one consumer each).
-    let mut lanes = Vec::with_capacity(n_lanes);
-    let mut lane_rx = Vec::with_capacity(n_lanes);
-    for i in 0..n_lanes {
+    // Dispatcher -> lane-head rings (SPSC: one producer, one consumer
+    // each).
+    let mut lanes = Vec::with_capacity(topo.lanes);
+    let mut lane_rx = Vec::with_capacity(topo.lanes);
+    for i in 0..topo.lanes {
         let (tx, rx) = ring::spsc::<Batch>(cfg.queue_depth);
         lanes.push(Lane {
             tx: Some(tx),
@@ -1706,12 +1768,23 @@ pub fn process_parallel_faulty(
         });
         lane_rx.push(rx);
     }
+    // Stage -> next-stage links inside each lane (none at depth 1): the
+    // worker at stage k applies stage group k and forwards through a
+    // shared, re-wireable link; the last stage publishes to the merger.
+    let mut link_rx = Vec::new();
+    let links: Vec<Link> = (0..topo.lanes * (topo.depth - 1))
+        .map(|_| {
+            let (tx, rx) = ring::spsc::<StageBatch>(cfg.queue_depth);
+            link_rx.push(rx);
+            Link::new(tx)
+        })
+        .collect();
     // Workers (plus the dispatcher's inline lane) -> merger: one SPSC
     // ring per producer fanned into a mux. The registrar mints additional
     // rings for respawned workers.
     let (mut worker_merge_tx, merge_rx, merge_registrar) =
-        ring::ring_mux_with_registrar::<Merged>(n_threads + 1, cfg.merger_depth);
-    let dispatch_merge_tx = worker_merge_tx.pop().expect("n_threads + 1 rings");
+        ring::ring_mux_with_registrar::<Merged>(topo.threads() + 1, cfg.merger_depth);
+    let mut dispatch_tx = worker_merge_tx.pop().expect("threads + 1 rings");
     // Merger failure domain: armed whenever the merger can actually die
     // or wedge — supervision on, or merger faults injected. Both of
     // those force `use_counter`, so a passthrough merger never pays for
@@ -1719,124 +1792,66 @@ pub fn process_parallel_faulty(
     // slot that incarnations lease; producer senders stay valid across
     // merger deaths, which is what makes re-attachment implicit.
     let wal_on = supervised || faults.merger_faults_active();
-    let merger_watch = wal_on;
-    let checkpoint_every = cfg.checkpoint_every;
-    let merger_depth = cfg.merger_depth;
-    let merger_slot = n_threads;
     let shared_store = MergerShared::new(merge_rx, use_counter, scr);
     let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
-    let depths: Vec<AtomicUsize> = (0..n_lanes).map(|_| AtomicUsize::new(0)).collect();
+    let depths: Vec<AtomicUsize> = (0..topo.lanes).map(|_| AtomicUsize::new(0)).collect();
     let depths = &depths;
     // Per-slot heartbeat epochs, the watchdog's liveness signal. The
     // extra slot past the workers is the merger's.
-    let beats = HeartbeatBoard::new(n_threads + 1);
+    let merger_slot = topo.threads();
+    let beats = HeartbeatBoard::new(topo.threads() + 1);
     let beats = &beats;
-    // FALCON chain wiring: worker i applies stage group i and forwards to
-    // worker i+1 through a shared, re-wireable link slot; the tail
-    // publishes to the merger. (All empty in fan-out mode.)
-    let group_sizes: Vec<usize> = if chain_len > 0 {
-        stage_group_sizes(chain_len)
-    } else {
-        Vec::new()
-    };
-    let group_sizes = &group_sizes;
-    let mut chain_slots: Vec<Mutex<ChainSlot>> = Vec::with_capacity(chain_len);
-    let mut link_rx_q: VecDeque<RingConsumer<StageBatch>> = VecDeque::new();
-    for i in 0..chain_len {
-        let tx = if i + 1 < chain_len {
-            let (tx, rx) = ring::spsc::<StageBatch>(cfg.queue_depth);
-            link_rx_q.push_back(rx);
-            Some(tx)
-        } else {
-            None
-        };
-        chain_slots.push(Mutex::new(ChainSlot { gen: 0, tx }));
-    }
-    let link_depths: Vec<AtomicUsize> = (0..chain_len).map(|_| AtomicUsize::new(0)).collect();
-    let dead_gens: Vec<AtomicU64> = (0..chain_len).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let chain = ChainCtx {
-        slots: &chain_slots,
-        link_depths: &link_depths,
-        dead_gens: &dead_gens,
-    };
 
     // Buffer-pool telemetry: snapshot the frames' pool so the run can
     // report the recycle and heap-fallback deltas it caused.
     let frame_pool = frames.iter().find_map(|f| f.buf().pool());
     let pool_before = frame_pool.as_ref().map(|p| p.stats());
 
-    let scope_out = thread::scope(|s| {
-        // Worker handles tagged with their slot, so join-time panics can
-        // be attributed per slot even after respawns reorder the list.
-        let mut handles: Vec<(usize, thread::ScopedJoinHandle<'_, ()>)> =
-            Vec::with_capacity(n_threads);
-        if chain_len > 0 {
-            let mut merge_txs = worker_merge_tx.into_iter();
-            // Head: consumes dispatcher batches, applies the first group.
-            let rx = lane_rx.pop().expect("one dispatcher lane in chain mode");
-            let tx = merge_txs.next().expect("merge tx per chain worker");
-            let head_group = group_sizes[0];
-            handles.push((
-                0,
-                s.spawn(move || {
-                    chain_head_loop(
-                        0,
-                        head_group,
-                        rx,
-                        tx,
-                        &shared.sent,
-                        faults,
-                        depths,
-                        beats,
-                        chain,
-                        scr_work,
-                    )
-                }),
-            ));
-            // Interior and tail workers.
-            for (slot, &my_group) in group_sizes.iter().enumerate().skip(1) {
-                let rx = link_rx_q.pop_front().expect("link per chain worker");
-                let tx = merge_txs.next().expect("merge tx per chain worker");
-                handles.push((
-                    slot,
-                    s.spawn(move || {
-                        chain_worker_loop(
-                            slot,
-                            0,
-                            my_group,
-                            rx,
-                            tx,
-                            &shared.sent,
-                            faults,
-                            beats,
-                            chain,
-                            scr_work,
-                        )
-                    }),
-                ));
-            }
-        } else {
-            // Fan-out: the "splitting cores", one full-pipeline worker
-            // per lane.
-            for (slot, (rx, tx)) in lane_rx.into_iter().zip(worker_merge_tx).enumerate() {
-                handles.push((
-                    slot,
-                    s.spawn(move || {
-                        fanout_worker_loop(
-                            slot,
-                            0,
-                            rx,
-                            tx,
-                            &shared.sent,
-                            faults,
-                            depths,
-                            beats,
-                            scr_work,
-                        )
-                    }),
-                ));
-            }
+    // Dispatcher: this thread plays the IRQ core's first half.
+    let mut d = Dispatcher::new(lanes, faults, cfg, depths, topo.inline_orphans);
+    // One supervision slot per worker plus the merger's; the respawn
+    // budget is one shared pool across both failure domains, but the
+    // restart and recovery-time counters split per domain.
+    let mut sup = Supervisor::new(
+        topo.threads() + 1,
+        cfg.heartbeat_interval_ms.map(Duration::from_millis),
+        cfg.restart_budget,
+        Duration::from_millis(cfg.restart_backoff_ms),
+        start,
+    );
+    sup.watch_merger(merger_slot);
+    let n = frames.len();
+    let mut fault_drops = 0u64;
+    let mut dispatch_done = start;
+    // Worker panics per slot, every incarnation; injected deaths surface
+    // at join and are counted here, not propagated.
+    let mut deaths_by_slot = vec![0u32; topo.threads()];
+    let mut merger_deaths = 0usize;
+
+    thread::scope(|s| {
+        let workers = WorkerCtx {
+            s,
+            topo,
+            depths,
+            links: &links,
+            sent: &shared.sent,
+            faults,
+            beats,
+            scr_work,
+        };
+        let mut handles = Vec::with_capacity(topo.threads());
+        // Slot by slot: a head drains its lane's ring, every later stage
+        // its incoming link (both lists are in slot order).
+        let (mut lane_rx, mut link_rx) = (lane_rx.into_iter(), link_rx.into_iter());
+        for (slot, merge) in worker_merge_tx.into_iter().enumerate() {
+            handles.push(if slot % topo.depth == 0 {
+                let rx = lane_rx.next().expect("ring per lane");
+                workers.spawn_worker(slot, 0, rx, merge)
+            } else {
+                let rx = link_rx.next().expect("link per later stage");
+                workers.spawn_worker(slot, 0, rx, merge)
+            });
         }
 
         // Merger incarnation 0: merging-counter reassembly with flush
@@ -1853,33 +1868,12 @@ pub fn process_parallel_faulty(
             merger_slot,
             flush_timeout,
             wal_on,
-            checkpoint_every,
-            merger_depth,
+            checkpoint_every: cfg.checkpoint_every,
+            merger_depth: cfg.merger_depth,
             supervised,
-            armed: merger_watch,
         };
-        let mut merger_handles: Vec<thread::ScopedJoinHandle<'_, ()>> = Vec::new();
-        merger_handles.push(s.spawn(move || {
-            merger_loop(
-                shared,
-                faults,
-                beats,
-                merger_slot,
-                0,
-                0,
-                flush_timeout,
-                wal_on,
-                checkpoint_every,
-            )
-        }));
+        let mut merger_handles = vec![watch.spawn(0, 0)];
 
-        // Dispatcher: this thread plays the IRQ core's first half.
-        // Orphaned batches go inline in chain mode (the chain has one
-        // entry lane, so "no live worker" is routine) and in supervised
-        // runs (total loss past the restart budget must degrade to
-        // dispatcher-inline processing, never drop the tail).
-        let mut d = Dispatcher::new(lanes, faults, cfg, depths, chain_len > 0 || supervised);
-        let mut dispatch_tx = dispatch_merge_tx;
         // Batches the policy handed back are processed right here on the
         // dispatcher thread, retagged onto fresh recovery lanes so the
         // merger's per-lane FIFO assumption holds (earlier batches for
@@ -1891,30 +1885,17 @@ pub fn process_parallel_faulty(
             d.inline_batches += 1;
             d.inline_packets += batch.len() as u64;
             let mut results = Vec::new();
-            process_tagged(batch, scr_work, &mut results);
+            complete_batch(batch, scr_work, &mut results);
             shared.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
             let _ = tx.push_all(results);
         };
-        // One supervision slot per worker plus the merger's; the respawn
-        // budget is one shared pool across both failure domains, but the
-        // restart and recovery-time counters split per domain.
-        let mut sup = Supervisor::new(
-            n_threads + 1,
-            cfg.heartbeat_interval_ms.map(Duration::from_millis),
-            cfg.restart_budget,
-            Duration::from_millis(cfg.restart_backoff_ms),
-            start,
-        );
-        sup.watch_merger(merger_slot);
-        let mut fault_drops = 0u64;
         let mut mf_id = 0u64;
         let mut lane = 0usize;
         let mut tag_lane = 0usize;
         let mut cur_hash = 0u32;
-        let mut depth_snap = vec![0usize; n_lanes];
+        let mut depth_snap = vec![0usize; topo.lanes];
         let mut batch: Batch = Vec::with_capacity(cfg.batch_size);
         let mut delayed: Vec<(u64, Batch)> = Vec::new();
-        let n = frames.len();
         for (i, frame) in frames.iter().enumerate() {
             let last = batch.len() + 1 == cfg.batch_size || i + 1 == n;
             if faults.drops_packet(mf_id, frame.seq, last) {
@@ -1937,7 +1918,9 @@ pub fn process_parallel_faulty(
                     for (snap, depth) in depth_snap.iter_mut().zip(depths.iter()) {
                         *snap = depth.load(Ordering::Relaxed);
                     }
-                    lane = policy.steer(mf_id, cur_hash, &depth_snap).min(n_lanes - 1);
+                    lane = policy
+                        .steer(mf_id, cur_hash, &depth_snap)
+                        .min(topo.lanes - 1);
                     tag_lane = d.tag_lane(lane);
                 }
                 batch.push((
@@ -1991,140 +1974,59 @@ pub fn process_parallel_faulty(
                 // fresh tag id cannot split one micro-flow across ids).
                 if supervised {
                     let now = Instant::now();
-                    if chain_len == 0 {
-                        for slot in 0..n_lanes {
-                            // Stall detection: a stale heartbeat only
-                            // counts while work is queued — an idle
-                            // worker's epoch is legitimately still.
-                            if !d.lane_dead(slot)
-                                && sup.stale(slot, beats.read(slot), now)
-                                && depths[slot].load(Ordering::Relaxed) > 0
-                            {
-                                sup.heartbeat_misses += 1;
-                                d.fail_lane(slot);
-                            }
-                            if d.lane_dead(slot) {
-                                sup.note_death(slot, now, i as u64);
-                                if sup.allow_respawn(slot, now) {
-                                    let (tx, rx) = ring::spsc::<Batch>(cfg.queue_depth);
-                                    let mtx = merge_registrar.add_producer();
-                                    let inc = sup.on_respawn(slot, now, i as u64);
-                                    d.revive(slot, tx);
-                                    handles.push((
-                                        slot,
-                                        s.spawn(move || {
-                                            fanout_worker_loop(
-                                                slot,
-                                                inc,
-                                                rx,
-                                                mtx,
-                                                &shared.sent,
-                                                faults,
-                                                depths,
-                                                beats,
-                                                scr_work,
-                                            )
-                                        }),
-                                    ));
-                                }
-                            }
-                        }
-                    } else {
-                        // Chain head: watched through the dispatcher lane
-                        // exactly like a fan-out worker.
-                        if !d.lane_dead(0)
-                            && sup.stale(0, beats.read(0), now)
-                            && depths[0].load(Ordering::Relaxed) > 0
+                    let done = i as u64;
+                    for lane in 0..topo.lanes {
+                        // A lane head is watched through the dispatcher
+                        // lane. Stall detection: a stale heartbeat only
+                        // counts while work is queued — an idle worker's
+                        // epoch is legitimately still.
+                        let head = lane * topo.depth;
+                        if !d.lane_dead(lane)
+                            && sup.stale(head, beats.read(head), now)
+                            && depths[lane].load(Ordering::Relaxed) > 0
                         {
                             sup.heartbeat_misses += 1;
-                            d.fail_lane(0);
+                            d.fail_lane(lane);
                         }
-                        if d.lane_dead(0) {
-                            sup.note_death(0, now, i as u64);
-                            if sup.allow_respawn(0, now) {
+                        if d.lane_dead(lane) {
+                            sup.note_death(head, now, done);
+                            if sup.allow_respawn(head, now) {
                                 let (tx, rx) = ring::spsc::<Batch>(cfg.queue_depth);
-                                let mtx = merge_registrar.add_producer();
-                                let inc = sup.on_respawn(0, now, i as u64);
-                                d.revive(0, tx);
-                                let head_group = group_sizes[0];
-                                handles.push((
-                                    0,
-                                    s.spawn(move || {
-                                        chain_head_loop(
-                                            inc,
-                                            head_group,
-                                            rx,
-                                            mtx,
-                                            &shared.sent,
-                                            faults,
-                                            depths,
-                                            beats,
-                                            chain,
-                                            scr_work,
-                                        )
-                                    }),
-                                ));
+                                let inc = sup.on_respawn(head, now, done);
+                                d.revive(lane, tx);
+                                let merge = merge_registrar.add_producer();
+                                handles.push(workers.spawn_worker(head, inc, rx, merge));
                             }
                         }
-                        // Interior and tail stages: watched through their
-                        // upstream link slot. A death is either flagged by
-                        // the upstream's bounced send (generation-matched)
-                        // or declared here on a stale heartbeat.
-                        for (slot, &my_group) in group_sizes.iter().enumerate().skip(1) {
-                            let cur_gen =
-                                chain.slots[slot - 1].lock().expect("chain slot lock").gen;
-                            let mut dead =
-                                chain.dead_gens[slot].load(Ordering::Acquire) == cur_gen;
+                        // Every later stage is watched through its
+                        // incoming link. A death is either flagged by the
+                        // upstream's bounced send (generation-matched) or
+                        // declared here on a stale heartbeat.
+                        for stage in 1..topo.depth {
+                            let slot = head + stage;
+                            let link = &links[topo.link(lane, stage - 1)];
+                            let mut dead = link.dead_gen.load(Ordering::Acquire) == link.slot().gen;
                             if !dead
                                 && sup.stale(slot, beats.read(slot), now)
-                                && chain.link_depths[slot].load(Ordering::Relaxed) > 0
+                                && link.depth.load(Ordering::Relaxed) > 0
                             {
                                 // Stalled: cut the link so the upstream
                                 // completes batches locally until the
                                 // replacement is wired in.
                                 sup.heartbeat_misses += 1;
-                                let mut link =
-                                    chain.slots[slot - 1].lock().expect("chain slot lock");
-                                link.gen += 1;
-                                link.tx = None;
+                                link.cut();
                                 dead = true;
                             }
                             if dead {
-                                sup.note_death(slot, now, i as u64);
+                                sup.note_death(slot, now, done);
                                 if sup.allow_respawn(slot, now) {
-                                    // Re-home the stage: fresh link, fresh
-                                    // merger sender, new incarnation. The
-                                    // generation bump invalidates any old
-                                    // sender still in flight upstream.
+                                    // Re-home the stage: fresh link ring,
+                                    // fresh merger sender, new incarnation.
                                     let (tx, rx) = ring::spsc::<StageBatch>(cfg.queue_depth);
-                                    {
-                                        let mut link = chain.slots[slot - 1]
-                                            .lock()
-                                            .expect("chain slot lock");
-                                        link.gen += 1;
-                                        link.tx = Some(tx);
-                                    }
-                                    chain.link_depths[slot].store(0, Ordering::Relaxed);
-                                    chain.dead_gens[slot].store(u64::MAX, Ordering::Release);
-                                    let mtx = merge_registrar.add_producer();
-                                    let inc = sup.on_respawn(slot, now, i as u64);
-                                    handles.push((
-                                        slot,
-                                        s.spawn(move || {
-                                            chain_worker_loop(
-                                                slot,
-                                                inc,
-                                                my_group,
-                                                rx,
-                                                mtx,
-                                                &shared.sent,
-                                                faults,
-                                                beats,
-                                                chain,
-                                                scr_work,
-                                            )
-                                        }),
-                                    ));
+                                    link.rewire(tx);
+                                    let inc = sup.on_respawn(slot, now, done);
+                                    let merge = merge_registrar.add_producer();
+                                    handles.push(workers.spawn_worker(slot, inc, rx, merge));
                                 }
                             }
                         }
@@ -2135,9 +2037,9 @@ pub fn process_parallel_faulty(
                 // injected, so a merger death degrades to WAL pumping
                 // instead of wedging the run.
                 watch.tend(&mut sup, &mut merger_handles, i as u64);
-                // Batches that lost their only reachable worker (chain
-                // mode, or a supervised run out of restart budget) come
-                // back for inline processing instead of being dropped.
+                // Batches that lost their only reachable worker
+                // ([`Topology::inline_orphans`]) come back for inline
+                // processing instead of being dropped.
                 for b in d.take_orphans() {
                     process_inline(&mut d, &mut dispatch_tx, b);
                 }
@@ -2151,55 +2053,26 @@ pub fn process_parallel_faulty(
         for b in d.take_orphans() {
             process_inline(&mut d, &mut dispatch_tx, b);
         }
-        let dispatch_done = Instant::now();
-        let shed_packets = d.shed_packets;
-        let sheds = std::mem::take(&mut d.sheds);
-        let inline_batches = d.inline_batches;
-        let inline_packets = d.inline_packets;
-        let block_fallbacks = d.block_fallbacks;
-        let backpressure_events = d.backpressure_events;
-        let redispatched = d.finish();
-        // The dispatcher's merger sender — and the registrar that can mint
+        dispatch_done = Instant::now();
+        // Dropping the lane senders lets the heads drain and exit. The
+        // dispatcher's merger sender — and the registrar that can mint
         // more — go last: with them gone, the merger exits once the
         // workers drain.
+        d.lanes.clear();
         drop(dispatch_tx);
         drop(merge_registrar);
 
-        // Join workers first (they feed the merger); injected deaths
-        // surface here as panics and are counted per slot, not
-        // propagated. A death the dispatcher never observed (no send to
-        // that lane afterwards) still leaves queued batches undequeued,
-        // so zero the lane's depth too — a clean final incarnation
-        // drained its queue to zero anyway, so this never masks a leak.
-        let mut deaths_by_slot = vec![0u32; n_threads];
-        if chain_len > 0 {
-            // Staged join, stage by stage down the chain: only after
-            // every incarnation of stage `slot` has exited is its
-            // outgoing link cut, so the next stage sees end-of-stream
-            // strictly after its upstream finished producing.
-            let mut remaining = handles;
-            #[allow(clippy::needless_range_loop)] // indexes two arrays of different lengths
-            for slot in 0..chain_len {
-                let (mine, rest): (Vec<_>, Vec<_>) =
-                    remaining.into_iter().partition(|(owner, _)| *owner == slot);
-                remaining = rest;
-                for (_, h) in mine {
-                    if watch
-                        .join_tended(h, &mut sup, &mut merger_handles, n as u64)
-                        .is_err()
-                    {
-                        deaths_by_slot[slot] += 1;
-                    }
-                }
-                let mut link = chain.slots[slot].lock().expect("chain slot lock");
-                link.gen += 1;
-                link.tx = None;
-            }
-            if deaths_by_slot[0] > 0 {
-                depths[0].store(0, Ordering::Relaxed);
-            }
-        } else {
-            for (slot, h) in handles {
+        // Join workers first (they feed the merger), stage by stage down
+        // the lanes: only after every incarnation of a stage has exited
+        // are that stage's outgoing links cut, so the next stage sees
+        // end-of-stream strictly after its upstream finished producing.
+        let mut remaining = handles;
+        for stage in 0..topo.depth {
+            let (mine, rest): (Vec<_>, Vec<_>) = remaining
+                .into_iter()
+                .partition(|(slot, _)| slot % topo.depth == stage);
+            remaining = rest;
+            for (slot, h) in mine {
                 if watch
                     .join_tended(h, &mut sup, &mut merger_handles, n as u64)
                     .is_err()
@@ -2207,80 +2080,43 @@ pub fn process_parallel_faulty(
                     deaths_by_slot[slot] += 1;
                 }
             }
-            for (slot, &deaths) in deaths_by_slot.iter().enumerate() {
-                if deaths > 0 {
-                    depths[slot].store(0, Ordering::Relaxed);
+            if stage + 1 < topo.depth {
+                for lane in 0..topo.lanes {
+                    links[topo.link(lane, stage)].cut();
                 }
             }
         }
-        let workers_died: usize = deaths_by_slot.iter().map(|&d| d as usize).sum();
-        let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_slot);
-        let lane_depths: Vec<usize> =
-            depths.iter().map(|d| d.load(Ordering::Relaxed)).collect();
         // Every producer is gone; keep supervising until the stream is
         // fully consumed and folded into the durable block (a kill near
         // the end of the stream is respawned or pumped here), then join
         // every merger incarnation.
         watch.drain_to_eos(&mut sup, &mut merger_handles, n as u64);
-        let mut merger_deaths = 0usize;
         for h in merger_handles {
             if h.join().is_err() {
                 merger_deaths += 1;
             }
         }
-        if merger_deaths > 0 && !merger_watch {
-            // An unarmed merger has no injected faults and no respawn
-            // path: a panic there is a real bug, surfaced as an error
-            // instead of a propagated abort.
-            return Err(MflowError::MergerPoisoned);
-        }
-        let supervision = (
-            sup.restarts,
-            sup.heartbeat_misses,
-            sup.recovery_ns,
-            sup.merger_restarts,
-            sup.merger_recovery_ns,
-            workers_respawned,
-            workers_abandoned,
-            sup.rates(start, dispatch_done, n as u64),
-        );
-        Ok((
-            merger_deaths,
-            fault_drops,
-            redispatched,
-            workers_died,
-            lane_depths,
-            supervision,
-            (
-                shed_packets,
-                sheds,
-                inline_batches,
-                inline_packets,
-                block_fallbacks,
-                backpressure_events,
-            ),
-        ))
     });
-    let (merger_deaths, fault_drops, redispatched, workers_died, lane_depths, supervision, bp) =
-        scope_out?;
-    let (
-        restarts,
-        heartbeat_misses,
-        recovery_ns,
-        merger_restarts,
-        merger_recovery_ns,
-        workers_respawned,
-        workers_abandoned,
-        recovery,
-    ) = supervision;
-    let (shed_packets, sheds, inline_batches, inline_packets, block_fallbacks, backpressure_events) =
-        bp;
-    // A chain run survives total worker loss through the dispatcher's
-    // inline fallback, and so does a supervised run (orphaned batches go
-    // inline once the restart budget is gone); an unsupervised fan-out
-    // run cannot deliver the remainder.
-    if chain_len == 0 && !supervised && workers_died == n_threads && !frames.is_empty() {
+    if merger_deaths > 0 && !wal_on {
+        // An unarmed merger has no injected faults and no respawn path: a
+        // panic there is a real bug, surfaced as an error instead of a
+        // propagated abort.
+        return Err(MflowError::MergerPoisoned);
+    }
+    let workers_died: usize = deaths_by_slot.iter().map(|&d| d as usize).sum();
+    if !topo.inline_orphans && workers_died == topo.threads() && !frames.is_empty() {
+        // Nobody was left to deliver the remainder.
         return Err(MflowError::NoLiveWorkers);
+    }
+    let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_slot);
+    // A head death the dispatcher never observed (no send to that lane
+    // afterwards) still leaves queued batches undequeued, so zero the
+    // lane's depth too — a clean final incarnation drained its queue to
+    // zero anyway, so this never masks a leak.
+    for (lane, depth) in depths.iter().enumerate() {
+        if deaths_by_slot[lane * topo.depth] > 0 {
+            depth.store(0, Ordering::Relaxed);
+        }
     }
 
     // Final assembly, on this thread, from the durable block: restore
@@ -2352,23 +2188,26 @@ pub fn process_parallel_faulty(
         flushed: flushed_mfs.len() as u64,
         late: mstats.late_drops,
         dup: mstats.dup_drops,
-        shed: shed_packets,
-        inline: inline_packets,
+        shed: d.shed_packets,
+        inline: d.inline_packets,
         desplits,
         resplits,
-        redispatched,
+        redispatched: d.redispatched,
         fault_drops,
         residue: mstats.residue,
-        restarts,
-        heartbeat_misses,
-        recovery_ns,
-        merger_restarts,
-        merger_recovery_ns,
+        restarts: sup.restarts,
+        heartbeat_misses: sup.heartbeat_misses,
+        recovery_ns: sup.recovery_ns,
+        merger_restarts: sup.merger_restarts,
+        merger_recovery_ns: sup.merger_recovery_ns,
         snapshot_bytes: dur.snapshot_bytes,
         restore_replayed_offers: dur.replayed,
         replicated_transitions: state.replicated,
         reconciled_dups: if scr { mstats.dup_drops } else { 0 },
-        lane_depths: lane_depths.iter().map(|&d| d as u64).collect(),
+        lane_depths: depths
+            .iter()
+            .map(|d| d.load(Ordering::Relaxed) as u64)
+            .collect(),
     };
     Ok(RunOutput {
         digests,
@@ -2380,11 +2219,11 @@ pub fn process_parallel_faulty(
         checkpoints: dur.checkpoints,
         workers_respawned,
         workers_abandoned,
-        recovery,
-        sheds,
-        inline_batches,
-        block_fallbacks,
-        backpressure_events,
+        recovery: sup.rates(start, dispatch_done, n as u64),
+        sheds: d.sheds,
+        inline_batches: d.inline_batches,
+        block_fallbacks: d.block_fallbacks,
+        backpressure_events: d.backpressure_events,
         telemetry,
     })
 }
@@ -2815,6 +2654,48 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fanout.telemetry.lane_depths.len(), 4);
+    }
+
+    #[test]
+    fn topology_of_every_policy_and_worker_count() {
+        use PolicyKind::*;
+        // Per policy, at workers 1..=4: (lanes, depth, stage groups).
+        type Row = (usize, usize, &'static [usize]);
+        let fan_out = |w: usize| -> Row { (w, 1, &[3]) };
+        let table: [(PolicyKind, [Row; 4]); 6] = [
+            (Mflow, [1, 2, 3, 4].map(fan_out)),
+            (Rps, [1, 2, 3, 4].map(fan_out)),
+            (Rss, [1, 2, 3, 4].map(fan_out)),
+            (Rfs, [1, 2, 3, 4].map(fan_out)),
+            (
+                FalconDev,
+                [(1, 1, &[3]), (1, 2, &[2, 1]), (1, 2, &[2, 1]), (1, 2, &[2, 1])],
+            ),
+            (
+                FalconFunc,
+                [(1, 1, &[3]), (1, 2, &[2, 1]), (1, 3, &[1, 1, 1]), (1, 3, &[1, 1, 1])],
+            ),
+        ];
+        assert_eq!(table.map(|(kind, _)| kind), PolicyKind::ALL);
+        for (kind, rows) in table {
+            let chained = matches!(kind, FalconDev | FalconFunc);
+            for (workers, (lanes, depth, groups)) in (1..).zip(rows) {
+                for supervised in [false, true] {
+                    let topo = Topology::new(kind.stage_groups(), workers, supervised);
+                    let want = Topology {
+                        lanes,
+                        depth,
+                        groups: groups.to_vec(),
+                        // Keyed on the policy, not the shape: both
+                        // families are 1 x 1 at one worker.
+                        inline_orphans: chained || supervised,
+                    };
+                    assert_eq!(topo, want, "{kind} w={workers} supervised={supervised}");
+                    assert_eq!(topo.threads(), lanes * depth);
+                    assert_eq!(topo.threads(), kind.worker_slots(workers), "{kind}");
+                }
+            }
+        }
     }
 
     /// Supervision knobs shared by the merger failure-domain tests.

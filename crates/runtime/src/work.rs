@@ -202,6 +202,13 @@ impl StagedWork {
     }
 }
 
+/// A wire frame enters the staged pipeline untouched.
+impl From<Frame> for StagedWork {
+    fn from(frame: Frame) -> Self {
+        StagedWork::Raw(frame)
+    }
+}
+
 /// Splits the [`STAGES`] pipeline stages into `groups` contiguous,
 /// front-loaded groups: FALCON's device level (2 groups) gets
 /// `[parse+checksum | digest]`, the function level (3 groups) one stage

@@ -37,26 +37,31 @@ fn every_steering_policy_preserves_byte_exact_order() {
     // merge path that never engaged.
     let frames = generate_frames(6_000, 256);
     let serial = process_serial(&frames);
+    // Every worker count up to 4, so the chain policies run at each
+    // depth they can take: `falcon-func` 1, 2 (stage groups `[2, 1]`)
+    // and 3; `falcon-dev` 1 and 2.
     for policy in PolicyKind::ALL {
-        let out = process_parallel(
-            &frames,
-            &RuntimeConfig {
-                workers: 4,
-                batch_size: 64,
-                queue_depth: 8,
-                policy,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.digests, serial.digests, "{policy} diverged");
-        assert_eq!(out.telemetry.policy, policy.name());
-        if !policy.reorders() {
-            assert_eq!(out.telemetry.ooo, 0, "{policy} must not reorder");
-            assert!(
-                out.flushed_mfs.is_empty(),
-                "{policy} flushed micro-flows on a benign run"
-            );
+        for workers in 1..=4 {
+            let out = process_parallel(
+                &frames,
+                &RuntimeConfig {
+                    workers,
+                    batch_size: 64,
+                    queue_depth: 8,
+                    policy,
+                    ..RuntimeConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(out.digests, serial.digests, "{policy} w={workers} diverged");
+            assert_eq!(out.telemetry.policy, policy.name());
+            if !policy.reorders() {
+                assert_eq!(out.telemetry.ooo, 0, "{policy} w={workers} must not reorder");
+                assert!(
+                    out.flushed_mfs.is_empty(),
+                    "{policy} w={workers} flushed micro-flows on a benign run"
+                );
+            }
         }
     }
 }

@@ -14,8 +14,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, process_serial, Frame, PolicyKind, RuntimeConfig,
-    RuntimeFaults, WorkerKill,
+    generate_frames, process_parallel_faulty, process_serial, Frame, MflowError, PolicyKind,
+    RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 
 /// Replays the dispatcher's batching walk to predict, from the seed
@@ -273,6 +273,58 @@ fn degradation_contract_holds_under_every_policy() {
         // A pinned policy may leave worker 0 idle, in which case the
         // kill never fires; at most the one doomed worker dies.
         assert!(out.workers_died <= 1, "{policy}: more deaths than injected");
+    }
+}
+
+#[test]
+fn losing_every_worker_errs_on_fan_out_and_goes_inline_on_a_chain() {
+    // The one behavioural difference between the topologies, unsupervised:
+    // a fan-out run with nobody left cannot deliver the remainder, a chain
+    // policy hands orphaned batches to the dispatcher. The rule is keyed
+    // on the policy, not on the shape — `falcon-func` at `workers: 1` is
+    // the same 1 x 1 as `mflow` at `workers: 1`.
+    let frames = generate_frames(1200, 64);
+    let run = |policy, workers, kills: &[(usize, u64)]| {
+        let cfg = RuntimeConfig {
+            workers,
+            batch_size: 16,
+            queue_depth: 2,
+            policy,
+            ..RuntimeConfig::default()
+        };
+        let faults = RuntimeFaults {
+            kills: kills
+                .iter()
+                .map(|&(worker, after_batches)| WorkerKill {
+                    worker,
+                    after_batches,
+                    incarnation: 0,
+                })
+                .collect(),
+            flush_timeout_ms: Some(40),
+            ..RuntimeFaults::none()
+        };
+        (cfg, faults)
+    };
+
+    let (cfg, faults) = run(PolicyKind::Mflow, 2, &[(0, 2), (1, 2)]);
+    assert!(matches!(
+        process_parallel_faulty(&frames, &cfg, &faults),
+        Err(MflowError::NoLiveWorkers)
+    ));
+
+    // Staggered so every stage lives long enough to be fed its own kill:
+    // the tail goes first, the head last.
+    for (workers, kills) in [(1, &[(0, 2)][..]), (3, &[(2, 2), (1, 4), (0, 8)][..])] {
+        let (cfg, faults) = run(PolicyKind::FalconFunc, workers, kills);
+        let out = check_degraded(&frames, &cfg, &faults);
+        assert_eq!(out.workers_died, workers, "w={workers}: every chain worker dies");
+        assert!(out.inline_batches > 0, "w={workers}: the dispatcher takes over");
+        assert_eq!(
+            out.digests.last().map(|r| r.seq),
+            Some(frames.len() as u64 - 1),
+            "w={workers}: dispatcher-inline finishes the stream"
+        );
     }
 }
 
