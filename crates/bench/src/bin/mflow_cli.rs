@@ -102,7 +102,7 @@ fn usage() -> ! {
          \x20                [--fault-lane-stall WORKER:MS] [--fault-slow-worker WORKER:US]\n\
          \x20                [--flush-timeout-ms MS]\n\
          \x20                [--pool-slots N] [--pool-slab BYTES] [--pcap FILE]\n\
-         \x20                [--merger-depth RESULTS] [--restart-budget N]\n\
+         \x20                [--merger-depth MFS] [--restart-budget N]\n\
          \x20                [--heartbeat-interval-ms MS] [--restart-backoff-ms MS]\n\
          \x20                [--checkpoint-every OFFERS]\n\
          \x20                [--fault-merger-kill OFFERS:INCARNATION]...\n\
@@ -927,7 +927,8 @@ struct BenchPoint {
 /// With `--bench-enforce` the process exits nonzero when the zero-copy
 /// gate fails: throughput at the reference point {4 workers, batch 32}
 /// fell under 2x the pre-pool baseline, or the pipeline allocates more
-/// than the per-frame budget there.
+/// than two allocations per micro-flow there (the design is one: the
+/// run's results `Vec`).
 fn run_bench_transport(a: &Args) {
     const PAYLOAD: usize = 256;
     const WORKERS: [usize; 3] = [1, 2, 4];
@@ -941,7 +942,10 @@ fn run_bench_transport(a: &Args) {
     // the speedup gate.
     const BASELINE_W4_B32_RING_MPPS: f64 = 1.4015;
     const SPEEDUP_THRESHOLD: f64 = 2.0;
-    const ALLOC_BUDGET_PER_FRAME: f64 = 0.5;
+    // The pipeline's design is one allocation per micro-flow (the run's
+    // results `Vec`); twice that leaves room for the per-call fixed cost
+    // at bench-sized inputs. Per frame that is `2 / batch`.
+    const ALLOC_BUDGET_PER_MICROFLOW: f64 = 2.0;
 
     let n_frames = a.frames;
     let pool = BufPool::for_frames(n_frames, frame_wire_len(PAYLOAD));
@@ -1019,11 +1023,12 @@ fn run_bench_transport(a: &Args) {
         .expect("sweep covers the reference point");
     let speedup = gate.mpps / BASELINE_W4_B32_RING_MPPS;
     let speedup_pass = speedup >= SPEEDUP_THRESHOLD;
-    let alloc_pass = gate.allocs_per_frame <= ALLOC_BUDGET_PER_FRAME;
+    let alloc_budget_per_frame = ALLOC_BUDGET_PER_MICROFLOW / gate.batch as f64;
+    let alloc_pass = gate.allocs_per_frame <= alloc_budget_per_frame;
     let zerocopy_pass = speedup_pass && alloc_pass;
     println!(
         "zerocopy gate @ w=4 b=32: {:.2}x vs {BASELINE_W4_B32_RING_MPPS} Mpps baseline ({}; threshold {SPEEDUP_THRESHOLD}x), \
-         allocs/frame {:.3} ({}; budget {ALLOC_BUDGET_PER_FRAME})",
+         allocs/frame {:.3} ({}; budget {alloc_budget_per_frame})",
         speedup,
         if speedup_pass { "pass" } else { "FAIL" },
         gate.allocs_per_frame,
@@ -1059,7 +1064,7 @@ fn run_bench_transport(a: &Args) {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"zerocopy_gate\": {{\"workers\": 4, \"batch\": 32, \"baseline_mpps\": {BASELINE_W4_B32_RING_MPPS}, \"mpps\": {:.4}, \"speedup\": {speedup:.4}, \"speedup_threshold\": {SPEEDUP_THRESHOLD}, \"allocs_per_frame\": {:.4}, \"alloc_budget_per_frame\": {ALLOC_BUDGET_PER_FRAME}, \"pass\": {zerocopy_pass}}}\n",
+        "  \"zerocopy_gate\": {{\"workers\": 4, \"batch\": 32, \"baseline_mpps\": {BASELINE_W4_B32_RING_MPPS}, \"mpps\": {:.4}, \"speedup\": {speedup:.4}, \"speedup_threshold\": {SPEEDUP_THRESHOLD}, \"allocs_per_frame\": {:.4}, \"alloc_budget_per_frame\": {alloc_budget_per_frame}, \"pass\": {zerocopy_pass}}}\n",
         gate.mpps, gate.allocs_per_frame,
     ));
     json.push_str("}\n");
@@ -1076,7 +1081,7 @@ fn run_bench_transport(a: &Args) {
     if a.bench_enforce && !zerocopy_pass {
         eprintln!(
             "zerocopy gate failed: speedup {speedup:.2}x (need {SPEEDUP_THRESHOLD}x), \
-             allocs/frame {:.3} (budget {ALLOC_BUDGET_PER_FRAME})",
+             allocs/frame {:.3} (budget {alloc_budget_per_frame})",
             gate.allocs_per_frame
         );
         std::process::exit(1);

@@ -243,8 +243,84 @@ impl<T> MergeCounter<T> {
     }
 
     /// Offers one tagged item; appends any now-in-order items to `out`
-    /// and reports the item's fate.
+    /// and reports the item's fate. The one-item case of
+    /// [`MergeCounter::offer_run`].
     pub fn offer(&mut self, tag: MfTag, item: T, out: &mut Vec<T>) -> Offer {
+        self.offer_run(tag.id, tag.lane, tag.last, std::iter::once(item), out)
+    }
+
+    /// Offers one micro-flow's run of items at once: every item carries
+    /// `id` on `lane`, and the final one closes the micro-flow when
+    /// `closed`. Observably identical to offering the items one at a
+    /// time — same `out`, [`stats`](Self::stats), counter, flushed ids
+    /// and [`approx_bytes`](Self::approx_bytes) — but the bookkeeping is
+    /// paid once per run: a run that is in turn on an empty lane goes
+    /// straight through to `out`, a run ahead of the counter parks as a
+    /// block. Wherever single offers could be told apart — the id is
+    /// behind the counter, another copy of the micro-flow is known, the
+    /// lane holds stranded items, the counter's own micro-flow is
+    /// part-way in, or the stall clock would reach its deadline part-way
+    /// through — the run is offered item by item.
+    ///
+    /// Returns the fate of the run's final item (all items of a run share
+    /// one fate unless a stall-clock flush fires mid-run). An empty run
+    /// changes nothing and reports [`Offer::Accepted`].
+    pub fn offer_run<I>(&mut self, id: u64, lane: usize, closed: bool, items: I, out: &mut Vec<T>) -> Offer
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        let n = items.len();
+        if n == 0 {
+            return Offer::Accepted;
+        }
+        let tag_of = |k: usize| MfTag {
+            id,
+            lane,
+            last: closed && k + 1 == n,
+        };
+        let known = self.mf_lane.get(&id);
+        let fresh = known.is_none();
+        if id >= self.counter && known.is_none_or(|e| e.lane == lane && !e.closed) {
+            let q = self.lanes.entry(lane).or_default();
+            if id == self.counter && q.is_empty() {
+                out.extend(items);
+                self.released += n as u64;
+                self.offers_since_release = 0;
+                if closed {
+                    self.mf_lane.remove(&id);
+                    self.counter += 1;
+                    self.drain(out);
+                } else if fresh {
+                    self.mf_lane.insert(id, MfEntry { lane, closed });
+                }
+                return Offer::Accepted;
+            }
+            // Parking is a plain append only if the `drain` after every
+            // single offer would return at its first lookup — nothing of
+            // the counter's own micro-flow is known — and the stall clock
+            // stays short of its deadline throughout.
+            let inert = !self.mf_lane.contains_key(&self.counter)
+                && self
+                    .flush_after_offers
+                    .is_none_or(|deadline| self.offers_since_release + (n as u64) < deadline);
+            if id > self.counter && inert {
+                q.extend(items.enumerate().map(|(k, item)| (tag_of(k), item)));
+                self.buffered += n;
+                self.offers_since_release += n as u64;
+                self.mf_lane.insert(id, MfEntry { lane, closed });
+                return Offer::Accepted;
+            }
+        }
+        let mut fate = Offer::Accepted;
+        for (k, item) in items.enumerate() {
+            fate = self.offer_one(tag_of(k), item, out);
+        }
+        fate
+    }
+
+    fn offer_one(&mut self, tag: MfTag, item: T, out: &mut Vec<T>) -> Offer {
         if tag.id < self.counter {
             self.late_drops += 1;
             self.tick_stall_clock(out);
@@ -538,8 +614,44 @@ impl<T> ScrReconciler<T> {
     }
 
     /// Offers one delivery record covering `[start, end)`; appends any
-    /// now-in-order records to `out` and reports the record's fate.
+    /// now-in-order records to `out` and reports the record's fate. The
+    /// one-record case of [`ScrReconciler::offer_run`].
     pub fn offer(&mut self, start: u64, end: u64, item: T, out: &mut Vec<T>) -> Offer {
+        self.offer_run(std::iter::once((start, end, item)), out)
+    }
+
+    /// Offers a run of `(start, end, record)` delivery records — one
+    /// lane's output for one micro-flow. Observably identical to offering
+    /// them one at a time; a stretch that starts at the watermark and
+    /// stays short of the first parked record goes straight through to
+    /// `out`, with the parked set consulted once per run instead of once
+    /// per record. Holes, overlaps, replays and anything touching a
+    /// parked record take the single-record path.
+    ///
+    /// Returns the fate of the run's final record
+    /// ([`Offer::Accepted`] for an empty run).
+    pub fn offer_run<I>(&mut self, records: I, out: &mut Vec<T>) -> Offer
+    where
+        I: IntoIterator<Item = (u64, u64, T)>,
+    {
+        let first_parked = |parked: &BTreeMap<u64, (u64, T)>| parked.keys().next().copied().unwrap_or(u64::MAX);
+        let mut clear_below = first_parked(&self.parked);
+        let mut fate = Offer::Accepted;
+        for (start, end, item) in records {
+            if start == self.watermark && start < end && end < clear_below {
+                self.watermark = end;
+                self.emitted += 1;
+                out.push(item);
+                fate = Offer::Accepted;
+            } else {
+                fate = self.offer_one(start, end, item, out);
+                clear_below = first_parked(&self.parked);
+            }
+        }
+        fate
+    }
+
+    fn offer_one(&mut self, start: u64, end: u64, item: T, out: &mut Vec<T>) -> Offer {
         if end <= start || end <= self.watermark {
             // Wholly behind (or empty): a replicated duplicate, unless the
             // watermark only passed it by flushing over the gap.

@@ -256,14 +256,19 @@ impl RuntimeFaults {
             .any(|k| k.incarnation == incarnation && offers >= k.after_offers)
     }
 
-    /// Whether the injected merger wedge fires at exactly this offer
-    /// count. Exact equality: the sleep happens once, on the fresh offer
-    /// that crosses the trigger (never during delta replay), so the
-    /// recorded [`FaultEvent::MergerStall`] is schedule-determined.
-    pub fn merger_stall_fires(&self, offers: u64) -> Option<u64> {
+    /// The injected merger wedge, if its trigger lies among the offer
+    /// numbers `(offers, offers + n]` — the span of a run of `n` results
+    /// about to be applied on top of `offers` already applied. The
+    /// merger's clock moves a whole run at a time, so the point is
+    /// matched against the span rather than one offer number; it is
+    /// inside exactly one fresh run's span (delta replay performs no
+    /// fault checks), so the sleep happens once, and the recorded
+    /// [`FaultEvent::MergerStall`] carries the scheduled
+    /// [`MergerStall::after_offers`], not wherever the run happened to
+    /// end — schedule-determined either way.
+    pub fn merger_stall_fires(&self, offers: u64, n: u64) -> Option<MergerStall> {
         self.merger_stall
-            .filter(|s| s.after_offers == offers)
-            .map(|s| s.ms)
+            .filter(|s| offers < s.after_offers && s.after_offers <= offers + n)
     }
 
     /// Records `event` into the attached [`FaultLog`], if any.
@@ -420,9 +425,38 @@ mod tests {
             after_offers: 7,
             ms: 3,
         });
-        assert_eq!(f.merger_stall_fires(6), None);
-        assert_eq!(f.merger_stall_fires(7), Some(3));
-        assert_eq!(f.merger_stall_fires(8), None);
+        // One-result runs: offer number k is the span (k - 1, k].
+        let at = |offer_no: u64| f.merger_stall_fires(offer_no - 1, 1).map(|s| s.ms);
+        assert_eq!(at(6), None);
+        assert_eq!(at(7), Some(3));
+        assert_eq!(at(8), None);
+    }
+
+    #[test]
+    fn merger_fault_points_inside_a_run_fire_on_that_run() {
+        // The merger's clock advances 32 offers per run: 0, 32, 64, ...
+        let mut f = RuntimeFaults::none();
+        f.merger_stall = Some(MergerStall {
+            after_offers: 50,
+            ms: 9,
+        });
+        f.merger_kill = Some(MergerKill {
+            after_offers: 70,
+            incarnation: 0,
+        });
+        let fired: Vec<u64> = (0..5)
+            .map(|run| run * 32)
+            .filter(|&offers| f.merger_stall_fires(offers, 32).is_some())
+            .collect();
+        assert_eq!(fired, vec![32], "the run spanning (32, 64] holds offer 50, once");
+        let stall = f.merger_stall_fires(32, 32).expect("inside the span");
+        assert_eq!((stall.after_offers, stall.ms), (50, 9), "logged at the scheduled number");
+        assert!(f.merger_stall_fires(50, 32).is_none(), "span is open below");
+        assert!(f.merger_stall_fires(18, 32).is_some(), "and closed above");
+        assert!(f.merger_stall_fires(40, 0).is_none(), "an empty run spans nothing");
+        // The kill is asked with the count the run would reach.
+        assert!(!f.merger_kill_fires(0, 32 + 32), "offers 33..=64 stop short of 70");
+        assert!(f.merger_kill_fires(0, 64 + 32), "70 lies inside (64, 96]");
     }
 
     #[test]

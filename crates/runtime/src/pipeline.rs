@@ -57,13 +57,35 @@
 //! Every ring — dispatcher→lane head, stage→next stage inside a lane,
 //! and worker→merger — is an in-tree lock-free SPSC ring of
 //! [`crate::ring`], the userspace analogue of the paper's per-core
-//! packet-request ring buffers: atomic head/tail, batch-granular
-//! publishes, spin-then-park waiting. The merge path is one ring per
-//! producer (each worker plus the dispatcher's inline lane) fanned into
-//! a round-robin [`RingMux`]; a respawned worker gets a fresh ring
-//! through the [`ring::MuxRegistrar`]. The pipeline uses the ring
-//! types directly: per-lane FIFO and close-on-drop in both directions
-//! are the semantics the fault-recovery machinery below relies on.
+//! packet-request ring buffers: atomic head/tail, spin-then-park
+//! waiting. The micro-flow is the unit of all three; nothing outside
+//! [`process_frame`] is paid per packet:
+//!
+//! * **dispatcher→lane head** carries a 40-byte descriptor `{id, lane,
+//!   range, live}` over the caller's frame slice. Workers are scoped
+//!   threads and read `frames[range]` in place, so the dispatcher clones
+//!   no frame handle and allocates nothing, and the retained window, a
+//!   duplicate or a retag is a copy of the descriptor.
+//! * **stage→next stage** (chains only) carries one run of
+//!   [`StagedWork`] per micro-flow; the chain head is the one place that
+//!   still clones frame handles, because staged work outlives the stage.
+//! * **worker→merger** carries one run per micro-flow `{id, lane,
+//!   closed, results}`. The merge engines take it whole
+//!   ([`MergeCounter::offer_run`], [`ScrReconciler::offer_run`]:
+//!   observably the per-item loop, paid once), and so does the WAL. The
+//!   results `Vec` is the run's one allocation.
+//!
+//! The merge path is one ring per producer (each worker plus the
+//! dispatcher's inline lane) fanned into a round-robin [`RingMux`]; a
+//! respawned worker gets a fresh ring through the
+//! [`ring::MuxRegistrar`]. The pipeline uses the ring types directly:
+//! per-lane FIFO and close-on-drop in both directions are the semantics
+//! the fault-recovery machinery below relies on.
+//!
+//! A persistent runtime (ROADMAP item 2) keeps this shape: its workers
+//! cannot borrow a caller's slice, so a submission becomes one
+//! `Arc<[Frame]>` and a descriptor carries one reference-count bump per
+//! micro-flow — still nothing per packet.
 //!
 //! # Stateful modes
 //!
@@ -88,15 +110,21 @@
 //! [`process_parallel_faulty`] runs the same pipeline with an injected
 //! [`RuntimeFaults`] mix and never panics or wedges:
 //!
-//! * **Worker death** — each send failure marks the lane dead; the batch
-//!   that bounced plus a retained window of recently-sent batches are
-//!   redispatched to surviving workers. Redispatched copies ride fresh
-//!   *recovery lanes* (`n_workers + k`) so the merger's per-lane FIFO
-//!   assumption is never violated; copies of already-merged batches are
-//!   rejected as duplicates. A dead lane's queue-depth counter is zeroed
-//!   the moment the death is discovered (and again at join for deaths the
-//!   dispatcher never observed), so occupancy signals never count batches
-//!   nobody will dequeue.
+//! * **Worker death** — each send failure marks the lane dead; the
+//!   descriptor that bounced plus a retained window of recently-sent
+//!   ones are redispatched to surviving workers. Redispatched copies ride
+//!   fresh *recovery lanes* (`n_workers + k`) so the merger's per-lane
+//!   FIFO assumption is never violated; copies of already-merged
+//!   micro-flows are rejected as duplicates. A dead lane's queue-depth
+//!   counter is zeroed the moment the death is discovered (and again at
+//!   join for deaths the dispatcher never observed), so occupancy signals
+//!   never count micro-flows nobody will dequeue.
+//! * **Planned drops** — decided, counted and logged once, by the
+//!   dispatcher as it plans a micro-flow's range ([`plan_microflow`]);
+//!   *replayed* wherever the range is read — lane head, redispatch
+//!   target, the dispatcher's own inline path — from the pure
+//!   [`RuntimeFaults::drops_packet`], so every reader skips the same
+//!   frames and no replay is counted again.
 //! * **Loss** — a micro-flow that never completes stalls the merging
 //!   counter; the merger flushes past it after
 //!   [`RuntimeFaults::flush_timeout_ms`] without arrivals, and again at
@@ -115,7 +143,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mflow::{ElephantConfig, MergeCounter, MergeStats, MflowLanes, MfTag, ScrReconciler, StatefulMode};
+use mflow::{ElephantConfig, MergeCounter, MergeStats, MflowLanes, ScrReconciler, StatefulMode};
 use mflow_error::MflowError;
 use mflow_metrics::Telemetry;
 use mflow_steering::{build_baseline, PolicyKind, SteeringPolicy};
@@ -188,9 +216,12 @@ pub struct RuntimeConfig {
     pub inline_fallback: bool,
     /// Inert: every lane is a request ring (see [`Transport`]).
     pub transport: Transport,
-    /// Worker→merger queue capacity in results: each producer's merge
-    /// ring holds this many. Power of two (the ring masks indices with
-    /// it).
+    /// Worker→merger queue capacity in micro-flows: a ring slot holds one
+    /// micro-flow's run of results, and each producer's merge ring has
+    /// this many slots. The same unit as the merger watchdog's backlog
+    /// (runs sent minus runs received), which starts pumping the transport
+    /// into the WAL once a down merger's backlog exceeds half of this.
+    /// Power of two (the ring masks indices with it).
     pub merger_depth: usize,
     /// Which steering policy drives dispatch (lane choice, chain
     /// topology, merger engagement).
@@ -215,11 +246,13 @@ pub struct RuntimeConfig {
     /// Rounds of per-packet stateful work ([`crate::work::stateful_stage`]);
     /// 0 disables the stage (both modes then deliver the plain digests).
     pub stateful_work: u32,
-    /// Merger checkpoint interval in accepted offers: every this many
-    /// offers the merger folds its write-ahead delta log into a fresh
-    /// [`MergerState`] snapshot, bounding crash-recovery replay to one
-    /// inter-checkpoint window. Only paid when the merger failure domain
-    /// is armed (supervision on, or merger faults injected).
+    /// Merger checkpoint interval in accepted offers (packets): the
+    /// micro-flow whose results take the offer count across a multiple of
+    /// this folds the write-ahead delta log into a fresh [`MergerState`]
+    /// snapshot, bounding crash-recovery replay to one inter-checkpoint
+    /// window (rounded up to whole micro-flows). Only paid when the merger
+    /// failure domain is armed (supervision on, or merger faults
+    /// injected).
     pub checkpoint_every: u64,
 }
 
@@ -342,8 +375,9 @@ pub struct RunOutput {
     pub digests: Vec<PacketResult>,
     /// Wall-clock processing time.
     pub elapsed: Duration,
-    /// Busy time of the merger thread's serial stage: per-arrival merge
-    /// or reconcile bookkeeping plus, under merge-before-tcp, the serial
+    /// Busy time of the merger thread's serial stage: merge or reconcile
+    /// bookkeeping, timed exactly around every per-micro-flow engine call,
+    /// plus, under merge-before-tcp, the serial
     /// stateful pass. This is the quantity state-compute replication
     /// exists to shrink, and unlike wall-clock it reads the same no
     /// matter how many host cores the worker threads actually share.
@@ -448,18 +482,54 @@ fn build_policy(kind: PolicyKind) -> Result<Box<dyn SteeringPolicy>, MflowError>
     }
 }
 
-/// One micro-flow's tagged frames, as sent to a worker.
-type Batch = Vec<(MfTag, Frame)>;
-/// One micro-flow part-way through the staged pipeline, as forwarded
-/// between FALCON chain workers.
-type StageBatch = Vec<(MfTag, StagedWork)>;
-/// One processed packet, as sent to the merger.
-type Merged = (MfTag, PacketResult);
+/// One micro-flow as the dispatcher hands it to a lane head: a descriptor
+/// over the caller's frame slice, never a copy of it. Workers are scoped
+/// threads, so a head reads `frames[start..end]` in place; the
+/// dispatcher clones no frame handle and allocates nothing, and the
+/// retained window, a duplicate, a late copy and a retag are all a copy
+/// of these 40 bytes.
+#[derive(Clone, Copy, Debug)]
+struct MfDesc {
+    id: u64,
+    /// Merge-counter lane id the micro-flow's run will carry.
+    lane: usize,
+    /// The range opens at the micro-flow's first surviving frame and ends
+    /// with the frame that closes it (see [`plan_microflow`]).
+    start: usize,
+    end: usize,
+    /// Frames of the range that survive the planned drops: the length of
+    /// the range on every run without injected loss, which is how a
+    /// reader knows there is nothing to replay.
+    live: usize,
+}
 
-/// Sampling interval for the merger's serial-stage busy clock: one in
-/// this many offers is timed and weighted by the interval (see
-/// [`MergerState::apply`]).
-const SERIAL_NS_SAMPLE: u64 = 64;
+/// One micro-flow's items in flight between threads.
+struct Run<T> {
+    id: u64,
+    lane: usize,
+    /// The final item closes the micro-flow ([`mflow::MfTag::last`]). False only
+    /// when the closing packet was a planned drop.
+    closed: bool,
+    items: Vec<T>,
+}
+
+impl<T> Run<T> {
+    fn map<U>(self, f: impl FnMut(T) -> U) -> Run<U> {
+        Run {
+            id: self.id,
+            lane: self.lane,
+            closed: self.closed,
+            items: self.items.into_iter().map(f).collect(),
+        }
+    }
+}
+
+/// A micro-flow part-way through the staged pipeline, as forwarded
+/// between FALCON chain workers.
+type StagedRun = Run<StagedWork>;
+/// A processed micro-flow, as sent to the merger: the unit of the merge
+/// ring, of the merge engines' bookkeeping and of the WAL.
+type MergedRun = Run<PacketResult>;
 
 /// The merger's ordering engine. The variant is fixed for the whole run
 /// (it is part of the policy/fault configuration, not of the mutable
@@ -521,43 +591,35 @@ impl MergerState {
         }
     }
 
-    /// Applies one received offer: counters, then the engine. Identical
-    /// whether the offer arrives live or replays from the delta log.
-    ///
-    /// `serial_ns` is sampled, not exhaustively timed: clocking every
-    /// offer puts two clock reads on the per-packet merge path, which at
-    /// pooled zero-copy rates costs more than the engine work it
-    /// measures. Every [`SERIAL_NS_SAMPLE`]th offer is timed and
-    /// weighted by the interval — the busy-time comparisons that
-    /// consume `serial_ns` (scr vs merge-before-tcp) aggregate
-    /// thousands of uniform offers per point, where the sampled
-    /// estimate converges on the exhaustive one.
-    fn apply(&mut self, tag: MfTag, result: PacketResult, out: &mut Vec<PacketResult>) {
-        self.offers += 1;
+    /// Applies one received run: counters (all in packets), then the
+    /// engine, once. Identical whether the run arrives live or replays
+    /// from the delta log. The engine call is timed exactly — two clock
+    /// reads per micro-flow — into `serial_ns`.
+    fn apply(&mut self, run: &MergedRun, out: &mut Vec<PacketResult>) {
+        let n = run.items.len() as u64;
+        self.offers += n;
         if self.scr {
-            self.replicated += 1;
+            self.replicated += n;
         }
-        if let Some(max) = self.max_seen {
-            if result.seq < max {
-                self.ooo += 1;
+        for r in &run.items {
+            match self.max_seen {
+                Some(max) if r.seq < max => self.ooo += 1,
+                _ => self.max_seen = Some(r.seq),
             }
         }
-        self.max_seen = Some(self.max_seen.map_or(result.seq, |m| m.max(result.seq)));
-        let t = self.offers.is_multiple_of(SERIAL_NS_SAMPLE).then(Instant::now);
+        let items = run.items.iter().copied();
+        let t = Instant::now();
         match &mut self.engine {
-            MergeEngine::Passthrough => out.push(result),
+            // No serial stage to time: results stream through.
+            MergeEngine::Passthrough => return out.extend(items),
             MergeEngine::Counter(mc) => {
-                mc.offer(tag, result, out);
+                mc.offer_run(run.id, run.lane, run.closed, items, out);
             }
             MergeEngine::Reconciler(rc) => {
-                rc.offer(result.seq, result.seq + 1, result, out);
+                rc.offer_run(items.map(|r| (r.seq, r.seq + 1, r)), out);
             }
         }
-        if let Some(t) = t {
-            if !matches!(self.engine, MergeEngine::Passthrough) {
-                self.serial_ns += t.elapsed().as_nanos() as u64 * SERIAL_NS_SAMPLE;
-            }
-        }
+        self.serial_ns += t.elapsed().as_nanos() as u64;
     }
 
     /// Flushes the single most-stalled head (receive-timeout path).
@@ -625,24 +687,53 @@ impl MergerState {
 }
 
 /// The crash-consistent half of the merger failure domain: the last
-/// checkpoint ([`MergerState`] snapshot plus the delivered-output prefix
-/// it corresponds to) and the write-ahead delta log of offers accepted
-/// since. A successor incarnation — or the dispatcher's final serial
-/// merge — reconstructs the exact live state by cloning the snapshot and
-/// replaying the delta, so a crash loses at most nothing: every received
-/// offer is journaled *before* the (possibly fatal) processing step.
+/// checkpoint (a [`MergerState`] snapshot plus the length of delivered
+/// output it vouches for), the write-ahead delta log of runs accepted
+/// since, and the delivered output itself — which exists exactly once,
+/// here. The live incarnation appends to `out` in place; a successor —
+/// or the dispatcher's final serial merge — truncates it back to
+/// `out_mark`, clones the snapshot and replays the delta, so a crash
+/// loses nothing: every received run is journaled *before* the (possibly
+/// fatal) processing step.
 struct MergerDurable {
     snapshot: MergerState,
-    /// Delivered results as of the last checkpoint — always a strict
-    /// prefix of the live incarnation's output, extended (never cloned)
-    /// at each checkpoint so the whole run costs O(delivered) total.
+    /// Delivered results. `out[..out_mark]` is what `snapshot` stands
+    /// for; anything beyond is the live incarnation's work since, which
+    /// `delta` reproduces.
     out: Vec<PacketResult>,
-    /// Offers received since the last checkpoint, in arrival order.
-    delta: Vec<Merged>,
+    out_mark: usize,
+    /// Runs received since the last checkpoint, in arrival order.
+    delta: Vec<MergedRun>,
     snapshot_bytes: u64,
     checkpoints: u64,
     restores: u64,
+    /// Packets replayed from `delta` by restores.
     replayed: u64,
+}
+
+impl MergerDurable {
+    /// Rebuilds the live state from the block: drops what a dead
+    /// predecessor delivered past the mark, then replays the delta on a
+    /// clone of the snapshot. Returns the state and the packets replayed.
+    fn restore(&mut self) -> (MergerState, u64) {
+        self.out.truncate(self.out_mark);
+        let mut state = self.snapshot.clone();
+        let mut replayed = 0;
+        for run in &self.delta {
+            replayed += run.items.len() as u64;
+            state.apply(run, &mut self.out);
+        }
+        (state, replayed)
+    }
+
+    /// Makes `state` the snapshot and everything delivered so far the
+    /// prefix it vouches for: a length is recorded, nothing is copied.
+    /// Clears the WAL.
+    fn fold(&mut self, state: MergerState) {
+        self.snapshot = state;
+        self.out_mark = self.out.len();
+        self.delta.clear();
+    }
 }
 
 /// Shared coordination block between merger incarnations, the
@@ -653,7 +744,7 @@ struct MergerShared {
     /// good — so incarnations *lease* it from this slot and a panic
     /// returns it on unwind. Possession of the lease is the exclusive
     /// right to append to the WAL, mutate durable state, or checkpoint.
-    rx_slot: Mutex<Option<RingMux<Merged>>>,
+    rx_slot: Mutex<Option<RingMux<MergedRun>>>,
     durable: Mutex<MergerDurable>,
     /// Incarnation generation: bumped by the watchdog to supersede a
     /// wedged incarnation, which then exits cleanly at its next check.
@@ -663,19 +754,22 @@ struct MergerShared {
     down: AtomicBool,
     /// The stream was fully consumed and folded into `durable`.
     eos: AtomicBool,
-    /// Results producers have pushed toward the merge transport.
+    /// Micro-flows (runs) producers have pushed toward the merge
+    /// transport — the unit of a ring slot and of
+    /// [`RuntimeConfig::merger_depth`].
     sent: AtomicU64,
-    /// Results the merger side has popped from it.
+    /// Micro-flows the merger side has popped from it.
     recvd: AtomicU64,
 }
 
 impl MergerShared {
-    fn new(rx: RingMux<Merged>, use_counter: bool, scr: bool) -> Self {
+    fn new(rx: RingMux<MergedRun>, use_counter: bool, scr: bool) -> Self {
         Self {
             rx_slot: Mutex::new(Some(rx)),
             durable: Mutex::new(MergerDurable {
                 snapshot: MergerState::new(use_counter, scr),
                 out: Vec::new(),
+                out_mark: 0,
                 delta: Vec::new(),
                 snapshot_bytes: 0,
                 checkpoints: 0,
@@ -692,8 +786,10 @@ impl MergerShared {
 
     /// Locks the durable block, recovering from a poisoned mutex: the
     /// WAL protocol keeps `durable` consistent at every instruction
-    /// boundary (the injected kill even panics while holding it), so the
-    /// poison flag carries no information here.
+    /// boundary (the injected kill panics while holding it), so the
+    /// poison flag carries no information here. The lock is never
+    /// contended — only the receiver-lease holder and final assembly
+    /// touch the block — it is what lets the block outlive a panic.
     fn durable(&self) -> std::sync::MutexGuard<'_, MergerDurable> {
         self.durable.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -705,7 +801,7 @@ impl MergerShared {
 /// dispatcher pump), the drop also reports the incarnation dead.
 struct RxLease<'a> {
     shared: &'a MergerShared,
-    rx: Option<RingMux<Merged>>,
+    rx: Option<RingMux<MergedRun>>,
     clean: bool,
 }
 
@@ -723,7 +819,7 @@ impl<'a> RxLease<'a> {
         })
     }
 
-    fn rx(&mut self) -> &mut RingMux<Merged> {
+    fn rx(&mut self) -> &mut RingMux<MergedRun> {
         self.rx.as_mut().expect("leased receiver present until drop")
     }
 }
@@ -741,21 +837,10 @@ impl Drop for RxLease<'_> {
     }
 }
 
-/// Folds the live state into the durable block: extend the delivered
-/// prefix, replace the snapshot, clear the WAL.
-fn merger_checkpoint(shared: &MergerShared, state: &MergerState, out: &[PacketResult]) {
-    let mut d = shared.durable();
-    let done = d.out.len();
-    d.out.extend_from_slice(&out[done..]);
-    d.snapshot = state.clone();
-    d.delta.clear();
-    d.checkpoints += 1;
-    d.snapshot_bytes += state.approx_bytes();
-}
-
 /// The body of one merger incarnation. Waits for the receiver lease,
 /// restores from the durable block (snapshot + delta replay), then runs
-/// the receive loop: journal, fault checks, apply, periodic checkpoint.
+/// the receive loop, one micro-flow run per step under one lock of the
+/// block: journal, fault checks, apply from the journal, checkpoint.
 fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
     let (shared, faults) = (w.shared, w.faults);
     let mut lease = loop {
@@ -772,21 +857,16 @@ fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
     };
     // Restore strictly *after* taking the lease: only then is the delta
     // log guaranteed quiescent (a superseded-but-running predecessor may
-    // journal one more offer right up to releasing the receiver).
-    let (mut state, mut out) = {
+    // journal one more run right up to releasing the receiver).
+    let mut state = {
         let mut d = shared.durable();
-        let mut state = d.snapshot.clone();
-        let mut out = d.out.clone();
-        for i in 0..d.delta.len() {
-            let (tag, result) = d.delta[i];
-            state.apply(tag, result, &mut out);
-        }
+        let (state, replayed) = d.restore();
         if incarnation > 0 {
             d.restores += 1;
-            d.replayed += d.delta.len() as u64;
+            d.replayed += replayed;
             faults.note(FaultEvent::SnapshotRestore { incarnation });
         }
-        (state, out)
+        state
     };
     loop {
         if shared.gen.load(Ordering::Acquire) != my_gen {
@@ -794,33 +874,49 @@ fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
             return;
         }
         match lease.rx().recv_timeout(w.flush_timeout) {
-            Ok((tag, result)) => {
+            Ok(run) => {
                 w.beats.bump(w.merger_slot);
                 shared.recvd.fetch_add(1, Ordering::Relaxed);
-                // Journal before any processing: once in the WAL the
-                // offer survives this incarnation's death — including
-                // the injected one two lines down.
-                if w.wal_on {
-                    shared.durable().delta.push((tag, result));
-                }
-                let offer_no = state.offers + 1;
-                if faults.merger_kill_fires(incarnation, offer_no) {
+                // The WAL's clock stays in packets: this run takes it
+                // over the offer numbers `(before, before + n]`.
+                let (before, n) = (state.offers, run.items.len() as u64);
+                let mut guard = shared.durable();
+                let d = &mut *guard;
+                // Journal by move before any processing: once in the WAL
+                // the run survives this incarnation's death — including
+                // the injected one three lines down — and it is applied
+                // from there, so it is never copied.
+                let run = if w.wal_on {
+                    d.delta.push(run);
+                    d.delta.last().expect("journaled just above")
+                } else {
+                    &run
+                };
+                if faults.merger_kill_fires(incarnation, before + n) {
                     faults.note(FaultEvent::MergerDeath { incarnation });
                     panic!("injected merger death (incarnation {incarnation})");
                 }
-                if let Some(ms) = faults.merger_stall_fires(offer_no) {
-                    faults.note(FaultEvent::MergerStall { offers: offer_no });
-                    thread::sleep(Duration::from_millis(ms));
+                if let Some(stall) = faults.merger_stall_fires(before, n) {
+                    faults.note(FaultEvent::MergerStall {
+                        offers: stall.after_offers,
+                    });
+                    // Wedged with the block locked, which costs nobody
+                    // anything: only the lease holder ever locks it.
+                    thread::sleep(Duration::from_millis(stall.ms));
                     if shared.gen.load(Ordering::Acquire) != my_gen {
-                        // Superseded while wedged. The offer is already
+                        // Superseded while wedged. The run is already
                         // journaled; the successor replays it.
                         lease.clean = true;
                         return;
                     }
                 }
-                state.apply(tag, result, &mut out);
-                if w.wal_on && state.offers % w.checkpoint_every == 0 {
-                    merger_checkpoint(shared, &state, &out);
+                state.apply(run, &mut d.out);
+                // The run that crosses a multiple of the interval takes
+                // the checkpoint.
+                if w.wal_on && before / w.checkpoint_every != state.offers / w.checkpoint_every {
+                    d.checkpoints += 1;
+                    d.snapshot_bytes += state.approx_bytes();
+                    d.fold(state.clone());
                 }
             }
             Err(MuxRecvError::Timeout) => {
@@ -832,20 +928,14 @@ fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
                 // merger once per heartbeat deadline until the shared
                 // restart budget is gone.
                 w.beats.bump(w.merger_slot);
-                state.flush_one(&mut out);
+                state.flush_one(&mut shared.durable().out);
             }
             Err(MuxRecvError::Disconnected) => break,
         }
     }
     // End of stream: fold everything into the durable block so final
     // assembly starts from a clean snapshot with an empty delta.
-    {
-        let mut d = shared.durable();
-        let done = d.out.len();
-        d.out.extend_from_slice(&out[done..]);
-        d.snapshot = state;
-        d.delta.clear();
-    }
+    shared.durable().fold(state);
     shared.eos.store(true, Ordering::Release);
     lease.clean = true;
 }
@@ -862,9 +952,9 @@ fn pump_merge_backlog(shared: &MergerShared) {
     lease.clean = true; // a pump exit is never a merger death
     loop {
         match lease.rx().recv_deadline(Some(Instant::now())) {
-            Ok(item) => {
+            Ok(run) => {
                 shared.recvd.fetch_add(1, Ordering::Relaxed);
-                shared.durable().delta.push(item);
+                shared.durable().delta.push(run);
             }
             Err(MuxRecvError::Timeout) => break,
             Err(MuxRecvError::Disconnected) => {
@@ -942,10 +1032,11 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
                 .saturating_sub(shared.recvd.load(Ordering::Relaxed))
                 > (self.merger_depth / 2) as u64
             {
-                // Respawn is backed off but the backlog is approaching
-                // transport capacity: drain into the WAL so producers
-                // keep moving. The respawned merger replays the
-                // (larger) delta.
+                // Respawn is backed off but the backlog — micro-flows on
+                // both sides, like the ring slots `merger_depth` counts —
+                // is approaching transport capacity: drain into the WAL
+                // so producers keep moving. The respawned merger replays
+                // the (larger) delta.
                 pump_merge_backlog(shared);
             }
         } else if self.supervised
@@ -1000,27 +1091,19 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
 
 /// Dispatcher-side view of one worker queue.
 struct Lane {
-    tx: Option<RingProducer<Batch>>,
-    /// Copies of the most recently sent batches (faulty runs only): the
-    /// batches that may still sit unprocessed in the queue when the
-    /// worker dies, and must be redispatched. Capacity `queue_depth + 2`
-    /// covers the full queue, the batch in the worker's hands, and the
-    /// one that bounced.
-    recent: VecDeque<Batch>,
-    /// Merge-counter lane id stamped on batches routed here. Initially
-    /// the slot index; a supervisor respawn moves it to a fresh id so
-    /// results a replaced (but still draining) incarnation emits can
-    /// never interleave with the new incarnation's on one tag lane —
+    tx: Option<RingProducer<MfDesc>>,
+    /// The most recently sent descriptors (faulty and supervised runs
+    /// only): the micro-flows that may still sit unprocessed in the queue
+    /// when the worker dies, and must be redispatched. Capacity
+    /// `queue_depth + 2` covers the full queue, the one in the worker's
+    /// hands, and the one that bounced.
+    recent: VecDeque<MfDesc>,
+    /// Merge-counter lane id stamped on micro-flows routed here.
+    /// Initially the slot index; a supervisor respawn moves it to a fresh
+    /// id so results a replaced (but still draining) incarnation emits
+    /// can never interleave with the new incarnation's on one tag lane —
     /// the merger's per-lane FIFO assumption holds by construction.
     tag_lane: usize,
-}
-
-/// Outcome of a non-blocking send attempt.
-enum SendAttempt {
-    /// Enqueued (or rerouted through the dead-lane machinery).
-    Sent,
-    /// The queue was full; the batch comes back untouched.
-    Full(Batch),
 }
 
 /// Everything the dispatcher tracks while the stream is in flight.
@@ -1028,12 +1111,12 @@ struct Dispatcher<'a> {
     lanes: Vec<Lane>,
     retain: usize,
     /// Next recovery lane ID (tag lanes above the worker count are unique
-    /// per redispatched batch).
+    /// per redispatched micro-flow).
     recovery_lane: usize,
     /// Physical worker round-robin cursor for recovery sends.
     next_worker: usize,
     redispatched: u64,
-    /// Per-lane queue depth in batches: incremented here on every
+    /// Per-lane queue depth in micro-flows: incremented here on every
     /// successful send, decremented by the worker as it dequeues. The
     /// watermark signal backpressure decisions read.
     depths: &'a [AtomicUsize],
@@ -1048,12 +1131,17 @@ struct Dispatcher<'a> {
     inline_packets: u64,
     block_fallbacks: u64,
     backpressure_events: u64,
-    /// [`Topology::inline_orphans`]: batches that lost their only
+    /// [`Topology::inline_orphans`]: micro-flows that lost their only
     /// reachable worker are handed back for inline processing instead of
     /// being dropped ("no live worker" does not mean the pipeline is
     /// dead — the dispatcher itself still is).
     orphan_inline: bool,
-    orphans: Vec<Batch>,
+    orphans: Vec<MfDesc>,
+    /// Sends still to be made, as `(lane, micro-flow, on a recovery lane
+    /// already)`: one entry on the normal path, a dead lane's whole
+    /// window when a send bounces. Dispatcher state rather than a local,
+    /// so a blocking send allocates nothing.
+    pending: Vec<(usize, MfDesc, bool)>,
 }
 
 impl<'a> Dispatcher<'a> {
@@ -1093,20 +1181,21 @@ impl<'a> Dispatcher<'a> {
             backpressure_events: 0,
             orphan_inline,
             orphans: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
-    /// Batches with no reachable worker, handed back for inline
+    /// Micro-flows with no reachable worker, handed back for inline
     /// processing (empty unless `orphan_inline`).
-    fn take_orphans(&mut self) -> Vec<Batch> {
+    fn take_orphans(&mut self) -> Vec<MfDesc> {
         std::mem::take(&mut self.orphans)
     }
 
-    /// Marks a lane dead and zeroes its depth counter: batches still
+    /// Marks a lane dead and zeroes its depth counter: micro-flows still
     /// queued there will never be dequeued, so leaving the count in
     /// place would feed phantom load into every aggregate-occupancy
     /// signal (watermarks, engagement counters) for the rest of the run.
-    fn mark_dead(&mut self, lane: usize) -> VecDeque<Batch> {
+    fn mark_dead(&mut self, lane: usize) -> VecDeque<MfDesc> {
         self.lanes[lane].tx = None;
         self.depths[lane].store(0, Ordering::Relaxed);
         std::mem::take(&mut self.lanes[lane].recent)
@@ -1117,7 +1206,7 @@ impl<'a> Dispatcher<'a> {
         self.lanes[lane].tx.is_none()
     }
 
-    /// The merge-counter lane id for batches routed to `lane`.
+    /// The merge-counter lane id for micro-flows routed to `lane`.
     fn tag_lane(&self, lane: usize) -> usize {
         self.lanes[lane].tag_lane
     }
@@ -1128,21 +1217,17 @@ impl<'a> Dispatcher<'a> {
     /// later — the merge counter rejects those re-deliveries as
     /// duplicates.
     fn fail_lane(&mut self, lane: usize) {
-        let window = self.mark_dead(lane);
-        let mut pending = Vec::new();
-        for lost in window {
-            if let Some(p) = self.reroute(lost, false) {
-                pending.push(p);
-            }
+        for lost in self.mark_dead(lane) {
+            self.reroute(lost, false);
         }
-        self.pump(pending);
+        self.pump();
     }
 
     /// Re-occupies a dead slot with a freshly spawned worker's lane:
     /// installs the new sender, clears the retained window (the old one
     /// was redispatched at death), resets the depth counter, and moves
     /// the tag lane to a fresh id (see [`Lane::tag_lane`]).
-    fn revive(&mut self, lane: usize, tx: RingProducer<Batch>) {
+    fn revive(&mut self, lane: usize, tx: RingProducer<MfDesc>) {
         self.lanes[lane].tx = Some(tx);
         self.lanes[lane].recent.clear();
         self.lanes[lane].tag_lane = self.recovery_lane;
@@ -1150,177 +1235,156 @@ impl<'a> Dispatcher<'a> {
         self.depths[lane].store(0, Ordering::Relaxed);
     }
 
-    /// Sends `batch` to worker `lane`, redispatching on failure.
-    fn send(&mut self, lane: usize, batch: Batch) {
-        self.pump(vec![(lane, batch, false)]);
+    /// Sends `desc` to worker `lane`, redispatching on failure.
+    fn send(&mut self, lane: usize, desc: MfDesc) {
+        self.pending.push((lane, desc, false));
+        self.pump();
     }
 
-    /// Drains a pending send list iteratively: a redispatch target may
-    /// itself be dead, bouncing the batch again.
-    fn pump(&mut self, mut pending: Vec<(usize, Batch, bool)>) {
-        while let Some((lane, batch, is_recovery)) = pending.pop() {
+    /// Drains the pending send list iteratively: a redispatch target may
+    /// itself be dead, bouncing the micro-flow again.
+    fn pump(&mut self) {
+        while let Some((lane, desc, is_recovery)) = self.pending.pop() {
             let Some(tx) = self.lanes[lane].tx.as_mut() else {
                 // Known-dead lane: reroute to a live worker directly.
-                if let Some(b) = self.reroute(batch, is_recovery) {
-                    pending.push(b);
-                }
+                self.reroute(desc, is_recovery);
                 continue;
             };
-            // Count the batch as queued *before* publishing it: worker
-            // decrements are saturating, so one observed before its
-            // increment would be lost for good. (A bounced send leaves
-            // the counter inflated only until `mark_dead` zeroes it.)
+            // Count the micro-flow as queued *before* publishing it:
+            // worker decrements are saturating, so one observed before
+            // its increment would be lost for good. (A bounced send
+            // leaves the counter inflated only until `mark_dead` zeroes
+            // it.)
             self.depths[lane].fetch_add(1, Ordering::Relaxed);
-            match tx.push(batch) {
-                Ok(()) => {}
-                Err(batch) => {
-                    // The worker died: everything it still held is lost.
-                    // Redispatch its retained window plus this batch.
-                    let window = self.mark_dead(lane);
-                    for lost in window.into_iter().chain(std::iter::once(batch)) {
-                        if let Some(b) = self.reroute(lost, is_recovery) {
-                            pending.push(b);
-                        }
-                    }
+            if tx.push(desc).is_err() {
+                // The worker died: everything it still held is lost.
+                // Redispatch its retained window plus this micro-flow.
+                let window = self.mark_dead(lane);
+                for lost in window.into_iter().chain(std::iter::once(desc)) {
+                    self.reroute(lost, is_recovery);
                 }
             }
         }
     }
 
-    /// Sends a batch, keeping a copy in the lane's retained window first
-    /// (faulty runs only).
-    fn send_retained(&mut self, lane: usize, batch: Batch) {
-        if self.retain > 0 && self.lanes[lane].tx.is_some() {
-            self.remember(lane, batch.clone());
+    /// Sends a micro-flow, noting it in the lane's retained window first
+    /// (faulty and supervised runs only).
+    fn send_retained(&mut self, lane: usize, desc: MfDesc) {
+        if !self.lane_dead(lane) {
+            self.remember(lane, desc);
         }
-        self.send(lane, batch);
+        self.send(lane, desc);
     }
 
-    fn remember(&mut self, lane: usize, batch: Batch) {
+    fn remember(&mut self, lane: usize, desc: MfDesc) {
+        if self.retain == 0 {
+            return;
+        }
         let recent = &mut self.lanes[lane].recent;
         if recent.len() == self.retain {
             recent.pop_front();
         }
-        recent.push_back(batch);
+        recent.push_back(desc);
     }
 
-    /// Offers `batch` to worker `lane` under the backpressure policy.
-    /// Returns the batch when the policy decided the *caller* must
-    /// process it inline on the dispatcher thread.
-    fn offer(&mut self, lane: usize, batch: Batch) -> Option<Batch> {
-        if self.lanes[lane].tx.is_some() {
-            if let Some(w) = self.high_watermark {
-                if self.depths[lane].load(Ordering::Relaxed) >= w {
-                    self.backpressure_events += 1;
-                    return self.apply_policy(lane, batch);
-                }
-            }
+    /// Offers `desc` to worker `lane` under the backpressure policy.
+    /// Returns it when the policy decided the *caller* must process the
+    /// micro-flow inline on the dispatcher thread.
+    fn offer(&mut self, lane: usize, desc: MfDesc) -> Option<MfDesc> {
+        let over_watermark = !self.lane_dead(lane)
+            && self
+                .high_watermark
+                .is_some_and(|w| self.depths[lane].load(Ordering::Relaxed) >= w);
+        if !over_watermark && self.try_send_now(lane, desc) {
+            return None;
         }
-        match self.try_send_now(lane, batch) {
-            SendAttempt::Sent => None,
-            SendAttempt::Full(batch) => {
-                self.backpressure_events += 1;
-                self.apply_policy(lane, batch)
-            }
-        }
+        self.backpressure_events += 1;
+        self.apply_policy(lane, desc)
     }
 
-    /// Non-blocking send with the same dead-lane recovery as [`send`].
+    /// Non-blocking send with the same dead-lane recovery as [`send`];
+    /// `false` when the queue was full and nothing was enqueued.
     ///
     /// [`send`]: Dispatcher::send
-    fn try_send_now(&mut self, lane: usize, batch: Batch) -> SendAttempt {
-        if self.lanes[lane].tx.is_none() {
+    fn try_send_now(&mut self, lane: usize, desc: MfDesc) -> bool {
+        let Some(tx) = self.lanes[lane].tx.as_mut() else {
             // Known-dead lane: the blocking path already reroutes without
             // ever waiting.
-            self.send(lane, batch);
-            return SendAttempt::Sent;
-        }
-        let copy = if self.retain > 0 { Some(batch.clone()) } else { None };
-        let tx = self.lanes[lane].tx.as_mut().expect("lane checked live");
+            self.send(lane, desc);
+            return true;
+        };
         // Increment-before-send, as in `pump`: saturating worker-side
         // decrements must never race ahead of the increment.
         self.depths[lane].fetch_add(1, Ordering::Relaxed);
-        match tx.try_push(batch) {
+        match tx.try_push(desc) {
             Ok(()) => {
-                if let Some(c) = copy {
-                    self.remember(lane, c);
-                }
-                SendAttempt::Sent
+                self.remember(lane, desc);
+                true
             }
-            Err(RingSendError::Full(b)) => {
+            Err(RingSendError::Full(_)) => {
                 // Nothing was enqueued; take the provisional count back.
                 depth_dec(&self.depths[lane]);
-                SendAttempt::Full(b)
+                false
             }
-            Err(RingSendError::Closed(b)) => {
+            Err(RingSendError::Closed(_)) => {
                 // Route through the blocking path: its send error handler
                 // marks the lane dead and redispatches the retained
-                // window plus this batch.
-                self.send(lane, b);
-                SendAttempt::Sent
+                // window plus this micro-flow.
+                self.send(lane, desc);
+                true
             }
         }
     }
 
-    /// The policy decision for a saturated lane. `None` means the batch
-    /// was handled (sent, blocked-and-sent, or shed); `Some` hands it
-    /// back for inline processing.
-    fn apply_policy(&mut self, lane: usize, batch: Batch) -> Option<Batch> {
+    /// The policy decision for a saturated lane. `None` means the
+    /// micro-flow was handled (sent, blocked-and-sent, or shed); `Some`
+    /// hands it back for inline processing.
+    fn apply_policy(&mut self, lane: usize, desc: MfDesc) -> Option<MfDesc> {
         match self.policy {
             BackpressurePolicy::Block => {
-                self.send_retained(lane, batch);
+                self.send_retained(lane, desc);
                 None
             }
             BackpressurePolicy::DropTail { .. } => {
-                let n = batch.len() as u64;
-                if self.shed_budget_left >= n && n > 0 {
+                let n = desc.live as u64;
+                if self.shed_budget_left >= n {
                     self.shed_budget_left -= n;
                     self.shed_packets += n;
-                    if let Some((tag, _)) = batch.first() {
-                        self.sheds.push((tag.id, lane));
-                    }
+                    self.sheds.push((desc.id, lane));
                     None
                 } else if self.inline_fallback {
-                    Some(batch)
+                    Some(desc)
                 } else {
                     self.block_fallbacks += 1;
-                    self.send_retained(lane, batch);
+                    self.send_retained(lane, desc);
                     None
                 }
             }
-            BackpressurePolicy::Inline => Some(batch),
+            BackpressurePolicy::Inline => Some(desc),
         }
     }
 
-    /// Retags a lost batch onto a fresh recovery lane and targets the
-    /// next live worker. Returns `None` when no workers are left — with
-    /// `orphan_inline` the batch is parked for inline processing instead
-    /// of being dropped.
-    fn reroute(&mut self, batch: Batch, was_recovery: bool) -> Option<(usize, Batch, bool)> {
+    /// Retags a lost micro-flow onto a fresh recovery lane and queues it
+    /// for the next live worker. When no workers are left it is dropped —
+    /// or, with `orphan_inline`, parked for inline processing.
+    fn reroute(&mut self, desc: MfDesc, was_recovery: bool) {
         let Some(target) = self.pick_live_worker() else {
             if self.orphan_inline {
-                self.orphans.push(batch);
+                self.orphans.push(desc);
             }
-            return None;
+            return;
         };
-        let batch = if was_recovery {
-            // Already on a unique recovery lane; keep its tags.
-            batch
-        } else {
-            self.retag(batch)
-        };
+        // One already on a unique recovery lane keeps its tag.
+        let desc = if was_recovery { desc } else { self.retag(desc) };
         self.redispatched += 1;
-        Some((target, batch, true))
+        self.pending.push((target, desc, true));
     }
 
-    /// Clones a batch onto a fresh recovery lane.
-    fn retag(&mut self, batch: Batch) -> Batch {
+    /// Moves a micro-flow onto a fresh recovery lane.
+    fn retag(&mut self, desc: MfDesc) -> MfDesc {
         let lane = self.recovery_lane;
         self.recovery_lane += 1;
-        batch
-            .into_iter()
-            .map(|(tag, frame)| (MfTag { lane, ..tag }, frame))
-            .collect()
+        MfDesc { lane, ..desc }
     }
 
     fn pick_live_worker(&mut self) -> Option<usize> {
@@ -1335,11 +1399,11 @@ impl<'a> Dispatcher<'a> {
         None
     }
 
-    /// Sends a recovery-tagged copy of `batch` to the next live worker
+    /// Sends a recovery-tagged copy of `desc` to the next live worker
     /// (parked for inline processing under `orphan_inline` when none is
     /// left).
-    fn send_recovery(&mut self, batch: Batch) {
-        let retagged = self.retag(batch);
+    fn send_recovery(&mut self, desc: MfDesc) {
+        let retagged = self.retag(desc);
         if let Some(target) = self.pick_live_worker() {
             self.send(target, retagged);
         } else if self.orphan_inline {
@@ -1348,14 +1412,14 @@ impl<'a> Dispatcher<'a> {
     }
 }
 
-/// Applies the injected per-worker faults for one received batch;
+/// Applies the injected per-worker faults for one received micro-flow;
 /// panics for an injected death (caught and counted at join).
 fn apply_worker_faults(
     faults: &RuntimeFaults,
     worker: usize,
     incarnation: u64,
     processed: u64,
-    first_mf: Option<u64>,
+    mf_id: u64,
 ) {
     if faults.kill_fires(worker, incarnation, processed) {
         faults.note(FaultEvent::Kill {
@@ -1376,11 +1440,9 @@ fn apply_worker_faults(
             thread::sleep(Duration::from_micros(slow.per_batch_us));
         }
     }
-    if let Some(id) = first_mf {
-        if faults.stalls_on(id) {
-            faults.note(FaultEvent::Stall { worker, mf_id: id });
-            thread::sleep(Duration::from_millis(faults.stall_ms));
-        }
+    if faults.stalls_on(mf_id) {
+        faults.note(FaultEvent::Stall { worker, mf_id });
+        thread::sleep(Duration::from_millis(faults.stall_ms));
     }
 }
 
@@ -1393,62 +1455,88 @@ fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
     }
 }
 
-/// What a stage worker dequeues: wire frames at a lane head, staged work
-/// at an interior stage. Either converts into [`StagedWork`] to be
-/// advanced by one stage group; the two differ in how a batch is walked
-/// and in what finishing an item costs.
-trait StageInput: Into<StagedWork> + Send {
-    /// Runs `work` over a micro-flow batch in order, appending to `out`.
-    fn walk<R>(batch: Vec<(MfTag, Self)>, work: impl FnMut((MfTag, Self)) -> R, out: &mut Vec<R>);
+/// What a stage worker dequeues: a descriptor over wire frames at a lane
+/// head, a staged run at an interior stage. Either is advanced by one
+/// stage group for the next hop, or taken through every remaining stage
+/// (plus the replicated stateful stage when SCR is on) — what a tail
+/// does with its input, what any stage does with a run whose next hop
+/// died, and what the dispatcher does with a micro-flow it keeps inline.
+trait StageInput: Send + Sized {
+    fn mf_id(&self) -> u64;
 
-    /// Every remaining stage. Not `self.into().complete()`: a worker
-    /// that owns every stage must pay what [`process_frame`] costs, and
-    /// building the enum on the stack per frame only to match it apart
-    /// again measured 4.35 against 4.78 Mframes/s on `elephant64`.
-    fn complete(self) -> PacketResult;
+    fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun;
+
+    fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun;
 }
 
-impl StageInput for Frame {
-    /// With [`process_batch`]'s one-frame lookahead: this thread is the
-    /// first to touch the frames' bytes.
-    fn walk<R>(batch: Vec<(MfTag, Self)>, work: impl FnMut((MfTag, Self)) -> R, out: &mut Vec<R>) {
-        process_batch(
-            batch.into_iter(),
-            |rest| rest.as_slice().first().map(|(_, frame)| frame),
-            work,
-            out,
-        );
-    }
-
-    fn complete(self) -> PacketResult {
-        process_frame(&self)
+impl MfDesc {
+    /// Runs `work` over the micro-flow's surviving frames, in place in
+    /// the caller's slice and in order — this thread is the first to
+    /// touch their bytes, hence [`process_batch`]'s one-frame lookahead.
+    ///
+    /// Planned drops are replayed here, where the frames are read, from
+    /// the pure [`RuntimeFaults::drops_packet`]: by construction of the
+    /// range only its final frame can close the micro-flow, so every
+    /// reader of one descriptor — the lane head, a redispatch target, the
+    /// dispatcher's inline path — skips exactly the frames the dispatcher
+    /// counted and logged, once, when it planned the range.
+    fn run<R>(&self, ctx: &WorkerCtx<'_, '_>, mut work: impl FnMut(&Frame) -> R) -> Run<R> {
+        let span = &ctx.frames[self.start..self.end];
+        let mut items = Vec::with_capacity(self.live);
+        // Whether the latest frame survived; after the walk, whether the
+        // closing one did.
+        let mut closed = true;
+        if self.live == span.len() {
+            process_batch(span.iter(), |rest| rest.as_slice().first(), work, &mut items);
+        } else {
+            for (k, frame) in span.iter().enumerate() {
+                closed = !ctx.faults.drops_packet(self.id, frame.seq, k + 1 == span.len());
+                if closed {
+                    items.push(work(frame));
+                }
+            }
+        }
+        Run {
+            id: self.id,
+            lane: self.lane,
+            closed,
+            items,
+        }
     }
 }
 
-impl StageInput for StagedWork {
-    /// Plainly: there is nothing to prefetch (upstream pulled the bytes
-    /// in), and moving 64-byte staged items through the take-then-peek
-    /// loop measured 2.47 against 2.96 Mframes/s on `falcon-func`.
-    fn walk<R>(batch: Vec<(MfTag, Self)>, work: impl FnMut((MfTag, Self)) -> R, out: &mut Vec<R>) {
-        out.extend(batch.into_iter().map(work));
+impl StageInput for MfDesc {
+    fn mf_id(&self) -> u64 {
+        self.id
     }
 
-    fn complete(self) -> PacketResult {
-        StagedWork::complete(self)
+    /// The one place frame handles are still cloned: staged work outlives
+    /// this stage, so it must own its buffer.
+    fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
+        self.run(ctx, |f| StagedWork::Raw(f.clone()).advance_n(group))
+    }
+
+    /// Not `advance(STAGES)`: a worker that owns every stage must pay
+    /// what [`process_frame`] costs, and building the enum on the stack
+    /// per frame only to match it apart again measured 4.35 against 4.78
+    /// Mframes/s on `elephant64`.
+    fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
+        self.run(ctx, |f| apply_scr(process_frame(f), ctx.scr_work))
     }
 }
 
-/// Every remaining stage of one micro-flow, appended to `results` (plus
-/// the replicated stateful stage when SCR is on): what a tail worker
-/// does with its input, what any stage does with a batch whose next hop
-/// died, and what the dispatcher does with a batch it keeps inline.
-fn complete_batch<T: StageInput>(
-    batch: Vec<(MfTag, T)>,
-    scr_work: Option<u32>,
-    results: &mut Vec<Merged>,
-) {
-    let work = |(tag, item): (MfTag, T)| (tag, apply_scr(item.complete(), scr_work));
-    T::walk(batch, work, results);
+impl StageInput for StagedRun {
+    fn mf_id(&self) -> u64 {
+        self.id
+    }
+
+    fn advance(self, _: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
+        self.map(|w| w.advance_n(group))
+    }
+
+    fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
+        self.map(|w| apply_scr(w.complete(), ctx.scr_work))
+    }
 }
 
 /// Saturating depth decrement: a replaced-but-still-draining incarnation
@@ -1507,7 +1595,7 @@ impl Topology {
 /// senders taken out before a re-wire.
 struct LinkSlot {
     gen: u64,
-    tx: Option<RingProducer<StageBatch>>,
+    tx: Option<RingProducer<StagedRun>>,
 }
 
 /// One re-wireable link between consecutive stages of a lane. The sender
@@ -1527,7 +1615,7 @@ struct Link {
 }
 
 impl Link {
-    fn new(tx: RingProducer<StageBatch>) -> Self {
+    fn new(tx: RingProducer<StagedRun>) -> Self {
         Self {
             slot: Mutex::new(LinkSlot {
                 gen: 0,
@@ -1542,11 +1630,11 @@ impl Link {
         self.slot.lock().expect("link slot lock")
     }
 
-    /// Sends a staged batch to the next stage. `Err` hands it back when
+    /// Sends a staged run to the next stage. `Err` hands it back when
     /// the next hop is gone (cut, or its ring just bounced the send); a
     /// bounce also flags the death, keyed by generation, for the watchdog
     /// to respawn.
-    fn forward(&self, staged: StageBatch) -> Result<(), StageBatch> {
+    fn forward(&self, staged: StagedRun) -> Result<(), StagedRun> {
         let (gen, tx) = {
             let mut s = self.slot();
             (s.gen, s.tx.take())
@@ -1591,7 +1679,7 @@ impl Link {
     }
 
     /// Re-homes the downstream stage onto a fresh ring.
-    fn rewire(&self, tx: RingProducer<StageBatch>) {
+    fn rewire(&self, tx: RingProducer<StagedRun>) {
         {
             let mut s = self.slot();
             s.gen += 1;
@@ -1609,6 +1697,8 @@ impl Link {
 struct WorkerCtx<'scope, 'env> {
     s: &'scope thread::Scope<'scope, 'env>,
     topo: &'env Topology,
+    /// The caller's frames, which every [`MfDesc`] indexes.
+    frames: &'env [Frame],
     /// Per-lane dispatcher queue depths (a head's backlog).
     depths: &'env [AtomicUsize],
     /// Indexed by [`Topology::link`]; empty when `depth == 1`.
@@ -1629,8 +1719,8 @@ impl<'scope> WorkerCtx<'scope, '_> {
         self,
         slot: usize,
         incarnation: u64,
-        rx: RingConsumer<Vec<(MfTag, T)>>,
-        merge: RingProducer<Merged>,
+        rx: RingConsumer<T>,
+        merge: RingProducer<MergedRun>,
     ) -> (usize, thread::ScopedJoinHandle<'scope, ()>) {
         let s = self.s;
         let h = s.spawn(move || worker_loop(self, slot, incarnation, rx, merge));
@@ -1642,15 +1732,15 @@ impl<'scope> WorkerCtx<'scope, '_> {
 /// dequeue, heartbeat, injected faults, this stage's group of the
 /// per-packet work, then hand on. A tail (every fan-out worker; the last
 /// stage of a chain) completes into the merger; any other stage forwards
-/// through its link, and finishes the batch itself when the next hop has
-/// died — this worker's merger sends stay FIFO, so order survives the
+/// through its link, and finishes the micro-flow itself when the next hop
+/// has died — this worker's merger sends stay FIFO, so order survives the
 /// degradation.
 fn worker_loop<T: StageInput>(
     ctx: WorkerCtx<'_, '_>,
     slot: usize,
     incarnation: u64,
-    mut rx: RingConsumer<Vec<(MfTag, T)>>,
-    mut merge: RingProducer<Merged>,
+    mut rx: RingConsumer<T>,
+    mut merge: RingProducer<MergedRun>,
 ) {
     let topo = ctx.topo;
     let (lane, stage) = (slot / topo.depth, slot % topo.depth);
@@ -1661,41 +1751,77 @@ fn worker_loop<T: StageInput>(
         0 => &ctx.depths[lane],
         _ => &ctx.links[topo.link(lane, stage - 1)].depth,
     };
-    // A tail has no link at all, so it takes no lock per batch.
+    // A tail has no link at all, so it takes no lock per micro-flow.
     let next = (stage + 1 < topo.depth).then(|| &ctx.links[topo.link(lane, stage)]);
     let mut processed = 0u64;
-    // One results buffer for the life of the worker: `push_all` drains it
-    // into the ring, so its capacity is reused batch after batch.
-    let mut results: Vec<Merged> = Vec::new();
-    while let Some(batch) = rx.pop() {
+    while let Some(input) = rx.pop() {
         depth_dec(backlog);
         ctx.beats.bump(slot);
-        let first_mf = batch.first().map(|(t, _)| t.id);
-        apply_worker_faults(ctx.faults, slot, incarnation, processed, first_mf);
-        match next {
-            None => complete_batch(batch, ctx.scr_work, &mut results),
-            Some(link) => {
-                let mut staged = StageBatch::new();
-                let work = |(tag, item): (MfTag, T)| (tag, item.into().advance_n(group));
-                T::walk(batch, work, &mut staged);
-                if let Err(bounced) = link.forward(staged) {
-                    complete_batch(bounced, ctx.scr_work, &mut results);
-                }
-            }
-        }
-        if !results.is_empty() {
-            // Whole-batch publish: one merge-side handoff per micro-flow,
-            // not per packet. Counted before publishing, so the merger
-            // watchdog's backlog signal (`sent - recvd`) can never
-            // under-report queued results.
-            ctx.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
-            if merge.push_all(results.drain(..)).is_err() {
-                // Merger gone; nothing useful left to do.
-                return;
-            }
-        }
+        apply_worker_faults(ctx.faults, slot, incarnation, processed, input.mf_id());
         processed += 1;
+        let run = match next {
+            None => input.complete(&ctx),
+            Some(link) => match link.forward(input.advance(&ctx, group)) {
+                Ok(()) => continue,
+                Err(bounced) => bounced.complete(&ctx),
+            },
+        };
+        // One merge-side handoff per micro-flow: the run's results `Vec`
+        // is the slot's payload. Counted before publishing, so the merger
+        // watchdog's backlog signal (`sent - recvd`) can never
+        // under-report queued micro-flows.
+        ctx.sent.fetch_add(1, Ordering::Relaxed);
+        if merge.push(run).is_err() {
+            // Merger gone; nothing useful left to do.
+            return;
+        }
     }
+}
+
+/// Plans the micro-flow `id` that opens at `frames[from]`: walks forward
+/// to the frame that closes it — the `batch_size`-th survivor of the
+/// planned drops, or the last frame of the stream — and returns
+/// `(start, end, live)`: the range `frames[start..end]` with leading
+/// drops trimmed off (so a live micro-flow's first frame is a survivor,
+/// the one the dispatcher hashes) and the survivors in it. `next == end`
+/// is where the following micro-flow opens; `live == 0` means every
+/// frame was dropped and nothing is dispatched.
+///
+/// This is the one place a planned drop is counted and logged. Whoever
+/// reads the range replays the decisions ([`MfDesc::run`]) — possibly
+/// more than once, after a redispatch — without counting them again.
+fn plan_microflow(
+    frames: &[Frame],
+    from: usize,
+    id: u64,
+    batch_size: usize,
+    faults: &RuntimeFaults,
+    fault_drops: &mut u64,
+) -> (usize, usize, usize) {
+    if faults.drop_rate <= 0.0 && faults.drop_last_rate <= 0.0 {
+        let end = (from + batch_size).min(frames.len());
+        return (from, end, end - from);
+    }
+    let (mut start, mut live) = (from, 0);
+    for (i, frame) in frames.iter().enumerate().skip(from) {
+        let closes = live + 1 == batch_size || i + 1 == frames.len();
+        if faults.drops_packet(id, frame.seq, closes) {
+            faults.note(FaultEvent::Drop {
+                mf_id: id,
+                seq: frame.seq,
+            });
+            *fault_drops += 1;
+            if live == 0 {
+                start = i + 1;
+            }
+        } else {
+            live += 1;
+        }
+        if closes {
+            return (start, i + 1, live);
+        }
+    }
+    unreachable!("the stream's last frame closes its micro-flow")
 }
 
 /// MFLOW pipeline: split into micro-flows, process on `workers` threads,
@@ -1760,7 +1886,7 @@ pub fn process_parallel_faulty(
     let mut lanes = Vec::with_capacity(topo.lanes);
     let mut lane_rx = Vec::with_capacity(topo.lanes);
     for i in 0..topo.lanes {
-        let (tx, rx) = ring::spsc::<Batch>(cfg.queue_depth);
+        let (tx, rx) = ring::spsc::<MfDesc>(cfg.queue_depth);
         lanes.push(Lane {
             tx: Some(tx),
             recent: VecDeque::new(),
@@ -1774,16 +1900,16 @@ pub fn process_parallel_faulty(
     let mut link_rx = Vec::new();
     let links: Vec<Link> = (0..topo.lanes * (topo.depth - 1))
         .map(|_| {
-            let (tx, rx) = ring::spsc::<StageBatch>(cfg.queue_depth);
+            let (tx, rx) = ring::spsc::<StagedRun>(cfg.queue_depth);
             link_rx.push(rx);
             Link::new(tx)
         })
         .collect();
     // Workers (plus the dispatcher's inline lane) -> merger: one SPSC
-    // ring per producer fanned into a mux. The registrar mints additional
-    // rings for respawned workers.
+    // ring per producer, one run per slot, fanned into a mux. The
+    // registrar mints additional rings for respawned workers.
     let (mut worker_merge_tx, merge_rx, merge_registrar) =
-        ring::ring_mux_with_registrar::<Merged>(topo.threads() + 1, cfg.merger_depth);
+        ring::ring_mux_with_registrar::<MergedRun>(topo.threads() + 1, cfg.merger_depth);
     let mut dispatch_tx = worker_merge_tx.pop().expect("threads + 1 rings");
     // Merger failure domain: armed whenever the merger can actually die
     // or wedge — supervision on, or merger faults injected. Both of
@@ -1833,6 +1959,7 @@ pub fn process_parallel_faulty(
         let workers = WorkerCtx {
             s,
             topo,
+            frames,
             depths,
             links: &links,
             sent: &shared.sent,
@@ -1874,184 +2001,152 @@ pub fn process_parallel_faulty(
         };
         let mut merger_handles = vec![watch.spawn(0, 0)];
 
-        // Batches the policy handed back are processed right here on the
-        // dispatcher thread, retagged onto fresh recovery lanes so the
-        // merger's per-lane FIFO assumption holds (earlier batches for
+        // Micro-flows the policy handed back are processed right here on
+        // the dispatcher thread, retagged onto fresh recovery lanes so the
+        // merger's per-lane FIFO assumption holds (earlier micro-flows for
         // the original lane may still sit in the worker's queue).
         let process_inline = |d: &mut Dispatcher<'_>,
-                              tx: &mut RingProducer<Merged>,
-                              batch: Batch| {
-            let batch = d.retag(batch);
+                              tx: &mut RingProducer<MergedRun>,
+                              desc: MfDesc| {
+            let run = d.retag(desc).complete(&workers);
             d.inline_batches += 1;
-            d.inline_packets += batch.len() as u64;
-            let mut results = Vec::new();
-            complete_batch(batch, scr_work, &mut results);
-            shared.sent.fetch_add(results.len() as u64, Ordering::Relaxed);
-            let _ = tx.push_all(results);
+            d.inline_packets += run.items.len() as u64;
+            shared.sent.fetch_add(1, Ordering::Relaxed);
+            let _ = tx.push(run);
         };
         let mut mf_id = 0u64;
-        let mut lane = 0usize;
-        let mut tag_lane = 0usize;
-        let mut cur_hash = 0u32;
+        let mut next = 0usize;
         let mut depth_snap = vec![0usize; topo.lanes];
-        let mut batch: Batch = Vec::with_capacity(cfg.batch_size);
-        let mut delayed: Vec<(u64, Batch)> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            let last = batch.len() + 1 == cfg.batch_size || i + 1 == n;
-            if faults.drops_packet(mf_id, frame.seq, last) {
-                faults.note(FaultEvent::Drop {
-                    mf_id,
-                    seq: frame.seq,
-                });
-                fault_drops += 1;
-            } else {
-                if batch.is_empty() {
-                    // A micro-flow opens: ask the policy for its lane,
-                    // with a fresh view of per-lane occupancy. The tag
-                    // carries the lane's merge-counter id, which diverges
-                    // from the physical slot after a respawn. This one
-                    // outer-header read per micro-flow is all the
-                    // dispatcher parses; a frame it cannot hash steers as
-                    // flow 0 and fails on the worker that parses it, the
-                    // thread whose death the run already accounts for.
-                    cur_hash = frame.try_flow_hash().unwrap_or(0);
-                    for (snap, depth) in depth_snap.iter_mut().zip(depths.iter()) {
-                        *snap = depth.load(Ordering::Relaxed);
-                    }
-                    lane = policy
-                        .steer(mf_id, cur_hash, &depth_snap)
-                        .min(topo.lanes - 1);
-                    tag_lane = d.tag_lane(lane);
+        let mut delayed: Vec<(u64, MfDesc)> = Vec::new();
+        while next < n {
+            let (start, end, live) =
+                plan_microflow(frames, next, mf_id, cfg.batch_size, faults, &mut fault_drops);
+            next = end;
+            if live > 0 {
+                // Ask the policy for the micro-flow's lane, with a fresh
+                // view of per-lane occupancy. The descriptor carries the
+                // lane's merge-counter id, which diverges from the
+                // physical slot after a respawn. This one outer-header
+                // read per micro-flow is all the dispatcher touches of
+                // the frames' bytes; a frame it cannot hash steers as
+                // flow 0 and fails on the worker that parses it, the
+                // thread whose death the run already accounts for.
+                let hash = frames[start].try_flow_hash().unwrap_or(0);
+                for (snap, depth) in depth_snap.iter_mut().zip(depths.iter()) {
+                    *snap = depth.load(Ordering::Relaxed);
                 }
-                batch.push((
-                    MfTag {
-                        id: mf_id,
-                        lane: tag_lane,
-                        last,
-                    },
-                    frame.clone(),
-                ));
-            }
-            if last {
-                let full = std::mem::take(&mut batch);
-                batch.reserve(cfg.batch_size);
-                if !full.is_empty() {
-                    let placed = full.len();
-                    if faults.is_active() && faults.delays_mf(mf_id) {
-                        // Held back: will be redispatched on a recovery
-                        // lane `late_by` batches from now.
-                        faults.note(FaultEvent::LateMf { mf_id });
-                        delayed.push((mf_id + faults.late_by.max(1), full));
-                    } else if faults.is_active() && faults.duplicates_mf(mf_id) {
-                        faults.note(FaultEvent::DupMf { mf_id });
-                        d.send_retained(lane, full.clone());
-                        d.send_recovery(full);
-                    } else if let Some(b) = d.offer(lane, full) {
-                        process_inline(&mut d, &mut dispatch_tx, b);
-                    }
-                    // Completion feedback: the policy hears what it
-                    // placed (rate accounting for elephant detection).
-                    policy.observe(mf_id, cur_hash, lane, placed);
-                }
-                let due: Vec<Batch> = {
-                    let mut rest = Vec::new();
-                    let mut ready = Vec::new();
-                    for (at, b) in delayed.drain(..) {
-                        if at <= mf_id {
-                            ready.push(b);
-                        } else {
-                            rest.push((at, b));
-                        }
-                    }
-                    delayed = rest;
-                    ready
+                let lane = policy.steer(mf_id, hash, &depth_snap).min(topo.lanes - 1);
+                let desc = MfDesc {
+                    id: mf_id,
+                    lane: d.tag_lane(lane),
+                    start,
+                    end,
+                    live,
                 };
-                for b in due {
-                    d.send_recovery(b);
+                if faults.is_active() && faults.delays_mf(mf_id) {
+                    // Held back: will be redispatched on a recovery
+                    // lane `late_by` micro-flows from now.
+                    faults.note(FaultEvent::LateMf { mf_id });
+                    delayed.push((mf_id + faults.late_by.max(1), desc));
+                } else if faults.is_active() && faults.duplicates_mf(mf_id) {
+                    faults.note(FaultEvent::DupMf { mf_id });
+                    d.send_retained(lane, desc);
+                    d.send_recovery(desc);
+                } else if let Some(kept) = d.offer(lane, desc) {
+                    process_inline(&mut d, &mut dispatch_tx, kept);
                 }
-                // The watchdog pass: once per dispatched micro-flow,
-                // between batches (never mid-batch, so a revived lane's
-                // fresh tag id cannot split one micro-flow across ids).
-                if supervised {
-                    let now = Instant::now();
-                    let done = i as u64;
-                    for lane in 0..topo.lanes {
-                        // A lane head is watched through the dispatcher
-                        // lane. Stall detection: a stale heartbeat only
-                        // counts while work is queued — an idle worker's
-                        // epoch is legitimately still.
-                        let head = lane * topo.depth;
-                        if !d.lane_dead(lane)
-                            && sup.stale(head, beats.read(head), now)
-                            && depths[lane].load(Ordering::Relaxed) > 0
+                // Completion feedback: the policy hears what it
+                // placed (rate accounting for elephant detection).
+                policy.observe(mf_id, hash, lane, live);
+            }
+            delayed.retain(|&(due, desc)| {
+                if due <= mf_id {
+                    d.send_recovery(desc);
+                }
+                due > mf_id
+            });
+            // The watchdog pass: once per dispatched micro-flow, between
+            // micro-flows (never inside one, so a revived lane's fresh
+            // tag id cannot split one micro-flow across ids).
+            let done = (end - 1) as u64;
+            if supervised {
+                let now = Instant::now();
+                for lane in 0..topo.lanes {
+                    // A lane head is watched through the dispatcher
+                    // lane. Stall detection: a stale heartbeat only
+                    // counts while work is queued — an idle worker's
+                    // epoch is legitimately still.
+                    let head = lane * topo.depth;
+                    if !d.lane_dead(lane)
+                        && sup.stale(head, beats.read(head), now)
+                        && depths[lane].load(Ordering::Relaxed) > 0
+                    {
+                        sup.heartbeat_misses += 1;
+                        d.fail_lane(lane);
+                    }
+                    if d.lane_dead(lane) {
+                        sup.note_death(head, now, done);
+                        if sup.allow_respawn(head, now) {
+                            let (tx, rx) = ring::spsc::<MfDesc>(cfg.queue_depth);
+                            let inc = sup.on_respawn(head, now, done);
+                            d.revive(lane, tx);
+                            let merge = merge_registrar.add_producer();
+                            handles.push(workers.spawn_worker(head, inc, rx, merge));
+                        }
+                    }
+                    // Every later stage is watched through its
+                    // incoming link. A death is either flagged by the
+                    // upstream's bounced send (generation-matched) or
+                    // declared here on a stale heartbeat.
+                    for stage in 1..topo.depth {
+                        let slot = head + stage;
+                        let link = &links[topo.link(lane, stage - 1)];
+                        let mut dead = link.dead_gen.load(Ordering::Acquire) == link.slot().gen;
+                        if !dead
+                            && sup.stale(slot, beats.read(slot), now)
+                            && link.depth.load(Ordering::Relaxed) > 0
                         {
+                            // Stalled: cut the link so the upstream
+                            // completes micro-flows locally until the
+                            // replacement is wired in.
                             sup.heartbeat_misses += 1;
-                            d.fail_lane(lane);
+                            link.cut();
+                            dead = true;
                         }
-                        if d.lane_dead(lane) {
-                            sup.note_death(head, now, done);
-                            if sup.allow_respawn(head, now) {
-                                let (tx, rx) = ring::spsc::<Batch>(cfg.queue_depth);
-                                let inc = sup.on_respawn(head, now, done);
-                                d.revive(lane, tx);
+                        if dead {
+                            sup.note_death(slot, now, done);
+                            if sup.allow_respawn(slot, now) {
+                                // Re-home the stage: fresh link ring,
+                                // fresh merger sender, new incarnation.
+                                let (tx, rx) = ring::spsc::<StagedRun>(cfg.queue_depth);
+                                link.rewire(tx);
+                                let inc = sup.on_respawn(slot, now, done);
                                 let merge = merge_registrar.add_producer();
-                                handles.push(workers.spawn_worker(head, inc, rx, merge));
-                            }
-                        }
-                        // Every later stage is watched through its
-                        // incoming link. A death is either flagged by the
-                        // upstream's bounced send (generation-matched) or
-                        // declared here on a stale heartbeat.
-                        for stage in 1..topo.depth {
-                            let slot = head + stage;
-                            let link = &links[topo.link(lane, stage - 1)];
-                            let mut dead = link.dead_gen.load(Ordering::Acquire) == link.slot().gen;
-                            if !dead
-                                && sup.stale(slot, beats.read(slot), now)
-                                && link.depth.load(Ordering::Relaxed) > 0
-                            {
-                                // Stalled: cut the link so the upstream
-                                // completes batches locally until the
-                                // replacement is wired in.
-                                sup.heartbeat_misses += 1;
-                                link.cut();
-                                dead = true;
-                            }
-                            if dead {
-                                sup.note_death(slot, now, done);
-                                if sup.allow_respawn(slot, now) {
-                                    // Re-home the stage: fresh link ring,
-                                    // fresh merger sender, new incarnation.
-                                    let (tx, rx) = ring::spsc::<StageBatch>(cfg.queue_depth);
-                                    link.rewire(tx);
-                                    let inc = sup.on_respawn(slot, now, done);
-                                    let merge = merge_registrar.add_producer();
-                                    handles.push(workers.spawn_worker(slot, inc, rx, merge));
-                                }
+                                handles.push(workers.spawn_worker(slot, inc, rx, merge));
                             }
                         }
                     }
                 }
-                // The merger's own watchdog pass, on the same cadence:
-                // armed even unsupervised when merger faults are
-                // injected, so a merger death degrades to WAL pumping
-                // instead of wedging the run.
-                watch.tend(&mut sup, &mut merger_handles, i as u64);
-                // Batches that lost their only reachable worker
-                // ([`Topology::inline_orphans`]) come back for inline
-                // processing instead of being dropped.
-                for b in d.take_orphans() {
-                    process_inline(&mut d, &mut dispatch_tx, b);
-                }
-                mf_id += 1;
             }
+            // The merger's own watchdog pass, on the same cadence:
+            // armed even unsupervised when merger faults are
+            // injected, so a merger death degrades to WAL pumping
+            // instead of wedging the run.
+            watch.tend(&mut sup, &mut merger_handles, done);
+            // Micro-flows that lost their only reachable worker
+            // ([`Topology::inline_orphans`]) come back for inline
+            // processing instead of being dropped.
+            for desc in d.take_orphans() {
+                process_inline(&mut d, &mut dispatch_tx, desc);
+            }
+            mf_id += 1;
         }
         // Anything still held back goes out now, late but present.
-        for (_, b) in delayed {
-            d.send_recovery(b);
+        for (_, desc) in delayed {
+            d.send_recovery(desc);
         }
-        for b in d.take_orphans() {
-            process_inline(&mut d, &mut dispatch_tx, b);
+        for desc in d.take_orphans() {
+            process_inline(&mut d, &mut dispatch_tx, desc);
         }
         dispatch_done = Instant::now();
         // Dropping the lane senders lets the heads drain and exit. The
@@ -2124,24 +2219,21 @@ pub fn process_parallel_faulty(
     // serial-merge degradation path — empty after any clean merger EOS),
     // drain transport residue a non-blocking pump may have left (every
     // producer is gone, so this terminates), then flush and run the
-    // serial stateful stage exactly as the merger always has.
+    // serial stateful stage exactly as the merger always has. The
+    // delivered buffer is taken, not copied.
     let MergerShared {
         rx_slot, durable, ..
     } = shared_store;
     let mut dur = durable.into_inner().unwrap_or_else(|e| e.into_inner());
-    let final_replay = dur.delta.len() as u64;
+    let (mut state, final_replay) = dur.restore();
     if final_replay > 0 {
         dur.restores += 1;
         dur.replayed += final_replay;
     }
-    let mut state = dur.snapshot;
-    let mut out = dur.out;
-    for (tag, result) in dur.delta {
-        state.apply(tag, result, &mut out);
-    }
+    let mut out = std::mem::take(&mut dur.out);
     if let Some(mut rx) = rx_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        while let Ok((tag, result)) = rx.recv_deadline(None) {
-            state.apply(tag, result, &mut out);
+        while let Ok(run) = rx.recv_deadline(None) {
+            state.apply(&run, &mut out);
         }
     }
     // End of stream: flush whatever loss left stuck so nothing stays
@@ -2736,6 +2828,22 @@ mod tests {
         assert_eq!(out.telemetry.restore_replayed_offers, 0);
         assert!(out.checkpoints > 0, "armed run must checkpoint");
         assert!(out.telemetry.snapshot_bytes > 0);
+        // An interval the 32-packet runs never land on: the run that
+        // crosses each multiple takes the checkpoint, at most once.
+        let cfg = RuntimeConfig {
+            checkpoint_every: 100,
+            ..merger_test_cfg()
+        };
+        let out = process_parallel(&frames, &cfg).unwrap();
+        assert_eq!(out.digests, serial.digests);
+        assert!(
+            0 < out.checkpoints && out.checkpoints <= frames.len() as u64 / 100,
+            "{} checkpoints over {} offers",
+            out.checkpoints,
+            frames.len()
+        );
+        assert_eq!(out.telemetry.merger_restarts, 0);
+        assert_eq!(out.telemetry.restore_replayed_offers, 0);
     }
 
     #[test]

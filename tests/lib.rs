@@ -33,3 +33,14 @@ pub fn assert_strictly_increasing(digests: &[PacketResult], ctx: &str) {
         );
     }
 }
+
+/// SplitMix64 over one key: deterministic, order-independent draws for
+/// seed-driven test generators.
+pub fn splitmix(seed: u64, k: u64) -> u64 {
+    let mut x = seed
+        .wrapping_add(k)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

@@ -3,6 +3,7 @@
 //! interleavings, and the simulator conserves packets for arbitrary
 //! configurations.
 
+use integration_tests::splitmix;
 use mflow::{MergeCounter, MfTag};
 use proptest::prelude::*;
 
@@ -194,6 +195,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn offer_run_is_the_per_item_loop(
+        steps in 1u64..120,
+        lanes in 1usize..5,
+        deadline in 0u64..10,
+        seed in any::<u64>(),
+    ) {
+        // An adversarial interleaving of runs over lanes: runs in turn,
+        // runs ahead of the counter, ids the counter already passed,
+        // copies on another lane, unclosed runs, continuations of an open
+        // micro-flow and empty runs — with and without a flush deadline
+        // that can fire part-way through a run. After every run, the
+        // counter fed whole runs and the one fed item by item must be
+        // indistinguishable.
+        let new = || match deadline {
+            0 => MergeCounter::new(),
+            d => MergeCounter::with_flush_deadline(d),
+        };
+        let (mut by_run, mut by_item) = (new(), new());
+        let (mut run_out, mut item_out) = (Vec::new(), Vec::new());
+        let mut next_item = 0u64;
+        for step in 0..steps {
+            let draw = |salt: u64| splitmix(seed ^ salt, step);
+            let id = match draw(1) % 4 {
+                0 => by_run.counter(),
+                1 => by_run.counter() + 1 + draw(2) % 4,
+                _ => draw(2) % 12,
+            };
+            let lane = (draw(3) % lanes as u64) as usize;
+            let closed = draw(4) % 4 != 0;
+            let len = draw(5) % 6;
+            let items: Vec<u64> = (next_item..next_item + len).collect();
+            next_item += len;
+
+            by_run.offer_run(id, lane, closed, items.iter().copied(), &mut run_out);
+            for (k, &item) in items.iter().enumerate() {
+                let last = closed && k + 1 == items.len();
+                by_item.offer(MfTag { id, lane, last }, item, &mut item_out);
+            }
+            prop_assert_eq!(&run_out, &item_out, "out diverged at step {}", step);
+            prop_assert_eq!(by_run.stats(), by_item.stats(), "stats diverged at step {}", step);
+            prop_assert_eq!(by_run.counter(), by_item.counter());
+            prop_assert_eq!(by_run.flushed_ids(), by_item.flushed_ids());
+            prop_assert_eq!(by_run.approx_bytes(), by_item.approx_bytes());
+            // And nothing unobservable (the stall clock, parked tags)
+            // differs either, or a later step would tell.
+            prop_assert_eq!(format!("{by_run:?}"), format!("{by_item:?}"));
+        }
+        by_run.flush_stalled(&mut run_out);
+        by_item.flush_stalled(&mut item_out);
+        prop_assert_eq!(run_out, item_out);
+        prop_assert_eq!(by_run.stats(), by_item.stats());
+    }
+}
+
 mod backpressure_accounting {
     use super::*;
     use mflow_runtime::{
@@ -288,16 +347,6 @@ mod backpressure_accounting {
             }
         }
     }
-}
-
-/// SplitMix64 over one key (deterministic, order-independent draws).
-fn splitmix(seed: u64, k: u64) -> u64 {
-    let mut x = seed
-        .wrapping_add(k)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 mod sim_conservation {

@@ -14,8 +14,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use integration_tests::assert_strictly_increasing;
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, process_serial, Frame, MflowError, PolicyKind,
-    RuntimeConfig, RuntimeFaults, WorkerKill,
+    generate_frames, process_parallel_faulty, process_serial, BackpressurePolicy, FaultEvent,
+    FaultLog, Frame, MflowError, PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 
 /// Replays the dispatcher's batching walk to predict, from the seed
@@ -211,6 +211,81 @@ fn losing_every_batch_closer_flushes_every_microflow_exactly() {
     let n_mfs = mf_of.values().copied().collect::<BTreeSet<_>>().len();
     assert_eq!(out.flushed_mfs.len(), n_mfs);
     assert_eq!(out.workers_died, 0);
+}
+
+#[test]
+fn planned_drops_replayed_off_the_dispatcher_are_exact_and_counted_once() {
+    // The dispatcher plans the drops but no longer applies them: whoever
+    // reads a micro-flow's frames replays the decisions. Two cells make
+    // someone other than the first lane head do the reading — a killed
+    // worker's retained descriptors are redispatched and replayed on a
+    // survivor, and an `Inline` dispatcher replays them itself. Either
+    // way exactly the planned packets are missing, and each is counted
+    // and logged once however often it was replayed.
+    let frames = generate_frames(2000, 64);
+    let kill = WorkerKill {
+        worker: 1,
+        after_batches: 3,
+        incarnation: 0,
+    };
+    let cells = [
+        (3usize, 4usize, BackpressurePolicy::Block, None, Some(kill)),
+        (2, 2, BackpressurePolicy::Inline, Some(1usize), None),
+    ];
+    for (workers, queue_depth, backpressure, high_watermark, kill) in cells {
+        let cfg = RuntimeConfig {
+            workers,
+            batch_size: 16,
+            queue_depth,
+            backpressure,
+            high_watermark,
+            ..RuntimeConfig::default()
+        };
+        let log = FaultLog::new();
+        let faults = RuntimeFaults {
+            seed: 0xD12095,
+            drop_rate: 0.2,
+            drop_last_rate: 0.3,
+            kill,
+            // Long deadline: only the end-of-stream flush releases the
+            // micro-flows whose closer was dropped, so every surviving
+            // packet is delivered and the comparison is exact.
+            flush_timeout_ms: Some(2000),
+            log: Some(log.clone()),
+            ..RuntimeFaults::none()
+        };
+        let (dropped, _) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
+        assert!(dropped.len() > 300, "the plan must drop a real share");
+        let out = check_degraded(&frames, &cfg, &faults);
+
+        let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
+        let expected: Vec<u64> = (0..frames.len() as u64)
+            .filter(|s| !dropped.contains(s))
+            .collect();
+        assert_eq!(got, expected, "{backpressure:?}: serial minus exactly the planned drops");
+
+        assert_eq!(out.telemetry.fault_drops, dropped.len() as u64, "{backpressure:?}");
+        let logged: Vec<u64> = log
+            .sorted()
+            .into_iter()
+            .filter_map(|e| match e {
+                FaultEvent::Drop { seq, .. } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            logged,
+            dropped.iter().copied().collect::<Vec<_>>(),
+            "{backpressure:?}: one Drop event per dropped packet, not one per replay"
+        );
+        match kill {
+            Some(_) => {
+                assert_eq!(out.workers_died, 1);
+                assert!(out.telemetry.redispatched >= 1, "retained descriptors go to a survivor");
+            }
+            None => assert!(out.inline_batches > 0, "watermark 1 must engage inline"),
+        }
+    }
 }
 
 #[test]
