@@ -1,7 +1,8 @@
 //! Real-silicon benches of the MFLOW split/merge pipeline: serial vs 2/4
 //! worker threads over real VXLAN frames (the runtime analogue of Figure
 //! 8a), and throughput vs micro-flow batch size (the analogue of Figure 7's
-//! overhead story — tiny batches pay real merge/channel overhead).
+//! overhead story — tiny batches pay real merge/channel overhead), and the
+//! fixed cost of one call on a stream too short to amortise it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mflow_runtime::{generate_frames, process_parallel, process_serial, RuntimeConfig};
@@ -53,5 +54,36 @@ fn bench_batch_size(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_workers, bench_batch_size);
+/// What one `process_parallel` call costs when the stream is a single
+/// frame or one 64 KB message (46 x 1448 B, the repo benchmark's `msg64k`
+/// shape and batch size), unsupervised and with both failure domains
+/// armed the way `supervised64` arms them, against `process_serial` on the
+/// same message as the floor.
+fn bench_call(c: &mut Criterion) {
+    let message = generate_frames(46, 1448);
+    let mut group = c.benchmark_group("runtime_call");
+    group.sample_size(10);
+    group.bench_function("serial/46", |b| {
+        b.iter(|| process_serial(&message).digests.len())
+    });
+    let unsupervised = RuntimeConfig {
+        batch_size: 8,
+        ..RuntimeConfig::default()
+    };
+    let supervised = RuntimeConfig {
+        heartbeat_interval_ms: Some(1000),
+        restart_budget: 8,
+        ..unsupervised
+    };
+    for (name, cfg) in [("unsupervised", unsupervised), ("supervised", supervised)] {
+        for frames in [1usize, 46] {
+            group.bench_with_input(BenchmarkId::new(name, frames), &frames, |b, &n| {
+                b.iter(|| process_parallel(&message[..n], &cfg).unwrap().digests.len())
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_workers, bench_batch_size, bench_call);
 criterion_main!(benches);

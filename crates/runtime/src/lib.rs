@@ -21,6 +21,7 @@
 //! assert_eq!(serial.digests, parallel.digests);
 //! ```
 
+mod crew;
 pub mod faults;
 pub mod packet;
 pub mod pipeline;

@@ -63,9 +63,10 @@
 //!
 //! * **dispatcher→lane head** carries a 40-byte descriptor `{id, lane,
 //!   range, live}` over the caller's frame slice. Workers are scoped
-//!   threads and read `frames[range]` in place, so the dispatcher clones
-//!   no frame handle and allocates nothing, and the retained window, a
-//!   duplicate or a retag is a copy of the descriptor.
+//!   *jobs* on crew threads ([`crate::crew`]) and read `frames[range]` in
+//!   place, so the dispatcher clones no frame handle and allocates
+//!   nothing, and the retained window, a duplicate or a retag is a copy
+//!   of the descriptor.
 //! * **stage→next stage** (chains only) carries one run of
 //!   [`StagedWork`] per micro-flow; the chain head is the one place that
 //!   still clones frame handles, because staged work outlives the stage.
@@ -82,7 +83,13 @@
 //! per-lane FIFO and close-on-drop in both directions are the semantics
 //! the fault-recovery machinery below relies on.
 //!
-//! A persistent runtime (ROADMAP item 2) keeps this shape: its workers
+//! Of the persistent runtime (ROADMAP item 2) the *thread* half exists:
+//! workers and merger incarnations are jobs of one [`crew::scope`] per
+//! call, run on parked threads that outlive the call, so a call creates
+//! and destroys no OS thread; rings, merger state and supervisor are
+//! still built per call. The *handle* half (`start` / `submit` /
+//! `recv_ordered` / `shutdown`) is not built. It keeps this shape: its
+//! workers are crew jobs that do not return between submissions and
 //! cannot borrow a caller's slice, so a submission becomes one
 //! `Arc<[Frame]>` and a descriptor carries one reference-count bump per
 //! micro-flow — still nothing per packet.
@@ -93,9 +100,13 @@
 //! [`RuntimeConfig::stateful_work`] rounds) can run in two places
 //! ([`RuntimeConfig::stateful_mode`]):
 //!
-//! * **merge-before-tcp** (default, the paper's design) — the merger
-//!   applies it serially after reassembly, so it stays a single-core
-//!   bottleneck exactly like the kernel's in-order TCP receive.
+//! * **merge-before-tcp** (default, the paper's design) — applied
+//!   serially after reassembly, so it stays a single-core bottleneck
+//!   exactly like the kernel's in-order TCP receive. Final assembly does
+//!   it, on the calling thread, in one pass over the ordered output after
+//!   every worker and merger has been joined — not the merger thread as
+//!   it goes — so it overlaps no other stage however many cores there
+//!   are.
 //! * **scr** (state-compute replication) — every lane applies it to the
 //!   packets it processes, and the merger becomes a *reconciler*
 //!   ([`mflow::ScrReconciler`]): a per-stream seq watermark that emits
@@ -118,7 +129,11 @@
 //!   micro-flows are rejected as duplicates. A dead lane's queue-depth
 //!   counter is zeroed the moment the death is discovered (and again at
 //!   join for deaths the dispatcher never observed), so occupancy signals
-//!   never count micro-flows nobody will dequeue.
+//!   never count micro-flows nobody will dequeue. A death nobody observed
+//!   — dispatch had already ended, as it always has on a stream shorter
+//!   than the lanes' queues — bounces no send; when orphans go inline
+//!   ([`Topology::inline_orphans`]) teardown runs such a lane's retained
+//!   window on the dispatcher before the merger may see end of stream.
 //! * **Planned drops** — decided, counted and logged once, by the
 //!   dispatcher as it plans a micro-flow's range ([`plan_microflow`]);
 //!   *replayed* wherever the range is read — lane head, redispatch
@@ -148,6 +163,7 @@ use mflow_error::MflowError;
 use mflow_metrics::Telemetry;
 use mflow_steering::{build_baseline, PolicyKind, SteeringPolicy};
 
+use crate::crew;
 use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::packet::Frame;
 use crate::ring::{self, MuxRecvError, RingConsumer, RingMux, RingProducer, RingSendError};
@@ -238,10 +254,11 @@ pub struct RuntimeConfig {
     /// Base respawn backoff in milliseconds; doubles per respawn of the
     /// same slot.
     pub restart_backoff_ms: u64,
-    /// Where the stateful stage runs: serially on the merger after
-    /// reassembly (`MergeBeforeTcp`, the paper's design) or replicated
-    /// on every lane with the merger reduced to a seq-watermark
-    /// reconciler (`StateComputeReplication`).
+    /// Where the stateful stage runs: serially after reassembly
+    /// (`MergeBeforeTcp`, the paper's design; one pass by final assembly
+    /// on the calling thread once everything is joined) or replicated on
+    /// every lane with the merger reduced to a seq-watermark reconciler
+    /// (`StateComputeReplication`).
     pub stateful_mode: StatefulMode,
     /// Rounds of per-packet stateful work ([`crate::work::stateful_stage`]);
     /// 0 disables the stage (both modes then deliver the plain digests).
@@ -375,10 +392,10 @@ pub struct RunOutput {
     pub digests: Vec<PacketResult>,
     /// Wall-clock processing time.
     pub elapsed: Duration,
-    /// Busy time of the merger thread's serial stage: merge or reconcile
+    /// Busy time of the serial stage: the merger's merge or reconcile
     /// bookkeeping, timed exactly around every per-micro-flow engine call,
-    /// plus, under merge-before-tcp, the serial
-    /// stateful pass. This is the quantity state-compute replication
+    /// plus, under merge-before-tcp, final assembly's serial stateful pass
+    /// on the calling thread. This is the quantity state-compute replication
     /// exists to shrink, and unlike wall-clock it reads the same no
     /// matter how many host cores the worker threads actually share.
     /// (Zero for serial runs, which have no merge stage.)
@@ -967,13 +984,19 @@ fn pump_merge_backlog(shared: &MergerShared) {
     }
 }
 
+/// How often a teardown wait runs a supervision pass ([`MergerWatch::tend`])
+/// while the job it waits for is still running. The wait itself is on the
+/// job ([`crew::JoinHandle::wait_finished`]), so it ends the moment the
+/// job does.
+const TEND_TICK: Duration = Duration::from_micros(50);
+
 /// The read-only context of the merger failure domain: what an
 /// incarnation runs on ([`merger_loop`]) and what the dispatch loop and
 /// the teardown joins need to run supervision passes, bundled so neither
 /// is a dozen-argument call. `Copy`, so call sites borrow nothing.
 #[derive(Clone, Copy)]
 struct MergerWatch<'scope, 'env> {
-    s: &'scope thread::Scope<'scope, 'env>,
+    s: &'scope crew::Scope<'scope, 'env>,
     shared: &'env MergerShared,
     faults: &'env RuntimeFaults,
     beats: &'env HeartbeatBoard,
@@ -991,8 +1014,8 @@ struct MergerWatch<'scope, 'env> {
 }
 
 impl<'scope, 'env> MergerWatch<'scope, 'env> {
-    /// Starts one merger incarnation on its own thread.
-    fn spawn(self, incarnation: u64, my_gen: u64) -> thread::ScopedJoinHandle<'scope, ()> {
+    /// Starts one merger incarnation as a job of its own.
+    fn spawn(self, incarnation: u64, my_gen: u64) -> crew::JoinHandle<'scope> {
         self.s.spawn(move || merger_loop(self, incarnation, my_gen))
     }
 
@@ -1004,7 +1027,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
     fn tend(
         &self,
         sup: &mut Supervisor,
-        merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
+        merger_handles: &mut Vec<crew::JoinHandle<'scope>>,
         frames_done: u64,
     ) {
         if !self.wal_on || self.shared.eos.load(Ordering::Acquire) {
@@ -1059,14 +1082,14 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
     /// died would otherwise deadlock the join.
     fn join_tended(
         &self,
-        h: thread::ScopedJoinHandle<'scope, ()>,
+        h: crew::JoinHandle<'scope>,
         sup: &mut Supervisor,
-        merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
+        merger_handles: &mut Vec<crew::JoinHandle<'scope>>,
         frames_done: u64,
     ) -> thread::Result<()> {
         while self.wal_on && !h.is_finished() {
             self.tend(sup, merger_handles, frames_done);
-            thread::sleep(Duration::from_micros(50));
+            h.wait_finished(TEND_TICK);
         }
         h.join()
     }
@@ -1079,12 +1102,20 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
     fn drain_to_eos(
         &self,
         sup: &mut Supervisor,
-        merger_handles: &mut Vec<thread::ScopedJoinHandle<'scope, ()>>,
+        merger_handles: &mut Vec<crew::JoinHandle<'scope>>,
         frames_done: u64,
     ) {
         while self.wal_on && !self.shared.eos.load(Ordering::Acquire) {
             self.tend(sup, merger_handles, frames_done);
-            thread::sleep(Duration::from_micros(50));
+            // A live incarnation ends at EOS or by dying, and either is
+            // what this loop waits for; with none (respawn backing off)
+            // only the clock can end the wait.
+            match merger_handles.last() {
+                Some(live) if !live.is_finished() => {
+                    live.wait_finished(TEND_TICK);
+                }
+                _ => thread::sleep(TEND_TICK),
+            }
         }
     }
 }
@@ -1447,7 +1478,7 @@ fn apply_worker_faults(
 }
 
 /// Applies the lane-replicated stateful stage under SCR; identity under
-/// merge-before-tcp (the merger runs the stage there instead).
+/// merge-before-tcp (final assembly runs the stage there instead).
 fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
     match scr_work {
         Some(units) => stateful_stage(r, units),
@@ -1695,7 +1726,7 @@ impl Link {
 /// `Copy`, so call sites borrow nothing.
 #[derive(Clone, Copy)]
 struct WorkerCtx<'scope, 'env> {
-    s: &'scope thread::Scope<'scope, 'env>,
+    s: &'scope crew::Scope<'scope, 'env>,
     topo: &'env Topology,
     /// The caller's frames, which every [`MfDesc`] indexes.
     frames: &'env [Frame],
@@ -1711,8 +1742,8 @@ struct WorkerCtx<'scope, 'env> {
 }
 
 impl<'scope> WorkerCtx<'scope, '_> {
-    /// Starts incarnation `incarnation` of worker `slot` on its own
-    /// thread, draining `rx` and publishing results through `merge`.
+    /// Starts incarnation `incarnation` of worker `slot` as a job of its
+    /// own, draining `rx` and publishing results through `merge`.
     /// The handle comes back tagged with its slot, so join-time panics
     /// can be attributed per slot even after respawns reorder the list.
     fn spawn_worker<T: StageInput + 'scope>(
@@ -1721,7 +1752,7 @@ impl<'scope> WorkerCtx<'scope, '_> {
         incarnation: u64,
         rx: RingConsumer<T>,
         merge: RingProducer<MergedRun>,
-    ) -> (usize, thread::ScopedJoinHandle<'scope, ()>) {
+    ) -> (usize, crew::JoinHandle<'scope>) {
         let s = self.s;
         let h = s.spawn(move || worker_loop(self, slot, incarnation, rx, merge));
         (slot, h)
@@ -1875,8 +1906,8 @@ pub fn process_parallel_faulty(
     let use_counter = policy.reorders() || faults.is_active() || can_shed_or_recover;
     // Stateful-stage placement: under SCR the lanes (and every degraded
     // path that stands in for a lane — local completion past a dead next
-    // hop, inline processing) apply the stage; under merge-before-tcp the
-    // merger does, serially, after reassembly.
+    // hop, inline processing) apply the stage; under merge-before-tcp
+    // final assembly does, serially, after reassembly and every join.
     let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
     let sw = cfg.stateful_work;
     let scr_work = if scr { Some(sw) } else { None };
@@ -1955,7 +1986,7 @@ pub fn process_parallel_faulty(
     let mut deaths_by_slot = vec![0u32; topo.threads()];
     let mut merger_deaths = 0usize;
 
-    thread::scope(|s| {
+    crew::scope(|s| {
         let workers = WorkerCtx {
             s,
             topo,
@@ -2149,12 +2180,13 @@ pub fn process_parallel_faulty(
             process_inline(&mut d, &mut dispatch_tx, desc);
         }
         dispatch_done = Instant::now();
-        // Dropping the lane senders lets the heads drain and exit. The
-        // dispatcher's merger sender — and the registrar that can mint
-        // more — go last: with them gone, the merger exits once the
-        // workers drain.
-        d.lanes.clear();
-        drop(dispatch_tx);
+        // Dropping the lane senders lets the heads drain and exit; the
+        // retained windows stay for the orphan pass below, and with them
+        // the dispatcher's merger sender, so the merger cannot see end of
+        // stream before that pass has run.
+        for lane in &mut d.lanes {
+            lane.tx = None;
+        }
         drop(merge_registrar);
 
         // Join workers first (they feed the merger), stage by stage down
@@ -2162,18 +2194,26 @@ pub fn process_parallel_faulty(
         // are that stage's outgoing links cut, so the next stage sees
         // end-of-stream strictly after its upstream finished producing.
         let mut remaining = handles;
+        // Lanes on which a slot died holding micro-flows nobody
+        // redispatched. A head counts when its *last* incarnation died
+        // (handles are joined in spawn order, heads first): an earlier
+        // death was observed by the dispatcher, which is what respawned
+        // the slot, and its window redispatched then. A later stage counts
+        // after any death: what sat in its incoming link is retained
+        // nowhere.
+        let mut orphaned = vec![false; topo.lanes];
         for stage in 0..topo.depth {
             let (mine, rest): (Vec<_>, Vec<_>) = remaining
                 .into_iter()
                 .partition(|(slot, _)| slot % topo.depth == stage);
             remaining = rest;
             for (slot, h) in mine {
-                if watch
+                let died = watch
                     .join_tended(h, &mut sup, &mut merger_handles, n as u64)
-                    .is_err()
-                {
-                    deaths_by_slot[slot] += 1;
-                }
+                    .is_err();
+                deaths_by_slot[slot] += u32::from(died);
+                let lane = slot / topo.depth;
+                orphaned[lane] = died || (stage > 0 && orphaned[lane]);
             }
             if stage + 1 < topo.depth {
                 for lane in 0..topo.lanes {
@@ -2181,6 +2221,22 @@ pub fn process_parallel_faulty(
                 }
             }
         }
+        // A death nobody observed: once dispatch has ended — always, for
+        // a stream shorter than the lanes' queues — no send bounces off
+        // the dead incarnation's ring, so what it still had queued was
+        // never redispatched. The lane's retained window covers the end
+        // of the stream; it is run here, and the merge engine rejects the
+        // copies of whatever the lane did deliver. (A window the
+        // dispatcher took when it did observe the death is empty; the
+        // merger is tended first because it may be down too, and a push
+        // must not wait on a ring nobody consumes.)
+        for lane in (0..topo.lanes).filter(|&l| topo.inline_orphans && orphaned[l]) {
+            for desc in std::mem::take(&mut d.lanes[lane].recent) {
+                watch.tend(&mut sup, &mut merger_handles, n as u64);
+                process_inline(&mut d, &mut dispatch_tx, desc);
+            }
+        }
+        drop(dispatch_tx);
         // Every producer is gone; keep supervising until the stream is
         // fully consumed and folded into the durable block (a kill near
         // the end of the stream is respawned or pumped here), then join
@@ -2219,8 +2275,7 @@ pub fn process_parallel_faulty(
     // serial-merge degradation path — empty after any clean merger EOS),
     // drain transport residue a non-blocking pump may have left (every
     // producer is gone, so this terminates), then flush and run the
-    // serial stateful stage exactly as the merger always has. The
-    // delivered buffer is taken, not copied.
+    // serial stateful stage. The delivered buffer is taken, not copied.
     let MergerShared {
         rx_slot, durable, ..
     } = shared_store;

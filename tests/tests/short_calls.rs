@@ -1,0 +1,160 @@
+//! Short calls on reused threads.
+//!
+//! `process_parallel*` runs its workers and merger as jobs on a crew of
+//! parked threads that outlive the call, so the thread that served — or
+//! panicked in — call *k* serves call *k + 1*. The contract under test:
+//! nothing of a call survives into the next. Back-to-back 64 KB messages
+//! (46 x 1448 B at batch 8, the repo benchmark's `msg64k` shape) on one
+//! pool deliver the serial stream in position on every call, whatever
+//! happened to the threads in the call before, and the pool holds exactly
+//! the caller's frames in between.
+//!
+//! A message this short is also the case where dispatch has always ended
+//! before an injected worker death fires, so no send ever bounces off the
+//! dead lane: the kill calls below are the regression test for the
+//! teardown pass that runs such a lane's retained window inline.
+
+use mflow_runtime::{
+    frame_wire_len, generate_frames_into, process_parallel, process_parallel_faulty,
+    process_serial_stateful, BackpressurePolicy, BufPool, MergerKill, PolicyKind, RuntimeConfig,
+    RuntimeFaults, StatefulMode, WorkerKill,
+};
+
+const FRAMES: usize = 46;
+const PAYLOAD: usize = 1448;
+const WORKERS: usize = 2;
+/// Enough stateful rounds that a lost, duplicated or reordered
+/// transition would corrupt a digest.
+const WORK: u32 = 8;
+const CALLS_PER_CELL: usize = 30;
+
+const MODES: [StatefulMode; 2] = [
+    StatefulMode::MergeBeforeTcp,
+    StatefulMode::StateComputeReplication,
+];
+
+/// Six micro-flows never fill a lane (`queue_depth` 8), so no overload
+/// policy ever engages: the axis is here because the lattice has it and
+/// each policy takes its own path through `Dispatcher::offer`, not to
+/// shed.
+const BACKPRESSURE: [BackpressurePolicy; 3] = [
+    BackpressurePolicy::Block,
+    BackpressurePolicy::DropTail { budget: 4096 },
+    BackpressurePolicy::Inline,
+];
+
+/// What call `k` of a cell injects: nothing, one worker death, one
+/// merger death, in rotation. The worker kill alternates between the
+/// `heads` lane heads, because a whole-flow policy leaves one of the two
+/// lanes idle, where the kill cannot fire. A chain has one head, and its
+/// later stage is not a target here: a head that finishes micro-flows
+/// itself past a dead next hop sends them on its own merge ring under the
+/// tag lane the dead stage used, which the merging counter can read as a
+/// FIFO violation (ROADMAP item 7c).
+fn faults_of_call(k: usize, heads: usize) -> RuntimeFaults {
+    let mut faults = RuntimeFaults::none();
+    // Equality with the serial stream means the merger never flushes, so
+    // the mid-stream flush deadline must be one that no slow unwind can
+    // reach: a dying worker that prints a backtrace in a loaded debug
+    // build takes longer than the default 100 ms to be joined. (End of
+    // stream still flushes whatever is really missing, at once.)
+    faults.flush_timeout_ms = Some(30_000);
+    match k % 3 {
+        1 => {
+            faults.kill = Some(WorkerKill {
+                worker: (k / 3) % heads,
+                after_batches: 1,
+                incarnation: 0,
+            })
+        }
+        2 => {
+            faults.merger_kill = Some(MergerKill {
+                after_offers: 16,
+                incarnation: 0,
+            })
+        }
+        _ => {}
+    }
+    faults
+}
+
+#[test]
+fn every_cell_serves_back_to_back_calls_through_deaths() {
+    let pool = BufPool::for_frames(FRAMES, frame_wire_len(PAYLOAD));
+    let frames = generate_frames_into(&pool, FRAMES, PAYLOAD);
+    let serial = process_serial_stateful(&frames, WORK).digests;
+    let held = pool.in_flight();
+    assert_eq!(held, FRAMES as u64);
+    for policy in PolicyKind::ALL {
+        for mode in MODES {
+            for backpressure in BACKPRESSURE {
+                let cfg = RuntimeConfig {
+                    workers: WORKERS,
+                    batch_size: 8,
+                    policy,
+                    stateful_mode: mode,
+                    stateful_work: WORK,
+                    backpressure,
+                    // The benchmark's supervision settings: a deadline no
+                    // descheduled worker can miss by accident.
+                    heartbeat_interval_ms: Some(1000),
+                    restart_budget: 8,
+                    checkpoint_every: 16,
+                    ..RuntimeConfig::default()
+                };
+                let heads = if policy.stage_groups() >= 2 {
+                    1
+                } else {
+                    WORKERS
+                };
+                let (mut worker_deaths, mut merger_deaths) = (0, 0);
+                for k in 0..CALLS_PER_CELL {
+                    let ctx = format!("{policy}/{mode:?}/{backpressure:?} call {k}");
+                    let out = process_parallel_faulty(&frames, &cfg, &faults_of_call(k, heads))
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_eq!(out.digests, serial, "{ctx}: diverged from serial");
+                    assert_eq!(out.telemetry.residue, 0, "{ctx}");
+                    worker_deaths += out.workers_died;
+                    merger_deaths += out.merger_deaths;
+                    drop(out);
+                    assert_eq!(pool.in_flight(), held, "{ctx}: pool not conserved");
+                }
+                // The deaths did happen, so the calls after them ran on
+                // threads that had just unwound a panic.
+                let ctx = format!("{policy}/{mode:?}/{backpressure:?}");
+                assert!(
+                    worker_deaths >= CALLS_PER_CELL / 6,
+                    "{ctx}: {worker_deaths} worker kills fired"
+                );
+                assert_eq!(merger_deaths, CALLS_PER_CELL / 3, "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrent_callers_share_the_crew() {
+    // Four callers at once: the crew must grow to all their jobs (three
+    // per call in flight together) and never hand one call's job to a
+    // thread another call is still waiting on.
+    let pool = BufPool::for_frames(FRAMES, frame_wire_len(PAYLOAD));
+    let frames = generate_frames_into(&pool, FRAMES, PAYLOAD);
+    let serial = process_serial_stateful(&frames, 0).digests;
+    let cfg = RuntimeConfig {
+        workers: WORKERS,
+        batch_size: 8,
+        ..RuntimeConfig::default()
+    };
+    std::thread::scope(|s| {
+        for caller in 0..4 {
+            let (frames, serial, cfg) = (&frames, &serial, &cfg);
+            s.spawn(move || {
+                for k in 0..500 {
+                    let out = process_parallel(frames, cfg).unwrap();
+                    assert_eq!(&out.digests, serial, "caller {caller} call {k}");
+                }
+            });
+        }
+    });
+    assert_eq!(pool.in_flight(), FRAMES as u64);
+}
