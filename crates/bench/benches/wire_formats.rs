@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mflow_net::checksum::ones_complement_sum;
 use mflow_net::frame::{build_overlay_frame, parse_overlay_frame, OverlayFrameSpec};
 use mflow_net::toeplitz::rss_hash_v4;
-use mflow_runtime::work::{process_batch, process_frame};
+use mflow_runtime::work::{process_frame, process_frames};
 use mflow_runtime::{frame_wire_len, generate_frames};
 
 fn bench_frames(c: &mut Criterion) {
@@ -46,28 +46,33 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parse + verify + checksum + digest over one 32-frame micro-flow, through
-/// the lookahead loop every runtime thread uses.
-fn bench_process_batch(c: &mut Criterion) {
+/// Parse + verify + checksum + digest over one resident 32-frame
+/// micro-flow: the walk every thread that owns all stages uses, which
+/// steps the digests of four frames together, next to the one-frame API
+/// called frame by frame over the same frames. Read it pinned
+/// (`taskset -c 0`).
+fn bench_process_frames(c: &mut Criterion) {
     const BATCH: usize = 32;
-    let mut group = c.benchmark_group("process_batch");
+    let mut group = c.benchmark_group("process_frames");
     group.sample_size(30);
     for payload in [64usize, 1448] {
         let frames = generate_frames(BATCH, payload);
         let mut results = Vec::with_capacity(BATCH);
         group.throughput(Throughput::Bytes((BATCH * frame_wire_len(payload)) as u64));
+        group.bench_with_input(BenchmarkId::new("walk", payload), &frames, |b, frames| {
+            b.iter(|| {
+                results.clear();
+                process_frames(frames, |r| r, &mut results);
+                results.len()
+            })
+        });
         group.bench_with_input(
-            BenchmarkId::from_parameter(payload),
+            BenchmarkId::new("frame_by_frame", payload),
             &frames,
             |b, frames| {
                 b.iter(|| {
                     results.clear();
-                    process_batch(
-                        frames.iter(),
-                        |rest| rest.as_slice().first(),
-                        process_frame,
-                        &mut results,
-                    );
+                    results.extend(frames.iter().map(process_frame));
                     results.len()
                 })
             },
@@ -93,7 +98,7 @@ criterion_group!(
     benches,
     bench_frames,
     bench_checksum,
-    bench_process_batch,
+    bench_process_frames,
     bench_rss
 );
 criterion_main!(benches);

@@ -59,7 +59,7 @@
 //! [`crate::ring`], the userspace analogue of the paper's per-core
 //! packet-request ring buffers: atomic head/tail, spin-then-park
 //! waiting. The micro-flow is the unit of all three; nothing outside
-//! [`process_frame`] is paid per packet:
+//! [`crate::work::process_frame`] is paid per packet:
 //!
 //! * **dispatcher→lane head** carries a 40-byte descriptor `{id, lane,
 //!   range, live}` over the caller's frame slice. Workers are scoped
@@ -169,7 +169,8 @@ use crate::packet::Frame;
 use crate::ring::{self, MuxRecvError, RingConsumer, RingMux, RingProducer, RingSendError};
 use crate::supervise::{HeartbeatBoard, Supervisor};
 use crate::work::{
-    process_batch, process_frame, stage_group_sizes, stateful_stage, PacketResult, StagedWork,
+    complete_staged, process_batch, process_frames, stage_group_sizes, stateful_stage,
+    PacketResult, StagedWork,
 };
 
 /// Inert name for the one transport, the lock-free SPSC request rings
@@ -479,12 +480,7 @@ pub fn process_serial(frames: &[Frame]) -> RunOutput {
 pub fn process_serial_stateful(frames: &[Frame], stateful_work: u32) -> RunOutput {
     let start = Instant::now();
     let mut digests = Vec::new();
-    process_batch(
-        frames.iter(),
-        |rest| rest.as_slice().first(),
-        |f| stateful_stage(process_frame(f), stateful_work),
-        &mut digests,
-    );
+    process_frames(frames, |r| stateful_stage(r, stateful_work), &mut digests);
     RunOutput::new(digests, start.elapsed(), "serial")
 }
 
@@ -531,12 +527,13 @@ struct Run<T> {
 }
 
 impl<T> Run<T> {
-    fn map<U>(self, f: impl FnMut(T) -> U) -> Run<U> {
+    /// The same micro-flow, carrying what `f` makes of its items.
+    fn with_items<U>(self, f: impl FnOnce(Vec<T>) -> Vec<U>) -> Run<U> {
         Run {
             id: self.id,
             lane: self.lane,
             closed: self.closed,
-            items: self.items.into_iter().map(f).collect(),
+            items: f(self.items),
         }
     }
 }
@@ -1501,29 +1498,36 @@ trait StageInput: Send + Sized {
 }
 
 impl MfDesc {
-    /// Runs `work` over the micro-flow's surviving frames, in place in
+    /// Runs `walk` over the micro-flow's surviving frames, in place in
     /// the caller's slice and in order — this thread is the first to
-    /// touch their bytes, hence [`process_batch`]'s one-frame lookahead.
+    /// touch their bytes, so `walk` is one of the loops of
+    /// [`crate::work`] that prefetch ahead of themselves, given the whole
+    /// range at once.
     ///
     /// Planned drops are replayed here, where the frames are read, from
     /// the pure [`RuntimeFaults::drops_packet`]: by construction of the
     /// range only its final frame can close the micro-flow, so every
     /// reader of one descriptor — the lane head, a redispatch target, the
     /// dispatcher's inline path — skips exactly the frames the dispatcher
-    /// counted and logged, once, when it planned the range.
-    fn run<R>(&self, ctx: &WorkerCtx<'_, '_>, mut work: impl FnMut(&Frame) -> R) -> Run<R> {
+    /// counted and logged, once, when it planned the range. A range with
+    /// drops is walked one surviving frame at a time.
+    fn run<R>(
+        &self,
+        ctx: &WorkerCtx<'_, '_>,
+        mut walk: impl FnMut(&[Frame], &mut Vec<R>),
+    ) -> Run<R> {
         let span = &ctx.frames[self.start..self.end];
         let mut items = Vec::with_capacity(self.live);
         // Whether the latest frame survived; after the walk, whether the
         // closing one did.
         let mut closed = true;
         if self.live == span.len() {
-            process_batch(span.iter(), |rest| rest.as_slice().first(), work, &mut items);
+            walk(span, &mut items);
         } else {
             for (k, frame) in span.iter().enumerate() {
                 closed = !ctx.faults.drops_packet(self.id, frame.seq, k + 1 == span.len());
                 if closed {
-                    items.push(work(frame));
+                    walk(std::slice::from_ref(frame), &mut items);
                 }
             }
         }
@@ -1544,15 +1548,17 @@ impl StageInput for MfDesc {
     /// The one place frame handles are still cloned: staged work outlives
     /// this stage, so it must own its buffer.
     fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
-        self.run(ctx, |f| StagedWork::Raw(f.clone()).advance_n(group))
+        let stage = |f: &Frame| StagedWork::Raw(f.clone()).advance_n(group);
+        self.run(ctx, |span, out| process_batch(span, stage, out))
     }
 
     /// Not `advance(STAGES)`: a worker that owns every stage must pay
-    /// what [`process_frame`] costs, and building the enum on the stack
-    /// per frame only to match it apart again measured 4.35 against 4.78
-    /// Mframes/s on `elephant64`.
+    /// what [`crate::work::process_frame`] costs, and building the enum
+    /// on the stack per frame only to match it apart again measured 4.35
+    /// against 4.78 Mframes/s on `elephant64`.
     fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
-        self.run(ctx, |f| apply_scr(process_frame(f), ctx.scr_work))
+        let scr = |r| apply_scr(r, ctx.scr_work);
+        self.run(ctx, |span, out| process_frames(span, scr, out))
     }
 }
 
@@ -1562,11 +1568,18 @@ impl StageInput for StagedRun {
     }
 
     fn advance(self, _: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
-        self.map(|w| w.advance_n(group))
+        self.with_items(|staged| staged.into_iter().map(|w| w.advance_n(group)).collect())
     }
 
+    /// By reference, so that the run's digests go through the same
+    /// lock-step kernel as a lane worker's; the staged items (and with
+    /// them the frame handles) are dropped once every result is out.
     fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
-        self.map(|w| apply_scr(w.complete(), ctx.scr_work))
+        self.with_items(|staged| {
+            let mut results = Vec::new();
+            complete_staged(&staged, |r| apply_scr(r, ctx.scr_work), &mut results);
+            results
+        })
     }
 }
 

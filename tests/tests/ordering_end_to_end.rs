@@ -5,8 +5,10 @@
 use integration_tests::quick;
 use mflow::{try_install, MflowConfig};
 use mflow_netstack::{FlowSpec, PathKind, StackConfig, StackSim};
+use mflow_net::frame::{build_overlay_frame_into, OverlayFrameSpec};
 use mflow_runtime::{
-    generate_frames, process_parallel, process_serial, PolicyKind, RuntimeConfig,
+    frame_wire_len, generate_frames, process_frame, process_parallel, process_serial,
+    stateful_stage, BufPool, Frame, PacketResult, PolicyKind, RuntimeConfig, StatefulMode,
 };
 
 #[test]
@@ -64,6 +66,62 @@ fn every_steering_policy_preserves_byte_exact_order() {
             }
         }
     }
+}
+
+#[test]
+fn unequal_frames_are_delivered_as_the_one_frame_api_computes_them() {
+    // Workers digest each micro-flow in groups of four frames whose
+    // chains advance together over the group's common prefix. Every other
+    // suite sends one payload size per stream, so this one cycles sizes —
+    // empty, sub-word, around a word, around a cache line, MTU — so that
+    // every group is unequal, and checks against the one-frame API rather
+    // than `process_serial`, which shares the grouped walk with the
+    // workers.
+    const SIZES: [usize; 10] = [0, 1, 7, 8, 9, 63, 64, 65, 200, 1448];
+    const WORK: u32 = 3;
+    let n = 4_003;
+    let pool = BufPool::for_frames(n, frame_wire_len(1448));
+    let mut scratch = Vec::new();
+    let frames: Vec<Frame> = (0..n as u64)
+        .map(|seq| {
+            let len = SIZES[seq as usize % SIZES.len()];
+            let payload = (0..len as u64).map(|i| (seq * 31 + i * 7 + 3) as u8).collect();
+            let spec = OverlayFrameSpec::example_tcp(1, seq as u32, payload);
+            build_overlay_frame_into(&spec, &mut scratch);
+            Frame::new(seq, pool.alloc(&scratch))
+        })
+        .collect();
+    let expected: Vec<PacketResult> = frames
+        .iter()
+        .map(|f| stateful_stage(process_frame(f), WORK))
+        .collect();
+    for policy in PolicyKind::ALL {
+        for stateful_mode in StatefulMode::ALL {
+            for batch_size in [5, 32] {
+                let out = process_parallel(
+                    &frames,
+                    &RuntimeConfig {
+                        workers: 3,
+                        batch_size,
+                        queue_depth: 8,
+                        policy,
+                        stateful_mode,
+                        stateful_work: WORK,
+                        ..RuntimeConfig::default()
+                    },
+                )
+                .unwrap();
+                assert_eq!(
+                    out.digests, expected,
+                    "{policy} {stateful_mode:?} batch {batch_size} diverged"
+                );
+                drop(out);
+                assert_eq!(pool.in_flight(), n as u64, "{policy} {stateful_mode:?} leaked");
+            }
+        }
+    }
+    drop(frames);
+    assert_eq!(pool.in_flight(), 0);
 }
 
 #[test]
