@@ -116,6 +116,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A `--policy` / `--chaos-policies` name, or exit 2 naming the valid
+/// ones.
+fn parse_policy(name: &str) -> PolicyKind {
+    PolicyKind::parse(name).unwrap_or_else(|| {
+        let valid = PolicyKind::ALL.map(PolicyKind::name).join(", ");
+        eprintln!("unknown steering policy '{name}' (valid: {valid})");
+        usage()
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         system: System::Mflow,
@@ -292,10 +302,7 @@ fn parse_args() -> Args {
             "--pcap" => args.pcap = Some(value(&mut i)),
             "--policy" => {
                 let v = value(&mut i);
-                args.rt_policy = PolicyKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown steering policy '{v}'");
-                    usage()
-                })
+                args.rt_policy = parse_policy(&v)
             }
             "--restart-budget" => {
                 args.restart_budget = value(&mut i).parse().unwrap_or_else(|_| usage())
@@ -346,12 +353,7 @@ fn parse_args() -> Args {
             "--chaos-policies" => {
                 args.chaos_policies = value(&mut i)
                     .split(',')
-                    .map(|p| {
-                        PolicyKind::parse(p).unwrap_or_else(|| {
-                            eprintln!("unknown steering policy '{p}'");
-                            usage()
-                        })
-                    })
+                    .map(parse_policy)
                     .collect()
             }
             "--bench-transport" => args.bench_transport = true,

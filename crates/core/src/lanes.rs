@@ -66,10 +66,6 @@ impl SteeringPolicy for MflowLanes {
         }
     }
 
-    fn reorders(&self) -> bool {
-        true
-    }
-
     fn observe(&mut self, _mf_id: u64, flow_hash: u32, _lane: usize, packets: usize) {
         self.clock_ns += packets as u64 * SYNTH_NS_PER_SEG;
         self.detector
@@ -91,8 +87,6 @@ mod tests {
         let depths = [0usize; 4];
         let lanes: Vec<usize> = (0..8).map(|mf| p.steer(mf, 1, &depths)).collect();
         assert_eq!(lanes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        assert!(p.reorders());
-        assert_eq!(p.stage_groups(), 0);
     }
 
     #[test]

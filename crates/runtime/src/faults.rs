@@ -138,7 +138,7 @@ pub struct SlowWorker {
 
 /// Fault mix for [`process_parallel_faulty`].
 ///
-/// [`process_parallel_faulty`]: crate::pipeline::process_parallel_faulty
+/// [`process_parallel_faulty`]: crate::process_parallel_faulty
 #[derive(Clone, Debug)]
 pub struct RuntimeFaults {
     /// Seed for all hash-based decisions.
@@ -189,7 +189,7 @@ pub struct RuntimeFaults {
 impl RuntimeFaults {
     /// No faults; the pipeline behaves exactly like [`process_parallel`].
     ///
-    /// [`process_parallel`]: crate::pipeline::process_parallel
+    /// [`process_parallel`]: crate::process_parallel
     pub fn none() -> Self {
         Self {
             seed: 0,

@@ -5,7 +5,7 @@
 //! stays healthy; this module is what keeps it that way. Every worker
 //! slot owns one cache-line-padded atomic epoch counter in a
 //! [`HeartbeatBoard`] and bumps it once per dequeued batch. The
-//! dispatcher's watchdog (in `pipeline`) reads the board between
+//! dispatcher's watchdog (in `run`) reads the board between
 //! micro-flows: an epoch that has not moved past the configured deadline
 //! *while the slot has work queued* is a missed heartbeat, treated
 //! exactly like a ring disconnect — the lane is failed, its retained
@@ -261,9 +261,9 @@ impl Supervisor {
         start: Instant,
         dispatch_done: Instant,
         total_frames: u64,
-    ) -> crate::pipeline::RecoveryRates {
+    ) -> crate::RecoveryRates {
         match self.first_death {
-            None => crate::pipeline::RecoveryRates {
+            None => crate::RecoveryRates {
                 prefault_frames: total_frames,
                 prefault_ns: dispatch_done.duration_since(start).as_nanos() as u64,
                 recovered_frames: 0,
@@ -277,7 +277,7 @@ impl Supervisor {
                     ),
                     None => (0, 0),
                 };
-                crate::pipeline::RecoveryRates {
+                crate::RecoveryRates {
                     prefault_frames: died_frames,
                     prefault_ns: died.duration_since(start).as_nanos() as u64,
                     recovered_frames,

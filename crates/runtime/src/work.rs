@@ -234,7 +234,7 @@ fn digest_chains<const K: usize>(payloads: [&[u8]; K]) -> [u64; K] {
 /// same value no matter which thread runs it — the property that lets
 /// state-compute replication move it from the serial merge stage onto
 /// the parallel lanes without changing the delivered stream
-/// ([`crate::pipeline::RuntimeConfig::stateful_mode`]).
+/// ([`crate::RuntimeConfig::stateful_mode`]).
 ///
 /// `units == 0` is the identity: no stateful work configured.
 pub fn stateful_stage(r: PacketResult, units: u32) -> PacketResult {

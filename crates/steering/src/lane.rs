@@ -8,22 +8,28 @@
 //! half of that split, deliberately small so a policy is just "pick a lane,
 //! hear about what you placed":
 //!
-//! * **RSS** hashes the flow onto a lane — one flow, one lane, forever.
-//! * **RPS** does the same in software but can consult queue depths when a
-//!   flow first appears (the `rps_cpus` mask is configured, not hashed).
-//! * **RFS** follows the consuming application, modelled as the last lane.
+//! * **RPS** pins the stream to one lane, chosen by queue depth when the
+//!   stream first appears (the `rps_cpus` mask is configured, not hashed)
+//!   — the paper's whole-flow comparator. The threaded runtime takes one
+//!   stream per call under one global `seq`, so RSS (the NIC hash picks
+//!   the lane) and RFS (the consuming application's core does) would be
+//!   this same behaviour under two more names; they are policies of the
+//!   simulator only ([`crate::Rss`], [`crate::Rfs`]), where multi-flow
+//!   traffic gives them something to differ on.
 //! * **FALCON** does not fan out at all: every batch enters lane 0 and the
 //!   *stages* of the packet function are pipelined across the workers
-//!   (`stage_groups` reports the chain length).
+//!   ([`PolicyKind::stage_groups`] is the chain length).
 //! * **MFLOW** (implemented in the `mflow` crate, which depends on this
 //!   one) round-robins micro-flows of an elephant flow across all lanes —
 //!   the only policy that interleaves one flow, and therefore the only one
 //!   that *requires* the merging counter to restore order.
 //!
-//! Policies whose `reorders()` is false deliver each flow through a single
-//! FIFO path, so the merge point must observe zero out-of-order arrivals
-//! and zero deadline flushes for them — a property the integration suite
-//! asserts for every implementation here.
+//! Policies whose [`PolicyKind::reorders`] is false deliver the stream
+//! through a single FIFO path, so the merge point must observe zero
+//! out-of-order arrivals and zero deadline flushes for them — a property
+//! the integration suite asserts for every implementation here. Both
+//! properties belong to the kind, not to the trait object: the runtime
+//! derives its wiring from [`PolicyKind`] before any policy is built.
 
 /// Names every steering policy selectable on the runtime datapath
 /// (`mflow_cli --runtime --policy ...`).
@@ -32,13 +38,10 @@ pub enum PolicyKind {
     /// Micro-flow splitting with elephant detection (the paper's system).
     #[default]
     Mflow,
-    /// Software flow steering: pin the flow to a lane chosen at first
-    /// sight (least-loaded), like a configured `rps_cpus` mask.
+    /// Whole-flow steering, the paper's baseline: pin the stream to a
+    /// lane chosen at first sight (least-loaded), like a configured
+    /// `rps_cpus` mask.
     Rps,
-    /// NIC receive-side scaling: hash the flow onto a lane.
-    Rss,
-    /// Receive flow steering: follow the consuming application's lane.
-    Rfs,
     /// FALCON device-level pipelining: 2 stage groups chained across
     /// workers.
     FalconDev,
@@ -49,11 +52,9 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Every selectable policy, in display order.
-    pub const ALL: [PolicyKind; 6] = [
+    pub const ALL: [PolicyKind; 4] = [
         PolicyKind::Mflow,
         PolicyKind::Rps,
-        PolicyKind::Rss,
-        PolicyKind::Rfs,
         PolicyKind::FalconDev,
         PolicyKind::FalconFunc,
     ];
@@ -63,8 +64,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Mflow => "mflow",
             PolicyKind::Rps => "rps",
-            PolicyKind::Rss => "rss",
-            PolicyKind::Rfs => "rfs",
             PolicyKind::FalconDev => "falcon-dev",
             PolicyKind::FalconFunc => "falcon-func",
         }
@@ -86,7 +85,9 @@ impl PolicyKind {
     }
 
     /// Whether the policy can interleave packets of one flow across
-    /// lanes, requiring merge-point reassembly.
+    /// lanes, requiring merge-point reassembly. Non-reordering policies
+    /// are guaranteed zero `ooo` / `flushed` telemetry on a fault-free
+    /// run.
     ///
     /// This is also the axis that decides what state-compute replication
     /// buys: a reordering policy forces the merge point to buffer and
@@ -141,18 +142,6 @@ pub trait SteeringPolicy: Send {
     /// `0..depths.len()`.
     fn steer(&mut self, mf_id: u64, flow_hash: u32, depths: &[usize]) -> usize;
 
-    /// True when the policy can interleave one flow across lanes, so the
-    /// merge point must reorder (and may flush). Non-reordering policies
-    /// are guaranteed zero `ooo` / `flushed` telemetry on a fault-free
-    /// run.
-    fn reorders(&self) -> bool;
-
-    /// Number of pipelined stage groups (FALCON chain length); 0 means
-    /// plain fan-out dispatch.
-    fn stage_groups(&self) -> usize {
-        0
-    }
-
     /// Completion feedback: batch `mf_id` of flow `flow_hash`, sized
     /// `packets`, was placed on `lane`. Called after every successful
     /// dispatch (including inline fallback, with the recovery lane id).
@@ -165,30 +154,18 @@ pub trait SteeringPolicy: Send {
     }
 }
 
-/// RSS on lanes: the NIC hash pins the flow to `flow_hash % lanes`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RssLanes;
-
-impl SteeringPolicy for RssLanes {
-    fn name(&self) -> &'static str {
-        "rss"
-    }
-
-    fn steer(&mut self, _mf_id: u64, flow_hash: u32, depths: &[usize]) -> usize {
-        flow_hash as usize % depths.len().max(1)
-    }
-
-    fn reorders(&self) -> bool {
-        false
-    }
-}
-
-/// RPS on lanes: software steering pins the flow to the least-loaded
-/// lane at first sight (the operator-configured `rps_cpus` choice),
-/// then keeps it there — per-flow FIFO order is preserved.
+/// RPS on lanes: software steering pins *the stream* to the least-loaded
+/// lane at first sight (the operator-configured `rps_cpus` choice), then
+/// keeps it there whatever hash later micro-flows open with. A call's
+/// frames are one stream under one global `seq`, delivered in that
+/// order: re-picking a lane on a changed hash would re-steer the stream
+/// while its earlier micro-flows still sit in the old lane's queue, the
+/// reordering of "Why Does Flow Director Cause Packet Reordering?" —
+/// never re-picking is what makes `PolicyKind::Rps.reorders() == false`
+/// true by construction.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RpsLanes {
-    pinned: Option<(u32, usize)>,
+    pinned: Option<usize>,
 }
 
 impl SteeringPolicy for RpsLanes {
@@ -196,43 +173,14 @@ impl SteeringPolicy for RpsLanes {
         "rps"
     }
 
-    fn steer(&mut self, _mf_id: u64, flow_hash: u32, depths: &[usize]) -> usize {
-        match self.pinned {
-            Some((hash, lane)) if hash == flow_hash => lane,
-            _ => {
-                let lane = depths
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, d)| **d)
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                self.pinned = Some((flow_hash, lane));
-                lane
-            }
-        }
-    }
-
-    fn reorders(&self) -> bool {
-        false
-    }
-}
-
-/// RFS on lanes: steer to where the consuming application runs,
-/// modelled as the highest lane (the user-copy side of the pipeline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RfsLanes;
-
-impl SteeringPolicy for RfsLanes {
-    fn name(&self) -> &'static str {
-        "rfs"
-    }
-
     fn steer(&mut self, _mf_id: u64, _flow_hash: u32, depths: &[usize]) -> usize {
-        depths.len().saturating_sub(1)
-    }
-
-    fn reorders(&self) -> bool {
-        false
+        *self.pinned.get_or_insert_with(|| {
+            depths
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, d)| **d)
+                .map_or(0, |(i, _)| i)
+        })
     }
 }
 
@@ -242,7 +190,6 @@ impl SteeringPolicy for RfsLanes {
 /// = 3).
 #[derive(Clone, Copy, Debug)]
 pub struct FalconLanes {
-    groups: usize,
     name: &'static str,
 }
 
@@ -250,7 +197,6 @@ impl FalconLanes {
     /// Device-level pipelining: [parse+checksum | digest].
     pub fn device() -> Self {
         Self {
-            groups: PolicyKind::FalconDev.stage_groups(),
             name: PolicyKind::FalconDev.name(),
         }
     }
@@ -258,7 +204,6 @@ impl FalconLanes {
     /// Function-level pipelining: [parse | checksum | digest].
     pub fn function() -> Self {
         Self {
-            groups: PolicyKind::FalconFunc.stage_groups(),
             name: PolicyKind::FalconFunc.name(),
         }
     }
@@ -272,14 +217,6 @@ impl SteeringPolicy for FalconLanes {
     fn steer(&mut self, _mf_id: u64, _flow_hash: u32, _depths: &[usize]) -> usize {
         0
     }
-
-    fn reorders(&self) -> bool {
-        false
-    }
-
-    fn stage_groups(&self) -> usize {
-        self.groups
-    }
 }
 
 /// Builds the baseline lane policy for `kind`; `None` for
@@ -289,8 +226,6 @@ pub fn build_baseline(kind: PolicyKind) -> Option<Box<dyn SteeringPolicy>> {
     match kind {
         PolicyKind::Mflow => None,
         PolicyKind::Rps => Some(Box::new(RpsLanes::default())),
-        PolicyKind::Rss => Some(Box::new(RssLanes)),
-        PolicyKind::Rfs => Some(Box::new(RfsLanes)),
         PolicyKind::FalconDev => Some(Box::new(FalconLanes::device())),
         PolicyKind::FalconFunc => Some(Box::new(FalconLanes::function())),
     }
@@ -323,8 +258,6 @@ mod tests {
         for kind in PolicyKind::ALL {
             if let Some(p) = build_baseline(kind) {
                 assert_eq!(p.name(), kind.name());
-                assert_eq!(p.reorders(), kind.reorders());
-                assert_eq!(p.stage_groups(), kind.stage_groups());
             } else {
                 assert_eq!(kind, PolicyKind::Mflow);
             }
@@ -344,7 +277,7 @@ mod tests {
     #[test]
     fn non_reordering_policies_keep_a_flow_on_one_lane() {
         let depths = [3usize, 0, 1, 2];
-        for kind in [PolicyKind::Rss, PolicyKind::Rps, PolicyKind::Rfs] {
+        for kind in PolicyKind::ALL.into_iter().filter(|k| !k.reorders()) {
             let mut p = build_baseline(kind).unwrap();
             let first = p.steer(0, 0xdead_beef, &depths);
             for mf in 1..64 {
@@ -363,10 +296,13 @@ mod tests {
     fn rps_pins_least_loaded_at_first_sight() {
         let mut p = RpsLanes::default();
         assert_eq!(p.steer(0, 7, &[3, 0, 1]), 1);
-        // Depths changed, flow stays pinned.
+        // Depths changed, stream stays pinned.
         assert_eq!(p.steer(1, 7, &[0, 9, 1]), 1);
-        // A different flow re-picks.
-        assert_eq!(p.steer(2, 8, &[0, 9, 1]), 0);
+        // Any hash sequence stays on the first lane: a changed hash is
+        // the same stream, not a reason to re-steer it mid-queue.
+        for (mf, hash) in (2..).zip([8, 7, 0, u32::MAX, 8, 1 << 16]) {
+            assert_eq!(p.steer(mf, hash, &[0, 9, 1]), 1, "hash {hash:#x}");
+        }
     }
 
     #[test]
@@ -375,7 +311,7 @@ mod tests {
         let mut func = FalconLanes::function();
         assert_eq!(dev.steer(0, 1, &[1, 2, 3]), 0);
         assert_eq!(func.steer(0, 1, &[1, 2, 3]), 0);
-        assert_eq!(dev.stage_groups(), 2);
-        assert_eq!(func.stage_groups(), 3);
+        assert_eq!(PolicyKind::FalconDev.stage_groups(), 2);
+        assert_eq!(PolicyKind::FalconFunc.stage_groups(), 3);
     }
 }

@@ -17,9 +17,7 @@ pub mod rps;
 pub mod rss;
 
 pub use falcon::{Falcon, FalconLevel};
-pub use lane::{
-    build_baseline, FalconLanes, PolicyKind, RfsLanes, RpsLanes, RssLanes, SteeringPolicy,
-};
+pub use lane::{build_baseline, FalconLanes, PolicyKind, RpsLanes, SteeringPolicy};
 pub use rfs::Rfs;
 pub use rps::Rps;
 pub use rss::Rss;

@@ -8,13 +8,12 @@
 //! `Inline` (and with `Block`) nothing is ever lost and the delivered
 //! stream is bit-identical to the serial run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use integration_tests::assert_strictly_increasing;
+use integration_tests::Cell;
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, process_serial, BackpressurePolicy, Frame, LaneStall,
-    RunOutput, RuntimeConfig, RuntimeFaults,
+    generate_frames, BackpressurePolicy, Frame, LaneStall, RunOutput, RuntimeConfig, RuntimeFaults,
 };
 
 /// A fault plan that stalls worker 0 before every batch — the sustained
@@ -26,49 +25,31 @@ fn stalled_lane(ms: u64) -> RuntimeFaults {
     faults
 }
 
-/// Checks the universal part of the contract: ordered, duplicate-free,
-/// digest-correct output, and every missing sequence number attributed
-/// to a shed or flushed micro-flow. Returns the micro-flow ids shed.
-fn check_accounting(frames: &[Frame], batch_size: usize, out: &RunOutput) -> BTreeSet<u64> {
-    let serial = process_serial(frames);
-    let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-    assert_strictly_increasing(&out.digests, "check_accounting");
-    for r in &out.digests {
-        assert_eq!(reference.get(&r.seq), Some(&r.digest), "digest mismatch at {}", r.seq);
-    }
-    assert_eq!(out.telemetry.residue, 0, "items left parked in the merger");
+/// Runs `cfg` under `faults` through the universal contract
+/// ([`Cell::run`]: ordered, duplicate-free, digest-correct, every missing
+/// packet attributed) and this suite's part of it: nothing but shedding
+/// removes a packet, and whole batches only. Returns the output and the
+/// micro-flow ids shed.
+fn run_accounted(
+    frames: &[Frame],
+    cfg: RuntimeConfig,
+    faults: &RuntimeFaults,
+) -> (RunOutput, BTreeSet<u64>) {
+    let out = Cell::new(cfg).run(frames, faults);
     assert_eq!(
         out.digests.len() as u64 + out.telemetry.shed,
         frames.len() as u64,
         "packets neither delivered nor shed"
     );
-    assert!(
-        out.telemetry.lane_depths.iter().all(|&d| d == 0),
-        "stale end-of-run lane depths: {:?}",
-        out.telemetry.lane_depths
-    );
-
     // With no packet-level faults the dispatcher's batching is exact:
-    // micro-flow of seq `s` is `s / batch_size`. Every missing packet
-    // must belong to a shed micro-flow, and that micro-flow must also be
-    // flushed or simply absent from delivery — never half-delivered.
+    // micro-flow of seq `s` is `s / batch_size`. A shed micro-flow
+    // delivers nothing — never half-delivered.
     let shed_mfs: BTreeSet<u64> = out.sheds.iter().map(|&(id, _)| id).collect();
-    let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
-    for seq in 0..frames.len() as u64 {
-        if !present.contains(&seq) {
-            let mf = seq / batch_size as u64;
-            assert!(
-                shed_mfs.contains(&mf),
-                "seq {seq} vanished without its micro-flow {mf} being shed"
-            );
-        }
-    }
-    // Whole batches only: a shed micro-flow delivers nothing.
     for r in &out.digests {
-        let mf = r.seq / batch_size as u64;
+        let mf = r.seq / cfg.batch_size as u64;
         assert!(!shed_mfs.contains(&mf), "micro-flow {mf} was shed yet partially delivered");
     }
-    shed_mfs
+    (out, shed_mfs)
 }
 
 #[test]
@@ -83,9 +64,7 @@ fn drop_tail_sheds_on_the_stalled_lane_and_accounts_every_packet() {
         inline_fallback: false,
         ..RuntimeConfig::default()
     };
-    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(10)).unwrap();
-
-    let shed_mfs = check_accounting(&frames, cfg.batch_size, &out);
+    let (out, shed_mfs) = run_accounted(&frames, cfg, &stalled_lane(10));
     assert!(out.telemetry.shed > 0, "a 10 ms/batch stall never tripped the watermark");
     assert!(out.backpressure_events > 0);
     assert_eq!(out.block_fallbacks, 0, "unlimited budget must never fall back to blocking");
@@ -111,7 +90,6 @@ fn drop_tail_sheds_on_the_stalled_lane_and_accounts_every_packet() {
 #[test]
 fn inline_under_sustained_stall_is_exact_in_order_and_dupfree() {
     let frames = generate_frames(2000, 64);
-    let serial = process_serial(&frames);
     let cfg = RuntimeConfig {
         workers: 3,
         batch_size: 16,
@@ -121,8 +99,8 @@ fn inline_under_sustained_stall_is_exact_in_order_and_dupfree() {
         inline_fallback: false,
         ..RuntimeConfig::default()
     };
-    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(5)).unwrap();
-    assert_eq!(out.digests, serial.digests, "inline fallback lost, reordered or duplicated");
+    // Exactly the serial stream: inline lost, reordered, duplicated nothing.
+    let out = Cell::new(cfg).run_exact(&frames, &stalled_lane(5));
     assert_eq!(out.telemetry.shed, 0);
     assert!(out.inline_batches > 0, "the stall never pushed a batch inline");
     assert!(out.telemetry.inline >= out.inline_batches, "inline batches must carry packets");
@@ -142,8 +120,7 @@ fn drop_tail_budget_exhaustion_falls_back_inline_when_asked() {
         inline_fallback: true,
         ..RuntimeConfig::default()
     };
-    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(10)).unwrap();
-    check_accounting(&frames, cfg.batch_size, &out);
+    let (out, _) = run_accounted(&frames, cfg, &stalled_lane(10));
     assert!(out.telemetry.shed <= budget, "shed past the budget");
     assert!(
         out.inline_batches > 0,
@@ -165,8 +142,7 @@ fn drop_tail_without_fallback_blocks_after_budget_and_loses_nothing_more() {
         inline_fallback: false,
         ..RuntimeConfig::default()
     };
-    let out = process_parallel_faulty(&frames, &cfg, &stalled_lane(2)).unwrap();
-    check_accounting(&frames, cfg.batch_size, &out);
+    let (out, _) = run_accounted(&frames, cfg, &stalled_lane(2));
     assert!(out.telemetry.shed <= budget);
     if out.telemetry.shed == budget {
         assert!(out.block_fallbacks > 0, "budget gone, pressure still on, never blocked");
@@ -177,7 +153,6 @@ fn drop_tail_without_fallback_blocks_after_budget_and_loses_nothing_more() {
 fn slow_consumer_with_block_policy_stays_lossless() {
     use mflow_runtime::SlowWorker;
     let frames = generate_frames(4000, 64);
-    let serial = process_serial(&frames);
     let cfg = RuntimeConfig {
         workers: 4,
         batch_size: 32,
@@ -190,8 +165,7 @@ fn slow_consumer_with_block_policy_stays_lossless() {
     let mut faults = RuntimeFaults::none();
     faults.slow_worker = Some(SlowWorker { worker: 1, per_batch_us: 200 });
     faults.flush_timeout_ms = Some(250);
-    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-    assert_eq!(out.digests, serial.digests);
+    let out = Cell::new(cfg).run_exact(&frames, &faults);
     assert_eq!(out.telemetry.shed, 0);
     assert_eq!(out.inline_batches, 0);
 }

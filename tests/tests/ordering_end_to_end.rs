@@ -2,14 +2,32 @@
 //! through the byte-level runtime (real threads, real frames) and through
 //! the simulator, asserting the paper's §III-B correctness claims.
 
-use integration_tests::quick;
+use integration_tests::{for_each_cell, quick};
 use mflow::{try_install, MflowConfig};
 use mflow_netstack::{FlowSpec, PathKind, StackConfig, StackSim};
 use mflow_net::frame::{build_overlay_frame_into, OverlayFrameSpec};
 use mflow_runtime::{
     frame_wire_len, generate_frames, process_frame, process_parallel, process_serial,
-    stateful_stage, BufPool, Frame, PacketResult, PolicyKind, RuntimeConfig, StatefulMode,
+    stateful_stage, BackpressurePolicy, BufPool, Frame, PacketResult, RuntimeConfig, RuntimeFaults,
 };
+
+/// `n` frames whose payload sizes cycle through `sizes` and whose flow is
+/// `flow_of(seq)`, numbered in order in one pool.
+fn build_frames(n: usize, sizes: &[usize], flow_of: impl Fn(u64) -> u64) -> (BufPool, Vec<Frame>) {
+    let max = sizes.iter().copied().max().unwrap_or(0);
+    let pool = BufPool::for_frames(n, frame_wire_len(max));
+    let mut scratch = Vec::new();
+    let frames = (0..n as u64)
+        .map(|seq| {
+            let len = sizes[seq as usize % sizes.len()];
+            let payload = (0..len as u64).map(|i| (seq * 31 + i * 7 + 3) as u8).collect();
+            let spec = OverlayFrameSpec::example_tcp(flow_of(seq), seq as u32, payload);
+            build_overlay_frame_into(&spec, &mut scratch);
+            Frame::new(seq, pool.alloc(&scratch))
+        })
+        .collect();
+    (pool, frames)
+}
 
 #[test]
 fn real_threads_preserve_byte_exact_order() {
@@ -35,35 +53,45 @@ fn every_steering_policy_preserves_byte_exact_order() {
     // The policy-pluggable datapath contract: whatever steers the lanes
     // — whole-flow pinning, stage chaining, or micro-flow splitting —
     // the delivered stream on a benign run is byte-identical to the
-    // serial one, and policies that never interleave a flow must show a
-    // merge path that never engaged.
-    let frames = generate_frames(6_000, 256);
-    let serial = process_serial(&frames);
+    // serial one, and policies that never interleave the stream must
+    // show a merge path that never engaged.
+    //
+    // Two inputs. One flow, as every generator produces. And five flows
+    // interleaved in 32-frame blocks under the one global `seq` — what a
+    // capture replayed through `frames_from_pcap` looks like: a call is
+    // one stream delivered in `seq` order whatever its frames hash to,
+    // so a policy that re-steers on a changed hash while the previous
+    // block still sits in the old lane's queue delivers out of order
+    // ("Why Does Flow Director Cause Packet Reordering?", PAPERS.md).
+    let one_flow = generate_frames(6_000, 256);
+    let (_pool, five_flows) = build_frames(4_096, &[64], |seq| 1 + seq / 32 % 5);
     // Every worker count up to 4, so the chain policies run at each
     // depth they can take: `falcon-func` 1, 2 (stage groups `[2, 1]`)
     // and 3; `falcon-dev` 1 and 2.
-    for policy in PolicyKind::ALL {
+    for (frames, batch_size) in [(&one_flow, 64), (&five_flows, 32)] {
         for workers in 1..=4 {
-            let out = process_parallel(
-                &frames,
-                &RuntimeConfig {
-                    workers,
-                    batch_size: 64,
-                    queue_depth: 8,
-                    policy,
-                    ..RuntimeConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(out.digests, serial.digests, "{policy} w={workers} diverged");
-            assert_eq!(out.telemetry.policy, policy.name());
-            if !policy.reorders() {
-                assert_eq!(out.telemetry.ooo, 0, "{policy} w={workers} must not reorder");
-                assert!(
-                    out.flushed_mfs.is_empty(),
-                    "{policy} w={workers} flushed micro-flows on a benign run"
-                );
-            }
+            let base = RuntimeConfig {
+                workers,
+                batch_size,
+                queue_depth: 8,
+                ..RuntimeConfig::default()
+            };
+            for_each_cell(base, |cell| {
+                let ctx = format!("{} w={workers}", cell.label);
+                let out = cell.run_exact(frames, &RuntimeFaults::none());
+                assert_eq!(out.telemetry.policy, cell.cfg.policy.name());
+                // Passthrough is the unperturbed case: under the other
+                // two backpressure policies the merge engine is engaged
+                // for every steering policy, inline lanes and all.
+                let passthrough = cell.cfg.backpressure == BackpressurePolicy::Block;
+                if !cell.cfg.policy.reorders() && passthrough {
+                    assert_eq!(out.telemetry.ooo, 0, "{ctx} must not reorder");
+                    assert!(
+                        out.flushed_mfs.is_empty(),
+                        "{ctx} flushed micro-flows on a benign run"
+                    );
+                }
+            });
         }
     }
 }
@@ -80,45 +108,23 @@ fn unequal_frames_are_delivered_as_the_one_frame_api_computes_them() {
     const SIZES: [usize; 10] = [0, 1, 7, 8, 9, 63, 64, 65, 200, 1448];
     const WORK: u32 = 3;
     let n = 4_003;
-    let pool = BufPool::for_frames(n, frame_wire_len(1448));
-    let mut scratch = Vec::new();
-    let frames: Vec<Frame> = (0..n as u64)
-        .map(|seq| {
-            let len = SIZES[seq as usize % SIZES.len()];
-            let payload = (0..len as u64).map(|i| (seq * 31 + i * 7 + 3) as u8).collect();
-            let spec = OverlayFrameSpec::example_tcp(1, seq as u32, payload);
-            build_overlay_frame_into(&spec, &mut scratch);
-            Frame::new(seq, pool.alloc(&scratch))
-        })
-        .collect();
+    let (pool, frames) = build_frames(n, &SIZES, |_| 1);
     let expected: Vec<PacketResult> = frames
         .iter()
         .map(|f| stateful_stage(process_frame(f), WORK))
         .collect();
-    for policy in PolicyKind::ALL {
-        for stateful_mode in StatefulMode::ALL {
-            for batch_size in [5, 32] {
-                let out = process_parallel(
-                    &frames,
-                    &RuntimeConfig {
-                        workers: 3,
-                        batch_size,
-                        queue_depth: 8,
-                        policy,
-                        stateful_mode,
-                        stateful_work: WORK,
-                        ..RuntimeConfig::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    out.digests, expected,
-                    "{policy} {stateful_mode:?} batch {batch_size} diverged"
-                );
-                drop(out);
-                assert_eq!(pool.in_flight(), n as u64, "{policy} {stateful_mode:?} leaked");
-            }
-        }
+    for batch_size in [5, 32] {
+        let base = RuntimeConfig {
+            workers: 3,
+            batch_size,
+            queue_depth: 8,
+            stateful_work: WORK,
+            ..RuntimeConfig::default()
+        };
+        for_each_cell(base, |cell| {
+            let out = cell.run_exact(&frames, &RuntimeFaults::none());
+            assert_eq!(out.digests, expected, "{} batch {batch_size} diverged", cell.label);
+        });
     }
     drop(frames);
     assert_eq!(pool.in_flight(), 0);

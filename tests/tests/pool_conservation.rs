@@ -10,13 +10,10 @@
 //! so ordering and content are proven under the exact conditions that
 //! stress the pool.
 
-use std::collections::BTreeMap;
-
-use integration_tests::assert_strictly_increasing;
+use integration_tests::{for_each_cell, Cell};
 use mflow_runtime::{
-    frame_wire_len, generate_frames_into, process_parallel, process_parallel_faulty,
-    process_serial, BackpressurePolicy, BufPool, MergerKill, PolicyKind, RuntimeConfig,
-    RuntimeFaults, WorkerKill,
+    frame_wire_len, generate_frames_into, process_parallel, process_serial, BackpressurePolicy,
+    BufPool, MergerKill, RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 
 const PAYLOAD: usize = 128;
@@ -37,31 +34,21 @@ fn assert_pool_drained(pool: &BufPool, ctx: &str) {
 #[test]
 fn clean_runs_conserve_the_pool_and_match_serial() {
     let n = 4096;
-    for policy in [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc] {
-        let ctx = format!("{policy:?}");
+    let base = RuntimeConfig {
+        workers: 4,
+        batch_size: 16,
+        queue_depth: 8,
+        ..RuntimeConfig::default()
+    };
+    for_each_cell(base, |cell| {
         let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
         let frames = generate_frames_into(&pool, n, PAYLOAD);
-        let serial = process_serial(&frames);
-        let cfg = RuntimeConfig {
-            workers: 4,
-            batch_size: 16,
-            queue_depth: 8,
-            policy,
-            ..RuntimeConfig::default()
-        };
-        let out = process_parallel(&frames, &cfg).unwrap();
-        assert_eq!(
-            out.digests, serial.digests,
-            "{ctx}: parallel output diverged from serial reference"
-        );
-        assert!(
-            pool.in_flight() >= n as u64,
-            "{ctx}: frames still alive must hold their slots"
-        );
-        drop(out);
+        // Equal to serial, with the frames still holding their slots and
+        // nothing else held: `run_exact` checks all three.
+        cell.run_exact(&frames, &RuntimeFaults::none());
         drop(frames);
-        assert_pool_drained(&pool, &ctx);
-    }
+        assert_pool_drained(&pool, &cell.label);
+    });
 }
 
 #[test]
@@ -106,10 +93,8 @@ fn chaos_kills_conserve_the_pool() {
         incarnation: 0,
     });
     faults.flush_timeout_ms = Some(40);
-    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    let out = Cell::new(cfg).run(&frames, &faults);
     assert_eq!(out.workers_died, workers, "{ctx}: every kill must fire");
-    assert_strictly_increasing(&out.digests, ctx);
-    drop(out);
     drop(frames);
     assert_pool_drained(&pool, ctx);
 }
@@ -121,37 +106,32 @@ fn every_backpressure_policy_conserves_the_pool() {
     // processes them on the dispatcher. All three must return every
     // slot. The tiny queue plus a low watermark forces engagement.
     let n = 8192;
-    let policies = [
-        BackpressurePolicy::Block,
-        BackpressurePolicy::DropTail { budget: 2048 },
-        BackpressurePolicy::Inline,
-    ];
-    for backpressure in policies {
-        let ctx = format!("{backpressure:?}");
+    let base = RuntimeConfig {
+        workers: 2,
+        batch_size: 16,
+        queue_depth: 2,
+        high_watermark: Some(1),
+        // The lattice's `DropTail` cell sheds up to this budget, then
+        // goes inline.
+        backpressure: BackpressurePolicy::DropTail { budget: 2048 },
+        inline_fallback: true,
+        ..RuntimeConfig::default()
+    };
+    for_each_cell(base, |cell| {
         let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
         let frames = generate_frames_into(&pool, n, PAYLOAD);
-        let cfg = RuntimeConfig {
-            workers: 2,
-            batch_size: 16,
-            queue_depth: 2,
-            high_watermark: Some(1),
-            backpressure,
-            inline_fallback: true,
-            ..RuntimeConfig::default()
-        };
-        let out = process_parallel(&frames, &cfg).unwrap();
-        assert_strictly_increasing(&out.digests, &ctx);
-        if matches!(backpressure, BackpressurePolicy::Block | BackpressurePolicy::Inline) {
+        let out = cell.run(&frames, &RuntimeFaults::none());
+        if !matches!(cell.cfg.backpressure, BackpressurePolicy::DropTail { .. }) {
             assert_eq!(
                 out.digests.len(),
                 n,
-                "{ctx}: lossless policies must deliver every packet"
+                "{}: lossless policies must deliver every packet",
+                cell.label
             );
         }
-        drop(out);
         drop(frames);
-        assert_pool_drained(&pool, &ctx);
-    }
+        assert_pool_drained(&pool, &cell.label);
+    });
 }
 
 #[test]
@@ -163,9 +143,6 @@ fn duplicate_and_late_microflows_conserve_the_pool() {
     let ctx = "dup/late";
     let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));
     let frames = generate_frames_into(&pool, n, PAYLOAD);
-    let serial = process_serial(&frames);
-    let reference: BTreeMap<u64, u64> =
-        serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
     let cfg = RuntimeConfig {
         workers: 4,
         batch_size: 32,
@@ -179,17 +156,8 @@ fn duplicate_and_late_microflows_conserve_the_pool() {
         late_by: 3,
         ..RuntimeFaults::none()
     };
-    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-    assert_eq!(out.digests.len(), n, "{ctx}: dup/late faults must not lose packets");
-    for r in &out.digests {
-        assert_eq!(
-            reference.get(&r.seq),
-            Some(&r.digest),
-            "{ctx}: digest mismatch at seq {}",
-            r.seq
-        );
-    }
-    drop(out);
+    // Dup/late faults must not lose packets: the serial stream, exactly.
+    Cell::new(cfg).run_exact(&frames, &faults);
     drop(frames);
     assert_pool_drained(&pool, ctx);
 }

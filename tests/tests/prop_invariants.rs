@@ -255,9 +255,9 @@ proptest! {
 
 mod backpressure_accounting {
     use super::*;
+    use integration_tests::{cell, CELLS};
     use mflow_runtime::{
-        generate_frames, process_parallel_faulty, BackpressurePolicy, LaneStall, PolicyKind,
-        RuntimeConfig, RuntimeFaults,
+        generate_frames, BackpressurePolicy, LaneStall, RuntimeConfig, RuntimeFaults,
     };
 
     proptest! {
@@ -270,60 +270,40 @@ mod backpressure_accounting {
             batch in 1usize..48,
             depth in 1usize..4,
             watermark in 1usize..4,
-            policy_sel in 0usize..3,
-            steer_sel in 0usize..6,
+            cell_ix in 0usize..CELLS,
         ) {
             // Pressure a lane with a sustained stall and check the
             // conservation law of the overload model: every offered
             // packet ends up delivered, shed (whole micro-flows, with a
             // lane attributed), or inside a flushed micro-flow — under
             // Block, DropTail and Inline alike, over every steering policy
-            // (pinned, chained, or splitting).
-            let policy = match policy_sel {
-                0 => BackpressurePolicy::Block,
-                1 => BackpressurePolicy::DropTail { budget: u64::MAX },
-                _ => BackpressurePolicy::Inline,
-            };
-            let steering = PolicyKind::ALL[steer_sel];
+            // (pinned, chained, or splitting) and both stateful modes.
+            // `Cell::run` checks the law; what follows is this suite's.
             let frames = generate_frames(n, 32);
-            let cfg = RuntimeConfig {
-                workers,
-                batch_size: batch,
-                queue_depth: depth,
-                backpressure: policy,
-                high_watermark: Some(watermark.min(depth)),
-                inline_fallback: false,
-                policy: steering,
-                ..RuntimeConfig::default()
-            };
+            let cell = cell(
+                RuntimeConfig {
+                    workers,
+                    batch_size: batch,
+                    queue_depth: depth,
+                    backpressure: BackpressurePolicy::DropTail { budget: u64::MAX },
+                    high_watermark: Some(watermark.min(depth)),
+                    inline_fallback: false,
+                    ..RuntimeConfig::default()
+                },
+                cell_ix,
+            );
+            let (policy, steering) = (cell.cfg.backpressure, cell.cfg.policy);
             let mut faults = RuntimeFaults::none();
             faults.lane_stall = Some(LaneStall { worker: 0, ms: 1 });
             faults.flush_timeout_ms = Some(100);
-            let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+            let out = cell.run(&frames, &faults);
 
-            // Conservation: nothing vanishes unaccounted.
+            // Nothing but shedding removes a packet here.
             prop_assert_eq!(
                 out.digests.len() as u64 + out.telemetry.shed,
                 n as u64,
                 "delivered + shed != offered"
             );
-            let shed_mfs: std::collections::BTreeSet<u64> =
-                out.sheds.iter().map(|&(id, _)| id).collect();
-            let present: std::collections::BTreeSet<u64> =
-                out.digests.iter().map(|r| r.seq).collect();
-            for seq in 0..n as u64 {
-                if !present.contains(&seq) {
-                    let mf = seq / batch as u64;
-                    prop_assert!(
-                        shed_mfs.contains(&mf),
-                        "seq {} missing but micro-flow {} never shed",
-                        seq, mf
-                    );
-                }
-            }
-            for pair in out.digests.windows(2) {
-                prop_assert!(pair[0].seq < pair[1].seq, "inversion or duplicate");
-            }
             // Lossless policies must not shed, period.
             if !matches!(policy, BackpressurePolicy::DropTail { .. }) {
                 prop_assert_eq!(out.telemetry.shed, 0);
@@ -340,10 +320,6 @@ mod backpressure_accounting {
                 && matches!(policy, BackpressurePolicy::Block)
             {
                 prop_assert_eq!(out.telemetry.ooo, 0, "pinned policy raced at merge");
-            }
-            // No phantom load left behind in the occupancy counters.
-            for (i, &d) in out.telemetry.lane_depths.iter().enumerate() {
-                prop_assert_eq!(d, 0, "stale end-of-run depth on lane {}", i);
             }
         }
     }

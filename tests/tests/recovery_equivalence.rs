@@ -14,19 +14,12 @@
 //! `merger_depth` far above the frame count: the in-flight window can
 //! never cross the pump's high-water mark.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use integration_tests::assert_strictly_increasing;
+use integration_tests::{for_each_cell, Cell};
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, process_serial_stateful, FaultEvent, FaultLog,
-    MergerKill, PolicyKind, RuntimeConfig, RuntimeFaults, ScrReconciler, StatefulMode, WorkerKill,
+    generate_frames, process_parallel_faulty, FaultEvent, FaultLog, MergerKill, RuntimeConfig,
+    RuntimeFaults, ScrReconciler, WorkerKill,
 };
 use proptest::prelude::*;
-
-const MODES: [StatefulMode; 2] = [
-    StatefulMode::MergeBeforeTcp,
-    StatefulMode::StateComputeReplication,
-];
 
 /// Checkpoint interval small enough that the kill points land several
 /// windows in, so a restore that replayed more than one window would be
@@ -41,14 +34,12 @@ const WORK: u32 = 8;
 /// `merger_depth / 2 = 4096` exceeds any frame count used here, so
 /// `sent - recvd` cannot reach the pump's threshold and every journaled
 /// offer is attributable to a merger incarnation's write-ahead append.
-fn pump_idle_cfg(policy: PolicyKind, mode: StatefulMode) -> RuntimeConfig {
+fn pump_idle_cfg() -> RuntimeConfig {
     RuntimeConfig {
         workers: 4,
         batch_size: 16,
         queue_depth: 4,
         merger_depth: 8192,
-        policy,
-        stateful_mode: mode,
         stateful_work: WORK,
         heartbeat_interval_ms: Some(25),
         restart_budget: 32,
@@ -77,58 +68,42 @@ fn double_kill() -> RuntimeFaults {
 
 #[test]
 fn killed_runs_match_benign_runs_across_the_full_matrix() {
-    // 6 policies x 2 stateful modes: byte-identical
-    // ordered delivery with and without the merger kills, both deaths
-    // healed, and every restore inside one checkpoint window.
+    // Every cell: byte-identical ordered delivery with and without the
+    // merger kills (both are the serial stream), both deaths healed, and
+    // every restore inside one checkpoint window.
     let frames = generate_frames(2_000, 64);
-    let serial = process_serial_stateful(&frames, WORK);
-    for mode in MODES {
-        for policy in PolicyKind::ALL {
-            let cfg = pump_idle_cfg(policy, mode);
-            let benign = process_parallel_faulty(&frames, &cfg, &RuntimeFaults::none())
-                .unwrap_or_else(|e| panic!("benign {policy}/{mode:?}: {e}"));
-            let killed = process_parallel_faulty(&frames, &cfg, &double_kill())
-                .unwrap_or_else(|e| panic!("killed {policy}/{mode:?}: {e}"));
-            assert_eq!(
-                killed.digests, benign.digests,
-                "delivery diverged after merger kills ({policy}/{mode:?})"
-            );
-            assert_eq!(
-                benign.digests, serial.digests,
-                "benign run diverged from the serial reference \
-                 ({policy}/{mode:?})"
-            );
-            assert_eq!(killed.merger_deaths, 2, "{policy}/{mode:?}");
-            assert!(
-                killed.telemetry.merger_restarts >= 2,
-                "both deaths must be healed ({policy}/{mode:?})"
-            );
-            assert_eq!(killed.telemetry.residue, 0);
-            // The strict recovery bound: each restore replays at most
-            // the one window journaled since the last checkpoint.
-            let bound = CHECKPOINT_EVERY * (killed.telemetry.merger_restarts + 1);
-            assert!(
-                killed.telemetry.restore_replayed_offers <= bound,
-                "replayed {} offers, bound {bound} ({policy}/{mode:?})",
-                killed.telemetry.restore_replayed_offers
-            );
-            assert!(
-                killed.telemetry.restore_replayed_offers >= 2,
-                "each journaled fatal offer must be replayed \
-                 ({policy}/{mode:?})"
-            );
-            assert!(killed.checkpoints > 0, "{policy}/{mode:?}");
-            // Benign supervised runs pay checkpoints but never restore.
-            assert_eq!(benign.telemetry.restore_replayed_offers, 0);
-            assert_eq!(benign.merger_deaths, 0);
-        }
-    }
+    for_each_cell(pump_idle_cfg(), |cell| {
+        let ctx = &cell.label;
+        let benign = cell.run_exact(&frames, &RuntimeFaults::none());
+        let killed = cell.run_exact(&frames, &double_kill());
+        assert_eq!(killed.merger_deaths, 2, "{ctx}");
+        assert!(
+            killed.telemetry.merger_restarts >= 2,
+            "both deaths must be healed ({ctx})"
+        );
+        // The strict recovery bound: each restore replays at most
+        // the one window journaled since the last checkpoint.
+        let bound = CHECKPOINT_EVERY * (killed.telemetry.merger_restarts + 1);
+        assert!(
+            killed.telemetry.restore_replayed_offers <= bound,
+            "replayed {} offers, bound {bound} ({ctx})",
+            killed.telemetry.restore_replayed_offers
+        );
+        assert!(
+            killed.telemetry.restore_replayed_offers >= 2,
+            "each journaled fatal offer must be replayed ({ctx})"
+        );
+        assert!(killed.checkpoints > 0, "{ctx}");
+        // Benign supervised runs pay checkpoints but never restore.
+        assert_eq!(benign.telemetry.restore_replayed_offers, 0, "{ctx}");
+        assert_eq!(benign.merger_deaths, 0, "{ctx}");
+    });
 }
 
 #[test]
 fn fault_log_records_the_merger_lifecycle() {
     let frames = generate_frames(2_000, 64);
-    let cfg = pump_idle_cfg(PolicyKind::Mflow, StatefulMode::MergeBeforeTcp);
+    let cfg = pump_idle_cfg();
     let log = FaultLog::new();
     let mut faults = double_kill();
     faults.log = Some(log.clone());
@@ -173,41 +148,12 @@ fn fault_log_records_the_merger_lifecycle() {
     );
 }
 
-/// Mirrors the dispatcher's batching walk so lost packets can be
-/// attributed (same helper as `supervision.rs`).
-fn replay_dispatch(
-    n: usize,
-    batch_size: usize,
-    faults: &RuntimeFaults,
-) -> (BTreeSet<u64>, BTreeMap<u64, u64>) {
-    let mut dropped = BTreeSet::new();
-    let mut mf_of = BTreeMap::new();
-    let mut mf_id = 0u64;
-    let mut len = 0usize;
-    for i in 0..n {
-        let seq = i as u64;
-        let last = len + 1 == batch_size || i + 1 == n;
-        if faults.drops_packet(mf_id, seq, last) {
-            dropped.insert(seq);
-        } else {
-            len += 1;
-            mf_of.insert(seq, mf_id);
-        }
-        if last {
-            mf_id += 1;
-            len = 0;
-        }
-    }
-    (dropped, mf_of)
-}
-
 #[test]
 fn conservation_balances_through_simultaneous_worker_and_merger_deaths() {
     // Worker kills (which genuinely lose in-flight packets, bounded by
     // the death window) and merger kills (which must lose nothing) in
     // the same run: the ledger has to balance across both domains.
     let frames = generate_frames(3_000, 64);
-    let cfg = pump_idle_cfg(PolicyKind::Mflow, StatefulMode::MergeBeforeTcp);
     let mut faults = double_kill();
     for worker in [0usize, 2] {
         faults.kills.push(WorkerKill {
@@ -217,44 +163,9 @@ fn conservation_balances_through_simultaneous_worker_and_merger_deaths() {
         });
     }
     faults.flush_timeout_ms = Some(40);
-    let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-    let serial = process_serial_stateful(&frames, WORK);
-    let reference: BTreeMap<u64, u64> =
-        serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-
-    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+    let out = Cell::new(pump_idle_cfg()).run(&frames, &faults);
     assert_eq!(out.merger_deaths, 2);
     assert_eq!(out.workers_died, 2);
-
-    assert_strictly_increasing(&out.digests, "worker+merger kills");
-    for r in &out.digests {
-        assert_eq!(
-            reference.get(&r.seq),
-            Some(&r.digest),
-            "digest mismatch at seq {}",
-            r.seq
-        );
-    }
-    assert_eq!(out.telemetry.residue, 0);
-
-    let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
-    let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-    let mut unattributed = BTreeSet::new();
-    for seq in 0..frames.len() as u64 {
-        if present.contains(&seq) || dropped.contains(&seq) {
-            continue;
-        }
-        if !flushed.contains(&mf_of[&seq]) {
-            unattributed.insert(mf_of[&seq]);
-        }
-    }
-    let window = (cfg.queue_depth + 2) * out.workers_died;
-    assert!(
-        unattributed.len() <= window,
-        "{} micro-flows lost without attribution \
-         ({window}-batch death window): {unattributed:?}",
-        unattributed.len()
-    );
 }
 
 #[test]
@@ -264,41 +175,26 @@ fn degraded_paths_still_deliver_the_benign_stream() {
     // serial merge) must still deliver byte-identically — a merger death
     // never costs packets, only parallelism.
     let frames = generate_frames(2_000, 64);
-    for mode in MODES {
-        let supervised = pump_idle_cfg(PolicyKind::Mflow, mode);
-        let benign =
-            process_parallel_faulty(&frames, &supervised, &RuntimeFaults::none()).unwrap();
-
-        let mut one_kill = RuntimeFaults::none();
-        one_kill.merger_kill = Some(MergerKill {
-            after_offers: 100,
-            incarnation: 0,
+    let mut one_kill = RuntimeFaults::none();
+    one_kill.merger_kill = Some(MergerKill {
+        after_offers: 100,
+        incarnation: 0,
+    });
+    let unsupervised = RuntimeConfig {
+        heartbeat_interval_ms: None,
+        restart_budget: 0,
+        ..pump_idle_cfg()
+    };
+    let no_budget = RuntimeConfig {
+        restart_budget: 0,
+        ..pump_idle_cfg()
+    };
+    for degraded in [unsupervised, no_budget] {
+        for_each_cell(degraded, |cell| {
+            let out = cell.run_exact(&frames, &one_kill);
+            assert_eq!(out.merger_deaths, 1, "{}", cell.label);
+            assert_eq!(out.telemetry.merger_restarts, 0, "{}", cell.label);
         });
-
-        let unsupervised = RuntimeConfig {
-            heartbeat_interval_ms: None,
-            restart_budget: 0,
-            ..supervised
-        };
-        let out = process_parallel_faulty(&frames, &unsupervised, &one_kill).unwrap();
-        assert_eq!(
-            out.digests, benign.digests,
-            "unsupervised degradation diverged ({mode:?})"
-        );
-        assert_eq!(out.merger_deaths, 1);
-        assert_eq!(out.telemetry.merger_restarts, 0);
-
-        let no_budget = RuntimeConfig {
-            restart_budget: 0,
-            ..supervised
-        };
-        let out = process_parallel_faulty(&frames, &no_budget, &one_kill).unwrap();
-        assert_eq!(
-            out.digests, benign.digests,
-            "budget-exhausted degradation diverged ({mode:?})"
-        );
-        assert_eq!(out.merger_deaths, 1);
-        assert_eq!(out.telemetry.merger_restarts, 0);
     }
 }
 

@@ -10,109 +10,13 @@
 //! plan, belongs to a micro-flow the merger reports having flushed, or
 //! sits in the bounded in-flight window a dead worker can take with it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use integration_tests::assert_strictly_increasing;
+use integration_tests::{for_each_cell, replay_dispatch, Cell};
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, process_serial, BackpressurePolicy, FaultEvent,
     FaultLog, Frame, MflowError, PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
 };
-
-/// Replays the dispatcher's batching walk to predict, from the seed
-/// alone, which packets the fault plan deletes at dispatch and which
-/// micro-flow every surviving packet is tagged into. Must mirror the
-/// dispatcher exactly: drops shift batch boundaries because batches close
-/// on *retained* length.
-fn replay_dispatch(
-    n: usize,
-    batch_size: usize,
-    faults: &RuntimeFaults,
-) -> (BTreeSet<u64>, BTreeMap<u64, u64>) {
-    let mut dropped = BTreeSet::new();
-    let mut mf_of = BTreeMap::new();
-    let mut mf_id = 0u64;
-    let mut len = 0usize;
-    for i in 0..n {
-        let seq = i as u64;
-        let last = len + 1 == batch_size || i + 1 == n;
-        if faults.drops_packet(mf_id, seq, last) {
-            dropped.insert(seq);
-        } else {
-            len += 1;
-            mf_of.insert(seq, mf_id);
-        }
-        if last {
-            mf_id += 1;
-            len = 0;
-        }
-    }
-    (dropped, mf_of)
-}
-
-/// Runs the faulty pipeline and checks the full degradation contract
-/// against the serial reference. Returns the run output for extra,
-/// scenario-specific assertions.
-fn check_degraded(
-    frames: &[Frame],
-    cfg: &RuntimeConfig,
-    faults: &RuntimeFaults,
-) -> mflow_runtime::RunOutput {
-    let serial = process_serial(frames);
-    let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-    let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, faults);
-
-    let out = process_parallel_faulty(frames, cfg, faults).unwrap();
-
-    // Strictly ordered and duplicate-free, every digest correct.
-    assert_strictly_increasing(&out.digests, "check_degraded");
-    for r in &out.digests {
-        assert_eq!(
-            reference.get(&r.seq),
-            Some(&r.digest),
-            "digest mismatch at seq {}",
-            r.seq
-        );
-    }
-    assert_eq!(out.telemetry.residue, 0, "items left parked in the merger");
-
-    // Every missing packet is attributable: planned drop, flushed
-    // micro-flow, or (for a killed worker) a batch inside the bounded
-    // in-flight window that died with the worker and was never seen by
-    // the merger.
-    let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
-    let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-    let mut unattributed_mfs = BTreeSet::new();
-    for seq in 0..frames.len() as u64 {
-        if present.contains(&seq) || dropped.contains(&seq) {
-            continue;
-        }
-        let mf = *mf_of.get(&seq).expect("surviving packet must have a tag");
-        if !flushed.contains(&mf) {
-            unattributed_mfs.insert(mf);
-        }
-    }
-    let window = if out.workers_died > 0 {
-        (cfg.queue_depth + 2) * out.workers_died
-    } else {
-        0
-    };
-    assert!(
-        unattributed_mfs.len() <= window,
-        "{} micro-flows lost without attribution ({}-batch death window): {:?}",
-        unattributed_mfs.len(),
-        window,
-        unattributed_mfs
-    );
-    // Dead or alive, every lane's depth counter must read zero once the
-    // run is over: live lanes drained, dead lanes were zeroed when the
-    // death was discovered (the stale-counter bugfix under test).
-    assert!(
-        out.telemetry.lane_depths.iter().all(|&d| d == 0),
-        "stale end-of-run lane depths {:?}",
-        out.telemetry.lane_depths
-    );
-    out
-}
 
 #[test]
 fn stress_matrix_survives_loss_dups_lates_stalls_and_a_killed_worker() {
@@ -142,7 +46,7 @@ fn stress_matrix_survives_loss_dups_lates_stalls_and_a_killed_worker() {
             flush_timeout_ms: Some(40),
             ..RuntimeFaults::none()
         };
-        let out = check_degraded(&frames, &cfg, &faults);
+        let out = Cell::new(cfg).run(&frames, &faults);
         assert!(
             out.workers_died <= 1,
             "config {:?}: only one worker was told to die",
@@ -172,7 +76,7 @@ fn killed_worker_is_reported_and_its_queue_redispatched() {
         incarnation: 0,
     });
     faults.flush_timeout_ms = Some(40);
-    let out = check_degraded(&frames, &cfg, &faults);
+    let out = Cell::new(cfg).run(&frames, &faults);
     // With ~37 batches headed at the doomed lane the kill always
     // fires, and the dispatcher always hits the dead channel after.
     assert_eq!(out.workers_died, 1);
@@ -197,7 +101,7 @@ fn losing_every_batch_closer_flushes_every_microflow_exactly() {
     // alone, keeping the run fully deterministic.
     faults.flush_timeout_ms = Some(2000);
     let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-    let out = check_degraded(&frames, &cfg, &faults);
+    let out = Cell::new(cfg).run(&frames, &faults);
 
     // Exactly the batch closers were deleted, nothing else missing.
     let expected: Vec<u64> = (0..frames.len() as u64)
@@ -256,7 +160,7 @@ fn planned_drops_replayed_off_the_dispatcher_are_exact_and_counted_once() {
         };
         let (dropped, _) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
         assert!(dropped.len() > 300, "the plan must drop a real share");
-        let out = check_degraded(&frames, &cfg, &faults);
+        let out = Cell::new(cfg).run(&frames, &faults);
 
         let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
         let expected: Vec<u64> = (0..frames.len() as u64)
@@ -304,7 +208,7 @@ fn duplicated_microflows_are_rejected_and_output_is_exact() {
     let mut faults = RuntimeFaults::none();
     faults.dup_mf_rate = 1.0;
     faults.flush_timeout_ms = Some(2000);
-    let out = check_degraded(&frames, &cfg, &faults);
+    let out = Cell::new(cfg).run(&frames, &faults);
     assert_eq!(out.digests, serial.digests);
     assert_eq!(
         out.telemetry.dup + out.telemetry.late,
@@ -316,39 +220,36 @@ fn duplicated_microflows_are_rejected_and_output_is_exact() {
 
 #[test]
 fn degradation_contract_holds_under_every_policy() {
-    // Loss, duplication, late redispatch and a killed worker, under each
-    // steering policy: whole-flow pinning concentrates everything on one
-    // lane, FALCON chains route it through every worker in sequence, and
-    // MFLOW spreads it — the attribution contract must hold regardless.
+    // Loss, duplication, late redispatch and a killed worker, in every
+    // cell: whole-flow pinning concentrates everything on one lane,
+    // FALCON chains route it through every worker in sequence, and MFLOW
+    // spreads it — the attribution contract must hold regardless.
     let frames = generate_frames(1_500, 64);
-    for policy in PolicyKind::ALL {
-        let cfg = RuntimeConfig {
-            workers: 3,
-            batch_size: 16,
-            queue_depth: 4,
-            policy,
-            ..RuntimeConfig::default()
-        };
-        let faults = RuntimeFaults {
-            seed: 0xF00D,
-            drop_rate: 0.01,
-            drop_last_rate: 0.03,
-            dup_mf_rate: 0.05,
-            late_mf_rate: 0.05,
-            late_by: 2,
-            kill: Some(WorkerKill {
-                worker: 0,
-                after_batches: 5,
-                incarnation: 0,
-            }),
-            flush_timeout_ms: Some(40),
-            ..RuntimeFaults::none()
-        };
-        let out = check_degraded(&frames, &cfg, &faults);
-        // A pinned policy may leave worker 0 idle, in which case the
-        // kill never fires; at most the one doomed worker dies.
-        assert!(out.workers_died <= 1, "{policy}: more deaths than injected");
-    }
+    let base = RuntimeConfig {
+        workers: 3,
+        batch_size: 16,
+        queue_depth: 4,
+        ..RuntimeConfig::default()
+    };
+    let faults = RuntimeFaults {
+        seed: 0xF00D,
+        drop_rate: 0.01,
+        drop_last_rate: 0.03,
+        dup_mf_rate: 0.05,
+        late_mf_rate: 0.05,
+        late_by: 2,
+        kill: Some(WorkerKill {
+            worker: 0,
+            after_batches: 5,
+            incarnation: 0,
+        }),
+        flush_timeout_ms: Some(40),
+        ..RuntimeFaults::none()
+    };
+    for_each_cell(base, |cell| {
+        let out = cell.run(&frames, &faults);
+        assert!(out.workers_died <= 1, "{}: more deaths than injected", cell.label);
+    });
 }
 
 #[test]
@@ -392,7 +293,7 @@ fn losing_every_worker_errs_on_fan_out_and_goes_inline_on_a_chain() {
     // the tail goes first, the head last.
     for (workers, kills) in [(1, &[(0, 2)][..]), (3, &[(2, 2), (1, 4), (0, 8)][..])] {
         let (cfg, faults) = run(PolicyKind::FalconFunc, workers, kills);
-        let out = check_degraded(&frames, &cfg, &faults);
+        let out = Cell::new(cfg).run(&frames, &faults);
         assert_eq!(out.workers_died, workers, "w={workers}: every chain worker dies");
         assert!(out.inline_batches > 0, "w={workers}: the dispatcher takes over");
         assert_eq!(

@@ -14,10 +14,10 @@
 //! dead lane: the kill calls below are the regression test for the
 //! teardown pass that runs such a lane's retained window inline.
 
+use integration_tests::for_each_cell;
 use mflow_runtime::{
-    frame_wire_len, generate_frames_into, process_parallel, process_parallel_faulty,
-    process_serial_stateful, BackpressurePolicy, BufPool, MergerKill, PolicyKind, RuntimeConfig,
-    RuntimeFaults, StatefulMode, WorkerKill,
+    frame_wire_len, generate_frames_into, process_parallel, process_serial_stateful, BufPool,
+    MergerKill, RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 
 const FRAMES: usize = 46;
@@ -28,21 +28,6 @@ const WORKERS: usize = 2;
 const WORK: u32 = 8;
 const CALLS_PER_CELL: usize = 30;
 
-const MODES: [StatefulMode; 2] = [
-    StatefulMode::MergeBeforeTcp,
-    StatefulMode::StateComputeReplication,
-];
-
-/// Six micro-flows never fill a lane (`queue_depth` 8), so no overload
-/// policy ever engages: the axis is here because the lattice has it and
-/// each policy takes its own path through `Dispatcher::offer`, not to
-/// shed.
-const BACKPRESSURE: [BackpressurePolicy; 3] = [
-    BackpressurePolicy::Block,
-    BackpressurePolicy::DropTail { budget: 4096 },
-    BackpressurePolicy::Inline,
-];
-
 /// What call `k` of a cell injects: nothing, one worker death, one
 /// merger death, in rotation. The worker kill alternates between the
 /// `heads` lane heads, because a whole-flow policy leaves one of the two
@@ -50,7 +35,7 @@ const BACKPRESSURE: [BackpressurePolicy; 3] = [
 /// later stage is not a target here: a head that finishes micro-flows
 /// itself past a dead next hop sends them on its own merge ring under the
 /// tag lane the dead stage used, which the merging counter can read as a
-/// FIFO violation (ROADMAP item 7c).
+/// FIFO violation (ROADMAP item 2a).
 fn faults_of_call(k: usize, heads: usize) -> RuntimeFaults {
     let mut faults = RuntimeFaults::none();
     // Equality with the serial stream means the merger never flushes, so
@@ -82,54 +67,45 @@ fn faults_of_call(k: usize, heads: usize) -> RuntimeFaults {
 fn every_cell_serves_back_to_back_calls_through_deaths() {
     let pool = BufPool::for_frames(FRAMES, frame_wire_len(PAYLOAD));
     let frames = generate_frames_into(&pool, FRAMES, PAYLOAD);
-    let serial = process_serial_stateful(&frames, WORK).digests;
-    let held = pool.in_flight();
-    assert_eq!(held, FRAMES as u64);
-    for policy in PolicyKind::ALL {
-        for mode in MODES {
-            for backpressure in BACKPRESSURE {
-                let cfg = RuntimeConfig {
-                    workers: WORKERS,
-                    batch_size: 8,
-                    policy,
-                    stateful_mode: mode,
-                    stateful_work: WORK,
-                    backpressure,
-                    // The benchmark's supervision settings: a deadline no
-                    // descheduled worker can miss by accident.
-                    heartbeat_interval_ms: Some(1000),
-                    restart_budget: 8,
-                    checkpoint_every: 16,
-                    ..RuntimeConfig::default()
-                };
-                let heads = if policy.stage_groups() >= 2 {
-                    1
-                } else {
-                    WORKERS
-                };
-                let (mut worker_deaths, mut merger_deaths) = (0, 0);
-                for k in 0..CALLS_PER_CELL {
-                    let ctx = format!("{policy}/{mode:?}/{backpressure:?} call {k}");
-                    let out = process_parallel_faulty(&frames, &cfg, &faults_of_call(k, heads))
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    assert_eq!(out.digests, serial, "{ctx}: diverged from serial");
-                    assert_eq!(out.telemetry.residue, 0, "{ctx}");
-                    worker_deaths += out.workers_died;
-                    merger_deaths += out.merger_deaths;
-                    drop(out);
-                    assert_eq!(pool.in_flight(), held, "{ctx}: pool not conserved");
-                }
-                // The deaths did happen, so the calls after them ran on
-                // threads that had just unwound a panic.
-                let ctx = format!("{policy}/{mode:?}/{backpressure:?}");
-                assert!(
-                    worker_deaths >= CALLS_PER_CELL / 6,
-                    "{ctx}: {worker_deaths} worker kills fired"
-                );
-                assert_eq!(merger_deaths, CALLS_PER_CELL / 3, "{ctx}");
-            }
+    assert_eq!(pool.in_flight(), FRAMES as u64);
+    // Six micro-flows never fill a lane (`queue_depth` 8), so no overload
+    // policy ever engages: the backpressure axis is walked because each
+    // policy takes its own path through `Dispatcher::offer`, not to shed.
+    let base = RuntimeConfig {
+        workers: WORKERS,
+        batch_size: 8,
+        stateful_work: WORK,
+        // The benchmark's supervision settings: a deadline no
+        // descheduled worker can miss by accident.
+        heartbeat_interval_ms: Some(1000),
+        restart_budget: 8,
+        checkpoint_every: 16,
+        ..RuntimeConfig::default()
+    };
+    for_each_cell(base, |cell| {
+        let heads = if cell.cfg.policy.stage_groups() >= 2 {
+            1
+        } else {
+            WORKERS
+        };
+        let (mut worker_deaths, mut merger_deaths) = (0, 0);
+        for k in 0..CALLS_PER_CELL {
+            // In position on every call, and the pool holding exactly the
+            // caller's frames after it: `run_exact` checks both.
+            let out = cell.run_exact(&frames, &faults_of_call(k, heads));
+            worker_deaths += out.workers_died;
+            merger_deaths += out.merger_deaths;
         }
-    }
+        // The deaths did happen, so the calls after them ran on
+        // threads that had just unwound a panic.
+        let ctx = &cell.label;
+        assert!(
+            worker_deaths >= CALLS_PER_CELL / 6,
+            "{ctx}: {worker_deaths} worker kills fired"
+        );
+        assert_eq!(merger_deaths, CALLS_PER_CELL / 3, "{ctx}");
+    });
+    assert_eq!(pool.in_flight(), FRAMES as u64);
 }
 
 #[test]

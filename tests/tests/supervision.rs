@@ -9,13 +9,12 @@
 //! missing packet is attributable, and the supervisor's accounting
 //! (restarts, respawned vs abandoned) matches what actually happened.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use integration_tests::assert_strictly_increasing;
+use integration_tests::{cell, Cell, CELLS};
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, process_serial, FaultLog, Frame, MergerKill,
-    PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
+    generate_frames, process_parallel_faulty, FaultLog, Frame, MergerKill, PolicyKind,
+    RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 use proptest::prelude::*;
 
@@ -34,37 +33,8 @@ fn supervised_cfg(policy: PolicyKind) -> RuntimeConfig {
     }
 }
 
-/// Replays the dispatcher's batching walk to predict which packets the
-/// fault plan deletes at dispatch and which micro-flow every surviving
-/// packet is tagged into (mirrors `tests/runtime_faults.rs`).
-fn replay_dispatch(
-    n: usize,
-    batch_size: usize,
-    faults: &RuntimeFaults,
-) -> (BTreeSet<u64>, BTreeMap<u64, u64>) {
-    let mut dropped = BTreeSet::new();
-    let mut mf_of = BTreeMap::new();
-    let mut mf_id = 0u64;
-    let mut len = 0usize;
-    for i in 0..n {
-        let seq = i as u64;
-        let last = len + 1 == batch_size || i + 1 == n;
-        if faults.drops_packet(mf_id, seq, last) {
-            dropped.insert(seq);
-        } else {
-            len += 1;
-            mf_of.insert(seq, mf_id);
-        }
-        if last {
-            mf_id += 1;
-            len = 0;
-        }
-    }
-    (dropped, mf_of)
-}
-
 /// Runs the supervised pipeline and checks the full degradation
-/// contract against the serial reference, plus supervisor bookkeeping:
+/// contract ([`Cell::run`]), plus supervisor bookkeeping:
 /// every death is classified as either respawned or abandoned, and the
 /// restart counter equals the respawn count.
 fn check_supervised(
@@ -72,48 +42,7 @@ fn check_supervised(
     cfg: &RuntimeConfig,
     faults: &RuntimeFaults,
 ) -> mflow_runtime::RunOutput {
-    let serial = process_serial(frames);
-    let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-    let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, faults);
-
-    let out = process_parallel_faulty(frames, cfg, faults).unwrap();
-
-    assert_strictly_increasing(&out.digests, "check_supervised");
-    for r in &out.digests {
-        assert_eq!(
-            reference.get(&r.seq),
-            Some(&r.digest),
-            "digest mismatch at seq {}",
-            r.seq
-        );
-    }
-    assert_eq!(out.telemetry.residue, 0, "items left parked in the merger");
-
-    let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
-    let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-    let mut unattributed = BTreeSet::new();
-    for seq in 0..frames.len() as u64 {
-        if present.contains(&seq) || dropped.contains(&seq) {
-            continue;
-        }
-        let mf = *mf_of.get(&seq).expect("surviving packet must have a tag");
-        if !flushed.contains(&mf) {
-            unattributed.insert(mf);
-        }
-    }
-    let window = (cfg.queue_depth + 2) * out.workers_died;
-    assert!(
-        unattributed.len() <= window,
-        "{} micro-flows lost without attribution ({}-batch death window): {:?}",
-        unattributed.len(),
-        window,
-        unattributed
-    );
-    assert!(
-        out.telemetry.lane_depths.iter().all(|&d| d == 0),
-        "stale end-of-run lane depths {:?}",
-        out.telemetry.lane_depths
-    );
+    let out = Cell::new(*cfg).run(frames, faults);
 
     // Supervisor bookkeeping: every death has exactly one disposition,
     // and `restarts` counts the respawns.
@@ -364,31 +293,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Conservation and per-lane FIFO survive arbitrary restart
-    /// schedules: any mix of kills across slots and incarnations, under
-    /// any policy and restart budget (including zero — the
+    /// schedules: any mix of kills across slots and incarnations, in
+    /// any cell and restart budget (including zero — the
     /// budget-exhausted inline-degradation path).
     #[test]
     fn conservation_holds_under_random_restart_schedules(
         seed in any::<u64>(),
-        policy_ix in 0usize..PolicyKind::ALL.len(),
+        cell_ix in 0usize..CELLS,
         workers in 2usize..=4,
         batch_size in 8usize..=24,
         budget_ix in 0usize..4,
         kill_points in prop::collection::vec((0usize..4, 2u64..8, 0u64..2), 1..5),
     ) {
-        let policy = PolicyKind::ALL[policy_ix];
         let budget = [0u32, 1, 2, 16][budget_ix];
-        let cfg = RuntimeConfig {
-            workers,
-            batch_size,
-            queue_depth: 4,
-            policy,
-            heartbeat_interval_ms: Some(25),
-            restart_budget: budget,
-            restart_backoff_ms: 1,
-            ..RuntimeConfig::default()
-        };
-        let slots = policy.worker_slots(workers);
+        let cfg = cell(
+            RuntimeConfig {
+                workers,
+                batch_size,
+                queue_depth: 4,
+                heartbeat_interval_ms: Some(25),
+                restart_budget: budget,
+                restart_backoff_ms: 1,
+                ..RuntimeConfig::default()
+            },
+            cell_ix,
+        )
+        .cfg;
+        let slots = cfg.policy.worker_slots(workers);
         let mut faults = RuntimeFaults::none();
         for (slot, after_batches, incarnation) in kill_points {
             faults.kills.push(WorkerKill {
