@@ -3,9 +3,11 @@
 //! runtime's per-frame work over a batch of them, and the Toeplitz RSS
 //! hash — the raw per-packet costs the simulator's cost model abstracts.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mflow_net::checksum::ones_complement_sum;
-use mflow_net::frame::{build_overlay_frame, parse_overlay_frame, OverlayFrameSpec};
+use mflow_net::frame::{
+    build_overlay_frame, parse_overlay_frame, parse_overlay_frame_ref, OverlayFrameSpec,
+};
 use mflow_net::toeplitz::rss_hash_v4;
 use mflow_runtime::work::{process_frame, process_frames};
 use mflow_runtime::{frame_wire_len, generate_frames};
@@ -27,16 +29,23 @@ fn bench_frames(c: &mut Criterion) {
             &frame,
             |b, frame| b.iter(|| parse_overlay_frame(frame).unwrap().payload.len()),
         );
+        // The borrowed walk every worker runs per frame; the ID above
+        // also pays for an owned copy of the payload.
+        group.bench_with_input(
+            BenchmarkId::new("parse_verify_ref", payload),
+            &frame,
+            |b, frame| b.iter(|| parse_overlay_frame_ref(black_box(frame)).unwrap().payload.len()),
+        );
     }
     group.finish();
 }
 
 /// The checksum kernel alone, over a cache-resident payload: compute,
-/// not memory.
+/// not memory. 20 bytes is a header — under one 32-byte block.
 fn bench_checksum(c: &mut Criterion) {
     let mut group = c.benchmark_group("checksum");
     group.sample_size(30);
-    for len in [64usize, 1448] {
+    for len in [20usize, 64, 1448] {
         let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
         group.throughput(Throughput::Bytes(len as u64));
         group.bench_with_input(BenchmarkId::from_parameter(len), &payload, |b, payload| {

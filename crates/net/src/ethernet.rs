@@ -43,6 +43,7 @@ pub enum EtherType {
 }
 
 impl From<u16> for EtherType {
+    #[inline]
     fn from(v: u16) -> Self {
         match v {
             0x0800 => EtherType::Ipv4,
@@ -83,22 +84,19 @@ impl EthernetHeader {
     }
 
     /// Parses a header from the front of `buf`, returning it and the rest.
+    #[inline(always)]
     pub fn parse(buf: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if buf.len() < Self::LEN {
+        let Some((h, rest)) = buf.split_first_chunk::<{ Self::LEN }>() else {
             return Err(ParseError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&buf[0..6]);
-        src.copy_from_slice(&buf[6..12]);
-        let ethertype = u16::from_be_bytes([buf[12], buf[13]]).into();
+        };
+        let [d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5, t0, t1] = *h;
         Ok((
             Self {
-                dst: MacAddr(dst),
-                src: MacAddr(src),
-                ethertype,
+                dst: MacAddr([d0, d1, d2, d3, d4, d5]),
+                src: MacAddr([s0, s1, s2, s3, s4, s5]),
+                ethertype: u16::from_be_bytes([t0, t1]).into(),
             },
-            &buf[Self::LEN..],
+            rest,
         ))
     }
 }

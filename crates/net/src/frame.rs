@@ -270,23 +270,27 @@ pub fn parse_overlay_frame(frame: &[u8]) -> Result<ParsedOverlay, ParseError> {
     parse_overlay_frame_ref(frame).map(|r| r.to_parsed())
 }
 
-/// Parses and fully verifies an overlay frame without copying: outer IP
-/// checksum, outer UDP checksum, tunnel header (VXLAN or Geneve, selected
-/// by the outer UDP destination port), inner IP checksum, inner transport
-/// checksum. The returned payload borrows from `frame`.
+/// Parses and fully verifies an overlay frame without copying or
+/// allocating: outer IP checksum, outer UDP checksum, tunnel header (VXLAN
+/// or Geneve, selected by the outer UDP destination port), inner IP
+/// checksum, inner transport checksum. The returned payload borrows from
+/// `frame`.
 ///
 /// The transport payload is the bulk of both the outer UDP and the inner
-/// TCP/UDP checksum, so it is summed once: the headers are walked down to
-/// it first, and each verification adds its own pseudo-header and header
-/// words — and the outer one the tunnel and inner headers in between — to
-/// that one sum. Both checksums still cover exactly the bytes the wire
-/// format says they cover.
+/// TCP/UDP checksum, so it is summed once, and nothing is folded until a
+/// verdict is due: the headers are walked down to the payload first, and
+/// each verification adds the lanes of its own pseudo-header and header
+/// words — and the outer one those of the tunnel and inner headers in
+/// between — to that one lane sum ([`checksum::lane_sum`]). Both
+/// checksums still cover exactly the bytes the wire format says they
+/// cover.
 ///
 /// Errors keep the precedence of verifying layer by layer, outside in: a
 /// bad outer UDP checksum is reported before anything wrong inside it.
 ///
 /// This is the byte-level ground truth the simulator's decapsulation stage
 /// models the cost of.
+#[inline]
 pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> {
     let (outer_eth, rest) = EthernetHeader::parse(frame)?;
     if outer_eth.ethertype != EtherType::Ipv4 {
@@ -297,106 +301,79 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
         return Err(ParseError::Malformed("outer protocol"));
     }
     let (outer_udp, rest) = UdpHeader::parse(rest)?;
-    let udp_payload_len = outer_udp.length as usize - UdpHeader::LEN;
-    if rest.len() < udp_payload_len {
+    let Some(udp_payload) = rest.get(..outer_udp.length as usize - UdpHeader::LEN) else {
         return Err(ParseError::Truncated);
-    }
-    let udp_payload = &rest[..udp_payload_len];
-
-    // An error found on the way down to the transport payload: there is
-    // no payload sum to share yet, so the outer checksum gets a pass of
-    // its own, and still speaks first.
-    let inner_error = |e: ParseError| {
-        if outer_udp.verify(outer_ip.src, outer_ip.dst, udp_payload) {
-            e
-        } else {
-            ParseError::BadChecksum("outer udp")
-        }
     };
-    // The transport payload found (`len` bytes at the front of
-    // `after_header`): sums it, settles the outer UDP checksum with that
-    // sum, and hands the sum on for the inner checksum. The outer UDP
-    // payload is header prefix ++ payload ++ trailer, where the prefix is
-    // whole headers of even length (tunnel 8 + 4n, Ethernet 14, IPv4
-    // 4·IHL, TCP 20 or UDP 8), so the payload starts on a word boundary;
-    // the trailer is whatever follows an inner UDP datagram shorter than
-    // its packet — nothing, for TCP and for every frame this crate
-    // builds — and a run of bytes that starts at an odd offset
-    // contributes its sum byte-swapped (RFC 1071 §2(B)).
-    let sum_payload = |after_header: &[u8], len: usize| {
-        let start = udp_payload.len() - after_header.len();
-        let (prefix, payload) = udp_payload.split_at(start);
-        let (payload, trailer) = payload.split_at(len);
-        let payload_sum = checksum::ones_complement_sum(payload, 0);
-        let mut trailer_sum = 0;
-        if !trailer.is_empty() {
-            trailer_sum = checksum::ones_complement_sum(trailer, 0);
-            if len % 2 == 1 {
-                trailer_sum = (trailer_sum as u16).swap_bytes() as u32;
-            }
-        }
-        let outer_sum = checksum::ones_complement_sum(prefix, payload_sum + trailer_sum);
-        if outer_udp.verify_summed(outer_ip.src, outer_ip.dst, outer_sum) {
-            Ok(payload_sum)
-        } else {
-            Err(ParseError::BadChecksum("outer udp"))
-        }
-    };
+    let (outer_src, outer_dst) = (outer_ip.src, outer_ip.dst);
+    let inner_error = |e| outer_speaks_first(outer_udp, outer_src, outer_dst, udp_payload, e);
 
-    let (vni, inner) = match outer_udp.dst_port {
+    // The outer UDP payload is header prefix ++ payload ++ trailer, where
+    // the prefix is whole headers of even length (tunnel 8 + 4n, Ethernet
+    // 14, IPv4 4·IHL, TCP 20 or UDP 8), so each header and the payload
+    // start on a word boundary and their lane sums add.
+    let (vni, tunnel_lanes, inner) = match outer_udp.dst_port {
         VXLAN_PORT => {
             let (vxlan, inner) = VxlanHeader::parse(udp_payload).map_err(inner_error)?;
-            (vxlan.vni, inner)
+            (vxlan.vni, header_lanes(udp_payload, inner), inner)
         }
         GENEVE_PORT => {
-            let (geneve, inner) = GeneveHeader::parse(udp_payload).map_err(inner_error)?;
-            (geneve.vni, inner)
+            let (vni, inner) = GeneveHeader::parse_vni(udp_payload).map_err(inner_error)?;
+            (vni, header_lanes(udp_payload, inner), inner)
         }
         _ => return Err(inner_error(ParseError::Malformed("tunnel port"))),
     };
-    let (inner_eth, rest) = EthernetHeader::parse(inner).map_err(inner_error)?;
+    let (inner_eth, inner_l3) = EthernetHeader::parse(inner).map_err(inner_error)?;
     if inner_eth.ethertype != EtherType::Ipv4 {
         return Err(inner_error(ParseError::Malformed("inner ethertype")));
     }
-    let (inner_ip, rest) = Ipv4Header::parse(rest).map_err(inner_error)?;
-    let (inner_flow, tcp_seq, payload) = match inner_ip.protocol {
+    let (inner_ip, inner_l4) = Ipv4Header::parse(inner_l3).map_err(inner_error)?;
+    // The transport header, and how much of what follows it is payload.
+    let (l4, l4_lanes, after_l4, payload_len) = match inner_ip.protocol {
         PROTO_TCP => {
-            let (tcp, payload) = TcpHeader::parse(rest).map_err(inner_error)?;
-            let payload_sum = sum_payload(payload, payload.len())?;
-            if !tcp.verify_summed(inner_ip.src, inner_ip.dst, payload.len(), payload_sum) {
-                return Err(ParseError::BadChecksum("inner tcp"));
-            }
-            (
-                FlowKey::tcp(inner_ip.src, tcp.src_port, inner_ip.dst, tcp.dst_port),
-                tcp.seq,
-                payload,
-            )
+            let (tcp, rest) = TcpHeader::parse(inner_l4).map_err(inner_error)?;
+            (InnerL4::Tcp(tcp), header_lanes(inner_l4, rest), rest, rest.len())
         }
         PROTO_UDP => {
-            let (udp, payload) = UdpHeader::parse(rest).map_err(inner_error)?;
-            let plen = udp.length as usize - UdpHeader::LEN;
-            if payload.len() < plen {
-                return Err(inner_error(ParseError::Truncated));
-            }
-            let payload_sum = sum_payload(payload, plen)?;
-            if !udp.verify_summed(inner_ip.src, inner_ip.dst, payload_sum) {
-                return Err(ParseError::BadChecksum("inner udp"));
-            }
-            (
-                FlowKey::udp(inner_ip.src, udp.src_port, inner_ip.dst, udp.dst_port),
-                0,
-                &payload[..plen],
-            )
+            let (udp, rest) = UdpHeader::parse(inner_l4).map_err(inner_error)?;
+            let payload_len = udp.length as usize - UdpHeader::LEN;
+            (InnerL4::Udp(udp), header_lanes(inner_l4, rest), rest, payload_len)
         }
         _ => return Err(inner_error(ParseError::Malformed("inner protocol"))),
     };
+    let Some((payload, trailer)) = after_l4.split_at_checked(payload_len) else {
+        return Err(inner_error(ParseError::Truncated));
+    };
+
+    // The outer checksum is settled first, the inner one from the same
+    // payload lanes. The inner IPv4 header adds nothing to the outer sum:
+    // verified, its lanes are ≡ 0 (they fold to 0xFFFF), and a sum that
+    // holds a pseudo-header is positive with or without them.
+    let payload_lanes = checksum::lane_sum(payload);
+    let mut outer_lanes =
+        tunnel_lanes + header_lanes(inner, inner_l3) + l4_lanes + payload_lanes;
+    if !trailer.is_empty() {
+        outer_lanes += trailer_lanes(trailer, payload_len % 2 == 1);
+    }
+    if !outer_udp.verify_lanes(outer_src, outer_dst, outer_lanes) {
+        return Err(ParseError::BadChecksum("outer udp"));
+    }
+    let (src, dst) = (inner_ip.src, inner_ip.dst);
+    let (inner_flow, tcp_seq) = match l4 {
+        InnerL4::Tcp(tcp) => {
+            if !tcp.verify_lanes(src, dst, payload_len, payload_lanes) {
+                return Err(ParseError::BadChecksum("inner tcp"));
+            }
+            (FlowKey::tcp(src, tcp.src_port, dst, tcp.dst_port), tcp.seq)
+        }
+        InnerL4::Udp(udp) => {
+            if !udp.verify_lanes(src, dst, payload_lanes) {
+                return Err(ParseError::BadChecksum("inner udp"));
+            }
+            (FlowKey::udp(src, udp.src_port, dst, udp.dst_port), 0)
+        }
+    };
     Ok(ParsedOverlayRef {
-        outer_flow: FlowKey::udp(
-            outer_ip.src,
-            outer_udp.src_port,
-            outer_ip.dst,
-            outer_udp.dst_port,
-        ),
+        outer_flow: FlowKey::udp(outer_src, outer_udp.src_port, outer_dst, outer_udp.dst_port),
         outer_src_mac: outer_eth.src,
         outer_dst_mac: outer_eth.dst,
         vni,
@@ -406,6 +383,53 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
         tcp_seq,
         payload,
     })
+}
+
+/// Lane sum of the header a parser took off the front of `buf`, leaving
+/// `rest`. Inlined next to the parser, a fixed-size header's sum is its
+/// few loads and adds.
+#[inline(always)]
+fn header_lanes(buf: &[u8], rest: &[u8]) -> u64 {
+    checksum::lane_sum(&buf[..buf.len() - rest.len()])
+}
+
+/// The inner transport header, parsed and not yet verified.
+enum InnerL4 {
+    Tcp(TcpHeader),
+    Udp(UdpHeader),
+}
+
+/// An error found on the way down to the transport payload: there is no
+/// payload sum to share yet, so the outer checksum gets a pass of its
+/// own, and still speaks first.
+#[cold]
+#[inline(never)]
+fn outer_speaks_first(
+    outer_udp: UdpHeader,
+    src: [u8; 4],
+    dst: [u8; 4],
+    udp_payload: &[u8],
+    e: ParseError,
+) -> ParseError {
+    if outer_udp.verify(src, dst, udp_payload) {
+        e
+    } else {
+        ParseError::BadChecksum("outer udp")
+    }
+}
+
+/// The lanes of whatever follows an inner UDP datagram shorter than its
+/// packet — nothing, for TCP and for every frame this crate builds. A run
+/// of bytes that starts at an odd offset contributes its sum byte-swapped
+/// (RFC 1071 §2(B)).
+#[cold]
+fn trailer_lanes(trailer: &[u8], at_odd_offset: bool) -> u64 {
+    let sum = checksum::fold(checksum::lane_sum(trailer)) as u16;
+    if at_odd_offset {
+        sum.swap_bytes() as u64
+    } else {
+        sum as u64
+    }
 }
 
 #[cfg(test)]

@@ -102,52 +102,93 @@ impl GeneveHeader {
 
     /// Parses a header from the front of `buf`.
     pub fn parse(buf: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if buf.len() < Self::BASE_LEN {
-            return Err(ParseError::Truncated);
-        }
-        if buf[0] >> 6 != 0 {
-            return Err(ParseError::Malformed("geneve version"));
-        }
-        let opt_len = (buf[0] & 0x3F) as usize * 4;
-        let control = buf[1] & 0x80 != 0;
-        let critical = buf[1] & 0x40 != 0;
-        let proto = u16::from_be_bytes([buf[2], buf[3]]);
-        if proto != PROTO_ETHERNET {
-            return Err(ParseError::Malformed("geneve protocol"));
-        }
-        let vni = u32::from_be_bytes([0, buf[4], buf[5], buf[6]]);
-        if buf.len() < Self::BASE_LEN + opt_len {
-            return Err(ParseError::Truncated);
-        }
+        let (base, option_bytes, rest) = parse_base(buf)?;
         let mut options = Vec::new();
-        let mut rest = &buf[Self::BASE_LEN..Self::BASE_LEN + opt_len];
-        while !rest.is_empty() {
-            if rest.len() < 4 {
-                return Err(ParseError::Malformed("geneve option header"));
-            }
-            let class = u16::from_be_bytes([rest[0], rest[1]]);
-            let option_type = rest[2];
-            let dlen = (rest[3] & 0x1F) as usize * 4;
-            if rest.len() < 4 + dlen {
-                return Err(ParseError::Malformed("geneve option length"));
-            }
+        for option in OptionWalk(option_bytes) {
+            let (class, option_type, data) = option?;
             options.push(GeneveOption {
                 class,
                 option_type,
-                data: rest[4..4 + dlen].to_vec(),
+                data: data.to_vec(),
             });
-            rest = &rest[4 + dlen..];
         }
-        Ok((
-            Self {
-                vni,
-                control,
-                critical,
-                options,
-            },
-            &buf[Self::BASE_LEN + opt_len..],
-        ))
+        let header = Self {
+            vni: base.vni,
+            control: base.flags & 0x80 != 0,
+            critical: base.flags & 0x40 != 0,
+            options,
+        };
+        Ok((header, rest))
     }
+
+    /// [`Self::parse`] for the overlay walk, which wants the VNI and the
+    /// inner frame and must not allocate: the same checks in the same
+    /// order, the option TLVs validated where they lie.
+    #[inline(always)]
+    pub(crate) fn parse_vni(buf: &[u8]) -> Result<(u32, &[u8]), ParseError> {
+        let (base, option_bytes, rest) = parse_base(buf)?;
+        if !option_bytes.is_empty() {
+            validate_options(option_bytes)?;
+        }
+        Ok((base.vni, rest))
+    }
+}
+
+/// The fixed 8 bytes of a Geneve header.
+struct Base {
+    flags: u8,
+    vni: u32,
+}
+
+/// Parses the fixed 8 bytes off the front of `buf`: them, the bytes that
+/// hold the options, and what follows those.
+#[inline(always)]
+fn parse_base(buf: &[u8]) -> Result<(Base, &[u8], &[u8]), ParseError> {
+    let Some((b, rest)) = buf.split_first_chunk::<{ GeneveHeader::BASE_LEN }>() else {
+        return Err(ParseError::Truncated);
+    };
+    if b[0] >> 6 != 0 {
+        return Err(ParseError::Malformed("geneve version"));
+    }
+    if u16::from_be_bytes([b[2], b[3]]) != PROTO_ETHERNET {
+        return Err(ParseError::Malformed("geneve protocol"));
+    }
+    let Some((option_bytes, rest)) = rest.split_at_checked((b[0] & 0x3F) as usize * 4) else {
+        return Err(ParseError::Truncated);
+    };
+    let base = Base {
+        flags: b[1],
+        vni: u32::from_be_bytes([0, b[4], b[5], b[6]]),
+    };
+    Ok((base, option_bytes, rest))
+}
+
+/// Walks the bytes of an options block one TLV at a time:
+/// `(class, type, data)`, or what is wrong with the next one.
+struct OptionWalk<'a>(&'a [u8]);
+
+impl<'a> Iterator for OptionWalk<'a> {
+    type Item = Result<(u16, u8, &'a [u8]), ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (head, body) = match self.0.split_first_chunk::<4>() {
+            Some(split) => split,
+            None if self.0.is_empty() => return None,
+            None => return Some(Err(ParseError::Malformed("geneve option header"))),
+        };
+        let Some((data, rest)) = body.split_at_checked((head[3] & 0x1F) as usize * 4) else {
+            return Some(Err(ParseError::Malformed("geneve option length")));
+        };
+        self.0 = rest;
+        Some(Ok((u16::from_be_bytes([head[0], head[1]]), head[2], data)))
+    }
+}
+
+/// Out of line and cold: tunnels that carry options are the exception,
+/// and the overlay walk stays straight-line without the loop.
+#[cold]
+fn validate_options(option_bytes: &[u8]) -> Result<(), ParseError> {
+    OptionWalk(option_bytes).try_for_each(|option| option.map(drop))
 }
 
 #[cfg(test)]

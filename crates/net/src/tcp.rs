@@ -52,28 +52,28 @@ impl TcpHeader {
             window,
             checksum: 0,
         };
-        let header = h.header_sum(src_ip, dst_ip, payload.len());
-        h.checksum = checksum::finish(checksum::ones_complement_sum(payload, header));
+        let lanes = h.header_lanes(src_ip, dst_ip, payload.len()) + checksum::lane_sum(payload);
+        h.checksum = checksum::finish(checksum::fold_lanes(lanes));
         h
     }
 
-    /// Unfolded sum of the pseudo-header and this header's wire words —
-    /// the same big-endian u16s [`Self::encode`] emits, including the
+    /// Lane sum ([`checksum::lane_sum`]) of the pseudo-header and this
+    /// header's wire words — the same big-endian words [`Self::encode`]
+    /// emits, each as the machine would load it, including the
     /// `data offset | flags` word and the zero urgent pointer. The
-    /// header is an even number of bytes, so a payload summed on top of
-    /// this keeps its own word alignment.
-    fn header_sum(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_len: usize) -> u32 {
+    /// header is an even number of bytes, so a payload's lane sum adds
+    /// straight on.
+    #[inline(always)]
+    fn header_lanes(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_len: usize) -> u64 {
         let len = (Self::LEN + payload_len) as u16;
-        checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, len)
-            + self.src_port as u32
-            + self.dst_port as u32
-            + (self.seq >> 16)
-            + (self.seq & 0xFFFF)
-            + (self.ack >> 16)
-            + (self.ack & 0xFFFF)
-            + (((5u32 << 4) << 8) | self.flags as u32)
-            + self.window as u32
-            + self.checksum as u32
+        checksum::pseudo_header_lanes(src_ip, dst_ip, PROTO_TCP, len)
+            + self.src_port.to_be() as u64
+            + self.dst_port.to_be() as u64
+            + self.seq.to_be() as u64
+            + self.ack.to_be() as u64
+            + u16::from_ne_bytes([5 << 4, self.flags]) as u64
+            + self.window.to_be() as u64
+            + self.checksum.to_be() as u64
     }
 
     /// Writes the header into `out`.
@@ -90,11 +90,12 @@ impl TcpHeader {
     }
 
     /// Parses a header from the front of `buf`.
+    #[inline(always)]
     pub fn parse(buf: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if buf.len() < Self::LEN {
+        let Some((b, rest)) = buf.split_first_chunk::<{ Self::LEN }>() else {
             return Err(ParseError::Truncated);
-        }
-        let data_off = (buf[12] >> 4) as usize * 4;
+        };
+        let data_off = (b[12] >> 4) as usize * 4;
         if data_off < Self::LEN || buf.len() < data_off {
             return Err(ParseError::Malformed("tcp data offset"));
         }
@@ -106,15 +107,15 @@ impl TcpHeader {
         }
         Ok((
             Self {
-                src_port: u16::from_be_bytes([buf[0], buf[1]]),
-                dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-                seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-                ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
-                flags: buf[13],
-                window: u16::from_be_bytes([buf[14], buf[15]]),
-                checksum: u16::from_be_bytes([buf[16], buf[17]]),
+                src_port: u16::from_be_bytes([b[0], b[1]]),
+                dst_port: u16::from_be_bytes([b[2], b[3]]),
+                seq: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
+                ack: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
+                flags: b[13],
+                window: u16::from_be_bytes([b[14], b[15]]),
+                checksum: u16::from_be_bytes([b[16], b[17]]),
             },
-            &buf[Self::LEN..],
+            rest,
         ))
     }
 
@@ -123,12 +124,13 @@ impl TcpHeader {
     /// Allocation-free: the header's wire words are folded straight into
     /// the running sum and the payload is summed in place.
     pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
-        let payload_sum = checksum::ones_complement_sum(payload, 0);
-        self.verify_summed(src_ip, dst_ip, payload.len(), payload_sum)
+        self.verify_lanes(src_ip, dst_ip, payload.len(), checksum::lane_sum(payload))
     }
 
     /// [`Self::verify`] for a caller that already holds the payload's
-    /// one's-complement sum (`payload_sum`, taken from an even offset).
+    /// one's-complement sum (`payload_sum`, host order, taken from an
+    /// even offset).
+    #[inline(always)]
     pub fn verify_summed(
         &self,
         src_ip: [u8; 4],
@@ -136,8 +138,22 @@ impl TcpHeader {
         payload_len: usize,
         payload_sum: u32,
     ) -> bool {
-        let header = self.header_sum(src_ip, dst_ip, payload_len);
+        let header = checksum::fold_lanes(self.header_lanes(src_ip, dst_ip, payload_len));
         checksum::fold(header as u64 + payload_sum as u64) == 0xFFFF
+    }
+
+    /// [`Self::verify`] for a caller that holds the payload's lane sum:
+    /// the header's lanes join it unfolded and the total is folded once.
+    #[inline(always)]
+    pub(crate) fn verify_lanes(
+        &self,
+        src_ip: [u8; 4],
+        dst_ip: [u8; 4],
+        payload_len: usize,
+        payload_lanes: u64,
+    ) -> bool {
+        let header = self.header_lanes(src_ip, dst_ip, payload_len);
+        checksum::fold_lanes(header + payload_lanes) == 0xFFFF
     }
 
     /// True if the ACK flag is set.

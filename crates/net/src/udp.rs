@@ -34,8 +34,8 @@ impl UdpHeader {
             length,
             checksum: 0,
         };
-        let header = h.header_sum(src_ip, dst_ip);
-        let mut ck = checksum::finish(checksum::ones_complement_sum(payload, header));
+        let lanes = h.header_lanes(src_ip, dst_ip) + checksum::lane_sum(payload);
+        let mut ck = checksum::finish(checksum::fold_lanes(lanes));
         if ck == 0 {
             ck = 0xFFFF; // RFC 768: zero checksum means "not computed"
         }
@@ -43,16 +43,17 @@ impl UdpHeader {
         h
     }
 
-    /// Unfolded sum of the pseudo-header and this header's wire words
-    /// (the same big-endian u16s [`Self::encode`] emits). The header is
-    /// an even number of bytes, so a payload summed on top of this keeps
-    /// its own word alignment.
-    fn header_sum(&self, src_ip: [u8; 4], dst_ip: [u8; 4]) -> u32 {
-        checksum::pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, self.length)
-            + self.src_port as u32
-            + self.dst_port as u32
-            + self.length as u32
-            + self.checksum as u32
+    /// Lane sum ([`checksum::lane_sum`]) of the pseudo-header and this
+    /// header's wire words: the same big-endian u16s [`Self::encode`]
+    /// emits, each as the machine would load it. The header is an even
+    /// number of bytes, so a payload's lane sum adds straight on.
+    #[inline(always)]
+    fn header_lanes(&self, src_ip: [u8; 4], dst_ip: [u8; 4]) -> u64 {
+        checksum::pseudo_header_lanes(src_ip, dst_ip, PROTO_UDP, self.length)
+            + self.src_port.to_be() as u64
+            + self.dst_port.to_be() as u64
+            + self.length.to_be() as u64
+            + self.checksum.to_be() as u64
     }
 
     /// Writes the header into `out`.
@@ -64,20 +65,21 @@ impl UdpHeader {
     }
 
     /// Parses a header from the front of `buf`.
+    #[inline(always)]
     pub fn parse(buf: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if buf.len() < Self::LEN {
+        let Some((b, rest)) = buf.split_first_chunk::<{ Self::LEN }>() else {
             return Err(ParseError::Truncated);
-        }
+        };
         let h = Self {
-            src_port: u16::from_be_bytes([buf[0], buf[1]]),
-            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            length: u16::from_be_bytes([buf[4], buf[5]]),
-            checksum: u16::from_be_bytes([buf[6], buf[7]]),
+            src_port: u16::from_be_bytes([b[0], b[1]]),
+            dst_port: u16::from_be_bytes([b[2], b[3]]),
+            length: u16::from_be_bytes([b[4], b[5]]),
+            checksum: u16::from_be_bytes([b[6], b[7]]),
         };
         if (h.length as usize) < Self::LEN {
             return Err(ParseError::Malformed("udp length"));
         }
-        Ok((h, &buf[Self::LEN..]))
+        Ok((h, rest))
     }
 
     /// Verifies the checksum of header + payload against the pseudo-header.
@@ -86,16 +88,31 @@ impl UdpHeader {
     /// the running sum and the payload is summed in place.
     pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
         // Checked here too so an unverified datagram skips the walk.
-        self.checksum == 0
-            || self.verify_summed(src_ip, dst_ip, checksum::ones_complement_sum(payload, 0))
+        self.checksum == 0 || self.verify_lanes(src_ip, dst_ip, checksum::lane_sum(payload))
     }
 
     /// [`Self::verify`] for a caller that already holds the payload's
-    /// one's-complement sum (`payload_sum`, taken from an even offset).
+    /// one's-complement sum (`payload_sum`, host order, taken from an
+    /// even offset).
+    #[inline(always)]
     pub fn verify_summed(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_sum: u32) -> bool {
+        let header = checksum::fold_lanes(self.header_lanes(src_ip, dst_ip));
         // A zero checksum means "not computed by the sender".
+        self.checksum == 0 || checksum::fold(header as u64 + payload_sum as u64) == 0xFFFF
+    }
+
+    /// [`Self::verify`] for a caller that holds the payload's lane sum —
+    /// of one slice or of several even-offset pieces added together: the
+    /// header's lanes join it unfolded and the total is folded once.
+    #[inline(always)]
+    pub(crate) fn verify_lanes(
+        &self,
+        src_ip: [u8; 4],
+        dst_ip: [u8; 4],
+        payload_lanes: u64,
+    ) -> bool {
         self.checksum == 0
-            || checksum::fold(self.header_sum(src_ip, dst_ip) as u64 + payload_sum as u64) == 0xFFFF
+            || checksum::fold_lanes(self.header_lanes(src_ip, dst_ip) + payload_lanes) == 0xFFFF
     }
 }
 

@@ -39,15 +39,16 @@ impl VxlanHeader {
     }
 
     /// Parses a header from the front of `buf`.
+    #[inline(always)]
     pub fn parse(buf: &[u8]) -> Result<(Self, &[u8]), ParseError> {
-        if buf.len() < Self::LEN {
+        let Some((b, rest)) = buf.split_first_chunk::<{ Self::LEN }>() else {
             return Err(ParseError::Truncated);
-        }
-        if buf[0] & 0x08 == 0 {
+        };
+        if b[0] & 0x08 == 0 {
             return Err(ParseError::Malformed("vxlan I flag"));
         }
-        let vni = u32::from_be_bytes([0, buf[4], buf[5], buf[6]]);
-        Ok((Self { vni }, &buf[Self::LEN..]))
+        let vni = u32::from_be_bytes([0, b[4], b[5], b[6]]);
+        Ok((Self { vni }, rest))
     }
 }
 

@@ -136,35 +136,68 @@ fn two_pass_reference(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> 
     })
 }
 
-// Offsets into a built frame's outer headers (Ethernet 14, IPv4 20).
+// Offsets into a built frame (Ethernet 14, IPv4 20, UDP 8, tunnel 8).
 const OUTER_IP: usize = 14;
-const OUTER_UDP: usize = 34;
-const OUTER_UDP_PAYLOAD: usize = 42;
+const TUNNEL: usize = 42;
+const INNER_IP: usize = TUNNEL + 8 + 14;
 
-/// Appends `trailer` to the outer UDP payload — bytes past the inner
-/// packet, as link padding would be — and re-seals the outer IPv4 and
-/// UDP lengths and checksums around it.
-fn append_trailer(frame: &mut Vec<u8>, trailer: &[u8]) {
-    frame.extend_from_slice(trailer);
+/// Where the outer UDP header starts, by the outer IHL.
+fn outer_udp_offset(frame: &[u8]) -> usize {
+    OUTER_IP + (frame[OUTER_IP] & 0x0F) as usize * 4
+}
+
+/// Splices `words` of IPv4 options into the header at `ip` (IHL 5 → 5 +
+/// n), and re-seals that header's total length and checksum.
+fn insert_ipv4_options(frame: &mut Vec<u8>, ip: usize, words: &[[u8; 4]]) {
+    frame.splice(ip + 20..ip + 20, words.concat());
+    let ihl = 20 + 4 * words.len();
+    frame[ip] = 0x40 | (ihl / 4) as u8;
+    let total_len = u16::from_be_bytes([frame[ip + 2], frame[ip + 3]]) + 4 * words.len() as u16;
+    frame[ip + 2..ip + 4].copy_from_slice(&total_len.to_be_bytes());
+    frame[ip + 10..ip + 12].copy_from_slice(&[0, 0]);
+    let ck = checksum::checksum(&frame[ip..ip + ihl]);
+    frame[ip + 10..ip + 12].copy_from_slice(&ck.to_be_bytes());
+}
+
+/// Splices option TLVs `(class, type, data words)` into a Geneve header
+/// built without any; returns how many bytes the frame grew by.
+fn insert_geneve_options(frame: &mut Vec<u8>, tlvs: &[(u16, u8, Vec<[u8; 4]>)]) -> usize {
+    let mut bytes = Vec::new();
+    for (class, option_type, data) in tlvs {
+        bytes.extend_from_slice(&class.to_be_bytes());
+        // The length is the low five bits; the three reserved ones above
+        // it are whatever the type's are.
+        bytes.extend_from_slice(&[*option_type, data.len() as u8 | (option_type & 0xE0)]);
+        bytes.extend_from_slice(&data.concat());
+    }
+    frame[TUNNEL] = (bytes.len() / 4) as u8;
+    frame.splice(TUNNEL + 8..TUNNEL + 8, bytes.iter().copied());
+    bytes.len()
+}
+
+/// Re-seals the outer IPv4 and UDP lengths and checksums around whatever
+/// the frame now holds behind them.
+fn reseal_outer(frame: &mut [u8]) {
+    let udp_at = outer_udp_offset(frame);
     let ip_len = (frame.len() - OUTER_IP) as u16;
     frame[OUTER_IP + 2..OUTER_IP + 4].copy_from_slice(&ip_len.to_be_bytes());
     frame[OUTER_IP + 10..OUTER_IP + 12].copy_from_slice(&[0, 0]);
-    let ck = checksum::checksum(&frame[OUTER_IP..OUTER_UDP]);
+    let ck = checksum::checksum(&frame[OUTER_IP..udp_at]);
     frame[OUTER_IP + 10..OUTER_IP + 12].copy_from_slice(&ck.to_be_bytes());
     let (ip, udp) = (
         Ipv4Header::parse(&frame[OUTER_IP..]).unwrap().0,
-        UdpHeader::parse(&frame[OUTER_UDP..]).unwrap().0,
+        UdpHeader::parse(&frame[udp_at..]).unwrap().0,
     );
     let sealed = UdpHeader::for_payload(
         udp.src_port,
         udp.dst_port,
         ip.src,
         ip.dst,
-        &frame[OUTER_UDP_PAYLOAD..],
+        &frame[udp_at + UdpHeader::LEN..],
     );
     let mut header = Vec::new();
     sealed.encode(&mut header);
-    frame[OUTER_UDP..OUTER_UDP_PAYLOAD].copy_from_slice(&header);
+    frame[udp_at..udp_at + UdpHeader::LEN].copy_from_slice(&header);
 }
 
 proptest! {
@@ -174,12 +207,34 @@ proptest! {
         geneve in any::<bool>(),
         zero_outer_checksum in any::<bool>(),
         trailer in prop::collection::vec(any::<u8>(), 0..4),
+        // The variable-length tails, on half the cases: outer and inner
+        // IPv4 options (IHL 6..=15) and Geneve option TLVs.
+        variable_tails in any::<bool>(),
+        outer_options in prop::collection::vec(any::<[u8; 4]>(), 1..=10),
+        inner_options in prop::collection::vec(any::<[u8; 4]>(), 1..=10),
+        geneve_options in prop::collection::vec(
+            (any::<u16>(), any::<u8>(), prop::collection::vec(any::<[u8; 4]>(), 0..4)),
+            0..=3,
+        ),
         mask_seed in any::<u64>(),
     ) {
         let mut frame = if geneve { build_geneve_frame(&spec) } else { build_overlay_frame(&spec) };
-        append_trailer(&mut frame, &trailer);
+        if variable_tails {
+            // Inside out, so the offsets of a built frame still hold.
+            let mut grown = 0;
+            if geneve {
+                grown = insert_geneve_options(&mut frame, &geneve_options);
+            }
+            insert_ipv4_options(&mut frame, INNER_IP + grown, &inner_options);
+            insert_ipv4_options(&mut frame, OUTER_IP, &outer_options);
+        }
+        // A trailer is bytes past the inner packet, as link padding
+        // would be.
+        frame.extend_from_slice(&trailer);
+        reseal_outer(&mut frame);
         if zero_outer_checksum {
-            frame[OUTER_UDP + 6..OUTER_UDP + 8].copy_from_slice(&[0, 0]);
+            let udp_at = outer_udp_offset(&frame);
+            frame[udp_at + 6..udp_at + 8].copy_from_slice(&[0, 0]);
         }
         // Intact: accepted by both with the same view. A trailer makes
         // an inner TCP segment longer than its checksum covers, which

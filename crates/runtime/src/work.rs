@@ -46,8 +46,8 @@ pub fn process_frame(frame: &Frame) -> PacketResult {
 /// 64-bit multiply has 3–4 cycles of latency and one-per-cycle
 /// throughput, so a lone chain leaves the multiplier idle most of the
 /// time and four keep it busy: over resident MTU frames the whole walk
-/// costs 420 ns/frame with one chain, 300 with two, 245 with four and
-/// 250 with eight (DESIGN.md §14).
+/// costs 330 ns/frame with one chain, 225 with two, 175 with four and
+/// 175 with eight (DESIGN.md §14).
 const LOCKSTEP: usize = 4;
 
 /// Fully processes a run of wire frames in order, appending
