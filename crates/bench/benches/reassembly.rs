@@ -1,7 +1,9 @@
 //! Micro-benches of the merging-counter reassembler: per-item merge cost
 //! as a function of batch size and lane count — the data structure whose
 //! cheapness (vs the kernel's per-packet out-of-order queue) the paper's
-//! §III-B argues for.
+//! §III-B argues for. `batch/*` and `lanes/*` offer one item at a time
+//! (the simulator's call), `runs/*` one micro-flow at a time (the merger
+//! thread's).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mflow::{MergeCounter, MfTag};
@@ -49,6 +51,25 @@ fn bench_merge(c: &mut Criterion) {
                 })
             },
         );
+    }
+    for batch in [32u64, 256] {
+        // The same order, one run per micro-flow: its closing tag, its items.
+        let stream = skewed_stream(n, batch, 2);
+        let runs: Vec<(MfTag, Vec<u64>)> = stream
+            .chunk_by(|a, b| a.0.id == b.0.id)
+            .map(|run| (run[run.len() - 1].0, run.iter().map(|&(_, v)| v).collect()))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("runs", batch), &runs, |b, runs| {
+            b.iter(|| {
+                let mut mc = MergeCounter::new();
+                let mut out = Vec::with_capacity(n as usize);
+                for (tag, items) in runs {
+                    mc.offer_run(tag.id, tag.lane, tag.last, items.iter().copied(), &mut out);
+                }
+                assert_eq!(out.len(), n as usize);
+                out.len()
+            })
+        });
     }
     for lanes in [2usize, 4, 8] {
         let stream = skewed_stream(n, 256, lanes);

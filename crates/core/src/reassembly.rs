@@ -12,13 +12,17 @@
 //!
 //! This reorders per *batch* rather than per packet — with batch size 256
 //! the counter advances once every 256 packets, which is why the paper
-//! measures negligible reassembly overhead at that size.
+//! measures negligible reassembly overhead at that size. The buffer
+//! queues hold batches too: a run of one micro-flow's items parks as one
+//! `{id, last, len}` header over the lane's flat item queue and is
+//! released with one bulk move ([`MergeCounter::offer_run`]).
 //!
 //! [`MergeCounter`] is the pure algorithm (reused verbatim by the
-//! real-thread runtime in `mflow-runtime`); [`BatchMerger`] adapts it to
-//! the simulator's skbs, passing never-split flows through untouched.
+//! real-thread runtime in `mflow-runtime`, whose merger offers a run per
+//! micro-flow); [`BatchMerger`] adapts it to the simulator's skbs, one
+//! item at a time, passing never-split flows through untouched.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{vec_deque, BTreeMap, BTreeSet, VecDeque};
 
 use mflow_netstack::{FlowMerger, Skb};
 
@@ -96,6 +100,46 @@ struct MfEntry {
     closed: bool,
 }
 
+/// The header of one parked run: `len` consecutive items of micro-flow
+/// `id` in a lane's queue, the final one closing the micro-flow when
+/// `last`.
+#[derive(Clone, Copy, Debug)]
+struct ParkedRun {
+    id: u64,
+    last: bool,
+    len: usize,
+}
+
+/// One lane's buffer queue: run headers over one flat queue of their
+/// items, both in arrival order; nothing per item but the item.
+#[derive(Clone, Debug)]
+struct LaneQueue<T> {
+    runs: VecDeque<ParkedRun>,
+    items: VecDeque<T>,
+}
+
+impl<T> Default for LaneQueue<T> {
+    fn default() -> Self {
+        Self {
+            runs: VecDeque::new(),
+            items: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> LaneQueue<T> {
+    /// Takes the front run off the queue if `wanted`: its header, and its
+    /// items as one bulk move.
+    fn pop_run_if(
+        &mut self,
+        wanted: impl FnOnce(&ParkedRun) -> bool,
+    ) -> Option<(ParkedRun, vec_deque::Drain<'_, T>)> {
+        let run = *self.runs.front().filter(|run| wanted(run))?;
+        self.runs.pop_front();
+        Some((run, self.items.drain(..run.len)))
+    }
+}
+
 /// The merging-counter reassembler for one flow, generic over the payload.
 ///
 /// # Fault tolerance
@@ -111,7 +155,7 @@ struct MfEntry {
 /// outcome rather than an assertion.
 #[derive(Clone, Debug)]
 pub struct MergeCounter<T> {
-    lanes: BTreeMap<usize, VecDeque<(MfTag, T)>>,
+    lanes: BTreeMap<usize, LaneQueue<T>>,
     counter: u64,
     mf_lane: BTreeMap<u64, MfEntry>,
     buffered: usize,
@@ -231,12 +275,13 @@ impl<T> MergeCounter<T> {
     /// no byte-exact encoding exists to measure.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let item = size_of::<MfTag>() + size_of::<T>();
         let fixed = size_of::<Self>();
-        let buffered = self.buffered * item;
-        // One queue header per lane, one (id -> entry) record per known
-        // micro-flow, one u64 per flushed id.
-        let lanes = self.lanes.len() * size_of::<VecDeque<(MfTag, T)>>();
+        let buffered = self.buffered * size_of::<T>();
+        // One queue per lane and one header per parked run, one
+        // (id -> entry) record per known micro-flow, one u64 per flushed
+        // id.
+        let runs: usize = self.lanes.values().map(|q| q.runs.len()).sum();
+        let lanes = self.lanes.len() * size_of::<LaneQueue<T>>() + runs * size_of::<ParkedRun>();
         let mf_table = self.mf_lane.len() * (size_of::<u64>() + size_of::<MfEntry>());
         let flushed = self.flushed_ids.len() * size_of::<u64>();
         (fixed + buffered + lanes + mf_table + flushed) as u64
@@ -246,21 +291,23 @@ impl<T> MergeCounter<T> {
     /// and reports the item's fate. The one-item case of
     /// [`MergeCounter::offer_run`].
     pub fn offer(&mut self, tag: MfTag, item: T, out: &mut Vec<T>) -> Offer {
-        self.offer_run(tag.id, tag.lane, tag.last, std::iter::once(item), out)
+        self.offer_run(tag.id, tag.lane, tag.last, [item], out)
     }
 
     /// Offers one micro-flow's run of items at once: every item carries
     /// `id` on `lane`, and the final one closes the micro-flow when
     /// `closed`. Observably identical to offering the items one at a
-    /// time — same `out`, [`stats`](Self::stats), counter, flushed ids
-    /// and [`approx_bytes`](Self::approx_bytes) — but the bookkeeping is
-    /// paid once per run: a run that is in turn on an empty lane goes
-    /// straight through to `out`, a run ahead of the counter parks as a
-    /// block. Wherever single offers could be told apart — the id is
-    /// behind the counter, another copy of the micro-flow is known, the
-    /// lane holds stranded items, the counter's own micro-flow is
-    /// part-way in, or the stall clock would reach its deadline part-way
-    /// through — the run is offered item by item.
+    /// time — same `out`, [`stats`](Self::stats), counter and flushed
+    /// ids — paid once per run: classified once (behind the counter, a
+    /// copy of a known micro-flow, or accepted), straight through to
+    /// `out` when in turn on an empty lane, parked as one header
+    /// otherwise — or as more of the lane's back header, when that is
+    /// the same still-open micro-flow.
+    ///
+    /// Every item that releases nothing ticks the stall clock, and a
+    /// flush moves the counter under the rest of the run: a run is split
+    /// where the flush deadline is reached, nowhere else, and what is
+    /// left of it is classified afresh.
     ///
     /// Returns the fate of the run's final item (all items of a run share
     /// one fate unless a stall-clock flush fires mid-run). An empty run
@@ -270,104 +317,80 @@ impl<T> MergeCounter<T> {
         I: IntoIterator<Item = T>,
         I::IntoIter: ExactSizeIterator,
     {
-        let items = items.into_iter();
-        let n = items.len();
-        if n == 0 {
-            return Offer::Accepted;
-        }
-        let tag_of = |k: usize| MfTag {
-            id,
-            lane,
-            last: closed && k + 1 == n,
-        };
-        let known = self.mf_lane.get(&id);
-        let fresh = known.is_none();
-        if id >= self.counter && known.is_none_or(|e| e.lane == lane && !e.closed) {
-            let q = self.lanes.entry(lane).or_default();
-            if id == self.counter && q.is_empty() {
-                out.extend(items);
-                self.released += n as u64;
-                self.offers_since_release = 0;
-                if closed {
-                    self.mf_lane.remove(&id);
-                    self.counter += 1;
-                    self.drain(out);
-                } else if fresh {
-                    self.mf_lane.insert(id, MfEntry { lane, closed });
-                }
-                return Offer::Accepted;
-            }
-            // Parking is a plain append only if the `drain` after every
-            // single offer would return at its first lookup — nothing of
-            // the counter's own micro-flow is known — and the stall clock
-            // stays short of its deadline throughout.
-            let inert = !self.mf_lane.contains_key(&self.counter)
-                && self
-                    .flush_after_offers
-                    .is_none_or(|deadline| self.offers_since_release + (n as u64) < deadline);
-            if id > self.counter && inert {
-                q.extend(items.enumerate().map(|(k, item)| (tag_of(k), item)));
-                self.buffered += n;
-                self.offers_since_release += n as u64;
-                self.mf_lane.insert(id, MfEntry { lane, closed });
-                return Offer::Accepted;
-            }
-        }
+        let mut items = items.into_iter();
         let mut fate = Offer::Accepted;
-        for (k, item) in items.enumerate() {
-            fate = self.offer_one(tag_of(k), item, out);
-        }
-        fate
-    }
-
-    fn offer_one(&mut self, tag: MfTag, item: T, out: &mut Vec<T>) -> Offer {
-        if tag.id < self.counter {
-            self.late_drops += 1;
-            self.tick_stall_clock(out);
-            return Offer::Late;
-        }
-        match self.mf_lane.get_mut(&tag.id) {
-            Some(entry) if entry.closed || entry.lane != tag.lane => {
+        while items.len() > 0 {
+            let n = items.len();
+            let known = self.mf_lane.get(&id);
+            let fresh = known.is_none();
+            fate = if id < self.counter {
+                Offer::Late
+            } else if known.is_some_and(|entry| entry.closed || entry.lane != lane) {
                 // Already complete, or being collected on another lane
                 // (a redispatched copy): the first-arriving copy wins.
-                self.dup_drops += 1;
-                self.tick_stall_clock(out);
-                return Offer::Duplicate;
+                Offer::Duplicate
+            } else {
+                Offer::Accepted
+            };
+            let accepted = fate == Offer::Accepted;
+            // The clock only flushes while something is stuck.
+            let armed = accepted || !self.mf_lane.is_empty();
+            let take = match self.flush_after_offers {
+                Some(deadline) if armed => {
+                    let left = deadline.saturating_sub(self.offers_since_release).max(1);
+                    (n as u64).min(left) as usize
+                }
+                _ => n,
+            };
+            if accepted {
+                let q = self.lanes.entry(lane).or_default();
+                if id == self.counter && q.runs.is_empty() {
+                    // In turn on an empty lane: straight through.
+                    out.extend(items);
+                    self.released += n as u64;
+                    self.offers_since_release = 0;
+                    if closed {
+                        self.mf_lane.remove(&id);
+                        self.counter += 1;
+                        self.drain(out);
+                    } else if fresh {
+                        self.mf_lane.insert(id, MfEntry { lane, closed });
+                    }
+                    return fate;
+                }
+                let last = closed && take == n;
+                match q.runs.back_mut() {
+                    Some(run) if run.id == id && !run.last => {
+                        run.len += take;
+                        run.last = last;
+                    }
+                    _ => q.runs.push_back(ParkedRun { id, last, len: take }),
+                }
+                q.items.extend(items.by_ref().take(take));
+                self.buffered += take;
+                if fresh || last {
+                    self.mf_lane.insert(id, MfEntry { lane, closed: last });
+                }
+                let before = self.released;
+                self.drain(out);
+                if self.released != before {
+                    self.offers_since_release = 0;
+                    continue;
+                }
+            } else {
+                items.by_ref().take(take).for_each(drop);
+                match fate {
+                    Offer::Late => self.late_drops += take as u64,
+                    _ => self.dup_drops += take as u64,
+                }
             }
-            Some(entry) => entry.closed |= tag.last,
-            None => {
-                self.mf_lane.insert(
-                    tag.id,
-                    MfEntry {
-                        lane: tag.lane,
-                        closed: tag.last,
-                    },
-                );
+            self.offers_since_release += take as u64;
+            if armed && self.flush_after_offers.is_some_and(|d| self.offers_since_release >= d) {
+                self.flush_one(out);
+                self.offers_since_release = 0;
             }
         }
-        self.lanes.entry(tag.lane).or_default().push_back((tag, item));
-        self.buffered += 1;
-        let before = self.released;
-        self.drain(out);
-        if self.released == before {
-            self.tick_stall_clock(out);
-        } else {
-            self.offers_since_release = 0;
-        }
-        Offer::Accepted
-    }
-
-    /// Advances the stall clock by one offer, force-flushing when the
-    /// deadline is hit while something is stuck.
-    fn tick_stall_clock(&mut self, out: &mut Vec<T>) {
-        self.offers_since_release += 1;
-        let Some(deadline) = self.flush_after_offers else {
-            return;
-        };
-        if self.offers_since_release >= deadline && !self.mf_lane.is_empty() {
-            self.flush_one(out);
-            self.offers_since_release = 0;
-        }
+        fate
     }
 
     /// Force-advances the counter past the micro-flow it is stuck on,
@@ -404,61 +427,52 @@ impl<T> MergeCounter<T> {
         }
         // A per-lane FIFO violation upstream (e.g. a replaced-but-still-
         // unwinding worker incarnation re-emitting on its slot's lane)
-        // can strand an item mid-queue behind a later micro-flow's: the
-        // walk above removes its entry while the item is unreachable,
+        // can strand a run mid-queue behind a later micro-flow's: the
+        // walk above removes its entry while the run is unreachable,
         // and no later counter value maps back to that lane. Everything
         // still parked here has been passed by the counter — purge it
         // exactly as the in-stream front purge would, so end-of-stream
         // recovery always leaves the merge point empty.
         for q in self.lanes.values_mut() {
-            self.buffered -= q.len();
-            self.late_drops += q.len() as u64;
-            q.clear();
+            self.buffered -= q.items.len();
+            self.late_drops += q.items.len() as u64;
+            q.runs.clear();
+            q.items.clear();
         }
         (self.flushed_ids.len() - before) as u64
     }
 
-    /// Releases everything currently releasable.
+    /// Releases everything currently releasable, a whole run at a time.
+    /// Runs to a fixpoint: draining again changes nothing.
     fn drain(&mut self, out: &mut Vec<T>) {
-        loop {
-            // Step (1): locate the buffer queue holding the counter's
-            // micro-flow. Unknown means its packets are still in flight.
-            let Some(&MfEntry { lane, .. }) = self.mf_lane.get(&self.counter) else {
-                return;
-            };
+        // Step (1): locate the buffer queue holding the counter's
+        // micro-flow. Unknown means its packets are still in flight.
+        while let Some(&MfEntry { lane, .. }) = self.mf_lane.get(&self.counter) {
+            let counter = self.counter;
             let Some(q) = self.lanes.get_mut(&lane) else {
                 return;
             };
-            // Defensive purge: an item the counter already passed can
-            // only sit at the front if per-lane FIFO order was violated
+            // Defensive purge: a run the counter already passed can only
+            // sit at the front if per-lane FIFO order was violated
             // upstream; dropping it beats wedging behind it.
-            while q.front().is_some_and(|(tag, _)| tag.id < self.counter) {
-                q.pop_front();
-                self.buffered -= 1;
-                self.late_drops += 1;
+            while let Some((run, stale)) = q.pop_run_if(|run| run.id < counter) {
+                drop(stale);
+                self.buffered -= run.len;
+                self.late_drops += run.len as u64;
             }
-            // Step (2): consume packets of the current micro-flow.
-            let mut advanced = false;
-            while let Some((tag, _)) = q.front() {
-                if tag.id != self.counter {
-                    break;
-                }
-                let (tag, item) = q.pop_front().unwrap();
-                self.buffered -= 1;
-                self.released += 1;
-                out.push(item);
-                if tag.last {
-                    // Step (3): the batch is complete — advance the counter.
-                    self.mf_lane.remove(&tag.id);
-                    self.counter += 1;
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                // The current micro-flow is only partially here; everything
-                // releasable has been released.
+            // Step (2): consume the next run of the current micro-flow.
+            let Some((run, items)) = q.pop_run_if(|run| run.id == counter) else {
+                // Only partially here; everything releasable has been
+                // released.
                 return;
+            };
+            out.extend(items);
+            self.buffered -= run.len;
+            self.released += run.len as u64;
+            if run.last {
+                // Step (3): the batch is complete — advance the counter.
+                self.mf_lane.remove(&counter);
+                self.counter += 1;
             }
         }
     }
@@ -468,7 +482,7 @@ impl<T> MergeCounter<T> {
     pub fn drain_all(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.buffered);
         for (_, q) in std::mem::take(&mut self.lanes) {
-            out.extend(q.into_iter().map(|(_, item)| item));
+            out.extend(q.items);
         }
         // Forget in-flight micro-flow state too: leaving `mf_lane`
         // populated made a drained merger treat fresh arrivals of those
@@ -503,6 +517,9 @@ impl<T> MergeCounter<T> {
 /// Fault recovery reuses the flush idea: [`ScrReconciler::flush_one`]
 /// force-advances the watermark to the first parked record, recording
 /// the skipped range so later stragglers are told apart from duplicates.
+///
+/// The threaded runtime does not use it: its lanes' results are ordered
+/// by [`MergeCounter`] under both stateful modes.
 #[derive(Clone, Debug)]
 pub struct ScrReconciler<T> {
     watermark: u64,
@@ -614,44 +631,8 @@ impl<T> ScrReconciler<T> {
     }
 
     /// Offers one delivery record covering `[start, end)`; appends any
-    /// now-in-order records to `out` and reports the record's fate. The
-    /// one-record case of [`ScrReconciler::offer_run`].
+    /// now-in-order records to `out` and reports the record's fate.
     pub fn offer(&mut self, start: u64, end: u64, item: T, out: &mut Vec<T>) -> Offer {
-        self.offer_run(std::iter::once((start, end, item)), out)
-    }
-
-    /// Offers a run of `(start, end, record)` delivery records — one
-    /// lane's output for one micro-flow. Observably identical to offering
-    /// them one at a time; a stretch that starts at the watermark and
-    /// stays short of the first parked record goes straight through to
-    /// `out`, with the parked set consulted once per run instead of once
-    /// per record. Holes, overlaps, replays and anything touching a
-    /// parked record take the single-record path.
-    ///
-    /// Returns the fate of the run's final record
-    /// ([`Offer::Accepted`] for an empty run).
-    pub fn offer_run<I>(&mut self, records: I, out: &mut Vec<T>) -> Offer
-    where
-        I: IntoIterator<Item = (u64, u64, T)>,
-    {
-        let first_parked = |parked: &BTreeMap<u64, (u64, T)>| parked.keys().next().copied().unwrap_or(u64::MAX);
-        let mut clear_below = first_parked(&self.parked);
-        let mut fate = Offer::Accepted;
-        for (start, end, item) in records {
-            if start == self.watermark && start < end && end < clear_below {
-                self.watermark = end;
-                self.emitted += 1;
-                out.push(item);
-                fate = Offer::Accepted;
-            } else {
-                fate = self.offer_one(start, end, item, out);
-                clear_below = first_parked(&self.parked);
-            }
-        }
-        fate
-    }
-
-    fn offer_one(&mut self, start: u64, end: u64, item: T, out: &mut Vec<T>) -> Offer {
         if end <= start || end <= self.watermark {
             // Wholly behind (or empty): a replicated duplicate, unless the
             // watermark only passed it by flushing over the gap.
@@ -1123,6 +1104,42 @@ mod tests {
         assert_eq!(out, vec![50], "only the reachable item is releasable");
         assert_eq!(m.buffered(), 0, "no residue survives end-of-stream");
         assert_eq!(m.stats().late_drops, 1, "the stranded item is accounted");
+    }
+
+    #[test]
+    fn flush_stalled_purges_runs_stranded_by_fifo_violations() {
+        // The same violation offered as the merger thread offers it, a
+        // run at a time: a whole header is stranded and purged exactly
+        // as its items were, one by one.
+        let mut m = MergeCounter::new();
+        let mut out = Vec::new();
+        m.offer_run(5, 0, false, [50, 51, 52], &mut out);
+        m.offer_run(3, 0, false, [30, 31], &mut out);
+        assert!(out.is_empty());
+        assert_eq!(m.buffered(), 5);
+        m.flush_stalled(&mut out);
+        assert_eq!(out, vec![50, 51, 52], "only the reachable run is releasable");
+        assert_eq!(m.buffered(), 0, "no residue survives end-of-stream");
+        assert_eq!(m.stats().late_drops, 2, "the stranded run is accounted");
+    }
+
+    #[test]
+    fn a_stale_run_exposed_by_a_partial_release_is_purged_in_the_same_pass() {
+        // Lane 0 holds mf 1 in two pieces around a run of mf 0 that the
+        // counter is then flushed past. One drain releases the first
+        // piece, purges the stale run it exposes and releases the second:
+        // no arrival is needed to finish the job, and a flush in between
+        // cannot give up on a micro-flow that is all here.
+        let mut m = MergeCounter::new();
+        let mut out = Vec::new();
+        m.offer_run(1, 0, false, [10, 11], &mut out);
+        m.offer_run(0, 0, false, [1], &mut out);
+        m.offer_run(1, 0, true, [12, 13], &mut out);
+        assert!(out.is_empty(), "mf 0 is stranded behind mf 1's first piece");
+        assert!(m.flush_one(&mut out), "gives up on mf 0");
+        assert_eq!(out, vec![10, 11, 12, 13]);
+        assert_eq!((m.counter(), m.buffered(), m.late_drops()), (2, 0, 1));
+        assert_eq!(m.flushed_ids().iter().copied().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

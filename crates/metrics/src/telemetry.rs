@@ -62,8 +62,10 @@
 /// * `replicated_transitions` — state transitions computed by lane
 ///   replicas under SCR (each packet's stateful work, counted once per
 ///   lane that performed it — duplicated dispatches replicate too).
-/// * `reconciled_dups` — replicated transitions the reconciler
-///   discarded as already emitted (exactly-once enforcement).
+/// * `reconciled_dups` — replicated transitions discarded at the merge
+///   point as already emitted (exactly-once enforcement): the
+///   simulator's reconciler's duplicate records, and on the runtime
+///   every arrival the merging counter rejected under SCR, `late + dup`.
 /// * `pool_recycled` — packet-buffer slots returned to the buffer pool's
 ///   free list during the run (runtime engine; zero without a pool).
 /// * `pool_misses` — packet allocations that fell back to the heap

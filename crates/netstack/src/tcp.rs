@@ -168,9 +168,8 @@ impl FlowState {
     /// watermark, the out-of-order queue and every counter. A restored
     /// copy fed the remaining segment stream delivers byte-identically to
     /// the uninterrupted machine — the same contract the runtime's
-    /// merger-state checkpoints rely on for `MergeCounter` and
-    /// `ScrReconciler`, extended here so the simulator's stateful stage
-    /// is snapshot-capable too.
+    /// merger-state checkpoints rely on for `MergeCounter`, extended
+    /// here so the simulator's stateful stage is snapshot-capable too.
     pub fn snapshot(&self) -> Self {
         self.clone()
     }

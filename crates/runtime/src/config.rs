@@ -16,13 +16,13 @@
 //!   it goes — so it overlaps no other stage however many cores there
 //!   are.
 //! * **scr** (state-compute replication) — every lane applies it to the
-//!   packets it processes, and the merger becomes a *reconciler*
-//!   ([`mflow::ScrReconciler`]): a per-stream seq watermark that emits
-//!   each position exactly once, in order, discarding replicated or
-//!   redispatched duplicates. Because the stage is a pure function of
-//!   the packet, both modes deliver byte-identical streams — the
-//!   differential suite in `tests/` proves it across every policy and
-//!   fault mix.
+//!   packets it processes, and nothing is applied after the merge. The
+//!   merger is the same merging counter either way: it orders runs by
+//!   micro-flow id and rejects a redispatched copy whole, so each
+//!   replicated transition is delivered exactly once. Because the stage
+//!   is a pure function of the packet, both modes deliver byte-identical
+//!   streams — the differential suite in `tests/` proves it across every
+//!   policy and fault mix.
 
 use std::time::{Duration, Instant};
 
@@ -119,8 +119,8 @@ pub struct RuntimeConfig {
     /// Where the stateful stage runs: serially after reassembly
     /// (`MergeBeforeTcp`, the paper's design; one pass by final assembly
     /// on the calling thread once everything is joined) or replicated on
-    /// every lane with the merger reduced to a seq-watermark reconciler
-    /// (`StateComputeReplication`).
+    /// every lane, with nothing left for the merger to do but order the
+    /// results (`StateComputeReplication`).
     pub stateful_mode: StatefulMode,
     /// Rounds of per-packet stateful work ([`crate::work::stateful_stage`]);
     /// 0 disables the stage (both modes then deliver the plain digests).
@@ -254,7 +254,7 @@ pub struct RunOutput {
     pub digests: Vec<PacketResult>,
     /// Wall-clock processing time.
     pub elapsed: Duration,
-    /// Busy time of the serial stage: the merger's merge or reconcile
+    /// Busy time of the serial stage: the merging counter's
     /// bookkeeping, timed exactly around every per-micro-flow engine call,
     /// plus, under merge-before-tcp, final assembly's serial stateful pass
     /// on the calling thread. This is the quantity state-compute replication
@@ -262,10 +262,11 @@ pub struct RunOutput {
     /// matter how many host cores the worker threads actually share.
     /// (Zero for serial runs, which have no merge stage.)
     pub stateful_serial_ns: u64,
-    /// What the merger flushed past instead of waiting forever (the
-    /// `flushed` counter is this list's length): micro-flow IDs under
-    /// merge-before-tcp, skipped packet seqs under SCR (the reconciler
-    /// tracks stream positions, not batch structure).
+    /// The micro-flow IDs the merger flushed past instead of waiting
+    /// forever, in both stateful modes (the `flushed` counter is this
+    /// list's length) — mid-stream on the flush deadline, and at end of
+    /// stream on every run: a packet that was computed is delivered or
+    /// belongs to a micro-flow named here, never withheld.
     pub flushed_mfs: Vec<u64>,
     /// Worker threads that panicked during the run (every incarnation).
     pub workers_died: usize,

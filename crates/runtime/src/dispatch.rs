@@ -21,8 +21,9 @@
 //!   merge counter on a fault-free run.
 //! * **rps** — whole-stream steering, the paper's comparator: the stream
 //!   is pinned to one lane at first sight, so per-lane FIFO alone
-//!   preserves order and the merger degenerates to passthrough (zero
-//!   `ooo`, zero `flushed`). A call carries one stream under one global
+//!   preserves order and every run reaches the merge counter in turn on
+//!   an empty lane, which hands it straight through (zero `ooo`, zero
+//!   `flushed`). A call carries one stream under one global
 //!   `seq`, so a NIC hash (`rss`) or an application's core (`rfs`) would
 //!   pick that one lane by another rule and do nothing else; those two
 //!   names live on in the simulator only, where traffic is multi-flow.

@@ -45,7 +45,7 @@ pub use config::{
 pub use faults::{
     FaultEvent, FaultLog, LaneStall, MergerKill, MergerStall, RuntimeFaults, SlowWorker, WorkerKill,
 };
-pub use mflow::{ScrReconciler, StatefulMode};
+pub use mflow::StatefulMode;
 pub use mflow_error::MflowError;
 pub use mflow_metrics::Telemetry;
 pub use mflow_steering::{PolicyKind, SteeringPolicy};

@@ -1,17 +1,19 @@
-//! The merge side: the run a worker hands over, the ordering engines, the
+//! The merge side: the run a worker hands over, the ordering engine, the
 //! crash-consistent merger state, and the merger failure domain's
 //! watchdog.
 //!
 //! The **worker→merger** ring carries one run per micro-flow `{id, lane,
-//! closed, results}` ([`MergedRun`]). The merge engines take it whole
-//! ([`MergeCounter::offer_run`], [`ScrReconciler::offer_run`]: observably
-//! the per-item loop, paid once), and so does the WAL. The results `Vec`
-//! is the run's one allocation.
+//! closed, results}` ([`MergedRun`]). The one ordering engine — the
+//! paper's merging counter, [`MergeCounter`] — takes it whole
+//! ([`MergeCounter::offer_run`]: classified once, parked as one header),
+//! and so does the WAL. The results `Vec` is the run's one allocation.
 //!
-//! Which engine a run gets — the merging counter, the SCR reconciler, or
-//! plain passthrough when nothing can perturb per-lane FIFO order — and
-//! whether the write-ahead layer is armed are decided once, in
-//! [`RunPlan`]. What the merger then does about faults:
+//! Every run — every policy, both stateful modes — is ordered by
+//! micro-flow id: a pinned-lane policy's runs arrive in turn on an empty
+//! lane and go straight through, and under SCR the lanes have already
+//! applied the stateful stage ([`RunPlan::scr_work`]). Whether the
+//! write-ahead layer is armed is decided once, in [`RunPlan`]. What the
+//! merger then does about faults:
 //!
 //! * **Loss** — a micro-flow that never completes stalls the merging
 //!   counter; the merger flushes past it after
@@ -32,7 +34,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mflow::{MergeCounter, MergeStats, ScrReconciler};
+use mflow::MergeCounter;
 
 use crate::crew;
 use crate::faults::{FaultEvent, RuntimeFaults};
@@ -67,61 +69,34 @@ impl<T> Run<T> {
 /// ring, of the merge engines' bookkeeping and of the WAL.
 pub(crate) type MergedRun = Run<PacketResult>;
 
-/// The merger's ordering engine. The variant is fixed for the whole run
-/// (it is part of the policy/fault configuration, not of the mutable
-/// state), but the bookkeeping inside is exactly what a crash must not
-/// lose — so the engine lives inside [`MergerState`] and is cloned whole
-/// into every checkpoint.
-#[derive(Clone)]
-enum MergeEngine {
-    /// Per-lane FIFO already is global order (pinned-lane policies on
-    /// benign runs): results stream through unbuffered.
-    Passthrough,
-    /// Merge-before-tcp: the paper's merging counter.
-    Counter(MergeCounter<PacketResult>),
-    /// State-compute replication: seq-watermark reconciler.
-    Reconciler(ScrReconciler<PacketResult>),
-}
-
 /// Everything the merger mutates while the stream is in flight, as one
-/// cloneable snapshot object: the engine (per-lane queues, counter,
-/// flush/dedup windows, SCR watermark and parked set) plus the scalar
-/// counters the merger owns. Restoring a [`MergerState`] and replaying
-/// the delta log reproduces the dead incarnation's trajectory exactly.
+/// cloneable snapshot object: the merging counter (per-lane queues of
+/// parked runs, counter, flush/dedup windows) plus the scalar counters the
+/// merger owns. Restoring a [`MergerState`] and replaying the delta log
+/// reproduces the dead incarnation's trajectory exactly. Nothing in it
+/// knows the stateful mode: under SCR the lanes ran the stage already.
 #[derive(Clone)]
 pub(crate) struct MergerState {
-    engine: MergeEngine,
-    /// Stateful mode is SCR (lanes did the stateful stage; arrivals are
-    /// counted as replicated transitions).
-    scr: bool,
+    pub(crate) engine: MergeCounter<PacketResult>,
     /// Highest packet seq seen so far, for the `ooo` arrival counter.
     max_seen: Option<u64>,
     /// Arrivals that carried a seq below `max_seen`.
     pub(crate) ooo: u64,
-    /// Replicated stateful transitions observed (SCR only).
-    pub(crate) replicated: u64,
-    /// Busy nanoseconds of the serial merge/reconcile stage.
+    /// Busy nanoseconds of the serial merge stage.
     pub(crate) serial_ns: u64,
     /// Offers applied so far — the WAL's logical clock: checkpoint
-    /// boundaries and injected merger faults are expressed in it.
-    offers: u64,
+    /// boundaries and injected merger faults are expressed in it. Every
+    /// arrival is one, so under SCR it is also the replicated
+    /// transitions the lanes computed.
+    pub(crate) offers: u64,
 }
 
 impl MergerState {
-    fn new(use_counter: bool, scr: bool) -> Self {
-        let engine = if !use_counter {
-            MergeEngine::Passthrough
-        } else if scr {
-            MergeEngine::Reconciler(ScrReconciler::new())
-        } else {
-            MergeEngine::Counter(MergeCounter::new())
-        };
+    fn new() -> Self {
         Self {
-            engine,
-            scr,
+            engine: MergeCounter::new(),
             max_seen: None,
             ooo: 0,
-            replicated: 0,
             serial_ns: 0,
             offers: 0,
         }
@@ -132,93 +107,37 @@ impl MergerState {
     /// from the delta log. The engine call is timed exactly — two clock
     /// reads per micro-flow — into `serial_ns`.
     pub(crate) fn apply(&mut self, run: &MergedRun, out: &mut Vec<PacketResult>) {
-        let n = run.items.len() as u64;
-        self.offers += n;
-        if self.scr {
-            self.replicated += n;
-        }
+        self.offers += run.items.len() as u64;
         for r in &run.items {
             match self.max_seen {
                 Some(max) if r.seq < max => self.ooo += 1,
                 _ => self.max_seen = Some(r.seq),
             }
         }
-        let items = run.items.iter().copied();
         let t = Instant::now();
-        match &mut self.engine {
-            // No serial stage to time: results stream through.
-            MergeEngine::Passthrough => return out.extend(items),
-            MergeEngine::Counter(mc) => {
-                mc.offer_run(run.id, run.lane, run.closed, items, out);
-            }
-            MergeEngine::Reconciler(rc) => {
-                rc.offer_run(items.map(|r| (r.seq, r.seq + 1, r)), out);
-            }
-        }
+        self.engine
+            .offer_run(run.id, run.lane, run.closed, run.items.iter().copied(), out);
         self.serial_ns += t.elapsed().as_nanos() as u64;
     }
 
     /// Flushes the single most-stalled head (receive-timeout path).
     fn flush_one(&mut self, out: &mut Vec<PacketResult>) {
         let t = Instant::now();
-        match &mut self.engine {
-            MergeEngine::Passthrough => {}
-            MergeEngine::Counter(mc) => {
-                mc.flush_one(out);
-            }
-            MergeEngine::Reconciler(rc) => {
-                rc.flush_one(out);
-            }
-        }
+        self.engine.flush_one(out);
         self.serial_ns += t.elapsed().as_nanos() as u64;
     }
 
     /// End-of-stream flush of everything still parked.
     pub(crate) fn flush_stalled(&mut self, out: &mut Vec<PacketResult>) {
         let t = Instant::now();
-        match &mut self.engine {
-            MergeEngine::Passthrough => {}
-            MergeEngine::Counter(mc) => {
-                mc.flush_stalled(out);
-            }
-            MergeEngine::Reconciler(rc) => {
-                rc.flush_stalled(out);
-            }
-        }
+        self.engine.flush_stalled(out);
         self.serial_ns += t.elapsed().as_nanos() as u64;
-    }
-
-    pub(crate) fn stats(&self) -> MergeStats {
-        match &self.engine {
-            MergeEngine::Passthrough => MergeStats::default(),
-            MergeEngine::Counter(mc) => mc.stats(),
-            MergeEngine::Reconciler(rc) => rc.stats(),
-        }
-    }
-
-    /// What the engine flushed past: micro-flow IDs (counter) or skipped
-    /// packet seqs (reconciler).
-    pub(crate) fn flushed_list(&self) -> Vec<u64> {
-        match &self.engine {
-            MergeEngine::Passthrough => Vec::new(),
-            MergeEngine::Counter(mc) => mc.flushed_ids().iter().copied().collect(),
-            MergeEngine::Reconciler(rc) => rc
-                .skipped_ranges()
-                .iter()
-                .flat_map(|&(s, e)| s..e)
-                .collect(),
-        }
     }
 
     /// Approximate heap footprint of one snapshot, for the
     /// `snapshot_bytes` telemetry counter.
     fn approx_bytes(&self) -> u64 {
-        let engine = match &self.engine {
-            MergeEngine::Passthrough => 0,
-            MergeEngine::Counter(mc) => mc.approx_bytes(),
-            MergeEngine::Reconciler(rc) => rc.approx_bytes(),
-        };
-        std::mem::size_of::<Self>() as u64 + engine
+        std::mem::size_of::<Self>() as u64 + self.engine.approx_bytes()
     }
 }
 
@@ -299,11 +218,11 @@ pub(crate) struct MergerShared {
 }
 
 impl MergerShared {
-    pub(crate) fn new(rx: RingMux<MergedRun>, plan: &RunPlan) -> Self {
+    pub(crate) fn new(rx: RingMux<MergedRun>) -> Self {
         Self {
             rx_slot: Mutex::new(Some(rx)),
             durable: Mutex::new(MergerDurable {
-                snapshot: MergerState::new(plan.use_counter, plan.scr_work.is_some()),
+                snapshot: MergerState::new(),
                 out: Vec::new(),
                 out_mark: 0,
                 delta: Vec::new(),

@@ -113,7 +113,7 @@ pub fn process_parallel_faulty(
     // The receiver moves into a shared slot that merger incarnations
     // lease; producer senders stay valid across merger deaths, which is
     // what makes re-attachment implicit.
-    let shared_store = MergerShared::new(rings.merge_rx, plan);
+    let shared_store = MergerShared::new(rings.merge_rx);
     let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
     let depths: Vec<AtomicUsize> = (0..topo.lanes).map(|_| AtomicUsize::new(0)).collect();
@@ -153,11 +153,9 @@ pub fn process_parallel_faulty(
             scr_work: plan.scr_work,
         };
         // Merger incarnation 0: merging-counter reassembly with flush
-        // recovery, a seq-watermark reconciler under SCR, or plain
-        // passthrough when order cannot be perturbed — all inside
-        // `MergerState`, behind the receiver lease. Every incarnation
-        // restores from the shared durable block; the watchdog spawns
-        // successors from the same block when one dies or wedges.
+        // recovery, inside `MergerState`, behind the receiver lease. Every
+        // incarnation restores from the shared durable block; the watchdog
+        // spawns successors from the same block when one dies or wedges.
         let watch = MergerWatch {
             s,
             shared,
@@ -212,7 +210,7 @@ pub fn process_parallel_faulty(
         digests: merged.digests,
         elapsed: start.elapsed(),
         stateful_serial_ns: merged.state.serial_ns,
-        flushed_mfs: merged.flushed_mfs,
+        flushed_mfs: merged.state.engine.flushed_ids().iter().copied().collect(),
         workers_died,
         merger_deaths: deaths.merger,
         checkpoints: merged.dur.checkpoints,
@@ -608,15 +606,15 @@ struct Assembled {
     digests: Vec<PacketResult>,
     state: MergerState,
     dur: MergerDurable,
-    flushed_mfs: Vec<u64>,
 }
 
 /// Final assembly, on the calling thread, from the durable block: restore
 /// the last snapshot, replay whatever the delta log still holds (the
 /// serial-merge degradation path — empty after any clean merger EOS),
 /// drain transport residue a non-blocking pump may have left (every
-/// producer is gone, so this terminates), then flush and run the serial
-/// stateful stage. The delivered buffer is taken, not copied.
+/// producer is gone, so this terminates), then flush what is still parked
+/// and run the serial stateful stage. The delivered buffer is taken, not
+/// copied.
 fn final_assembly(shared: MergerShared, plan: &RunPlan, stateful_work: u32) -> Assembled {
     let MergerShared {
         rx_slot, durable, ..
@@ -633,10 +631,10 @@ fn final_assembly(shared: MergerShared, plan: &RunPlan, stateful_work: u32) -> A
             state.apply(&run, &mut out);
         }
     }
-    if plan.flush_at_eos {
-        state.flush_stalled(&mut out);
-    }
-    let flushed_mfs = state.flushed_list();
+    // No arrival can release anything any more: whatever loss — injected,
+    // shed, or a worker that really died — left parked goes out now, and
+    // the micro-flows given up on are named.
+    state.flush_stalled(&mut out);
     // The serial stateful stage proper: merge-before-tcp pays it here,
     // after reassembly, packet by packet in order — timed into the same
     // serial_ns the incarnations accumulated, so the counter spans
@@ -652,7 +650,6 @@ fn final_assembly(shared: MergerShared, plan: &RunPlan, stateful_work: u32) -> A
         digests: out,
         state,
         dur,
-        flushed_mfs,
     }
 }
 
@@ -682,7 +679,10 @@ fn telemetry(
     d: &Dispatcher<'_>,
     sup: &Supervisor,
 ) -> Telemetry {
-    let mstats = merged.state.stats();
+    let mstats = merged.state.engine.stats();
+    // Under SCR every arrival at the merger is a transition a lane
+    // computed, and every one the counter rejected a reconciled copy.
+    let scr = plan.scr_work.is_some();
     let (desplits, resplits) = policy.desplit_stats();
     Telemetry {
         policy: policy.name().to_string(),
@@ -691,7 +691,7 @@ fn telemetry(
         pool_misses,
         delivered: merged.digests.len() as u64,
         ooo: merged.state.ooo,
-        flushed: merged.flushed_mfs.len() as u64,
+        flushed: mstats.flushed,
         late: mstats.late_drops,
         dup: mstats.dup_drops,
         shed: d.shed_packets,
@@ -708,9 +708,9 @@ fn telemetry(
         merger_recovery_ns: sup.merger_recovery_ns,
         snapshot_bytes: merged.dur.snapshot_bytes,
         restore_replayed_offers: merged.dur.replayed,
-        replicated_transitions: merged.state.replicated,
-        reconciled_dups: if plan.scr_work.is_some() {
-            mstats.dup_drops
+        replicated_transitions: if scr { merged.state.offers } else { 0 },
+        reconciled_dups: if scr {
+            mstats.late_drops + mstats.dup_drops
         } else {
             0
         },

@@ -89,38 +89,16 @@ pub(crate) struct RunPlan {
     /// The supervision layer is engaged: the stall watchdog, the respawn
     /// machinery, or both.
     pub(crate) supervised: bool,
-    /// The run can remove micro-flows from the stream or move them onto
-    /// recovery lanes without any fault injected. DropTail removes whole
-    /// micro-flows, which stalls the merge counter exactly like injected
-    /// loss does, and any policy that can go inline (Inline itself,
-    /// DropTail's inline fallback) retags batches onto recovery lanes
-    /// whose arrivals may trail the primary lanes indefinitely — so every
-    /// policy that sheds or creates recovery lanes counts, not just
-    /// DropTail. Supervision counts too: a stall-respawn redispatches the
-    /// retained window while the stalled worker may still drain its copy,
-    /// so recovery lanes and duplicates become possible.
-    pub(crate) can_shed_or_recover: bool,
-    /// The merge engine is engaged. It is only needed when arrivals can
-    /// leave original order: a policy that interleaves the stream across
-    /// lanes, or any run where faults / shedding / recovery lanes can
-    /// perturb it. Otherwise per-lane FIFO carries order end to end and
-    /// the merger streams results through unbuffered.
-    pub(crate) use_counter: bool,
     /// The merger's mid-stream flush deadline
     /// ([`RuntimeFaults::flush_timeout_ms`]), for the runs that can lose
     /// or re-route a micro-flow; `None` waits for every micro-flow.
     pub(crate) flush_timeout: Option<Duration>,
-    /// At end of stream, flush whatever loss left stuck so nothing stays
-    /// parked forever.
-    pub(crate) flush_at_eos: bool,
     /// The merger failure domain is armed — whenever the merger can
     /// actually die or wedge: supervision on, or merger faults injected.
     /// Offers are journaled and checkpointed and the watchdog methods of
     /// [`crate::merge::MergerWatch`] act. Off — a benign unsupervised run
     /// — every one of them is a no-op and the single merger incarnation
-    /// runs to EOS exactly as the unsupervised pipeline always has. Both
-    /// conditions force `use_counter`, so a passthrough merger never pays
-    /// for the write-ahead layer.
+    /// runs to EOS exactly as the unsupervised pipeline always has.
     pub(crate) wal_on: bool,
     /// Stateful-stage placement: under SCR, the rounds the lanes (and
     /// every degraded path that stands in for a lane — local completion
@@ -144,6 +122,17 @@ impl RunPlan {
     pub(crate) fn new(cfg: &RuntimeConfig, faults: &RuntimeFaults) -> Self {
         let supervised = cfg.supervised();
         let faulty = faults.is_active();
+        // The run can remove micro-flows from the stream or move them
+        // onto recovery lanes without any fault injected. DropTail removes
+        // whole micro-flows, which stalls the merge counter exactly like
+        // injected loss does, and any policy that can go inline (Inline
+        // itself, DropTail's inline fallback) retags batches onto recovery
+        // lanes whose arrivals may trail the primary lanes indefinitely —
+        // so every policy that sheds or creates recovery lanes counts, not
+        // just DropTail. Supervision counts too: a stall-respawn
+        // redispatches the retained window while the stalled worker may
+        // still drain its copy, so recovery lanes and duplicates become
+        // possible.
         let can_shed_or_recover =
             !matches!(cfg.backpressure, BackpressurePolicy::Block) || supervised;
         let flush_timeout = if faulty || can_shed_or_recover {
@@ -154,10 +143,7 @@ impl RunPlan {
         let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
         Self {
             supervised,
-            can_shed_or_recover,
-            use_counter: cfg.policy.reorders() || faulty || can_shed_or_recover,
             flush_timeout,
-            flush_at_eos: flush_timeout.is_some() || faulty || supervised,
             wal_on: supervised || faults.merger_faults_active(),
             scr_work: scr.then_some(cfg.stateful_work),
             retain: if faulty || supervised {
@@ -563,23 +549,22 @@ mod tests {
         const WORKER: usize = 1;
         const MERGER: usize = 2;
         // (supervised, injected, backpressure is Block) ->
-        // (can_shed_or_recover, perturbed, wal_on, retains), where a
-        // perturbed run engages the merge engine whatever the policy, arms
-        // the flush deadline and flushes at end of stream.
-        type Row = ((bool, usize, bool), (bool, bool, bool, bool));
+        // (perturbed, wal_on, retains), where a perturbed run — one that
+        // can lose or re-route a micro-flow — arms the flush deadline.
+        type Row = ((bool, usize, bool), (bool, bool, bool));
         let table: [Row; 12] = [
-            ((false, NOTHING, true), (false, false, false, false)),
-            ((false, NOTHING, false), (true, true, false, false)),
-            ((false, WORKER, true), (false, true, false, true)),
-            ((false, WORKER, false), (true, true, false, true)),
-            ((false, MERGER, true), (false, true, true, true)),
-            ((false, MERGER, false), (true, true, true, true)),
-            ((true, NOTHING, true), (true, true, true, true)),
-            ((true, NOTHING, false), (true, true, true, true)),
-            ((true, WORKER, true), (true, true, true, true)),
-            ((true, WORKER, false), (true, true, true, true)),
-            ((true, MERGER, true), (true, true, true, true)),
-            ((true, MERGER, false), (true, true, true, true)),
+            ((false, NOTHING, true), (false, false, false)),
+            ((false, NOTHING, false), (true, false, false)),
+            ((false, WORKER, true), (true, false, true)),
+            ((false, WORKER, false), (true, false, true)),
+            ((false, MERGER, true), (true, true, true)),
+            ((false, MERGER, false), (true, true, true)),
+            ((true, NOTHING, true), (true, true, true)),
+            ((true, NOTHING, false), (true, true, true)),
+            ((true, WORKER, true), (true, true, true)),
+            ((true, WORKER, false), (true, true, true)),
+            ((true, MERGER, true), (true, true, true)),
+            ((true, MERGER, false), (true, true, true)),
         ];
         let backpressure = [
             BackpressurePolicy::Block,
@@ -588,7 +573,7 @@ mod tests {
         ];
         let mut cells = 0;
         for ((supervised, which, blocking), outcome) in table {
-            let (can_shed_or_recover, perturbed, wal_on, retains) = outcome;
+            let (perturbed, wal_on, retains) = outcome;
             let (injected, faults) = &injected[which];
             for backpressure in backpressure
                 .into_iter()
@@ -610,10 +595,7 @@ mod tests {
                             matches!(policy, PolicyKind::FalconDev | PolicyKind::FalconFunc);
                         let want = RunPlan {
                             supervised,
-                            can_shed_or_recover,
-                            use_counter: perturbed || policy == PolicyKind::Mflow,
                             flush_timeout: perturbed.then_some(Duration::from_millis(100)),
-                            flush_at_eos: perturbed,
                             wal_on,
                             scr_work: scr.then_some(WORK),
                             retain: if retains { QUEUE_DEPTH + 2 } else { 0 },
@@ -632,9 +614,8 @@ mod tests {
         }
         assert_eq!(cells, 4 * 2 * 3 * 2 * 3, "every cell exactly once");
 
-        // The heartbeat alone supervises too, and a run told to wait for
-        // every micro-flow still flushes at end of stream when anything
-        // could have gone missing.
+        // The heartbeat alone supervises too, and a run can be told to
+        // wait for every micro-flow whatever is injected.
         let heartbeat_only = RuntimeConfig {
             heartbeat_interval_ms: Some(25),
             ..RuntimeConfig::default()
@@ -646,8 +627,7 @@ mod tests {
         let plan = RunPlan::new(&heartbeat_only, &patient);
         assert!(plan.supervised && plan.wal_on && plan.inline_orphans);
         assert_eq!(plan.flush_timeout, None);
-        assert!(plan.flush_at_eos);
         let plan = RunPlan::new(&RuntimeConfig::default(), &patient);
-        assert!(!plan.supervised && plan.flush_at_eos && plan.flush_timeout.is_none());
+        assert!(!plan.supervised && plan.flush_timeout.is_none());
     }
 }

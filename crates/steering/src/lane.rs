@@ -24,12 +24,11 @@
 //!   the only policy that interleaves one flow, and therefore the only one
 //!   that *requires* the merging counter to restore order.
 //!
-//! Policies whose [`PolicyKind::reorders`] is false deliver the stream
-//! through a single FIFO path, so the merge point must observe zero
-//! out-of-order arrivals and zero deadline flushes for them — a property
-//! the integration suite asserts for every implementation here. Both
-//! properties belong to the kind, not to the trait object: the runtime
-//! derives its wiring from [`PolicyKind`] before any policy is built.
+//! Every policy but MFLOW delivers the stream through a single FIFO path,
+//! so the merge point must observe zero out-of-order arrivals and zero
+//! deadline flushes for them — a property the integration suite asserts
+//! for every implementation here. The runtime derives its wiring from
+//! [`PolicyKind`] before any policy is built.
 
 /// Names every steering policy selectable on the runtime datapath
 /// (`mflow_cli --runtime --policy ...`).
@@ -82,24 +81,6 @@ impl PolicyKind {
             PolicyKind::FalconFunc => 3,
             _ => 0,
         }
-    }
-
-    /// Whether the policy can interleave packets of one flow across
-    /// lanes, requiring merge-point reassembly. Non-reordering policies
-    /// are guaranteed zero `ooo` / `flushed` telemetry on a fault-free
-    /// run.
-    ///
-    /// This is also the axis that decides what state-compute replication
-    /// buys: a reordering policy forces the merge point to buffer and
-    /// re-sequence *before* the stateful stage can run, so moving that
-    /// stage onto the lanes (SCR) takes it off the serial critical path.
-    /// Non-reordering policies deliver each flow through one FIFO lane,
-    /// where the stateful stage was never merge-blocked to begin with —
-    /// SCR must still produce the identical stream there (the
-    /// differential suite checks every policy in [`PolicyKind::ALL`]),
-    /// it just has less to win.
-    pub fn reorders(self) -> bool {
-        matches!(self, PolicyKind::Mflow)
     }
 
     /// Number of worker thread slots the threaded runtime materialises
@@ -161,8 +142,8 @@ pub trait SteeringPolicy: Send {
 /// order: re-picking a lane on a changed hash would re-steer the stream
 /// while its earlier micro-flows still sit in the old lane's queue, the
 /// reordering of "Why Does Flow Director Cause Packet Reordering?" —
-/// never re-picking is what makes `PolicyKind::Rps.reorders() == false`
-/// true by construction.
+/// never re-picking is what keeps an RPS stream on one FIFO path by
+/// construction.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RpsLanes {
     pinned: Option<usize>,
@@ -265,20 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn only_mflow_reorders() {
-        // The merge point — and therefore the stage SCR parallelizes —
-        // is only order-restoring under mflow; every baseline keeps a
-        // flow on one FIFO path.
-        for kind in PolicyKind::ALL {
-            assert_eq!(kind.reorders(), kind == PolicyKind::Mflow, "{kind}");
-        }
-    }
-
-    #[test]
     fn non_reordering_policies_keep_a_flow_on_one_lane() {
         let depths = [3usize, 0, 1, 2];
-        for kind in PolicyKind::ALL.into_iter().filter(|k| !k.reorders()) {
-            let mut p = build_baseline(kind).unwrap();
+        // Every baseline: mflow, the one policy that interleaves a flow
+        // across lanes, is not built here.
+        for mut p in PolicyKind::ALL.into_iter().filter_map(build_baseline) {
             let first = p.steer(0, 0xdead_beef, &depths);
             for mf in 1..64 {
                 assert_eq!(

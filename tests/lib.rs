@@ -146,9 +146,8 @@ impl Cell {
     /// duplicate-free; every delivered digest is the oracle's at that
     /// seq; nothing stays parked in the merger (`residue == 0`); every
     /// lane's depth counter reads zero; every missing packet is
-    /// attributable — a planned drop, a shed micro-flow, covered by the
-    /// merger's flush report (micro-flow IDs under merge-before-tcp,
-    /// skipped seqs under SCR), or inside the bounded window
+    /// attributable — a planned drop, a shed micro-flow, a micro-flow in
+    /// the merger's flush report, or inside the bounded window
     /// (`queue_depth + 2` micro-flows) each dead worker can take with it;
     /// and the frames' pool holds exactly what it held before the call.
     /// Returns the output for the suite's own assertions.
@@ -211,14 +210,13 @@ impl Cell {
         let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
         let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
         let shed: BTreeSet<u64> = out.sheds.iter().map(|&(mf, _)| mf).collect();
-        let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
         let mut unattributed = BTreeSet::new();
         for seq in 0..frames.len() as u64 {
             if present.contains(&seq) || dropped.contains(&seq) {
                 continue;
             }
             let mf = *mf_of.get(&seq).expect("surviving packet must have a tag");
-            if !shed.contains(&mf) && !flushed.contains(if scr { &seq } else { &mf }) {
+            if !shed.contains(&mf) && !flushed.contains(&mf) {
                 unattributed.insert(mf);
             }
         }

@@ -8,7 +8,8 @@ use mflow_netstack::{FlowSpec, PathKind, StackConfig, StackSim};
 use mflow_net::frame::{build_overlay_frame_into, OverlayFrameSpec};
 use mflow_runtime::{
     frame_wire_len, generate_frames, process_frame, process_parallel, process_serial,
-    stateful_stage, BackpressurePolicy, BufPool, Frame, PacketResult, RuntimeConfig, RuntimeFaults,
+    stateful_stage, BackpressurePolicy, BufPool, Frame, PacketResult, PolicyKind, RuntimeConfig,
+    RuntimeFaults,
 };
 
 /// `n` frames whose payload sizes cycle through `sizes` and whose flow is
@@ -80,11 +81,11 @@ fn every_steering_policy_preserves_byte_exact_order() {
                 let ctx = format!("{} w={workers}", cell.label);
                 let out = cell.run_exact(frames, &RuntimeFaults::none());
                 assert_eq!(out.telemetry.policy, cell.cfg.policy.name());
-                // Passthrough is the unperturbed case: under the other
-                // two backpressure policies the merge engine is engaged
-                // for every steering policy, inline lanes and all.
-                let passthrough = cell.cfg.backpressure == BackpressurePolicy::Block;
-                if !cell.cfg.policy.reorders() && passthrough {
+                // One FIFO path end to end is the unperturbed case: a
+                // policy that pins the stream, and blocking backpressure
+                // (the other two retag micro-flows onto inline lanes).
+                let blocking = cell.cfg.backpressure == BackpressurePolicy::Block;
+                if cell.cfg.policy != PolicyKind::Mflow && blocking {
                     assert_eq!(out.telemetry.ooo, 0, "{ctx} must not reorder");
                     assert!(
                         out.flushed_mfs.is_empty(),

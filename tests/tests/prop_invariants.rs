@@ -257,7 +257,7 @@ mod backpressure_accounting {
     use super::*;
     use integration_tests::{cell, CELLS};
     use mflow_runtime::{
-        generate_frames, BackpressurePolicy, LaneStall, RuntimeConfig, RuntimeFaults,
+        generate_frames, BackpressurePolicy, LaneStall, PolicyKind, RuntimeConfig, RuntimeFaults,
     };
 
     proptest! {
@@ -316,7 +316,7 @@ mod backpressure_accounting {
             // lanes on the primary path; any merge-input disorder must
             // come from recovery/inline lanes, which only exist when the
             // run could shed or go inline.
-            if !steering.reorders()
+            if steering != PolicyKind::Mflow
                 && matches!(policy, BackpressurePolicy::Block)
             {
                 prop_assert_eq!(out.telemetry.ooo, 0, "pinned policy raced at merge");

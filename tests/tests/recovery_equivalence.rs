@@ -17,7 +17,7 @@
 use integration_tests::{for_each_cell, Cell};
 use mflow_runtime::{
     generate_frames, process_parallel_faulty, FaultEvent, FaultLog, MergerKill, RuntimeConfig,
-    RuntimeFaults, ScrReconciler, WorkerKill,
+    RuntimeFaults, WorkerKill,
 };
 use proptest::prelude::*;
 
@@ -203,7 +203,7 @@ fn degraded_paths_still_deliver_the_benign_stream() {
 // path is built on, proven over arbitrary offer streams.
 // ---------------------------------------------------------------------
 
-use mflow::reassembly::{MergeCounter, MfTag};
+use mflow::reassembly::{MergeCounter, MfTag, ScrReconciler};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

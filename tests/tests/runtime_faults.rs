@@ -325,7 +325,16 @@ fn unparseable_opening_frame_fails_on_its_worker_not_in_the_caller() {
         }))
         .expect("an unhashable frame must not unwind into the caller")
         .expect("the surviving worker keeps the run Ok");
-        (out.digests.len(), out.workers_died, out.telemetry.residue)
+        // The survivor's results are delivered, not withheld behind the
+        // dead lane's micro-flows: what is missing is exactly the
+        // micro-flows the merger reports having given up on.
+        assert_eq!(out.telemetry.residue, 0, "a finished run keeps nothing parked");
+        let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
+        for seq in (0..frames.len() as u64).filter(|seq| !present.contains(seq)) {
+            let mf = seq / cfg.batch_size as u64;
+            assert!(out.flushed_mfs.contains(&mf), "seq {seq} missing, mf {mf} not flushed");
+        }
+        (out.digests.len(), out.workers_died, out.flushed_mfs)
     };
     let opening = run(64);
     assert_eq!(opening.1, 1, "the worker that parses the frame owns the failure");

@@ -6,7 +6,6 @@
 //! and through per-lane replicated [`FlowState`]s reconciled by the
 //! [`ScrReconciler`] watermark.
 
-use integration_tests::splitmix;
 use mflow::ScrReconciler;
 use mflow_netstack::tcp::FlowState;
 use mflow_netstack::Skb;
@@ -137,61 +136,6 @@ proptest! {
                     strict.expected()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn offer_run_is_the_per_record_loop(
-        steps in 1u64..100,
-        seed in any::<u64>(),
-    ) {
-        // Runs of records the way lanes produce them — mostly contiguous,
-        // starting at, ahead of or behind the watermark — salted with
-        // holes, overlaps that straddle the watermark or a parked record,
-        // empty records, replayed runs and the occasional timeout flush.
-        // The reconciler fed whole runs and the one fed record by record
-        // must be indistinguishable after every run.
-        let draw = |step: u64, salt: u64| splitmix(seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407), step);
-        let (mut by_run, mut by_record) = (ScrReconciler::new(), ScrReconciler::new());
-        let (mut run_out, mut record_out) = (Vec::new(), Vec::new());
-        let mut last_run: Vec<(u64, u64, u64)> = Vec::new();
-        for step in 0..steps {
-            let wm = by_run.watermark();
-            let run: Vec<(u64, u64, u64)> = if draw(step, 1) % 8 == 0 {
-                last_run.clone()
-            } else {
-                let mut pos = match draw(step, 2) % 4 {
-                    0 | 1 => wm,
-                    2 => wm + 1 + draw(step, 3) % 12,
-                    _ => wm.saturating_sub(1 + draw(step, 3) % 6),
-                };
-                (0..draw(step, 4) % 7)
-                    .map(|k| {
-                        let start = match draw(step, 10 + k) % 8 {
-                            0 => pos + 1 + draw(step, 20 + k) % 3,
-                            1 => pos.saturating_sub(1),
-                            _ => pos,
-                        };
-                        let end = start + draw(step, 30 + k) % 4;
-                        pos = end.max(start);
-                        (start, end, step * 100 + k)
-                    })
-                    .collect()
-            };
-            by_run.offer_run(run.iter().copied(), &mut run_out);
-            for &(start, end, item) in &run {
-                by_record.offer(start, end, item, &mut record_out);
-            }
-            if draw(step, 5) % 10 == 0 {
-                by_run.flush_one(&mut run_out);
-                by_record.flush_one(&mut record_out);
-            }
-            prop_assert_eq!(&run_out, &record_out, "out diverged at step {}", step);
-            prop_assert_eq!(by_run.watermark(), by_record.watermark());
-            prop_assert_eq!(by_run.skipped_ranges(), by_record.skipped_ranges());
-            prop_assert_eq!(by_run.stats(), by_record.stats(), "stats diverged at step {}", step);
-            prop_assert_eq!(by_run.approx_bytes(), by_record.approx_bytes());
-            last_run = run;
         }
     }
 }

@@ -6,12 +6,10 @@
 //! The serial reference is [`process_serial_stateful`] — parse, checksum,
 //! digest, then the stateful stage applied in flow order. Merge-before-tcp
 //! runs that stage serially on the merger after reassembly; replication
-//! runs it on whichever lane carries the packet and relies on the
-//! seq-watermark reconciler to deduplicate and order the replicated
-//! transitions. Equivalence of the two is the paper's correctness claim
+//! runs it on whichever lane carries the packet and relies on the merging
+//! counter to deduplicate and order the replicated transitions.
+//! Equivalence of the two is the paper's correctness claim
 //! for moving stateful work off the serial stage.
-
-use std::collections::BTreeSet;
 
 use integration_tests::{for_each_cell, replay_dispatch};
 use mflow_runtime::{generate_frames, RuntimeConfig, RuntimeFaults, StatefulMode, WorkerKill};
@@ -117,8 +115,8 @@ fn delayed_microflows_deliver_exactly_under_both_modes() {
 fn dispatch_time_loss_degrades_both_modes_to_the_same_stream() {
     // drop_last_rate = 1.0 deletes exactly the batch closers; with only
     // the end-of-stream flush for recovery, both modes must deliver
-    // exactly the surviving packets — and replication must additionally
-    // report the dropped positions as its skipped seqs.
+    // exactly the surviving packets and report the same flushed
+    // micro-flows: every one that was dispatched.
     let frames = generate_frames(640, 64);
     let mut faults = RuntimeFaults::none();
     faults.drop_last_rate = 1.0;
@@ -132,34 +130,16 @@ fn dispatch_time_loss_degrades_both_modes_to_the_same_stream() {
     let expected: Vec<u64> = (0..frames.len() as u64)
         .filter(|s| !dropped.contains(s))
         .collect();
+    // The merging counter reports whole flushed micro-flows.
+    let mut dispatched: Vec<u64> = mf_of.values().copied().collect();
+    dispatched.dedup();
     let mut streams = Vec::new();
     for_each_cell(base, |cell| {
         let ctx = &cell.label;
         let out = cell.run(&frames, &faults);
         let got: Vec<u64> = out.digests.iter().map(|r| r.seq).collect();
         assert_eq!(got, expected, "{ctx}: loss beyond the plan");
-
-        match cell.cfg.stateful_mode {
-            StatefulMode::StateComputeReplication => {
-                // The reconciler's flush report is the dropped seqs it
-                // skipped over. A drop past the last delivered packet
-                // is never skipped *over* — the stream simply ends —
-                // so the report covers exactly the interior gaps.
-                let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-                let horizon = out.digests.last().map_or(0, |r| r.seq);
-                let interior: BTreeSet<u64> =
-                    dropped.iter().copied().filter(|&s| s < horizon).collect();
-                assert_eq!(
-                    flushed, interior,
-                    "{ctx}: skipped seqs must be exactly the interior drops"
-                );
-            }
-            StatefulMode::MergeBeforeTcp => {
-                // The merging counter reports whole flushed micro-flows.
-                let n_mfs = mf_of.values().copied().collect::<BTreeSet<_>>().len();
-                assert_eq!(out.flushed_mfs.len(), n_mfs, "{ctx}");
-            }
-        }
+        assert_eq!(out.flushed_mfs, dispatched, "{ctx}: flushed micro-flow ids");
         streams.push(out.digests);
     });
     assert!(
