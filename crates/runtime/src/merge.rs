@@ -218,12 +218,15 @@ pub(crate) struct MergerShared {
 }
 
 impl MergerShared {
-    pub(crate) fn new(rx: RingMux<MergedRun>) -> Self {
+    /// `frames` is the length of the call's input, which bounds what can be
+    /// delivered: the delivered buffer is allocated once, here, instead of
+    /// regrown on the merger thread as the stream arrives.
+    pub(crate) fn new(rx: RingMux<MergedRun>, frames: usize) -> Self {
         Self {
             rx_slot: Mutex::new(Some(rx)),
             durable: Mutex::new(MergerDurable {
                 snapshot: MergerState::new(),
-                out: Vec::new(),
+                out: Vec::with_capacity(frames),
                 out_mark: 0,
                 delta: Vec::new(),
                 snapshot_bytes: 0,

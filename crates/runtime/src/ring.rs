@@ -12,9 +12,11 @@
 //!   exact logical bound so `queue_depth` keeps its meaning,
 //! * batch-granular push and pop — one index publish per batch, not per
 //!   item ([`RingProducer::push_all`], [`RingConsumer::pop_batch`]),
-//! * spin-then-park waiting: a short spin for the fast handoff, a few
-//!   scheduler yields (this matters on overcommitted hosts), then a
-//!   parked sleep with an explicit wake from the other side, and
+//! * spin-then-park waiting, one [`Ladder`] for every blocking call: a
+//!   spin for the fast handoff, its length learned from how earlier waits
+//!   ended ([`SPIN_BUDGET`]: one spin where the peer needs the waiter's
+//!   CPU), a few scheduler yields, then a parked sleep with an explicit
+//!   wake from the other side, and
 //! * close-on-drop in both directions, mirroring `mpsc` disconnect
 //!   semantics so the pipeline's dead-lane recovery works unchanged.
 //!
@@ -26,7 +28,7 @@
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
@@ -35,13 +37,82 @@ use std::time::{Duration, Instant};
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
-/// Spins before yielding.
+/// Most spins a wait may take, and what [`SPIN_BUDGET`] starts at.
 const SPIN_LIMIT: u32 = 64;
 /// Scheduler yields before parking (cheap progress on a shared core).
 const YIELD_LIMIT: u32 = 8;
 /// Park backstop: an explicit wake normally arrives first; the timeout
 /// only bounds the cost of a lost race between park and wake.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
+/// Spins a wait may take before it yields: the process-wide estimate that
+/// [`learn`] keeps (rings are rebuilt per call, and a short call has too
+/// few waits to learn from).
+static SPIN_BUDGET: AtomicU32 = AtomicU32::new(SPIN_LIMIT);
+
+/// A wait that ended while spinning doubles the budget (up to
+/// [`SPIN_LIMIT`]), one that had to yield halves it (down to one, the probe
+/// that lets it climb back): spinning pays only while the peer runs on
+/// another CPU, and where it needs the waiter's own, six waits end it. No
+/// clock, CPU count or affinity mask is asked. Relaxed load and store: a
+/// lost update still leaves a value clamped into `1..=SPIN_LIMIT`.
+fn learn(budget: &AtomicU32, spin_paid: bool) {
+    let now = budget.load(Ordering::Relaxed);
+    let next = if spin_paid { now * 2 } else { now / 2 }.clamp(1, SPIN_LIMIT);
+    if next != now {
+        budget.store(next, Ordering::Relaxed);
+    }
+}
+
+/// One wait episode, from finding the ring full (or empty) to finding it
+/// otherwise: spin, yield, park. Dropping it ends the episode, and a drop
+/// inside the spin phase is the outcome that says spinning paid.
+#[derive(Default)]
+struct Ladder {
+    /// Rungs taken; zero until the episode has had to wait.
+    rung: u32,
+    /// Spins this episode may take, read at its first rung.
+    budget: u32,
+}
+
+impl Ladder {
+    /// Spins once while the budget lasts. The first `false` is the futile
+    /// outcome, and the point from which a deadline's clock is read.
+    fn spin(&mut self) -> bool {
+        if self.rung == 0 {
+            self.budget = SPIN_BUDGET.load(Ordering::Relaxed);
+        } else if self.rung == self.budget {
+            learn(&SPIN_BUDGET, false);
+        }
+        self.rung = self.rung.saturating_add(1);
+        if self.rung > self.budget {
+            return false;
+        }
+        #[cfg(test)]
+        tests::count_spin(self.rung);
+        std::hint::spin_loop();
+        true
+    }
+
+    /// One rung past the spin phase: a scheduler yield, or — `true` — the
+    /// thread registered; re-check, then [`Waiter::park_unless`].
+    fn yield_or_register(&self, waiter: &Waiter) -> bool {
+        if self.rung <= self.budget + YIELD_LIMIT {
+            thread::yield_now();
+            return false;
+        }
+        waiter.prepare();
+        true
+    }
+}
+
+impl Drop for Ladder {
+    fn drop(&mut self) {
+        if (1..=self.budget).contains(&self.rung) {
+            learn(&SPIN_BUDGET, true);
+        }
+    }
+}
 
 /// One side's parked-thread slot: the waiter registers itself, re-checks
 /// the ring, then parks; the other side wakes it after publishing.
@@ -53,27 +124,34 @@ struct Waiter {
 
 impl Waiter {
     /// Registers the calling thread as the parked waiter. The caller must
-    /// re-check the ring between `prepare` and `park` — that re-check is
-    /// what closes the missed-wakeup window.
+    /// re-check the ring before it parks; that closes the missed-wakeup
+    /// window: this side writes `parked`, fences, reads the ring, the
+    /// waking side writes the ring, fences, reads `parked`, and of two
+    /// `SeqCst` fences one comes first — the re-check sees the publish or
+    /// [`Waiter::wake`] sees `parked`.
     fn prepare(&self) {
         *self.thread.lock().expect("waiter mutex") = Some(thread::current());
         self.parked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
     }
 
-    /// Deregisters without parking (the re-check found work).
-    fn cancel(&self) {
+    /// After the re-check: parks until woken or `timeout` elapses unless
+    /// the re-check found work, and deregisters.
+    fn park_unless(&self, ready: bool, timeout: Duration) {
+        if !ready {
+            thread::park_timeout(timeout);
+        }
         self.parked.store(false, Ordering::SeqCst);
     }
 
-    /// Parks the calling thread until woken or `timeout` elapses.
-    fn park(&self, timeout: Duration) {
-        thread::park_timeout(timeout);
-        self.parked.store(false, Ordering::SeqCst);
-    }
-
-    /// Wakes the parked waiter, if any.
+    /// Wakes the parked waiter, if any. Every publish calls this and a
+    /// waiter is almost never parked, so the flag is read (behind the
+    /// fence that orders the read after the caller's publish) and written
+    /// only when it reads `true`: the line stays shared between the
+    /// publishers of a mux instead of going exclusive on every push.
     fn wake(&self) {
-        if self.parked.swap(false, Ordering::SeqCst) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::SeqCst) {
             let t = self.thread.lock().expect("waiter mutex").clone();
             if let Some(t) = t {
                 t.unpark();
@@ -180,26 +258,14 @@ impl<T> RingProducer<T> {
     /// Blocking push: spin, yield, then park until space frees up.
     /// Returns the item when the consumer is gone.
     pub fn push(&mut self, mut value: T) -> Result<(), T> {
-        let mut attempts = 0u32;
+        let mut ladder = Ladder::default();
         loop {
             value = match self.try_push(value) {
                 Ok(()) => return Ok(()),
                 Err(RingSendError::Closed(v)) => return Err(v),
                 Err(RingSendError::Full(v)) => v,
             };
-            if attempts < SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else if attempts < SPIN_LIMIT + YIELD_LIMIT {
-                thread::yield_now();
-            } else {
-                self.ring.not_full.prepare();
-                if self.has_space() || self.ring.consumer_closed.load(Ordering::Acquire) {
-                    self.ring.not_full.cancel();
-                } else {
-                    self.ring.not_full.park(PARK_TIMEOUT);
-                }
-            }
-            attempts = attempts.saturating_add(1);
+            self.wait_for_space(&mut ladder);
         }
     }
 
@@ -210,7 +276,7 @@ impl<T> RingProducer<T> {
     /// payload).
     pub fn push_all<I: IntoIterator<Item = T>>(&mut self, items: I) -> Result<(), RingClosed> {
         let mut it = items.into_iter().peekable();
-        let mut attempts = 0u32;
+        let mut ladder = Ladder::default();
         while it.peek().is_some() {
             if self.ring.consumer_closed.load(Ordering::Acquire) {
                 return Err(RingClosed);
@@ -219,22 +285,11 @@ impl<T> RingProducer<T> {
             self.head_cache = self.ring.head.0.load(Ordering::Acquire);
             let free = self.ring.cap - (tail - self.head_cache);
             if free == 0 {
-                if attempts < SPIN_LIMIT {
-                    std::hint::spin_loop();
-                } else if attempts < SPIN_LIMIT + YIELD_LIMIT {
-                    thread::yield_now();
-                } else {
-                    self.ring.not_full.prepare();
-                    if self.has_space() || self.ring.consumer_closed.load(Ordering::Acquire) {
-                        self.ring.not_full.cancel();
-                    } else {
-                        self.ring.not_full.park(PARK_TIMEOUT);
-                    }
-                }
-                attempts = attempts.saturating_add(1);
+                self.wait_for_space(&mut ladder);
                 continue;
             }
-            attempts = 0;
+            // Progress: the next time the ring is full is a new episode.
+            ladder = Ladder::default();
             let mut n = 0usize;
             while n < free {
                 let Some(value) = it.next() else { break };
@@ -251,10 +306,15 @@ impl<T> RingProducer<T> {
         Ok(())
     }
 
-    fn has_space(&mut self) -> bool {
-        let tail = self.ring.tail.0.load(Ordering::Relaxed);
-        self.head_cache = self.ring.head.0.load(Ordering::Acquire);
-        tail - self.head_cache < self.ring.cap
+    /// One rung of a wait for the consumer to free a slot (or go away).
+    fn wait_for_space(&mut self, ladder: &mut Ladder) {
+        if !ladder.spin() && ladder.yield_or_register(&self.ring.not_full) {
+            let tail = self.ring.tail.0.load(Ordering::Relaxed);
+            self.head_cache = self.ring.head.0.load(Ordering::Acquire);
+            let ready = tail - self.head_cache < self.ring.cap
+                || self.ring.consumer_closed.load(Ordering::Acquire);
+            self.ring.not_full.park_unless(ready, PARK_TIMEOUT);
+        }
     }
 }
 
@@ -321,7 +381,7 @@ impl<T> RingConsumer<T> {
     /// Blocking pop: spin, yield, then park until an item arrives.
     /// `None` means the producer is gone and the ring is drained.
     pub fn pop(&mut self) -> Option<T> {
-        let mut attempts = 0u32;
+        let mut ladder = Ladder::default();
         loop {
             // Closed is read before the pop: set-after-last-publish on the
             // producer side means closed-then-empty is truly drained.
@@ -332,19 +392,10 @@ impl<T> RingConsumer<T> {
             if closed {
                 return None;
             }
-            if attempts < SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else if attempts < SPIN_LIMIT + YIELD_LIMIT {
-                thread::yield_now();
-            } else {
-                self.ring.not_empty.prepare();
-                if self.has_item() || self.producer_closed() {
-                    self.ring.not_empty.cancel();
-                } else {
-                    self.ring.not_empty.park(PARK_TIMEOUT);
-                }
+            if !ladder.spin() && ladder.yield_or_register(&self.ring.not_empty) {
+                let ready = self.has_item() || self.producer_closed();
+                self.ring.not_empty.park_unless(ready, PARK_TIMEOUT);
             }
-            attempts = attempts.saturating_add(1);
         }
     }
 
@@ -497,7 +548,7 @@ impl<T> RingMux<T> {
     /// Receives one item, waiting at most until `deadline` (forever when
     /// `None`).
     pub fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<T, MuxRecvError> {
-        let mut attempts = 0u32;
+        let mut ladder = Ladder::default();
         loop {
             if let Some(v) = self.scratch.pop_front() {
                 return Ok(v);
@@ -508,30 +559,19 @@ impl<T> RingMux<T> {
             if self.all_drained() {
                 return Err(MuxRecvError::Disconnected);
             }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(MuxRecvError::Timeout);
-                }
+            if ladder.spin() {
+                continue;
             }
-            if attempts < SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else if attempts < SPIN_LIMIT + YIELD_LIMIT {
-                thread::yield_now();
-            } else {
-                self.waiter.prepare();
-                if self.refill() > 0 || self.all_drained() {
-                    self.waiter.cancel();
-                } else {
-                    let nap = match deadline {
-                        Some(d) => d
-                            .saturating_duration_since(Instant::now())
-                            .min(PARK_TIMEOUT),
-                        None => PARK_TIMEOUT,
-                    };
-                    self.waiter.park(nap.max(Duration::from_micros(1)));
-                }
+            // Past the spin phase, so about to give the CPU away: now the clock.
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return Err(MuxRecvError::Timeout);
             }
-            attempts = attempts.saturating_add(1);
+            if ladder.yield_or_register(&self.waiter) {
+                let ready = self.refill() > 0 || self.all_drained();
+                let nap = left.map_or(PARK_TIMEOUT, |l| l.min(PARK_TIMEOUT));
+                self.waiter.park_unless(ready, nap);
+            }
         }
     }
 
@@ -668,6 +708,139 @@ pub fn ring_mux_with_registrar<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::sync::mpsc;
+
+    thread_local! {
+        /// `(episodes, spins)` of the calling thread's waits.
+        static WAITS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// [`Ladder::spin`]'s hook: `rung` is the spin just taken, counted
+    /// from 1, so a 1 opens an episode (the budget never goes below one).
+    pub(super) fn count_spin(rung: u32) {
+        WAITS.with(|w| {
+            let (episodes, spins) = w.get();
+            w.set((episodes + u64::from(rung == 1), spins + 1));
+        });
+    }
+
+    /// `(episodes, spins)` the calling thread adds while `f` runs.
+    fn waits_during(f: impl FnOnce()) -> (u64, u64) {
+        let before = WAITS.with(Cell::get);
+        f();
+        let after = WAITS.with(Cell::get);
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    #[test]
+    fn futile_waits_halve_the_budget_to_one_and_paid_ones_double_it_to_the_cap() {
+        let budget = AtomicU32::new(SPIN_LIMIT);
+        let mut seen = Vec::new();
+        for _ in 0..9 {
+            learn(&budget, false);
+            seen.push(budget.load(Ordering::Relaxed));
+        }
+        assert_eq!(
+            seen,
+            [32, 16, 8, 4, 2, 1, 1, 1, 1],
+            "at the floor within 7, and stays"
+        );
+        seen.clear();
+        for _ in 0..8 {
+            learn(&budget, true);
+            seen.push(budget.load(Ordering::Relaxed));
+        }
+        assert_eq!(
+            seen,
+            [2, 4, 8, 16, 32, 64, 64, 64],
+            "back to the cap, no further"
+        );
+    }
+
+    #[test]
+    fn racing_updates_never_leave_the_range() {
+        // `learn` is a load and a store, not a read-modify-write: updates
+        // can be lost. Whatever is stored was clamped, so the worst a race
+        // does is forget an outcome.
+        let budget = AtomicU32::new(SPIN_LIMIT);
+        thread::scope(|s| {
+            for paid in [true, false, false] {
+                let budget = &budget;
+                s.spawn(move || {
+                    for i in 0..100_000u32 {
+                        learn(budget, paid ^ (i % 7 == 0));
+                    }
+                });
+            }
+            for _ in 0..100_000 {
+                let now = budget.load(Ordering::Relaxed);
+                assert!((1..=SPIN_LIMIT).contains(&now), "budget {now}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_slow_peer_teaches_the_ladder_not_to_spin() {
+        let (mut tx, mut rx) = spsc::<u32>(4);
+        let (go, asked) = mpsc::channel::<()>();
+        let peer = thread::spawn(move || {
+            // Far slower than any spin: every wait for it ends in a yield
+            // or a park.
+            for () in asked {
+                thread::sleep(Duration::from_micros(200));
+                tx.push(7).expect("consumer alive");
+            }
+        });
+        let mut episode = || {
+            go.send(()).expect("peer alive");
+            assert_eq!(rx.pop(), Some(7));
+        };
+        // The budget is process-wide and other tests of this binary wait
+        // on rings beside this one; two threads handing off across two
+        // running CPUs are entitled to raise it, so a disturbed round is
+        // measured again. A ladder that did not learn fails every round.
+        let mut rounds = 0;
+        loop {
+            (0..7).for_each(|_| episode()); // from the cap to the floor
+            let (episodes, spins) = waits_during(|| (0..32).for_each(|_| episode()));
+            assert!(episodes > 0, "the peer is slow: some pops must wait");
+            if spins <= 2 * episodes {
+                break;
+            }
+            rounds += 1;
+            assert!(
+                rounds < 50,
+                "{spins} spins in {episodes} episodes after warm-up"
+            );
+        }
+        drop(go);
+        peer.join().expect("peer");
+    }
+
+    #[test]
+    fn push_all_starts_a_new_episode_after_every_stretch_it_publishes() {
+        let (mut tx, mut rx) = spsc::<u32>(1);
+        let consumer = thread::spawn(move || {
+            let mut got = Vec::new();
+            while !rx.producer_closed() || rx.has_item() {
+                thread::sleep(Duration::from_micros(300));
+                got.extend(rx.try_pop());
+            }
+            got
+        });
+        // One slot, eight items: the ring is full again after every item,
+        // seven times. One ladder carried through would count one episode
+        // (and would be parking by the second stall); a descheduled test
+        // thread can miss a stall or two, not six.
+        let (episodes, _) = waits_during(|| tx.push_all(0..8).expect("consumer alive"));
+        assert!((2..=7).contains(&episodes), "{episodes} episodes");
+        drop(tx);
+        assert_eq!(
+            consumer.join().expect("consumer"),
+            (0..8).collect::<Vec<_>>()
+        );
+    }
 
     #[test]
     fn fifo_order_single_thread() {

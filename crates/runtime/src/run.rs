@@ -113,7 +113,7 @@ pub fn process_parallel_faulty(
     // The receiver moves into a shared slot that merger incarnations
     // lease; producer senders stay valid across merger deaths, which is
     // what makes re-attachment implicit.
-    let shared_store = MergerShared::new(rings.merge_rx);
+    let shared_store = MergerShared::new(rings.merge_rx, frames.len());
     let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
     let depths: Vec<AtomicUsize> = (0..topo.lanes).map(|_| AtomicUsize::new(0)).collect();

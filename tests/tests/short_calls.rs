@@ -74,6 +74,7 @@ fn every_cell_serves_back_to_back_calls_through_deaths() {
     let base = RuntimeConfig {
         workers: WORKERS,
         batch_size: 8,
+        queue_depth: 8,
         stateful_work: WORK,
         // The benchmark's supervision settings: a deadline no
         // descheduled worker can miss by accident.
