@@ -254,7 +254,7 @@ fn bad_merger_depth_rejected() {
 #[test]
 fn tiny_merger_depth_still_completes() {
     // merger_depth 1 forces maximal producer-side waiting — the
-    // deepest spin-then-park coverage the ring path can get.
+    // deepest yield-then-park coverage the ring path can get.
     let frames = generate_frames(600, 32);
     let serial = process_serial(&frames);
     let out = process_parallel(

@@ -12,11 +12,10 @@
 //!   exact logical bound so `queue_depth` keeps its meaning,
 //! * batch-granular push and pop — one index publish per batch, not per
 //!   item ([`RingProducer::push_all`], [`RingConsumer::pop_batch`]),
-//! * spin-then-park waiting, one [`Ladder`] for every blocking call: a
-//!   spin for the fast handoff, its length learned from how earlier waits
-//!   ended ([`SPIN_BUDGET`]: one spin where the peer needs the waiter's
-//!   CPU), a few scheduler yields, then a parked sleep with an explicit
-//!   wake from the other side, and
+//! * yield-then-park waiting, one [`Ladder`] for every blocking call: a
+//!   few scheduler yields (on a shared CPU the first one runs the peer
+//!   being waited for), then a parked sleep with an explicit wake from
+//!   the other side, and
 //! * close-on-drop in both directions, mirroring `mpsc` disconnect
 //!   semantics so the pipeline's dead-lane recovery works unchanged.
 //!
@@ -28,7 +27,7 @@
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
@@ -37,80 +36,35 @@ use std::time::{Duration, Instant};
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
-/// Most spins a wait may take, and what [`SPIN_BUDGET`] starts at.
-const SPIN_LIMIT: u32 = 64;
 /// Scheduler yields before parking (cheap progress on a shared core).
 const YIELD_LIMIT: u32 = 8;
 /// Park backstop: an explicit wake normally arrives first; the timeout
 /// only bounds the cost of a lost race between park and wake.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
-/// Spins a wait may take before it yields: the process-wide estimate that
-/// [`learn`] keeps (rings are rebuilt per call, and a short call has too
-/// few waits to learn from).
-static SPIN_BUDGET: AtomicU32 = AtomicU32::new(SPIN_LIMIT);
-
-/// A wait that ended while spinning doubles the budget (up to
-/// [`SPIN_LIMIT`]), one that had to yield halves it (down to one, the probe
-/// that lets it climb back): spinning pays only while the peer runs on
-/// another CPU, and where it needs the waiter's own, six waits end it. No
-/// clock, CPU count or affinity mask is asked. Relaxed load and store: a
-/// lost update still leaves a value clamped into `1..=SPIN_LIMIT`.
-fn learn(budget: &AtomicU32, spin_paid: bool) {
-    let now = budget.load(Ordering::Relaxed);
-    let next = if spin_paid { now * 2 } else { now / 2 }.clamp(1, SPIN_LIMIT);
-    if next != now {
-        budget.store(next, Ordering::Relaxed);
-    }
-}
-
 /// One wait episode, from finding the ring full (or empty) to finding it
-/// otherwise: spin, yield, park. Dropping it ends the episode, and a drop
-/// inside the spin phase is the outcome that says spinning paid.
+/// otherwise: [`YIELD_LIMIT`] scheduler yields, then parks. It never
+/// spins: on a shared CPU a spin only keeps the peer it waits for from
+/// running (64 spins an episode were a sixth of a 64-byte frame's time on
+/// one CPU), and no host with a core per thread, where a spin could beat
+/// a yield to the hand-off, has been measured (EXPERIMENTS.md, PR 24).
 #[derive(Default)]
 struct Ladder {
-    /// Rungs taken; zero until the episode has had to wait.
+    /// Yields taken so far.
     rung: u32,
-    /// Spins this episode may take, read at its first rung.
-    budget: u32,
 }
 
 impl Ladder {
-    /// Spins once while the budget lasts. The first `false` is the futile
-    /// outcome, and the point from which a deadline's clock is read.
-    fn spin(&mut self) -> bool {
-        if self.rung == 0 {
-            self.budget = SPIN_BUDGET.load(Ordering::Relaxed);
-        } else if self.rung == self.budget {
-            learn(&SPIN_BUDGET, false);
-        }
-        self.rung = self.rung.saturating_add(1);
-        if self.rung > self.budget {
-            return false;
-        }
-        #[cfg(test)]
-        tests::count_spin(self.rung);
-        std::hint::spin_loop();
-        true
-    }
-
-    /// One rung past the spin phase: a scheduler yield, or — `true` — the
-    /// thread registered; re-check, then [`Waiter::park_unless`].
-    fn yield_or_register(&self, waiter: &Waiter) -> bool {
-        if self.rung <= self.budget + YIELD_LIMIT {
+    /// Takes one rung: a scheduler yield, or — `true` — the thread
+    /// registered; re-check, then [`Waiter::park_unless`].
+    fn yield_or_register(&mut self, waiter: &Waiter) -> bool {
+        if self.rung < YIELD_LIMIT {
+            self.rung += 1;
             thread::yield_now();
             return false;
         }
         waiter.prepare();
         true
-    }
-}
-
-impl Drop for Ladder {
-    fn drop(&mut self) {
-        if (1..=self.budget).contains(&self.rung) {
-            learn(&SPIN_BUDGET, true);
-        }
     }
 }
 
@@ -124,15 +78,13 @@ struct Waiter {
 
 impl Waiter {
     /// Registers the calling thread as the parked waiter. The caller must
-    /// re-check the ring before it parks; that closes the missed-wakeup
-    /// window: this side writes `parked`, fences, reads the ring, the
-    /// waking side writes the ring, fences, reads `parked`, and of two
-    /// `SeqCst` fences one comes first — the re-check sees the publish or
-    /// [`Waiter::wake`] sees `parked`.
+    /// re-check the ring between `prepare` and [`Waiter::park_unless`] —
+    /// that re-check is what closes the missed-wakeup window: a publish
+    /// the re-check misses is followed by a [`Waiter::wake`] that sees
+    /// `parked`.
     fn prepare(&self) {
         *self.thread.lock().expect("waiter mutex") = Some(thread::current());
         self.parked.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
     }
 
     /// After the re-check: parks until woken or `timeout` elapses unless
@@ -144,14 +96,9 @@ impl Waiter {
         self.parked.store(false, Ordering::SeqCst);
     }
 
-    /// Wakes the parked waiter, if any. Every publish calls this and a
-    /// waiter is almost never parked, so the flag is read (behind the
-    /// fence that orders the read after the caller's publish) and written
-    /// only when it reads `true`: the line stays shared between the
-    /// publishers of a mux instead of going exclusive on every push.
+    /// Wakes the parked waiter, if any.
     fn wake(&self) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::SeqCst) {
+        if self.parked.swap(false, Ordering::SeqCst) {
             let t = self.thread.lock().expect("waiter mutex").clone();
             if let Some(t) = t {
                 t.unpark();
@@ -255,7 +202,7 @@ impl<T> RingProducer<T> {
         Ok(())
     }
 
-    /// Blocking push: spin, yield, then park until space frees up.
+    /// Blocking push: yield, then park until space frees up.
     /// Returns the item when the consumer is gone.
     pub fn push(&mut self, mut value: T) -> Result<(), T> {
         let mut ladder = Ladder::default();
@@ -308,7 +255,7 @@ impl<T> RingProducer<T> {
 
     /// One rung of a wait for the consumer to free a slot (or go away).
     fn wait_for_space(&mut self, ladder: &mut Ladder) {
-        if !ladder.spin() && ladder.yield_or_register(&self.ring.not_full) {
+        if ladder.yield_or_register(&self.ring.not_full) {
             let tail = self.ring.tail.0.load(Ordering::Relaxed);
             self.head_cache = self.ring.head.0.load(Ordering::Acquire);
             let ready = tail - self.head_cache < self.ring.cap
@@ -378,7 +325,7 @@ impl<T> RingConsumer<T> {
         self.ring.producer_closed.load(Ordering::Acquire)
     }
 
-    /// Blocking pop: spin, yield, then park until an item arrives.
+    /// Blocking pop: yield, then park until an item arrives.
     /// `None` means the producer is gone and the ring is drained.
     pub fn pop(&mut self) -> Option<T> {
         let mut ladder = Ladder::default();
@@ -392,7 +339,7 @@ impl<T> RingConsumer<T> {
             if closed {
                 return None;
             }
-            if !ladder.spin() && ladder.yield_or_register(&self.ring.not_empty) {
+            if ladder.yield_or_register(&self.ring.not_empty) {
                 let ready = self.has_item() || self.producer_closed();
                 self.ring.not_empty.park_unless(ready, PARK_TIMEOUT);
             }
@@ -559,10 +506,6 @@ impl<T> RingMux<T> {
             if self.all_drained() {
                 return Err(MuxRecvError::Disconnected);
             }
-            if ladder.spin() {
-                continue;
-            }
-            // Past the spin phase, so about to give the CPU away: now the clock.
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             if left == Some(Duration::ZERO) {
                 return Err(MuxRecvError::Timeout);
@@ -708,138 +651,21 @@ pub fn ring_mux_with_registrar<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::sync::mpsc;
-
-    thread_local! {
-        /// `(episodes, spins)` of the calling thread's waits.
-        static WAITS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    }
-
-    /// [`Ladder::spin`]'s hook: `rung` is the spin just taken, counted
-    /// from 1, so a 1 opens an episode (the budget never goes below one).
-    pub(super) fn count_spin(rung: u32) {
-        WAITS.with(|w| {
-            let (episodes, spins) = w.get();
-            w.set((episodes + u64::from(rung == 1), spins + 1));
-        });
-    }
-
-    /// `(episodes, spins)` the calling thread adds while `f` runs.
-    fn waits_during(f: impl FnOnce()) -> (u64, u64) {
-        let before = WAITS.with(Cell::get);
-        f();
-        let after = WAITS.with(Cell::get);
-        (after.0 - before.0, after.1 - before.1)
-    }
 
     #[test]
-    fn futile_waits_halve_the_budget_to_one_and_paid_ones_double_it_to_the_cap() {
-        let budget = AtomicU32::new(SPIN_LIMIT);
-        let mut seen = Vec::new();
-        for _ in 0..9 {
-            learn(&budget, false);
-            seen.push(budget.load(Ordering::Relaxed));
+    fn a_ladder_yields_then_registers_and_a_found_item_deregisters() {
+        let waiter = Waiter::default();
+        let mut ladder = Ladder::default();
+        for _ in 0..YIELD_LIMIT {
+            assert!(!ladder.yield_or_register(&waiter));
+            assert!(!waiter.parked.load(Ordering::SeqCst));
         }
-        assert_eq!(
-            seen,
-            [32, 16, 8, 4, 2, 1, 1, 1, 1],
-            "at the floor within 7, and stays"
-        );
-        seen.clear();
-        for _ in 0..8 {
-            learn(&budget, true);
-            seen.push(budget.load(Ordering::Relaxed));
-        }
-        assert_eq!(
-            seen,
-            [2, 4, 8, 16, 32, 64, 64, 64],
-            "back to the cap, no further"
-        );
-    }
-
-    #[test]
-    fn racing_updates_never_leave_the_range() {
-        // `learn` is a load and a store, not a read-modify-write: updates
-        // can be lost. Whatever is stored was clamped, so the worst a race
-        // does is forget an outcome.
-        let budget = AtomicU32::new(SPIN_LIMIT);
-        thread::scope(|s| {
-            for paid in [true, false, false] {
-                let budget = &budget;
-                s.spawn(move || {
-                    for i in 0..100_000u32 {
-                        learn(budget, paid ^ (i % 7 == 0));
-                    }
-                });
-            }
-            for _ in 0..100_000 {
-                let now = budget.load(Ordering::Relaxed);
-                assert!((1..=SPIN_LIMIT).contains(&now), "budget {now}");
-            }
-        });
-    }
-
-    #[test]
-    fn a_slow_peer_teaches_the_ladder_not_to_spin() {
-        let (mut tx, mut rx) = spsc::<u32>(4);
-        let (go, asked) = mpsc::channel::<()>();
-        let peer = thread::spawn(move || {
-            // Far slower than any spin: every wait for it ends in a yield
-            // or a park.
-            for () in asked {
-                thread::sleep(Duration::from_micros(200));
-                tx.push(7).expect("consumer alive");
-            }
-        });
-        let mut episode = || {
-            go.send(()).expect("peer alive");
-            assert_eq!(rx.pop(), Some(7));
-        };
-        // The budget is process-wide and other tests of this binary wait
-        // on rings beside this one; two threads handing off across two
-        // running CPUs are entitled to raise it, so a disturbed round is
-        // measured again. A ladder that did not learn fails every round.
-        let mut rounds = 0;
-        loop {
-            (0..7).for_each(|_| episode()); // from the cap to the floor
-            let (episodes, spins) = waits_during(|| (0..32).for_each(|_| episode()));
-            assert!(episodes > 0, "the peer is slow: some pops must wait");
-            if spins <= 2 * episodes {
-                break;
-            }
-            rounds += 1;
-            assert!(
-                rounds < 50,
-                "{spins} spins in {episodes} episodes after warm-up"
-            );
-        }
-        drop(go);
-        peer.join().expect("peer");
-    }
-
-    #[test]
-    fn push_all_starts_a_new_episode_after_every_stretch_it_publishes() {
-        let (mut tx, mut rx) = spsc::<u32>(1);
-        let consumer = thread::spawn(move || {
-            let mut got = Vec::new();
-            while !rx.producer_closed() || rx.has_item() {
-                thread::sleep(Duration::from_micros(300));
-                got.extend(rx.try_pop());
-            }
-            got
-        });
-        // One slot, eight items: the ring is full again after every item,
-        // seven times. One ladder carried through would count one episode
-        // (and would be parking by the second stall); a descheduled test
-        // thread can miss a stall or two, not six.
-        let (episodes, _) = waits_during(|| tx.push_all(0..8).expect("consumer alive"));
-        assert!((2..=7).contains(&episodes), "{episodes} episodes");
-        drop(tx);
-        assert_eq!(
-            consumer.join().expect("consumer"),
-            (0..8).collect::<Vec<_>>()
-        );
+        assert!(ladder.yield_or_register(&waiter));
+        assert!(waiter.parked.load(Ordering::SeqCst));
+        // The re-check found work: no park, and no wake left to deliver.
+        waiter.park_unless(true, PARK_TIMEOUT);
+        assert!(!waiter.parked.load(Ordering::SeqCst));
+        assert!(ladder.yield_or_register(&waiter), "parking from now on");
     }
 
     #[test]

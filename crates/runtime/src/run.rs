@@ -38,7 +38,7 @@
 //! Every ring — dispatcher→lane head, stage→next stage inside a lane,
 //! and worker→merger — is an in-tree lock-free SPSC ring of
 //! [`crate::ring`], the userspace analogue of the paper's per-core
-//! packet-request ring buffers: atomic head/tail, spin-then-park
+//! packet-request ring buffers: atomic head/tail, yield-then-park
 //! waiting. The micro-flow is the unit of all three (what each carries is
 //! described with its sending side); nothing outside
 //! [`crate::work::process_frame`] is paid per packet.
