@@ -2,8 +2,9 @@
 //! as a function of batch size and lane count — the data structure whose
 //! cheapness (vs the kernel's per-packet out-of-order queue) the paper's
 //! §III-B argues for. `batch/*` and `lanes/*` offer one item at a time
-//! (the simulator's call), `runs/*` one micro-flow at a time (the merger
-//! thread's).
+//! (the simulator's call), `runs/*` and `runs_bursts/*` one micro-flow at
+//! a time (the merger thread's): `runs/*` in the worst-case skewed order,
+//! `runs_bursts/*` in the order the pinned pipeline delivers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mflow::{MergeCounter, MfTag};
@@ -29,6 +30,40 @@ fn skewed_stream(n: u64, batch: u64, lanes: usize) -> Vec<(MfTag, u64)> {
     tagged
 }
 
+/// The arrival order of the pinned two-worker pipeline: the mux drains
+/// one worker's ring while the other waits its turn, so the lanes
+/// alternate bursts of `burst` micro-flows (lane 0's even ids, then lane
+/// 1's odd ones) and about half the runs park.
+fn burst_stream(n: u64, batch: u64, burst: u64) -> Vec<(MfTag, u64)> {
+    let mfs = n.div_ceil(batch);
+    (0..mfs)
+        .step_by(2 * burst as usize)
+        .flat_map(|base| {
+            let end = (base + 2 * burst).min(mfs);
+            (base..end).step_by(2).chain((base + 1..end).step_by(2))
+        })
+        .flat_map(|id| {
+            let (first, end) = (id * batch, ((id + 1) * batch).min(n));
+            (first..end).map(move |i| {
+                let tag = MfTag {
+                    id,
+                    lane: (id % 2) as usize,
+                    last: i + 1 == end,
+                };
+                (tag, i)
+            })
+        })
+        .collect()
+}
+
+/// One run per micro-flow of `stream`: its closing tag, its items.
+fn as_runs(stream: &[(MfTag, u64)]) -> Vec<(MfTag, Vec<u64>)> {
+    stream
+        .chunk_by(|a, b| a.0.id == b.0.id)
+        .map(|run| (run[run.len() - 1].0, run.iter().map(|&(_, v)| v).collect()))
+        .collect()
+}
+
 fn bench_merge(c: &mut Criterion) {
     let n = 100_000u64;
     let mut group = c.benchmark_group("merge_counter");
@@ -52,14 +87,13 @@ fn bench_merge(c: &mut Criterion) {
             },
         );
     }
-    for batch in [32u64, 256] {
-        // The same order, one run per micro-flow: its closing tag, its items.
-        let stream = skewed_stream(n, batch, 2);
-        let runs: Vec<(MfTag, Vec<u64>)> = stream
-            .chunk_by(|a, b| a.0.id == b.0.id)
-            .map(|run| (run[run.len() - 1].0, run.iter().map(|&(_, v)| v).collect()))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("runs", batch), &runs, |b, runs| {
+    let runs_cases = [
+        ("runs", 32, as_runs(&skewed_stream(n, 32, 2))),
+        ("runs", 256, as_runs(&skewed_stream(n, 256, 2))),
+        ("runs_bursts", 32, as_runs(&burst_stream(n, 32, 32))),
+    ];
+    for (name, batch, runs) in &runs_cases {
+        group.bench_with_input(BenchmarkId::new(*name, batch), runs, |b, runs| {
             b.iter(|| {
                 let mut mc = MergeCounter::new();
                 let mut out = Vec::with_capacity(n as usize);

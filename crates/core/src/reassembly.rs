@@ -1,34 +1,45 @@
 //! Batch-based flow reassembly (§III-B, Figure 6c).
 //!
 //! Splitting a flow into micro-flows preserves order *within* each
-//! micro-flow, so order only needs restoring *between* micro-flows. MFLOW
-//! keeps one buffer queue per splitting core (lane) and a **merging
+//! micro-flow, so order only needs restoring *between* micro-flows. The
+//! paper keeps one buffer queue per splitting core and a **merging
 //! counter** holding the ID of the micro-flow currently allowed through:
+//! locate the queue whose head carries `id == counter`, drain it while the
+//! ID matches, and advance the counter when the micro-flow's final packet
+//! (`last_in_batch`) passes. It reorders per *batch* rather than per
+//! packet — with batch size 256 the counter advances once every 256
+//! packets, which is why the paper measures negligible reassembly overhead
+//! at that size. The per-core queues are there because in the kernel skbs
+//! reach core 0 one at a time per queue, and the lookup leans on each
+//! queue delivering in order.
 //!
-//! 1. locate the lane whose head packets carry `id == counter`;
-//! 2. drain packets from that lane while their ID matches;
-//! 3. when the micro-flow's final packet (`last_in_batch`) passes,
-//!    increment the counter and repeat.
-//!
-//! This reorders per *batch* rather than per packet — with batch size 256
-//! the counter advances once every 256 packets, which is why the paper
-//! measures negligible reassembly overhead at that size. The buffer
-//! queues hold batches too: a run of one micro-flow's items parks as one
-//! `{id, last, len}` header over the lane's flat item queue and is
-//! released with one bulk move ([`MergeCounter::offer_run`]).
+//! Here a micro-flow's ID is dense — the splitter hands them out one by
+//! one — so the ID itself says where a micro-flow waits, and no queue is
+//! needed: [`MergeCounter`] keeps a **reorder window**, one slot per ID
+//! from the counter up to the furthest one that has arrived. An offer is
+//! a write into its slot, the slot at the counter goes straight through,
+//! and completed slots pop off the front. Nothing depends on the order
+//! in which a lane delivers, and a whole run of one micro-flow is parked
+//! or released with one bulk move ([`MergeCounter::offer_run`]), in
+//! storage that emptied slots hand on to later ones.
 //!
 //! [`MergeCounter`] is the pure algorithm (reused verbatim by the
 //! real-thread runtime in `mflow-runtime`, whose merger offers a run per
 //! micro-flow); [`BatchMerger`] adapts it to the simulator's skbs, one
 //! item at a time, passing never-split flows through untouched.
 
-use std::collections::{vec_deque, BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use mflow_netstack::{FlowMerger, Skb};
 
-/// Micro-flow tag: position of the batch in the original flow, the lane
-/// (splitting core) it was dispatched to, and whether this item closes the
-/// batch.
+/// Micro-flow tag: position of the batch in the original flow, which
+/// copy of the micro-flow the item belongs to, and whether this item
+/// closes the batch.
+///
+/// `lane` names the copy: the splitting core it was dispatched to in the
+/// simulator, a copy number in the runtime (0 for the primary send, a
+/// fresh number for every redispatched, duplicated or inline copy). The
+/// first copy of a micro-flow to arrive is the one delivered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MfTag {
     pub id: u64,
@@ -50,7 +61,7 @@ pub enum Offer {
     /// [`MergeCounter::late_drops`].
     Late,
     /// A copy of a micro-flow that is already closed, or that is being
-    /// collected on a different lane (the first-arriving copy wins); the
+    /// collected under another tag (the first-arriving copy wins); the
     /// item is dropped and counted in [`MergeCounter::dup_drops`].
     Duplicate,
 }
@@ -74,7 +85,7 @@ pub struct MergeStats {
     pub late_drops: u64,
     /// Items rejected as duplicate copies.
     pub dup_drops: u64,
-    /// Items still parked in lane buffers at snapshot time.
+    /// Items still parked in the reorder window at snapshot time.
     pub residue: u64,
 }
 
@@ -90,53 +101,26 @@ impl MergeStats {
     }
 }
 
-/// What the merger knows about one in-flight micro-flow.
-#[derive(Clone, Copy, Debug)]
-struct MfEntry {
-    /// Lane (buffer queue) collecting the micro-flow. Learned on first
-    /// arrival; the real kernel reads it from the skb control block.
-    lane: usize,
-    /// Whether the `last` item has arrived (further copies are duplicates).
-    closed: bool,
-}
-
-/// The header of one parked run: `len` consecutive items of micro-flow
-/// `id` in a lane's queue, the final one closing the micro-flow when
-/// `last`.
-#[derive(Clone, Copy, Debug)]
-struct ParkedRun {
-    id: u64,
-    last: bool,
-    len: usize,
-}
-
-/// One lane's buffer queue: run headers over one flat queue of their
-/// items, both in arrival order; nothing per item but the item.
+/// One micro-flow's place in the reorder window.
 #[derive(Clone, Debug)]
-struct LaneQueue<T> {
-    runs: VecDeque<ParkedRun>,
-    items: VecDeque<T>,
+struct Slot<T> {
+    /// Tag of the first-arriving copy; `None` while nothing of the
+    /// micro-flow has arrived.
+    tag: Option<usize>,
+    /// That copy's final item has arrived (further copies are duplicates).
+    closed: bool,
+    /// Items waiting for the counter. Always empty at the front slot,
+    /// whose items go straight through.
+    items: Vec<T>,
 }
 
-impl<T> Default for LaneQueue<T> {
+impl<T> Default for Slot<T> {
     fn default() -> Self {
         Self {
-            runs: VecDeque::new(),
-            items: VecDeque::new(),
+            tag: None,
+            closed: false,
+            items: Vec::new(),
         }
-    }
-}
-
-impl<T> LaneQueue<T> {
-    /// Takes the front run off the queue if `wanted`: its header, and its
-    /// items as one bulk move.
-    fn pop_run_if(
-        &mut self,
-        wanted: impl FnOnce(&ParkedRun) -> bool,
-    ) -> Option<(ParkedRun, vec_deque::Drain<'_, T>)> {
-        let run = *self.runs.front().filter(|run| wanted(run))?;
-        self.runs.pop_front();
-        Some((run, self.items.drain(..run.len)))
     }
 }
 
@@ -155,17 +139,21 @@ impl<T> LaneQueue<T> {
 /// outcome rather than an assertion.
 #[derive(Clone, Debug)]
 pub struct MergeCounter<T> {
-    lanes: BTreeMap<usize, LaneQueue<T>>,
+    /// `window[k]` is micro-flow `counter + k`. The back slot, when there
+    /// is one, has a tag: the window ends at the furthest arrival.
+    window: VecDeque<Slot<T>>,
     counter: u64,
-    mf_lane: BTreeMap<u64, MfEntry>,
     buffered: usize,
     released: u64,
     /// Force-advance the counter after this many offers without a release.
     flush_after_offers: Option<u64>,
     offers_since_release: u64,
-    flushed_ids: BTreeSet<u64>,
+    /// Ascending: the counter only moves forward.
+    flushed_ids: Vec<u64>,
     late_drops: u64,
     dup_drops: u64,
+    /// Item storage of popped slots, handed to the next slot that parks.
+    spare: Vec<Vec<T>>,
 }
 
 impl<T> Default for MergeCounter<T> {
@@ -180,16 +168,16 @@ impl<T> MergeCounter<T> {
     /// micro-flow).
     pub fn new() -> Self {
         Self {
-            lanes: BTreeMap::new(),
+            window: VecDeque::new(),
             counter: 0,
-            mf_lane: BTreeMap::new(),
             buffered: 0,
             released: 0,
             flush_after_offers: None,
             offers_since_release: 0,
-            flushed_ids: BTreeSet::new(),
+            flushed_ids: Vec::new(),
             late_drops: 0,
             dup_drops: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -211,7 +199,7 @@ impl<T> MergeCounter<T> {
         self.counter
     }
 
-    /// Items parked in lane buffer queues.
+    /// Items parked in the reorder window.
     pub fn buffered(&self) -> usize {
         self.buffered
     }
@@ -221,8 +209,8 @@ impl<T> MergeCounter<T> {
         self.released
     }
 
-    /// Micro-flow IDs the counter was force-advanced past.
-    pub fn flushed_ids(&self) -> &BTreeSet<u64> {
+    /// Micro-flow IDs the counter was force-advanced past, ascending.
+    pub fn flushed_ids(&self) -> &[u64] {
         &self.flushed_ids
     }
 
@@ -256,9 +244,9 @@ impl<T> MergeCounter<T> {
     }
 
     /// A crash-consistent restore point: an independent deep copy of the
-    /// full mutable state (counter, per-lane buffers, micro-flow table,
-    /// flush bookkeeping). Feeding a snapshot the same offer stream the
-    /// original sees produces byte-identical releases and identical
+    /// full mutable state (counter, reorder window, flush bookkeeping).
+    /// Feeding a snapshot the same offer stream the original sees
+    /// produces byte-identical releases and identical
     /// [`MergeCounter::stats`] — the invariant the runtime's merger
     /// failure domain checkpoints rely on, proven by the snapshot
     /// round-trip proptest in the integration suite.
@@ -270,21 +258,16 @@ impl<T> MergeCounter<T> {
     }
 
     /// Estimated serialized size of a snapshot in bytes, for checkpoint
-    /// telemetry. An estimate (map overheads are approximated), not an
-    /// exact wire size — the runtime checkpoints by structural clone, so
-    /// no byte-exact encoding exists to measure.
+    /// telemetry. An estimate, not an exact wire size — the runtime
+    /// checkpoints by structural clone, so no byte-exact encoding exists
+    /// to measure.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         let fixed = size_of::<Self>();
         let buffered = self.buffered * size_of::<T>();
-        // One queue per lane and one header per parked run, one
-        // (id -> entry) record per known micro-flow, one u64 per flushed
-        // id.
-        let runs: usize = self.lanes.values().map(|q| q.runs.len()).sum();
-        let lanes = self.lanes.len() * size_of::<LaneQueue<T>>() + runs * size_of::<ParkedRun>();
-        let mf_table = self.mf_lane.len() * (size_of::<u64>() + size_of::<MfEntry>());
+        let window = self.window.len() * size_of::<Slot<T>>();
         let flushed = self.flushed_ids.len() * size_of::<u64>();
-        (fixed + buffered + lanes + mf_table + flushed) as u64
+        (fixed + buffered + window + flushed) as u64
     }
 
     /// Offers one tagged item; appends any now-in-order items to `out`
@@ -295,14 +278,13 @@ impl<T> MergeCounter<T> {
     }
 
     /// Offers one micro-flow's run of items at once: every item carries
-    /// `id` on `lane`, and the final one closes the micro-flow when
+    /// `id` under `tag`, and the final one closes the micro-flow when
     /// `closed`. Observably identical to offering the items one at a
     /// time — same `out`, [`stats`](Self::stats), counter and flushed
     /// ids — paid once per run: classified once (behind the counter, a
-    /// copy of a known micro-flow, or accepted), straight through to
-    /// `out` when in turn on an empty lane, parked as one header
-    /// otherwise — or as more of the lane's back header, when that is
-    /// the same still-open micro-flow.
+    /// copy of a known micro-flow, or accepted), then straight through to
+    /// `out` when `id` is the counter's, else appended to the micro-flow's
+    /// slot.
     ///
     /// Every item that releases nothing ticks the stall clock, and a
     /// flush moves the counter under the rest of the run: a run is split
@@ -312,7 +294,7 @@ impl<T> MergeCounter<T> {
     /// Returns the fate of the run's final item (all items of a run share
     /// one fate unless a stall-clock flush fires mid-run). An empty run
     /// changes nothing and reports [`Offer::Accepted`].
-    pub fn offer_run<I>(&mut self, id: u64, lane: usize, closed: bool, items: I, out: &mut Vec<T>) -> Offer
+    pub fn offer_run<I>(&mut self, id: u64, tag: usize, closed: bool, items: I, out: &mut Vec<T>) -> Offer
     where
         I: IntoIterator<Item = T>,
         I::IntoIter: ExactSizeIterator,
@@ -321,20 +303,23 @@ impl<T> MergeCounter<T> {
         let mut fate = Offer::Accepted;
         while items.len() > 0 {
             let n = items.len();
-            let known = self.mf_lane.get(&id);
-            let fresh = known.is_none();
-            fate = if id < self.counter {
-                Offer::Late
-            } else if known.is_some_and(|entry| entry.closed || entry.lane != lane) {
-                // Already complete, or being collected on another lane
-                // (a redispatched copy): the first-arriving copy wins.
-                Offer::Duplicate
-            } else {
-                Offer::Accepted
-            };
+            fate = self.classify(id, tag);
             let accepted = fate == Offer::Accepted;
+            if accepted && id == self.counter {
+                // In turn: straight through.
+                out.extend(items);
+                self.released += n as u64;
+                self.offers_since_release = 0;
+                if closed {
+                    self.advance();
+                    self.drain(out);
+                } else {
+                    Self::slot_in(&mut self.window, self.counter, id).tag = Some(tag);
+                }
+                return fate;
+            }
             // The clock only flushes while something is stuck.
-            let armed = accepted || !self.mf_lane.is_empty();
+            let armed = accepted || !self.window.is_empty();
             let take = match self.flush_after_offers {
                 Some(deadline) if armed => {
                     let left = deadline.saturating_sub(self.offers_since_release).max(1);
@@ -343,40 +328,14 @@ impl<T> MergeCounter<T> {
                 _ => n,
             };
             if accepted {
-                let q = self.lanes.entry(lane).or_default();
-                if id == self.counter && q.runs.is_empty() {
-                    // In turn on an empty lane: straight through.
-                    out.extend(items);
-                    self.released += n as u64;
-                    self.offers_since_release = 0;
-                    if closed {
-                        self.mf_lane.remove(&id);
-                        self.counter += 1;
-                        self.drain(out);
-                    } else if fresh {
-                        self.mf_lane.insert(id, MfEntry { lane, closed });
-                    }
-                    return fate;
+                let slot = Self::slot_in(&mut self.window, self.counter, id);
+                slot.tag = Some(tag);
+                slot.closed = closed && take == n;
+                if slot.items.capacity() == 0 {
+                    slot.items = self.spare.pop().unwrap_or_default();
                 }
-                let last = closed && take == n;
-                match q.runs.back_mut() {
-                    Some(run) if run.id == id && !run.last => {
-                        run.len += take;
-                        run.last = last;
-                    }
-                    _ => q.runs.push_back(ParkedRun { id, last, len: take }),
-                }
-                q.items.extend(items.by_ref().take(take));
+                slot.items.extend(items.by_ref().take(take));
                 self.buffered += take;
-                if fresh || last {
-                    self.mf_lane.insert(id, MfEntry { lane, closed: last });
-                }
-                let before = self.released;
-                self.drain(out);
-                if self.released != before {
-                    self.offers_since_release = 0;
-                    continue;
-                }
             } else {
                 items.by_ref().take(take).for_each(drop);
                 match fate {
@@ -393,23 +352,62 @@ impl<T> MergeCounter<T> {
         fate
     }
 
+    /// Behind the counter, a copy other than the one being collected (or
+    /// of a micro-flow already closed), or accepted.
+    fn classify(&self, id: u64, tag: usize) -> Offer {
+        let Some(k) = id.checked_sub(self.counter) else {
+            return Offer::Late;
+        };
+        match self.window.get(k as usize) {
+            Some(Slot {
+                tag: Some(first),
+                closed,
+                ..
+            }) if *closed || *first != tag => Offer::Duplicate,
+            _ => Offer::Accepted,
+        }
+    }
+
+    /// The slot of micro-flow `id`, at or past `counter`, growing the
+    /// window to reach it.
+    fn slot_in(window: &mut VecDeque<Slot<T>>, counter: u64, id: u64) -> &mut Slot<T> {
+        let k = (id - counter) as usize;
+        if k >= window.len() {
+            window.resize_with(k + 1, Slot::default);
+        }
+        &mut window[k]
+    }
+
+    /// Moves the counter one micro-flow on, popping its slot (if the
+    /// window reaches that far) and keeping the slot's storage.
+    fn advance(&mut self) {
+        self.counter += 1;
+        if let Some(slot) = self.window.pop_front() {
+            if slot.items.capacity() > 0 {
+                self.spare.push(slot.items);
+            }
+        }
+    }
+
     /// Force-advances the counter past the micro-flow it is stuck on,
     /// then releases whatever that unblocks. Returns `false` when there
     /// is nothing to flush.
     pub fn flush_one(&mut self, out: &mut Vec<T>) -> bool {
-        if self.mf_lane.remove(&self.counter).is_some() {
+        let Some(front) = self.window.front() else {
+            return false;
+        };
+        if front.tag.is_some() {
             // The current micro-flow arrived partially but never closed:
             // its in-order prefix is already out, so just skip its ID.
-            self.flushed_ids.insert(self.counter);
-            self.counter += 1;
+            self.flushed_ids.push(self.counter);
+            self.advance();
         } else {
             // Nothing of the current micro-flow (and possibly a run of
             // successors) ever arrived: jump to the first one we hold.
-            let Some(&next) = self.mf_lane.keys().next() else {
-                return false;
-            };
-            self.flushed_ids.extend(self.counter..next);
-            self.counter = next;
+            while self.window.front().is_some_and(|slot| slot.tag.is_none()) {
+                self.flushed_ids.push(self.counter);
+                self.advance();
+            }
         }
         self.drain(out);
         true
@@ -420,74 +418,35 @@ impl<T> MergeCounter<T> {
     /// IDs were skipped.
     pub fn flush_stalled(&mut self, out: &mut Vec<T>) -> u64 {
         let before = self.flushed_ids.len();
-        while !self.mf_lane.is_empty() {
-            if !self.flush_one(out) {
-                break;
-            }
-        }
-        // A per-lane FIFO violation upstream (e.g. a replaced-but-still-
-        // unwinding worker incarnation re-emitting on its slot's lane)
-        // can strand a run mid-queue behind a later micro-flow's: the
-        // walk above removes its entry while the run is unreachable,
-        // and no later counter value maps back to that lane. Everything
-        // still parked here has been passed by the counter — purge it
-        // exactly as the in-stream front purge would, so end-of-stream
-        // recovery always leaves the merge point empty.
-        for q in self.lanes.values_mut() {
-            self.buffered -= q.items.len();
-            self.late_drops += q.items.len() as u64;
-            q.runs.clear();
-            q.items.clear();
-        }
+        while self.flush_one(out) {}
         (self.flushed_ids.len() - before) as u64
     }
 
-    /// Releases everything currently releasable, a whole run at a time.
-    /// Runs to a fixpoint: draining again changes nothing.
+    /// Releases everything currently releasable: the front slot's items,
+    /// and whole slots off the front for as long as they are closed.
     fn drain(&mut self, out: &mut Vec<T>) {
-        // Step (1): locate the buffer queue holding the counter's
-        // micro-flow. Unknown means its packets are still in flight.
-        while let Some(&MfEntry { lane, .. }) = self.mf_lane.get(&self.counter) {
-            let counter = self.counter;
-            let Some(q) = self.lanes.get_mut(&lane) else {
+        while let Some(front) = self.window.front_mut() {
+            if front.tag.is_none() {
                 return;
-            };
-            // Defensive purge: a run the counter already passed can only
-            // sit at the front if per-lane FIFO order was violated
-            // upstream; dropping it beats wedging behind it.
-            while let Some((run, stale)) = q.pop_run_if(|run| run.id < counter) {
-                drop(stale);
-                self.buffered -= run.len;
-                self.late_drops += run.len as u64;
             }
-            // Step (2): consume the next run of the current micro-flow.
-            let Some((run, items)) = q.pop_run_if(|run| run.id == counter) else {
-                // Only partially here; everything releasable has been
-                // released.
+            let n = front.items.len();
+            out.append(&mut front.items);
+            self.buffered -= n;
+            self.released += n as u64;
+            if !front.closed {
                 return;
-            };
-            out.extend(items);
-            self.buffered -= run.len;
-            self.released += run.len as u64;
-            if run.last {
-                // Step (3): the batch is complete — advance the counter.
-                self.mf_lane.remove(&counter);
-                self.counter += 1;
             }
+            self.advance();
         }
     }
 
-    /// Removes and returns all parked items in lane order (end-of-run
-    /// accounting; order across lanes is not meaningful here).
+    /// Removes and returns all parked items in micro-flow order, and
+    /// forgets every micro-flow in flight (end-of-run accounting).
     pub fn drain_all(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.buffered);
-        for (_, q) in std::mem::take(&mut self.lanes) {
-            out.extend(q.items);
+        for slot in self.window.drain(..) {
+            out.extend(slot.items);
         }
-        // Forget in-flight micro-flow state too: leaving `mf_lane`
-        // populated made a drained merger treat fresh arrivals of those
-        // IDs as resumptions of ghost micro-flows.
-        self.mf_lane.clear();
         self.buffered = 0;
         out
     }
@@ -820,6 +779,8 @@ impl FlowMerger for BatchMerger {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     /// Tags `n` sequence numbers into micro-flows of `batch` over `lanes`.
@@ -957,11 +918,10 @@ mod tests {
 
     #[test]
     fn drain_all_forgets_inflight_microflows() {
-        // Regression: `drain_all` used to clear the lane queues but leave
-        // `mf_lane` populated, so a re-arrival of a drained micro-flow was
-        // treated as a resumption of a ghost entry — here mf 3 would stay
-        // invisible to the counter's lane lookup and wedge at id 0 lookup
-        // when the fresh copy lands on a different lane.
+        // Regression: `drain_all` once dropped the parked items but kept
+        // the micro-flows' tags, so a re-arrival of a drained micro-flow
+        // was treated as a resumption of a ghost — or, under another tag,
+        // as a duplicate of it.
         let mut m = MergeCounter::new();
         let mut out = Vec::new();
         m.offer(MfTag { id: 3, lane: 1, last: true }, 'x', &mut out);
@@ -974,8 +934,8 @@ mod tests {
             Offer::Accepted
         );
         assert_eq!(m.dup_drops(), 0);
-        // Completing mfs 0..3 (on their own lane, keeping per-lane FIFO)
-        // releases everything including the fresh copy.
+        // Completing mfs 0..3 releases everything including the fresh
+        // copy.
         for id in 0..3 {
             m.offer(MfTag { id, lane: 2, last: true }, 'z', &mut out);
         }
@@ -1087,30 +1047,26 @@ mod tests {
     }
 
     #[test]
-    fn flush_stalled_purges_items_stranded_by_fifo_violations() {
-        // A replaced-but-still-unwinding worker incarnation can re-emit
-        // on its slot's lane, landing an earlier micro-flow's packet
-        // *behind* a later one's in the same queue. The flush walk then
-        // removes the earlier mf's entry while its item is unreachable
-        // mid-queue, and once the later mf is flushed too, no counter
-        // value ever maps back to that lane: without the final purge the
-        // item would survive as permanent residue.
+    fn flush_stalled_releases_items_in_id_order_whatever_order_a_lane_delivered() {
+        // A lane that delivers an earlier micro-flow's item *behind* a
+        // later one's (an unwinding worker incarnation re-emitting, a chain
+        // head finishing a dead stage's micro-flows) changes nothing: each
+        // item waits in its own micro-flow's slot.
         let mut m = MergeCounter::new();
         let mut out = Vec::new();
         m.offer(MfTag { id: 5, lane: 0, last: false }, 50, &mut out);
         m.offer(MfTag { id: 3, lane: 0, last: false }, 30, &mut out);
         assert!(out.is_empty());
         m.flush_stalled(&mut out);
-        assert_eq!(out, vec![50], "only the reachable item is releasable");
+        assert_eq!(out, vec![30, 50], "delivered in order");
         assert_eq!(m.buffered(), 0, "no residue survives end-of-stream");
-        assert_eq!(m.stats().late_drops, 1, "the stranded item is accounted");
+        assert_eq!(m.stats().late_drops, 0, "nothing is stranded");
     }
 
     #[test]
-    fn flush_stalled_purges_runs_stranded_by_fifo_violations() {
-        // The same violation offered as the merger thread offers it, a
-        // run at a time: a whole header is stranded and purged exactly
-        // as its items were, one by one.
+    fn flush_stalled_releases_runs_in_id_order_whatever_order_a_lane_delivered() {
+        // The same arrival order offered as the merger thread offers it,
+        // a run at a time.
         let mut m = MergeCounter::new();
         let mut out = Vec::new();
         m.offer_run(5, 0, false, [50, 51, 52], &mut out);
@@ -1118,28 +1074,136 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(m.buffered(), 5);
         m.flush_stalled(&mut out);
-        assert_eq!(out, vec![50, 51, 52], "only the reachable run is releasable");
+        assert_eq!(out, vec![30, 31, 50, 51, 52], "delivered in order");
         assert_eq!(m.buffered(), 0, "no residue survives end-of-stream");
-        assert_eq!(m.stats().late_drops, 2, "the stranded run is accounted");
+        assert_eq!(m.stats().late_drops, 0, "nothing is stranded");
     }
 
     #[test]
-    fn a_stale_run_exposed_by_a_partial_release_is_purged_in_the_same_pass() {
-        // Lane 0 holds mf 1 in two pieces around a run of mf 0 that the
-        // counter is then flushed past. One drain releases the first
-        // piece, purges the stale run it exposes and releases the second:
-        // no arrival is needed to finish the job, and a flush in between
-        // cannot give up on a micro-flow that is all here.
+    fn a_micro_flow_offered_in_pieces_round_another_is_released_whole() {
+        // One lane delivers mf 1 in two pieces around an unclosed run of
+        // mf 0. Mf 0 goes straight through; once the counter gives up on
+        // it, mf 1 is released whole, and nothing was late.
         let mut m = MergeCounter::new();
         let mut out = Vec::new();
         m.offer_run(1, 0, false, [10, 11], &mut out);
         m.offer_run(0, 0, false, [1], &mut out);
         m.offer_run(1, 0, true, [12, 13], &mut out);
-        assert!(out.is_empty(), "mf 0 is stranded behind mf 1's first piece");
+        assert_eq!(out, vec![1], "mf 0 is in turn, mf 1 waits behind it");
         assert!(m.flush_one(&mut out), "gives up on mf 0");
-        assert_eq!(out, vec![10, 11, 12, 13]);
-        assert_eq!((m.counter(), m.buffered(), m.late_drops()), (2, 0, 1));
-        assert_eq!(m.flushed_ids().iter().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(out, vec![1, 10, 11, 12, 13]);
+        assert_eq!((m.counter(), m.buffered(), m.late_drops()), (2, 0, 0));
+        assert_eq!(m.flushed_ids(), &[0]);
+    }
+
+    #[test]
+    fn an_open_slot_offered_under_another_tag_is_a_duplicate() {
+        let mut m = MergeCounter::new();
+        let mut out = Vec::new();
+        // Mf 0 open in turn under tag 0, mf 1 open and parked under tag 2.
+        assert_eq!(m.offer_run(0, 0, false, ['a'], &mut out), Offer::Accepted);
+        assert_eq!(m.offer_run(1, 2, false, ['c'], &mut out), Offer::Accepted);
+        // Another copy of either, closed or not, is a duplicate.
+        assert_eq!(m.offer_run(0, 1, true, ['a', 'b'], &mut out), Offer::Duplicate);
+        assert_eq!(m.offer_run(1, 0, false, ['c'], &mut out), Offer::Duplicate);
+        assert_eq!(m.dup_drops(), 3);
+        // The first copies go on collecting under their own tags.
+        assert_eq!(m.offer_run(1, 2, true, ['d'], &mut out), Offer::Accepted);
+        assert_eq!(m.offer_run(0, 0, true, ['b'], &mut out), Offer::Accepted);
+        assert_eq!(out, vec!['a', 'b', 'c', 'd']);
+        assert_eq!((m.counter(), m.buffered()), (2, 0));
+    }
+
+    #[test]
+    fn a_second_copy_of_an_unclosed_micro_flow_is_never_appended() {
+        // The primary of mf 1 lost its closing packet and parks open; a
+        // redispatched copy of the whole micro-flow follows under another
+        // tag. Appending it would deliver mf 1's items twice.
+        let mut m = MergeCounter::new();
+        let mut out = Vec::new();
+        m.offer_run(1, 0, false, [10, 11], &mut out);
+        assert_eq!(m.offer_run(1, 7, true, [10, 11, 12], &mut out), Offer::Duplicate);
+        assert_eq!((m.buffered(), m.dup_drops()), (2, 3));
+        m.offer_run(0, 0, true, [0], &mut out);
+        assert_eq!(out, vec![0, 10, 11], "mf 1 is still open: its prefix is out");
+        // The same holds in turn, where the primary went straight through.
+        assert_eq!(m.offer_run(1, 7, true, [10, 11, 12], &mut out), Offer::Duplicate);
+        m.flush_stalled(&mut out);
+        assert_eq!(out, vec![0, 10, 11]);
+        assert_eq!((m.flushed_ids(), m.dup_drops()), (&[1][..], 6));
+    }
+
+    #[test]
+    fn flushed_ids_ascend() {
+        // Arrivals far ahead of the counter and out of order, with a
+        // deadline that flushes after every stalled offer: whatever the
+        // arrival order, the skipped IDs come out in counter order.
+        let mut m = MergeCounter::with_flush_deadline(1);
+        let mut out = Vec::new();
+        for id in [9u64, 4, 17, 12, 30, 2, 25] {
+            m.offer_run(id, id as usize % 3, id % 2 == 0, [id], &mut out);
+        }
+        m.flush_stalled(&mut out);
+        let ids = m.flushed_ids();
+        assert!(!ids.is_empty());
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        // Everything offered ahead of the counter came out, in order.
+        assert!(out.windows(2).all(|w| w[0] < w[1]), "{out:?}");
+        assert_eq!(out.len() as u64 + m.late_drops(), 7);
+        assert_eq!(m.buffered(), 0);
+    }
+
+    /// `runs` micro-flows of `len` items, as two lanes deliver them in
+    /// alternating bursts of `burst` runs (lane 0's even ids, then lane
+    /// 1's odd ones): half the runs park, one burst's worth at a time.
+    fn burst_runs(runs: u64, burst: u64, len: u64) -> Vec<(u64, Vec<u64>)> {
+        (0..runs)
+            .step_by(2 * burst as usize)
+            .flat_map(|base| {
+                let end = (base + 2 * burst).min(runs);
+                let evens = (base..end).step_by(2);
+                evens.chain((base + 1..end).step_by(2))
+            })
+            .map(|id| (id, (id * len..(id + 1) * len).collect()))
+            .collect()
+    }
+
+    /// Every slot storage buffer the counter holds: `(address, capacity)`.
+    fn storage<T>(m: &MergeCounter<T>) -> BTreeSet<(usize, usize)> {
+        let slots = m.window.iter().map(|slot| &slot.items);
+        m.spare
+            .iter()
+            .chain(slots)
+            .filter(|v| v.capacity() > 0)
+            .map(|v| (v.as_ptr() as usize, v.capacity()))
+            .collect()
+    }
+
+    #[test]
+    fn parking_and_draining_a_long_stream_reuses_slot_storage() {
+        // Storage is never freed while the counter lives (a popped slot's
+        // goes to `spare`), so a run parked in fresh storage would show up
+        // here as a new buffer, and one regrown as a new capacity.
+        const RUNS: u64 = 10_000;
+        const LEN: u64 = 32;
+        let stream = burst_runs(RUNS, 32, LEN);
+        let mut m = MergeCounter::new();
+        let mut out = Vec::with_capacity((RUNS * LEN) as usize);
+        let (warm_up, rest) = stream.split_at(256);
+        for (id, items) in warm_up {
+            m.offer_run(*id, (*id % 2) as usize, true, items.iter().copied(), &mut out);
+        }
+        let buffers = storage(&m);
+        assert!(buffers.len() <= 32, "{} buffers for one burst", buffers.len());
+        let mut parked = 0;
+        for (id, items) in rest {
+            let before = m.buffered();
+            m.offer_run(*id, (*id % 2) as usize, true, items.iter().copied(), &mut out);
+            parked += u64::from(m.buffered() > before);
+            assert_eq!(storage(&m), buffers, "mf {id} took storage of its own");
+        }
+        assert!(parked > RUNS / 3, "only {parked} runs parked");
+        assert_eq!(out, (0..RUNS * LEN).collect::<Vec<_>>());
     }
 
     #[test]

@@ -115,8 +115,8 @@ impl FaultPlan {
         self.invocation += 1;
         let mut out = Vec::with_capacity(skbs.len());
         // Release held skbs that have served their delay. They are
-        // prepended so a delayed skb arrives *before* this batch — the
-        // adversarial position for the per-lane FIFO assumption.
+        // prepended so a delayed skb arrives *before* this batch, behind
+        // later skbs of its own lane: out of lane order.
         let due = self.invocation;
         let mut still_held = Vec::with_capacity(self.held.len());
         for (at, skb) in self.held.drain(..) {

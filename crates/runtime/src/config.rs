@@ -67,9 +67,9 @@ pub enum BackpressurePolicy {
         /// Maximum packets the run may shed.
         budget: u64,
     },
-    /// Process the batch on the dispatcher thread. The batch rides a
-    /// fresh recovery lane, so the merger's per-lane FIFO assumption
-    /// holds and ordering is preserved via the merge counter.
+    /// Process the batch on the dispatcher thread, as a copy with a tag
+    /// of its own; the merge counter orders it by micro-flow id like any
+    /// other run.
     Inline,
 }
 
@@ -260,13 +260,19 @@ pub struct RunOutput {
     pub digests: Vec<PacketResult>,
     /// Wall-clock processing time.
     pub elapsed: Duration,
-    /// Busy time of the serial stage: the merging counter's
-    /// bookkeeping, timed exactly around every per-micro-flow engine call,
-    /// plus, under merge-before-tcp, final assembly's serial stateful pass
-    /// on the calling thread. This is the quantity state-compute replication
-    /// exists to shrink, and unlike wall-clock it reads the same no
-    /// matter how many host cores the worker threads actually share.
-    /// (Zero for serial runs, which have no merge stage.)
+    /// Busy time of the serial stage: the merger thread's, timed once per
+    /// drained batch of runs — receive from the transport past the
+    /// batch's first run, heartbeat, journal, fault checks, the merging
+    /// counter and checkpoints — plus flushes, replays, and, under
+    /// merge-before-tcp, final assembly's serial stateful pass on the
+    /// calling thread. Untimed: the wait for a batch's first run. So the
+    /// benchmark's `pipeline.merger_serial_ns` (this per frame) counts the
+    /// merger's bookkeeping round the engine as well as the engine, for
+    /// two clock reads per batch rather than per run (EXPERIMENTS.md, "The
+    /// merger pays for order"). This is the quantity state-compute
+    /// replication exists to shrink, and unlike wall-clock it reads the
+    /// same no matter how many host cores the worker threads actually
+    /// share. (Zero for serial runs, which have no merge stage.)
     pub stateful_serial_ns: u64,
     /// The micro-flow IDs the merger flushed past instead of waiting
     /// forever, in both stateful modes (the `flushed` counter is this

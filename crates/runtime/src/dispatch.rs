@@ -3,7 +3,7 @@
 //! under backpressure and redispatches what a dead lane still held.
 //!
 //! The **dispatcher→lane head** ring carries a 40-byte descriptor `{id,
-//! lane, range, live}` ([`MfDesc`]) over the caller's frame slice.
+//! tag, range, live}` ([`MfDesc`]) over the caller's frame slice.
 //! Workers are scoped *jobs* on crew threads ([`crate::crew`]) and read
 //! `frames[range]` in place, so the dispatcher clones no frame handle and
 //! allocates nothing, and the retained window, a duplicate or a retag is
@@ -20,9 +20,8 @@
 //!   policy that interleaves the stream, so the only one that *needs* the
 //!   merge counter on a fault-free run.
 //! * **rps** — whole-stream steering, the paper's comparator: the stream
-//!   is pinned to one lane at first sight, so per-lane FIFO alone
-//!   preserves order and every run reaches the merge counter in turn on
-//!   an empty lane, which hands it straight through (zero `ooo`, zero
+//!   is pinned to one lane at first sight, so every run reaches the merge
+//!   counter in turn and goes straight through (zero `ooo`, zero
 //!   `flushed`). A call carries one stream under one global
 //!   `seq`, so a NIC hash (`rss`) or an application's core (`rfs`) would
 //!   pick that one lane by another rule and do nothing else; those two
@@ -34,13 +33,16 @@
 //!
 //! * **Worker death** — each send failure marks the lane dead; the
 //!   descriptor that bounced plus a retained window of recently-sent
-//!   ones are redispatched to surviving workers. Redispatched copies ride
-//!   fresh *recovery lanes* (`n_workers + k`) so the merger's per-lane
-//!   FIFO assumption is never violated; copies of already-merged
-//!   micro-flows are rejected as duplicates. A dead lane's queue-depth
-//!   counter is zeroed the moment the death is discovered (and again at
-//!   join for deaths the dispatcher never observed), so occupancy signals
-//!   never count micro-flows nobody will dequeue. A death nobody observed
+//!   ones are redispatched to surviving workers. A descriptor's `tag`
+//!   names the copy: 0 for the primary send, a fresh number from
+//!   [`Dispatcher::retag`] for every redispatched, duplicated, late or
+//!   inline copy. The merger orders by micro-flow id alone and delivers
+//!   the first copy of each to arrive, whichever worker (or the
+//!   dispatcher) produced it; the other copies are rejected as
+//!   duplicates or late. A dead lane's queue-depth counter is zeroed the
+//!   moment the death is discovered (and again at join for deaths the
+//!   dispatcher never observed), so occupancy signals never count
+//!   micro-flows nobody will dequeue. A death nobody observed
 //!   — dispatch had already ended, as it always has on a stream shorter
 //!   than the lanes' queues — bounces no send; when orphans go inline
 //!   ([`RunPlan::inline_orphans`]) teardown runs such a lane's retained
@@ -92,8 +94,9 @@ pub(crate) fn build_policy(kind: PolicyKind) -> Result<Box<dyn SteeringPolicy>, 
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MfDesc {
     pub(crate) id: u64,
-    /// Merge-counter lane id the micro-flow's run will carry.
-    pub(crate) lane: usize,
+    /// Which copy of the micro-flow this is, carried into its run: 0 for
+    /// the primary send, a fresh number for every other copy.
+    pub(crate) tag: usize,
     /// The range opens at the micro-flow's first surviving frame and ends
     /// with the frame that closes it (see [`plan_microflow`]).
     pub(crate) start: usize,
@@ -113,21 +116,14 @@ pub(crate) struct Lane {
     /// `queue_depth + 2` covers the full queue, the one in the worker's
     /// hands, and the one that bounced.
     pub(crate) recent: VecDeque<MfDesc>,
-    /// Merge-counter lane id stamped on micro-flows routed here.
-    /// Initially the slot index; a supervisor respawn moves it to a fresh
-    /// id so results a replaced (but still draining) incarnation emits
-    /// can never interleave with the new incarnation's on one tag lane —
-    /// the merger's per-lane FIFO assumption holds by construction.
-    pub(crate) tag_lane: usize,
 }
 
 /// Everything the dispatcher tracks while the stream is in flight.
 pub(crate) struct Dispatcher<'a> {
     pub(crate) lanes: Vec<Lane>,
     retain: usize,
-    /// Next recovery lane ID (tag lanes above the worker count are unique
-    /// per redispatched micro-flow).
-    recovery_lane: usize,
+    /// The tag [`Dispatcher::retag`] gives the next copy.
+    next_tag: usize,
     /// Physical worker round-robin cursor for recovery sends.
     next_worker: usize,
     pub(crate) redispatched: u64,
@@ -154,11 +150,11 @@ pub(crate) struct Dispatcher<'a> {
     /// dead — the dispatcher itself still is).
     orphan_inline: bool,
     orphans: Vec<MfDesc>,
-    /// Sends still to be made, as `(lane, micro-flow, on a recovery lane
-    /// already)`: one entry on the normal path, a dead lane's whole
-    /// window when a send bounces. Dispatcher state rather than a local,
-    /// so a blocking send allocates nothing.
-    pending: Vec<(usize, MfDesc, bool)>,
+    /// Sends still to be made, as `(lane, micro-flow)`: one entry on the
+    /// normal path, a dead lane's whole window when a send bounces.
+    /// Dispatcher state rather than a local, so a blocking send allocates
+    /// nothing.
+    pending: Vec<(usize, MfDesc)>,
 }
 
 impl<'a> Dispatcher<'a> {
@@ -168,11 +164,10 @@ impl<'a> Dispatcher<'a> {
         depths: &'a [AtomicUsize],
         plan: &RunPlan,
     ) -> Self {
-        let n = lanes.len();
         Self {
             lanes,
             retain: plan.retain,
-            recovery_lane: n,
+            next_tag: 1,
             next_worker: 0,
             redispatched: 0,
             fault_drops: 0,
@@ -217,11 +212,6 @@ impl<'a> Dispatcher<'a> {
         self.lanes[lane].tx.is_none()
     }
 
-    /// The merge-counter lane id for micro-flows routed to `lane`.
-    pub(crate) fn tag_lane(&self, lane: usize) -> usize {
-        self.lanes[lane].tag_lane
-    }
-
     /// Fails a lane the watchdog declared stalled: marks it dead and
     /// redispatches its retained window, exactly as a bounced send
     /// would. The stalled worker may still be alive and drain its queue
@@ -229,36 +219,33 @@ impl<'a> Dispatcher<'a> {
     /// duplicates.
     pub(crate) fn fail_lane(&mut self, lane: usize) {
         for lost in self.mark_dead(lane) {
-            self.reroute(lost, false);
+            self.reroute(lost);
         }
         self.pump();
     }
 
     /// Re-occupies a dead slot with a freshly spawned worker's lane:
     /// installs the new sender, clears the retained window (the old one
-    /// was redispatched at death), resets the depth counter, and moves
-    /// the tag lane to a fresh id (see [`Lane::tag_lane`]).
+    /// was redispatched at death) and resets the depth counter.
     pub(crate) fn revive(&mut self, lane: usize, tx: RingProducer<MfDesc>) {
         self.lanes[lane].tx = Some(tx);
         self.lanes[lane].recent.clear();
-        self.lanes[lane].tag_lane = self.recovery_lane;
-        self.recovery_lane += 1;
         self.depths[lane].store(0, Ordering::Relaxed);
     }
 
     /// Sends `desc` to worker `lane`, redispatching on failure.
     fn send(&mut self, lane: usize, desc: MfDesc) {
-        self.pending.push((lane, desc, false));
+        self.pending.push((lane, desc));
         self.pump();
     }
 
     /// Drains the pending send list iteratively: a redispatch target may
     /// itself be dead, bouncing the micro-flow again.
     fn pump(&mut self) {
-        while let Some((lane, desc, is_recovery)) = self.pending.pop() {
+        while let Some((lane, desc)) = self.pending.pop() {
             let Some(tx) = self.lanes[lane].tx.as_mut() else {
                 // Known-dead lane: reroute to a live worker directly.
-                self.reroute(desc, is_recovery);
+                self.reroute(desc);
                 continue;
             };
             // Count the micro-flow as queued *before* publishing it:
@@ -272,7 +259,7 @@ impl<'a> Dispatcher<'a> {
                 // Redispatch its retained window plus this micro-flow.
                 let window = self.mark_dead(lane);
                 for lost in window.into_iter().chain(std::iter::once(desc)) {
-                    self.reroute(lost, is_recovery);
+                    self.reroute(lost);
                 }
             }
         }
@@ -375,27 +362,26 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Retags a lost micro-flow onto a fresh recovery lane and queues it
-    /// for the next live worker. When no workers are left it is dropped —
-    /// or, with `orphan_inline`, parked for inline processing.
-    fn reroute(&mut self, desc: MfDesc, was_recovery: bool) {
+    /// Retags a lost micro-flow as a new copy and queues it for the next
+    /// live worker. When no workers are left it is dropped — or, with
+    /// `orphan_inline`, parked for inline processing.
+    fn reroute(&mut self, desc: MfDesc) {
         let Some(target) = self.pick_live_worker() else {
             if self.orphan_inline {
                 self.orphans.push(desc);
             }
             return;
         };
-        // One already on a unique recovery lane keeps its tag.
-        let desc = if was_recovery { desc } else { self.retag(desc) };
+        let desc = self.retag(desc);
         self.redispatched += 1;
-        self.pending.push((target, desc, true));
+        self.pending.push((target, desc));
     }
 
-    /// Moves a micro-flow onto a fresh recovery lane.
+    /// The same micro-flow as a new copy, under a tag no other copy has.
     pub(crate) fn retag(&mut self, desc: MfDesc) -> MfDesc {
-        let lane = self.recovery_lane;
-        self.recovery_lane += 1;
-        MfDesc { lane, ..desc }
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        MfDesc { tag, ..desc }
     }
 
     fn pick_live_worker(&mut self) -> Option<usize> {
@@ -410,9 +396,8 @@ impl<'a> Dispatcher<'a> {
         None
     }
 
-    /// Sends a recovery-tagged copy of `desc` to the next live worker
-    /// (parked for inline processing under `orphan_inline` when none is
-    /// left).
+    /// Sends a new copy of `desc` to the next live worker (parked for
+    /// inline processing under `orphan_inline` when none is left).
     pub(crate) fn send_recovery(&mut self, desc: MfDesc) {
         let retagged = self.retag(desc);
         if let Some(target) = self.pick_live_worker() {

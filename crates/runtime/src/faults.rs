@@ -149,11 +149,11 @@ pub struct RuntimeFaults {
     /// Probability the *closing* packet of a micro-flow is dropped —
     /// leaves the micro-flow permanently open at the merger.
     pub drop_last_rate: f64,
-    /// Probability a whole micro-flow is dispatched twice (the copy rides
-    /// a recovery lane to a different worker).
+    /// Probability a whole micro-flow is dispatched twice (the second
+    /// copy, under a tag of its own, goes to the next live worker).
     pub dup_mf_rate: f64,
     /// Probability a whole micro-flow is held back and dispatched
-    /// [`RuntimeFaults::late_by`] batches later on a recovery lane.
+    /// [`RuntimeFaults::late_by`] batches later, as a new copy.
     pub late_mf_rate: f64,
     /// How many batches a late micro-flow is held for.
     pub late_by: u64,

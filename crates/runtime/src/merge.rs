@@ -2,17 +2,15 @@
 //! crash-consistent merger state, and the merger failure domain's
 //! watchdog.
 //!
-//! The **worker→merger** ring carries one run per micro-flow `{id, lane,
-//! closed, results}` ([`MergedRun`]). The one ordering engine — the
-//! paper's merging counter, [`MergeCounter`] — takes it whole
-//! ([`MergeCounter::offer_run`]: classified once, parked as one header),
-//! and so does the WAL. The results `Vec` is the run's one allocation.
-//!
-//! Every run — every policy, both stateful modes — is ordered by
-//! micro-flow id: a pinned-lane policy's runs arrive in turn on an empty
-//! lane and go straight through, and under SCR the lanes have already
-//! applied the stateful stage ([`RunPlan::scr_work`]). Whether the
-//! write-ahead layer is armed is decided once, in [`RunPlan`]. What the
+//! The **worker→merger** ring carries one run per micro-flow `{id, tag,
+//! closed, results}` ([`MergedRun`]), taken whole by the WAL and by the
+//! one ordering engine, the paper's merging counter ([`MergeCounter`]),
+//! which orders every run — every policy, both stateful modes — by
+//! micro-flow id alone, whichever worker sent it. The results `Vec` is
+//! the run's one allocation. The merger takes every run the transport
+//! already holds as one batch ([`merge_batch`]). Under SCR the lanes have
+//! already applied the stateful stage ([`RunPlan::scr_work`]); whether
+//! the write-ahead layer is armed is decided in [`RunPlan`]. What the
 //! merger then does about faults:
 //!
 //! * **Loss** — a micro-flow that never completes stalls the merging
@@ -20,9 +18,10 @@
 //!   [`RuntimeFaults::flush_timeout_ms`] without arrivals, and again at
 //!   end of stream, releasing every parked successor. Skipped IDs are
 //!   reported in [`crate::RunOutput::flushed_mfs`].
-//! * **Duplication / late arrival** — rejected by the merge counter and
-//!   reported in the [`mflow_metrics::Telemetry`] `dup` / `late`
-//!   counters.
+//! * **Duplication / late arrival** — every copy of a micro-flow carries
+//!   a tag of its own ([`Run::tag`]); the first to arrive is delivered,
+//!   the others are rejected and reported in the
+//!   [`mflow_metrics::Telemetry`] `dup` / `late` counters.
 //! * **Merger death or wedge** — every received run is journaled before
 //!   it is processed ([`MergerDurable`]); [`MergerWatch::tend`] respawns
 //!   a dead incarnation from the last checkpoint, supersedes a wedged
@@ -46,9 +45,11 @@ use crate::worker::RunPlan;
 /// One micro-flow's items in flight between threads.
 pub(crate) struct Run<T> {
     pub(crate) id: u64,
-    pub(crate) lane: usize,
-    /// The final item closes the micro-flow ([`mflow::MfTag::last`]). False only
-    /// when the closing packet was a planned drop.
+    /// Which copy of the micro-flow this is ([`mflow::MfTag::lane`]): 0
+    /// for the primary send, a fresh number for every other copy.
+    pub(crate) tag: usize,
+    /// The final item closes the micro-flow ([`mflow::MfTag::last`]).
+    /// False only when the closing packet was a planned drop.
     pub(crate) closed: bool,
     pub(crate) items: Vec<T>,
 }
@@ -58,7 +59,7 @@ impl<T> Run<T> {
     pub(crate) fn with_items<U>(self, f: impl FnOnce(Vec<T>) -> Vec<U>) -> Run<U> {
         Run {
             id: self.id,
-            lane: self.lane,
+            tag: self.tag,
             closed: self.closed,
             items: f(self.items),
         }
@@ -70,8 +71,8 @@ impl<T> Run<T> {
 pub(crate) type MergedRun = Run<PacketResult>;
 
 /// Everything the merger mutates while the stream is in flight, as one
-/// cloneable snapshot object: the merging counter (per-lane queues of
-/// parked runs, counter, flush/dedup windows) plus the scalar counters the
+/// cloneable snapshot object: the merging counter (its reorder window of
+/// parked runs, counter, flushed ids) plus the scalar counters the
 /// merger owns. Restoring a [`MergerState`] and replaying the delta log
 /// reproduces the dead incarnation's trajectory exactly. Nothing in it
 /// knows the stateful mode: under SCR the lanes ran the stage already.
@@ -82,7 +83,8 @@ pub(crate) struct MergerState {
     max_seen: Option<u64>,
     /// Arrivals that carried a seq below `max_seen`.
     pub(crate) ooo: u64,
-    /// Busy nanoseconds of the serial merge stage.
+    /// Busy nanoseconds of the serial merge stage: every drained batch,
+    /// flush, replay and final-assembly pass, timed as a whole.
     pub(crate) serial_ns: u64,
     /// Offers applied so far — the WAL's logical clock: checkpoint
     /// boundaries and injected merger faults are expressed in it. Every
@@ -104,20 +106,25 @@ impl MergerState {
 
     /// Applies one received run: counters (all in packets), then the
     /// engine, once. Identical whether the run arrives live or replays
-    /// from the delta log. The engine call is timed exactly — two clock
-    /// reads per micro-flow — into `serial_ns`.
+    /// from the delta log. Untimed: its callers time whole batches.
     pub(crate) fn apply(&mut self, run: &MergedRun, out: &mut Vec<PacketResult>) {
-        self.offers += run.items.len() as u64;
-        for r in &run.items {
-            match self.max_seen {
-                Some(max) if r.seq < max => self.ooo += 1,
-                _ => self.max_seen = Some(r.seq),
-            }
+        let items = &run.items;
+        debug_assert!(
+            items.windows(2).all(|w| w[0].seq <= w[1].seq),
+            "a run's seqs ascend"
+        );
+        self.offers += items.len() as u64;
+        // A run ascends, so the items behind `max_seen` are a prefix, and
+        // once one is not behind the run's last seq is the new maximum.
+        let behind = self
+            .max_seen
+            .map_or(0, |max| items.partition_point(|r| r.seq < max));
+        self.ooo += behind as u64;
+        if behind < items.len() {
+            self.max_seen = items.last().map(|r| r.seq);
         }
-        let t = Instant::now();
         self.engine
-            .offer_run(run.id, run.lane, run.closed, run.items.iter().copied(), out);
-        self.serial_ns += t.elapsed().as_nanos() as u64;
+            .offer_run(run.id, run.tag, run.closed, items.iter().copied(), out);
     }
 
     /// Flushes the single most-stalled head (receive-timeout path).
@@ -174,10 +181,12 @@ impl MergerDurable {
         self.out.truncate(self.out_mark);
         let mut state = self.snapshot.clone();
         let mut replayed = 0;
+        let t = Instant::now();
         for run in &self.delta {
             replayed += run.items.len() as u64;
             state.apply(run, &mut self.out);
         }
+        state.serial_ns += t.elapsed().as_nanos() as u64;
         (state, replayed)
     }
 
@@ -297,8 +306,8 @@ impl Drop for RxLease<'_> {
 
 /// The body of one merger incarnation. Waits for the receiver lease,
 /// restores from the durable block (snapshot + delta replay), then runs
-/// the receive loop, one micro-flow run per step under one lock of the
-/// block: journal, fault checks, apply from the journal, checkpoint.
+/// the receive loop: wait for a run, then merge it and everything queued
+/// behind it as one batch ([`merge_batch`]).
 fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
     let (shared, faults) = (w.shared, w.faults);
     let mut lease = loop {
@@ -333,49 +342,11 @@ fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
         }
         match lease.rx().recv_timeout(w.plan.flush_timeout) {
             Ok(run) => {
-                w.beats.bump(w.merger_slot);
-                shared.recvd.fetch_add(1, Ordering::Relaxed);
-                // The WAL's clock stays in packets: this run takes it
-                // over the offer numbers `(before, before + n]`.
-                let (before, n) = (state.offers, run.items.len() as u64);
-                let mut guard = shared.durable();
-                let d = &mut *guard;
-                // Journal by move before any processing: once in the WAL
-                // the run survives this incarnation's death — including
-                // the injected one three lines down — and it is applied
-                // from there, so it is never copied.
-                let run = if w.plan.wal_on {
-                    d.delta.push(run);
-                    d.delta.last().expect("journaled just above")
-                } else {
-                    &run
-                };
-                if faults.merger_kill_fires(incarnation, before + n) {
-                    faults.note(FaultEvent::MergerDeath { incarnation });
-                    panic!("injected merger death (incarnation {incarnation})");
-                }
-                if let Some(stall) = faults.merger_stall_fires(before, n) {
-                    faults.note(FaultEvent::MergerStall {
-                        offers: stall.after_offers,
-                    });
-                    // Wedged with the block locked, which costs nobody
-                    // anything: only the lease holder ever locks it.
-                    thread::sleep(Duration::from_millis(stall.ms));
-                    if shared.gen.load(Ordering::Acquire) != my_gen {
-                        // Superseded while wedged. The run is already
-                        // journaled; the successor replays it.
-                        lease.clean = true;
-                        return;
-                    }
-                }
-                state.apply(run, &mut d.out);
-                // The run that crosses a multiple of the interval takes
-                // the checkpoint.
-                let every = w.checkpoint_every;
-                if w.plan.wal_on && before / every != state.offers / every {
-                    d.checkpoints += 1;
-                    d.snapshot_bytes += state.approx_bytes();
-                    d.fold(state.clone());
+                if !merge_batch(&w, lease.rx(), &mut state, run, incarnation, my_gen) {
+                    // Superseded while wedged. The batch is journaled up
+                    // to the wedged run; the successor replays it.
+                    lease.clean = true;
+                    return;
                 }
             }
             Err(MuxRecvError::Timeout) => {
@@ -397,6 +368,70 @@ fn merger_loop(w: MergerWatch<'_, '_>, incarnation: u64, my_gen: u64) {
     shared.durable().fold(state);
     shared.eos.store(true, Ordering::Release);
     lease.clean = true;
+}
+
+/// Merges `first` and every run the transport already holds behind it as
+/// one batch, under one lock of the durable block and one clock pair
+/// into `serial_ns`. Per run: journal, fault checks, apply from the
+/// journal, checkpoint. Returns `false` when the incarnation was
+/// superseded while an injected stall wedged it.
+fn merge_batch(
+    w: &MergerWatch<'_, '_>,
+    rx: &mut RingMux<MergedRun>,
+    state: &mut MergerState,
+    first: MergedRun,
+    incarnation: u64,
+    my_gen: u64,
+) -> bool {
+    let (shared, faults) = (w.shared, w.faults);
+    let t = Instant::now();
+    let mut guard = shared.durable();
+    let d = &mut *guard;
+    let mut next = Some(first);
+    while let Some(run) = next.take().or_else(|| rx.try_recv()) {
+        w.beats.bump(w.merger_slot);
+        shared.recvd.fetch_add(1, Ordering::Relaxed);
+        // The WAL's clock stays in packets: this run takes it over the
+        // offer numbers `(before, before + n]`.
+        let (before, n) = (state.offers, run.items.len() as u64);
+        // Journal by move before any processing: once in the WAL the run
+        // survives this incarnation's death — including the injected one
+        // just below — and it is applied from there, so it is never
+        // copied.
+        let run = if w.plan.wal_on {
+            d.delta.push(run);
+            d.delta.last().expect("journaled just above")
+        } else {
+            &run
+        };
+        if faults.merger_kill_fires(incarnation, before + n) {
+            faults.note(FaultEvent::MergerDeath { incarnation });
+            panic!("injected merger death (incarnation {incarnation})");
+        }
+        if let Some(stall) = faults.merger_stall_fires(before, n) {
+            faults.note(FaultEvent::MergerStall {
+                offers: stall.after_offers,
+            });
+            // Wedged with the block locked, which costs nobody anything:
+            // only the lease holder ever locks it.
+            thread::sleep(Duration::from_millis(stall.ms));
+            if shared.gen.load(Ordering::Acquire) != my_gen {
+                return false;
+            }
+        }
+        state.apply(run, &mut d.out);
+        // The run that crosses a multiple of the interval takes the
+        // checkpoint.
+        let every = w.checkpoint_every;
+        if w.plan.wal_on && before / every != state.offers / every {
+            d.checkpoints += 1;
+            d.snapshot_bytes += state.approx_bytes();
+            d.fold(state.clone());
+        }
+    }
+    drop(guard);
+    state.serial_ns += t.elapsed().as_nanos() as u64;
+    true
 }
 
 /// Dispatcher-side non-blocking drain of the merge transport into the
@@ -465,12 +500,12 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
         sup: &mut Supervisor,
         merger_handles: &mut Vec<crew::JoinHandle<'scope>>,
         frames_done: u64,
+        now: Instant,
     ) {
         if !self.plan.wal_on || self.shared.eos.load(Ordering::Acquire) {
             return;
         }
         let shared = self.shared;
-        let now = Instant::now();
         if shared.down.load(Ordering::Acquire) {
             sup.note_death(self.merger_slot, now, frames_done);
             if self.plan.supervised && sup.allow_respawn(self.merger_slot, now) {
@@ -524,7 +559,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
         frames_done: u64,
     ) -> thread::Result<()> {
         while self.plan.wal_on && !h.is_finished() {
-            self.tend(sup, merger_handles, frames_done);
+            self.tend(sup, merger_handles, frames_done, Instant::now());
             h.wait_finished(TEND_TICK);
         }
         h.join()
@@ -542,7 +577,7 @@ impl<'scope, 'env> MergerWatch<'scope, 'env> {
         frames_done: u64,
     ) {
         while self.plan.wal_on && !self.shared.eos.load(Ordering::Acquire) {
-            self.tend(sup, merger_handles, frames_done);
+            self.tend(sup, merger_handles, frames_done, Instant::now());
             // A live incarnation ends at EOS or by dying, and either is
             // what this loop waits for; with none (respawn backing off)
             // only the clock can end the wait.

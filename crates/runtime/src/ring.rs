@@ -524,13 +524,20 @@ impl<T> RingMux<T> {
     /// clock, so a consumer that is kept busy pays for `Instant::now()`
     /// only when it is about to wait anyway.
     pub fn recv_timeout(&mut self, timeout: Option<Duration>) -> Result<T, MuxRecvError> {
-        if self.scratch.is_empty() {
-            self.refill();
-        }
-        match self.scratch.pop_front() {
+        match self.try_recv() {
             Some(v) => Ok(v),
             None => self.recv_deadline(timeout.map(|t| Instant::now() + t)),
         }
+    }
+
+    /// Receives one item already buffered or sitting in a ring, if any:
+    /// never waits and never reads the clock. `None` says nothing about
+    /// disconnection.
+    pub fn try_recv(&mut self) -> Option<T> {
+        if self.scratch.is_empty() {
+            self.refill();
+        }
+        self.scratch.pop_front()
     }
 
     /// Absorbs any consumers queued by a [`MuxRegistrar`] into the
@@ -884,5 +891,21 @@ mod tests {
         assert!(start.elapsed() >= wait);
         drop(txs);
         assert_eq!(mux.recv_timeout(None), Err(MuxRecvError::Disconnected));
+    }
+
+    #[test]
+    fn try_recv_takes_what_every_ring_holds_and_never_waits() {
+        let (mut txs, mut mux) = ring_mux::<u8>(2, 4);
+        assert_eq!(mux.try_recv(), None, "empty and connected");
+        for (k, tx) in txs.iter_mut().enumerate() {
+            for i in 0..3 {
+                tx.try_push(10 * k as u8 + i).expect("space");
+            }
+        }
+        let mut got: Vec<u8> = std::iter::from_fn(|| mux.try_recv()).collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 1, 2, 10, 11, 12]);
+        drop(txs);
+        assert_eq!(mux.try_recv(), None, "disconnected reads the same");
     }
 }

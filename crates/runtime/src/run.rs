@@ -47,8 +47,10 @@
 //! dispatcher's inline lane) fanned into a round-robin [`RingMux`]; a
 //! respawned worker gets a fresh ring through the
 //! [`ring::MuxRegistrar`]. The pipeline uses the ring types directly:
-//! per-lane FIFO and close-on-drop in both directions are the semantics
-//! the fault-recovery machinery relies on.
+//! close-on-drop in both directions is what the fault-recovery machinery
+//! relies on. Order is not: the merger orders runs by micro-flow id
+//! alone, so neither which ring a run comes through nor the order the
+//! mux interleaves rings in can misorder the output.
 //!
 //! Of the persistent runtime (ROADMAP item 7) the *thread* half exists:
 //! workers and merger incarnations are jobs of one [`crew::scope`] per
@@ -210,7 +212,7 @@ pub fn process_parallel_faulty(
         digests: merged.digests,
         elapsed: start.elapsed(),
         stateful_serial_ns: merged.state.serial_ns,
-        flushed_mfs: merged.state.engine.flushed_ids().iter().copied().collect(),
+        flushed_mfs: merged.state.engine.flushed_ids().to_vec(),
         workers_died,
         merger_deaths: deaths.merger,
         checkpoints: merged.dur.checkpoints,
@@ -251,12 +253,11 @@ impl Rings {
     fn assemble(topo: &Topology, cfg: &RuntimeConfig) -> Self {
         let mut lanes = Vec::with_capacity(topo.lanes);
         let mut lane_rx = Vec::with_capacity(topo.lanes);
-        for i in 0..topo.lanes {
+        for _ in 0..topo.lanes {
             let (tx, rx) = ring::spsc::<MfDesc>(cfg.queue_depth);
             lanes.push(Lane {
                 tx: Some(tx),
                 recent: VecDeque::new(),
-                tag_lane: i,
             });
             lane_rx.push(rx);
         }
@@ -310,10 +311,9 @@ fn spawn_workers<'scope>(
 }
 
 /// Processes a micro-flow the policy handed back (or nobody else can
-/// take) right here on the dispatcher thread, retagged onto a fresh
-/// recovery lane so the merger's per-lane FIFO assumption holds (earlier
-/// micro-flows for the original lane may still sit in the worker's
-/// queue).
+/// take) right here on the dispatcher thread, as a new copy: a worker may
+/// still deliver the one it was sent, and the merger keeps whichever
+/// arrives first.
 fn process_inline(
     workers: &WorkerCtx<'_, '_>,
     d: &mut Dispatcher<'_>,
@@ -375,13 +375,11 @@ impl Driver<'_, '_, '_, '_> {
             next = end;
             if live > 0 {
                 // Ask the policy for the micro-flow's lane, with a fresh
-                // view of per-lane occupancy. The descriptor carries the
-                // lane's merge-counter id, which diverges from the
-                // physical slot after a respawn. This one outer-header
-                // read per micro-flow is all the dispatcher touches of
-                // the frames' bytes; a frame it cannot hash steers as
-                // flow 0 and fails on the worker that parses it, the
-                // thread whose death the run already accounts for.
+                // view of per-lane occupancy. This one outer-header read
+                // per micro-flow is all the dispatcher touches of the
+                // frames' bytes; a frame it cannot hash steers as flow 0
+                // and fails on the worker that parses it, the thread
+                // whose death the run already accounts for.
                 let hash = frames[start].try_flow_hash().unwrap_or(0);
                 for (snap, depth) in depth_snap.iter_mut().zip(w.depths) {
                     *snap = depth.load(Ordering::Relaxed);
@@ -389,14 +387,14 @@ impl Driver<'_, '_, '_, '_> {
                 let lane = policy.steer(mf_id, hash, &depth_snap).min(topo.lanes - 1);
                 let desc = MfDesc {
                     id: mf_id,
-                    lane: self.d.tag_lane(lane),
+                    tag: 0,
                     start,
                     end,
                     live,
                 };
                 if faults.delays_mf(mf_id) {
-                    // Held back: will be redispatched on a recovery
-                    // lane `late_by` micro-flows from now.
+                    // Held back: will be redispatched as a new copy
+                    // `late_by` micro-flows from now.
                     faults.note(FaultEvent::LateMf { mf_id });
                     delayed.push((mf_id + faults.late_by.max(1), desc));
                 } else if faults.duplicates_mf(mf_id) {
@@ -416,15 +414,17 @@ impl Driver<'_, '_, '_, '_> {
                 }
                 due > mf_id
             });
-            // The watchdog passes: once per dispatched micro-flow,
-            // between micro-flows (never inside one, so a revived lane's
-            // fresh tag id cannot split one micro-flow across ids). The
-            // merger's own is armed even unsupervised when merger faults
-            // are injected, so a merger death degrades to WAL pumping
-            // instead of wedging the run.
-            let done = (end - 1) as u64;
-            self.tend_workers(done);
-            self.watch.tend(self.sup, &mut self.merger_handles, done);
+            // The watchdog passes: once per dispatched micro-flow, on one
+            // clock read. The merger's own is armed even unsupervised
+            // when merger faults are injected, so a merger death degrades
+            // to WAL pumping instead of wedging the run; with neither
+            // armed (`wal_on` covers supervision) the clock is not read.
+            if self.watch.plan.wal_on {
+                let (done, now) = ((end - 1) as u64, Instant::now());
+                self.tend_workers(done, now);
+                self.watch
+                    .tend(self.sup, &mut self.merger_handles, done, now);
+            }
             self.inline_orphans();
             mf_id += 1;
         }
@@ -447,7 +447,7 @@ impl Driver<'_, '_, '_, '_> {
     /// One non-blocking pass over the worker slots, the twin of
     /// [`MergerWatch::tend`]: declare stalled workers dead, and respawn
     /// dead ones (budget and backoff permitting) onto fresh rings.
-    fn tend_workers(&mut self, frames_done: u64) {
+    fn tend_workers(&mut self, frames_done: u64, now: Instant) {
         if !self.watch.plan.supervised {
             return;
         }
@@ -455,7 +455,6 @@ impl Driver<'_, '_, '_, '_> {
         let (topo, depths, links, beats) = (w.topo, w.depths, w.links, w.beats);
         let (d, sup) = (&mut *self.d, &mut *self.sup);
         let queue_depth = self.cfg.queue_depth;
-        let now = Instant::now();
         for lane in 0..topo.lanes {
             // A lane head is watched through the dispatcher lane. Stall
             // detection: a stale heartbeat only counts while work is
@@ -579,7 +578,7 @@ impl Driver<'_, '_, '_, '_> {
         // must not wait on a ring nobody consumes.)
         for lane in (0..topo.lanes).filter(|&l| watch.plan.inline_orphans && orphaned[l]) {
             for desc in std::mem::take(&mut d.lanes[lane].recent) {
-                watch.tend(sup, &mut merger_handles, n);
+                watch.tend(sup, &mut merger_handles, n, Instant::now());
                 process_inline(&workers, d, &mut dispatch_tx, desc);
             }
         }
@@ -627,9 +626,11 @@ fn final_assembly(shared: MergerShared, plan: &RunPlan, stateful_work: u32) -> A
     }
     let mut out = std::mem::take(&mut dur.out);
     if let Some(mut rx) = rx_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        let t = Instant::now();
         while let Ok(run) = rx.recv_deadline(None) {
             state.apply(&run, &mut out);
         }
+        state.serial_ns += t.elapsed().as_nanos() as u64;
     }
     // No arrival can release anything any more: whatever loss — injected,
     // shed, or a worker that really died — left parked goes out now, and

@@ -122,17 +122,16 @@ impl RunPlan {
     pub(crate) fn new(cfg: &RuntimeConfig, faults: &RuntimeFaults) -> Self {
         let supervised = cfg.supervised();
         let faulty = faults.is_active();
-        // The run can remove micro-flows from the stream or move them
-        // onto recovery lanes without any fault injected. DropTail removes
-        // whole micro-flows, which stalls the merge counter exactly like
-        // injected loss does, and any policy that can go inline (Inline
-        // itself, DropTail's inline fallback) retags batches onto recovery
-        // lanes whose arrivals may trail the primary lanes indefinitely —
-        // so every policy that sheds or creates recovery lanes counts, not
-        // just DropTail. Supervision counts too: a stall-respawn
-        // redispatches the retained window while the stalled worker may
-        // still drain its copy, so recovery lanes and duplicates become
-        // possible.
+        // The run can remove micro-flows from the stream or re-route them
+        // without any fault injected. DropTail removes whole micro-flows,
+        // which stalls the merge counter exactly like injected loss does,
+        // and any policy that can go inline (Inline itself, DropTail's
+        // inline fallback) hands micro-flows to the dispatcher, whose
+        // copies may trail the lanes' runs indefinitely — so every policy
+        // that sheds or processes inline counts, not just DropTail.
+        // Supervision counts too: a stall-respawn redispatches the
+        // retained window while the stalled worker may still drain its
+        // copy, so redispatched copies and duplicates become possible.
         let can_shed_or_recover =
             !matches!(cfg.backpressure, BackpressurePolicy::Block) || supervised;
         let flush_timeout = if faulty || can_shed_or_recover {
@@ -249,7 +248,7 @@ impl MfDesc {
         }
         Run {
             id: self.id,
-            lane: self.lane,
+            tag: self.tag,
             closed,
             items,
         }
@@ -441,8 +440,8 @@ impl<'scope> WorkerCtx<'scope, '_> {
 /// per-packet work, then hand on. A tail (every fan-out worker; the last
 /// stage of a chain) completes into the merger; any other stage forwards
 /// through its link, and finishes the micro-flow itself when the next hop
-/// has died — this worker's merger sends stay FIFO, so order survives the
-/// degradation.
+/// has died — the merger orders by micro-flow id, so it does not matter
+/// which stage's merge ring a run comes through.
 fn worker_loop<T: StageInput>(
     ctx: WorkerCtx<'_, '_>,
     slot: usize,

@@ -125,7 +125,7 @@ pub trait SteeringPolicy: Send {
 
     /// Completion feedback: batch `mf_id` of flow `flow_hash`, sized
     /// `packets`, was placed on `lane`. Called after every successful
-    /// dispatch (including inline fallback, with the recovery lane id).
+    /// dispatch (including inline fallback).
     fn observe(&mut self, _mf_id: u64, _flow_hash: u32, _lane: usize, _packets: usize) {}
 
     /// Lifetime (desplits, resplits) from lane-pressure feedback; zero

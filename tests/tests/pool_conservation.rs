@@ -1,7 +1,7 @@
 //! Buffer-pool conservation: every slot handed out by the [`BufPool`]
 //! must come back, no matter how the run ends. The pipeline clones
-//! frame handles into batches, fault injection clones whole micro-flows
-//! onto recovery lanes, killed workers drop their queues on the floor,
+//! frame handles into batches, fault injection sends whole micro-flows
+//! twice or late, killed workers drop their queues on the floor,
 //! and backpressure shedding abandons batches mid-dispatch — after all
 //! of that, once the run output and the source frames are dropped, the
 //! pool must report zero buffers in flight and a completely free slab.
@@ -136,9 +136,9 @@ fn every_backpressure_policy_conserves_the_pool() {
 
 #[test]
 fn duplicate_and_late_microflows_conserve_the_pool() {
-    // Duplication clones whole micro-flows onto recovery lanes (extra
-    // refcounts on the same slots); late release holds batches back in
-    // the dispatcher. Both paths must unwind to a fully free slab.
+    // Duplication sends whole micro-flows twice (extra refcounts on the
+    // same slots); late release holds batches back in the dispatcher.
+    // Both paths must unwind to a fully free slab.
     let n = 10_000;
     let ctx = "dup/late";
     let pool = BufPool::for_frames(n, frame_wire_len(PAYLOAD));

@@ -4,7 +4,7 @@
 //! configurations.
 
 use integration_tests::splitmix;
-use mflow::{MergeCounter, MfTag};
+use mflow::{MergeCounter, MfTag, Offer};
 use proptest::prelude::*;
 
 /// Tags `n` items into micro-flows of size `batch` over `lanes` lanes.
@@ -108,8 +108,9 @@ proptest! {
         // every missing item must be accounted for — either dropped at
         // injection or a member of a flushed micro-flow.
         let stream = lane_preserving_shuffle(tag(n, batch, lanes), lanes, seed);
-        // Duplicate some micro-flows wholesale on unique recovery lanes,
-        // appended behind the stream (the shape redispatch produces).
+        // Duplicate some micro-flows wholesale, each copy under a tag of
+        // its own, appended behind the stream (the shape redispatch
+        // produces).
         let mut dup_tail: Vec<(MfTag, u64)> = Vec::new();
         let mut next_recovery = lanes;
         let n_mfs = n.div_ceil(batch);
@@ -250,6 +251,55 @@ proptest! {
         by_item.flush_stalled(&mut item_out);
         prop_assert_eq!(run_out, item_out);
         prop_assert_eq!(by_run.stats(), by_item.stats());
+    }
+
+    #[test]
+    fn whole_runs_in_any_order_with_extra_copies_deliver_the_stream(
+        n in 1u64..3000,
+        batch in 1u64..128,
+        copy_millis in 0u64..500,
+        seed in any::<u64>(),
+    ) {
+        // The stream's closed runs (the primary copies, tag 0), plus
+        // extra copies of some of them under tags of their own, in any
+        // order at all: no lane order is kept. The first copy of each
+        // micro-flow to arrive is delivered, whichever it is, and every
+        // later one is rejected whole, as a duplicate while its
+        // micro-flow is still in the window and as late once the counter
+        // has passed it.
+        let items: Vec<u64> = (0..n).collect();
+        let mut stream: Vec<(u64, usize, &[u64])> = items
+            .chunks(batch as usize)
+            .zip(0u64..)
+            .map(|(run, id)| (id, 0, run))
+            .collect();
+        let runs = stream.len();
+        for k in 0..runs {
+            if splitmix(seed ^ 0xC0B1, k as u64) % 1000 < copy_millis {
+                let (id, _, run) = stream[k];
+                stream.push((id, stream.len(), run));
+            }
+        }
+        for i in (1..stream.len()).rev() {
+            let j = splitmix(seed ^ 0x5EED, i as u64) % (i as u64 + 1);
+            stream.swap(i, j as usize);
+        }
+        let mut mc = MergeCounter::new();
+        let mut out = Vec::with_capacity(n as usize);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut extra_items = 0;
+        for &(id, tag, run) in &stream {
+            let fate = mc.offer_run(id, tag, true, run.iter().copied(), &mut out);
+            if seen.insert(id) {
+                prop_assert_eq!(fate, Offer::Accepted, "first copy of mf {}", id);
+            } else {
+                prop_assert!(fate != Offer::Accepted, "second copy of mf {} accepted", id);
+                extra_items += run.len() as u64;
+            }
+        }
+        prop_assert_eq!(out, items);
+        prop_assert_eq!(mc.late_drops() + mc.dup_drops(), extra_items);
+        prop_assert_eq!((mc.buffered(), mc.flushed(), mc.counter()), (0, 0, runs as u64));
     }
 }
 

@@ -29,14 +29,11 @@ const WORK: u32 = 8;
 const CALLS_PER_CELL: usize = 30;
 
 /// What call `k` of a cell injects: nothing, one worker death, one
-/// merger death, in rotation. The worker kill alternates between the
-/// `heads` lane heads, because a whole-flow policy leaves one of the two
-/// lanes idle, where the kill cannot fire. A chain has one head, and its
-/// later stage is not a target here: a head that finishes micro-flows
-/// itself past a dead next hop sends them on its own merge ring under the
-/// tag lane the dead stage used, which the merging counter can read as a
-/// FIFO violation (ROADMAP item 2a).
-fn faults_of_call(k: usize, heads: usize) -> RuntimeFaults {
+/// merger death, in rotation. The worker kill alternates between slots 0
+/// and 1: a fan-out policy's two lane heads (a whole-flow policy leaves
+/// one of them idle, where the kill cannot fire), a chain's head and its
+/// later stage.
+fn faults_of_call(k: usize) -> RuntimeFaults {
     let mut faults = RuntimeFaults::none();
     // Equality with the serial stream means the merger never flushes, so
     // the mid-stream flush deadline must be one that no slow unwind can
@@ -47,7 +44,7 @@ fn faults_of_call(k: usize, heads: usize) -> RuntimeFaults {
     match k % 3 {
         1 => {
             faults.kill = Some(WorkerKill {
-                worker: (k / 3) % heads,
+                worker: (k / 3) % WORKERS,
                 after_batches: 1,
                 incarnation: 0,
             })
@@ -84,16 +81,11 @@ fn every_cell_serves_back_to_back_calls_through_deaths() {
         ..RuntimeConfig::default()
     };
     for_each_cell(base, |cell| {
-        let heads = if cell.cfg.policy.stage_groups() >= 2 {
-            1
-        } else {
-            WORKERS
-        };
         let (mut worker_deaths, mut merger_deaths) = (0, 0);
         for k in 0..CALLS_PER_CELL {
             // In position on every call, and the pool holding exactly the
             // caller's frames after it: `run_exact` checks both.
-            let out = cell.run_exact(&frames, &faults_of_call(k, heads));
+            let out = cell.run_exact(&frames, &faults_of_call(k));
             worker_deaths += out.workers_died;
             merger_deaths += out.merger_deaths;
         }
