@@ -1,6 +1,6 @@
 //! Measurement utilities shared by the MFLOW simulator, runtime and bench
-//! harness: log-bucketed latency histograms, throughput meters, per-core CPU
-//! accounting, scalar statistics, text tables and JSON series output.
+//! harness: log-bucketed latency histograms, per-core CPU accounting,
+//! scalar statistics, text tables and JSON series output.
 //!
 //! Everything here is deterministic and allocation-light so it can be used
 //! inside the discrete-event hot loop.
@@ -12,7 +12,6 @@ pub mod series;
 pub mod stats;
 pub mod table;
 pub mod telemetry;
-pub mod throughput;
 pub mod timeseries;
 
 pub use alloc::CountingAlloc;
@@ -22,5 +21,4 @@ pub use series::{DataPoint, Series, SeriesSet};
 pub use stats::{mean, percentile_of_sorted, stddev};
 pub use table::Table;
 pub use telemetry::Telemetry;
-pub use throughput::ThroughputMeter;
 pub use timeseries::WindowedRate;

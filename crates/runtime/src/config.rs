@@ -8,13 +8,10 @@
 //! [`RuntimeConfig::stateful_work`] rounds) can run in two places
 //! ([`RuntimeConfig::stateful_mode`]):
 //!
-//! * **merge-before-tcp** (default, the paper's design) — applied
-//!   serially after reassembly, so it stays a single-core bottleneck
-//!   exactly like the kernel's in-order TCP receive. Final assembly does
-//!   it, on the calling thread, in one pass over the ordered output after
-//!   every worker and merger has been joined — not the merger thread as
-//!   it goes — so it overlaps no other stage however many cores there
-//!   are.
+//! * **merge-before-tcp** (default, the paper's design) — the merger
+//!   applies it to results as it emits them in order, like the paper's
+//!   core 0 running TCP receive on what it merged: a single-core stage
+//!   beside the lanes' stateless path.
 //! * **scr** (state-compute replication) — every lane applies it to the
 //!   packets it processes, and nothing is applied after the merge. The
 //!   merger is the same merging counter either way: it orders runs by
@@ -122,11 +119,10 @@ pub struct RuntimeConfig {
     /// Base respawn backoff in milliseconds; doubles per respawn of the
     /// same slot.
     pub restart_backoff_ms: u64,
-    /// Where the stateful stage runs: serially after reassembly
-    /// (`MergeBeforeTcp`, the paper's design; one pass by final assembly
-    /// on the calling thread once everything is joined) or replicated on
-    /// every lane, with nothing left for the merger to do but order the
-    /// results (`StateComputeReplication`).
+    /// Where the stateful stage runs: on the merger, serially, as it
+    /// emits results in order (`MergeBeforeTcp`, the paper's design), or
+    /// replicated on every lane, with nothing left for the merger to do
+    /// but order the results (`StateComputeReplication`).
     pub stateful_mode: StatefulMode,
     /// Rounds of per-packet stateful work ([`crate::work::stateful_stage`]);
     /// 0 disables the stage (both modes then deliver the plain digests).
@@ -263,9 +259,9 @@ pub struct RunOutput {
     /// Busy time of the serial stage: the merger thread's, timed once per
     /// drained batch of runs — receive from the transport past the
     /// batch's first run, heartbeat, journal, fault checks, the merging
-    /// counter and checkpoints — plus flushes, replays, and, under
-    /// merge-before-tcp, final assembly's serial stateful pass on the
-    /// calling thread. Untimed: the wait for a batch's first run. So the
+    /// counter, checkpoints and, under merge-before-tcp, the stateful
+    /// stage on what the batch emitted — plus flushes and replays.
+    /// Untimed: the wait for a batch's first run. So the
     /// benchmark's `pipeline.merger_serial_ns` (this per frame) counts the
     /// merger's bookkeeping round the engine as well as the engine, for
     /// two clock reads per batch rather than per run (EXPERIMENTS.md, "The

@@ -23,9 +23,9 @@
 //!   is pinned to one lane at first sight, so every run reaches the merge
 //!   counter in turn and goes straight through (zero `ooo`, zero
 //!   `flushed`). A call carries one stream under one global
-//!   `seq`, so a NIC hash (`rss`) or an application's core (`rfs`) would
-//!   pick that one lane by another rule and do nothing else; those two
-//!   names live on in the simulator only, where traffic is multi-flow.
+//!   `seq`, so a NIC hash (`rss`) would pick that one lane by another
+//!   rule and do nothing else; that name lives on in the simulator only,
+//!   where traffic is multi-flow.
 //! * **falcon-dev / falcon-func** — one lane of depth 2 or 3 (fewer
 //!   when `workers` is smaller). Order is FIFO along the lane.
 //!

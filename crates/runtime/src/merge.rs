@@ -8,10 +8,10 @@
 //! which orders every run — every policy, both stateful modes — by
 //! micro-flow id alone, whichever worker sent it. The results `Vec` is
 //! the run's one allocation. The merger takes every run the transport
-//! already holds as one batch ([`merge_batch`]). Under SCR the lanes have
-//! already applied the stateful stage ([`RunPlan::scr_work`]); whether
-//! the write-ahead layer is armed is decided in [`RunPlan`]. What the
-//! merger then does about faults:
+//! already holds as one batch ([`merge_batch`]) and applies the stateful
+//! stage to what the engine emits ([`RunPlan::merger_rounds`], 0 under
+//! SCR); whether the write-ahead layer is armed is decided in [`RunPlan`]
+//! too. What the merger then does about faults:
 //!
 //! * **Loss** — a micro-flow that never completes stalls the merging
 //!   counter; the merger flushes past it after
@@ -39,7 +39,7 @@ use crate::crew;
 use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::ring::{MuxRecvError, RingMux};
 use crate::supervise::{HeartbeatBoard, Supervisor};
-use crate::work::PacketResult;
+use crate::work::{stateful_stage, PacketResult};
 use crate::worker::RunPlan;
 
 /// One micro-flow's items in flight between threads.
@@ -74,17 +74,19 @@ pub(crate) type MergedRun = Run<PacketResult>;
 /// cloneable snapshot object: the merging counter (its reorder window of
 /// parked runs, counter, flushed ids) plus the scalar counters the
 /// merger owns. Restoring a [`MergerState`] and replaying the delta log
-/// reproduces the dead incarnation's trajectory exactly. Nothing in it
-/// knows the stateful mode: under SCR the lanes ran the stage already.
+/// reproduces the dead incarnation's trajectory exactly, stateful stage
+/// included: a replay re-emits, and stages, only what `restore` dropped.
 #[derive(Clone)]
 pub(crate) struct MergerState {
     pub(crate) engine: MergeCounter<PacketResult>,
+    /// [`RunPlan::merger_rounds`], applied to every result emitted.
+    rounds: u32,
     /// Highest packet seq seen so far, for the `ooo` arrival counter.
     max_seen: Option<u64>,
     /// Arrivals that carried a seq below `max_seen`.
     pub(crate) ooo: u64,
-    /// Busy nanoseconds of the serial merge stage: every drained batch,
-    /// flush, replay and final-assembly pass, timed as a whole.
+    /// Busy nanoseconds of the serial merge stage, stateful stage included:
+    /// every drained batch, flush, replay and final-assembly pass.
     pub(crate) serial_ns: u64,
     /// Offers applied so far — the WAL's logical clock: checkpoint
     /// boundaries and injected merger faults are expressed in it. Every
@@ -94,9 +96,10 @@ pub(crate) struct MergerState {
 }
 
 impl MergerState {
-    fn new() -> Self {
+    fn new(rounds: u32) -> Self {
         Self {
             engine: MergeCounter::new(),
+            rounds,
             max_seen: None,
             ooo: 0,
             serial_ns: 0,
@@ -123,22 +126,37 @@ impl MergerState {
         if behind < items.len() {
             self.max_seen = items.last().map(|r| r.seq);
         }
+        let emitted = out.len();
         self.engine
             .offer_run(run.id, run.tag, run.closed, items.iter().copied(), out);
+        self.stage(&mut out[emitted..]);
     }
 
     /// Flushes the single most-stalled head (receive-timeout path).
     fn flush_one(&mut self, out: &mut Vec<PacketResult>) {
         let t = Instant::now();
+        let emitted = out.len();
         self.engine.flush_one(out);
+        self.stage(&mut out[emitted..]);
         self.serial_ns += t.elapsed().as_nanos() as u64;
     }
 
     /// End-of-stream flush of everything still parked.
     pub(crate) fn flush_stalled(&mut self, out: &mut Vec<PacketResult>) {
         let t = Instant::now();
+        let emitted = out.len();
         self.engine.flush_stalled(out);
+        self.stage(&mut out[emitted..]);
         self.serial_ns += t.elapsed().as_nanos() as u64;
+    }
+
+    /// The stateful stage over results the engine just emitted, in order.
+    fn stage(&self, emitted: &mut [PacketResult]) {
+        if self.rounds > 0 {
+            for r in emitted {
+                *r = stateful_stage(*r, self.rounds);
+            }
+        }
     }
 
     /// Approximate heap footprint of one snapshot, for the
@@ -230,11 +248,11 @@ impl MergerShared {
     /// `frames` is the length of the call's input, which bounds what can be
     /// delivered: the delivered buffer is allocated once, here, instead of
     /// regrown on the merger thread as the stream arrives.
-    pub(crate) fn new(rx: RingMux<MergedRun>, frames: usize) -> Self {
+    pub(crate) fn new(rx: RingMux<MergedRun>, frames: usize, rounds: u32) -> Self {
         Self {
             rx_slot: Mutex::new(Some(rx)),
             durable: Mutex::new(MergerDurable {
-                snapshot: MergerState::new(),
+                snapshot: MergerState::new(rounds),
                 out: Vec::with_capacity(frames),
                 out_mark: 0,
                 delta: Vec::new(),

@@ -5,8 +5,8 @@
 use crate::faults::{MergerKill, MergerStall, WorkerKill};
 use crate::packet::generate_frames;
 use crate::{
-    process_parallel, process_parallel_faulty, process_serial, BackpressurePolicy, PolicyKind,
-    RuntimeConfig, RuntimeFaults,
+    process_parallel, process_parallel_faulty, process_serial, process_serial_stateful,
+    BackpressurePolicy, PolicyKind, RuntimeConfig, RuntimeFaults,
 };
 
 fn run(n: usize, payload: usize, cfg: RuntimeConfig) {
@@ -543,31 +543,36 @@ fn unsupervised_merger_kill_degrades_to_dispatcher_merge() {
     // No supervision at all: the injected fault still arms the WAL
     // and the watchdog, so the death degrades to the dispatcher
     // journaling the backlog and final assembly performing the
-    // serial merge — never MergerPoisoned, never a wedge.
+    // serial merge — never MergerPoisoned, never a wedge. With a
+    // stateful stage (merge-before-tcp) the replay must stage every
+    // result exactly once.
     let frames = generate_frames(2_000, 32);
-    let serial = process_serial(&frames);
     let mut faults = RuntimeFaults::none();
     faults.merger_kill = Some(MergerKill {
         after_offers: 50,
         incarnation: 0,
     });
-    let cfg = RuntimeConfig {
-        workers: 3,
-        batch_size: 32,
-        queue_depth: 4,
-        ..RuntimeConfig::default()
-    };
-    let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
-    assert_eq!(out.digests, serial.digests);
-    assert_eq!(out.merger_deaths, 1);
-    assert_eq!(
-        out.telemetry.merger_restarts, 0,
-        "unsupervised runs must not respawn"
-    );
-    assert!(
-        out.telemetry.restore_replayed_offers >= 50,
-        "the journaled stream must be replayed serially"
-    );
+    for stateful_work in [0, 24] {
+        let serial = process_serial_stateful(&frames, stateful_work);
+        let cfg = RuntimeConfig {
+            workers: 3,
+            batch_size: 32,
+            queue_depth: 4,
+            stateful_work,
+            ..RuntimeConfig::default()
+        };
+        let out = process_parallel_faulty(&frames, &cfg, &faults).unwrap();
+        assert_eq!(out.digests, serial.digests, "stateful_work {stateful_work}");
+        assert_eq!(out.merger_deaths, 1);
+        assert_eq!(
+            out.telemetry.merger_restarts, 0,
+            "unsupervised runs must not respawn"
+        );
+        assert!(
+            out.telemetry.restore_replayed_offers >= 50,
+            "the journaled stream must be replayed serially"
+        );
+    }
 }
 
 #[test]

@@ -67,6 +67,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use mflow::StatefulMode;
 use mflow_error::MflowError;
 use mflow_metrics::Telemetry;
 use mflow_steering::SteeringPolicy;
@@ -80,7 +81,7 @@ use crate::packet::Frame;
 use crate::pool::{BufPool, PoolStats};
 use crate::ring::{self, MuxRegistrar, RingConsumer, RingMux, RingProducer};
 use crate::supervise::{HeartbeatBoard, Supervisor};
-use crate::work::{stateful_stage, PacketResult};
+use crate::work::PacketResult;
 use crate::worker::{Link, RunPlan, StageInput, StagedRun, Topology, WorkerCtx};
 
 /// MFLOW pipeline: split into micro-flows, process on `workers` threads,
@@ -115,7 +116,7 @@ pub fn process_parallel_faulty(
     // The receiver moves into a shared slot that merger incarnations
     // lease; producer senders stay valid across merger deaths, which is
     // what makes re-attachment implicit.
-    let shared_store = MergerShared::new(rings.merge_rx, frames.len());
+    let shared_store = MergerShared::new(rings.merge_rx, frames.len(), plan.merger_rounds);
     let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
     let depths: Vec<AtomicUsize> = (0..topo.lanes).map(|_| AtomicUsize::new(0)).collect();
@@ -152,7 +153,7 @@ pub fn process_parallel_faulty(
             sent: &shared.sent,
             faults,
             beats,
-            scr_work: plan.scr_work,
+            lane_rounds: plan.lane_rounds,
         };
         // Merger incarnation 0: merging-counter reassembly with flush
         // recovery, inside `MergerState`, behind the receiver lease. Every
@@ -205,9 +206,9 @@ pub fn process_parallel_faulty(
         }
     }
 
-    let merged = final_assembly(shared_store, plan, cfg.stateful_work);
+    let merged = final_assembly(shared_store);
     let pool = pool_delta(frame_pool, pool_before);
-    let telemetry = telemetry(cfg, plan, &*policy, pool, &merged, &d, &sup);
+    let telemetry = telemetry(cfg, &*policy, pool, &merged, &d, &sup);
     Ok(RunOutput {
         digests: merged.digests,
         elapsed: start.elapsed(),
@@ -611,10 +612,10 @@ struct Assembled {
 /// the last snapshot, replay whatever the delta log still holds (the
 /// serial-merge degradation path — empty after any clean merger EOS),
 /// drain transport residue a non-blocking pump may have left (every
-/// producer is gone, so this terminates), then flush what is still parked
-/// and run the serial stateful stage. The delivered buffer is taken, not
-/// copied.
-fn final_assembly(shared: MergerShared, plan: &RunPlan, stateful_work: u32) -> Assembled {
+/// producer is gone, so this terminates), then flush what is still
+/// parked — each through [`MergerState`], which stages what it emits.
+/// The delivered buffer is taken, not copied.
+fn final_assembly(shared: MergerShared) -> Assembled {
     let MergerShared {
         rx_slot, durable, ..
     } = shared;
@@ -636,17 +637,6 @@ fn final_assembly(shared: MergerShared, plan: &RunPlan, stateful_work: u32) -> A
     // shed, or a worker that really died — left parked goes out now, and
     // the micro-flows given up on are named.
     state.flush_stalled(&mut out);
-    // The serial stateful stage proper: merge-before-tcp pays it here,
-    // after reassembly, packet by packet in order — timed into the same
-    // serial_ns the incarnations accumulated, so the counter spans
-    // merger respawns. (Under SCR the lanes already ran the stage.)
-    if plan.scr_work.is_none() {
-        let t = Instant::now();
-        for r in &mut out {
-            *r = stateful_stage(*r, stateful_work);
-        }
-        state.serial_ns += t.elapsed().as_nanos() as u64;
-    }
     Assembled {
         digests: out,
         state,
@@ -673,7 +663,6 @@ fn pool_delta(pool: Option<BufPool>, before: Option<PoolStats>) -> (u64, u64) {
 /// The shared counter block of a finished run.
 fn telemetry(
     cfg: &RuntimeConfig,
-    plan: &RunPlan,
     policy: &dyn SteeringPolicy,
     (pool_recycled, pool_misses): (u64, u64),
     merged: &Assembled,
@@ -683,7 +672,7 @@ fn telemetry(
     let mstats = merged.state.engine.stats();
     // Under SCR every arrival at the merger is a transition a lane
     // computed, and every one the counter rejected a reconciled copy.
-    let scr = plan.scr_work.is_some();
+    let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
     let (desplits, resplits) = policy.desplit_stats();
     Telemetry {
         policy: policy.name().to_string(),

@@ -29,8 +29,7 @@ use crate::packet::Frame;
 use crate::ring::{RingConsumer, RingProducer};
 use crate::supervise::HeartbeatBoard;
 use crate::work::{
-    complete_staged, process_batch, process_frames, stage_group_sizes, stateful_stage,
-    PacketResult, StagedWork,
+    complete_staged, process_batch, process_frames, stage_group_sizes, stateful_stage, StagedWork,
 };
 
 /// A micro-flow part-way through the staged pipeline, as forwarded
@@ -100,12 +99,13 @@ pub(crate) struct RunPlan {
     /// — every one of them is a no-op and the single merger incarnation
     /// runs to EOS exactly as the unsupervised pipeline always has.
     pub(crate) wal_on: bool,
-    /// Stateful-stage placement: under SCR, the rounds the lanes (and
-    /// every degraded path that stands in for a lane — local completion
-    /// past a dead next hop, inline processing) apply; `None` under
-    /// merge-before-tcp, where final assembly runs the stage serially,
-    /// after reassembly and every join.
-    pub(crate) scr_work: Option<u32>,
+    /// Stateful-stage placement, at most one nonzero: under SCR the lanes
+    /// (and every path standing in for one — local completion past a dead
+    /// next hop, inline processing) apply `lane_rounds`; under
+    /// merge-before-tcp the merger applies `merger_rounds` to results as
+    /// it emits them in order ([`crate::merge::MergerState`]).
+    pub(crate) lane_rounds: u32,
+    pub(crate) merger_rounds: u32,
     /// Descriptors each lane keeps in its retained window
     /// ([`crate::dispatch::Lane::recent`]): `queue_depth + 2` on faulty
     /// and on supervised runs — a stall-respawn needs the window to
@@ -139,12 +139,16 @@ impl RunPlan {
         } else {
             None
         };
-        let scr = cfg.stateful_mode == StatefulMode::StateComputeReplication;
+        let (lane_rounds, merger_rounds) = match cfg.stateful_mode {
+            StatefulMode::StateComputeReplication => (cfg.stateful_work, 0),
+            StatefulMode::MergeBeforeTcp => (0, cfg.stateful_work),
+        };
         Self {
             supervised,
             flush_timeout,
             wal_on: supervised || faults.merger_faults_active(),
-            scr_work: scr.then_some(cfg.stateful_work),
+            lane_rounds,
+            merger_rounds,
             retain: if faulty || supervised {
                 cfg.queue_depth + 2
             } else {
@@ -186,15 +190,6 @@ fn apply_worker_faults(
     if faults.stalls_on(mf_id) {
         faults.note(FaultEvent::Stall { worker, mf_id });
         thread::sleep(Duration::from_millis(faults.stall_ms));
-    }
-}
-
-/// Applies the lane-replicated stateful stage under SCR; identity under
-/// merge-before-tcp (final assembly runs the stage there instead).
-fn apply_scr(r: PacketResult, scr_work: Option<u32>) -> PacketResult {
-    match scr_work {
-        Some(units) => stateful_stage(r, units),
-        None => r,
     }
 }
 
@@ -272,8 +267,8 @@ impl StageInput for MfDesc {
     /// on the stack per frame only to match it apart again measured 4.35
     /// against 4.78 Mframes/s on `elephant64`.
     fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
-        let scr = |r| apply_scr(r, ctx.scr_work);
-        self.run(ctx, |span, out| process_frames(span, scr, out))
+        let stateful = |r| stateful_stage(r, ctx.lane_rounds);
+        self.run(ctx, |span, out| process_frames(span, stateful, out))
     }
 }
 
@@ -292,7 +287,7 @@ impl StageInput for StagedRun {
     fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
         self.with_items(|staged| {
             let mut results = Vec::new();
-            complete_staged(&staged, |r| apply_scr(r, ctx.scr_work), &mut results);
+            complete_staged(&staged, |r| stateful_stage(r, ctx.lane_rounds), &mut results);
             results
         })
     }
@@ -414,7 +409,7 @@ pub(crate) struct WorkerCtx<'scope, 'env> {
     pub(crate) sent: &'env AtomicU64,
     pub(crate) faults: &'env RuntimeFaults,
     pub(crate) beats: &'env HeartbeatBoard,
-    pub(crate) scr_work: Option<u32>,
+    pub(crate) lane_rounds: u32,
 }
 
 impl<'scope> WorkerCtx<'scope, '_> {
@@ -596,7 +591,8 @@ mod tests {
                             supervised,
                             flush_timeout: perturbed.then_some(Duration::from_millis(100)),
                             wal_on,
-                            scr_work: scr.then_some(WORK),
+                            lane_rounds: if scr { WORK } else { 0 },
+                            merger_rounds: if scr { 0 } else { WORK },
                             retain: if retains { QUEUE_DEPTH + 2 } else { 0 },
                             inline_orphans: chained || supervised,
                         };

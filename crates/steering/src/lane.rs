@@ -12,10 +12,9 @@
 //!   stream first appears (the `rps_cpus` mask is configured, not hashed)
 //!   — the paper's whole-flow comparator. The threaded runtime takes one
 //!   stream per call under one global `seq`, so RSS (the NIC hash picks
-//!   the lane) and RFS (the consuming application's core does) would be
-//!   this same behaviour under two more names; they are policies of the
-//!   simulator only ([`crate::Rss`], [`crate::Rfs`]), where multi-flow
-//!   traffic gives them something to differ on.
+//!   the lane) would be this same behaviour under another name; it is a
+//!   policy of the simulator only ([`crate::Rss`]), where multi-flow
+//!   traffic gives it something to differ on.
 //! * **FALCON** does not fan out at all: every batch enters lane 0 and the
 //!   *stages* of the packet function are pipelined across the workers
 //!   ([`PolicyKind::stage_groups`] is the chain length).

@@ -12,12 +12,10 @@
 
 pub mod falcon;
 pub mod lane;
-pub mod rfs;
 pub mod rps;
 pub mod rss;
 
 pub use falcon::{Falcon, FalconLevel};
 pub use lane::{build_baseline, FalconLanes, PolicyKind, RpsLanes, SteeringPolicy};
-pub use rfs::Rfs;
 pub use rps::Rps;
 pub use rss::Rss;
