@@ -8,8 +8,6 @@
 //!     [--flows N] [--batch 256] [--seed 42] [--no-noise] [--cpu]
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use mflow::MflowConfig;
 use mflow_netstack::{
     FaultConfig, FlowSpec, NoiseConfig, StackConfig, StackSim, Transport,
@@ -17,9 +15,8 @@ use mflow_netstack::{
 use mflow_metrics::CountingAlloc;
 use mflow_runtime::{
     frame_wire_len, frames_from_pcap, generate_frames, generate_frames_into, process_parallel,
-    process_parallel_faulty, process_serial, process_serial_stateful, BackpressurePolicy, BufPool,
-    Frame, LaneStall, MergerKill, MergerStall, PolicyKind, RuntimeConfig,
-    RuntimeFaults, SlowWorker, StatefulMode, WorkerKill,
+    process_parallel_faulty, BackpressurePolicy, BufPool, MergerKill, MergerStall, PolicyKind,
+    RuntimeConfig, RuntimeFaults, SlowWorker, StatefulMode,
 };
 use mflow_sim::MS;
 use mflow_workloads::sockperf::UDP_CLIENTS;
@@ -71,17 +68,10 @@ struct Args {
     // Stateful-stage placement (both engines).
     stateful_mode: StatefulMode,
     stateful_work: u32,
-    // Chaos-soak mode.
-    chaos_soak: bool,
-    chaos_seed: u64,
-    chaos_frames: usize,
-    chaos_policies: Vec<PolicyKind>,
     // Runtime sweep bench mode ({workers, batch}).
     bench_transport: bool,
     // Policy-comparison bench mode.
     bench_policy: bool,
-    // Stateful-mode bench (merge-before-tcp vs state-compute replication).
-    bench_stateful: bool,
     bench_out: String,
     bench_enforce: bool,
 }
@@ -99,8 +89,7 @@ fn usage() -> ! {
          \x20  runtime mode: --runtime [--workers N] [--queue-depth N] [--frames N]\n\
          \x20                [--backpressure block|drop-tail|inline] [--drop-budget PKTS]\n\
          \x20                [--inline-fallback] [--high-watermark DEPTH]\n\
-         \x20                [--fault-lane-stall WORKER:MS] [--fault-slow-worker WORKER:US]\n\
-         \x20                [--flush-timeout-ms MS]\n\
+         \x20                [--fault-slow-worker WORKER:US] [--flush-timeout-ms MS]\n\
          \x20                [--pool-slots N] [--pool-slab BYTES] [--pcap FILE]\n\
          \x20                [--merger-depth MFS] [--restart-budget N]\n\
          \x20                [--heartbeat-interval-ms MS] [--restart-backoff-ms MS]\n\
@@ -108,16 +97,13 @@ fn usage() -> ! {
          \x20                [--fault-merger-kill OFFERS:INCARNATION]...\n\
          \x20                [--fault-merger-stall OFFERS:MS]\n\
          \x20                [--stateful-mode merge-before-tcp|scr] [--stateful-work ROUNDS]\n\
-         \x20  chaos mode:   --chaos-soak [--chaos-seed N] [--chaos-frames N]\n\
-         \x20                [--chaos-policies p1,p2,..]\n\
-         \x20  bench mode:   --bench-transport | --bench-policy | --bench-stateful\n\
+         \x20  bench mode:   --bench-transport | --bench-policy\n\
          \x20                [--frames N] [--bench-out PATH] [--bench-enforce]"
     );
     std::process::exit(2);
 }
 
-/// A `--policy` / `--chaos-policies` name, or exit 2 naming the valid
-/// ones.
+/// A `--policy` name, or exit 2 naming the valid ones.
 fn parse_policy(name: &str) -> PolicyKind {
     PolicyKind::parse(name).unwrap_or_else(|| {
         let valid = PolicyKind::ALL.map(PolicyKind::name).join(", ");
@@ -162,13 +148,8 @@ fn parse_args() -> Args {
         checkpoint_every: RuntimeConfig::default().checkpoint_every,
         stateful_mode: StatefulMode::MergeBeforeTcp,
         stateful_work: 0,
-        chaos_soak: false,
-        chaos_seed: 42,
-        chaos_frames: 4_000,
-        chaos_policies: PolicyKind::ALL.to_vec(),
         bench_transport: false,
         bench_policy: false,
-        bench_stateful: false,
         bench_out: String::new(),
         bench_enforce: false,
     };
@@ -270,14 +251,6 @@ fn parse_args() -> Args {
             "--high-watermark" => {
                 args.high_watermark = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
-            "--fault-lane-stall" => {
-                let v = value(&mut i);
-                let (w, ms) = v.split_once(':').unwrap_or_else(|| usage());
-                args.rt_faults.lane_stall = Some(LaneStall {
-                    worker: w.parse().unwrap_or_else(|_| usage()),
-                    ms: ms.parse().unwrap_or_else(|_| usage()),
-                });
-            }
             "--fault-slow-worker" => {
                 let v = value(&mut i);
                 let (w, us) = v.split_once(':').unwrap_or_else(|| usage());
@@ -343,22 +316,8 @@ fn parse_args() -> Args {
             "--stateful-work" => {
                 args.stateful_work = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
-            "--chaos-soak" => args.chaos_soak = true,
-            "--chaos-seed" => {
-                args.chaos_seed = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos-frames" => {
-                args.chaos_frames = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos-policies" => {
-                args.chaos_policies = value(&mut i)
-                    .split(',')
-                    .map(parse_policy)
-                    .collect()
-            }
             "--bench-transport" => args.bench_transport = true,
             "--bench-policy" => args.bench_policy = true,
-            "--bench-stateful" => args.bench_stateful = true,
             "--bench-out" => args.bench_out = value(&mut i),
             "--bench-enforce" => args.bench_enforce = true,
             "--help" | "-h" => usage(),
@@ -522,377 +481,6 @@ fn run_runtime(a: &Args) {
             ("checkpoints", out.checkpoints.to_string()),
         ])
     );
-}
-
-/// SplitMix64 — the same mixer the runtime fault plan uses. The CLI
-/// needs it only to derive per-cell seeds and kill points; determinism
-/// (same seed -> same schedule) is what makes a soak failure replayable.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derives a cell seed from the soak seed and the cell's policy *name*
-/// (not its index): a replay run filtered to one policy folds the
-/// identical string and reproduces the identical seed. The literal
-/// `"ring"` is part of the derivation: CI's fixed seeds and every
-/// recorded `REPLAY:` line name schedules computed with it, so dropping
-/// it would silently change them all.
-fn cell_seed(soak_seed: u64, policy: PolicyKind) -> u64 {
-    let mut acc = splitmix(soak_seed);
-    for b in policy.name().bytes().chain("ring".bytes()) {
-        acc = splitmix(acc ^ b as u64);
-    }
-    acc
-}
-
-/// Replays the dispatcher's batching walk to predict, from the seed
-/// alone, which packets the fault plan deletes at dispatch and which
-/// micro-flow every surviving packet belongs to. Mirrors the dispatcher
-/// exactly: drops shift batch boundaries because batches close on
-/// retained length.
-fn replay_dispatch(
-    n: usize,
-    batch_size: usize,
-    faults: &RuntimeFaults,
-) -> (BTreeSet<u64>, BTreeMap<u64, u64>) {
-    let mut dropped = BTreeSet::new();
-    let mut mf_of = BTreeMap::new();
-    let mut mf_id = 0u64;
-    let mut len = 0usize;
-    for i in 0..n {
-        let seq = i as u64;
-        let last = len + 1 == batch_size || i + 1 == n;
-        if faults.drops_packet(mf_id, seq, last) {
-            dropped.insert(seq);
-        } else {
-            len += 1;
-            mf_of.insert(seq, mf_id);
-        }
-        if last {
-            mf_id += 1;
-            len = 0;
-        }
-    }
-    (dropped, mf_of)
-}
-
-/// One finished soak cell, for the summary line.
-struct CellReport {
-    delivered: usize,
-    restarts: u64,
-    heartbeat_misses: u64,
-    workers_died: usize,
-    merger_restarts: u64,
-    replayed_offers: u64,
-    flushed: usize,
-    elapsed_ms: f64,
-}
-
-/// Runs one policy cell of the chaos soak and checks the
-/// full degradation contract. Every fault decision is a pure function
-/// of the cell seed, so a violation message is a complete reproduction
-/// recipe.
-fn run_chaos_cell(
-    frames: &[Frame],
-    reference: &BTreeMap<u64, u64>,
-    policy: PolicyKind,
-    seed: u64,
-) -> Result<CellReport, String> {
-    let cfg = RuntimeConfig {
-        workers: 4,
-        batch_size: 32,
-        queue_depth: 8,
-        backpressure: BackpressurePolicy::Block,
-        policy,
-        heartbeat_interval_ms: Some(25),
-        restart_budget: 32,
-        restart_backoff_ms: 1,
-        // Small interval so every cell crosses several checkpoint
-        // boundaries and both merger kills land mid-window.
-        checkpoint_every: 256,
-        ..RuntimeConfig::default()
-    };
-    // One scheduled death per worker slot the policy materialises: every
-    // fan-out lane, or every FALCON chain stage. Kill points land after
-    // 2..=7 processed batches so the pre-fault rate window exists.
-    let kills: Vec<WorkerKill> = (0..policy.worker_slots(cfg.workers))
-        .map(|slot| WorkerKill {
-            worker: slot,
-            after_batches: 2 + splitmix(seed ^ (slot as u64).wrapping_mul(0x9E37)) % 6,
-            incarnation: 0,
-        })
-        .collect();
-    // Two scheduled merger deaths: incarnation 0 early in the stream,
-    // its successor another ~half-checkpoint-window later — so every
-    // cell proves snapshot restore plus delta replay twice, back to
-    // back, while the worker kill schedule runs concurrently.
-    let first_merger_kill = 64 + splitmix(seed ^ 0xC0FFEE) % 256;
-    let merger_kills = vec![
-        MergerKill {
-            after_offers: first_merger_kill,
-            incarnation: 0,
-        },
-        MergerKill {
-            after_offers: first_merger_kill + 512,
-            incarnation: 1,
-        },
-    ];
-    let faults = RuntimeFaults {
-        seed,
-        drop_rate: 0.01,
-        drop_last_rate: 0.02,
-        dup_mf_rate: 0.03,
-        late_mf_rate: 0.03,
-        late_by: 3,
-        stall_rate: 0.01,
-        stall_ms: 1,
-        kills,
-        merger_kills,
-        flush_timeout_ms: Some(40),
-        ..RuntimeFaults::none()
-    };
-    let (dropped, mf_of) = replay_dispatch(frames.len(), cfg.batch_size, &faults);
-
-    let out = process_parallel_faulty(frames, &cfg, &faults)
-        .map_err(|e| format!("run failed outright: {e}"))?;
-
-    // Ordering: strictly increasing seqs (no inversion, no duplicate),
-    // every digest bit-identical to the serial reference.
-    for pair in out.digests.windows(2) {
-        if pair[0].seq >= pair[1].seq {
-            return Err(format!(
-                "ordering violated at merge: seq {} -> {}",
-                pair[0].seq, pair[1].seq
-            ));
-        }
-    }
-    for r in &out.digests {
-        if reference.get(&r.seq) != Some(&r.digest) {
-            return Err(format!("digest mismatch at seq {}", r.seq));
-        }
-    }
-    if out.telemetry.residue != 0 {
-        return Err(format!(
-            "{} items left parked in the merger (delivered {}, flushed {}, late {}, dup {}, \
-             {} worker deaths, {} merger deaths, {} replayed)",
-            out.telemetry.residue,
-            out.digests.len(),
-            out.flushed_mfs.len(),
-            out.telemetry.late,
-            out.telemetry.dup,
-            out.workers_died,
-            out.merger_deaths,
-            out.telemetry.restore_replayed_offers
-        ));
-    }
-
-    // Conservation: every offered packet is delivered, a replayable
-    // dispatch-time drop, in a flushed micro-flow, or inside the bounded
-    // in-flight window each worker death can take with it.
-    let present: BTreeSet<u64> = out.digests.iter().map(|r| r.seq).collect();
-    let flushed: BTreeSet<u64> = out.flushed_mfs.iter().copied().collect();
-    let mut unattributed = BTreeSet::new();
-    for seq in 0..frames.len() as u64 {
-        if present.contains(&seq) || dropped.contains(&seq) {
-            continue;
-        }
-        let mf = mf_of[&seq];
-        if !flushed.contains(&mf) {
-            unattributed.insert(mf);
-        }
-    }
-    let window = (cfg.queue_depth + 2) * out.workers_died;
-    if unattributed.len() > window {
-        return Err(format!(
-            "conservation violated: {} micro-flows lost without attribution \
-             ({window}-batch death window): {unattributed:?}",
-            unattributed.len()
-        ));
-    }
-    if out.telemetry.lane_depths.iter().any(|&d| d != 0) {
-        return Err(format!(
-            "stale end-of-run lane depths {:?}",
-            out.telemetry.lane_depths
-        ));
-    }
-
-    // Liveness: the scheduled deaths on traffic-bearing slots must have
-    // fired and been healed. Whole-flow pinning routes the single test
-    // flow to one lane, so only that lane's kill is guaranteed to fire;
-    // MFLOW spreads batches over every lane and FALCON chains pipe every
-    // batch through every stage.
-    let expected_restarts = match policy {
-        PolicyKind::Mflow => cfg.workers as u64,
-        PolicyKind::FalconDev | PolicyKind::FalconFunc => policy.worker_slots(cfg.workers) as u64,
-        _ => 1,
-    };
-    if out.telemetry.restarts < expected_restarts {
-        return Err(format!(
-            "supervisor healed {} workers, expected at least {expected_restarts}",
-            out.telemetry.restarts
-        ));
-    }
-    // Merger failure domain: both scheduled merger kills must have fired
-    // and been healed from the checkpoint layer, and replay must stay
-    // within one inter-checkpoint window per restore.
-    if out.merger_deaths < 2 || out.telemetry.merger_restarts < 2 {
-        return Err(format!(
-            "merger domain: {} deaths / {} respawns, expected at least 2 / 2",
-            out.merger_deaths, out.telemetry.merger_restarts
-        ));
-    }
-    // Each injected death panics right after journaling the fatal offer,
-    // so every restore must replay at least that offer. (The strict
-    // one-window upper bound is asserted by the recovery-equivalence
-    // suite, whose configs keep the dispatcher's backlog pump idle; here
-    // the pump may legitimately journal a burst while respawn backs off.)
-    if (out.telemetry.restore_replayed_offers as usize) < out.merger_deaths {
-        return Err(format!(
-            "merger replayed only {} offers across {} deaths",
-            out.telemetry.restore_replayed_offers, out.merger_deaths
-        ));
-    }
-
-    Ok(CellReport {
-        delivered: out.digests.len(),
-        restarts: out.telemetry.restarts,
-        heartbeat_misses: out.telemetry.heartbeat_misses,
-        workers_died: out.workers_died,
-        merger_restarts: out.telemetry.merger_restarts,
-        replayed_offers: out.telemetry.restore_replayed_offers,
-        flushed: out.flushed_mfs.len(),
-        elapsed_ms: out.elapsed.as_secs_f64() * 1e3,
-    })
-}
-
-/// `--chaos-soak`: run a seed-derived randomized fault schedule (worker
-/// deaths, stalls, packet drops, duplicate and late micro-flows) over
-/// every requested policy cell and check the degradation
-/// contract continuously. On any violation, prints a single replay
-/// command that reproduces the failing cell byte-for-byte and exits
-/// nonzero.
-fn run_chaos_soak(a: &Args) {
-    let frames = generate_frames(a.chaos_frames, 256);
-    let serial = process_serial(&frames);
-    let reference: BTreeMap<u64, u64> = serial.digests.iter().map(|r| (r.seq, r.digest)).collect();
-    println!(
-        "chaos soak: seed {} over {} frames, {} policies",
-        a.chaos_seed,
-        a.chaos_frames,
-        a.chaos_policies.len()
-    );
-    let mut violations = 0usize;
-    let mut total_restarts = 0u64;
-    for &policy in &a.chaos_policies {
-        let seed = cell_seed(a.chaos_seed, policy);
-        match run_chaos_cell(&frames, &reference, policy, seed) {
-            Ok(r) => {
-                total_restarts += r.restarts;
-                println!(
-                    "chaos[{policy}]: OK — {} delivered, {} flushed mfs, \
-                     {} died / {} restarts, {} merger respawns ({} offers replayed), \
-                     {} heartbeat misses, {:.1} ms",
-                    r.delivered,
-                    r.flushed,
-                    r.workers_died,
-                    r.restarts,
-                    r.merger_restarts,
-                    r.replayed_offers,
-                    r.heartbeat_misses,
-                    r.elapsed_ms
-                );
-            }
-            Err(msg) => {
-                violations += 1;
-                println!("chaos[{policy}]: VIOLATION — {msg}");
-                println!(
-                    "REPLAY: cargo run --release -p mflow-bench --bin mflow_cli -- \
-                     --chaos-soak --chaos-seed {} --chaos-frames {} \
-                     --chaos-policies {}",
-                    a.chaos_seed,
-                    a.chaos_frames,
-                    policy.name()
-                );
-            }
-        }
-    }
-    if violations > 0 {
-        eprintln!("chaos soak FAILED: {violations} cell(s) violated the degradation contract");
-        std::process::exit(1);
-    }
-    println!(
-        "chaos soak passed: {} cells, {} restarts total, 0 violations",
-        a.chaos_policies.len(),
-        total_restarts
-    );
-    run_checkpoint_sweep();
-}
-
-/// Appended to the soak output: the cost of the merger's checkpointing
-/// as a function of the interval at the {4 workers, batch 32} reference
-/// point. The baseline each interval is judged against is a *supervised,
-/// WAL-on run that never snapshots* (`checkpoint_every = u64::MAX` —
-/// journal appends only), so the delta isolates exactly the periodic
-/// snapshot folds the interval controls. Arming supervision itself has a
-/// separate, pre-existing price (per-batch retention copies for
-/// redispatch, DESIGN.md §11) — printed once as the unarmed reference so
-/// the two costs are never conflated. Fault-free runs: no respawns, no
-/// replay. Best-of-3 per point: the soak's fault frames are far too few
-/// for a stable rate, so the sweep generates its own stream.
-fn run_checkpoint_sweep() {
-    const INTERVALS: [u64; 4] = [64, 256, 1024, 4096];
-    const SWEEP_FRAMES: usize = 100_000;
-    let frames = generate_frames(SWEEP_FRAMES, 256);
-    let base_cfg = RuntimeConfig {
-        workers: 4,
-        batch_size: 32,
-        queue_depth: 8,
-        ..RuntimeConfig::default()
-    };
-    let best_of = |cfg: &RuntimeConfig| -> (f64, u64, u64) {
-        let mut best = f64::MAX;
-        let mut stats = (0, 0);
-        for _ in 0..3 {
-            let out = process_parallel(&frames, cfg).expect("sweep point must run");
-            assert_eq!(
-                out.digests.len(),
-                frames.len(),
-                "checkpoint sweep lost packets (interval {})",
-                cfg.checkpoint_every
-            );
-            let secs = out.elapsed.as_secs_f64();
-            if secs < best {
-                best = secs;
-                stats = (out.checkpoints, out.telemetry.snapshot_bytes);
-            }
-        }
-        (frames.len() as f64 / best / 1e6, stats.0, stats.1)
-    };
-    let armed = |every: u64| RuntimeConfig {
-        heartbeat_interval_ms: Some(100),
-        restart_budget: 4,
-        checkpoint_every: every,
-        ..base_cfg
-    };
-    let (unarmed_mpps, _, _) = best_of(&base_cfg);
-    let (base_mpps, _, _) = best_of(&armed(u64::MAX));
-    println!(
-        "checkpoint sweep [4w x 32b, {SWEEP_FRAMES} frames, best of 3]: \
-         unarmed {unarmed_mpps:.2} Mpps, armed journal-only baseline {base_mpps:.2} Mpps \
-         ({:+.1}% supervision price)",
-        (base_mpps / unarmed_mpps - 1.0) * 100.0,
-    );
-    for every in INTERVALS {
-        let (mpps, checkpoints, snapshot_bytes) = best_of(&armed(every));
-        println!(
-            "checkpoint sweep: every={every} -> {mpps:.2} Mpps ({:+.1}% vs journal-only), \
-             {checkpoints} checkpoints, {snapshot_bytes} snapshot bytes",
-            (mpps / base_mpps - 1.0) * 100.0,
-        );
-    }
 }
 
 /// Host core count for the bench-file headers: a sweep point with more
@@ -1224,184 +812,14 @@ fn run_bench_policy(a: &Args) {
     }
 }
 
-/// One measured point of the stateful-mode sweep.
-struct StatefulPoint {
-    work: u32,
-    mode: StatefulMode,
-    best_ns: u128,
-    mean_ns: u128,
-    /// Merger-thread busy time of the best run: the serial stage's cost.
-    serial_ns: u64,
-    mpps: f64,
-    replicated: u64,
-}
-
-/// `--bench-stateful`: race the two stateful-stage placements over the
-/// elephant workload at the reference point {4 workers, batch 32,
-/// policy mflow} — the configuration where the merge counter is engaged
-/// and merge-before-tcp therefore serializes the stateful stage on the
-/// merger thread — sweeping the per-packet stateful cost. Every
-/// measured run is also checked byte-identical to the in-order serial
-/// reference, so the sweep doubles as a differential test. Writes
-/// `BENCH_stateful.json`.
-///
-/// With `--bench-enforce` the process exits nonzero unless
-/// state-compute replication beats merge-before-tcp at the heaviest
-/// stateful point. The gated quantity is the
-/// *serial-stage time* — the merger thread's busy time
-/// ([`RunOutput::stateful_serial_ns`]) — because that is the cost the
-/// paper's design moves off the critical serial stage, and it reads the
-/// same whether the host gives the worker threads four real cores or
-/// time-slices them onto one (wall-clock on a single-core runner cannot
-/// distinguish the placements; both points are recorded regardless).
-fn run_bench_stateful(a: &Args) {
-    const PAYLOAD: usize = 256;
-    const WORKS: [u32; 3] = [0, 64, 512];
-    const MODES: [StatefulMode; 2] = StatefulMode::ALL;
-    const ITERS: usize = 5;
-
-    let n_frames = a.frames;
-    let frames = generate_frames(n_frames, PAYLOAD);
-    let mut points: Vec<StatefulPoint> = Vec::new();
-    for work in WORKS {
-        let reference = process_serial_stateful(&frames, work);
-        for mode in MODES {
-            let cfg = RuntimeConfig {
-                workers: 4,
-                batch_size: 32,
-                queue_depth: 8,
-                policy: PolicyKind::Mflow,
-                stateful_mode: mode,
-                stateful_work: work,
-                ..RuntimeConfig::default()
-            };
-            // One warmup run doubles as the differential check: both
-            // placements must deliver the serial stream exactly.
-            let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
-            assert_eq!(
-                reference.digests, out.digests,
-                "stateful mode {mode:?} diverged from the serial reference"
-            );
-            let mut best_ns = u128::MAX;
-            let mut total_ns = 0u128;
-            let mut replicated = 0u64;
-            let mut serial_ns = 0u64;
-            for _ in 0..ITERS {
-                let out = process_parallel(&frames, &cfg).expect("bench config must be valid");
-                let ns = out.elapsed.as_nanos();
-                if ns < best_ns {
-                    best_ns = ns;
-                    replicated = out.telemetry.replicated_transitions;
-                    serial_ns = out.stateful_serial_ns;
-                }
-                total_ns += ns;
-            }
-            let secs = best_ns as f64 / 1e9;
-            let point = StatefulPoint {
-                work,
-                mode,
-                best_ns,
-                mean_ns: total_ns / ITERS as u128,
-                serial_ns,
-                mpps: n_frames as f64 / secs / 1e6,
-                replicated,
-            };
-            println!(
-                "bench: work={:<4} {:<16} best {:>10} ns  mean {:>10} ns  serial {:>10} ns  {:.2} Mpps",
-                point.work,
-                point.mode.name(),
-                point.best_ns,
-                point.mean_ns,
-                point.serial_ns,
-                point.mpps,
-            );
-            points.push(point);
-        }
-    }
-
-    // The gate: at the heaviest stateful point, replicating the state
-    // computation across the lanes must beat serializing it after the
-    // merge.
-    let heavy = *WORKS.last().expect("non-empty sweep");
-    let serial_of = |mode: StatefulMode| {
-        points
-            .iter()
-            .find(|p| p.work == heavy && p.mode == mode)
-            .map(|p| p.serial_ns)
-            .expect("sweep covers the gate point")
-    };
-    let mbt_ns = serial_of(StatefulMode::MergeBeforeTcp);
-    let scr_ns = serial_of(StatefulMode::StateComputeReplication);
-    let ratio = scr_ns as f64 / mbt_ns as f64;
-    let pass = ratio < 1.0;
-    println!(
-        "gate @ w=4 b=32 work={heavy}: scr/mbt serial-stage time ratio {:.3} ({})",
-        ratio,
-        if pass { "pass" } else { "FAIL" }
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"stateful_modes\",\n");
-    json.push_str(&format!("  \"frames\": {n_frames},\n"));
-    json.push_str(&format!("  \"payload_bytes\": {PAYLOAD},\n"));
-    json.push_str(&format!("  \"iters_per_point\": {ITERS},\n"));
-    json.push_str(&format!("  \"nproc\": {},\n", nproc()));
-    json.push_str("  \"workers\": 4,\n  \"batch\": 32,\n  \"policy\": \"mflow\",\n");
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"stateful_work\": {}, \"mode\": \"{}\", \"best_ns\": {}, \"mean_ns\": {}, \"serial_stage_ns\": {}, \"mpps\": {:.4}, \"replicated_transitions\": {}}}{}\n",
-            p.work,
-            p.mode.name(),
-            p.best_ns,
-            p.mean_ns,
-            p.serial_ns,
-            p.mpps,
-            p.replicated,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"gate\": {{\"stateful_work\": {heavy}, \"claim\": \"scr relieves the serial merge stage once stateful work dominates\", \"metric\": \"merger-thread busy time (serial-stage cost, host-core-count independent)\", \"mbt_serial_ns\": {mbt_ns}, \"scr_serial_ns\": {scr_ns}, \"scr_over_mbt_serial_time\": {ratio:.4}, \"threshold\": 1.0, \"pass\": {pass}}}\n"
-    ));
-    json.push_str("}\n");
-    let out_path = if a.bench_out.is_empty() {
-        "BENCH_stateful.json"
-    } else {
-        &a.bench_out
-    };
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if a.bench_enforce && !pass {
-        eprintln!(
-            "bench gate failed: state-compute replication did not relieve the serial \
-             merge stage vs merge-before-tcp at stateful work {heavy}"
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let a = parse_args();
-    if a.chaos_soak {
-        run_chaos_soak(&a);
-        return;
-    }
     if a.bench_transport {
         run_bench_transport(&a);
         return;
     }
     if a.bench_policy {
         run_bench_policy(&a);
-        return;
-    }
-    if a.bench_stateful {
-        run_bench_stateful(&a);
         return;
     }
     if a.runtime {

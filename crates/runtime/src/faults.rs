@@ -112,22 +112,13 @@ impl FaultLog {
     }
 }
 
-/// Sustained stall of one lane: the worker sleeps before *every* batch,
-/// modelling a splitting core pinned to an overcommitted CPU. Unlike the
+/// Slow worker: the worker sleeps before *every* batch, modelling a
+/// splitting core pinned to an overcommitted CPU. Unlike the
 /// probabilistic [`RuntimeFaults::stall_rate`], the pressure never lets
-/// up, so the lane's queue sits at its watermark for the whole run — the
-/// scenario backpressure policies exist for.
-#[derive(Clone, Copy, Debug)]
-pub struct LaneStall {
-    /// Worker (lane) index to stall.
-    pub worker: usize,
-    /// Sleep before each batch, in milliseconds.
-    pub ms: u64,
-}
-
-/// Slow-consumer worker: a milder, microsecond-scale per-batch slowdown.
-/// Enough to keep one queue consistently deeper than the others (engaging
-/// watermark-based policies) without freezing the lane outright.
+/// up: a few microseconds keep one queue consistently deeper than the
+/// others (engaging watermark-based policies), a few milliseconds hold
+/// the lane at its watermark for the whole run — the scenario
+/// backpressure policies exist for.
 #[derive(Clone, Copy, Debug)]
 pub struct SlowWorker {
     /// Worker (lane) index to slow down.
@@ -161,21 +152,15 @@ pub struct RuntimeFaults {
     pub stall_rate: f64,
     /// Stall duration in milliseconds.
     pub stall_ms: u64,
-    /// Kill a worker mid-run.
-    pub kill: Option<WorkerKill>,
-    /// Additional kills beyond [`RuntimeFaults::kill`] — a chaos schedule
-    /// can target every slot (and respawned incarnations) in one run.
+    /// Worker kills — a chaos schedule can target every slot (and
+    /// respawned incarnations) in one run.
     pub kills: Vec<WorkerKill>,
-    /// Kill the merger mid-run.
-    pub merger_kill: Option<MergerKill>,
-    /// Additional merger kills — a multi-kill schedule can take down
-    /// successive incarnations (0, then 1, ...) in one run.
+    /// Merger kills — a multi-kill schedule can take down successive
+    /// incarnations (0, then 1, ...) in one run.
     pub merger_kills: Vec<MergerKill>,
     /// Wedge the merger with one long sleep at an offer count.
     pub merger_stall: Option<MergerStall>,
-    /// Sustained stall of one lane (sleep before every batch).
-    pub lane_stall: Option<LaneStall>,
-    /// Slow-consumer worker (per-batch microsecond slowdown).
+    /// Slow worker (a sleep before every batch).
     pub slow_worker: Option<SlowWorker>,
     /// Merger flush deadline: with no arrivals for this long, the merger
     /// force-advances past the micro-flow it is stuck on. `None` waits
@@ -200,12 +185,9 @@ impl RuntimeFaults {
             late_by: 2,
             stall_rate: 0.0,
             stall_ms: 1,
-            kill: None,
             kills: Vec::new(),
-            merger_kill: None,
             merger_kills: Vec::new(),
             merger_stall: None,
-            lane_stall: None,
             slow_worker: None,
             flush_timeout_ms: Some(100),
             log: None,
@@ -219,9 +201,7 @@ impl RuntimeFaults {
             || self.dup_mf_rate > 0.0
             || self.late_mf_rate > 0.0
             || self.stall_rate > 0.0
-            || self.kill.is_some()
             || !self.kills.is_empty()
-            || self.lane_stall.is_some()
             || self.slow_worker.is_some()
             || self.merger_faults_active()
     }
@@ -231,17 +211,15 @@ impl RuntimeFaults {
     /// lose its merger must journal offers even without a supervisor, so
     /// the degraded dispatcher-side merge can reconstruct the stream.
     pub fn merger_faults_active(&self) -> bool {
-        self.merger_kill.is_some() || !self.merger_kills.is_empty() || self.merger_stall.is_some()
+        !self.merger_kills.is_empty() || self.merger_stall.is_some()
     }
 
     /// Whether a kill is scheduled to fire for this `(worker, incarnation)`
-    /// once it has processed `processed` batches. Checks both the single
-    /// [`RuntimeFaults::kill`] slot and the [`RuntimeFaults::kills`] list.
+    /// once it has processed `processed` batches.
     pub fn kill_fires(&self, worker: usize, incarnation: u64, processed: u64) -> bool {
-        self.kill
-            .iter()
-            .chain(self.kills.iter())
-            .any(|k| k.worker == worker && k.incarnation == incarnation && processed >= k.after_batches)
+        self.kills.iter().any(|k| {
+            k.worker == worker && k.incarnation == incarnation && processed >= k.after_batches
+        })
     }
 
     /// Whether a merger kill is scheduled to fire for `incarnation` once
@@ -250,9 +228,8 @@ impl RuntimeFaults {
     /// incarnation replayed from the delta log (replay performs no fault
     /// checks) fires on its first fresh offer instead of being lost.
     pub fn merger_kill_fires(&self, incarnation: u64, offers: u64) -> bool {
-        self.merger_kill
+        self.merger_kills
             .iter()
-            .chain(self.merger_kills.iter())
             .any(|k| k.incarnation == incarnation && offers >= k.after_offers)
     }
 
@@ -340,7 +317,7 @@ mod tests {
     #[test]
     fn kill_alone_makes_it_active() {
         let mut f = RuntimeFaults::none();
-        f.kill = Some(WorkerKill {
+        f.kills.push(WorkerKill {
             worker: 0,
             after_batches: 5,
             incarnation: 0,
@@ -390,7 +367,7 @@ mod tests {
     fn merger_faults_make_it_active() {
         let mut f = RuntimeFaults::none();
         assert!(!f.merger_faults_active());
-        f.merger_kill = Some(MergerKill {
+        f.merger_kills.push(MergerKill {
             after_offers: 10,
             incarnation: 0,
         });
@@ -440,7 +417,7 @@ mod tests {
             after_offers: 50,
             ms: 9,
         });
-        f.merger_kill = Some(MergerKill {
+        f.merger_kills.push(MergerKill {
             after_offers: 70,
             incarnation: 0,
         });
@@ -476,8 +453,12 @@ mod tests {
 
     #[test]
     fn lane_stall_and_slow_worker_make_it_active() {
+        // A lane stall is a slow worker at millisecond scale.
         let mut f = RuntimeFaults::none();
-        f.lane_stall = Some(LaneStall { worker: 0, ms: 2 });
+        f.slow_worker = Some(SlowWorker {
+            worker: 0,
+            per_batch_us: 2000,
+        });
         assert!(f.is_active());
         let mut f = RuntimeFaults::none();
         f.slow_worker = Some(SlowWorker {

@@ -43,7 +43,7 @@ pub use config::{
     RuntimeConfig, Transport,
 };
 pub use faults::{
-    FaultEvent, FaultLog, LaneStall, MergerKill, MergerStall, RuntimeFaults, SlowWorker, WorkerKill,
+    FaultEvent, FaultLog, MergerKill, MergerStall, RuntimeFaults, SlowWorker, WorkerKill,
 };
 pub use mflow::StatefulMode;
 pub use mflow_error::MflowError;

@@ -169,7 +169,7 @@ fn faultless_fault_path_is_exact() {
 fn killed_worker_does_not_panic_or_wedge_the_run() {
     let frames = generate_frames(4_000, 32);
     let mut faults = RuntimeFaults::none();
-    faults.kill = Some(WorkerKill {
+    faults.kills.push(WorkerKill {
         worker: 1,
         after_batches: 3,
         incarnation: 0,
@@ -375,7 +375,7 @@ fn falcon_chain_survives_worker_death() {
     let frames = generate_frames(3_000, 32);
     for dead_worker in 0..3 {
         let mut faults = RuntimeFaults::none();
-        faults.kill = Some(WorkerKill {
+        faults.kills.push(WorkerKill {
             worker: dead_worker,
             after_batches: 2,
             incarnation: 0,
@@ -492,7 +492,7 @@ fn killed_merger_respawns_from_checkpoint_with_exact_output() {
     let frames = generate_frames(3_000, 32);
     let serial = process_serial(&frames);
     let mut faults = RuntimeFaults::none();
-    faults.merger_kill = Some(MergerKill {
+    faults.merger_kills.push(MergerKill {
         after_offers: 100,
         incarnation: 0,
     });
@@ -548,7 +548,7 @@ fn unsupervised_merger_kill_degrades_to_dispatcher_merge() {
     // result exactly once.
     let frames = generate_frames(2_000, 32);
     let mut faults = RuntimeFaults::none();
-    faults.merger_kill = Some(MergerKill {
+    faults.merger_kills.push(MergerKill {
         after_offers: 50,
         incarnation: 0,
     });
@@ -583,7 +583,7 @@ fn exhausted_budget_pumps_instead_of_respawning() {
     let frames = generate_frames(2_000, 32);
     let serial = process_serial(&frames);
     let mut faults = RuntimeFaults::none();
-    faults.merger_kill = Some(MergerKill {
+    faults.merger_kills.push(MergerKill {
         after_offers: 50,
         incarnation: 0,
     });
@@ -632,7 +632,7 @@ fn merger_failure_domain_covers_every_policy() {
     let frames = generate_frames(2_000, 32);
     let serial = process_serial(&frames);
     let mut faults = RuntimeFaults::none();
-    faults.merger_kill = Some(MergerKill {
+    faults.merger_kills.push(MergerKill {
         after_offers: 80,
         incarnation: 0,
     });

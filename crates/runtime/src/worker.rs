@@ -176,14 +176,9 @@ fn apply_worker_faults(
         // The injected death: an abrupt panic that drops the queues.
         panic!("injected worker death");
     }
-    if let Some(stall) = faults.lane_stall {
-        if stall.worker == worker {
-            // Sustained pressure: every batch pays.
-            thread::sleep(Duration::from_millis(stall.ms));
-        }
-    }
     if let Some(slow) = faults.slow_worker {
         if slow.worker == worker {
+            // Sustained pressure: every batch pays.
             thread::sleep(Duration::from_micros(slow.per_batch_us));
         }
     }
@@ -525,12 +520,12 @@ mod tests {
         const QUEUE_DEPTH: usize = 5;
         const WORK: u32 = 7;
         let (mut worker_faults, mut merger_faults) = (RuntimeFaults::none(), RuntimeFaults::none());
-        worker_faults.kill = Some(WorkerKill {
+        worker_faults.kills.push(WorkerKill {
             worker: 0,
             after_batches: 1,
             incarnation: 0,
         });
-        merger_faults.merger_kill = Some(MergerKill {
+        merger_faults.merger_kills.push(MergerKill {
             after_offers: 1,
             incarnation: 0,
         });

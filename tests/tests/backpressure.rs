@@ -13,14 +13,18 @@ use std::time::Duration;
 
 use integration_tests::Cell;
 use mflow_runtime::{
-    generate_frames, BackpressurePolicy, Frame, LaneStall, RunOutput, RuntimeConfig, RuntimeFaults,
+    generate_frames, BackpressurePolicy, Frame, RunOutput, RuntimeConfig, RuntimeFaults,
+    SlowWorker,
 };
 
 /// A fault plan that stalls worker 0 before every batch — the sustained
 /// slow consumer of the acceptance scenario — and nothing else.
 fn stalled_lane(ms: u64) -> RuntimeFaults {
     let mut faults = RuntimeFaults::none();
-    faults.lane_stall = Some(LaneStall { worker: 0, ms });
+    faults.slow_worker = Some(SlowWorker {
+        worker: 0,
+        per_batch_us: ms * 1000,
+    });
     faults.flush_timeout_ms = Some(250);
     faults
 }

@@ -1,14 +1,28 @@
-//! Fixed-seed chaos soak, test-harness edition: the same seed-derived
-//! fault schedules the `mflow_cli --chaos-soak` harness runs, asserted
-//! as a tier-1 test. The headline scenario is the issue's acceptance
-//! criterion: a run that kills *every* worker completes with
-//! conservation intact, `restarts >= n_workers`, and post-recovery
-//! dispatch throughput within 20% of the pre-fault rate.
+//! Fixed-seed chaos soak: seed-derived fault schedules — worker deaths on
+//! every slot, two merger deaths, loss, duplicates, lates and stalls —
+//! over every cell of the lattice, each run checked by [`Cell::run`]
+//! against the serial oracle, plus the restart floors the schedule owes.
+//! CI runs this binary in release as the failure-domain soak. Beside it:
+//! a run that kills *every* worker completes with conservation intact,
+//! `restarts >= n_workers`, and post-recovery dispatch throughput within
+//! 20% of the pre-fault rate.
+
+use std::sync::Mutex;
 
 use integration_tests::{for_each_cell, splitmix, Cell};
 use mflow_runtime::{
-    generate_frames, BackpressurePolicy, PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
+    generate_frames, BackpressurePolicy, Frame, MergerKill, PolicyKind, RuntimeConfig,
+    RuntimeFaults, WorkerKill,
 };
+
+/// Held by each test of this binary for its whole run, so the soak's
+/// threads never share the CPU with the wall-clock rate windows of the
+/// throughput test.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn killing_every_worker_heals_conserves_and_recovers_throughput() {
@@ -28,6 +42,7 @@ fn killing_every_worker_heals_conserves_and_recovers_throughput() {
     // match. Kills land late enough that steady-state dispatch
     // dominates the pre window, and the frame count keeps the
     // post-respawn window long enough to amortize respawn backoff.
+    let _cpu = one_at_a_time();
     let workers = 4usize;
     let frames = generate_frames(60_000, 64);
     let cfg = RuntimeConfig {
@@ -82,61 +97,110 @@ fn killing_every_worker_heals_conserves_and_recovers_throughput() {
 
 #[test]
 fn fixed_seed_soak_over_every_policy() {
-    // The CLI harness's schedule, in miniature: one seed-derived kill
-    // per materialised worker slot plus background drops, dups, lates
-    // and stalls, over every cell.
-    let soak_seed = 42u64;
-    let frames = generate_frames(1_500, 64);
-    let base = RuntimeConfig {
-        workers: 4,
-        batch_size: 32,
-        queue_depth: 8,
-        heartbeat_interval_ms: Some(25),
-        restart_budget: 32,
-        restart_backoff_ms: 1,
-        ..RuntimeConfig::default()
+    // Two fixed seeds, each over every cell: one seed-derived kill per
+    // materialised worker slot, two merger kills (incarnation 0, then its
+    // successor), and background drops, dups, lates and stalls. Every
+    // fault decision is a pure function of the seed, so a failure message
+    // — which names the soak seed and the cell — is a reproduction recipe.
+    let _cpu = one_at_a_time();
+    for (soak_seed, n) in [(42u64, 6_000), (1337, 4_000)] {
+        let frames = generate_frames(n, 256);
+        let base = RuntimeConfig {
+            workers: 4,
+            batch_size: 32,
+            queue_depth: 8,
+            heartbeat_interval_ms: Some(25),
+            restart_budget: 32,
+            restart_backoff_ms: 1,
+            // Every cell crosses several checkpoint boundaries, and both
+            // merger kills land mid-window.
+            checkpoint_every: 256,
+            ..RuntimeConfig::default()
+        };
+        for_each_cell(base, |cell| {
+            let cell = Cell {
+                cfg: cell.cfg,
+                label: format!("soak seed {soak_seed}: {}", cell.label),
+            };
+            soak_cell(&cell, &frames, soak_seed);
+        });
+    }
+}
+
+/// One cell of the soak: [`Cell::run`]'s contract, then the floors the
+/// schedule owes — the traffic-bearing worker slots healed, and both
+/// merger deaths healed from the checkpoint layer.
+fn soak_cell(cell: &Cell, frames: &[Frame], soak_seed: u64) {
+    let (policy, label) = (cell.cfg.policy, &cell.label);
+    let slots = policy.worker_slots(cell.cfg.workers);
+    let seed = splitmix(soak_seed ^ policy.name().len() as u64, 0);
+    let kills = (0..slots)
+        .map(|slot| WorkerKill {
+            worker: slot,
+            after_batches: 2 + splitmix(seed ^ slot as u64, 0) % 6,
+            incarnation: 0,
+        })
+        .collect();
+    // Incarnation 0 dies early in the stream and its successor about
+    // two checkpoint windows later: snapshot restore plus delta replay,
+    // twice, while the worker kills run.
+    let first_merger_kill = 64 + splitmix(seed, 0xC0FFEE) % 256;
+    let merger_kills = vec![
+        MergerKill {
+            after_offers: first_merger_kill,
+            incarnation: 0,
+        },
+        MergerKill {
+            after_offers: first_merger_kill + 512,
+            incarnation: 1,
+        },
+    ];
+    let faults = RuntimeFaults {
+        seed,
+        drop_rate: 0.01,
+        drop_last_rate: 0.02,
+        dup_mf_rate: 0.03,
+        late_mf_rate: 0.03,
+        late_by: 3,
+        stall_rate: 0.01,
+        stall_ms: 1,
+        kills,
+        merger_kills,
+        flush_timeout_ms: Some(40),
+        ..RuntimeFaults::none()
     };
-    for_each_cell(base, |cell| {
-        let policy = cell.cfg.policy;
-        let slots = policy.worker_slots(cell.cfg.workers);
-        let seed = splitmix(soak_seed ^ policy.name().len() as u64, 0);
-        let kills = (0..slots)
-            .map(|slot| WorkerKill {
-                worker: slot,
-                after_batches: 2 + splitmix(seed ^ slot as u64, 0) % 6,
-                incarnation: 0,
-            })
-            .collect();
-        let faults = RuntimeFaults {
-            seed,
-            drop_rate: 0.01,
-            drop_last_rate: 0.02,
-            dup_mf_rate: 0.03,
-            late_mf_rate: 0.03,
-            late_by: 3,
-            stall_rate: 0.01,
-            stall_ms: 1,
-            kills,
-            flush_timeout_ms: Some(40),
-            ..RuntimeFaults::none()
-        };
-        let out = cell.run(&frames, &faults);
-        // Traffic-bearing slots must have died and been healed: MFLOW
-        // spreads over every lane, FALCON chains pipe through every
-        // stage, the pinned baseline concentrates on one lane. Healing
-        // needs a dispatcher that is still dispatching when the deaths
-        // happen; one that never waits for a lane (`Inline`) is done with
-        // a stream this short before any worker has reached its kill.
-        let expected = match (cell.cfg.backpressure, policy) {
-            (BackpressurePolicy::Inline, _) => 0,
-            (_, PolicyKind::Rps) => 1,
-            _ => slots as u64,
-        };
-        assert!(
-            out.telemetry.restarts >= expected,
-            "{}: healed {} slots, expected at least {expected}",
-            cell.label,
-            out.telemetry.restarts
-        );
-    });
+    let out = cell.run(frames, &faults);
+    // Traffic-bearing slots must have died and been healed: MFLOW
+    // spreads over every lane, FALCON chains pipe through every stage,
+    // the pinned baseline concentrates on one lane. Healing needs a
+    // dispatcher that is still dispatching when the deaths happen; one
+    // that never waits for a lane (`Inline`) can be done with the stream
+    // before any worker has reached its kill.
+    let expected = match (cell.cfg.backpressure, policy) {
+        (BackpressurePolicy::Inline, _) => 0,
+        (_, PolicyKind::Rps) => 1,
+        _ => slots as u64,
+    };
+    assert!(
+        out.telemetry.restarts >= expected,
+        "{label}: healed {} slots, expected at least {expected}",
+        out.telemetry.restarts
+    );
+    assert!(
+        out.merger_deaths >= 2 && out.telemetry.merger_restarts >= 2,
+        "{label}: merger domain: {} deaths / {} respawns, expected at least 2 / 2",
+        out.merger_deaths,
+        out.telemetry.merger_restarts
+    );
+    // Each injected death panics right after journaling the fatal offer,
+    // so every restore replays at least that offer. (The one-window upper
+    // bound is `recovery_equivalence`'s, whose configs keep the
+    // dispatcher's backlog pump idle; here the pump may journal a burst
+    // while respawn backs off.)
+    assert!(
+        out.telemetry.restore_replayed_offers as usize >= out.merger_deaths,
+        "{label}: merger replayed only {} offers across {} deaths",
+        out.telemetry.restore_replayed_offers,
+        out.merger_deaths
+    );
 }

@@ -88,7 +88,7 @@ fn chaos_kills_conserve_the_pool() {
             incarnation: 0,
         });
     }
-    faults.merger_kill = Some(MergerKill {
+    faults.merger_kills.push(MergerKill {
         after_offers: 40,
         incarnation: 0,
     });

@@ -307,7 +307,8 @@ mod backpressure_accounting {
     use super::*;
     use integration_tests::{cell, CELLS};
     use mflow_runtime::{
-        generate_frames, BackpressurePolicy, LaneStall, PolicyKind, RuntimeConfig, RuntimeFaults,
+        generate_frames, BackpressurePolicy, PolicyKind, RuntimeConfig, RuntimeFaults,
+        SlowWorker,
     };
 
     proptest! {
@@ -344,7 +345,10 @@ mod backpressure_accounting {
             );
             let (policy, steering) = (cell.cfg.backpressure, cell.cfg.policy);
             let mut faults = RuntimeFaults::none();
-            faults.lane_stall = Some(LaneStall { worker: 0, ms: 1 });
+            faults.slow_worker = Some(SlowWorker {
+                worker: 0,
+                per_batch_us: 1000,
+            });
             faults.flush_timeout_ms = Some(100);
             let out = cell.run(&frames, &faults);
 

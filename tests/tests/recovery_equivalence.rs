@@ -176,7 +176,7 @@ fn degraded_paths_still_deliver_the_benign_stream() {
     // never costs packets, only parallelism.
     let frames = generate_frames(2_000, 64);
     let mut one_kill = RuntimeFaults::none();
-    one_kill.merger_kill = Some(MergerKill {
+    one_kill.merger_kills.push(MergerKill {
         after_offers: 100,
         incarnation: 0,
     });

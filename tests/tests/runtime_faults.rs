@@ -38,11 +38,11 @@ fn stress_matrix_survives_loss_dups_lates_stalls_and_a_killed_worker() {
             late_by: 3,
             stall_rate: 0.1,
             stall_ms: 1,
-            kill: Some(WorkerKill {
+            kills: vec![WorkerKill {
                 worker: 0,
                 after_batches: 4,
                 incarnation: 0,
-            }),
+            }],
             flush_timeout_ms: Some(40),
             ..RuntimeFaults::none()
         };
@@ -70,7 +70,7 @@ fn killed_worker_is_reported_and_its_queue_redispatched() {
         ..RuntimeConfig::default()
     };
     let mut faults = RuntimeFaults::none();
-    faults.kill = Some(WorkerKill {
+    faults.kills.push(WorkerKill {
         worker: 1,
         after_batches: 3,
         incarnation: 0,
@@ -150,7 +150,7 @@ fn planned_drops_replayed_off_the_dispatcher_are_exact_and_counted_once() {
             seed: 0xD12095,
             drop_rate: 0.2,
             drop_last_rate: 0.3,
-            kill,
+            kills: kill.into_iter().collect(),
             // Long deadline: only the end-of-stream flush releases the
             // micro-flows whose closer was dropped, so every surviving
             // packet is delivered and the comparison is exact.
@@ -238,11 +238,11 @@ fn degradation_contract_holds_under_every_policy() {
         dup_mf_rate: 0.05,
         late_mf_rate: 0.05,
         late_by: 2,
-        kill: Some(WorkerKill {
+        kills: vec![WorkerKill {
             worker: 0,
             after_batches: 5,
             incarnation: 0,
-        }),
+        }],
         flush_timeout_ms: Some(40),
         ..RuntimeFaults::none()
     };

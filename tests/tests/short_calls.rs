@@ -42,19 +42,15 @@ fn faults_of_call(k: usize) -> RuntimeFaults {
     // stream still flushes whatever is really missing, at once.)
     faults.flush_timeout_ms = Some(30_000);
     match k % 3 {
-        1 => {
-            faults.kill = Some(WorkerKill {
-                worker: (k / 3) % WORKERS,
-                after_batches: 1,
-                incarnation: 0,
-            })
-        }
-        2 => {
-            faults.merger_kill = Some(MergerKill {
-                after_offers: 16,
-                incarnation: 0,
-            })
-        }
+        1 => faults.kills.push(WorkerKill {
+            worker: (k / 3) % WORKERS,
+            after_batches: 1,
+            incarnation: 0,
+        }),
+        2 => faults.merger_kills.push(MergerKill {
+            after_offers: 16,
+            incarnation: 0,
+        }),
         _ => {}
     }
     faults

@@ -162,11 +162,11 @@ fn worker_kill_degrades_each_mode_to_an_ordered_correct_subset() {
         dup_mf_rate: 0.05,
         late_mf_rate: 0.05,
         late_by: 2,
-        kill: Some(WorkerKill {
+        kills: vec![WorkerKill {
             worker: 0,
             after_batches: 5,
             incarnation: 0,
-        }),
+        }],
         flush_timeout_ms: Some(40),
         ..RuntimeFaults::none()
     };
