@@ -4,9 +4,10 @@
 //! hash — the raw per-packet costs the simulator's cost model abstracts.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mflow_net::checksum::ones_complement_sum;
+use mflow_net::checksum::{lane_sum, ones_complement_sum};
 use mflow_net::frame::{
-    build_overlay_frame, parse_overlay_frame, parse_overlay_frame_ref, OverlayFrameSpec,
+    build_overlay_frame, parse_overlay_frame, parse_overlay_frame_ref, walk_overlay_frame,
+    OverlayFrameSpec,
 };
 use mflow_net::toeplitz::rss_hash_v4;
 use mflow_runtime::work::{process_frame, process_frames};
@@ -36,6 +37,17 @@ fn bench_frames(c: &mut Criterion) {
             &frame,
             |b, frame| b.iter(|| parse_overlay_frame_ref(black_box(frame)).unwrap().payload.len()),
         );
+        // Its two halves: the header walk, then the payload's one sum
+        // settling both checksums.
+        group.bench_with_input(BenchmarkId::new("overlay_walk", payload), &frame, |b, frame| {
+            b.iter(|| walk_overlay_frame(black_box(frame)).unwrap().0.payload.len())
+        });
+        let (view, lanes) = walk_overlay_frame(&frame).unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("overlay_verify", payload),
+            &view.payload,
+            |b, payload| b.iter(|| lanes.verify(lane_sum(black_box(payload))).unwrap()),
+        );
     }
     group.finish();
 }
@@ -55,7 +67,7 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parse + verify + checksum + digest over one resident 32-frame
+/// Parse + verify + digest over one resident 32-frame
 /// micro-flow: the walk every thread that owns all stages uses, which
 /// steps the digests of four frames together, next to the one-frame API
 /// called frame by frame over the same frames. Read it pinned

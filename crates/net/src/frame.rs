@@ -9,6 +9,8 @@
 //!
 //! A native frame omits everything up to and including the VXLAN header.
 
+use std::num::NonZeroU64;
+
 use crate::checksum;
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
 use crate::flow::{FlowKey, Proto};
@@ -276,12 +278,9 @@ pub fn parse_overlay_frame(frame: &[u8]) -> Result<ParsedOverlay, ParseError> {
 /// checksum, inner transport checksum. The returned payload borrows from
 /// `frame`.
 ///
-/// The transport payload is the bulk of both the outer UDP and the inner
-/// TCP/UDP checksum, so it is summed once, and nothing is folded until a
-/// verdict is due: the headers are walked down to the payload first, and
-/// each verification adds the lanes of its own pseudo-header and header
-/// words — and the outer one those of the tunnel and inner headers in
-/// between — to that one lane sum ([`checksum::lane_sum`]). Both
+/// Two halves run back to back, which a pipeline can also run apart: the
+/// header walk ([`walk_overlay_frame`]), then both transport checksums
+/// settled from one sum of the payload ([`OverlayLanes::verify`]). Both
 /// checksums still cover exactly the bytes the wire format says they
 /// cover.
 ///
@@ -292,6 +291,71 @@ pub fn parse_overlay_frame(frame: &[u8]) -> Result<ParsedOverlay, ParseError> {
 /// models the cost of.
 #[inline]
 pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> {
+    let (view, lanes) = walk_overlay_frame(frame)?;
+    lanes.verify(checksum::lane_sum(view.payload))?;
+    Ok(view)
+}
+
+/// What a walked frame's two transport checksums still need besides the
+/// payload: each one's lane total ([`checksum::lane_sum`]) of everything
+/// else it covers, unfolded.
+///
+/// A total holds a pseudo-header, whose protocol word makes it positive;
+/// `None` means the checksum is not checked: an outer or inner UDP
+/// checksum field of 0 ("not computed by the sender").
+#[derive(Clone, Copy, Debug)]
+pub struct OverlayLanes {
+    /// Outer UDP: pseudo-header, UDP header, the headers between it and
+    /// the payload, and any trailer.
+    outer: Option<NonZeroU64>,
+    /// Inner TCP or UDP: pseudo-header and transport header.
+    inner: Option<NonZeroU64>,
+    /// The inner transport, which names a bad inner checksum.
+    inner_proto: Proto,
+}
+
+impl OverlayLanes {
+    /// Settles both checksums of the walked frame from `payload_lanes`,
+    /// the [`checksum::lane_sum`] of its payload: the outer one first,
+    /// then the inner one.
+    #[inline(always)]
+    pub fn verify(&self, payload_lanes: u64) -> Result<(), ParseError> {
+        let holds = |total: Option<NonZeroU64>| {
+            total.is_none_or(|t| checksum::fold_lanes(t.get() + payload_lanes) == 0xFFFF)
+        };
+        if !holds(self.outer) {
+            return Err(ParseError::BadChecksum("outer udp"));
+        }
+        if !holds(self.inner) {
+            return Err(ParseError::BadChecksum(match self.inner_proto {
+                Proto::Tcp => "inner tcp",
+                Proto::Udp => "inner udp",
+            }));
+        }
+        Ok(())
+    }
+}
+
+/// The first half of [`parse_overlay_frame_ref`]: walks the headers down
+/// to the payload, summing each header as its parser consumes it, and
+/// returns the view together with the lanes its two checksums need
+/// besides the payload's. Every check but those two is made here, the
+/// outer IP and inner IP header checksums included; a frame that passes
+/// them all has its payload located but not read.
+///
+/// The two totals, every Σ a [`checksum::lane_sum`]:
+///
+/// ```text
+/// outer UDP = pseudo + UDP header + Σ prefix (+ Σ trailer)
+/// inner L4  = pseudo + L4 header
+/// ```
+///
+/// An error found here keeps the parse's precedence: the outer checksum
+/// gets a pass of its own over the whole datagram, and speaks first.
+#[inline(always)]
+pub fn walk_overlay_frame(
+    frame: &[u8],
+) -> Result<(ParsedOverlayRef<'_>, OverlayLanes), ParseError> {
     let (outer_eth, rest) = EthernetHeader::parse(frame)?;
     if outer_eth.ethertype != EtherType::Ipv4 {
         return Err(ParseError::Malformed("outer ethertype"));
@@ -344,35 +408,30 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
         return Err(inner_error(ParseError::Truncated));
     };
 
-    // The outer checksum is settled first, the inner one from the same
-    // payload lanes. The inner IPv4 header adds nothing to the outer sum:
-    // verified, its lanes are ≡ 0 (they fold to 0xFFFF), and a sum that
-    // holds a pseudo-header is positive with or without them.
-    let payload_lanes = checksum::lane_sum(payload);
-    let mut outer_lanes =
-        tunnel_lanes + header_lanes(inner, inner_l3) + l4_lanes + payload_lanes;
+    // The inner IPv4 header adds nothing to the outer total: verified,
+    // its lanes are ≡ 0 (they fold to 0xFFFF), and a sum that holds a
+    // pseudo-header is positive with or without them.
+    let mut outer_lanes = outer_udp.header_lanes(outer_src, outer_dst)
+        + tunnel_lanes
+        + header_lanes(inner, inner_l3)
+        + l4_lanes;
     if !trailer.is_empty() {
         outer_lanes += trailer_lanes(trailer, payload_len % 2 == 1);
     }
-    if !outer_udp.verify_lanes(outer_src, outer_dst, outer_lanes) {
-        return Err(ParseError::BadChecksum("outer udp"));
-    }
     let (src, dst) = (inner_ip.src, inner_ip.dst);
-    let (inner_flow, tcp_seq) = match l4 {
-        InnerL4::Tcp(tcp) => {
-            if !tcp.verify_lanes(src, dst, payload_len, payload_lanes) {
-                return Err(ParseError::BadChecksum("inner tcp"));
-            }
-            (FlowKey::tcp(src, tcp.src_port, dst, tcp.dst_port), tcp.seq)
-        }
-        InnerL4::Udp(udp) => {
-            if !udp.verify_lanes(src, dst, payload_lanes) {
-                return Err(ParseError::BadChecksum("inner udp"));
-            }
-            (FlowKey::udp(src, udp.src_port, dst, udp.dst_port), 0)
-        }
+    let (inner_flow, tcp_seq, inner_lanes) = match l4 {
+        InnerL4::Tcp(tcp) => (
+            FlowKey::tcp(src, tcp.src_port, dst, tcp.dst_port),
+            tcp.seq,
+            NonZeroU64::new(tcp.header_lanes(src, dst, payload_len)),
+        ),
+        InnerL4::Udp(udp) => (
+            FlowKey::udp(src, udp.src_port, dst, udp.dst_port),
+            0,
+            udp_lanes(udp.checksum, udp.header_lanes(src, dst)),
+        ),
     };
-    Ok(ParsedOverlayRef {
+    let view = ParsedOverlayRef {
         outer_flow: FlowKey::udp(outer_src, outer_udp.src_port, outer_dst, outer_udp.dst_port),
         outer_src_mac: outer_eth.src,
         outer_dst_mac: outer_eth.dst,
@@ -382,7 +441,13 @@ pub fn parse_overlay_frame_ref(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, Par
         inner_dst_mac: inner_eth.dst,
         tcp_seq,
         payload,
-    })
+    };
+    let lanes = OverlayLanes {
+        outer: udp_lanes(outer_udp.checksum, outer_lanes),
+        inner: inner_lanes,
+        inner_proto: inner_flow.proto,
+    };
+    Ok((view, lanes))
 }
 
 /// Lane sum of the header a parser took off the front of `buf`, leaving
@@ -397,6 +462,13 @@ fn header_lanes(buf: &[u8], rest: &[u8]) -> u64 {
 enum InnerL4 {
     Tcp(TcpHeader),
     Udp(UdpHeader),
+}
+
+/// A UDP checksum's lane total, or `None` if its field is 0 ("not
+/// computed by the sender").
+#[inline(always)]
+fn udp_lanes(checksum: u16, total: u64) -> Option<NonZeroU64> {
+    NonZeroU64::new(total).filter(|_| checksum != 0)
 }
 
 /// An error found on the way down to the transport payload: there is no

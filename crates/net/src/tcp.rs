@@ -64,7 +64,7 @@ impl TcpHeader {
     /// header is an even number of bytes, so a payload's lane sum adds
     /// straight on.
     #[inline(always)]
-    fn header_lanes(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_len: usize) -> u64 {
+    pub(crate) fn header_lanes(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_len: usize) -> u64 {
         let len = (Self::LEN + payload_len) as u16;
         checksum::pseudo_header_lanes(src_ip, dst_ip, PROTO_TCP, len)
             + self.src_port.to_be() as u64
@@ -124,36 +124,8 @@ impl TcpHeader {
     /// Allocation-free: the header's wire words are folded straight into
     /// the running sum and the payload is summed in place.
     pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
-        self.verify_lanes(src_ip, dst_ip, payload.len(), checksum::lane_sum(payload))
-    }
-
-    /// [`Self::verify`] for a caller that already holds the payload's
-    /// one's-complement sum (`payload_sum`, host order, taken from an
-    /// even offset).
-    #[inline(always)]
-    pub fn verify_summed(
-        &self,
-        src_ip: [u8; 4],
-        dst_ip: [u8; 4],
-        payload_len: usize,
-        payload_sum: u32,
-    ) -> bool {
-        let header = checksum::fold_lanes(self.header_lanes(src_ip, dst_ip, payload_len));
-        checksum::fold(header as u64 + payload_sum as u64) == 0xFFFF
-    }
-
-    /// [`Self::verify`] for a caller that holds the payload's lane sum:
-    /// the header's lanes join it unfolded and the total is folded once.
-    #[inline(always)]
-    pub(crate) fn verify_lanes(
-        &self,
-        src_ip: [u8; 4],
-        dst_ip: [u8; 4],
-        payload_len: usize,
-        payload_lanes: u64,
-    ) -> bool {
-        let header = self.header_lanes(src_ip, dst_ip, payload_len);
-        checksum::fold_lanes(header + payload_lanes) == 0xFFFF
+        let header = self.header_lanes(src_ip, dst_ip, payload.len());
+        checksum::fold_lanes(header + checksum::lane_sum(payload)) == 0xFFFF
     }
 
     /// True if the ACK flag is set.

@@ -48,7 +48,7 @@ impl UdpHeader {
     /// emits, each as the machine would load it. The header is an even
     /// number of bytes, so a payload's lane sum adds straight on.
     #[inline(always)]
-    fn header_lanes(&self, src_ip: [u8; 4], dst_ip: [u8; 4]) -> u64 {
+    pub(crate) fn header_lanes(&self, src_ip: [u8; 4], dst_ip: [u8; 4]) -> u64 {
         checksum::pseudo_header_lanes(src_ip, dst_ip, PROTO_UDP, self.length)
             + self.src_port.to_be() as u64
             + self.dst_port.to_be() as u64
@@ -87,32 +87,11 @@ impl UdpHeader {
     /// Allocation-free: the header's wire words are folded straight into
     /// the running sum and the payload is summed in place.
     pub fn verify(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload: &[u8]) -> bool {
-        // Checked here too so an unverified datagram skips the walk.
-        self.checksum == 0 || self.verify_lanes(src_ip, dst_ip, checksum::lane_sum(payload))
-    }
-
-    /// [`Self::verify`] for a caller that already holds the payload's
-    /// one's-complement sum (`payload_sum`, host order, taken from an
-    /// even offset).
-    #[inline(always)]
-    pub fn verify_summed(&self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_sum: u32) -> bool {
-        let header = checksum::fold_lanes(self.header_lanes(src_ip, dst_ip));
-        // A zero checksum means "not computed by the sender".
-        self.checksum == 0 || checksum::fold(header as u64 + payload_sum as u64) == 0xFFFF
-    }
-
-    /// [`Self::verify`] for a caller that holds the payload's lane sum —
-    /// of one slice or of several even-offset pieces added together: the
-    /// header's lanes join it unfolded and the total is folded once.
-    #[inline(always)]
-    pub(crate) fn verify_lanes(
-        &self,
-        src_ip: [u8; 4],
-        dst_ip: [u8; 4],
-        payload_lanes: u64,
-    ) -> bool {
+        // A zero checksum means "not computed by the sender"; checked
+        // first, so an unverified datagram skips the walk.
         self.checksum == 0
-            || checksum::fold_lanes(self.header_lanes(src_ip, dst_ip) + payload_lanes) == 0xFFFF
+            || checksum::fold_lanes(self.header_lanes(src_ip, dst_ip) + checksum::lane_sum(payload))
+                == 0xFFFF
     }
 }
 

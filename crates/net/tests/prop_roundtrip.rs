@@ -7,7 +7,7 @@ use mflow_net::ethernet::EtherType;
 use mflow_net::flow::{FlowKey, Proto};
 use mflow_net::frame::{
     build_geneve_frame, build_overlay_frame, parse_overlay_frame, parse_overlay_frame_ref,
-    OverlayFrameSpec, ParsedOverlayRef,
+    walk_overlay_frame, OverlayFrameSpec, ParsedOverlayRef,
 };
 use mflow_net::geneve::{GeneveHeader, GENEVE_PORT};
 use mflow_net::ipv4::{fragment_payload, FragmentReassembler, PROTO_TCP, PROTO_UDP};
@@ -136,6 +136,14 @@ fn two_pass_reference(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> 
     })
 }
 
+/// The parse as its two public halves, composed by hand: the header walk,
+/// then the payload's one sum settling both checksums.
+fn walk_then_verify(frame: &[u8]) -> Result<ParsedOverlayRef<'_>, ParseError> {
+    let (view, lanes) = walk_overlay_frame(frame)?;
+    lanes.verify(checksum::lane_sum(view.payload))?;
+    Ok(view)
+}
+
 // Offsets into a built frame (Ethernet 14, IPv4 20, UDP 8, tunnel 8).
 const OUTER_IP: usize = 14;
 const TUNNEL: usize = 42;
@@ -243,6 +251,7 @@ proptest! {
         let intact = parse_overlay_frame_ref(&frame);
         prop_assert_eq!(&intact, &two_pass_reference(&frame));
         prop_assert_eq!(intact.is_ok(), trailer.is_empty() || spec.proto == Proto::Udp);
+        prop_assert_eq!(&walk_then_verify(&frame), &intact, "walk, then verify");
         // Every single-byte corruption: same view or same error.
         let mut x = mask_seed | 1;
         for pos in 0..frame.len() {
@@ -253,6 +262,11 @@ proptest! {
                 parse_overlay_frame_ref(&frame),
                 two_pass_reference(&frame),
                 "byte {} ^ {:#04x}", pos, mask
+            );
+            prop_assert_eq!(
+                walk_then_verify(&frame),
+                parse_overlay_frame_ref(&frame),
+                "walk, then verify: byte {} ^ {:#04x}", pos, mask
             );
             frame[pos] ^= mask;
         }

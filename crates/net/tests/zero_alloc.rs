@@ -1,12 +1,16 @@
 //! `parse_overlay_frame_ref` promises a parse "without copying or
-//! allocating", and the runtime's workers rely on it per frame. Counted
+//! allocating", and the runtime's workers rely on it per frame, and on
+//! its two halves — the header walk and the checksum verdicts — when a
+//! pipeline runs them apart. Counted
 //! from outside, under a counting global allocator — so this binary holds
 //! exactly one test: a second one, on its own thread, would allocate into
 //! the same count.
 
 use mflow_metrics::CountingAlloc;
+use mflow_net::checksum::lane_sum;
 use mflow_net::frame::{
-    build_geneve_frame, build_overlay_frame, parse_overlay_frame_ref, OverlayFrameSpec,
+    build_geneve_frame, build_overlay_frame, parse_overlay_frame_ref, walk_overlay_frame,
+    OverlayFrameSpec,
 };
 use mflow_net::geneve::GeneveHeader;
 
@@ -51,5 +55,13 @@ fn the_overlay_parse_never_allocates() {
         let allocations = ALLOC.allocations() - before;
         assert_eq!(payload_len, Ok(200), "{shape}");
         assert_eq!(allocations, 0, "{shape}");
+
+        let before = ALLOC.allocations();
+        let (view, lanes) = walk_overlay_frame(frame).expect(shape);
+        let walked = ALLOC.allocations() - before;
+        let verdict = lanes.verify(lane_sum(view.payload));
+        let verified = ALLOC.allocations() - before - walked;
+        assert_eq!((view.payload.len(), verdict), (200, Ok(())), "{shape}");
+        assert_eq!((walked, verified), (0, 0), "{shape}: walk, verify");
     }
 }

@@ -3,10 +3,14 @@
 //! header stacks, decapsulate, and digest the payload (standing in for the
 //! copy to user space).
 //!
-//! All three stages run zero-copy over the frame's pooled bytes: the
-//! parse stage yields the payload as an offset range into the frame
-//! buffer ([`mflow_net::frame::parse_overlay_frame_ref`]), and checksum
-//! and digest read that slice in place. No stage allocates.
+//! The three stages are disjoint halves of the work, and all run
+//! zero-copy over the frame's pooled bytes. The parse stage walks the
+//! headers only ([`mflow_net::frame::walk_overlay_frame`]) and yields
+//! the payload as an offset range into the frame buffer, plus the
+//! header lanes of its two checksums. The checksum stage sums the
+//! payload in place, once, and settles both checksums from that sum.
+//! The digest reads the same slice. Every path through them pays one
+//! payload sum, and no stage allocates.
 //!
 //! The packets of a micro-flow are independent until the stateful stage,
 //! and the digest is a chain of dependent multiplies, so a thread that
@@ -15,10 +19,8 @@
 //! the digest, `digest_chains`, of which the one-frame API is the
 //! one-chain instance.
 
-use std::hint::black_box;
-
-use mflow_net::checksum::ones_complement_sum;
-use mflow_net::frame::parse_overlay_frame_ref;
+use mflow_net::checksum::lane_sum;
+use mflow_net::frame::{walk_overlay_frame, OverlayLanes};
 
 use crate::packet::Frame;
 
@@ -33,7 +35,7 @@ pub struct PacketResult {
     pub len: u32,
 }
 
-/// Fully processes one frame: parse + verify + decap + digest.
+/// Fully processes one frame: parse + decap, verify, digest.
 ///
 /// # Panics
 /// Panics on a malformed frame — the runtime generates its own valid
@@ -46,15 +48,15 @@ pub fn process_frame(frame: &Frame) -> PacketResult {
 /// 64-bit multiply has 3–4 cycles of latency and one-per-cycle
 /// throughput, so a lone chain leaves the multiplier idle most of the
 /// time and four keep it busy: over resident MTU frames the whole walk
-/// costs 330 ns/frame with one chain, 225 with two, 175 with four and
-/// 175 with eight (DESIGN.md §14).
+/// costs 430 ns/frame with one chain, 270 with two, 190 with four and
+/// 190 with eight (medians on a noisy host; DESIGN.md §14).
 const LOCKSTEP: usize = 4;
 
 /// Fully processes a run of wire frames in order, appending
 /// `finish(result)` per frame to `out`: [`process_frame`] on every frame,
 /// with the digests of each group of four (`LOCKSTEP`) frames advanced
-/// together instead of one after the other. Per group: parse, verify and
-/// sum each frame — prefetching the bytes of the frame one group ahead,
+/// together instead of one after the other. Per group: parse and verify
+/// each frame — prefetching the bytes of the frame one group ahead,
 /// since this thread is the first to touch them (the first group's are
 /// requested together up front) — then the group's chains in lock-step,
 /// then `finish` per result. A trailing group of fewer goes frame by
@@ -149,28 +151,34 @@ pub fn process_batch<R>(frames: &[Frame], mut work: impl FnMut(&Frame) -> R, out
 /// workers instead of fanning batches out.
 pub const STAGES: usize = 3;
 
-/// Stage 0: parse + decapsulate. Returns the payload as `(offset, len)`
-/// into the frame's bytes — a borrowed view, not a copy.
-fn parse_stage(frame: &Frame) -> (usize, usize) {
+/// Stage 0: parse + decapsulate, the header half of the overlay parse
+/// ([`walk_overlay_frame`]). Returns the payload as `(offset, len)` into
+/// the frame's bytes — a borrowed view, not a copy — and the lanes the
+/// checksum stage adds the payload's sum to.
+fn parse_stage(frame: &Frame) -> (usize, usize, OverlayLanes) {
     let bytes = frame.bytes();
-    let parsed = parse_overlay_frame_ref(bytes).expect("generated frame must parse");
+    let (parsed, lanes) = walk_overlay_frame(bytes).expect("generated frame must parse");
     let off = parsed.payload.as_ptr() as usize - bytes.as_ptr() as usize;
-    (off, parsed.payload.len())
+    (off, parsed.payload.len(), lanes)
 }
 
-/// Stage 1: checksum verification over the decapsulated payload. The sum
-/// goes through `black_box` so that the stage is paid for whatever the
-/// optimiser can see of the kernel: without it, nothing reads the result
-/// and only the crate boundary kept the call alive.
-fn csum_stage(payload: &[u8]) {
-    black_box(ones_complement_sum(payload, 0));
+/// Stage 1: checksum verification, the other half of the parse. The
+/// payload is summed once, and that sum settles both the outer UDP and
+/// the inner transport checksum ([`OverlayLanes::verify`]).
+///
+/// # Panics
+/// Panics if either checksum fails, as the parse does.
+fn csum_stage(payload: &[u8], lanes: &OverlayLanes) {
+    lanes
+        .verify(lane_sum(payload))
+        .expect("generated frame must verify");
 }
 
 /// Stages 0 and 1 of a wire frame; the payload stage 2 will digest.
 fn summed_payload(frame: &Frame) -> &[u8] {
-    let (off, len) = parse_stage(frame);
+    let (off, len, lanes) = parse_stage(frame);
     let payload = &frame.bytes()[off..off + len];
-    csum_stage(payload);
+    csum_stage(payload, &lanes);
     payload
 }
 
@@ -259,7 +267,8 @@ pub fn stateful_stage(r: PacketResult, units: u32) -> PacketResult {
 pub enum StagedWork {
     /// Untouched wire frame.
     Raw(Frame),
-    /// After parse: the payload located inside the frame's buffer.
+    /// After parse: the payload located inside the frame's buffer, and
+    /// the header lanes its checksums need.
     Parsed {
         /// The frame whose buffer holds the payload.
         frame: Frame,
@@ -267,6 +276,8 @@ pub enum StagedWork {
         off: u32,
         /// Payload length in bytes.
         len: u32,
+        /// What the checksum stage adds the payload's sum to.
+        lanes: OverlayLanes,
     },
     /// After checksum verification.
     Summed {
@@ -286,15 +297,21 @@ impl StagedWork {
     pub fn advance(self) -> StagedWork {
         match self {
             StagedWork::Raw(frame) => {
-                let (off, len) = parse_stage(&frame);
+                let (off, len, lanes) = parse_stage(&frame);
                 StagedWork::Parsed {
                     frame,
                     off: off as u32,
                     len: len as u32,
+                    lanes,
                 }
             }
-            StagedWork::Parsed { frame, off, len } => {
-                csum_stage(payload_at(&frame, off, len));
+            StagedWork::Parsed {
+                frame,
+                off,
+                len,
+                lanes,
+            } => {
+                csum_stage(payload_at(&frame, off, len), &lanes);
                 StagedWork::Summed { frame, off, len }
             }
             StagedWork::Summed { frame, off, len } => {
@@ -310,9 +327,14 @@ impl StagedWork {
     fn before_digest(&self) -> Result<(u64, &[u8]), PacketResult> {
         match self {
             StagedWork::Raw(frame) => Ok((frame.seq, summed_payload(frame))),
-            StagedWork::Parsed { frame, off, len } => {
+            StagedWork::Parsed {
+                frame,
+                off,
+                len,
+                lanes,
+            } => {
                 let payload = payload_at(frame, *off, *len);
-                csum_stage(payload);
+                csum_stage(payload, lanes);
                 Ok((frame.seq, payload))
             }
             StagedWork::Summed { frame, off, len } => {
@@ -424,6 +446,29 @@ mod tests {
                 assert_eq!(staged, whole, "diverged after {head} staged steps");
             }
         }
+    }
+
+    #[test]
+    fn a_corrupt_payload_passes_the_parse_stage_and_fails_the_checksum_stage() {
+        fn panic_message<R: std::fmt::Debug>(work: impl FnOnce() -> R) -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
+                .expect_err("must panic");
+            payload.downcast::<String>().map(|m| *m).unwrap_or_default()
+        }
+        let mut bytes = generate_frames(1, 64)[0].bytes().to_vec();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        let bad = Frame::from_vec(0, bytes);
+        // Stage 0 walks the headers only: it cannot see the payload.
+        let parsed = StagedWork::Raw(bad.clone()).advance();
+        assert!(
+            matches!(parsed, StagedWork::Parsed { len: 64, .. }),
+            "{parsed:?}"
+        );
+        // Stage 1 sums it, and the outer checksum speaks first.
+        let at_csum = panic_message(|| parsed.advance());
+        assert!(at_csum.contains(r#"BadChecksum("outer udp")"#), "{at_csum}");
+        let whole = panic_message(|| process_frame(&bad));
+        assert!(whole.contains(r#"BadChecksum("outer udp")"#), "{whole}");
     }
 
     #[test]
