@@ -3,7 +3,7 @@
 //! cheapness (vs the kernel's per-packet out-of-order queue) the paper's
 //! §III-B argues for. `batch/*` and `lanes/*` offer one item at a time
 //! (the simulator's call), `runs/*` and `runs_bursts/*` one micro-flow at
-//! a time (the merger thread's): `runs/*` in the worst-case skewed order,
+//! a time (the merge-lock holder's): `runs/*` in the worst-case skewed order,
 //! `runs_bursts/*` in the order the pinned pipeline delivers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -102,7 +102,7 @@ impl MergeStats {
 }
 
 /// One micro-flow's place in the reorder window.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Slot<T> {
     /// Tag of the first-arriving copy; `None` while nothing of the
     /// micro-flow has arrived.
@@ -124,6 +124,21 @@ impl<T> Default for Slot<T> {
     }
 }
 
+impl<T: Clone> Clone for Slot<T> {
+    fn clone(&self) -> Self {
+        let mut slot = Self::default();
+        slot.clone_from(self);
+        slot
+    }
+
+    /// Copies into the slot's own item storage.
+    fn clone_from(&mut self, source: &Self) {
+        self.tag = source.tag;
+        self.closed = source.closed;
+        self.items.clone_from(&source.items);
+    }
+}
+
 /// The merging-counter reassembler for one flow, generic over the payload.
 ///
 /// # Fault tolerance
@@ -137,7 +152,7 @@ impl<T> Default for Slot<T> {
 /// successors; skipped IDs are recorded in [`MergeCounter::flushed_ids`].
 /// Late and duplicate arrivals are rejected with a recoverable [`Offer`]
 /// outcome rather than an assertion.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MergeCounter<T> {
     /// `window[k]` is micro-flow `counter + k`. The back slot, when there
     /// is one, has a tag: the window ends at the furthest arrival.
@@ -159,6 +174,61 @@ pub struct MergeCounter<T> {
 impl<T> Default for MergeCounter<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl<T: Clone> Clone for MergeCounter<T> {
+    fn clone(&self) -> Self {
+        let mut copy = Self::new();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies the state into this counter's own storage: its window and
+    /// every slot's items are overwritten in place, and only what the
+    /// source holds beyond them is allocated, from `spare` first. The
+    /// source's `spare` is not copied: it holds storage, not state. A
+    /// checkpoint taken this way into the same snapshot allocates nothing
+    /// once the snapshot's window has grown to the live one's.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            window,
+            counter,
+            buffered,
+            released,
+            flush_after_offers,
+            offers_since_release,
+            flushed_ids,
+            late_drops,
+            dup_drops,
+            spare: _,
+        } = source;
+        while self.window.len() > window.len() {
+            let slot = self.window.pop_back().expect("longer than the source");
+            if slot.items.capacity() > 0 {
+                self.spare.push(slot.items);
+            }
+        }
+        let kept = self.window.len();
+        for (mine, theirs) in self.window.iter_mut().zip(window) {
+            mine.clone_from(theirs);
+        }
+        for theirs in window.iter().skip(kept) {
+            let mut slot = Slot {
+                items: self.spare.pop().unwrap_or_default(),
+                ..Slot::default()
+            };
+            slot.clone_from(theirs);
+            self.window.push_back(slot);
+        }
+        self.counter = *counter;
+        self.buffered = *buffered;
+        self.released = *released;
+        self.flush_after_offers = *flush_after_offers;
+        self.offers_since_release = *offers_since_release;
+        self.flushed_ids.clone_from(flushed_ids);
+        self.late_drops = *late_drops;
+        self.dup_drops = *dup_drops;
     }
 }
 
@@ -1204,6 +1274,39 @@ mod tests {
         }
         assert!(parked > RUNS / 3, "only {parked} runs parked");
         assert_eq!(out, (0..RUNS * LEN).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn checkpoints_by_clone_from_reuse_the_snapshots_storage() {
+        // A checkpoint every burst into one snapshot: once the snapshot's
+        // window has grown to the live one's, a checkpoint takes no
+        // storage of its own, and the snapshot resumes like the original.
+        const LEN: u64 = 32;
+        let stream = burst_runs(1_024, 16, LEN);
+        let mut live = MergeCounter::new();
+        let mut snapshot = MergeCounter::new();
+        let mut out = Vec::new();
+        let mut grown = None;
+        // Short of the last burst's odd runs, so the stream ends parked.
+        for (k, (id, items)) in stream.iter().take(stream.len() - 8).enumerate() {
+            live.offer_run(*id, (*id % 2) as usize, true, items.iter().copied(), &mut out);
+            if k % 16 == 7 {
+                snapshot.clone_from(&live);
+                let buffers = storage(&snapshot);
+                match &grown {
+                    Some(before) if k > 256 => {
+                        assert!(buffers.is_subset(before), "checkpoint {k} took storage")
+                    }
+                    _ => grown = Some(buffers),
+                }
+            }
+        }
+        snapshot.clone_from(&live);
+        assert!(live.buffered() > 0, "the stream ends with runs parked");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        live.flush_stalled(&mut a);
+        snapshot.flush_stalled(&mut b);
+        assert_eq!((a, live.stats()), (b, snapshot.stats()));
     }
 
     #[test]

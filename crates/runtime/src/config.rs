@@ -97,12 +97,12 @@ pub struct RuntimeConfig {
     pub inline_fallback: bool,
     /// Inert: every lane is a request ring (see [`Transport`]).
     pub transport: Transport,
-    /// Worker→merger queue capacity in micro-flows: a ring slot holds one
-    /// micro-flow's run of results, and each producer's merge ring has
-    /// this many slots. The same unit as the merger watchdog's backlog
-    /// (runs sent minus runs received), which starts pumping the transport
-    /// into the WAL once a down merger's backlog exceeds half of this.
-    /// Power of two (the ring masks indices with it).
+    /// Inert, like [`RuntimeConfig::transport`]: it sized the worker→merger
+    /// rings, and there are none — tails merge their runs in place
+    /// (`crate::merge`), so no merge queue can fill. Still validated (a
+    /// nonzero power of two) because the frozen `benchmark/` crate reads
+    /// it to size its ring-layer probes; it goes away with that crate's
+    /// next change (see ROADMAP).
     pub merger_depth: usize,
     /// Which steering policy drives dispatch (lane choice, chain
     /// topology, merger engagement).
@@ -256,15 +256,14 @@ pub struct RunOutput {
     pub digests: Vec<PacketResult>,
     /// Wall-clock processing time.
     pub elapsed: Duration,
-    /// Busy time of the serial stage: the merger thread's, timed once per
-    /// drained batch of runs — receive from the transport past the
-    /// batch's first run, heartbeat, journal, fault checks, the merging
-    /// counter, checkpoints and, under merge-before-tcp, the stateful
-    /// stage on what the batch emitted — plus flushes and replays.
-    /// Untimed: the wait for a batch's first run. So the
+    /// Busy time of the serial stage: the merge lock holders', timed once
+    /// per merge pass (the runs one holder took at once) — heartbeat,
+    /// journal, fault checks, the merging counter, checkpoints and, under
+    /// merge-before-tcp, the stateful stage on what the pass emitted —
+    /// plus flushes and replays. Untimed: the offer and the lock. So the
     /// benchmark's `pipeline.merger_serial_ns` (this per frame) counts the
-    /// merger's bookkeeping round the engine as well as the engine, for
-    /// two clock reads per batch rather than per run (EXPERIMENTS.md, "The
+    /// merge's bookkeeping round the engine as well as the engine, for
+    /// two clock reads per pass rather than per run (EXPERIMENTS.md, "The
     /// merger pays for order"). This is the quantity state-compute
     /// replication exists to shrink, and unlike wall-clock it reads the
     /// same no matter how many host cores the worker threads actually

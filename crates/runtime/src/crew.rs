@@ -11,9 +11,9 @@
 //!
 //! A spawn pops the idle thread that parked last and fills its mailbox;
 //! **with none idle it creates one — no queue, no size cap**, because
-//! pipeline jobs block on each other's rings (a worker waits for its
-//! merger to drain, the merger for its workers to close), so a job held
-//! back until a thread frees up is a deadlock. The crew grows to the most
+//! pipeline jobs block on each other's rings (a chain stage waits for its
+//! next stage to drain, every stage for its upstream to close), so a job
+//! held back until a thread frees up is a deadlock. The crew grows to the most
 //! jobs ever in flight at once and shrinks as threads idle for
 //! [`KEEP_ALIVE`] retire. Crew threads are detached and take their name,
 //! stack size and CPU affinity when created, not per job. Everything is

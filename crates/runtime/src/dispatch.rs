@@ -70,6 +70,7 @@ use mflow_steering::{build_baseline, PolicyKind, SteeringPolicy};
 
 use crate::config::{BackpressurePolicy, RuntimeConfig};
 use crate::faults::{FaultEvent, RuntimeFaults};
+use crate::merge::MergerShared;
 use crate::packet::Frame;
 use crate::ring::{RingProducer, RingSendError};
 use crate::worker::RunPlan;
@@ -155,6 +156,9 @@ pub(crate) struct Dispatcher<'a> {
     /// Dispatcher state rather than a local, so a blocking send allocates
     /// nothing.
     pending: Vec<(usize, MfDesc)>,
+    /// Watched while a blocking send waits ([`MergerShared::watch`]): the
+    /// lane it waits on may be that of a merge-lock holder that wedged.
+    merger: &'a MergerShared<'a>,
 }
 
 impl<'a> Dispatcher<'a> {
@@ -163,6 +167,7 @@ impl<'a> Dispatcher<'a> {
         cfg: &RuntimeConfig,
         depths: &'a [AtomicUsize],
         plan: &RunPlan,
+        merger: &'a MergerShared<'a>,
     ) -> Self {
         Self {
             lanes,
@@ -188,6 +193,7 @@ impl<'a> Dispatcher<'a> {
             orphan_inline: plan.inline_orphans,
             orphans: Vec::new(),
             pending: Vec::new(),
+            merger,
         }
     }
 
@@ -254,7 +260,8 @@ impl<'a> Dispatcher<'a> {
             // leaves the counter inflated only until `mark_dead` zeroes
             // it.)
             self.depths[lane].fetch_add(1, Ordering::Relaxed);
-            if tx.push(desc).is_err() {
+            let merger = self.merger;
+            if tx.push_while(desc, || merger.watch()).is_err() {
                 // The worker died: everything it still held is lost.
                 // Redispatch its retained window plus this micro-flow.
                 let window = self.mark_dead(lane);

@@ -42,11 +42,12 @@ pub struct MergerKill {
     pub incarnation: u64,
 }
 
-/// Wedge (rather than kill) the merger: one long sleep when its offer
-/// count crosses the trigger, modelling a merger thread pinned off-CPU.
-/// The dispatch watchdog detects the stale merger heartbeat with results
-/// outstanding, supersedes the wedged incarnation by generation, and
-/// respawns from the latest checkpoint.
+/// Wedge (rather than kill) the merger: one long sleep, inside the merge's
+/// critical section, when its offer count crosses the trigger, modelling
+/// a merge-lock holder pinned off-CPU. The dispatch watchdog detects the
+/// stale merger heartbeat while the holder is inside, supersedes the
+/// wedged incarnation by generation, and respawns from the latest
+/// checkpoint.
 #[derive(Clone, Copy, Debug)]
 pub struct MergerStall {
     /// The sleep fires when the merger's offer count reaches this value.

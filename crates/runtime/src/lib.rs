@@ -5,8 +5,9 @@
 //! a dispatcher thread splits a stream of real VXLAN frames into
 //! micro-flow batches over N worker threads, each worker does actual
 //! per-packet work (full parse + checksum verification + decapsulation +
-//! payload digest), and a merger enforces the original order with the same
-//! [`mflow::MergeCounter`] the simulator uses.
+//! payload digest), and the worker that finishes a micro-flow merges it
+//! back into the original order with the same [`mflow::MergeCounter`] the
+//! simulator uses.
 //!
 //! The invariants tested here are the ones the kernel implementation must
 //! guarantee: no loss, no duplication, exact order restoration for every

@@ -253,8 +253,9 @@ fn bad_merger_depth_rejected() {
 
 #[test]
 fn tiny_merger_depth_still_completes() {
-    // merger_depth 1 forces maximal producer-side waiting — the
-    // deepest yield-then-park coverage the ring path can get.
+    // The smallest valid merger_depth, which no longer sizes anything
+    // (the merge has no queue), on two-slot lanes: the dispatcher waits
+    // on full lanes, yield then park, while tails merge in place.
     let frames = generate_frames(600, 32);
     let serial = process_serial(&frames);
     let out = process_parallel(

@@ -19,10 +19,11 @@
 //! * close-on-drop in both directions, mirroring `mpsc` disconnect
 //!   semantics so the pipeline's dead-lane recovery works unchanged.
 //!
-//! [`ring_mux`] builds the merge-side fan-in: one SPSC ring per producer
-//! sharing a single not-empty waiter, drained round-robin by a
-//! [`RingMux`] — N producers, one consumer, still zero locks on the hot
-//! path.
+//! [`ring_mux`] builds a fan-in: one SPSC ring per producer sharing a
+//! single not-empty waiter, drained round-robin by a [`RingMux`] — N
+//! producers, one consumer, still zero locks on the hot path. The
+//! pipeline no longer uses it (its tails merge in place, `crate::merge`);
+//! the benchmark's ring layer still prices it.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -204,7 +205,14 @@ impl<T> RingProducer<T> {
 
     /// Blocking push: yield, then park until space frees up.
     /// Returns the item when the consumer is gone.
-    pub fn push(&mut self, mut value: T) -> Result<(), T> {
+    pub fn push(&mut self, value: T) -> Result<(), T> {
+        self.push_while(value, || {})
+    }
+
+    /// [`RingProducer::push`] that runs `waiting` after every park that
+    /// ended with the ring still full — a waiter with other duties (the
+    /// dispatcher's watchdog) keeps them while it waits.
+    pub fn push_while(&mut self, mut value: T, mut waiting: impl FnMut()) -> Result<(), T> {
         let mut ladder = Ladder::default();
         loop {
             value = match self.try_push(value) {
@@ -212,7 +220,9 @@ impl<T> RingProducer<T> {
                 Err(RingSendError::Closed(v)) => return Err(v),
                 Err(RingSendError::Full(v)) => v,
             };
-            self.wait_for_space(&mut ladder);
+            if self.wait_for_space(&mut ladder) {
+                waiting();
+            }
         }
     }
 
@@ -254,14 +264,17 @@ impl<T> RingProducer<T> {
     }
 
     /// One rung of a wait for the consumer to free a slot (or go away).
-    fn wait_for_space(&mut self, ladder: &mut Ladder) {
-        if ladder.yield_or_register(&self.ring.not_full) {
-            let tail = self.ring.tail.0.load(Ordering::Relaxed);
-            self.head_cache = self.ring.head.0.load(Ordering::Acquire);
-            let ready = tail - self.head_cache < self.ring.cap
-                || self.ring.consumer_closed.load(Ordering::Acquire);
-            self.ring.not_full.park_unless(ready, PARK_TIMEOUT);
+    /// `true` when the rung parked.
+    fn wait_for_space(&mut self, ladder: &mut Ladder) -> bool {
+        if !ladder.yield_or_register(&self.ring.not_full) {
+            return false;
         }
+        let tail = self.ring.tail.0.load(Ordering::Relaxed);
+        self.head_cache = self.ring.head.0.load(Ordering::Acquire);
+        let ready = tail - self.head_cache < self.ring.cap
+            || self.ring.consumer_closed.load(Ordering::Acquire);
+        self.ring.not_full.park_unless(ready, PARK_TIMEOUT);
+        !ready
     }
 }
 
@@ -405,77 +418,6 @@ pub enum MuxRecvError {
     Disconnected,
 }
 
-/// Late-registration side-channel of a [`RingMux`]: consumers queued by
-/// [`MuxRegistrar::add_producer`] wait here until the mux absorbs them on
-/// its next receive pass.
-struct MuxPending<T> {
-    adds: Mutex<Vec<RingConsumer<T>>>,
-    /// Fast-path hint that `adds` is non-empty (the mux never takes the
-    /// lock on its hot path unless this is set).
-    flag: AtomicBool,
-    /// Live registrar handles. While any exist the mux cannot report
-    /// [`MuxRecvError::Disconnected`] — a new producer may yet appear.
-    registrars: AtomicUsize,
-    /// The mux's park waiter, shared so a registration can unpark it.
-    waiter: Arc<Waiter>,
-    /// Ring capacity for late-added producers (same as the original set).
-    cap: usize,
-}
-
-/// Handle for wiring new producers into a live [`RingMux`] — the
-/// supervisor uses one to give a respawned worker its own merger ring.
-///
-/// Registration explicitly wakes a parked mux, so a consumer blocked in
-/// [`RingMux::recv_deadline`] observes the re-wired producer promptly
-/// instead of at the park backstop. Dropping the last registrar (and all
-/// producers) lets the mux disconnect.
-pub struct MuxRegistrar<T> {
-    pending: Arc<MuxPending<T>>,
-}
-
-impl<T> MuxRegistrar<T> {
-    /// Creates a fresh SPSC ring feeding the mux and returns its producer
-    /// half. The mux absorbs the consumer half on its next receive pass.
-    pub fn add_producer(&self) -> RingProducer<T> {
-        let ring = shared(self.pending.cap, Arc::clone(&self.pending.waiter));
-        let tx = RingProducer {
-            ring: Arc::clone(&ring),
-            head_cache: 0,
-        };
-        self.pending
-            .adds
-            .lock()
-            .expect("mux registrar lock")
-            .push(RingConsumer {
-                ring,
-                tail_cache: 0,
-            });
-        self.pending.flag.store(true, Ordering::Release);
-        // The explicit unpark: without it a parked mux would only notice
-        // the new ring at its next park timeout.
-        self.pending.waiter.wake();
-        tx
-    }
-}
-
-impl<T> Clone for MuxRegistrar<T> {
-    fn clone(&self) -> Self {
-        self.pending.registrars.fetch_add(1, Ordering::SeqCst);
-        Self {
-            pending: Arc::clone(&self.pending),
-        }
-    }
-}
-
-impl<T> Drop for MuxRegistrar<T> {
-    fn drop(&mut self) {
-        self.pending.registrars.fetch_sub(1, Ordering::SeqCst);
-        // A mux parked waiting for "maybe another producer" can now
-        // re-evaluate disconnection.
-        self.pending.waiter.wake();
-    }
-}
-
 /// Fan-in over per-producer SPSC rings: the merge-side consumer. Drains
 /// rings round-robin in batches; parks on the single waiter every
 /// producer wakes.
@@ -484,8 +426,6 @@ pub struct RingMux<T> {
     next: usize,
     waiter: Arc<Waiter>,
     scratch: VecDeque<T>,
-    /// Late-registration channel; `None` for a fixed producer set.
-    pending: Option<Arc<MuxPending<T>>>,
 }
 
 /// How many items one refill drains from one ring.
@@ -540,28 +480,13 @@ impl<T> RingMux<T> {
         self.scratch.pop_front()
     }
 
-    /// Absorbs any consumers queued by a [`MuxRegistrar`] into the
-    /// round-robin set.
-    fn absorb_pending(&mut self) {
-        let Some(p) = &self.pending else { return };
-        if p.flag.swap(false, Ordering::AcqRel) {
-            let mut adds = p.adds.lock().expect("mux registrar lock");
-            self.rings.append(&mut adds);
-        }
-    }
-
     /// One round-robin sweep, draining up to [`MUX_BATCH`] per ring into
     /// the scratch queue. Returns how many items arrived.
     ///
     /// Terminally dead rings — producer handle dropped and nothing left
-    /// to pop — are pruned from the sweep set. A respawned worker is
-    /// wired in through a *fresh* ring (`MuxRegistrar::add_producer`),
-    /// never by reviving an old one, so `closed && empty` can never
-    /// un-happen; without pruning, every supervised respawn would leave
-    /// a dead ring to probe on every sweep for the rest of the run,
-    /// capping post-recovery merge throughput.
+    /// to pop — are pruned from the sweep set: `closed && empty` can never
+    /// un-happen, and the rest of the stream need not probe them.
     fn refill(&mut self) -> usize {
-        self.absorb_pending();
         let n = self.rings.len();
         if n == 0 {
             return 0;
@@ -590,15 +515,8 @@ impl<T> RingMux<T> {
 
     /// Whether every producer has closed with nothing left to pop. Closed
     /// flags are read before the emptiness probe, so a true result cannot
-    /// race with a final publish. While a registrar is alive (or a
-    /// registered ring has not been absorbed yet) the mux is never
-    /// drained — a respawned producer may still appear.
+    /// race with a final publish.
     fn all_drained(&mut self) -> bool {
-        if let Some(p) = &self.pending {
-            if p.registrars.load(Ordering::SeqCst) > 0 || p.flag.load(Ordering::Acquire) {
-                return false;
-            }
-        }
         self.scratch.is_empty()
             && self.rings.iter_mut().all(|r| {
                 let closed = r.producer_closed();
@@ -631,28 +549,8 @@ pub fn ring_mux<T>(producers: usize, cap: usize) -> (Vec<RingProducer<T>>, RingM
             next: 0,
             waiter,
             scratch: VecDeque::new(),
-            pending: None,
         },
     )
-}
-
-/// Like [`ring_mux`], plus a [`MuxRegistrar`] for wiring in new producers
-/// while the mux is live (worker respawn). The mux will not report
-/// [`MuxRecvError::Disconnected`] until the last registrar is dropped.
-pub fn ring_mux_with_registrar<T>(
-    producers: usize,
-    cap: usize,
-) -> (Vec<RingProducer<T>>, RingMux<T>, MuxRegistrar<T>) {
-    let (txs, mut mux) = ring_mux(producers, cap);
-    let pending = Arc::new(MuxPending {
-        adds: Mutex::new(Vec::new()),
-        flag: AtomicBool::new(false),
-        registrars: AtomicUsize::new(1),
-        waiter: Arc::clone(&mux.waiter),
-        cap,
-    });
-    mux.pending = Some(Arc::clone(&pending));
-    (txs, mux, MuxRegistrar { pending })
 }
 
 #[cfg(test)]
@@ -740,7 +638,10 @@ mod tests {
         let mut out = VecDeque::new();
         assert_eq!(rx.pop_batch(&mut out, 4), 4);
         assert_eq!(rx.pop_batch(&mut out, 4), 2);
-        assert_eq!(out.into_iter().collect::<Vec<_>>(), (0..6).collect::<Vec<_>>());
+        assert_eq!(
+            out.into_iter().collect::<Vec<_>>(),
+            (0..6).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -828,37 +729,6 @@ mod tests {
         for h in handles {
             h.join().expect("producer");
         }
-    }
-
-    #[test]
-    fn registrar_holds_off_disconnect_until_dropped() {
-        let (txs, mut mux, reg) = ring_mux_with_registrar::<u8>(1, 2);
-        drop(txs);
-        // The original producer is gone, but a registrar is alive: the
-        // mux must not disconnect, only time out.
-        let deadline = Some(Instant::now() + Duration::from_millis(5));
-        assert_eq!(mux.recv_deadline(deadline), Err(MuxRecvError::Timeout));
-        let mut tx = reg.add_producer();
-        tx.try_push(7).expect("space");
-        assert_eq!(mux.recv_deadline(None), Ok(7));
-        drop(tx);
-        drop(reg);
-        assert_eq!(mux.recv_deadline(None), Err(MuxRecvError::Disconnected));
-    }
-
-    #[test]
-    fn registrar_wakes_a_parked_mux_promptly() {
-        let (txs, mut mux, reg) = ring_mux_with_registrar::<u64>(1, 4);
-        drop(txs);
-        let consumer = thread::spawn(move || mux.recv_deadline(None));
-        // Let the consumer spin down into its parked state, then wire in
-        // a brand-new producer and publish through it.
-        thread::sleep(Duration::from_millis(20));
-        let mut tx = reg.add_producer();
-        tx.try_push(99).expect("space");
-        assert_eq!(consumer.join().expect("consumer"), Ok(99));
-        drop(tx);
-        drop(reg);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! Topology (Figure 6 of the paper on real cores, and FALCON's softirq
 //! pipelining, its baseline, as the same machine with different wiring):
 //! `lanes` dispatcher entry lanes, each a chain of `depth` stage workers,
-//! all feeding one merger.
+//! whose tails merge into one merging counter.
 //!
 //! ```text
 //!             +-> stage 0 -> .. -> stage D-1 --\    lane 0
-//! dispatcher -+-> stage 0 -> .. -> stage D-1 ---+-> merger -> ordered output
+//! dispatcher -+-> stage 0 -> .. -> stage D-1 ---+-> merge -> ordered output
 //!             +-> stage 0 -> .. -> stage D-1 --/     lane L-1
 //! ```
 //!
@@ -18,50 +18,47 @@
 //! shape. The calling thread is the dispatcher: it groups micro-flows of
 //! `batch_size` consecutive frames and asks the configured steering
 //! policy for a lane per micro-flow ([`crate::dispatch`]); the lane's
-//! workers perform the per-packet work; the merger restores the original
-//! order with the merging-counter algorithm ([`crate::merge`]). Workers
-//! run genuinely concurrently, so the merger sees every interleaving a
-//! real kernel would.
+//! workers perform the per-packet work. The merge is not a stage of its
+//! own: the paper's reassembly is a global merging counter advanced by
+//! whichever core finishes a micro-flow, and here every tail (and the
+//! dispatcher, for what it processes inline) merges its own finished run
+//! under the merge lock, or leaves it to whoever holds it
+//! ([`crate::merge`]). Workers run genuinely concurrently, so the merge
+//! sees every interleaving a real kernel would.
 //!
 //! This module is the assembly: [`process_parallel_faulty`] builds the
 //! rings, runs the dispatch loop with its two watchdog passes between
 //! micro-flows, joins and tears down stage by stage, and assembles the
-//! output from the merger's durable block. It is guaranteed not to panic
-//! and not to wedge for any [`RuntimeFaults`] mix; the output is always
-//! an ordered, duplicate-free subsequence of the serial output, and what
-//! is missing is exactly accounted for by the dispatcher's planned drops
-//! plus the flushed micro-flows (each module's "Degradation under
-//! faults").
+//! output from the merge block. It is guaranteed not to panic and not to
+//! wedge for any [`RuntimeFaults`] mix; the output is always an ordered,
+//! duplicate-free subsequence of the serial output, and what is missing
+//! is exactly accounted for by the dispatcher's planned drops plus the
+//! flushed micro-flows (each module's "Degradation under faults").
 //!
 //! # The transport
 //!
-//! Every ring — dispatcher→lane head, stage→next stage inside a lane,
-//! and worker→merger — is an in-tree lock-free SPSC ring of
-//! [`crate::ring`], the userspace analogue of the paper's per-core
-//! packet-request ring buffers: atomic head/tail, yield-then-park
-//! waiting. The micro-flow is the unit of all three (what each carries is
-//! described with its sending side); nothing outside
-//! [`crate::work::process_frame`] is paid per packet.
-//!
-//! The merge path is one ring per producer (each worker plus the
-//! dispatcher's inline lane) fanned into a round-robin [`RingMux`]; a
-//! respawned worker gets a fresh ring through the
-//! [`ring::MuxRegistrar`]. The pipeline uses the ring types directly:
-//! close-on-drop in both directions is what the fault-recovery machinery
-//! relies on. Order is not: the merger orders runs by micro-flow id
-//! alone, so neither which ring a run comes through nor the order the
-//! mux interleaves rings in can misorder the output.
+//! Every ring — dispatcher→lane head and stage→next stage inside a lane —
+//! is an in-tree lock-free SPSC ring of [`crate::ring`], the userspace
+//! analogue of the paper's per-core packet-request ring buffers: atomic
+//! head/tail, yield-then-park waiting. The micro-flow is the unit of both
+//! (what each carries is described with its sending side), and of the
+//! hand-off into the merge; nothing outside
+//! [`crate::work::process_frame`] is paid per packet. The pipeline uses
+//! the ring types directly: close-on-drop in both directions is what the
+//! fault-recovery machinery relies on. Order does not depend on them:
+//! the merge orders runs by micro-flow id alone, so neither which worker
+//! merges a run nor when can misorder the output.
 //!
 //! Of the persistent runtime (ROADMAP item 7) the *thread* half exists:
-//! workers and merger incarnations are jobs of one [`crew::scope`] per
-//! call, run on parked threads that outlive the call, so a call creates
-//! and destroys no OS thread; rings, merger state and supervisor are
-//! still built per call. The *handle* half (`start` / `submit` /
-//! `recv_ordered` / `shutdown`) is not built. It keeps this shape: its
-//! workers are crew jobs that do not return between submissions and
-//! cannot borrow a caller's slice, so a submission becomes one
-//! `Arc<[Frame]>` and a descriptor carries one reference-count bump per
-//! micro-flow — still nothing per packet.
+//! workers are jobs of one [`crew::scope`] per call — exactly `workers`
+//! of them on a fan-out call — run on parked threads that outlive the
+//! call, so a call creates and destroys no OS thread; rings, merge block
+//! and supervisor are still built per call. The *handle* half (`start` /
+//! `submit` / `recv_ordered` / `shutdown`) is not built. It keeps this
+//! shape: its workers are crew jobs that do not return between
+//! submissions and cannot borrow a caller's slice, so a submission
+//! becomes one `Arc<[Frame]>` and a descriptor carries one
+//! reference-count bump per micro-flow — still nothing per packet.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,12 +73,11 @@ use crate::config::{RunOutput, RuntimeConfig};
 use crate::crew;
 use crate::dispatch::{build_policy, plan_microflow, Dispatcher, Lane, MfDesc};
 use crate::faults::{FaultEvent, RuntimeFaults};
-use crate::merge::{MergedRun, MergerDurable, MergerShared, MergerState, MergerWatch};
+use crate::merge::{Assembled, MergerShared};
 use crate::packet::Frame;
 use crate::pool::{BufPool, PoolStats};
-use crate::ring::{self, MuxRegistrar, RingConsumer, RingMux, RingProducer};
+use crate::ring::{self, RingConsumer};
 use crate::supervise::{HeartbeatBoard, Supervisor};
-use crate::work::PacketResult;
 use crate::worker::{Link, RunPlan, StageInput, StagedRun, Topology, WorkerCtx};
 
 /// MFLOW pipeline: split into micro-flows, process on `workers` threads,
@@ -89,7 +85,7 @@ use crate::worker::{Link, RunPlan, StageInput, StagedRun, Topology, WorkerCtx};
 /// [`RuntimeFaults::none`].
 ///
 /// Returns [`MflowError::InvalidConfig`] for a malformed configuration,
-/// [`MflowError::MergerPoisoned`] if the merge stage panics, and
+/// [`MflowError::MergerPoisoned`] if the merge panics, and
 /// [`MflowError::NoLiveWorkers`] when every worker of an unsupervised
 /// fan-out policy died with input still pending (chain policies and
 /// supervised runs instead fall back to inline processing on the
@@ -113,23 +109,20 @@ pub fn process_parallel_faulty(
     let plan = &RunPlan::new(cfg, faults);
     let topo = &Topology::new(cfg.policy.stage_groups(), cfg.workers);
     let rings = Rings::assemble(topo, cfg);
-    // The receiver moves into a shared slot that merger incarnations
-    // lease; producer senders stay valid across merger deaths, which is
-    // what makes re-attachment implicit.
-    let shared_store = MergerShared::new(rings.merge_rx, frames.len(), plan.merger_rounds);
-    let shared = &shared_store;
     // Per-lane queue depths, the watermark signal for backpressure.
     let depths: Vec<AtomicUsize> = (0..topo.lanes).map(|_| AtomicUsize::new(0)).collect();
     // Per-slot heartbeat epochs, the watchdog's liveness signal. The
-    // extra slot past the workers is the merger's.
+    // extra slot past the workers is the merger's, which every holder of
+    // the merge lock bumps.
     let merger_slot = topo.threads();
     let beats = &HeartbeatBoard::new(topo.threads() + 1);
+    let merger = &MergerShared::new(frames.len(), cfg, plan, faults, beats, merger_slot, start);
     // Buffer-pool telemetry: snapshot the frames' pool so the run can
     // report the recycle and heap-fallback deltas it caused.
     let frame_pool = frames.iter().find_map(|f| f.buf().pool());
     let pool_before = frame_pool.as_ref().map(|p| p.stats());
 
-    let mut d = Dispatcher::new(rings.lanes, cfg, &depths, plan);
+    let mut d = Dispatcher::new(rings.lanes, cfg, &depths, plan, merger);
     // One supervision slot per worker plus the merger's; the respawn
     // budget is one shared pool across both failure domains, but the
     // restart and recovery-time counters split per domain.
@@ -143,70 +136,54 @@ pub fn process_parallel_faulty(
     sup.watch_merger(merger_slot);
     let mut dispatch_done = start;
 
-    let deaths = crew::scope(|s| {
+    let deaths_by_slot = crew::scope(|s| {
         let workers = WorkerCtx {
             s,
             topo,
             frames,
             depths: &depths,
             links: &rings.links,
-            sent: &shared.sent,
+            merger,
             faults,
             beats,
             lane_rounds: plan.lane_rounds,
         };
-        // Merger incarnation 0: merging-counter reassembly with flush
-        // recovery, inside `MergerState`, behind the receiver lease. Every
-        // incarnation restores from the shared durable block; the watchdog
-        // spawns successors from the same block when one dies or wedges.
-        let watch = MergerWatch {
-            s,
-            shared,
-            faults,
-            beats,
-            merger_slot,
-            plan,
-            checkpoint_every: cfg.checkpoint_every,
-            merger_depth: cfg.merger_depth,
-        };
         let mut driver = Driver {
             cfg,
             workers,
-            watch,
+            plan,
             d: &mut d,
             sup: &mut sup,
-            handles: spawn_workers(workers, rings.lane_rx, rings.link_rx, rings.worker_merge_tx),
-            merger_handles: vec![watch.spawn(0, 0)],
-            dispatch_tx: rings.dispatch_tx,
-            merge_registrar: rings.merge_registrar,
+            handles: spawn_workers(workers, rings.lane_rx, rings.link_rx),
         };
         driver.dispatch(&mut *policy);
         dispatch_done = Instant::now();
         driver.teardown()
     });
-    if deaths.merger > 0 && !plan.wal_on {
-        // An unarmed merger has no injected faults and no respawn path: a
+    let merger_deaths = merger.deaths();
+    if merger_deaths > 0 && !plan.wal_on {
+        // An unarmed merge has no injected faults and no respawn path: a
         // panic there is a real bug, surfaced as an error instead of a
         // propagated abort.
         return Err(MflowError::MergerPoisoned);
     }
-    let workers_died: usize = deaths.by_slot.iter().map(|&d| d as usize).sum();
+    let workers_died: usize = deaths_by_slot.iter().map(|&d| d as usize).sum();
     if !plan.inline_orphans && workers_died == topo.threads() && !frames.is_empty() {
         // Nobody was left to deliver the remainder.
         return Err(MflowError::NoLiveWorkers);
     }
-    let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths.by_slot);
+    let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_slot);
     // A head death the dispatcher never observed (no send to that lane
     // afterwards) still leaves queued batches undequeued, so zero the
     // lane's depth too — a clean final incarnation drained its queue to
     // zero anyway, so this never masks a leak.
     for (lane, depth) in depths.iter().enumerate() {
-        if deaths.by_slot[lane * topo.depth] > 0 {
+        if deaths_by_slot[lane * topo.depth] > 0 {
             depth.store(0, Ordering::Relaxed);
         }
     }
 
-    let merged = final_assembly(shared_store);
+    let merged = merger.assemble();
     let pool = pool_delta(frame_pool, pool_before);
     let telemetry = telemetry(cfg, &*policy, pool, &merged, &d, &sup);
     Ok(RunOutput {
@@ -215,7 +192,7 @@ pub fn process_parallel_faulty(
         stateful_serial_ns: merged.state.serial_ns,
         flushed_mfs: merged.state.engine.flushed_ids().to_vec(),
         workers_died,
-        merger_deaths: deaths.merger,
+        merger_deaths,
         checkpoints: merged.dur.checkpoints,
         workers_respawned,
         workers_abandoned,
@@ -236,18 +213,10 @@ struct Rings {
     lane_rx: Vec<RingConsumer<MfDesc>>,
     /// Stage -> next-stage links inside each lane (none at depth 1): the
     /// worker at stage k applies stage group k and forwards through a
-    /// shared, re-wireable link; the last stage publishes to the merger.
-    /// Indexed by [`Topology::link`], as is `link_rx`.
+    /// shared, re-wireable link; the last stage merges. Indexed by
+    /// [`Topology::link`], as is `link_rx`.
     links: Vec<Link>,
     link_rx: Vec<RingConsumer<StagedRun>>,
-    /// Workers (plus the dispatcher's inline lane, `dispatch_tx`) ->
-    /// merger: one SPSC ring per producer, one run per slot, fanned into a
-    /// mux. In worker-slot order.
-    worker_merge_tx: Vec<RingProducer<MergedRun>>,
-    dispatch_tx: RingProducer<MergedRun>,
-    merge_rx: RingMux<MergedRun>,
-    /// Mints additional merge rings for respawned workers.
-    merge_registrar: MuxRegistrar<MergedRun>,
 }
 
 impl Rings {
@@ -270,18 +239,11 @@ impl Rings {
                 Link::new(tx)
             })
             .collect();
-        let (mut worker_merge_tx, merge_rx, merge_registrar) =
-            ring::ring_mux_with_registrar::<MergedRun>(topo.threads() + 1, cfg.merger_depth);
-        let dispatch_tx = worker_merge_tx.pop().expect("threads + 1 rings");
         Self {
             lanes,
             lane_rx,
             links,
             link_rx,
-            worker_merge_tx,
-            dispatch_tx,
-            merge_rx,
-            merge_registrar,
         }
     }
 }
@@ -293,47 +255,30 @@ fn spawn_workers<'scope>(
     workers: WorkerCtx<'scope, '_>,
     lane_rx: Vec<RingConsumer<MfDesc>>,
     link_rx: Vec<RingConsumer<StagedRun>>,
-    worker_merge_tx: Vec<RingProducer<MergedRun>>,
 ) -> Vec<(usize, crew::JoinHandle<'scope>)> {
     let (mut lane_rx, mut link_rx) = (lane_rx.into_iter(), link_rx.into_iter());
-    worker_merge_tx
-        .into_iter()
-        .enumerate()
-        .map(|(slot, merge)| {
+    (0..workers.topo.threads())
+        .map(|slot| {
             if slot % workers.topo.depth == 0 {
                 let rx = lane_rx.next().expect("ring per lane");
-                workers.spawn_worker(slot, 0, rx, merge)
+                workers.spawn_worker(slot, 0, rx)
             } else {
                 let rx = link_rx.next().expect("link per later stage");
-                workers.spawn_worker(slot, 0, rx, merge)
+                workers.spawn_worker(slot, 0, rx)
             }
         })
         .collect()
 }
 
 /// Processes a micro-flow the policy handed back (or nobody else can
-/// take) right here on the dispatcher thread, as a new copy: a worker may
-/// still deliver the one it was sent, and the merger keeps whichever
-/// arrives first.
-fn process_inline(
-    workers: &WorkerCtx<'_, '_>,
-    d: &mut Dispatcher<'_>,
-    tx: &mut RingProducer<MergedRun>,
-    desc: MfDesc,
-) {
-    let run = d.retag(desc).complete(workers);
+/// take) right here on the dispatcher thread, as a new copy, and merges
+/// it: a worker may still deliver the one it was sent, and the merge
+/// keeps whichever arrives first.
+fn process_inline(workers: &WorkerCtx<'_, '_>, d: &mut Dispatcher<'_>, desc: MfDesc) {
+    let run = d.retag(desc).complete(workers, Vec::new());
     d.inline_batches += 1;
     d.inline_packets += run.items.len() as u64;
-    workers.sent.fetch_add(1, Ordering::Relaxed);
-    let _ = tx.push(run);
-}
-
-/// Thread panics of one run, every incarnation; injected deaths surface
-/// at join and are counted here, not propagated.
-struct Deaths {
-    /// Worker panics per slot.
-    by_slot: Vec<u32>,
-    merger: usize,
+    workers.merger.offer(run, None);
 }
 
 /// The calling thread's side of the open scope: the dispatcher, the
@@ -342,16 +287,12 @@ struct Deaths {
 struct Driver<'a, 'd, 'scope, 'env> {
     cfg: &'env RuntimeConfig,
     workers: WorkerCtx<'scope, 'env>,
-    watch: MergerWatch<'scope, 'env>,
+    plan: &'env RunPlan,
     d: &'a mut Dispatcher<'d>,
     sup: &'a mut Supervisor,
     /// Every worker incarnation started, tagged with its slot, in spawn
     /// order.
     handles: Vec<(usize, crew::JoinHandle<'scope>)>,
-    merger_handles: Vec<crew::JoinHandle<'scope>>,
-    /// The dispatcher's own merge ring, for what it processes inline.
-    dispatch_tx: RingProducer<MergedRun>,
-    merge_registrar: MuxRegistrar<MergedRun>,
 }
 
 impl Driver<'_, '_, '_, '_> {
@@ -360,6 +301,12 @@ impl Driver<'_, '_, '_, '_> {
     fn dispatch(&mut self, policy: &mut dyn SteeringPolicy) {
         let w = self.workers;
         let (frames, faults, topo) = (w.frames, w.faults, w.topo);
+        // The watchdog passes read the clock once per micro-flow, and only
+        // on runs that can need them: the merger failure domain is armed
+        // even unsupervised when merger faults are injected (`wal_on`
+        // covers supervision), and a run that can lose a micro-flow
+        // flushes past it on a deadline.
+        let tended = self.plan.wal_on || self.plan.flush_timeout.is_some();
         let mut mf_id = 0u64;
         let mut next = 0usize;
         let mut depth_snap = vec![0usize; topo.lanes];
@@ -403,7 +350,7 @@ impl Driver<'_, '_, '_, '_> {
                     self.d.send_retained(lane, desc);
                     self.d.send_recovery(desc);
                 } else if let Some(kept) = self.d.offer(lane, desc) {
-                    process_inline(&w, self.d, &mut self.dispatch_tx, kept);
+                    process_inline(&w, self.d, kept);
                 }
                 // Completion feedback: the policy hears what it
                 // placed (rate accounting for elephant detection).
@@ -415,16 +362,10 @@ impl Driver<'_, '_, '_, '_> {
                 }
                 due > mf_id
             });
-            // The watchdog passes: once per dispatched micro-flow, on one
-            // clock read. The merger's own is armed even unsupervised
-            // when merger faults are injected, so a merger death degrades
-            // to WAL pumping instead of wedging the run; with neither
-            // armed (`wal_on` covers supervision) the clock is not read.
-            if self.watch.plan.wal_on {
+            if tended {
                 let (done, now) = ((end - 1) as u64, Instant::now());
                 self.tend_workers(done, now);
-                self.watch
-                    .tend(self.sup, &mut self.merger_handles, done, now);
+                w.merger.tend(self.sup, done, now);
             }
             self.inline_orphans();
             mf_id += 1;
@@ -441,15 +382,15 @@ impl Driver<'_, '_, '_, '_> {
     /// instead of being dropped.
     fn inline_orphans(&mut self) {
         for desc in self.d.take_orphans() {
-            process_inline(&self.workers, self.d, &mut self.dispatch_tx, desc);
+            process_inline(&self.workers, self.d, desc);
         }
     }
 
     /// One non-blocking pass over the worker slots, the twin of
-    /// [`MergerWatch::tend`]: declare stalled workers dead, and respawn
+    /// [`MergerShared::tend`]: declare stalled workers dead, and respawn
     /// dead ones (budget and backoff permitting) onto fresh rings.
     fn tend_workers(&mut self, frames_done: u64, now: Instant) {
-        if !self.watch.plan.supervised {
+        if !self.plan.supervised {
             return;
         }
         let w = self.workers;
@@ -459,11 +400,14 @@ impl Driver<'_, '_, '_, '_> {
         for lane in 0..topo.lanes {
             // A lane head is watched through the dispatcher lane. Stall
             // detection: a stale heartbeat only counts while work is
-            // queued — an idle worker's epoch is legitimately still.
+            // queued — an idle worker's epoch is legitimately still — and
+            // while the worker is not inside the merge, whose domain
+            // watches it there.
             let head = lane * topo.depth;
             if !d.lane_dead(lane)
                 && sup.stale(head, beats.read(head), now)
                 && depths[lane].load(Ordering::Relaxed) > 0
+                && !w.merger.holds(head)
             {
                 sup.heartbeat_misses += 1;
                 d.fail_lane(lane);
@@ -474,8 +418,7 @@ impl Driver<'_, '_, '_, '_> {
                     let (tx, rx) = ring::spsc::<MfDesc>(queue_depth);
                     let inc = sup.on_respawn(head, now, frames_done);
                     d.revive(lane, tx);
-                    let merge = self.merge_registrar.add_producer();
-                    self.handles.push(w.spawn_worker(head, inc, rx, merge));
+                    self.handles.push(w.spawn_worker(head, inc, rx));
                 }
             }
             // Every later stage is watched through its incoming link. A
@@ -488,6 +431,7 @@ impl Driver<'_, '_, '_, '_> {
                 if !dead
                     && sup.stale(slot, beats.read(slot), now)
                     && link.depth.load(Ordering::Relaxed) > 0
+                    && !w.merger.holds(slot)
                 {
                     // Stalled: cut the link so the upstream completes
                     // micro-flows locally until the replacement is wired
@@ -499,13 +443,12 @@ impl Driver<'_, '_, '_, '_> {
                 if dead {
                     sup.note_death(slot, now, frames_done);
                     if sup.allow_respawn(slot, now) {
-                        // Re-home the stage: fresh link ring, fresh
-                        // merger sender, new incarnation.
+                        // Re-home the stage: fresh link ring, new
+                        // incarnation.
                         let (tx, rx) = ring::spsc::<StagedRun>(queue_depth);
                         link.rewire(tx);
                         let inc = sup.on_respawn(slot, now, frames_done);
-                        let merge = self.merge_registrar.add_producer();
-                        self.handles.push(w.spawn_worker(slot, inc, rx, merge));
+                        self.handles.push(w.spawn_worker(slot, inc, rx));
                     }
                 }
             }
@@ -513,34 +456,30 @@ impl Driver<'_, '_, '_, '_> {
     }
 
     /// Ends the stream and joins everything: workers stage by stage,
-    /// then the orphan pass for deaths nobody observed, then the merger
-    /// incarnations once the stream is fully consumed.
-    fn teardown(self) -> Deaths {
+    /// then the orphan pass for deaths nobody observed, then the merge is
+    /// supervised until every run is in. Returns the worker panics per
+    /// slot, every incarnation: injected deaths surface at join and are
+    /// counted, not propagated.
+    fn teardown(self) -> Vec<u32> {
         let Driver {
             workers,
-            watch,
+            plan,
             d,
             sup,
             handles,
-            mut merger_handles,
-            mut dispatch_tx,
-            merge_registrar,
             ..
         } = self;
-        let (topo, n) = (workers.topo, workers.frames.len() as u64);
+        let (topo, merger, n) = (workers.topo, workers.merger, workers.frames.len() as u64);
         // Dropping the lane senders lets the heads drain and exit; the
-        // retained windows stay for the orphan pass below, and with them
-        // the dispatcher's merger sender, so the merger cannot see end of
-        // stream before that pass has run.
+        // retained windows stay for the orphan pass below.
         for lane in &mut d.lanes {
             lane.tx = None;
         }
-        drop(merge_registrar);
 
-        // Join workers first (they feed the merger), stage by stage down
-        // the lanes: only after every incarnation of a stage has exited
-        // are that stage's outgoing links cut, so the next stage sees
-        // end-of-stream strictly after its upstream finished producing.
+        // Join stage by stage down the lanes: only after every
+        // incarnation of a stage has exited are that stage's outgoing
+        // links cut, so the next stage sees end-of-stream strictly after
+        // its upstream finished producing.
         let mut deaths_by_slot = vec![0u32; topo.threads()];
         let mut remaining = handles;
         // Lanes on which a slot died holding micro-flows nobody
@@ -557,7 +496,7 @@ impl Driver<'_, '_, '_, '_> {
                 .partition(|(slot, _)| slot % topo.depth == stage);
             remaining = rest;
             for (slot, h) in mine {
-                let died = watch.join_tended(h, sup, &mut merger_handles, n).is_err();
+                let died = merger.join_tended(h, sup, n).is_err();
                 deaths_by_slot[slot] += u32::from(died);
                 let lane = slot / topo.depth;
                 orphaned[lane] = died || (stage > 0 && orphaned[lane]);
@@ -574,73 +513,17 @@ impl Driver<'_, '_, '_, '_> {
         // never redispatched. The lane's retained window covers the end
         // of the stream; it is run here, and the merge engine rejects the
         // copies of whatever the lane did deliver. (A window the
-        // dispatcher took when it did observe the death is empty; the
-        // merger is tended first because it may be down too, and a push
-        // must not wait on a ring nobody consumes.)
-        for lane in (0..topo.lanes).filter(|&l| watch.plan.inline_orphans && orphaned[l]) {
+        // dispatcher took when it did observe the death is empty.)
+        for lane in (0..topo.lanes).filter(|&l| plan.inline_orphans && orphaned[l]) {
             for desc in std::mem::take(&mut d.lanes[lane].recent) {
-                watch.tend(sup, &mut merger_handles, n, Instant::now());
-                process_inline(&workers, d, &mut dispatch_tx, desc);
+                process_inline(&workers, d, desc);
             }
         }
-        drop(dispatch_tx);
-        // Every producer is gone; keep supervising until the stream is
-        // fully consumed and folded into the durable block (a kill near
-        // the end of the stream is respawned or pumped here), then join
-        // every merger incarnation.
-        watch.drain_to_eos(sup, &mut merger_handles, n);
-        let merger = merger_handles
-            .into_iter()
-            .filter_map(|h| h.join().err())
-            .count();
-        Deaths {
-            by_slot: deaths_by_slot,
-            merger,
-        }
-    }
-}
-
-/// What final assembly leaves: the delivered stream and the merger-side
-/// state its counters are read from.
-struct Assembled {
-    digests: Vec<PacketResult>,
-    state: MergerState,
-    dur: MergerDurable,
-}
-
-/// Final assembly, on the calling thread, from the durable block: restore
-/// the last snapshot, replay whatever the delta log still holds (the
-/// serial-merge degradation path — empty after any clean merger EOS),
-/// drain transport residue a non-blocking pump may have left (every
-/// producer is gone, so this terminates), then flush what is still
-/// parked — each through [`MergerState`], which stages what it emits.
-/// The delivered buffer is taken, not copied.
-fn final_assembly(shared: MergerShared) -> Assembled {
-    let MergerShared {
-        rx_slot, durable, ..
-    } = shared;
-    let mut dur = durable.into_inner().unwrap_or_else(|e| e.into_inner());
-    let (mut state, final_replay) = dur.restore();
-    if final_replay > 0 {
-        dur.restores += 1;
-        dur.replayed += final_replay;
-    }
-    let mut out = std::mem::take(&mut dur.out);
-    if let Some(mut rx) = rx_slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        let t = Instant::now();
-        while let Ok(run) = rx.recv_deadline(None) {
-            state.apply(&run, &mut out);
-        }
-        state.serial_ns += t.elapsed().as_nanos() as u64;
-    }
-    // No arrival can release anything any more: whatever loss — injected,
-    // shed, or a worker that really died — left parked goes out now, and
-    // the micro-flows given up on are named.
-    state.flush_stalled(&mut out);
-    Assembled {
-        digests: out,
-        state,
-        dur,
+        // Every producer is gone; keep supervising until every run is
+        // merged (a merger kill near the end of the stream is respawned
+        // here) or left for final assembly.
+        merger.drain(sup, n);
+        deaths_by_slot
     }
 }
 
@@ -692,7 +575,7 @@ fn telemetry(
         fault_drops: d.fault_drops,
         residue: mstats.residue,
         restarts: sup.restarts,
-        heartbeat_misses: sup.heartbeat_misses,
+        heartbeat_misses: sup.heartbeat_misses + merged.heartbeat_misses,
         recovery_ns: sup.recovery_ns,
         merger_restarts: sup.merger_restarts,
         merger_recovery_ns: sup.merger_recovery_ns,

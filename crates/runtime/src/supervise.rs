@@ -165,8 +165,8 @@ impl Supervisor {
 
     /// Whether the shared restart budget is spent. The pipeline's
     /// degradation ladder branches on this: a dead merger with budget
-    /// left waits for a respawn; one without degrades to dispatcher-side
-    /// serial merging.
+    /// left waits for a respawn; one without degrades to final assembly's
+    /// serial merge.
     pub(crate) fn budget_exhausted(&self) -> bool {
         self.budget_left == 0
     }

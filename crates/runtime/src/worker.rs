@@ -24,12 +24,13 @@ use crate::config::{BackpressurePolicy, RuntimeConfig};
 use crate::crew;
 use crate::dispatch::{depth_dec, MfDesc};
 use crate::faults::{FaultEvent, RuntimeFaults};
-use crate::merge::{MergedRun, Run};
+use crate::merge::{MergedRun, MergerShared, Run};
 use crate::packet::Frame;
 use crate::ring::{RingConsumer, RingProducer};
 use crate::supervise::HeartbeatBoard;
 use crate::work::{
-    complete_staged, process_batch, process_frames, stage_group_sizes, stateful_stage, StagedWork,
+    complete_staged, process_batch, process_frames, stage_group_sizes, stateful_stage,
+    PacketResult, StagedWork,
 };
 
 /// A micro-flow part-way through the staged pipeline, as forwarded
@@ -94,10 +95,10 @@ pub(crate) struct RunPlan {
     pub(crate) flush_timeout: Option<Duration>,
     /// The merger failure domain is armed — whenever the merger can
     /// actually die or wedge: supervision on, or merger faults injected.
-    /// Offers are journaled and checkpointed and the watchdog methods of
-    /// [`crate::merge::MergerWatch`] act. Off — a benign unsupervised run
-    /// — every one of them is a no-op and the single merger incarnation
-    /// runs to EOS exactly as the unsupervised pipeline always has.
+    /// Offers are journaled and checkpointed and the watchdog passes of
+    /// [`crate::merge::MergerShared`] act. Off — a benign unsupervised run
+    /// — every one of them is a no-op and incarnation 0 merges the whole
+    /// stream.
     pub(crate) wal_on: bool,
     /// Stateful-stage placement, at most one nonzero: under SCR the lanes
     /// (and every path standing in for one — local completion past a dead
@@ -194,12 +195,14 @@ fn apply_worker_faults(
 /// (plus the replicated stateful stage when SCR is on) — what a tail
 /// does with its input, what any stage does with a run whose next hop
 /// died, and what the dispatcher does with a micro-flow it keeps inline.
+/// A completed run's results go into `results`, an emptied `Vec` the
+/// merge handed back, or a fresh one.
 pub(crate) trait StageInput: Send + Sized {
     fn mf_id(&self) -> u64;
 
     fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun;
 
-    fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun;
+    fn complete(self, ctx: &WorkerCtx<'_, '_>, results: Vec<PacketResult>) -> MergedRun;
 }
 
 impl MfDesc {
@@ -215,14 +218,16 @@ impl MfDesc {
     /// reader of one descriptor — the lane head, a redispatch target, the
     /// dispatcher's inline path — skips exactly the frames the dispatcher
     /// counted and logged, once, when it planned the range. A range with
-    /// drops is walked one surviving frame at a time.
+    /// drops is walked one surviving frame at a time. The items go into
+    /// `items`, which arrives empty.
     fn run<R>(
         &self,
         ctx: &WorkerCtx<'_, '_>,
+        mut items: Vec<R>,
         mut walk: impl FnMut(&[Frame], &mut Vec<R>),
     ) -> Run<R> {
         let span = &ctx.frames[self.start..self.end];
-        let mut items = Vec::with_capacity(self.live);
+        items.reserve(self.live);
         // Whether the latest frame survived; after the walk, whether the
         // closing one did.
         let mut closed = true;
@@ -254,16 +259,16 @@ impl StageInput for MfDesc {
     /// this stage, so it must own its buffer.
     fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
         let stage = |f: &Frame| StagedWork::Raw(f.clone()).advance_n(group);
-        self.run(ctx, |span, out| process_batch(span, stage, out))
+        self.run(ctx, Vec::new(), |span, out| process_batch(span, stage, out))
     }
 
     /// Not `advance(STAGES)`: a worker that owns every stage must pay
     /// what [`crate::work::process_frame`] costs, and building the enum
     /// on the stack per frame only to match it apart again measured 4.35
     /// against 4.78 Mframes/s on `elephant64`.
-    fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
+    fn complete(self, ctx: &WorkerCtx<'_, '_>, results: Vec<PacketResult>) -> MergedRun {
         let stateful = |r| stateful_stage(r, ctx.lane_rounds);
-        self.run(ctx, |span, out| process_frames(span, stateful, out))
+        self.run(ctx, results, |span, out| process_frames(span, stateful, out))
     }
 }
 
@@ -279,9 +284,8 @@ impl StageInput for StagedRun {
     /// By reference, so that the run's digests go through the same
     /// lock-step kernel as a lane worker's; the staged items (and with
     /// them the frame handles) are dropped once every result is out.
-    fn complete(self, ctx: &WorkerCtx<'_, '_>) -> MergedRun {
+    fn complete(self, ctx: &WorkerCtx<'_, '_>, mut results: Vec<PacketResult>) -> MergedRun {
         self.with_items(|staged| {
-            let mut results = Vec::new();
             complete_staged(&staged, |r| stateful_stage(r, ctx.lane_rounds), &mut results);
             results
         })
@@ -387,9 +391,8 @@ impl Link {
     }
 }
 
-/// Everything a stage worker reads, bundled like its merger-side twin
-/// [`crate::merge::MergerWatch`] so initial spawn and every respawn are
-/// one call. `Copy`, so call sites borrow nothing.
+/// Everything a stage worker reads, bundled so initial spawn and every
+/// respawn are one call. `Copy`, so call sites borrow nothing.
 #[derive(Clone, Copy)]
 pub(crate) struct WorkerCtx<'scope, 'env> {
     pub(crate) s: &'scope crew::Scope<'scope, 'env>,
@@ -400,8 +403,8 @@ pub(crate) struct WorkerCtx<'scope, 'env> {
     pub(crate) depths: &'env [AtomicUsize],
     /// Indexed by [`Topology::link`]; empty when `depth == 1`.
     pub(crate) links: &'env [Link],
-    /// [`crate::merge::MergerShared::sent`].
-    pub(crate) sent: &'env AtomicU64,
+    /// Where a tail hands its finished runs.
+    pub(crate) merger: &'env MergerShared<'env>,
     pub(crate) faults: &'env RuntimeFaults,
     pub(crate) beats: &'env HeartbeatBoard,
     pub(crate) lane_rounds: u32,
@@ -409,18 +412,17 @@ pub(crate) struct WorkerCtx<'scope, 'env> {
 
 impl<'scope> WorkerCtx<'scope, '_> {
     /// Starts incarnation `incarnation` of worker `slot` as a job of its
-    /// own, draining `rx` and publishing results through `merge`.
-    /// The handle comes back tagged with its slot, so join-time panics
-    /// can be attributed per slot even after respawns reorder the list.
+    /// own, draining `rx`. The handle comes back tagged with its slot, so
+    /// join-time panics can be attributed per slot even after respawns
+    /// reorder the list.
     pub(crate) fn spawn_worker<T: StageInput + 'scope>(
         self,
         slot: usize,
         incarnation: u64,
         rx: RingConsumer<T>,
-        merge: RingProducer<MergedRun>,
     ) -> (usize, crew::JoinHandle<'scope>) {
         let s = self.s;
-        let h = s.spawn(move || worker_loop(self, slot, incarnation, rx, merge));
+        let h = s.spawn(move || worker_loop(self, slot, incarnation, rx));
         (slot, h)
     }
 }
@@ -428,16 +430,15 @@ impl<'scope> WorkerCtx<'scope, '_> {
 /// One stage-worker incarnation, at any position of any topology:
 /// dequeue, heartbeat, injected faults, this stage's group of the
 /// per-packet work, then hand on. A tail (every fan-out worker; the last
-/// stage of a chain) completes into the merger; any other stage forwards
-/// through its link, and finishes the micro-flow itself when the next hop
-/// has died — the merger orders by micro-flow id, so it does not matter
-/// which stage's merge ring a run comes through.
+/// stage of a chain) completes the micro-flow and offers it to the merge;
+/// any other stage forwards through its link, and finishes the micro-flow
+/// itself when the next hop has died — the merge orders by micro-flow id,
+/// so it does not matter which stage a run comes from.
 fn worker_loop<T: StageInput>(
     ctx: WorkerCtx<'_, '_>,
     slot: usize,
     incarnation: u64,
     mut rx: RingConsumer<T>,
-    mut merge: RingProducer<MergedRun>,
 ) {
     let topo = ctx.topo;
     let (lane, stage) = (slot / topo.depth, slot % topo.depth);
@@ -451,27 +452,22 @@ fn worker_loop<T: StageInput>(
     // A tail has no link at all, so it takes no lock per micro-flow.
     let next = (stage + 1 < topo.depth).then(|| &ctx.links[topo.link(lane, stage)]);
     let mut processed = 0u64;
+    let mut results = Vec::new();
     while let Some(input) = rx.pop() {
         depth_dec(backlog);
         ctx.beats.bump(slot);
         apply_worker_faults(ctx.faults, slot, incarnation, processed, input.mf_id());
         processed += 1;
         let run = match next {
-            None => input.complete(&ctx),
+            None => input.complete(&ctx, std::mem::take(&mut results)),
             Some(link) => match link.forward(input.advance(&ctx, group)) {
                 Ok(()) => continue,
-                Err(bounced) => bounced.complete(&ctx),
+                Err(bounced) => bounced.complete(&ctx, std::mem::take(&mut results)),
             },
         };
-        // One merge-side handoff per micro-flow: the run's results `Vec`
-        // is the slot's payload. Counted before publishing, so the merger
-        // watchdog's backlog signal (`sent - recvd`) can never
-        // under-report queued micro-flows.
-        ctx.sent.fetch_add(1, Ordering::Relaxed);
-        if merge.push(run).is_err() {
-            // Merger gone; nothing useful left to do.
-            return;
-        }
+        // One hand-off per micro-flow, which never waits: merged here
+        // when the merge lock is free, else by its holder.
+        results = ctx.merger.offer(run, Some(slot)).unwrap_or_default();
     }
 }
 

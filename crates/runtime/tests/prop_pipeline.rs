@@ -94,9 +94,9 @@ proptest! {
         batch in 1usize..48,
         depth_exp in 0u32..10,
     ) {
-        // merger_depth sweeps the powers of two from 1 to 512: tiny
-        // rings force producer-side waiting, large ones free-run; output
-        // must be exact either way.
+        // merger_depth sweeps the powers of two from 1 to 512. It sizes
+        // nothing any more (tails merge in place), so every valid value
+        // must be accepted and give the exact stream.
         let frames = generate_frames(n, 32);
         let serial = process_serial(&frames);
         let out = process_parallel(

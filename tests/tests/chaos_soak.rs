@@ -7,12 +7,13 @@
 //! `restarts >= n_workers`, and post-recovery dispatch throughput within
 //! 20% of the pre-fault rate.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use integration_tests::{for_each_cell, splitmix, Cell};
 use mflow_runtime::{
-    generate_frames, BackpressurePolicy, Frame, MergerKill, PolicyKind, RuntimeConfig,
-    RuntimeFaults, WorkerKill,
+    generate_frames, BackpressurePolicy, FaultLog, Frame, MergerKill, PolicyKind, RunOutput,
+    RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 
 /// Held by each test of this binary for its whole run, so the soak's
@@ -22,6 +23,22 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// What a failure message adds: the supervisor's counters and how many
+/// of each fault event fired, so a run that missed a floor says whether
+/// a kill never fired or a watchdog verdict replaced its incarnation.
+fn diagnostics(out: &RunOutput, log: &FaultLog) -> String {
+    let mut events = BTreeMap::new();
+    for event in log.sorted() {
+        let debug = format!("{event:?}");
+        let kind = debug.split([' ', '{']).next().unwrap_or_default().to_string();
+        *events.entry(kind).or_insert(0usize) += 1;
+    }
+    format!(
+        "heartbeat_misses {}, restarts {}, merger_restarts {}, fault events {events:?}",
+        out.telemetry.heartbeat_misses, out.telemetry.restarts, out.telemetry.merger_restarts
+    )
 }
 
 #[test]
@@ -64,6 +81,8 @@ fn killing_every_worker_heals_conserves_and_recovers_throughput() {
         });
     }
     faults.flush_timeout_ms = Some(40);
+    let log = FaultLog::new();
+    faults.log = Some(log.clone());
     // Conservation, healing and window existence are strict on every
     // attempt. The 20% throughput bound is a wall-clock assertion:
     // under full-suite CPU contention either window can be deflated
@@ -73,10 +92,14 @@ fn killing_every_worker_heals_conserves_and_recovers_throughput() {
     let mut rates = Vec::new();
     let recovered = (0..3).any(|_| {
         let out = Cell::new(cfg).run(&frames, &faults);
-        assert_eq!(out.workers_died, workers, "every scheduled kill must fire");
+        let diag = diagnostics(&out, &log);
+        assert_eq!(
+            out.workers_died, workers,
+            "every scheduled kill must fire ({diag})"
+        );
         assert!(
             out.telemetry.restarts >= workers as u64,
-            "supervisor healed {} of {workers} deaths",
+            "supervisor healed {} of {workers} deaths ({diag})",
             out.telemetry.restarts
         );
         let pre = out.recovery.prefault_rate();
@@ -167,9 +190,11 @@ fn soak_cell(cell: &Cell, frames: &[Frame], soak_seed: u64) {
         kills,
         merger_kills,
         flush_timeout_ms: Some(40),
+        log: Some(FaultLog::new()),
         ..RuntimeFaults::none()
     };
     let out = cell.run(frames, &faults);
+    let diag = diagnostics(&out, faults.log.as_ref().expect("attached above"));
     // Traffic-bearing slots must have died and been healed: MFLOW
     // spreads over every lane, FALCON chains pipe through every stage,
     // the pinned baseline concentrates on one lane. Healing needs a
@@ -183,23 +208,21 @@ fn soak_cell(cell: &Cell, frames: &[Frame], soak_seed: u64) {
     };
     assert!(
         out.telemetry.restarts >= expected,
-        "{label}: healed {} slots, expected at least {expected}",
+        "{label}: healed {} slots, expected at least {expected} ({diag})",
         out.telemetry.restarts
     );
     assert!(
         out.merger_deaths >= 2 && out.telemetry.merger_restarts >= 2,
-        "{label}: merger domain: {} deaths / {} respawns, expected at least 2 / 2",
+        "{label}: merger domain: {} deaths / {} respawns, expected at least 2 / 2 ({diag})",
         out.merger_deaths,
         out.telemetry.merger_restarts
     );
     // Each injected death panics right after journaling the fatal offer,
     // so every restore replays at least that offer. (The one-window upper
-    // bound is `recovery_equivalence`'s, whose configs keep the
-    // dispatcher's backlog pump idle; here the pump may journal a burst
-    // while respawn backs off.)
+    // bound is `recovery_equivalence`'s.)
     assert!(
         out.telemetry.restore_replayed_offers as usize >= out.merger_deaths,
-        "{label}: merger replayed only {} offers across {} deaths",
+        "{label}: merger replayed only {} offers across {} deaths ({diag})",
         out.telemetry.restore_replayed_offers,
         out.merger_deaths
     );

@@ -57,14 +57,6 @@ fn chaos_kills_conserve_the_pool() {
     // their queued batches (and the merger its parked results) on the
     // floor — each of those held cloned frame handles, and every one
     // must release its slot as the wreckage unwinds.
-    //
-    // `merger_depth` must cover the whole result stream when a merger
-    // kill is injected (the "pump idle" sizing every merger-kill suite
-    // uses): the merger watchdog runs from the dispatch loop, so if the
-    // worker->merger queue fills while the merger is down, workers block
-    // offering, lanes fill, and the dispatcher wedges inside a blocking
-    // send before it can tend the watchdog. See ROADMAP.md (open item:
-    // watchdog-aware blocking dispatch).
     let n = 12_000;
     let workers = 4usize;
     let ctx = "chaos kills";
@@ -74,7 +66,6 @@ fn chaos_kills_conserve_the_pool() {
         workers,
         batch_size: 32,
         queue_depth: 8,
-        merger_depth: 16_384,
         heartbeat_interval_ms: Some(25),
         restart_budget: 16,
         restart_backoff_ms: 1,

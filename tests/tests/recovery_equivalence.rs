@@ -7,12 +7,6 @@
 //! replaying at most one inter-checkpoint window, conservation balanced
 //! through every respawn, and the fault log recording the full
 //! death/respawn/restore lifecycle.
-//!
-//! The strict replay bound only holds while the dispatcher's backlog
-//! pump stays idle (an engaged pump legitimately journals an unbounded
-//! burst while a respawn backs off), so every config here sizes
-//! `merger_depth` far above the frame count: the in-flight window can
-//! never cross the pump's high-water mark.
 
 use integration_tests::{for_each_cell, Cell};
 use mflow_runtime::{
@@ -30,16 +24,14 @@ const CHECKPOINT_EVERY: u64 = 32;
 /// transition would corrupt a digest.
 const WORK: u32 = 8;
 
-/// Supervised config whose backlog pump provably never engages:
-/// `merger_depth / 2 = 4096` exceeds any frame count used here, so
-/// `sent - recvd` cannot reach the pump's threshold and every journaled
-/// offer is attributable to a merger incarnation's write-ahead append.
-fn pump_idle_cfg() -> RuntimeConfig {
+/// The supervised config of this suite. Every journaled offer is a
+/// merger incarnation's write-ahead append: while a successor backs off,
+/// runs wait in the merge block's backlog unjournaled.
+fn supervised_cfg() -> RuntimeConfig {
     RuntimeConfig {
         workers: 4,
         batch_size: 16,
         queue_depth: 4,
-        merger_depth: 8192,
         stateful_work: WORK,
         heartbeat_interval_ms: Some(25),
         restart_budget: 32,
@@ -72,7 +64,7 @@ fn killed_runs_match_benign_runs_across_the_full_matrix() {
     // merger kills (both are the serial stream), both deaths healed, and
     // every restore inside one checkpoint window.
     let frames = generate_frames(2_000, 64);
-    for_each_cell(pump_idle_cfg(), |cell| {
+    for_each_cell(supervised_cfg(), |cell| {
         let ctx = &cell.label;
         let benign = cell.run_exact(&frames, &RuntimeFaults::none());
         let killed = cell.run_exact(&frames, &double_kill());
@@ -103,7 +95,7 @@ fn killed_runs_match_benign_runs_across_the_full_matrix() {
 #[test]
 fn fault_log_records_the_merger_lifecycle() {
     let frames = generate_frames(2_000, 64);
-    let cfg = pump_idle_cfg();
+    let cfg = supervised_cfg();
     let log = FaultLog::new();
     let mut faults = double_kill();
     faults.log = Some(log.clone());
@@ -163,7 +155,7 @@ fn conservation_balances_through_simultaneous_worker_and_merger_deaths() {
         });
     }
     faults.flush_timeout_ms = Some(40);
-    let out = Cell::new(pump_idle_cfg()).run(&frames, &faults);
+    let out = Cell::new(supervised_cfg()).run(&frames, &faults);
     assert_eq!(out.merger_deaths, 2);
     assert_eq!(out.workers_died, 2);
 }
@@ -171,9 +163,10 @@ fn conservation_balances_through_simultaneous_worker_and_merger_deaths() {
 #[test]
 fn degraded_paths_still_deliver_the_benign_stream() {
     // No supervision at all, and supervision with a zero respawn budget:
-    // both degradations (dispatcher-side WAL pumping, final-assembly
-    // serial merge) must still deliver byte-identically — a merger death
-    // never costs packets, only parallelism.
+    // both degradations (no successor, so final assembly merges serially
+    // from the WAL and the runs that waited) must still deliver
+    // byte-identically — a merger death never costs packets, only
+    // parallelism.
     let frames = generate_frames(2_000, 64);
     let mut one_kill = RuntimeFaults::none();
     one_kill.merger_kills.push(MergerKill {
@@ -183,11 +176,11 @@ fn degraded_paths_still_deliver_the_benign_stream() {
     let unsupervised = RuntimeConfig {
         heartbeat_interval_ms: None,
         restart_budget: 0,
-        ..pump_idle_cfg()
+        ..supervised_cfg()
     };
     let no_budget = RuntimeConfig {
         restart_budget: 0,
-        ..pump_idle_cfg()
+        ..supervised_cfg()
     };
     for degraded in [unsupervised, no_budget] {
         for_each_cell(degraded, |cell| {

@@ -1,8 +1,8 @@
 //! Short calls on reused threads.
 //!
-//! `process_parallel*` runs its workers and merger as jobs on a crew of
-//! parked threads that outlive the call, so the thread that served — or
-//! panicked in — call *k* serves call *k + 1*. The contract under test:
+//! `process_parallel*` runs its workers as jobs on a crew of parked
+//! threads that outlive the call (the merge runs on them too), so the
+//! thread that served — or panicked in — call *k* serves call *k + 1*. The contract under test:
 //! nothing of a call survives into the next. Back-to-back 64 KB messages
 //! (46 x 1448 B at batch 8, the repo benchmark's `msg64k` shape) on one
 //! pool deliver the serial stream in position on every call, whatever
@@ -99,7 +99,7 @@ fn every_cell_serves_back_to_back_calls_through_deaths() {
 
 #[test]
 fn concurrent_callers_share_the_crew() {
-    // Four callers at once: the crew must grow to all their jobs (three
+    // Four callers at once: the crew must grow to all their jobs (two
     // per call in flight together) and never hand one call's job to a
     // thread another call is still waiting on.
     let pool = BufPool::for_frames(FRAMES, frame_wire_len(PAYLOAD));

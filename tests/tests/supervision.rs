@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use integration_tests::{cell, Cell, CELLS};
 use mflow_runtime::{
-    generate_frames, process_parallel_faulty, FaultLog, Frame, MergerKill, PolicyKind,
-    RuntimeConfig, RuntimeFaults, WorkerKill,
+    generate_frames, process_parallel_faulty, BackpressurePolicy, FaultLog, Frame, MergerKill,
+    PolicyKind, RuntimeConfig, RuntimeFaults, WorkerKill,
 };
 use proptest::prelude::*;
 
@@ -254,14 +254,11 @@ fn merger_fault_schedule_is_deterministic_across_runs() {
     // across two runs. Kills only: wedge (stall) healing is
     // wall-clock-driven and legitimately timing-dependent. The stall
     // watchdog stays off (budget-only supervision) so a loaded host
-    // cannot inject spurious supersede events, and `merger_depth` keeps
-    // the dispatcher's backlog pump idle so every consumed offer is a
-    // merger incarnation's.
+    // cannot inject spurious supersede events.
     let frames = generate_frames(1_200, 64);
     let mut logs = Vec::new();
     for _run in 0..2 {
         let cfg = RuntimeConfig {
-            merger_depth: 8192,
             heartbeat_interval_ms: None,
             ..supervised_cfg(PolicyKind::Mflow)
         };
@@ -287,6 +284,43 @@ fn merger_fault_schedule_is_deterministic_across_runs() {
         logs[0]
     );
     assert_eq!(logs[0], logs[1], "merger lifecycle diverged across runs");
+}
+
+#[test]
+fn merger_kill_with_one_slot_queues_never_wedges() {
+    // What once wedged a run: the merger dies first thing, behind lanes
+    // of one slot, under every backpressure policy, supervised (a
+    // successor restores) and not (final assembly merges). No offer
+    // waits on the merge, so no worker, lane or dispatcher send can back
+    // up behind a dead one: the call returns and owes the full contract.
+    let frames = generate_frames(1_500, 64);
+    let mut faults = RuntimeFaults::none();
+    faults.merger_kills.push(MergerKill {
+        after_offers: 1,
+        incarnation: 0,
+    });
+    let backpressure = [
+        BackpressurePolicy::Block,
+        BackpressurePolicy::DropTail { budget: 64 },
+        BackpressurePolicy::Inline,
+    ];
+    for backpressure in backpressure {
+        for (restart_budget, heartbeat_interval_ms) in [(16, Some(25)), (0, None)] {
+            let cfg = RuntimeConfig {
+                queue_depth: 1,
+                merger_depth: 1,
+                backpressure,
+                restart_budget,
+                heartbeat_interval_ms,
+                ..supervised_cfg(PolicyKind::Mflow)
+            };
+            let out = check_supervised(&frames, &cfg, &faults);
+            assert_eq!(
+                out.merger_deaths, 1,
+                "{backpressure:?}, budget {restart_budget}"
+            );
+        }
+    }
 }
 
 proptest! {

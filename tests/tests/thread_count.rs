@@ -31,8 +31,8 @@ fn two_thousand_calls_hold_no_more_threads_than_ten() {
     (0..10).for_each(|_| call());
     let after_ten = os_threads();
     (0..2_000).for_each(|_| call());
-    // Two workers and a merger, parked; the same three as after ten
-    // calls. (Back to back, no thread is ever idle for the keep-alive, so
+    // Two workers, parked (the merge runs on them, not on a job of its
+    // own); the same two as after ten calls. (Back to back, no thread is ever idle for the keep-alive, so
     // none retires in between either.)
     assert_eq!(os_threads(), after_ten);
 }
