@@ -19,6 +19,16 @@
 //! stack size and CPU affinity when created, not per job. Everything is
 //! `Mutex` + `Condvar`; the one `unsafe` is the lifetime erasure of the
 //! boxed job that every scoped-thread implementation needs.
+//!
+//! A job runs on its thread, or on its joiner if no thread has started it
+//! by then: [`JoinHandle::join`] takes a job still in its mailbox back and
+//! runs it in place, the help-first join of Cilk and rayon. A kick only
+//! pays when the kicked thread starts before the kicker could have done
+//! the work itself; on a short call, or on one CPU, it has not, and
+//! waiting for it costs context switches. Whoever takes the job out of
+//! the mailbox, under its lock, runs it, so it runs exactly once; and its
+//! thread was still kicked, so a job the joiner runs never waits on a job
+//! that nobody will run.
 
 use std::io;
 use std::marker::PhantomData;
@@ -96,6 +106,9 @@ struct Mailbox {
 struct Crew {
     /// Most recently parked last. A thread lists itself, once, and whoever
     /// unlists it either owes it exactly one job or is the thread, retiring.
+    /// A joiner that takes that job back relists the thread in its place:
+    /// the thread is owed nothing again, with at most a spurious wake-up
+    /// pending.
     idle: Mutex<Vec<Arc<Mailbox>>>,
     /// Creates the OS thread for a mailbox that already holds its first
     /// job: [`os_thread`], or a test's stand-in that refuses.
@@ -127,17 +140,19 @@ impl Crew {
     }
 
     /// Gives `job` to the thread that parked last — the warmest, and the
-    /// others age towards retirement — or, with nobody idle, to a new one.
-    /// `Err` when the OS refuses that thread; the job is then dropped unrun.
-    fn hand(&'static self, job: Job) -> io::Result<()> {
+    /// others age towards retirement — or, with nobody idle, to a new one,
+    /// and returns the mailbox it filled. `Err` when the OS refuses that
+    /// thread; the job is then dropped unrun.
+    fn hand(&'static self, job: Job) -> io::Result<Arc<Mailbox>> {
         let parked = lock(&self.idle).pop();
         let Some(mailbox) = parked else {
             let (job, arrived) = (Mutex::new(Some(job)), Condvar::new());
-            return (self.start)(self, Arc::new(Mailbox { job, arrived }));
+            let mailbox = Arc::new(Mailbox { job, arrived });
+            return (self.start)(self, Arc::clone(&mailbox)).map(|()| mailbox);
         };
         *lock(&mailbox.job) = Some(job);
         mailbox.arrived.notify_one();
-        Ok(())
+        Ok(mailbox)
     }
 
     /// A crew thread's whole life: run a job, park, repeat until retired.
@@ -208,13 +223,16 @@ impl<'scope> Scope<'scope, '_> {
         // SAFETY: only the trait object's lifetime bound changes, so the
         // layout is the same; what must hold is that the closure is
         // neither called nor dropped after `'scope`. It is consumed in one
-        // of two places. A crew thread calls it inside `catch_unwind`,
+        // of three places. A crew thread calls it inside `catch_unwind`,
         // which also drops its captures, strictly before
         // `Pending::job_ended`; the job is counted below before any thread
         // can see it; and `AllEnded`, dropped when `Crew::scope` returns
         // or unwinds and therefore inside `'scope`, waits for the count to
-        // reach zero. Or the OS refuses a thread, and `Crew::hand` drops
-        // the closure unrun before it returns `Err`, inside this call.
+        // reach zero. Or the joiner takes it back and calls it the same
+        // way in `JoinHandle::join`, which needs the `JoinHandle<'scope>`
+        // and so runs inside `'scope` too. Or the OS refuses a thread, and
+        // `Crew::hand` drops the closure unrun before it returns `Err`,
+        // inside this call.
         let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
         let outcome = Arc::<Outcome>::default();
         let job = Job {
@@ -223,14 +241,18 @@ impl<'scope> Scope<'scope, '_> {
             pending: Arc::clone(&self.pending),
         };
         *lock(&self.pending.jobs) += 1;
-        if let Err(e) = self.crew.hand(job) {
+        let mailbox = self.crew.hand(job).unwrap_or_else(|e| {
             // No thread has the job, so none will end it: uncount it, or
             // `AllEnded` waits for ever instead of this panic surfacing.
             self.pending.job_ended();
             panic!("failed to spawn a crew thread: {e}");
+        });
+        JoinHandle {
+            outcome,
+            crew: self.crew,
+            mailbox,
+            scope: PhantomData,
         }
-        let scope = PhantomData;
-        JoinHandle { outcome, scope }
     }
 }
 
@@ -238,6 +260,10 @@ impl<'scope> Scope<'scope, '_> {
 #[must_use = "a job's panic is reported only through `join`"]
 pub(crate) struct JoinHandle<'scope> {
     outcome: Arc<Outcome>,
+    /// The crew and the mailbox the job was handed through, where
+    /// [`JoinHandle::join`] looks for it before it waits.
+    crew: &'static Crew,
+    mailbox: Arc<Mailbox>,
     scope: PhantomData<&'scope ()>,
 }
 
@@ -258,11 +284,33 @@ impl JoinHandle<'_> {
     }
 
     /// Blocks until the job has ended; `Err` carries its panic payload.
+    /// A job no thread has started yet runs here, on the caller.
     pub(crate) fn join(self) -> thread::Result<()> {
+        if let Some(job) = self.take_back() {
+            let result = catch_unwind(AssertUnwindSafe(job.task));
+            job.pending.job_ended();
+            return result;
+        }
         let published = &self.outcome.published;
         let mut result = (published.wait_while(lock(&self.outcome.result), |r| r.is_none()))
             .unwrap_or_else(PoisonError::into_inner);
         result.take().expect("waited until published")
+    }
+
+    /// Takes the job out of its mailbox if it is still there — its thread
+    /// has not started it, and has not moved on to another job — and
+    /// relists that thread idle, since it is owed nothing now.
+    fn take_back(&self) -> Option<Job> {
+        let job = {
+            let mut slot = lock(&self.mailbox.job);
+            let mine = |job: &Job| Arc::ptr_eq(&job.outcome, &self.outcome);
+            if !slot.as_ref().is_some_and(mine) {
+                return None;
+            }
+            slot.take()
+        };
+        lock(&self.crew.idle).push(Arc::clone(&self.mailbox));
+        job
     }
 }
 
@@ -402,6 +450,89 @@ mod tests {
         assert_eq!(size(crew), 0, "still parked long after the keep-alive");
         crew.scope(|s| s.spawn(|| ()).join().unwrap());
         assert_eq!(size(crew), 1);
+    }
+
+    /// A crew whose threads never start: every job is still in its
+    /// mailbox when it is joined, so the joiner runs it, deterministically.
+    fn never_started() -> &'static Crew {
+        crew_started_by(|_, _| Ok(()))
+    }
+
+    #[test]
+    fn a_job_no_thread_has_started_runs_on_its_joiner() {
+        let caller = thread::current().id();
+        let ran_on = Mutex::new(None);
+        never_started().scope(|s| {
+            let job = s.spawn(|| *lock(&ran_on) = Some(thread::current().id()));
+            assert!(!job.is_finished(), "nobody has run it yet");
+            assert!(job.join().is_ok());
+        });
+        assert_eq!(*lock(&ran_on), Some(caller));
+    }
+
+    #[test]
+    fn a_taken_back_job_panics_into_its_join_and_the_scope_returns() {
+        let crew = never_started();
+        let after = crew.scope(|s| {
+            let job = s.spawn(|| resume_unwind(Box::new("job panic")));
+            let payload = job.join().expect_err("the panic is the job's result");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"job panic"));
+            "returned"
+        });
+        assert_eq!(after, "returned");
+        assert_eq!(size(crew), 1, "the mailbox went back to idle");
+    }
+
+    #[test]
+    fn a_taken_back_job_relists_its_thread() {
+        let crew = never_started();
+        for k in 0..1_000 {
+            let ran = AtomicUsize::new(0);
+            crew.scope(|s| {
+                s.spawn(|| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+                .join()
+                .unwrap();
+            });
+            assert_eq!(ran.load(Ordering::SeqCst), 1, "scope {k}");
+            assert_eq!(size(crew), 1, "scope {k}: the crew grew");
+        }
+    }
+
+    #[test]
+    fn joins_racing_their_threads_run_every_job_exactly_once() {
+        // Whether a job runs on its thread or its joiner is decided per
+        // job under the mailbox lock; either way exactly once.
+        let crew = private_crew();
+        thread::scope(|callers| {
+            for _ in 0..4 {
+                callers.spawn(|| {
+                    for k in 0..500 {
+                        let runs = [(); 4].map(|()| AtomicUsize::new(0));
+                        crew.scope(|s| {
+                            let mut jobs: Vec<_> = (runs.iter())
+                                .map(|runs| {
+                                    s.spawn(move || {
+                                        runs.fetch_add(1, Ordering::SeqCst);
+                                    })
+                                })
+                                .collect();
+                            // Every other scope joins in reverse, so some
+                            // joins come after the thread has taken the job.
+                            if k % 2 == 1 {
+                                jobs.reverse();
+                            }
+                            jobs.into_iter().for_each(|h| h.join().unwrap());
+                        });
+                        for (job, runs) in runs.iter().enumerate() {
+                            assert_eq!(runs.load(Ordering::SeqCst), 1, "scope {k} job {job}");
+                        }
+                    }
+                });
+            }
+        });
+        assert!(size(crew) <= 16, "more threads than jobs ever in flight");
     }
 
     #[test]

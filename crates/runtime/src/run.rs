@@ -52,7 +52,11 @@
 //! Of the persistent runtime (ROADMAP item 7) the *thread* half exists:
 //! workers are jobs of one [`crew::scope`] per call — exactly `workers`
 //! of them on a fan-out call — run on parked threads that outlive the
-//! call, so a call creates and destroys no OS thread; rings, merge block
+//! call, so a call creates and destroys no OS thread. An unsupervised
+//! teardown's join runs a worker job that no crew thread has started
+//! yet on the calling thread itself, so a short call pays no context
+//! switch for a kick that could not pay off; supervised joins wait for
+//! the job's own thread, tending the merge meanwhile. Rings, merge block
 //! and supervisor are still built per call. The *handle* half (`start` /
 //! `submit` / `recv_ordered` / `shutdown`) is not built. It keeps this
 //! shape: its workers are crew jobs that do not return between

@@ -14,7 +14,7 @@
 //! dead lane: the kill calls below are the regression test for the
 //! teardown pass that runs such a lane's retained window inline.
 
-use integration_tests::for_each_cell;
+use integration_tests::{for_each_cell, Cell};
 use mflow_runtime::{
     frame_wire_len, generate_frames_into, process_parallel, process_serial_stateful, BufPool,
     MergerKill, RuntimeConfig, RuntimeFaults, WorkerKill,
@@ -94,6 +94,39 @@ fn every_cell_serves_back_to_back_calls_through_deaths() {
         );
         assert_eq!(merger_deaths, CALLS_PER_CELL / 3, "{ctx}");
     });
+    assert_eq!(pool.in_flight(), FRAMES as u64);
+}
+
+#[test]
+fn unsupervised_calls_whose_caller_runs_a_dying_worker() {
+    // Unsupervised, teardown joins each worker without tending it: a
+    // worker job no crew thread has started by then runs on the caller,
+    // so an injected death may unwind there instead. The death is the
+    // job's, whichever thread ran it: counted once, its lane's losses an
+    // ordered gap, and nothing of it left for the next call.
+    let pool = BufPool::for_frames(FRAMES, frame_wire_len(PAYLOAD));
+    let frames = generate_frames_into(&pool, FRAMES, PAYLOAD);
+    let cell = Cell::new(RuntimeConfig {
+        workers: WORKERS,
+        batch_size: 8,
+        restart_budget: 0,
+        ..RuntimeConfig::default()
+    });
+    assert!(!cell.cfg.supervised());
+    for k in 0..100 {
+        let mut faults = RuntimeFaults::none();
+        faults.kills.push(WorkerKill {
+            worker: k % WORKERS,
+            after_batches: 1,
+            incarnation: 0,
+        });
+        // Ordered and duplicate-free, in position, every loss attributed,
+        // and the pool conserved: `Cell::run` checks all of it.
+        let out = cell.run(&frames, &faults);
+        assert_eq!(out.workers_died, 1, "kill call {k}");
+        let out = cell.run_exact(&frames, &RuntimeFaults::none());
+        assert_eq!(out.workers_died, 0, "call after kill call {k}");
+    }
     assert_eq!(pool.in_flight(), FRAMES as u64);
 }
 

@@ -31,8 +31,10 @@ fn two_thousand_calls_hold_no_more_threads_than_ten() {
     (0..10).for_each(|_| call());
     let after_ten = os_threads();
     (0..2_000).for_each(|_| call());
-    // Two workers, parked (the merge runs on them, not on a job of its
-    // own); the same two as after ten calls. (Back to back, no thread is ever idle for the keep-alive, so
-    // none retires in between either.)
+    // At most two crew threads, one per worker job (the merge runs on
+    // the workers, not on a job of its own), and the same ones as after
+    // ten calls: a job its joiner ran relists its thread idle, so the
+    // next call pops it again. (Back to back, no thread is ever idle for
+    // the keep-alive, so none retires in between either.)
     assert_eq!(os_threads(), after_ten);
 }
