@@ -6,8 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mflow_net::checksum::{lane_sum, ones_complement_sum};
 use mflow_net::frame::{
-    build_overlay_frame, parse_overlay_frame, parse_overlay_frame_ref, walk_overlay_frame,
-    OverlayFrameSpec,
+    build_overlay_frame, build_overlay_frame_into, parse_overlay_frame, parse_overlay_frame_ref,
+    walk_overlay_frame, OverlayFrameSpec,
 };
 use mflow_net::toeplitz::rss_hash_v4;
 use mflow_runtime::work::{process_frame, process_frames};
@@ -24,6 +24,19 @@ fn bench_frames(c: &mut Criterion) {
             BenchmarkId::new("build", payload),
             &spec,
             |b, spec| b.iter(|| build_overlay_frame(spec).len()),
+        );
+        // The builder alone, into a reused scratch as the frame
+        // generators call it: the ID above also pays for the allocation.
+        let mut scratch = Vec::with_capacity(frame.len());
+        group.bench_with_input(
+            BenchmarkId::new("build_overlay_frame_into", payload),
+            &spec,
+            |b, spec| {
+                b.iter(|| {
+                    build_overlay_frame_into(black_box(spec), &mut scratch);
+                    scratch.len()
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("parse_verify", payload),

@@ -76,11 +76,19 @@ impl EthernetHeader {
     /// Encoded size in bytes.
     pub const LEN: usize = 14;
 
+    /// The header's wire bytes.
+    #[inline(always)]
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
+        let mut b = [0; Self::LEN];
+        b[..6].copy_from_slice(&self.dst.0);
+        b[6..12].copy_from_slice(&self.src.0);
+        b[12..].copy_from_slice(&u16::from(self.ethertype).to_be_bytes());
+        b
+    }
+
     /// Writes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parses a header from the front of `buf`, returning it and the rest.

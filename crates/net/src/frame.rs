@@ -83,58 +83,16 @@ pub const OVERLAY_HEADER_BYTES: usize = EthernetHeader::LEN
     + Ipv4Header::LEN
     + TcpHeader::LEN;
 
-/// Builds the inner frame (Ethernet/IPv4/transport/payload).
-fn build_inner(spec: &OverlayFrameSpec) -> Vec<u8> {
-    let mut inner = Vec::with_capacity(64 + spec.payload.len());
-    EthernetHeader {
-        dst: spec.inner_dst_mac,
-        src: spec.inner_src_mac,
-        ethertype: EtherType::Ipv4,
-    }
-    .encode(&mut inner);
-    match spec.proto {
-        Proto::Tcp => {
-            let ip = Ipv4Header::simple(
-                spec.inner_src_ip,
-                spec.inner_dst_ip,
-                PROTO_TCP,
-                TcpHeader::LEN + spec.payload.len(),
-            );
-            ip.encode(&mut inner);
-            TcpHeader::for_payload(
-                spec.inner_src_port,
-                spec.inner_dst_port,
-                spec.tcp_seq,
-                0,
-                flags::ACK,
-                0xFFFF,
-                spec.inner_src_ip,
-                spec.inner_dst_ip,
-                &spec.payload,
-            )
-            .encode(&mut inner);
-        }
-        Proto::Udp => {
-            let ip = Ipv4Header::simple(
-                spec.inner_src_ip,
-                spec.inner_dst_ip,
-                PROTO_UDP,
-                UdpHeader::LEN + spec.payload.len(),
-            );
-            ip.encode(&mut inner);
-            UdpHeader::for_payload(
-                spec.inner_src_port,
-                spec.inner_dst_port,
-                spec.inner_src_ip,
-                spec.inner_dst_ip,
-                &spec.payload,
-            )
-            .encode(&mut inner);
-        }
-    }
-    inner.extend_from_slice(&spec.payload);
-    inner
-}
+/// Where the outer IPv4 header starts in a frame this crate builds.
+const OUTER_IP_AT: usize = EthernetHeader::LEN;
+
+/// Where the outer UDP header starts: behind an outer IPv4 header without
+/// options.
+const OUTER_UDP_AT: usize = OUTER_IP_AT + Ipv4Header::LEN;
+
+/// Where the tunnel header starts, and with it what the outer UDP
+/// checksum covers besides its own header.
+const TUNNEL_AT: usize = OUTER_UDP_AT + UdpHeader::LEN;
 
 /// Builds a complete VXLAN-encapsulated overlay frame.
 pub fn build_overlay_frame(spec: &OverlayFrameSpec) -> Vec<u8> {
@@ -147,9 +105,7 @@ pub fn build_overlay_frame(spec: &OverlayFrameSpec) -> Vec<u8> {
 /// streaming frames into a buffer pool can reuse one scratch vector
 /// instead of allocating per frame.
 pub fn build_overlay_frame_into(spec: &OverlayFrameSpec, out: &mut Vec<u8>) {
-    let mut tunnel_payload = Vec::new();
-    VxlanHeader::new(spec.vni).encode(&mut tunnel_payload);
-    encapsulate_into(spec, VXLAN_PORT, tunnel_payload, out);
+    encapsulate_into(spec, VXLAN_PORT, VxlanHeader::new(spec.vni).to_bytes(), out);
 }
 
 /// Builds a Geneve-encapsulated overlay frame (RFC 8926) with the same
@@ -160,53 +116,108 @@ pub fn build_geneve_frame(spec: &OverlayFrameSpec) -> Vec<u8> {
     frame
 }
 
-/// Geneve counterpart of [`build_overlay_frame_into`].
+/// Geneve counterpart of [`build_overlay_frame_into`]: a header with no
+/// options, as long as VXLAN's.
 pub fn build_geneve_frame_into(spec: &OverlayFrameSpec, out: &mut Vec<u8>) {
-    let mut tunnel_payload = Vec::new();
-    GeneveHeader::new(spec.vni).encode(&mut tunnel_payload);
-    encapsulate_into(spec, GENEVE_PORT, tunnel_payload, out);
+    let tunnel_header = GeneveHeader::new(spec.vni).base_bytes();
+    encapsulate_into(spec, GENEVE_PORT, tunnel_header, out);
 }
 
-/// Wraps the inner frame in outer Ethernet/IPv4/UDP around the given
-/// tunnel header bytes, writing the wire frame into `out`.
+/// Builds the overlay frame into `out` in one pass: the headers in wire
+/// order, the outer IPv4 and UDP headers' place held; one lane sum of the
+/// payload, which seals the inner transport checksum; one copy of the
+/// payload; and then the outer headers, now that their length is known,
+/// the UDP checksum sealed from the header prefix behind it plus the
+/// *same* payload lanes. The send-side mirror of [`OverlayLanes::verify`]:
+/// the prefix is whole headers of even length, so the payload starts on a
+/// word boundary and the lane sums add.
 fn encapsulate_into(
     spec: &OverlayFrameSpec,
     dst_port: u16,
-    mut tunnel_payload: Vec<u8>,
-    frame: &mut Vec<u8>,
+    tunnel_header: [u8; VxlanHeader::LEN],
+    out: &mut Vec<u8>,
 ) {
-    let inner = build_inner(spec);
-    tunnel_payload.extend_from_slice(&inner);
+    let payload = spec.payload.as_slice();
+    let payload_lanes = checksum::lane_sum(payload);
+    out.clear();
+    out.reserve(OVERLAY_HEADER_BYTES + payload.len());
+    out.extend_from_slice(
+        &EthernetHeader {
+            dst: spec.outer_dst_mac,
+            src: spec.outer_src_mac,
+            ethertype: EtherType::Ipv4,
+        }
+        .to_bytes(),
+    );
+    out.extend_from_slice(&[0; Ipv4Header::LEN + UdpHeader::LEN]); // written last
+    out.extend_from_slice(&tunnel_header);
+    push_inner_headers(spec, payload_lanes, out);
+    let prefix_lanes = checksum::lane_sum(&out[TUNNEL_AT..]);
+    out.extend_from_slice(payload);
 
-    frame.clear();
-    frame.reserve(EthernetHeader::LEN + Ipv4Header::LEN + UdpHeader::LEN + tunnel_payload.len());
-    EthernetHeader {
-        dst: spec.outer_dst_mac,
-        src: spec.outer_src_mac,
-        ethertype: EtherType::Ipv4,
-    }
-    .encode(frame);
-    Ipv4Header::simple(
-        spec.outer_src_ip,
-        spec.outer_dst_ip,
-        PROTO_UDP,
-        UdpHeader::LEN + tunnel_payload.len(),
-    )
-    .encode(frame);
-    UdpHeader::for_payload(
-        spec.outer_src_port,
+    let udp_len = out.len() - OUTER_UDP_AT;
+    let (src, dst) = (spec.outer_src_ip, spec.outer_dst_ip);
+    let ip = Ipv4Header::simple(src, dst, PROTO_UDP, udp_len);
+    out[OUTER_IP_AT..OUTER_UDP_AT].copy_from_slice(&ip.to_bytes());
+    let udp = UdpHeader {
+        src_port: spec.outer_src_port,
         dst_port,
-        spec.outer_src_ip,
-        spec.outer_dst_ip,
-        &tunnel_payload,
-    )
-    .encode(frame);
-    frame.extend_from_slice(&tunnel_payload);
+        length: udp_len as u16,
+        checksum: 0,
+    };
+    let udp = udp.sealed(src, dst, prefix_lanes + payload_lanes);
+    out[OUTER_UDP_AT..TUNNEL_AT].copy_from_slice(&udp.to_bytes());
 }
 
-/// Builds a native (non-encapsulated) frame with the inner addressing.
+/// Appends the inner Ethernet, IPv4 and transport headers to `out`, the
+/// transport checksum sealed with `payload_lanes`, the
+/// [`checksum::lane_sum`] of `spec.payload`.
+fn push_inner_headers(spec: &OverlayFrameSpec, payload_lanes: u64, out: &mut Vec<u8>) {
+    out.extend_from_slice(
+        &EthernetHeader {
+            dst: spec.inner_dst_mac,
+            src: spec.inner_src_mac,
+            ethertype: EtherType::Ipv4,
+        }
+        .to_bytes(),
+    );
+    let (src, dst, len) = (spec.inner_src_ip, spec.inner_dst_ip, spec.payload.len());
+    match spec.proto {
+        Proto::Tcp => {
+            let ip = Ipv4Header::simple(src, dst, PROTO_TCP, TcpHeader::LEN + len);
+            out.extend_from_slice(&ip.to_bytes());
+            let tcp = TcpHeader {
+                src_port: spec.inner_src_port,
+                dst_port: spec.inner_dst_port,
+                seq: spec.tcp_seq,
+                ack: 0,
+                flags: flags::ACK,
+                window: 0xFFFF,
+                checksum: 0,
+            };
+            out.extend_from_slice(&tcp.sealed(src, dst, len, payload_lanes).to_bytes());
+        }
+        Proto::Udp => {
+            let ip = Ipv4Header::simple(src, dst, PROTO_UDP, UdpHeader::LEN + len);
+            out.extend_from_slice(&ip.to_bytes());
+            let udp = UdpHeader {
+                src_port: spec.inner_src_port,
+                dst_port: spec.inner_dst_port,
+                length: (UdpHeader::LEN + len) as u16,
+                checksum: 0,
+            };
+            out.extend_from_slice(&udp.sealed(src, dst, payload_lanes).to_bytes());
+        }
+    }
+}
+
+/// Builds a native (non-encapsulated) frame with the inner addressing:
+/// the inner headers of [`build_overlay_frame`] and the payload.
 pub fn build_native_frame(spec: &OverlayFrameSpec) -> Vec<u8> {
-    build_inner(spec)
+    let mut frame = Vec::with_capacity(OVERLAY_HEADER_BYTES + spec.payload.len());
+    push_inner_headers(spec, checksum::lane_sum(&spec.payload), &mut frame);
+    frame.extend_from_slice(&spec.payload);
+    frame
 }
 
 /// The result of parsing an overlay frame down to the application payload.

@@ -76,11 +76,11 @@ impl GeneveHeader {
         false
     }
 
-    /// Writes the header into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    /// The fixed 8 bytes of the header, which name the length of the
+    /// options that follow them: the whole header when it has none.
+    pub(crate) fn base_bytes(&self) -> [u8; Self::BASE_LEN] {
         let opt_words = (self.len() - Self::BASE_LEN) / 4;
         assert!(opt_words < 64, "options exceed 6-bit length field");
-        out.push(opt_words as u8); // version 0 in the top 2 bits
         let mut flags = 0u8;
         if self.control {
             flags |= 0x80;
@@ -88,10 +88,16 @@ impl GeneveHeader {
         if self.critical {
             flags |= 0x40;
         }
-        out.push(flags);
-        out.extend_from_slice(&PROTO_ETHERNET.to_be_bytes());
-        let vni = self.vni << 8;
-        out.extend_from_slice(&vni.to_be_bytes());
+        let [p0, p1] = PROTO_ETHERNET.to_be_bytes();
+        let [v0, v1, v2, _] = (self.vni << 8).to_be_bytes();
+        // Version 0 in the top 2 bits of the first byte; a reserved byte
+        // after the VNI.
+        [opt_words as u8, flags, p0, p1, v0, v1, v2, 0]
+    }
+
+    /// Writes the header into `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.base_bytes());
         for o in &self.options {
             out.extend_from_slice(&o.class.to_be_bytes());
             out.push(o.option_type);

@@ -46,13 +46,9 @@ impl Ipv4Header {
         }
     }
 
-    /// Writes the header (with a valid checksum) into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.push(0x45); // version 4, IHL 5
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.identification.to_be_bytes());
+    /// The header's wire bytes, with a valid checksum.
+    #[inline(always)]
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
         let mut flags_frag = self.fragment_offset & 0x1FFF;
         if self.dont_fragment {
             flags_frag |= 0x4000;
@@ -60,14 +56,24 @@ impl Ipv4Header {
         if self.more_fragments {
             flags_frag |= 0x2000;
         }
-        out.extend_from_slice(&flags_frag.to_be_bytes());
-        out.push(self.ttl);
-        out.push(self.protocol);
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src);
-        out.extend_from_slice(&self.dst);
-        let ck = checksum::checksum(&out[start..start + Self::LEN]);
-        out[start + 10..start + 12].copy_from_slice(&ck.to_be_bytes());
+        let mut b = [0; Self::LEN];
+        b[0] = 0x45; // version 4, IHL 5; DSCP/ECN 0
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        b[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        b[8] = self.ttl;
+        b[9] = self.protocol;
+        b[12..16].copy_from_slice(&self.src);
+        b[16..20].copy_from_slice(&self.dst);
+        // Summed with its checksum field still 0.
+        let ck = checksum::finish(checksum::fold_lanes(checksum::lane_sum_fixed(&b)));
+        b[10..12].copy_from_slice(&ck.to_be_bytes());
+        b
+    }
+
+    /// Writes the header (with a valid checksum) into `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parses and checksum-verifies a header from the front of `buf`.

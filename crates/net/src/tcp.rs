@@ -43,7 +43,7 @@ impl TcpHeader {
         dst_ip: [u8; 4],
         payload: &[u8],
     ) -> Self {
-        let mut h = Self {
+        Self {
             src_port,
             dst_port,
             seq,
@@ -51,10 +51,25 @@ impl TcpHeader {
             flags,
             window,
             checksum: 0,
-        };
-        let lanes = h.header_lanes(src_ip, dst_ip, payload.len()) + checksum::lane_sum(payload);
-        h.checksum = checksum::finish(checksum::fold_lanes(lanes));
-        h
+        }
+        .sealed(src_ip, dst_ip, payload.len(), checksum::lane_sum(payload))
+    }
+
+    /// This header with the checksum of a `payload_len`-byte payload whose
+    /// [`checksum::lane_sum`] is `payload_lanes`: [`Self::for_payload`]
+    /// for a caller that has summed the payload already.
+    #[inline(always)]
+    pub(crate) fn sealed(
+        mut self,
+        src_ip: [u8; 4],
+        dst_ip: [u8; 4],
+        payload_len: usize,
+        payload_lanes: u64,
+    ) -> Self {
+        self.checksum = 0;
+        let lanes = self.header_lanes(src_ip, dst_ip, payload_len) + payload_lanes;
+        self.checksum = checksum::finish(checksum::fold_lanes(lanes));
+        self
     }
 
     /// Lane sum ([`checksum::lane_sum`]) of the pseudo-header and this
@@ -76,17 +91,24 @@ impl TcpHeader {
             + self.checksum.to_be() as u64
     }
 
+    /// The header's wire bytes.
+    #[inline(always)]
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
+        let mut b = [0; Self::LEN];
+        b[..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        b[12] = 5 << 4; // data offset = 5 words
+        b[13] = self.flags;
+        b[14..16].copy_from_slice(&self.window.to_be_bytes());
+        b[16..18].copy_from_slice(&self.checksum.to_be_bytes());
+        b // urgent pointer 0
+    }
+
     /// Writes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(5 << 4); // data offset = 5 words
-        out.push(self.flags);
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&self.checksum.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // urgent pointer
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parses a header from the front of `buf`.

@@ -27,20 +27,26 @@ impl UdpHeader {
         dst_ip: [u8; 4],
         payload: &[u8],
     ) -> Self {
-        let length = (Self::LEN + payload.len()) as u16;
-        let mut h = Self {
+        Self {
             src_port,
             dst_port,
-            length,
+            length: (Self::LEN + payload.len()) as u16,
             checksum: 0,
-        };
-        let lanes = h.header_lanes(src_ip, dst_ip) + checksum::lane_sum(payload);
-        let mut ck = checksum::finish(checksum::fold_lanes(lanes));
-        if ck == 0 {
-            ck = 0xFFFF; // RFC 768: zero checksum means "not computed"
         }
-        h.checksum = ck;
-        h
+        .sealed(src_ip, dst_ip, checksum::lane_sum(payload))
+    }
+
+    /// This header, its `length` set, with the checksum of a payload whose
+    /// [`checksum::lane_sum`] is `payload_lanes`: [`Self::for_payload`]
+    /// for a caller that has summed the payload already.
+    #[inline(always)]
+    pub(crate) fn sealed(mut self, src_ip: [u8; 4], dst_ip: [u8; 4], payload_lanes: u64) -> Self {
+        self.checksum = 0;
+        let lanes = self.header_lanes(src_ip, dst_ip) + payload_lanes;
+        let ck = checksum::finish(checksum::fold_lanes(lanes));
+        // RFC 768: a zero checksum means "not computed".
+        self.checksum = if ck == 0 { 0xFFFF } else { ck };
+        self
     }
 
     /// Lane sum ([`checksum::lane_sum`]) of the pseudo-header and this
@@ -56,12 +62,19 @@ impl UdpHeader {
             + self.checksum.to_be() as u64
     }
 
+    /// The header's wire bytes.
+    #[inline(always)]
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
+        let [s0, s1] = self.src_port.to_be_bytes();
+        let [d0, d1] = self.dst_port.to_be_bytes();
+        let [l0, l1] = self.length.to_be_bytes();
+        let [c0, c1] = self.checksum.to_be_bytes();
+        [s0, s1, d0, d1, l0, l1, c0, c1]
+    }
+
     /// Writes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.length.to_be_bytes());
-        out.extend_from_slice(&self.checksum.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parses a header from the front of `buf`.

@@ -30,12 +30,17 @@ impl VxlanHeader {
         Self { vni }
     }
 
+    /// The header's wire bytes.
+    #[inline(always)]
+    pub(crate) fn to_bytes(self) -> [u8; Self::LEN] {
+        let [v0, v1, v2, _] = (self.vni << 8).to_be_bytes();
+        // I flag set (VNI is valid), then reserved bytes around the VNI.
+        [0x08, 0, 0, 0, v0, v1, v2, 0]
+    }
+
     /// Writes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(0x08); // I flag set: VNI is valid
-        out.extend_from_slice(&[0, 0, 0]); // reserved
-        let vni = self.vni << 8;
-        out.extend_from_slice(&vni.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parses a header from the front of `buf`.

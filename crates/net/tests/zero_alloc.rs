@@ -1,7 +1,9 @@
 //! `parse_overlay_frame_ref` promises a parse "without copying or
 //! allocating", and the runtime's workers rely on it per frame, and on
 //! its two halves — the header walk and the checksum verdicts — when a
-//! pipeline runs them apart. Counted
+//! pipeline runs them apart. The `_into` builders promise the sending
+//! side the same once their scratch `Vec` has held a frame as long.
+//! Counted
 //! from outside, under a counting global allocator — so this binary holds
 //! exactly one test: a second one, on its own thread, would allocate into
 //! the same count.
@@ -9,8 +11,8 @@
 use mflow_metrics::CountingAlloc;
 use mflow_net::checksum::lane_sum;
 use mflow_net::frame::{
-    build_geneve_frame, build_overlay_frame, parse_overlay_frame_ref, walk_overlay_frame,
-    OverlayFrameSpec,
+    build_geneve_frame, build_geneve_frame_into, build_overlay_frame, build_overlay_frame_into,
+    parse_overlay_frame_ref, walk_overlay_frame, OverlayFrameSpec,
 };
 use mflow_net::geneve::GeneveHeader;
 
@@ -63,5 +65,17 @@ fn the_overlay_parse_never_allocates() {
         let verified = ALLOC.allocations() - before - walked;
         assert_eq!((view.payload.len(), verdict), (200, Ok(())), "{shape}");
         assert_eq!((walked, verified), (0, 0), "{shape}: walk, verify");
+    }
+
+    let udp = OverlayFrameSpec::example_udp(2, vec![0xA5; 200]);
+    let mut scratch = Vec::new();
+    build_overlay_frame_into(&spec, &mut scratch); // warms it
+    for (shape, spec) in [("tcp", &spec), ("udp", &udp)] {
+        let before = ALLOC.allocations();
+        build_overlay_frame_into(spec, &mut scratch);
+        build_geneve_frame_into(spec, &mut scratch);
+        let allocations = ALLOC.allocations() - before;
+        assert_eq!(scratch, build_geneve_frame(spec), "{shape}");
+        assert_eq!(allocations, 0, "{shape}: vxlan and geneve builds");
     }
 }

@@ -138,23 +138,23 @@ pub fn generate_frames(n: usize, payload_len: usize) -> Vec<Frame> {
     generate_frames_into(&pool, n, payload_len)
 }
 
-/// [`generate_frames`] into a caller-owned pool: one reused scratch
-/// vector, one slab copy per frame, no per-frame heap allocation — the
+/// [`generate_frames`] into a caller-owned pool: one spec whose sequence
+/// number and payload bytes advance in place, one reused scratch vector,
+/// one slab copy per frame, no per-frame heap allocation — the
 /// steady-state recycle path the benches measure.
 pub fn generate_frames_into(pool: &BufPool, n: usize, payload_len: usize) -> Vec<Frame> {
     let mut scratch = Vec::with_capacity(frame_wire_len(payload_len));
+    let mut spec = OverlayFrameSpec::example_tcp(1, 0, vec![0u8; payload_len]);
     (0..n as u64)
         .map(|seq| {
-            let mut payload = vec![0u8; payload_len];
+            spec.tcp_seq = (seq as u32).wrapping_mul(1448);
             let mut x = seq.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-            for b in payload.iter_mut() {
+            for b in spec.payload.iter_mut() {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 *b = x as u8;
             }
-            let spec =
-                OverlayFrameSpec::example_tcp(1, (seq as u32).wrapping_mul(1448), payload);
             build_overlay_frame_into(&spec, &mut scratch);
             Frame::new(seq, pool.alloc(&scratch))
         })
