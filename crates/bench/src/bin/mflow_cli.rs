@@ -112,6 +112,19 @@ fn parse_policy(name: &str) -> PolicyKind {
     })
 }
 
+/// Whether `BufPool::new(slots, slot_len)` can build the pool: at least
+/// one slot, slots indexed by `u32`, and a slab of `slots * slot_len`
+/// bytes whose length, rounded up to whole 2 MiB huge pages as the pool
+/// maps it, fits a `usize`. (`slot_len` is never 0 here: a zero
+/// `--pool-slab` picks the default.)
+fn pool_fits(slots: usize, slot_len: usize) -> bool {
+    (1..=u32::MAX as usize).contains(&slots)
+        && slots
+            .checked_mul(slot_len)
+            .and_then(|len| len.checked_next_multiple_of(2 << 20))
+            .is_some()
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         system: System::Mflow,
@@ -361,7 +374,22 @@ fn run_runtime(a: &Args) {
     // exactly, pcap replay sizes slots for the largest typical MTU frame
     // unless overridden with --pool-slots / --pool-slab.
     const PAYLOAD: usize = 1400;
-    let (pool, frames, n_frames) = if let Some(path) = &a.pcap {
+    let slab = match (a.pool_slab, &a.pcap) {
+        (0, Some(_)) => 2048,
+        (0, None) => frame_wire_len(PAYLOAD),
+        (slab, _) => slab,
+    };
+    let slots = if a.pool_slots > 0 { a.pool_slots } else { a.frames };
+    if !pool_fits(slots, slab) {
+        eprintln!(
+            "a pool of {slots} slots x {slab} B cannot be built \
+             (1 to {} slots, and slots x bytes in whole 2 MiB pages must fit a usize)",
+            u32::MAX
+        );
+        usage()
+    }
+    let pool = BufPool::new(slots, slab);
+    let (frames, n_frames) = if let Some(path) = &a.pcap {
         let data = match std::fs::read(path) {
             Ok(d) => d,
             Err(e) => {
@@ -369,9 +397,6 @@ fn run_runtime(a: &Args) {
                 std::process::exit(2);
             }
         };
-        let slab = if a.pool_slab > 0 { a.pool_slab } else { 2048 };
-        let slots = if a.pool_slots > 0 { a.pool_slots } else { a.frames };
-        let pool = BufPool::new(slots, slab);
         let frames = match frames_from_pcap(&pool, &data) {
             Ok(f) => f,
             Err(e) => {
@@ -380,17 +405,9 @@ fn run_runtime(a: &Args) {
             }
         };
         let n = frames.len();
-        (pool, frames, n)
+        (frames, n)
     } else {
-        let slab = if a.pool_slab > 0 {
-            a.pool_slab
-        } else {
-            frame_wire_len(PAYLOAD)
-        };
-        let slots = if a.pool_slots > 0 { a.pool_slots } else { a.frames };
-        let pool = BufPool::new(slots, slab);
-        let frames = generate_frames_into(&pool, a.frames, PAYLOAD);
-        (pool, frames, a.frames)
+        (generate_frames_into(&pool, a.frames, PAYLOAD), a.frames)
     };
     let out = match process_parallel_faulty(&frames, &cfg, &a.rt_faults) {
         Ok(out) => out,
@@ -698,8 +715,6 @@ struct PolicyPoint {
 /// paper's headline claim as a regression gate.
 fn run_bench_policy(a: &Args) {
     const PAYLOAD: usize = 256;
-    const POLICIES: [PolicyKind; 3] =
-        [PolicyKind::Mflow, PolicyKind::Rps, PolicyKind::FalconFunc];
     const ITERS: usize = 5;
 
     let n_frames = a.frames;
@@ -708,7 +723,7 @@ fn run_bench_policy(a: &Args) {
     let frames = generate_frames(n_frames, PAYLOAD);
     let bytes: u64 = frames.iter().map(|f| f.bytes().len() as u64).sum();
     let mut points: Vec<PolicyPoint> = Vec::new();
-    for policy in POLICIES {
+    for policy in PolicyKind::ALL {
         let cfg = RuntimeConfig {
             workers: 4,
             batch_size: 32,
@@ -928,5 +943,25 @@ fn main() {
     );
     if a.cpu {
         println!("\nper-core CPU:\n{}", r.cpu.render(r.duration_ns));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::pool_fits;
+
+    #[test]
+    fn pool_fits_rejects_what_bufpool_new_cannot_build() {
+        assert!(pool_fits(1, 1));
+        assert!(pool_fits(u32::MAX as usize, 1));
+        assert!(pool_fits(1 << 20, 2048));
+        // No slot, more slots than a u32 indexes.
+        assert!(!pool_fits(0, 2048));
+        assert!(!pool_fits(u32::MAX as usize + 1, 1));
+        // The slab's length overflows usize, or does once rounded up to
+        // whole huge pages.
+        assert!(!pool_fits(1 << 20, 1 << 44));
+        assert!(!pool_fits(2, usize::MAX / 2 + 1));
+        assert!(!pool_fits(2, usize::MAX / 2));
     }
 }

@@ -77,10 +77,9 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Micro-flow batch size in packets.
     pub batch_size: usize,
-    /// Bounded ring depth between dispatcher and each worker (and between
-    /// the stages of a chain), in micro-flows: a slot is one 40-byte
-    /// descriptor. The default, 64, lets a dispatcher that shares its CPU
-    /// with the workers fill a scheduling round's worth before it has to
+    /// Bounded ring depth between dispatcher and each worker, in
+    /// micro-flows: a slot is one 40-byte descriptor. The default, 64,
+    /// lets a dispatcher that shares its CPU with the workers fill a scheduling round's worth before it has to
     /// give the CPU away — on one CPU a call context-switches about
     /// frames ÷ (depth × batch × lanes) × 4 times — and at the benchmark's
     /// batch of 32 holds 2048 packets a lane, twice Linux's per-CPU
@@ -98,14 +97,13 @@ pub struct RuntimeConfig {
     /// Inert: every lane is a request ring (see [`Transport`]).
     pub transport: Transport,
     /// Inert, like [`RuntimeConfig::transport`]: it sized the worker→merger
-    /// rings, and there are none — tails merge their runs in place
+    /// rings, and there are none — workers merge their runs in place
     /// (`crate::merge`), so no merge queue can fill. Still validated (a
     /// nonzero power of two) because the frozen `benchmark/` crate reads
     /// it to size its ring-layer probes; it goes away with that crate's
     /// next change (see ROADMAP).
     pub merger_depth: usize,
-    /// Which steering policy drives dispatch (lane choice, chain
-    /// topology, merger engagement).
+    /// Which steering policy picks each micro-flow's lane.
     pub policy: PolicyKind,
     /// Missed-heartbeat deadline in milliseconds: a worker whose
     /// heartbeat epoch has not moved for this long *while it has work

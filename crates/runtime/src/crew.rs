@@ -11,8 +11,9 @@
 //!
 //! A spawn pops the idle thread that parked last and fills its mailbox;
 //! **with none idle it creates one — no queue, no size cap**, because
-//! pipeline jobs block on each other's rings (a chain stage waits for its
-//! next stage to drain, every stage for its upstream to close), so a job
+//! pipeline jobs block on rings whose other end may be a job not yet
+//! started (a worker waits for the dispatcher's next send while the
+//! dispatcher waits for another worker to drain its full ring), so a job
 //! held back until a thread frees up is a deadlock. The crew grows to the most
 //! jobs ever in flight at once and shrinks as threads idle for
 //! [`KEEP_ALIVE`] retire. Crew threads are detached and take their name,

@@ -1,8 +1,8 @@
 //! The dispatch side: micro-flow descriptors, the steering-policy
-//! instance, and the [`Dispatcher`] that sends descriptors to lane heads
-//! under backpressure and redispatches what a dead lane still held.
+//! instance, and the [`Dispatcher`] that sends descriptors to lanes under
+//! backpressure and redispatches what a dead lane still held.
 //!
-//! The **dispatcher→lane head** ring carries a 40-byte descriptor `{id,
+//! The **dispatcher→lane** ring carries a 40-byte descriptor `{id,
 //! tag, range, live}` ([`MfDesc`]) over the caller's frame slice.
 //! Workers are scoped *jobs* on crew threads ([`crate::crew`]) and read
 //! `frames[range]` in place, so the dispatcher clones no frame handle and
@@ -25,9 +25,9 @@
 //!   `flushed`). A call carries one stream under one global
 //!   `seq`, so a NIC hash (`rss`) would pick that one lane by another
 //!   rule and do nothing else; that name lives on in the simulator only,
-//!   where traffic is multi-flow.
-//! * **falcon-dev / falcon-func** — one lane of depth 2 or 3 (fewer
-//!   when `workers` is smaller). Order is FIFO along the lane.
+//!   where traffic is multi-flow. So does FALCON, which pipelines the
+//!   stages of a packet across cores instead of steering micro-flows
+//!   ([`mflow_steering::Falcon`]).
 //!
 //! # Degradation under faults
 //!
@@ -44,19 +44,16 @@
 //!   dispatcher never observed), so occupancy signals never count
 //!   micro-flows nobody will dequeue. A death nobody observed
 //!   — dispatch had already ended, as it always has on a stream shorter
-//!   than the lanes' queues — bounces no send; when orphans go inline
-//!   ([`RunPlan::inline_orphans`]) teardown runs such a lane's retained
-//!   window on the dispatcher before the merger may see end of stream.
-//! * **No reachable lane head** — a micro-flow with none is lost, unless
-//!   the run hands orphans to the dispatcher for inline processing
-//!   ([`RunPlan::inline_orphans`]): chain policies do (one entry lane, so
-//!   a dead head is routine) and so does every supervised run; an
-//!   unsupervised run of any other policy that loses every worker returns
-//!   [`MflowError::NoLiveWorkers`]. The rule follows the policy, not the
-//!   shape — `falcon-func` and `mflow` at one worker are both 1 x 1.
+//!   than the lanes' queues — bounces no send; on a supervised run
+//!   teardown runs such a lane's retained window on the dispatcher
+//!   before the merger may see end of stream.
+//! * **No live lane** — a micro-flow with none is lost, unless the run is
+//!   supervised ([`RunPlan::supervised`]): then the dispatcher processes
+//!   it inline. An unsupervised run that loses every worker returns
+//!   [`MflowError::NoLiveWorkers`].
 //! * **Planned drops** — decided, counted and logged once, by the
 //!   dispatcher as it plans a micro-flow's range ([`plan_microflow`]);
-//!   *replayed* wherever the range is read — lane head, redispatch
+//!   *replayed* wherever the range is read — lane worker, redispatch
 //!   target, the dispatcher's own inline path — from the pure
 //!   [`RuntimeFaults::drops_packet`], so every reader skips the same
 //!   frames and no replay is counted again.
@@ -86,9 +83,9 @@ pub(crate) fn build_policy(kind: PolicyKind) -> Result<Box<dyn SteeringPolicy>, 
     }
 }
 
-/// One micro-flow as the dispatcher hands it to a lane head: a descriptor
-/// over the caller's frame slice, never a copy of it. Workers are scoped
-/// threads, so a head reads `frames[start..end]` in place; the
+/// One micro-flow as the dispatcher hands it to a lane: a descriptor over
+/// the caller's frame slice, never a copy of it. Workers are scoped
+/// jobs, so a worker reads `frames[start..end]` in place; the
 /// dispatcher clones no frame handle and allocates nothing, and the
 /// retained window, a duplicate, a late copy and a retag are all a copy
 /// of these 40 bytes.
@@ -145,7 +142,7 @@ pub(crate) struct Dispatcher<'a> {
     pub(crate) inline_packets: u64,
     pub(crate) block_fallbacks: u64,
     pub(crate) backpressure_events: u64,
-    /// [`RunPlan::inline_orphans`]: micro-flows that lost their only
+    /// [`RunPlan::supervised`]: micro-flows that lost their only
     /// reachable worker are handed back for inline processing instead of
     /// being dropped ("no live worker" does not mean the pipeline is
     /// dead — the dispatcher itself still is).
@@ -190,7 +187,7 @@ impl<'a> Dispatcher<'a> {
             inline_packets: 0,
             block_fallbacks: 0,
             backpressure_events: 0,
-            orphan_inline: plan.inline_orphans,
+            orphan_inline: plan.supervised,
             orphans: Vec::new(),
             pending: Vec::new(),
             merger,
@@ -434,7 +431,7 @@ pub(crate) fn depth_dec(depth: &AtomicUsize) {
 /// frame was dropped and nothing is dispatched.
 ///
 /// This is the one place a planned drop is counted and logged. Whoever
-/// reads the range replays the decisions ([`MfDesc::run`]) — possibly
+/// reads the range replays the decisions ([`MfDesc::complete`]) — possibly
 /// more than once, after a redispatch — without counting them again.
 pub(crate) fn plan_microflow(
     frames: &[Frame],

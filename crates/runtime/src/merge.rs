@@ -2,7 +2,7 @@
 //! crash-consistent merger state, and the merger failure domain.
 //!
 //! The merger is a **role, not a thread**: the paper's global merging
-//! counter, advanced by whichever core finishes a micro-flow. A tail
+//! counter, advanced by whichever core finishes a micro-flow. A lane's
 //! worker, or the dispatcher's inline path, hands its finished run `{id,
 //! tag, closed, results}` ([`MergedRun`]) to [`MergerShared::offer`],
 //! which pushes it onto a short inbox and then *tries* the merge lock.
@@ -27,7 +27,7 @@
 //!   of stream, releasing every parked successor. Skipped IDs are
 //!   reported in [`crate::RunOutput::flushed_mfs`].
 //! * **Duplication / late arrival** — every copy of a micro-flow carries
-//!   a tag of its own ([`Run::tag`]); the first to arrive is delivered,
+//!   a tag of its own ([`MergedRun::tag`]); the first to arrive is delivered,
 //!   the others are rejected and reported in the
 //!   [`mflow_metrics::Telemetry`] `dup` / `late` counters.
 //! * **Merger death or wedge** — the failure domain without a thread of
@@ -59,8 +59,9 @@ use crate::supervise::{HeartbeatBoard, Supervisor};
 use crate::work::{stateful_stage, PacketResult};
 use crate::worker::RunPlan;
 
-/// One micro-flow's items in flight between threads.
-pub(crate) struct Run<T> {
+/// A processed micro-flow, as handed to the merge: the unit of the merge
+/// engines' bookkeeping and of the WAL.
+pub(crate) struct MergedRun {
     pub(crate) id: u64,
     /// Which copy of the micro-flow this is ([`mflow::MfTag::lane`]): 0
     /// for the primary send, a fresh number for every other copy.
@@ -68,24 +69,8 @@ pub(crate) struct Run<T> {
     /// The final item closes the micro-flow ([`mflow::MfTag::last`]).
     /// False only when the closing packet was a planned drop.
     pub(crate) closed: bool,
-    pub(crate) items: Vec<T>,
+    pub(crate) items: Vec<PacketResult>,
 }
-
-impl<T> Run<T> {
-    /// The same micro-flow, carrying what `f` makes of its items.
-    pub(crate) fn with_items<U>(self, f: impl FnOnce(Vec<T>) -> Vec<U>) -> Run<U> {
-        Run {
-            id: self.id,
-            tag: self.tag,
-            closed: self.closed,
-            items: f(self.items),
-        }
-    }
-}
-
-/// A processed micro-flow, as handed to the merge: the unit of the merge
-/// engines' bookkeeping and of the WAL.
-pub(crate) type MergedRun = Run<PacketResult>;
 
 /// Everything the merger mutates while the stream is in flight, as one
 /// cloneable snapshot object: the merging counter (its reorder window of

@@ -4,10 +4,10 @@
 //!
 //! Frames are built directly into [`BufPool`] slots: a [`Frame`] is a
 //! sequence number plus a [`PktBuf`] descriptor handle, so cloning one
-//! bumps a refcount instead of copying wire bytes. The dispatcher clones
-//! none: lanes get descriptors over the caller's frame slice, and the
-//! retained windows hold descriptors too. A lane head's staged work,
-//! which outlives its stage, is what clones a handle.
+//! bumps a refcount instead of copying wire bytes. The runtime clones
+//! none: lanes get descriptors over the caller's frame slice, workers
+//! read the frames in place, and the retained windows hold descriptors
+//! too.
 
 use mflow_net::ethernet::{EtherType, EthernetHeader};
 use mflow_net::frame::{build_overlay_frame_into, OverlayFrameSpec, OVERLAY_HEADER_BYTES};

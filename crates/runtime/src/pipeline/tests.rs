@@ -368,70 +368,6 @@ fn every_policy_matches_serial_output() {
     }
 }
 
-#[test]
-fn falcon_chain_survives_worker_death() {
-    // Killing any link of the stage chain must degrade, not wedge:
-    // upstream finishes locally (tail death) or the dispatcher goes
-    // inline (head death). Order survives either way.
-    let frames = generate_frames(3_000, 32);
-    for dead_worker in 0..3 {
-        let mut faults = RuntimeFaults::none();
-        faults.kills.push(WorkerKill {
-            worker: dead_worker,
-            after_batches: 2,
-            incarnation: 0,
-        });
-        faults.flush_timeout_ms = Some(50);
-        let out = process_parallel_faulty(
-            &frames,
-            &RuntimeConfig {
-                workers: 3,
-                batch_size: 64,
-                queue_depth: 4,
-                policy: PolicyKind::FalconFunc,
-                ..RuntimeConfig::default()
-            },
-            &faults,
-        )
-        .unwrap();
-        assert_eq!(out.workers_died, 1, "worker {dead_worker}");
-        assert!(!out.digests.is_empty());
-        for pair in out.digests.windows(2) {
-            assert!(
-                pair[0].seq < pair[1].seq,
-                "disorder after killing chain worker {dead_worker}"
-            );
-        }
-    }
-}
-
-#[test]
-fn chain_mode_uses_one_entry_lane() {
-    // FALCON runs report one dispatcher lane regardless of the
-    // worker count — stages consume the cores instead.
-    let frames = generate_frames(500, 32);
-    let out = process_parallel(
-        &frames,
-        &RuntimeConfig {
-            workers: 4,
-            policy: PolicyKind::FalconDev,
-            ..RuntimeConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(out.telemetry.lane_depths.len(), 1);
-    let fanout = process_parallel(
-        &frames,
-        &RuntimeConfig {
-            workers: 4,
-            policy: PolicyKind::Rps,
-            ..RuntimeConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(fanout.telemetry.lane_depths.len(), 4);
-}
-
 /// Supervision knobs shared by the merger failure-domain tests.
 fn merger_test_cfg() -> RuntimeConfig {
     RuntimeConfig {
@@ -628,8 +564,7 @@ fn stalled_merger_is_superseded_without_a_death() {
 #[test]
 fn merger_failure_domain_covers_every_policy() {
     // The respawn path must preserve byte-identical delivery under
-    // every steering topology, including the chains whose teardown
-    // overlaps merger supervision.
+    // every steering policy, whose teardown overlaps merger supervision.
     let frames = generate_frames(2_000, 32);
     let serial = process_serial(&frames);
     let mut faults = RuntimeFaults::none();

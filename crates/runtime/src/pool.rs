@@ -7,9 +7,9 @@
 //! handle of `(pool, slot index, length)`, which is exactly the
 //! descriptor shape an IRQ core would enqueue for a splitting core.
 //! The dispatcher hands lanes descriptors over the caller's frames and
-//! clones no handle; where a handle is cloned (a lane head's staged work,
-//! which outlives its stage) that is a refcount bump, not a byte copy,
-//! and the final drop pushes the slot back on the free list.
+//! the runtime clones no handle; where a caller clones one, that is a
+//! refcount bump, not a byte copy, and the final drop pushes the slot
+//! back on the free list.
 //!
 //! A slab of at least one huge page (2 MiB) is an anonymous mapping of
 //! its own, 2 MiB-aligned and advised `MADV_HUGEPAGE` before its first

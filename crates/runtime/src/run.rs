@@ -1,47 +1,44 @@
 //! The threaded split/merge pipeline, steered by a pluggable policy:
 //! one call from frames in to ordered results out.
 //!
-//! Topology (Figure 6 of the paper on real cores, and FALCON's softirq
-//! pipelining, its baseline, as the same machine with different wiring):
-//! `lanes` dispatcher entry lanes, each a chain of `depth` stage workers,
-//! whose tails merge into one merging counter.
+//! Topology (Figure 6 of the paper on real cores): `workers` lanes of one
+//! worker each, whose finished runs merge into one merging counter.
 //!
 //! ```text
-//!             +-> stage 0 -> .. -> stage D-1 --\    lane 0
-//! dispatcher -+-> stage 0 -> .. -> stage D-1 ---+-> merge -> ordered output
-//!             +-> stage 0 -> .. -> stage D-1 --/     lane L-1
+//!             +-> worker 0 ---\
+//! dispatcher -+-> worker 1 ----+-> merge -> ordered output
+//!             +-> worker W-1 -/
 //! ```
 //!
-//! The shape is one [`Topology`] value and everything else that follows
-//! from the request one [`RunPlan`], both computed once per run
-//! ([`crate::worker`]); one `worker_loop` runs at every position of the
-//! shape. The calling thread is the dispatcher: it groups micro-flows of
+//! Everything that follows from the request is one [`RunPlan`], computed
+//! once per run ([`crate::worker`]); one `worker_loop` runs on every lane.
+//! The calling thread is the dispatcher: it groups micro-flows of
 //! `batch_size` consecutive frames and asks the configured steering
 //! policy for a lane per micro-flow ([`crate::dispatch`]); the lane's
-//! workers perform the per-packet work. The merge is not a stage of its
-//! own: the paper's reassembly is a global merging counter advanced by
-//! whichever core finishes a micro-flow, and here every tail (and the
-//! dispatcher, for what it processes inline) merges its own finished run
-//! under the merge lock, or leaves it to whoever holds it
-//! ([`crate::merge`]). Workers run genuinely concurrently, so the merge
-//! sees every interleaving a real kernel would.
+//! worker performs all of the per-packet work. The merge is not a stage
+//! of its own: the paper's reassembly is a global merging counter
+//! advanced by whichever core finishes a micro-flow, and here every
+//! worker (and the dispatcher, for what it processes inline) merges its
+//! own finished run under the merge lock, or leaves it to whoever holds
+//! it ([`crate::merge`]). Workers run genuinely concurrently, so the
+//! merge sees every interleaving a real kernel would.
 //!
 //! This module is the assembly: [`process_parallel_faulty`] builds the
 //! rings, runs the dispatch loop with its two watchdog passes between
-//! micro-flows, joins and tears down stage by stage, and assembles the
-//! output from the merge block. It is guaranteed not to panic and not to
-//! wedge for any [`RuntimeFaults`] mix; the output is always an ordered,
-//! duplicate-free subsequence of the serial output, and what is missing
-//! is exactly accounted for by the dispatcher's planned drops plus the
-//! flushed micro-flows (each module's "Degradation under faults").
+//! micro-flows, joins every worker, and assembles the output from the
+//! merge block. It is guaranteed not to panic and not to wedge for any
+//! [`RuntimeFaults`] mix; the output is always an ordered, duplicate-free
+//! subsequence of the serial output, and what is missing is exactly
+//! accounted for by the dispatcher's planned drops plus the flushed
+//! micro-flows (each module's "Degradation under faults").
 //!
 //! # The transport
 //!
-//! Every ring — dispatcher→lane head and stage→next stage inside a lane —
-//! is an in-tree lock-free SPSC ring of [`crate::ring`], the userspace
-//! analogue of the paper's per-core packet-request ring buffers: atomic
-//! head/tail, yield-then-park waiting. The micro-flow is the unit of both
-//! (what each carries is described with its sending side), and of the
+//! Every dispatcher→lane ring is an in-tree lock-free SPSC ring of
+//! [`crate::ring`], the userspace analogue of the paper's per-core
+//! packet-request ring buffers: atomic head/tail, yield-then-park
+//! waiting. The micro-flow is the unit of each (what it carries is
+//! described with its sending side, [`crate::dispatch`]), and of the
 //! hand-off into the merge; nothing outside
 //! [`crate::work::process_frame`] is paid per packet. The pipeline uses
 //! the ring types directly: close-on-drop in both directions is what the
@@ -51,7 +48,7 @@
 //!
 //! Of the persistent runtime (ROADMAP item 7) the *thread* half exists:
 //! workers are jobs of one [`crew::scope`] per call — exactly `workers`
-//! of them on a fan-out call — run on parked threads that outlive the
+//! of them — run on parked threads that outlive the
 //! call, so a call creates and destroys no OS thread. An unsupervised
 //! teardown's join runs a worker job that no crew thread has started
 //! yet on the calling thread itself, so a short call pays no context
@@ -80,9 +77,9 @@ use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::merge::{Assembled, MergerShared};
 use crate::packet::Frame;
 use crate::pool::{BufPool, PoolStats};
-use crate::ring::{self, RingConsumer};
+use crate::ring;
 use crate::supervise::{HeartbeatBoard, Supervisor};
-use crate::worker::{Link, RunPlan, StageInput, StagedRun, Topology, WorkerCtx};
+use crate::worker::{RunPlan, WorkerCtx};
 
 /// MFLOW pipeline: split into micro-flows, process on `workers` threads,
 /// merge back in order. Equivalent to [`process_parallel_faulty`] with
@@ -91,9 +88,8 @@ use crate::worker::{Link, RunPlan, StageInput, StagedRun, Topology, WorkerCtx};
 /// Returns [`MflowError::InvalidConfig`] for a malformed configuration,
 /// [`MflowError::MergerPoisoned`] if the merge panics, and
 /// [`MflowError::NoLiveWorkers`] when every worker of an unsupervised
-/// fan-out policy died with input still pending (chain policies and
-/// supervised runs instead fall back to inline processing on the
-/// dispatcher).
+/// run died with input still pending (a supervised run instead falls
+/// back to inline processing on the dispatcher).
 pub fn process_parallel(frames: &[Frame], cfg: &RuntimeConfig) -> Result<RunOutput, MflowError> {
     process_parallel_faulty(frames, cfg, &RuntimeFaults::none())
 }
@@ -111,27 +107,38 @@ pub fn process_parallel_faulty(
     let mut policy = build_policy(cfg.policy)?;
     let start = Instant::now();
     let plan = &RunPlan::new(cfg, faults);
-    let topo = &Topology::new(cfg.policy.stage_groups(), cfg.workers);
-    let rings = Rings::assemble(topo, cfg);
+    // One dispatcher -> worker ring per lane (SPSC: one producer, one
+    // consumer each): the sender side as the dispatcher's lanes, the
+    // receiver side for the workers.
+    let (lanes, lane_rx): (Vec<Lane>, Vec<_>) = (0..cfg.workers)
+        .map(|_| {
+            let (tx, rx) = ring::spsc::<MfDesc>(cfg.queue_depth);
+            let lane = Lane {
+                tx: Some(tx),
+                recent: VecDeque::new(),
+            };
+            (lane, rx)
+        })
+        .unzip();
     // Per-lane queue depths, the watermark signal for backpressure.
-    let depths: Vec<AtomicUsize> = (0..topo.lanes).map(|_| AtomicUsize::new(0)).collect();
-    // Per-slot heartbeat epochs, the watchdog's liveness signal. The
+    let depths: Vec<AtomicUsize> = (0..cfg.workers).map(|_| AtomicUsize::new(0)).collect();
+    // Per-lane heartbeat epochs, the watchdog's liveness signal. The
     // extra slot past the workers is the merger's, which every holder of
     // the merge lock bumps.
-    let merger_slot = topo.threads();
-    let beats = &HeartbeatBoard::new(topo.threads() + 1);
+    let merger_slot = cfg.workers;
+    let beats = &HeartbeatBoard::new(cfg.workers + 1);
     let merger = &MergerShared::new(frames.len(), cfg, plan, faults, beats, merger_slot, start);
     // Buffer-pool telemetry: snapshot the frames' pool so the run can
     // report the recycle and heap-fallback deltas it caused.
     let frame_pool = frames.iter().find_map(|f| f.buf().pool());
     let pool_before = frame_pool.as_ref().map(|p| p.stats());
 
-    let mut d = Dispatcher::new(rings.lanes, cfg, &depths, plan, merger);
+    let mut d = Dispatcher::new(lanes, cfg, &depths, plan, merger);
     // One supervision slot per worker plus the merger's; the respawn
     // budget is one shared pool across both failure domains, but the
     // restart and recovery-time counters split per domain.
     let mut sup = Supervisor::new(
-        topo.threads() + 1,
+        cfg.workers + 1,
         cfg.heartbeat_interval_ms.map(Duration::from_millis),
         cfg.restart_budget,
         Duration::from_millis(cfg.restart_backoff_ms),
@@ -140,13 +147,11 @@ pub fn process_parallel_faulty(
     sup.watch_merger(merger_slot);
     let mut dispatch_done = start;
 
-    let deaths_by_slot = crew::scope(|s| {
+    let deaths_by_lane = crew::scope(|s| {
         let workers = WorkerCtx {
             s,
-            topo,
             frames,
             depths: &depths,
-            links: &rings.links,
             merger,
             faults,
             beats,
@@ -158,7 +163,9 @@ pub fn process_parallel_faulty(
             plan,
             d: &mut d,
             sup: &mut sup,
-            handles: spawn_workers(workers, rings.lane_rx, rings.link_rx),
+            handles: (lane_rx.into_iter().enumerate())
+                .map(|(lane, rx)| workers.spawn_worker(lane, 0, rx))
+                .collect(),
         };
         driver.dispatch(&mut *policy);
         dispatch_done = Instant::now();
@@ -171,18 +178,18 @@ pub fn process_parallel_faulty(
         // propagated abort.
         return Err(MflowError::MergerPoisoned);
     }
-    let workers_died: usize = deaths_by_slot.iter().map(|&d| d as usize).sum();
-    if !plan.inline_orphans && workers_died == topo.threads() && !frames.is_empty() {
+    let workers_died: usize = deaths_by_lane.iter().map(|&d| d as usize).sum();
+    if !plan.supervised && workers_died == cfg.workers && !frames.is_empty() {
         // Nobody was left to deliver the remainder.
         return Err(MflowError::NoLiveWorkers);
     }
-    let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_slot);
-    // A head death the dispatcher never observed (no send to that lane
+    let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_lane);
+    // A death the dispatcher never observed (no send to that lane
     // afterwards) still leaves queued batches undequeued, so zero the
     // lane's depth too — a clean final incarnation drained its queue to
     // zero anyway, so this never masks a leak.
-    for (lane, depth) in depths.iter().enumerate() {
-        if deaths_by_slot[lane * topo.depth] > 0 {
+    for (depth, &deaths) in depths.iter().zip(&deaths_by_lane) {
+        if deaths > 0 {
             depth.store(0, Ordering::Relaxed);
         }
     }
@@ -209,71 +216,6 @@ pub fn process_parallel_faulty(
     })
 }
 
-/// Every ring of one run, both ends of each.
-struct Rings {
-    /// Dispatcher -> lane-head rings (SPSC: one producer, one consumer
-    /// each), sender side, as the dispatcher's lanes.
-    lanes: Vec<Lane>,
-    lane_rx: Vec<RingConsumer<MfDesc>>,
-    /// Stage -> next-stage links inside each lane (none at depth 1): the
-    /// worker at stage k applies stage group k and forwards through a
-    /// shared, re-wireable link; the last stage merges. Indexed by
-    /// [`Topology::link`], as is `link_rx`.
-    links: Vec<Link>,
-    link_rx: Vec<RingConsumer<StagedRun>>,
-}
-
-impl Rings {
-    fn assemble(topo: &Topology, cfg: &RuntimeConfig) -> Self {
-        let mut lanes = Vec::with_capacity(topo.lanes);
-        let mut lane_rx = Vec::with_capacity(topo.lanes);
-        for _ in 0..topo.lanes {
-            let (tx, rx) = ring::spsc::<MfDesc>(cfg.queue_depth);
-            lanes.push(Lane {
-                tx: Some(tx),
-                recent: VecDeque::new(),
-            });
-            lane_rx.push(rx);
-        }
-        let mut link_rx = Vec::new();
-        let links = (0..topo.lanes * (topo.depth - 1))
-            .map(|_| {
-                let (tx, rx) = ring::spsc::<StagedRun>(cfg.queue_depth);
-                link_rx.push(rx);
-                Link::new(tx)
-            })
-            .collect();
-        Self {
-            lanes,
-            lane_rx,
-            links,
-            link_rx,
-        }
-    }
-}
-
-/// Starts incarnation 0 of every worker, slot by slot: a head drains its
-/// lane's ring, every later stage its incoming link (both lists are in
-/// slot order).
-fn spawn_workers<'scope>(
-    workers: WorkerCtx<'scope, '_>,
-    lane_rx: Vec<RingConsumer<MfDesc>>,
-    link_rx: Vec<RingConsumer<StagedRun>>,
-) -> Vec<(usize, crew::JoinHandle<'scope>)> {
-    let (mut lane_rx, mut link_rx) = (lane_rx.into_iter(), link_rx.into_iter());
-    (0..workers.topo.threads())
-        .map(|slot| {
-            if slot % workers.topo.depth == 0 {
-                let rx = lane_rx.next().expect("ring per lane");
-                workers.spawn_worker(slot, 0, rx)
-            } else {
-                let rx = link_rx.next().expect("link per later stage");
-                workers.spawn_worker(slot, 0, rx)
-            }
-        })
-        .collect()
-}
-
 /// Processes a micro-flow the policy handed back (or nobody else can
 /// take) right here on the dispatcher thread, as a new copy, and merges
 /// it: a worker may still deliver the one it was sent, and the merge
@@ -294,7 +236,7 @@ struct Driver<'a, 'd, 'scope, 'env> {
     plan: &'env RunPlan,
     d: &'a mut Dispatcher<'d>,
     sup: &'a mut Supervisor,
-    /// Every worker incarnation started, tagged with its slot, in spawn
+    /// Every worker incarnation started, tagged with its lane, in spawn
     /// order.
     handles: Vec<(usize, crew::JoinHandle<'scope>)>,
 }
@@ -304,7 +246,7 @@ impl Driver<'_, '_, '_, '_> {
     /// lane under the backpressure policy, then run both watchdog passes.
     fn dispatch(&mut self, policy: &mut dyn SteeringPolicy) {
         let w = self.workers;
-        let (frames, faults, topo) = (w.frames, w.faults, w.topo);
+        let (frames, faults, lanes) = (w.frames, w.faults, self.cfg.workers);
         // The watchdog passes read the clock once per micro-flow, and only
         // on runs that can need them: the merger failure domain is armed
         // even unsupervised when merger faults are injected (`wal_on`
@@ -313,7 +255,7 @@ impl Driver<'_, '_, '_, '_> {
         let tended = self.plan.wal_on || self.plan.flush_timeout.is_some();
         let mut mf_id = 0u64;
         let mut next = 0usize;
-        let mut depth_snap = vec![0usize; topo.lanes];
+        let mut depth_snap = vec![0usize; lanes];
         let mut delayed: Vec<(u64, MfDesc)> = Vec::new();
         while next < frames.len() {
             let (start, end, live) = plan_microflow(
@@ -336,7 +278,7 @@ impl Driver<'_, '_, '_, '_> {
                 for (snap, depth) in depth_snap.iter_mut().zip(w.depths) {
                     *snap = depth.load(Ordering::Relaxed);
                 }
-                let lane = policy.steer(mf_id, hash, &depth_snap).min(topo.lanes - 1);
+                let lane = policy.steer(mf_id, hash, &depth_snap).min(lanes - 1);
                 let desc = MfDesc {
                     id: mf_id,
                     tag: 0,
@@ -371,26 +313,26 @@ impl Driver<'_, '_, '_, '_> {
                 self.tend_workers(done, now);
                 w.merger.tend(self.sup, done, now);
             }
-            self.inline_orphans();
+            self.run_orphans();
             mf_id += 1;
         }
         // Anything still held back goes out now, late but present.
         for (_, desc) in delayed {
             self.d.send_recovery(desc);
         }
-        self.inline_orphans();
+        self.run_orphans();
     }
 
-    /// Micro-flows that lost their only reachable worker
-    /// ([`RunPlan::inline_orphans`]) come back for inline processing
-    /// instead of being dropped.
-    fn inline_orphans(&mut self) {
+    /// Micro-flows that lost their only reachable worker come back for
+    /// inline processing instead of being dropped (supervised runs only,
+    /// [`RunPlan::supervised`]).
+    fn run_orphans(&mut self) {
         for desc in self.d.take_orphans() {
             process_inline(&self.workers, self.d, desc);
         }
     }
 
-    /// One non-blocking pass over the worker slots, the twin of
+    /// One non-blocking pass over the lanes, the twin of
     /// [`MergerShared::tend`]: declare stalled workers dead, and respawn
     /// dead ones (budget and backoff permitting) onto fresh rings.
     fn tend_workers(&mut self, frames_done: u64, now: Instant) {
@@ -398,118 +340,63 @@ impl Driver<'_, '_, '_, '_> {
             return;
         }
         let w = self.workers;
-        let (topo, depths, links, beats) = (w.topo, w.depths, w.links, w.beats);
         let (d, sup) = (&mut *self.d, &mut *self.sup);
-        let queue_depth = self.cfg.queue_depth;
-        for lane in 0..topo.lanes {
-            // A lane head is watched through the dispatcher lane. Stall
-            // detection: a stale heartbeat only counts while work is
-            // queued — an idle worker's epoch is legitimately still — and
-            // while the worker is not inside the merge, whose domain
+        for lane in 0..self.cfg.workers {
+            // Stall detection: a stale heartbeat only counts while work
+            // is queued — an idle worker's epoch is legitimately still —
+            // and while the worker is not inside the merge, whose domain
             // watches it there.
-            let head = lane * topo.depth;
             if !d.lane_dead(lane)
-                && sup.stale(head, beats.read(head), now)
-                && depths[lane].load(Ordering::Relaxed) > 0
-                && !w.merger.holds(head)
+                && sup.stale(lane, w.beats.read(lane), now)
+                && w.depths[lane].load(Ordering::Relaxed) > 0
+                && !w.merger.holds(lane)
             {
                 sup.heartbeat_misses += 1;
                 d.fail_lane(lane);
             }
             if d.lane_dead(lane) {
-                sup.note_death(head, now, frames_done);
-                if sup.allow_respawn(head, now) {
-                    let (tx, rx) = ring::spsc::<MfDesc>(queue_depth);
-                    let inc = sup.on_respawn(head, now, frames_done);
+                sup.note_death(lane, now, frames_done);
+                if sup.allow_respawn(lane, now) {
+                    let (tx, rx) = ring::spsc::<MfDesc>(self.cfg.queue_depth);
+                    let inc = sup.on_respawn(lane, now, frames_done);
                     d.revive(lane, tx);
-                    self.handles.push(w.spawn_worker(head, inc, rx));
-                }
-            }
-            // Every later stage is watched through its incoming link. A
-            // death is either flagged by the upstream's bounced send
-            // (generation-matched) or declared here on a stale heartbeat.
-            for stage in 1..topo.depth {
-                let slot = head + stage;
-                let link = &links[topo.link(lane, stage - 1)];
-                let mut dead = link.dead_gen.load(Ordering::Acquire) == link.slot().gen;
-                if !dead
-                    && sup.stale(slot, beats.read(slot), now)
-                    && link.depth.load(Ordering::Relaxed) > 0
-                    && !w.merger.holds(slot)
-                {
-                    // Stalled: cut the link so the upstream completes
-                    // micro-flows locally until the replacement is wired
-                    // in.
-                    sup.heartbeat_misses += 1;
-                    link.cut();
-                    dead = true;
-                }
-                if dead {
-                    sup.note_death(slot, now, frames_done);
-                    if sup.allow_respawn(slot, now) {
-                        // Re-home the stage: fresh link ring, new
-                        // incarnation.
-                        let (tx, rx) = ring::spsc::<StagedRun>(queue_depth);
-                        link.rewire(tx);
-                        let inc = sup.on_respawn(slot, now, frames_done);
-                        self.handles.push(w.spawn_worker(slot, inc, rx));
-                    }
+                    self.handles.push(w.spawn_worker(lane, inc, rx));
                 }
             }
         }
     }
 
-    /// Ends the stream and joins everything: workers stage by stage,
+    /// Ends the stream and joins everything: every worker incarnation,
     /// then the orphan pass for deaths nobody observed, then the merge is
     /// supervised until every run is in. Returns the worker panics per
-    /// slot, every incarnation: injected deaths surface at join and are
+    /// lane, every incarnation: injected deaths surface at join and are
     /// counted, not propagated.
     fn teardown(self) -> Vec<u32> {
         let Driver {
+            cfg,
             workers,
             plan,
             d,
             sup,
             handles,
-            ..
         } = self;
-        let (topo, merger, n) = (workers.topo, workers.merger, workers.frames.len() as u64);
-        // Dropping the lane senders lets the heads drain and exit; the
+        let (merger, n) = (workers.merger, workers.frames.len() as u64);
+        // Dropping the lane senders lets the workers drain and exit; the
         // retained windows stay for the orphan pass below.
         for lane in &mut d.lanes {
             lane.tx = None;
         }
-
-        // Join stage by stage down the lanes: only after every
-        // incarnation of a stage has exited are that stage's outgoing
-        // links cut, so the next stage sees end-of-stream strictly after
-        // its upstream finished producing.
-        let mut deaths_by_slot = vec![0u32; topo.threads()];
-        let mut remaining = handles;
-        // Lanes on which a slot died holding micro-flows nobody
-        // redispatched. A head counts when its *last* incarnation died
-        // (handles are joined in spawn order, heads first): an earlier
-        // death was observed by the dispatcher, which is what respawned
-        // the slot, and its window redispatched then. A later stage counts
-        // after any death: what sat in its incoming link is retained
-        // nowhere.
-        let mut orphaned = vec![false; topo.lanes];
-        for stage in 0..topo.depth {
-            let (mine, rest): (Vec<_>, Vec<_>) = remaining
-                .into_iter()
-                .partition(|(slot, _)| slot % topo.depth == stage);
-            remaining = rest;
-            for (slot, h) in mine {
-                let died = merger.join_tended(h, sup, n).is_err();
-                deaths_by_slot[slot] += u32::from(died);
-                let lane = slot / topo.depth;
-                orphaned[lane] = died || (stage > 0 && orphaned[lane]);
-            }
-            if stage + 1 < topo.depth {
-                for lane in 0..topo.lanes {
-                    workers.links[topo.link(lane, stage)].cut();
-                }
-            }
+        // Lanes whose worker died holding micro-flows nobody
+        // redispatched: a lane counts when its *last* incarnation died
+        // (handles are joined in spawn order). An earlier death was
+        // observed by the dispatcher, which is what respawned the lane,
+        // and its window redispatched then.
+        let mut deaths_by_lane = vec![0u32; cfg.workers];
+        let mut orphaned = vec![false; cfg.workers];
+        for (lane, h) in handles {
+            let died = merger.join_tended(h, sup, n).is_err();
+            deaths_by_lane[lane] += u32::from(died);
+            orphaned[lane] = died;
         }
         // A death nobody observed: once dispatch has ended — always, for
         // a stream shorter than the lanes' queues — no send bounces off
@@ -518,7 +405,7 @@ impl Driver<'_, '_, '_, '_> {
         // of the stream; it is run here, and the merge engine rejects the
         // copies of whatever the lane did deliver. (A window the
         // dispatcher took when it did observe the death is empty.)
-        for lane in (0..topo.lanes).filter(|&l| plan.inline_orphans && orphaned[l]) {
+        for lane in (0..cfg.workers).filter(|&l| plan.supervised && orphaned[l]) {
             for desc in std::mem::take(&mut d.lanes[lane].recent) {
                 process_inline(&workers, d, desc);
             }
@@ -527,7 +414,7 @@ impl Driver<'_, '_, '_, '_> {
         // merged (a merger kill near the end of the stream is respawned
         // here) or left for final assembly.
         merger.drain(sup, n);
-        deaths_by_slot
+        deaths_by_lane
     }
 }
 

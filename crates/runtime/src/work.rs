@@ -15,9 +15,8 @@
 //! The packets of a micro-flow are independent until the stateful stage,
 //! and the digest is a chain of dependent multiplies, so a thread that
 //! owns a whole micro-flow steps the digests of four packets together
-//! ([`process_frames`], [`complete_staged`]): one definition of
-//! the digest, `digest_chains`, of which the one-frame API is the
-//! one-chain instance.
+//! ([`process_frames`]): one definition of the digest, `digest_chains`,
+//! of which the one-frame API is the one-chain instance.
 
 use mflow_net::checksum::lane_sum;
 use mflow_net::frame::{walk_overlay_frame, OverlayLanes};
@@ -93,62 +92,8 @@ pub fn process_frames<R>(
     }
 }
 
-/// Takes a run of staged items through every remaining stage in order,
-/// appending `finish(result)` per item to `out`: what
-/// [`StagedWork::complete`] does to each, with the digests stepped
-/// four at a time as in [`process_frames`]. By reference — the
-/// items lend their payloads to the chains and are dropped by the caller
-/// afterwards, because moving every item out of its run first costs more
-/// than a short digest does.
-pub fn complete_staged<R>(
-    items: &[StagedWork],
-    mut finish: impl FnMut(PacketResult) -> R,
-    out: &mut Vec<R>,
-) {
-    out.reserve(items.len());
-    let mut groups = items.chunks_exact(LOCKSTEP);
-    for group in groups.by_ref() {
-        let ready: [_; LOCKSTEP] = std::array::from_fn(|k| group[k].before_digest());
-        let digests = digest_chains(ready.map(|r| r.map_or(&[][..], |(_, payload)| payload)));
-        for (ready, digest) in ready.into_iter().zip(digests) {
-            out.push(finish(match ready {
-                Ok((seq, payload)) => PacketResult {
-                    seq,
-                    digest,
-                    len: payload.len() as u32,
-                },
-                Err(done) => done,
-            }));
-        }
-    }
-    for item in groups.remainder() {
-        out.push(finish(match item.before_digest() {
-            Ok((seq, payload)) => digest_stage(seq, payload),
-            Err(done) => done,
-        }));
-    }
-}
-
-/// Runs `work` over a run of wire frames in order, appending each output
-/// to `out`, with one frame of lookahead: before frame *k* is worked on,
-/// the bytes of frame *k + 1* are prefetched, so the cache misses of the
-/// next frame overlap the work on this one instead of stalling it line by
-/// line. The loop of a chain head, which is the first thread to touch the
-/// bytes but stops before the digest; threads that own every stage walk
-/// their frames with [`process_frames`].
-pub fn process_batch<R>(frames: &[Frame], mut work: impl FnMut(&Frame) -> R, out: &mut Vec<R>) {
-    out.reserve(frames.len());
-    for (k, frame) in frames.iter().enumerate() {
-        if let Some(next) = frames.get(k + 1) {
-            next.prefetch();
-        }
-        out.push(work(frame));
-    }
-}
-
-/// How many pipelined stages [`process_frame`] decomposes into: parse,
-/// checksum, digest. FALCON chains contiguous groups of these across
-/// workers instead of fanning batches out.
+/// How many stages [`process_frame`] decomposes into: parse, checksum,
+/// digest ([`StagedWork`]).
 pub const STAGES: usize = 3;
 
 /// Stage 0: parse + decapsulate, the header half of the overlay parse
@@ -257,12 +202,14 @@ pub fn stateful_stage(r: PacketResult, units: u32) -> PacketResult {
     PacketResult { digest, ..r }
 }
 
-/// A packet part-way through the staged pipeline — the unit FALCON chain
-/// workers hand to the next hop after applying their stage group.
+/// A packet part-way through the [`STAGES`] of [`process_frame`], one
+/// stage at a time: the decomposition FALCON pipelines across cores in
+/// the simulator, kept here so that each stage can be run and timed on
+/// its own. Every runtime worker runs all three at once
+/// ([`process_frames`]).
 ///
 /// Intermediate states keep the pooled frame handle and address the
-/// payload by range, so forwarding a batch down the chain moves
-/// descriptors, never payload bytes.
+/// payload by range, so a staged packet holds no copy of its bytes.
 #[derive(Debug)]
 pub enum StagedWork {
     /// Untouched wire frame.
@@ -321,29 +268,6 @@ impl StagedWork {
         }
     }
 
-    /// Runs, by reference, the stages this item still has before the
-    /// digest, and returns what the digest stage takes: `seq` and the
-    /// summed payload — or, from an item already past it, the result.
-    fn before_digest(&self) -> Result<(u64, &[u8]), PacketResult> {
-        match self {
-            StagedWork::Raw(frame) => Ok((frame.seq, summed_payload(frame))),
-            StagedWork::Parsed {
-                frame,
-                off,
-                len,
-                lanes,
-            } => {
-                let payload = payload_at(frame, *off, *len);
-                csum_stage(payload, lanes);
-                Ok((frame.seq, payload))
-            }
-            StagedWork::Summed { frame, off, len } => {
-                Ok((frame.seq, payload_at(frame, *off, *len)))
-            }
-            StagedWork::Done(r) => Err(*r),
-        }
-    }
-
     /// Applies the next `n` stages.
     pub fn advance_n(self, n: usize) -> StagedWork {
         (0..n).fold(self, |w, _| w.advance())
@@ -366,48 +290,10 @@ impl From<Frame> for StagedWork {
     }
 }
 
-/// Splits the [`STAGES`] pipeline stages into `groups` contiguous,
-/// front-loaded groups: FALCON's device level (2 groups) gets
-/// `[parse+checksum | digest]`, the function level (3 groups) one stage
-/// per worker.
-pub fn stage_group_sizes(groups: usize) -> Vec<usize> {
-    let groups = groups.clamp(1, STAGES);
-    (0..groups)
-        .map(|i| STAGES / groups + usize::from(i < STAGES % groups))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{frame_wire_len, generate_frames, generate_frames_into};
-    use crate::pool::BufPool;
-
-    #[test]
-    fn process_batch_equals_per_frame_processing_and_returns_every_buffer() {
-        // Mixed payload sizes — empty, sub-line, line-straddling, MTU —
-        // cycling through one pool, so neighbours differ in length.
-        let sizes = [0usize, 1, 64, 63, 1448, 200, 65];
-        let pool = BufPool::for_frames(33, frame_wire_len(1448));
-        let frames: Vec<Frame> = (0..33)
-            .map(|i| generate_frames_into(&pool, 1, sizes[i % sizes.len()]).remove(0))
-            .collect();
-        let in_flight = pool.in_flight();
-        for n in [0usize, 1, 2, 33] {
-            let expected: Vec<PacketResult> = frames[..n].iter().map(process_frame).collect();
-            let mut batch = Vec::new();
-            process_batch(&frames[..n], process_frame, &mut batch);
-            assert_eq!(batch, expected, "batch of {n}");
-            assert_eq!(pool.in_flight(), in_flight, "batch of {n} leaked a buffer");
-        }
-        // Appends: earlier contents of `out` are the caller's.
-        let mut out = vec![process_frame(&frames[0])];
-        process_batch(&frames[1..3], process_frame, &mut out);
-        assert_eq!(
-            out,
-            frames[..3].iter().map(process_frame).collect::<Vec<_>>()
-        );
-    }
+    use crate::packet::generate_frames;
 
     #[test]
     fn digest_is_deterministic() {
@@ -514,17 +400,5 @@ mod tests {
         let frames = generate_frames(1, 64);
         let r = process_frame(&frames[0]);
         assert_ne!(stateful_stage(r, 1).digest, stateful_stage(r, 2).digest);
-    }
-
-    #[test]
-    fn stage_groups_partition_the_pipeline() {
-        assert_eq!(stage_group_sizes(1), vec![3]);
-        assert_eq!(stage_group_sizes(2), vec![2, 1], "device level front-loads");
-        assert_eq!(stage_group_sizes(3), vec![1, 1, 1]);
-        // Clamped: more groups than stages degenerate to one per stage.
-        assert_eq!(stage_group_sizes(9), vec![1, 1, 1]);
-        for g in 1..=3 {
-            assert_eq!(stage_group_sizes(g).iter().sum::<usize>(), STAGES);
-        }
     }
 }

@@ -1,20 +1,14 @@
-//! The worker side: the shape of a run ([`Topology`]), the decisions
-//! resolved for it ([`RunPlan`]), and the one [`worker_loop`] that runs
-//! at every position of the shape.
+//! The worker side: the decisions resolved for a run ([`RunPlan`]) and
+//! the one [`worker_loop`] every lane runs.
 //!
-//! Fan-out policies (mflow, rps) are `workers` x 1: every worker is both
-//! head and tail of its lane and does all the per-packet work. FALCON is
-//! 1 x min(stage groups, workers): the worker at stage *k* applies stage
-//! group *k* of [`crate::work::STAGES`] and forwards. A stage whose next
-//! hop has died finishes its micro-flows itself.
-//!
-//! The **stage→next stage** ring (chains only) carries one run of
-//! [`StagedWork`] per micro-flow ([`StagedRun`]); the chain head is the
-//! one place that still clones frame handles, because staged work
-//! outlives the stage.
+//! Every policy runs `workers` lanes of one worker each. The worker of
+//! lane *k* drains the dispatcher's ring *k*, does all of a micro-flow's
+//! per-packet work and offers the finished run to the merge; *k* is also
+//! its heartbeat and supervision slot. FALCON, which pipelines the
+//! stages of one packet across cores, is a system of the simulator only
+//! ([`mflow_steering::Falcon`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::AtomicUsize;
 use std::thread;
 use std::time::Duration;
 
@@ -24,70 +18,26 @@ use crate::config::{BackpressurePolicy, RuntimeConfig};
 use crate::crew;
 use crate::dispatch::{depth_dec, MfDesc};
 use crate::faults::{FaultEvent, RuntimeFaults};
-use crate::merge::{MergedRun, MergerShared, Run};
+use crate::merge::{MergedRun, MergerShared};
 use crate::packet::Frame;
-use crate::ring::{RingConsumer, RingProducer};
+use crate::ring::RingConsumer;
 use crate::supervise::HeartbeatBoard;
-use crate::work::{
-    complete_staged, process_batch, process_frames, stage_group_sizes, stateful_stage,
-    PacketResult, StagedWork,
-};
-
-/// A micro-flow part-way through the staged pipeline, as forwarded
-/// between FALCON chain workers.
-pub(crate) type StagedRun = Run<StagedWork>;
-
-/// The shape of a run (drawn in the docs of [`crate::run`]): `lanes`
-/// entry lanes of `depth` stage workers each. Computed once per run;
-/// nothing downstream asks which family a policy belongs to, only for
-/// these numbers.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct Topology {
-    pub(crate) lanes: usize,
-    pub(crate) depth: usize,
-    /// `groups[stage]`: how many of [`crate::work::STAGES`] the worker at
-    /// that stage applies; they sum to `STAGES`.
-    pub(crate) groups: Vec<usize>,
-}
-
-impl Topology {
-    pub(crate) fn new(stage_groups: usize, workers: usize) -> Self {
-        let (lanes, depth) = if stage_groups >= 2 {
-            (1, stage_groups.min(workers))
-        } else {
-            (workers, 1)
-        };
-        Self {
-            lanes,
-            depth,
-            groups: stage_group_sizes(depth),
-        }
-    }
-
-    /// Worker threads, and worker slots: `slot = lane * depth + stage`.
-    pub(crate) fn threads(&self) -> usize {
-        self.lanes * self.depth
-    }
-
-    /// Index of the [`Link`] from `(lane, stage)` to `(lane, stage + 1)`.
-    pub(crate) fn link(&self, lane: usize, stage: usize) -> usize {
-        lane * (self.depth - 1) + stage
-    }
-}
+use crate::work::{process_frames, stateful_stage, PacketResult};
 
 /// Every decision of a run that follows from what was *asked for* — the
-/// configuration, the policy it names and the injected fault mix — and
-/// not from anything that happens while the stream is in flight.
-/// Resolved once per run, beside [`Topology`], and read everywhere else:
-/// nothing outside [`RunPlan::new`] asks [`RuntimeConfig::supervised`],
-/// [`RuntimeFaults::is_active`] or
+/// configuration and the injected fault mix — and not from anything that
+/// happens while the stream is in flight. Resolved once per run and read
+/// everywhere else: nothing outside [`RunPlan::new`] asks
+/// [`RuntimeConfig::supervised`], [`RuntimeFaults::is_active`] or
 /// [`RuntimeFaults::merger_faults_active`] in order to decide something.
 /// (Per-micro-flow injection hooks such as [`RuntimeFaults::delays_mf`]
 /// stay where they fire.)
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct RunPlan {
     /// The supervision layer is engaged: the stall watchdog, the respawn
-    /// machinery, or both.
+    /// machinery, or both. Micro-flows with no reachable worker then go
+    /// to the dispatcher for inline processing instead of being dropped
+    /// ([`crate::dispatch`], "Degradation under faults").
     pub(crate) supervised: bool,
     /// The merger's mid-stream flush deadline
     /// ([`RuntimeFaults::flush_timeout_ms`]), for the runs that can lose
@@ -101,8 +51,8 @@ pub(crate) struct RunPlan {
     /// stream.
     pub(crate) wal_on: bool,
     /// Stateful-stage placement, at most one nonzero: under SCR the lanes
-    /// (and every path standing in for one — local completion past a dead
-    /// next hop, inline processing) apply `lane_rounds`; under
+    /// (and the dispatcher's inline path, which stands in for one) apply
+    /// `lane_rounds`; under
     /// merge-before-tcp the merger applies `merger_rounds` to results as
     /// it emits them in order ([`crate::merge::MergerState`]).
     pub(crate) lane_rounds: u32,
@@ -112,11 +62,6 @@ pub(crate) struct RunPlan {
     /// and on supervised runs — a stall-respawn needs the window to
     /// redispatch even when no fault injector is wired — else none.
     pub(crate) retain: usize,
-    /// Micro-flows with no reachable worker go to the dispatcher for
-    /// inline processing instead of being dropped: chain policies and
-    /// supervised runs ([`crate::dispatch`], "Degradation under faults").
-    /// Keyed on the policy, not on the shape.
-    pub(crate) inline_orphans: bool,
 }
 
 impl RunPlan {
@@ -155,7 +100,6 @@ impl RunPlan {
             } else {
                 0
             },
-            inline_orphans: cfg.policy.stage_groups() >= 2 || supervised,
         }
     }
 }
@@ -189,221 +133,65 @@ fn apply_worker_faults(
     }
 }
 
-/// What a stage worker dequeues: a descriptor over wire frames at a lane
-/// head, a staged run at an interior stage. Either is advanced by one
-/// stage group for the next hop, or taken through every remaining stage
-/// (plus the replicated stateful stage when SCR is on) — what a tail
-/// does with its input, what any stage does with a run whose next hop
-/// died, and what the dispatcher does with a micro-flow it keeps inline.
-/// A completed run's results go into `results`, an emptied `Vec` the
-/// merge handed back, or a fresh one.
-pub(crate) trait StageInput: Send + Sized {
-    fn mf_id(&self) -> u64;
-
-    fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun;
-
-    fn complete(self, ctx: &WorkerCtx<'_, '_>, results: Vec<PacketResult>) -> MergedRun;
-}
-
 impl MfDesc {
-    /// Runs `walk` over the micro-flow's surviving frames, in place in
-    /// the caller's slice and in order — this thread is the first to
-    /// touch their bytes, so `walk` is one of the loops of
-    /// [`crate::work`] that prefetch ahead of themselves, given the whole
-    /// range at once.
+    /// Takes the micro-flow's surviving frames through every stage, plus
+    /// the replicated stateful stage when SCR is on: what a lane's worker
+    /// does with what it dequeues, and what the dispatcher does with a
+    /// micro-flow it keeps inline. The frames are read in place in the
+    /// caller's slice and in order; this thread is the first to touch
+    /// their bytes, so [`process_frames`], which prefetches ahead of
+    /// itself, is given the whole range at once. The results go into
+    /// `results`, an emptied `Vec` the merge handed back, or a fresh one.
     ///
     /// Planned drops are replayed here, where the frames are read, from
     /// the pure [`RuntimeFaults::drops_packet`]: by construction of the
     /// range only its final frame can close the micro-flow, so every
-    /// reader of one descriptor — the lane head, a redispatch target, the
-    /// dispatcher's inline path — skips exactly the frames the dispatcher
-    /// counted and logged, once, when it planned the range. A range with
-    /// drops is walked one surviving frame at a time. The items go into
-    /// `items`, which arrives empty.
-    fn run<R>(
-        &self,
+    /// reader of one descriptor — the lane's worker, a redispatch target,
+    /// the dispatcher's inline path — skips exactly the frames the
+    /// dispatcher counted and logged, once, when it planned the range. A
+    /// range with drops is walked one surviving frame at a time.
+    pub(crate) fn complete(
+        self,
         ctx: &WorkerCtx<'_, '_>,
-        mut items: Vec<R>,
-        mut walk: impl FnMut(&[Frame], &mut Vec<R>),
-    ) -> Run<R> {
+        mut results: Vec<PacketResult>,
+    ) -> MergedRun {
+        let stateful = |r| stateful_stage(r, ctx.lane_rounds);
         let span = &ctx.frames[self.start..self.end];
-        items.reserve(self.live);
+        results.reserve(self.live);
         // Whether the latest frame survived; after the walk, whether the
         // closing one did.
         let mut closed = true;
         if self.live == span.len() {
-            walk(span, &mut items);
+            process_frames(span, stateful, &mut results);
         } else {
             for (k, frame) in span.iter().enumerate() {
-                closed = !ctx.faults.drops_packet(self.id, frame.seq, k + 1 == span.len());
+                closed = !ctx
+                    .faults
+                    .drops_packet(self.id, frame.seq, k + 1 == span.len());
                 if closed {
-                    walk(std::slice::from_ref(frame), &mut items);
+                    process_frames(std::slice::from_ref(frame), stateful, &mut results);
                 }
             }
         }
-        Run {
+        MergedRun {
             id: self.id,
             tag: self.tag,
             closed,
-            items,
+            items: results,
         }
     }
 }
 
-impl StageInput for MfDesc {
-    fn mf_id(&self) -> u64 {
-        self.id
-    }
-
-    /// The one place frame handles are still cloned: staged work outlives
-    /// this stage, so it must own its buffer.
-    fn advance(self, ctx: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
-        let stage = |f: &Frame| StagedWork::Raw(f.clone()).advance_n(group);
-        self.run(ctx, Vec::new(), |span, out| process_batch(span, stage, out))
-    }
-
-    /// Not `advance(STAGES)`: a worker that owns every stage must pay
-    /// what [`crate::work::process_frame`] costs, and building the enum
-    /// on the stack per frame only to match it apart again measured 4.35
-    /// against 4.78 Mframes/s on `elephant64`.
-    fn complete(self, ctx: &WorkerCtx<'_, '_>, results: Vec<PacketResult>) -> MergedRun {
-        let stateful = |r| stateful_stage(r, ctx.lane_rounds);
-        self.run(ctx, results, |span, out| process_frames(span, stateful, out))
-    }
-}
-
-impl StageInput for StagedRun {
-    fn mf_id(&self) -> u64 {
-        self.id
-    }
-
-    fn advance(self, _: &WorkerCtx<'_, '_>, group: usize) -> StagedRun {
-        self.with_items(|staged| staged.into_iter().map(|w| w.advance_n(group)).collect())
-    }
-
-    /// By reference, so that the run's digests go through the same
-    /// lock-step kernel as a lane worker's; the staged items (and with
-    /// them the frame handles) are dropped once every result is out.
-    fn complete(self, ctx: &WorkerCtx<'_, '_>, mut results: Vec<PacketResult>) -> MergedRun {
-        self.with_items(|staged| {
-            complete_staged(&staged, |r| stateful_stage(r, ctx.lane_rounds), &mut results);
-            results
-        })
-    }
-}
-
-/// The sender half of a [`Link`]. The generation counter invalidates
-/// senders taken out before a re-wire.
-pub(crate) struct LinkSlot {
-    pub(crate) gen: u64,
-    tx: Option<RingProducer<StagedRun>>,
-}
-
-/// One re-wireable link between consecutive stages of a lane. The sender
-/// lives in a shared slot (instead of being owned by the upstream
-/// worker) so the watchdog can swap in a fresh ring when the downstream
-/// stage is respawned — re-homing the stage onto the new worker.
-pub(crate) struct Link {
-    slot: Mutex<LinkSlot>,
-    /// Staged batches queued in the link: counted up by the upstream
-    /// before it publishes, down by the downstream as it dequeues.
-    pub(crate) depth: AtomicUsize,
-    /// Generation at which the upstream observed the downstream dead
-    /// (`u64::MAX` = no pending death signal). The watchdog only honors
-    /// a signal matching the current generation, so stale discoveries of
-    /// an already-replaced link are ignored.
-    pub(crate) dead_gen: AtomicU64,
-}
-
-impl Link {
-    pub(crate) fn new(tx: RingProducer<StagedRun>) -> Self {
-        Self {
-            slot: Mutex::new(LinkSlot {
-                gen: 0,
-                tx: Some(tx),
-            }),
-            depth: AtomicUsize::new(0),
-            dead_gen: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    pub(crate) fn slot(&self) -> std::sync::MutexGuard<'_, LinkSlot> {
-        self.slot.lock().expect("link slot lock")
-    }
-
-    /// Sends a staged run to the next stage. `Err` hands it back when
-    /// the next hop is gone (cut, or its ring just bounced the send); a
-    /// bounce also flags the death, keyed by generation, for the watchdog
-    /// to respawn.
-    fn forward(&self, staged: StagedRun) -> Result<(), StagedRun> {
-        let (gen, tx) = {
-            let mut s = self.slot();
-            (s.gen, s.tx.take())
-        };
-        let Some(mut tx) = tx else {
-            return Err(staged);
-        };
-        // Count the batch as queued before publishing it, so the
-        // downstream decrement can never observe the counter early.
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        match tx.push(staged) {
-            Ok(()) => {
-                let mut s = self.slot();
-                if s.gen == gen {
-                    s.tx = Some(tx);
-                }
-                // Generation moved: the watchdog re-wired this link while
-                // the send was in flight; the taken-out sender fed the
-                // replaced ring and is dropped here. The batch it carried
-                // is lost with that ring and flushed by the merge counter.
-                Ok(())
-            }
-            Err(bounced) => {
-                depth_dec(&self.depth);
-                self.dead_gen.store(gen, Ordering::Release);
-                let mut s = self.slot();
-                if s.gen == gen {
-                    s.tx = None;
-                }
-                Err(bounced)
-            }
-        }
-    }
-
-    /// Cuts the link: the upstream completes batches locally from now
-    /// on, and the downstream sees end-of-stream once its ring drains.
-    /// The generation bump invalidates a sender still in flight upstream.
-    pub(crate) fn cut(&self) {
-        let mut s = self.slot();
-        s.gen += 1;
-        s.tx = None;
-    }
-
-    /// Re-homes the downstream stage onto a fresh ring.
-    pub(crate) fn rewire(&self, tx: RingProducer<StagedRun>) {
-        {
-            let mut s = self.slot();
-            s.gen += 1;
-            s.tx = Some(tx);
-        }
-        self.depth.store(0, Ordering::Relaxed);
-        self.dead_gen.store(u64::MAX, Ordering::Release);
-    }
-}
-
-/// Everything a stage worker reads, bundled so initial spawn and every
-/// respawn are one call. `Copy`, so call sites borrow nothing.
+/// Everything a worker reads, bundled so initial spawn and every respawn
+/// are one call. `Copy`, so call sites borrow nothing.
 #[derive(Clone, Copy)]
 pub(crate) struct WorkerCtx<'scope, 'env> {
     pub(crate) s: &'scope crew::Scope<'scope, 'env>,
-    pub(crate) topo: &'env Topology,
     /// The caller's frames, which every [`MfDesc`] indexes.
     pub(crate) frames: &'env [Frame],
-    /// Per-lane dispatcher queue depths (a head's backlog).
+    /// Per-lane dispatcher queue depths (a lane's backlog).
     pub(crate) depths: &'env [AtomicUsize],
-    /// Indexed by [`Topology::link`]; empty when `depth == 1`.
-    pub(crate) links: &'env [Link],
-    /// Where a tail hands its finished runs.
+    /// Where a worker hands its finished runs.
     pub(crate) merger: &'env MergerShared<'env>,
     pub(crate) faults: &'env RuntimeFaults,
     pub(crate) beats: &'env HeartbeatBoard,
@@ -411,63 +199,42 @@ pub(crate) struct WorkerCtx<'scope, 'env> {
 }
 
 impl<'scope> WorkerCtx<'scope, '_> {
-    /// Starts incarnation `incarnation` of worker `slot` as a job of its
-    /// own, draining `rx`. The handle comes back tagged with its slot, so
-    /// join-time panics can be attributed per slot even after respawns
-    /// reorder the list.
-    pub(crate) fn spawn_worker<T: StageInput + 'scope>(
+    /// Starts incarnation `incarnation` of lane `lane`'s worker as a job
+    /// of its own, draining `rx`. The handle comes back tagged with its
+    /// lane, so join-time panics can be attributed per lane even after
+    /// respawns reorder the list.
+    pub(crate) fn spawn_worker(
         self,
-        slot: usize,
+        lane: usize,
         incarnation: u64,
-        rx: RingConsumer<T>,
+        rx: RingConsumer<MfDesc>,
     ) -> (usize, crew::JoinHandle<'scope>) {
         let s = self.s;
-        let h = s.spawn(move || worker_loop(self, slot, incarnation, rx));
-        (slot, h)
+        let h = s.spawn(move || worker_loop(self, lane, incarnation, rx));
+        (lane, h)
     }
 }
 
-/// One stage-worker incarnation, at any position of any topology:
-/// dequeue, heartbeat, injected faults, this stage's group of the
-/// per-packet work, then hand on. A tail (every fan-out worker; the last
-/// stage of a chain) completes the micro-flow and offers it to the merge;
-/// any other stage forwards through its link, and finishes the micro-flow
-/// itself when the next hop has died — the merge orders by micro-flow id,
-/// so it does not matter which stage a run comes from.
-fn worker_loop<T: StageInput>(
+/// One worker incarnation: dequeue, heartbeat, injected faults, all of
+/// the micro-flow's per-packet work, then the hand-off to the merge.
+fn worker_loop(
     ctx: WorkerCtx<'_, '_>,
-    slot: usize,
+    lane: usize,
     incarnation: u64,
-    mut rx: RingConsumer<T>,
+    mut rx: RingConsumer<MfDesc>,
 ) {
-    let topo = ctx.topo;
-    let (lane, stage) = (slot / topo.depth, slot % topo.depth);
-    let group = topo.groups[stage];
-    // The backlog counter of the ring this worker drains: the dispatcher
-    // lane's at a head, the incoming link's at an interior stage.
-    let backlog = match stage {
-        0 => &ctx.depths[lane],
-        _ => &ctx.links[topo.link(lane, stage - 1)].depth,
-    };
-    // A tail has no link at all, so it takes no lock per micro-flow.
-    let next = (stage + 1 < topo.depth).then(|| &ctx.links[topo.link(lane, stage)]);
+    let backlog = &ctx.depths[lane];
     let mut processed = 0u64;
     let mut results = Vec::new();
-    while let Some(input) = rx.pop() {
+    while let Some(desc) = rx.pop() {
         depth_dec(backlog);
-        ctx.beats.bump(slot);
-        apply_worker_faults(ctx.faults, slot, incarnation, processed, input.mf_id());
+        ctx.beats.bump(lane);
+        apply_worker_faults(ctx.faults, lane, incarnation, processed, desc.id);
         processed += 1;
-        let run = match next {
-            None => input.complete(&ctx, std::mem::take(&mut results)),
-            Some(link) => match link.forward(input.advance(&ctx, group)) {
-                Ok(()) => continue,
-                Err(bounced) => bounced.complete(&ctx, std::mem::take(&mut results)),
-            },
-        };
+        let run = desc.complete(&ctx, std::mem::take(&mut results));
         // One hand-off per micro-flow, which never waits: merged here
         // when the merge lock is free, else by its holder.
-        results = ctx.merger.offer(run, Some(slot)).unwrap_or_default();
+        results = ctx.merger.offer(run, Some(lane)).unwrap_or_default();
     }
 }
 
@@ -479,34 +246,25 @@ mod tests {
 
     #[test]
     fn topology_of_every_policy_and_worker_count() {
-        use PolicyKind::*;
-        // Per policy, at workers 1..=4: (lanes, depth, stage groups).
-        type Row = (usize, usize, &'static [usize]);
-        let fan_out = |w: usize| -> Row { (w, 1, &[3]) };
-        let table: [(PolicyKind, [Row; 4]); 4] = [
-            (Mflow, [1, 2, 3, 4].map(fan_out)),
-            (Rps, [1, 2, 3, 4].map(fan_out)),
-            (
-                FalconDev,
-                [(1, 1, &[3]), (1, 2, &[2, 1]), (1, 2, &[2, 1]), (1, 2, &[2, 1])],
-            ),
-            (
-                FalconFunc,
-                [(1, 1, &[3]), (1, 2, &[2, 1]), (1, 3, &[1, 1, 1]), (1, 3, &[1, 1, 1])],
-            ),
-        ];
-        assert_eq!(table.map(|(kind, _)| kind), PolicyKind::ALL);
-        for (kind, rows) in table {
-            for (workers, (lanes, depth, groups)) in (1..).zip(rows) {
-                let topo = Topology::new(kind.stage_groups(), workers);
-                let want = Topology {
-                    lanes,
-                    depth,
-                    groups: groups.to_vec(),
+        // One shape for every policy: `workers` lanes of one worker each,
+        // every one of which does all of a micro-flow's work.
+        let frames = crate::generate_frames(300, 64);
+        let serial = crate::process_serial(&frames);
+        for policy in PolicyKind::ALL {
+            for workers in 1..=4 {
+                let cfg = RuntimeConfig {
+                    workers,
+                    batch_size: 16,
+                    policy,
+                    ..RuntimeConfig::default()
                 };
-                assert_eq!(topo, want, "{kind} w={workers}");
-                assert_eq!(topo.threads(), lanes * depth);
-                assert_eq!(topo.threads(), kind.worker_slots(workers), "{kind}");
+                let out = crate::process_parallel(&frames, &cfg).unwrap();
+                assert_eq!(
+                    out.telemetry.lane_depths.len(),
+                    workers,
+                    "{policy} w={workers}"
+                );
+                assert_eq!(out.digests, serial.digests, "{policy} w={workers}");
             }
         }
     }
@@ -576,8 +334,6 @@ mod tests {
                             ..RuntimeConfig::default()
                         };
                         let scr = stateful_mode == StatefulMode::StateComputeReplication;
-                        let chained =
-                            matches!(policy, PolicyKind::FalconDev | PolicyKind::FalconFunc);
                         let want = RunPlan {
                             supervised,
                             flush_timeout: perturbed.then_some(Duration::from_millis(100)),
@@ -585,7 +341,6 @@ mod tests {
                             lane_rounds: if scr { WORK } else { 0 },
                             merger_rounds: if scr { 0 } else { WORK },
                             retain: if retains { QUEUE_DEPTH + 2 } else { 0 },
-                            inline_orphans: chained || supervised,
                         };
                         assert_eq!(
                             RunPlan::new(&cfg, faults),
@@ -598,7 +353,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cells, 4 * 2 * 3 * 2 * 3, "every cell exactly once");
+        assert_eq!(cells, 2 * 2 * 3 * 2 * 3, "every cell exactly once");
 
         // The heartbeat alone supervises too, and a run can be told to
         // wait for every micro-flow whatever is injected.
@@ -611,7 +366,7 @@ mod tests {
             ..injected[WORKER].1.clone()
         };
         let plan = RunPlan::new(&heartbeat_only, &patient);
-        assert!(plan.supervised && plan.wal_on && plan.inline_orphans);
+        assert!(plan.supervised && plan.wal_on);
         assert_eq!(plan.flush_timeout, None);
         let plan = RunPlan::new(&RuntimeConfig::default(), &patient);
         assert!(!plan.supervised && plan.flush_timeout.is_none());

@@ -7,7 +7,7 @@
 //! spelled-out definition and the golden literals below can.
 
 use mflow_net::frame::{build_overlay_frame, OverlayFrameSpec};
-use mflow_runtime::work::{complete_staged, process_frames, StagedWork};
+use mflow_runtime::work::process_frames;
 use mflow_runtime::{frame_wire_len, generate_frames, process_frame, BufPool, Frame, PacketResult};
 
 /// The definition, literally.
@@ -111,24 +111,6 @@ fn group_walks_match_frame_by_frame_over_unequal_runs() {
             let mut out = vec![tag(marker)];
             process_frames(&frames, tag, &mut out);
             assert_eq!(out, tagged, "round {round} run of {n}");
-
-            // Chain tails: the same run completed from every head depth,
-            // and from a different depth per item (3 is already `Done`).
-            for depth in 0..=4 {
-                let staged: Vec<StagedWork> = frames
-                    .iter()
-                    .enumerate()
-                    .map(|(k, f)| {
-                        let h = if depth == 4 { (round + k) % 4 } else { depth };
-                        StagedWork::Raw(f.clone()).advance_n(h)
-                    })
-                    .collect();
-                let mut out = vec![tag(marker)];
-                complete_staged(&staged, tag, &mut out);
-                assert_eq!(out, tagged, "round {round} run of {n} from depth {depth}");
-                drop(staged);
-                assert_eq!(pool.in_flight(), n as u64, "staged items leaked a buffer");
-            }
         }
     }
     assert!(empties > 20, "only {empties} empty payloads drawn");

@@ -15,19 +15,18 @@
 //!   the lane) would be this same behaviour under another name; it is a
 //!   policy of the simulator only ([`crate::Rss`]), where multi-flow
 //!   traffic gives it something to differ on.
-//! * **FALCON** does not fan out at all: every batch enters lane 0 and the
-//!   *stages* of the packet function are pipelined across the workers
-//!   ([`PolicyKind::stage_groups`] is the chain length).
 //! * **MFLOW** (implemented in the `mflow` crate, which depends on this
 //!   one) round-robins micro-flows of an elephant flow across all lanes —
 //!   the only policy that interleaves one flow, and therefore the only one
 //!   that *requires* the merging counter to restore order.
 //!
-//! Every policy but MFLOW delivers the stream through a single FIFO path,
-//! so the merge point must observe zero out-of-order arrivals and zero
-//! deadline flushes for them — a property the integration suite asserts
-//! for every implementation here. The runtime derives its wiring from
-//! [`PolicyKind`] before any policy is built.
+//! RPS delivers the stream through a single FIFO path, so the merge point
+//! must observe zero out-of-order arrivals and zero deadline flushes for
+//! it — a property the integration suite asserts. Every policy runs on
+//! the same wiring, one worker per lane, each doing all of a micro-flow's
+//! work. FALCON, which pipelines the *stages* of a packet across cores
+//! instead of steering micro-flows, is a system of the simulator only
+//! ([`crate::Falcon`]).
 
 /// Names every steering policy selectable on the runtime datapath
 /// (`mflow_cli --runtime --policy ...`).
@@ -40,62 +39,23 @@ pub enum PolicyKind {
     /// lane chosen at first sight (least-loaded), like a configured
     /// `rps_cpus` mask.
     Rps,
-    /// FALCON device-level pipelining: 2 stage groups chained across
-    /// workers.
-    FalconDev,
-    /// FALCON function-level pipelining: 3 stage groups chained across
-    /// workers.
-    FalconFunc,
 }
 
 impl PolicyKind {
     /// Every selectable policy, in display order.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::Mflow,
-        PolicyKind::Rps,
-        PolicyKind::FalconDev,
-        PolicyKind::FalconFunc,
-    ];
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::Mflow, PolicyKind::Rps];
 
     /// The CLI / telemetry name.
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Mflow => "mflow",
             PolicyKind::Rps => "rps",
-            PolicyKind::FalconDev => "falcon-dev",
-            PolicyKind::FalconFunc => "falcon-func",
         }
     }
 
     /// Parses a CLI name (the inverse of [`PolicyKind::name`]).
     pub fn parse(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.name() == s)
-    }
-
-    /// Number of pipelined stage groups; 0 means the policy fans batches
-    /// out to lanes instead of chaining stages across them.
-    pub fn stage_groups(self) -> usize {
-        match self {
-            PolicyKind::FalconDev => 2,
-            PolicyKind::FalconFunc => 3,
-            _ => 0,
-        }
-    }
-
-    /// Number of worker thread slots the threaded runtime materialises
-    /// for this policy with `workers` configured: FALCON chains one
-    /// worker per stage group (capped by the worker count), every other
-    /// policy fans one worker out per lane. Supervision and chaos
-    /// tooling use this to build per-slot fault schedules (kills,
-    /// expected restarts) that cover the whole pool — including
-    /// respawned incarnations, which occupy the same slot indices.
-    pub fn worker_slots(self, workers: usize) -> usize {
-        let groups = self.stage_groups();
-        if groups >= 2 {
-            groups.min(workers)
-        } else {
-            workers
-        }
     }
 }
 
@@ -164,41 +124,6 @@ impl SteeringPolicy for RpsLanes {
     }
 }
 
-/// FALCON on lanes: batches always enter the head of the worker chain;
-/// the packet-function stages are pipelined across workers instead of
-/// fanning batches out (device level = 2 stage groups, function level
-/// = 3).
-#[derive(Clone, Copy, Debug)]
-pub struct FalconLanes {
-    name: &'static str,
-}
-
-impl FalconLanes {
-    /// Device-level pipelining: [parse+checksum | digest].
-    pub fn device() -> Self {
-        Self {
-            name: PolicyKind::FalconDev.name(),
-        }
-    }
-
-    /// Function-level pipelining: [parse | checksum | digest].
-    pub fn function() -> Self {
-        Self {
-            name: PolicyKind::FalconFunc.name(),
-        }
-    }
-}
-
-impl SteeringPolicy for FalconLanes {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn steer(&mut self, _mf_id: u64, _flow_hash: u32, _depths: &[usize]) -> usize {
-        0
-    }
-}
-
 /// Builds the baseline lane policy for `kind`; `None` for
 /// [`PolicyKind::Mflow`], whose implementation lives in the `mflow`
 /// crate (it wraps the elephant detector, which this crate cannot see).
@@ -206,8 +131,6 @@ pub fn build_baseline(kind: PolicyKind) -> Option<Box<dyn SteeringPolicy>> {
     match kind {
         PolicyKind::Mflow => None,
         PolicyKind::Rps => Some(Box::new(RpsLanes::default())),
-        PolicyKind::FalconDev => Some(Box::new(FalconLanes::device())),
-        PolicyKind::FalconFunc => Some(Box::new(FalconLanes::function())),
     }
 }
 
@@ -221,16 +144,9 @@ mod tests {
             assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(PolicyKind::parse("bogus"), None);
-    }
-
-    #[test]
-    fn worker_slots_counts_chain_stages_or_fanout_lanes() {
-        assert_eq!(PolicyKind::Mflow.worker_slots(4), 4);
-        assert_eq!(PolicyKind::Rps.worker_slots(7), 7);
-        assert_eq!(PolicyKind::FalconDev.worker_slots(4), 2);
-        assert_eq!(PolicyKind::FalconFunc.worker_slots(4), 3);
-        // A chain never has more stages than workers.
-        assert_eq!(PolicyKind::FalconFunc.worker_slots(2), 2);
+        // FALCON is a system of the simulator, not a runtime policy.
+        assert_eq!(PolicyKind::parse("falcon-dev"), None);
+        assert_eq!(PolicyKind::parse("falcon-func"), None);
     }
 
     #[test]
@@ -274,15 +190,5 @@ mod tests {
         for (mf, hash) in (2..).zip([8, 7, 0, u32::MAX, 8, 1 << 16]) {
             assert_eq!(p.steer(mf, hash, &[0, 9, 1]), 1, "hash {hash:#x}");
         }
-    }
-
-    #[test]
-    fn falcon_enters_the_chain_head() {
-        let mut dev = FalconLanes::device();
-        let mut func = FalconLanes::function();
-        assert_eq!(dev.steer(0, 1, &[1, 2, 3]), 0);
-        assert_eq!(func.steer(0, 1, &[1, 2, 3]), 0);
-        assert_eq!(PolicyKind::FalconDev.stage_groups(), 2);
-        assert_eq!(PolicyKind::FalconFunc.stage_groups(), 3);
     }
 }

@@ -7,8 +7,8 @@
 //! exactly the gap MFLOW (the `mflow` crate) fills.
 //!
 //! The [`lane`] module carries the engine-agnostic [`SteeringPolicy`]
-//! trait the real-thread runtime dispatches through, with lane-level
-//! implementations of the same baselines.
+//! trait the real-thread runtime dispatches through, with RPS on lanes.
+//! The other baselines run in the simulator only.
 
 pub mod falcon;
 pub mod lane;
@@ -16,6 +16,6 @@ pub mod rps;
 pub mod rss;
 
 pub use falcon::{Falcon, FalconLevel};
-pub use lane::{build_baseline, FalconLanes, PolicyKind, RpsLanes, SteeringPolicy};
+pub use lane::{build_baseline, PolicyKind, RpsLanes, SteeringPolicy};
 pub use rps::Rps;
 pub use rss::Rss;

@@ -121,8 +121,8 @@ fn killing_every_worker_heals_conserves_and_recovers_throughput() {
 #[test]
 fn fixed_seed_soak_over_every_policy() {
     // Two fixed seeds, each over every cell: one seed-derived kill per
-    // materialised worker slot, two merger kills (incarnation 0, then its
-    // successor), and background drops, dups, lates and stalls. Every
+    // worker, two merger kills (incarnation 0, then its successor), and
+    // background drops, dups, lates and stalls. Every
     // fault decision is a pure function of the seed, so a failure message
     // — which names the soak seed and the cell — is a reproduction recipe.
     let _cpu = one_at_a_time();
@@ -155,7 +155,7 @@ fn fixed_seed_soak_over_every_policy() {
 /// merger deaths healed from the checkpoint layer.
 fn soak_cell(cell: &Cell, frames: &[Frame], soak_seed: u64) {
     let (policy, label) = (cell.cfg.policy, &cell.label);
-    let slots = policy.worker_slots(cell.cfg.workers);
+    let slots = cell.cfg.workers;
     let seed = splitmix(soak_seed ^ policy.name().len() as u64, 0);
     let kills = (0..slots)
         .map(|slot| WorkerKill {
@@ -196,10 +196,9 @@ fn soak_cell(cell: &Cell, frames: &[Frame], soak_seed: u64) {
     let out = cell.run(frames, &faults);
     let diag = diagnostics(&out, faults.log.as_ref().expect("attached above"));
     // Traffic-bearing slots must have died and been healed: MFLOW
-    // spreads over every lane, FALCON chains pipe through every stage,
-    // the pinned baseline concentrates on one lane. Healing needs a
-    // dispatcher that is still dispatching when the deaths happen; one
-    // that never waits for a lane (`Inline`) can be done with the stream
+    // spreads over every lane, the pinned baseline concentrates on one
+    // lane. Healing needs a dispatcher that is still dispatching when the
+    // deaths happen; one that never waits for a lane (`Inline`) can be done with the stream
     // before any worker has reached its kill.
     let expected = match (cell.cfg.backpressure, policy) {
         (BackpressurePolicy::Inline, _) => 0,

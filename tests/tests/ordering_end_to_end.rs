@@ -52,7 +52,7 @@ fn real_threads_preserve_byte_exact_order() {
 #[test]
 fn every_steering_policy_preserves_byte_exact_order() {
     // The policy-pluggable datapath contract: whatever steers the lanes
-    // — whole-flow pinning, stage chaining, or micro-flow splitting —
+    // — whole-flow pinning or micro-flow splitting —
     // the delivered stream on a benign run is byte-identical to the
     // serial one, and policies that never interleave the stream must
     // show a merge path that never engaged.
@@ -66,9 +66,7 @@ fn every_steering_policy_preserves_byte_exact_order() {
     // ("Why Does Flow Director Cause Packet Reordering?", PAPERS.md).
     let one_flow = generate_frames(6_000, 256);
     let (_pool, five_flows) = build_frames(4_096, &[64], |seq| 1 + seq / 32 % 5);
-    // Every worker count up to 4, so the chain policies run at each
-    // depth they can take: `falcon-func` 1, 2 (stage groups `[2, 1]`)
-    // and 3; `falcon-dev` 1 and 2.
+    // Every worker count up to 4: one lane per worker.
     for (frames, batch_size) in [(&one_flow, 64), (&five_flows, 32)] {
         for workers in 1..=4 {
             let base = RuntimeConfig {

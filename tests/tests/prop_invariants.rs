@@ -328,7 +328,7 @@ mod backpressure_accounting {
             // packet ends up delivered, shed (whole micro-flows, with a
             // lane attributed), or inside a flushed micro-flow — under
             // Block, DropTail and Inline alike, over every steering policy
-            // (pinned, chained, or splitting) and both stateful modes.
+            // (pinned or splitting) and both stateful modes.
             // `Cell::run` checks the law; what follows is this suite's.
             let frames = generate_frames(n, 32);
             let cell = cell(

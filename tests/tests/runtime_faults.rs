@@ -221,9 +221,8 @@ fn duplicated_microflows_are_rejected_and_output_is_exact() {
 #[test]
 fn degradation_contract_holds_under_every_policy() {
     // Loss, duplication, late redispatch and a killed worker, in every
-    // cell: whole-flow pinning concentrates everything on one lane,
-    // FALCON chains route it through every worker in sequence, and MFLOW
-    // spreads it — the attribution contract must hold regardless.
+    // cell: whole-flow pinning concentrates everything on one lane and
+    // MFLOW spreads it — the attribution contract must hold regardless.
     let frames = generate_frames(1_500, 64);
     let base = RuntimeConfig {
         workers: 3,
@@ -254,54 +253,32 @@ fn degradation_contract_holds_under_every_policy() {
 
 #[test]
 fn losing_every_worker_errs_on_fan_out_and_goes_inline_on_a_chain() {
-    // The one behavioural difference between the topologies, unsupervised:
-    // a fan-out run with nobody left cannot deliver the remainder, a chain
-    // policy hands orphaned batches to the dispatcher. The rule is keyed
-    // on the policy, not on the shape — `falcon-func` at `workers: 1` is
-    // the same 1 x 1 as `mflow` at `workers: 1`.
+    // Unsupervised, a run whose every worker died cannot deliver the
+    // remainder. A supervised run's dispatcher takes over instead
+    // (`supervision.rs`, `exhausted_budget_degrades_to_dispatcher_inline`).
     let frames = generate_frames(1200, 64);
-    let run = |policy, workers, kills: &[(usize, u64)]| {
-        let cfg = RuntimeConfig {
-            workers,
-            batch_size: 16,
-            queue_depth: 2,
-            policy,
-            ..RuntimeConfig::default()
-        };
-        let faults = RuntimeFaults {
-            kills: kills
-                .iter()
-                .map(|&(worker, after_batches)| WorkerKill {
-                    worker,
-                    after_batches,
-                    incarnation: 0,
-                })
-                .collect(),
-            flush_timeout_ms: Some(40),
-            ..RuntimeFaults::none()
-        };
-        (cfg, faults)
+    let cfg = RuntimeConfig {
+        workers: 2,
+        batch_size: 16,
+        queue_depth: 2,
+        policy: PolicyKind::Mflow,
+        ..RuntimeConfig::default()
     };
-
-    let (cfg, faults) = run(PolicyKind::Mflow, 2, &[(0, 2), (1, 2)]);
+    let faults = RuntimeFaults {
+        kills: [0, 1]
+            .map(|worker| WorkerKill {
+                worker,
+                after_batches: 2,
+                incarnation: 0,
+            })
+            .to_vec(),
+        flush_timeout_ms: Some(40),
+        ..RuntimeFaults::none()
+    };
     assert!(matches!(
         process_parallel_faulty(&frames, &cfg, &faults),
         Err(MflowError::NoLiveWorkers)
     ));
-
-    // Staggered so every stage lives long enough to be fed its own kill:
-    // the tail goes first, the head last.
-    for (workers, kills) in [(1, &[(0, 2)][..]), (3, &[(2, 2), (1, 4), (0, 8)][..])] {
-        let (cfg, faults) = run(PolicyKind::FalconFunc, workers, kills);
-        let out = Cell::new(cfg).run(&frames, &faults);
-        assert_eq!(out.workers_died, workers, "w={workers}: every chain worker dies");
-        assert!(out.inline_batches > 0, "w={workers}: the dispatcher takes over");
-        assert_eq!(
-            out.digests.last().map(|r| r.seq),
-            Some(frames.len() as u64 - 1),
-            "w={workers}: dispatcher-inline finishes the stream"
-        );
-    }
 }
 
 #[test]

@@ -29,10 +29,9 @@ const WORK: u32 = 8;
 const CALLS_PER_CELL: usize = 30;
 
 /// What call `k` of a cell injects: nothing, one worker death, one
-/// merger death, in rotation. The worker kill alternates between slots 0
-/// and 1: a fan-out policy's two lane heads (a whole-flow policy leaves
-/// one of them idle, where the kill cannot fire), a chain's head and its
-/// later stage.
+/// merger death, in rotation. The worker kill alternates between lanes 0
+/// and 1 (a whole-flow policy leaves one of them idle, where the kill
+/// cannot fire).
 fn faults_of_call(k: usize) -> RuntimeFaults {
     let mut faults = RuntimeFaults::none();
     // Equality with the serial stream means the merger never flushes, so
