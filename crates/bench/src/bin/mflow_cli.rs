@@ -112,19 +112,6 @@ fn parse_policy(name: &str) -> PolicyKind {
     })
 }
 
-/// Whether `BufPool::new(slots, slot_len)` can build the pool: at least
-/// one slot, slots indexed by `u32`, and a slab of `slots * slot_len`
-/// bytes whose length, rounded up to whole 2 MiB huge pages as the pool
-/// maps it, fits a `usize`. (`slot_len` is never 0 here: a zero
-/// `--pool-slab` picks the default.)
-fn pool_fits(slots: usize, slot_len: usize) -> bool {
-    (1..=u32::MAX as usize).contains(&slots)
-        && slots
-            .checked_mul(slot_len)
-            .and_then(|len| len.checked_next_multiple_of(2 << 20))
-            .is_some()
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         system: System::Mflow,
@@ -380,15 +367,10 @@ fn run_runtime(a: &Args) {
         (slab, _) => slab,
     };
     let slots = if a.pool_slots > 0 { a.pool_slots } else { a.frames };
-    if !pool_fits(slots, slab) {
-        eprintln!(
-            "a pool of {slots} slots x {slab} B cannot be built \
-             (1 to {} slots, and slots x bytes in whole 2 MiB pages must fit a usize)",
-            u32::MAX
-        );
+    let pool = BufPool::try_new(slots, slab).unwrap_or_else(|e| {
+        eprintln!("a pool of {slots} slots x {slab} B cannot be built: {e}");
         usage()
-    }
-    let pool = BufPool::new(slots, slab);
+    });
     let (frames, n_frames) = if let Some(path) = &a.pcap {
         let data = match std::fs::read(path) {
             Ok(d) => d,
@@ -946,22 +928,3 @@ fn main() {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::pool_fits;
-
-    #[test]
-    fn pool_fits_rejects_what_bufpool_new_cannot_build() {
-        assert!(pool_fits(1, 1));
-        assert!(pool_fits(u32::MAX as usize, 1));
-        assert!(pool_fits(1 << 20, 2048));
-        // No slot, more slots than a u32 indexes.
-        assert!(!pool_fits(0, 2048));
-        assert!(!pool_fits(u32::MAX as usize + 1, 1));
-        // The slab's length overflows usize, or does once rounded up to
-        // whole huge pages.
-        assert!(!pool_fits(1 << 20, 1 << 44));
-        assert!(!pool_fits(2, usize::MAX / 2 + 1));
-        assert!(!pool_fits(2, usize::MAX / 2));
-    }
-}

@@ -259,11 +259,6 @@ impl<T> MergeCounter<T> {
         m
     }
 
-    /// Sets or clears the flush deadline on an existing reassembler.
-    pub fn set_flush_deadline(&mut self, deadline: Option<u64>) {
-        self.flush_after_offers = deadline.map(|d| d.max(1));
-    }
-
     /// Current merging-counter value.
     pub fn counter(&self) -> u64 {
         self.counter

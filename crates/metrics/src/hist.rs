@@ -155,18 +155,6 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// One-line human-readable summary in microseconds.
-    pub fn summary_us(&self) -> String {
-        format!(
-            "n={} mean={:.1}us p50={:.1}us p99={:.1}us max={:.1}us",
-            self.total,
-            self.mean() / 1e3,
-            self.median() as f64 / 1e3,
-            self.p99() as f64 / 1e3,
-            self.max() as f64 / 1e3,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,8 @@
 ///   death or stall was detected (runtime engine).
 /// * `heartbeat_misses` — times the watchdog declared a worker stalled
 ///   because its heartbeat epoch went stale past the deadline while it
-///   had work queued (runtime engine).
+///   had work queued, or the merge wedged because its epoch did while a
+///   holder was inside (runtime engine).
 /// * `recovery_ns` — worst-case time-to-recovery in the *worker* failure
 ///   domain: the longest gap between a death being observed and the
 ///   replacement worker being live (runtime engine).

@@ -27,14 +27,6 @@ impl<'a> LoadView<'a> {
     pub fn backlog_segs(&self, core: CoreId) -> u64 {
         self.backlog_segs.get(core).copied().unwrap_or(0)
     }
-
-    /// The least-loaded core among `candidates` (ties: first listed).
-    pub fn least_loaded(&self, candidates: &[CoreId]) -> CoreId {
-        *candidates
-            .iter()
-            .min_by_key(|&&c| self.backlog_segs(c))
-            .expect("candidates must be non-empty")
-    }
 }
 
 /// A steering policy decides, at every stage transition, which core each

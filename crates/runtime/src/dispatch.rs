@@ -70,6 +70,7 @@ use crate::faults::{FaultEvent, RuntimeFaults};
 use crate::merge::MergerShared;
 use crate::packet::Frame;
 use crate::ring::{RingProducer, RingSendError};
+use crate::supervise::Supervisor;
 use crate::worker::RunPlan;
 
 /// Instantiates the [`SteeringPolicy`] for a [`PolicyKind`]: baselines
@@ -156,6 +157,9 @@ pub(crate) struct Dispatcher<'a> {
     /// Watched while a blocking send waits ([`MergerShared::watch`]): the
     /// lane it waits on may be that of a merge-lock holder that wedged.
     merger: &'a MergerShared<'a>,
+    /// Both failure domains' stall clocks and restart budget, which every
+    /// watchdog pass reads — a blocking send's waits included.
+    pub(crate) sup: Supervisor,
 }
 
 impl<'a> Dispatcher<'a> {
@@ -165,6 +169,7 @@ impl<'a> Dispatcher<'a> {
         depths: &'a [AtomicUsize],
         plan: &RunPlan,
         merger: &'a MergerShared<'a>,
+        sup: Supervisor,
     ) -> Self {
         Self {
             lanes,
@@ -191,6 +196,7 @@ impl<'a> Dispatcher<'a> {
             orphans: Vec::new(),
             pending: Vec::new(),
             merger,
+            sup,
         }
     }
 
@@ -257,8 +263,8 @@ impl<'a> Dispatcher<'a> {
             // leaves the counter inflated only until `mark_dead` zeroes
             // it.)
             self.depths[lane].fetch_add(1, Ordering::Relaxed);
-            let merger = self.merger;
-            if tx.push_while(desc, || merger.watch()).is_err() {
+            let (merger, sup) = (self.merger, &mut self.sup);
+            if tx.push_while(desc, || merger.watch(sup)).is_err() {
                 // The worker died: everything it still held is lost.
                 // Redispatch its retained window plus this micro-flow.
                 let window = self.mark_dead(lane);

@@ -22,7 +22,7 @@
 //!
 //! * **Loss** — a micro-flow that never completes stalls the merging
 //!   counter; the dispatcher's supervision pass ([`MergerShared::tend`])
-//!   flushes past it once no run has been merged for
+//!   flushes past it once the merger's heartbeat has stood still for
 //!   [`RuntimeFaults::flush_timeout_ms`], and final assembly again at end
 //!   of stream, releasing every parked successor. Skipped IDs are
 //!   reported in [`crate::RunOutput::flushed_mfs`].
@@ -40,8 +40,9 @@
 //!   holders park what they take in the block's backlog, to be merged as
 //!   fresh runs by the successor or by final assembly. A *wedge* is a
 //!   holder that has made no progress inside the critical section for a
-//!   whole heartbeat deadline; it is superseded by generation, and
-//!   drops its live state at its next check.
+//!   whole heartbeat deadline, timed by the supervisor's merger slot
+//!   ([`Supervisor::stale`], the workers' stall clock); it is superseded
+//!   by generation, and drops its live state at its next check.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -271,16 +272,6 @@ pub(crate) struct MergeBlock {
     recycled: Vec<Vec<PacketResult>>,
 }
 
-/// The watchdog's view of the merger's heartbeat, kept by the dispatcher's
-/// passes ([`MergerShared::tend`], [`MergerShared::watch`]).
-struct Watch {
-    /// The merger slot's epoch as last seen, and since when.
-    epoch: u64,
-    since: Instant,
-    /// Wedges declared (folded into `Telemetry::heartbeat_misses`).
-    misses: u64,
-}
-
 impl MergeBlock {
     fn new(frames: usize, rounds: u32) -> Self {
         Self {
@@ -324,10 +315,6 @@ pub(crate) struct MergerShared<'a> {
     incarnation: AtomicU64,
     /// Panics caught inside the critical section.
     deaths: AtomicUsize,
-    watch: Mutex<Watch>,
-    /// [`crate::RuntimeConfig::heartbeat_interval_ms`]: how long a holder
-    /// may stay inside without progress before it counts as wedged.
-    deadline: Option<Duration>,
     faults: &'a RuntimeFaults,
     beats: &'a HeartbeatBoard,
     /// The merger's heartbeat and supervision slot.
@@ -356,7 +343,6 @@ impl<'a> MergerShared<'a> {
         faults: &'a RuntimeFaults,
         beats: &'a HeartbeatBoard,
         slot: usize,
-        start: Instant,
     ) -> Self {
         Self {
             inbox: Mutex::new(Vec::new()),
@@ -366,12 +352,6 @@ impl<'a> MergerShared<'a> {
             down: AtomicBool::new(false),
             incarnation: AtomicU64::new(0),
             deaths: AtomicUsize::new(0),
-            watch: Mutex::new(Watch {
-                epoch: 0,
-                since: start,
-                misses: 0,
-            }),
-            deadline: cfg.heartbeat_interval_ms.map(Duration::from_millis),
             faults,
             beats,
             slot,
@@ -583,43 +563,23 @@ impl<'a> MergerShared<'a> {
         }
     }
 
-    /// How long the merger's heartbeat has stood still, as the watchdog's
-    /// passes see it: an epoch that moved since the last look restarts
-    /// the clock. The holder is read first, so with one the epoch is at
-    /// least its entry bump.
-    fn quiet(&self, now: Instant) -> (Duration, bool) {
-        let held = self.held();
-        let epoch = self.beats.read(self.slot);
-        let mut w = self.watch.lock().unwrap_or_else(PoisonError::into_inner);
-        if epoch != w.epoch {
-            w.epoch = epoch;
-            w.since = now;
-        }
-        (now.saturating_duration_since(w.since), held)
-    }
-
-    /// The wedge verdict, the one supervision step that needs no
-    /// supervisor, so the dispatcher also runs it while it waits on a full
-    /// lane — the lane, perhaps, of the wedged holder itself. Stale *and*
-    /// held means one holder has made no progress inside the critical
-    /// section for a whole deadline; a descheduled offerer outside it, or
-    /// a merge with nothing to do, cannot look wedged. The incarnation is
-    /// superseded: every journaled run is safe, the holder drops its live
-    /// state at its next check, and the next supervision pass allows a
-    /// successor.
-    pub(crate) fn watch(&self) {
+    /// The wedge verdict, which the dispatcher also runs while it waits on
+    /// a full lane — the lane, perhaps, of the wedged holder itself. Stale
+    /// *and* held means one holder has made no progress inside the
+    /// critical section for a whole deadline; a descheduled offerer
+    /// outside it, or a merge with nothing to do, cannot look wedged. The
+    /// incarnation is superseded: every journaled run is safe, the holder
+    /// drops its live state at its next check, and the next supervision
+    /// pass allows a successor.
+    pub(crate) fn watch(&self, sup: &mut Supervisor) {
         if !self.plan.supervised || self.down.load(Ordering::Acquire) {
             return;
         }
-        let Some(deadline) = self.deadline else {
-            return;
-        };
-        let (quiet, held) = self.quiet(Instant::now());
-        if held && quiet > deadline {
-            self.watch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .misses += 1;
+        // The holder first, so with one the epoch is at least its entry
+        // bump.
+        let held = self.held();
+        if sup.stale(self.slot, self.beats.read(self.slot), Instant::now()) && held {
+            sup.heartbeat_misses += 1;
             // `down` before `gen` (see `live`).
             self.down.store(true, Ordering::Release);
             self.gen.fetch_add(1, Ordering::AcqRel);
@@ -628,14 +588,15 @@ impl<'a> MergerShared<'a> {
 
     /// One non-blocking supervision pass of the merger failure domain, run
     /// by the dispatcher between micro-flows and by the teardown waits:
-    /// flush past a stalled micro-flow once nothing has been merged for
-    /// the flush deadline; allow a successor to a dead or superseded
-    /// incarnation (budget and backoff permitting) and have it merge what
-    /// waited; supersede a wedged holder ([`MergerShared::watch`]).
+    /// flush past a stalled micro-flow once the merger slot's stall clock
+    /// ([`Supervisor::quiet`]) passes the flush deadline; allow a
+    /// successor to a dead or superseded incarnation (budget and backoff
+    /// permitting) and have it merge what waited; supersede a wedged
+    /// holder ([`MergerShared::watch`]).
     pub(crate) fn tend(&self, sup: &mut Supervisor, frames_done: u64, now: Instant) {
         let slot = self.slot;
         if let Some(deadline) = self.plan.flush_timeout {
-            if self.quiet(now).0 > deadline {
+            if sup.quiet(slot, self.beats.read(slot), now) > deadline {
                 if let Some(mut block) = self.try_block() {
                     self.critical(&mut block, None, |b| {
                         if let Some(live) = self.live(&mut b.live, &mut b.dur) {
@@ -650,7 +611,7 @@ impl<'a> MergerShared<'a> {
             return;
         }
         if !self.down.load(Ordering::Acquire) {
-            self.watch();
+            self.watch(sup);
             return;
         }
         sup.note_death(slot, now, frames_done);
@@ -723,11 +684,6 @@ impl<'a> MergerShared<'a> {
     /// [`MergerState`], which stages what it emits. The delivered buffer
     /// is taken, not copied.
     pub(crate) fn assemble(&self) -> Assembled {
-        let heartbeat_misses = self
-            .watch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .misses;
         let block = std::mem::replace(
             &mut *self.try_block().expect("every holder is gone"),
             MergeBlock::new(0, self.plan.merger_rounds),
@@ -765,7 +721,6 @@ impl<'a> MergerShared<'a> {
             digests: out,
             state,
             dur,
-            heartbeat_misses,
         }
     }
 }
@@ -776,6 +731,4 @@ pub(crate) struct Assembled {
     pub(crate) digests: Vec<PacketResult>,
     pub(crate) state: MergerState,
     pub(crate) dur: MergerDurable,
-    /// Wedges the watchdog declared.
-    pub(crate) heartbeat_misses: u64,
 }

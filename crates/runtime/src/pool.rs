@@ -239,14 +239,25 @@ mod thp {
 }
 
 /// The slab's length, `slots * slot_len`, and that rounded up to whole
-/// huge pages, checked before anything is allocated: release builds do
-/// not check arithmetic, and a wrapped product would carve slots out of
-/// a slab shorter than them.
-fn slab_lengths(slots: usize, slot_len: usize) -> (usize, usize) {
+/// huge pages, or why no pool of that shape can be built: no slot, an
+/// empty one, more slots than a `u32` indexes, or a length that overflows.
+/// Checked before anything is allocated: release builds do not check
+/// arithmetic, and a wrapped product would carve slots out of a slab
+/// shorter than them.
+fn slab_lengths(slots: usize, slot_len: usize) -> Result<(usize, usize), String> {
+    if slots == 0 {
+        return Err("pool needs at least one slot".into());
+    }
+    if slot_len == 0 {
+        return Err("slots need at least one byte".into());
+    }
+    if u32::try_from(slots).is_err() {
+        return Err(format!("{slots} slots exceed the u32 slot index"));
+    }
     slots
         .checked_mul(slot_len)
         .and_then(|len| Some((len, len.checked_next_multiple_of(HUGE_PAGE)?)))
-        .unwrap_or_else(|| panic!("a slab of {slots} slots x {slot_len} bytes overflows usize"))
+        .ok_or_else(|| format!("a slab of {slots} slots x {slot_len} bytes overflows usize"))
 }
 
 /// A point-in-time counter snapshot of a [`BufPool`].
@@ -283,20 +294,26 @@ impl PoolStats {
 
 impl BufPool {
     /// A pool of `slots` buffers of `slot_len` bytes each.
+    ///
+    /// # Panics
+    ///
+    /// Where [`BufPool::try_new`] errs, with its message.
     pub fn new(slots: usize, slot_len: usize) -> Self {
-        assert!(slots >= 1, "pool needs at least one slot");
-        assert!(slot_len >= 1, "slots need at least one byte");
-        assert!(
-            u32::try_from(slots).is_ok(),
-            "{slots} slots exceed the u32 slot index"
-        );
-        let (len, map_len) = slab_lengths(slots, slot_len);
+        Self::try_new(slots, slot_len).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A pool of `slots` buffers of `slot_len` bytes each, or why it
+    /// cannot be built, decided before anything is mapped: at least one
+    /// slot of at least one byte, at most `u32::MAX` slots, and a slab
+    /// whose length, rounded up to whole 2 MiB huge pages, fits a `usize`.
+    pub fn try_new(slots: usize, slot_len: usize) -> Result<Self, String> {
+        let (len, map_len) = slab_lengths(slots, slot_len)?;
         let slab = Slab::new(len, map_len);
         let refs: Box<[AtomicU32]> = (0..slots).map(|_| AtomicU32::new(0)).collect();
         // LIFO free list: hand the most recently released (cache-warm)
         // slot out first.
         let free = (0..slots as u32).rev().collect();
-        Self {
+        Ok(Self {
             inner: Arc::new(PoolInner {
                 slot_len,
                 slots,
@@ -308,7 +325,7 @@ impl BufPool {
                 recycled: AtomicU64::new(0),
                 heap_live: AtomicU64::new(0),
             }),
-        }
+        })
     }
 
     /// Pool sized to hold `n` frames of up to `frame_len` bytes.
@@ -371,10 +388,6 @@ impl BufPool {
     pub fn in_flight(&self) -> u64 {
         let s = self.stats();
         (s.slots - s.free) + s.heap_live
-    }
-
-    fn ptr_eq(&self, other: &Arc<PoolInner>) -> bool {
-        Arc::ptr_eq(&self.inner, other)
     }
 
     /// The slab's mapping as `(address, length)`; `None` on the heap.
@@ -478,14 +491,6 @@ impl PktBuf {
         match &self.0 {
             Repr::Pooled { idx, .. } => Some(*idx),
             Repr::Heap(_) => None,
-        }
-    }
-
-    /// True when this handle belongs to `pool`'s slab or heap gauge.
-    pub fn belongs_to(&self, pool: &BufPool) -> bool {
-        match &self.0 {
-            Repr::Pooled { pool: p, .. } => pool.ptr_eq(p),
-            Repr::Heap(buf) => buf.pool.as_ref().is_some_and(|p| pool.ptr_eq(p)),
         }
     }
 }
@@ -671,6 +676,33 @@ mod tests {
     #[should_panic(expected = "4294967296 slots exceed the u32 slot index")]
     fn more_slots_than_a_u32_indexes_panic() {
         BufPool::new(u32::MAX as usize + 1, 1);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn try_new_rejects_what_it_cannot_build() {
+        assert!(BufPool::try_new(1, 1).is_ok());
+        // Geometries too large to build here pass the same check.
+        assert!(slab_lengths(u32::MAX as usize, 1).is_ok());
+        assert!(slab_lengths(1 << 20, 2048).is_ok());
+        // No slot, an empty one, more slots than a u32 indexes.
+        let err = |slots, slot_len| BufPool::try_new(slots, slot_len).unwrap_err();
+        assert_eq!(err(0, 2048), "pool needs at least one slot");
+        assert_eq!(err(1, 0), "slots need at least one byte");
+        assert_eq!(
+            err(u32::MAX as usize + 1, 1),
+            format!("{} slots exceed the u32 slot index", u32::MAX as usize + 1)
+        );
+        // The slab's length overflows usize, or does once rounded up to
+        // whole huge pages.
+        let overflowing = [
+            (1 << 20, 1 << 44),
+            (2, usize::MAX / 2 + 1),
+            (2, usize::MAX / 2),
+        ];
+        for (slots, slot_len) in overflowing {
+            assert!(err(slots, slot_len).ends_with("bytes overflows usize"));
+        }
     }
 
     #[test]

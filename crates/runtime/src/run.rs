@@ -127,13 +127,12 @@ pub fn process_parallel_faulty(
     // the merge lock bumps.
     let merger_slot = cfg.workers;
     let beats = &HeartbeatBoard::new(cfg.workers + 1);
-    let merger = &MergerShared::new(frames.len(), cfg, plan, faults, beats, merger_slot, start);
+    let merger = &MergerShared::new(frames.len(), cfg, plan, faults, beats, merger_slot);
     // Buffer-pool telemetry: snapshot the frames' pool so the run can
     // report the recycle and heap-fallback deltas it caused.
     let frame_pool = frames.iter().find_map(|f| f.buf().pool());
     let pool_before = frame_pool.as_ref().map(|p| p.stats());
 
-    let mut d = Dispatcher::new(lanes, cfg, &depths, plan, merger);
     // One supervision slot per worker plus the merger's; the respawn
     // budget is one shared pool across both failure domains, but the
     // restart and recovery-time counters split per domain.
@@ -145,6 +144,7 @@ pub fn process_parallel_faulty(
         start,
     );
     sup.watch_merger(merger_slot);
+    let mut d = Dispatcher::new(lanes, cfg, &depths, plan, merger, sup);
     let mut dispatch_done = start;
 
     let deaths_by_lane = crew::scope(|s| {
@@ -162,7 +162,6 @@ pub fn process_parallel_faulty(
             workers,
             plan,
             d: &mut d,
-            sup: &mut sup,
             handles: (lane_rx.into_iter().enumerate())
                 .map(|(lane, rx)| workers.spawn_worker(lane, 0, rx))
                 .collect(),
@@ -183,7 +182,7 @@ pub fn process_parallel_faulty(
         // Nobody was left to deliver the remainder.
         return Err(MflowError::NoLiveWorkers);
     }
-    let (workers_respawned, workers_abandoned) = sup.classify_deaths(&deaths_by_lane);
+    let (workers_respawned, workers_abandoned) = d.sup.classify_deaths(&deaths_by_lane);
     // A death the dispatcher never observed (no send to that lane
     // afterwards) still leaves queued batches undequeued, so zero the
     // lane's depth too — a clean final incarnation drained its queue to
@@ -196,7 +195,7 @@ pub fn process_parallel_faulty(
 
     let merged = merger.assemble();
     let pool = pool_delta(frame_pool, pool_before);
-    let telemetry = telemetry(cfg, &*policy, pool, &merged, &d, &sup);
+    let telemetry = telemetry(cfg, &*policy, pool, &merged, &d);
     Ok(RunOutput {
         digests: merged.digests,
         elapsed: start.elapsed(),
@@ -207,7 +206,7 @@ pub fn process_parallel_faulty(
         checkpoints: merged.dur.checkpoints,
         workers_respawned,
         workers_abandoned,
-        recovery: sup.rates(start, dispatch_done, frames.len() as u64),
+        recovery: d.sup.rates(start, dispatch_done, frames.len() as u64),
         sheds: d.sheds,
         inline_batches: d.inline_batches,
         block_fallbacks: d.block_fallbacks,
@@ -227,15 +226,14 @@ fn process_inline(workers: &WorkerCtx<'_, '_>, d: &mut Dispatcher<'_>, desc: MfD
     workers.merger.offer(run, None);
 }
 
-/// The calling thread's side of the open scope: the dispatcher, the
-/// supervisor, and a handle on every job it started. This thread plays
-/// the IRQ core's first half.
+/// The calling thread's side of the open scope: the dispatcher, with the
+/// supervisor it owns, and a handle on every job it started. This thread
+/// plays the IRQ core's first half.
 struct Driver<'a, 'd, 'scope, 'env> {
     cfg: &'env RuntimeConfig,
     workers: WorkerCtx<'scope, 'env>,
     plan: &'env RunPlan,
     d: &'a mut Dispatcher<'d>,
-    sup: &'a mut Supervisor,
     /// Every worker incarnation started, tagged with its lane, in spawn
     /// order.
     handles: Vec<(usize, crew::JoinHandle<'scope>)>,
@@ -311,7 +309,7 @@ impl Driver<'_, '_, '_, '_> {
             if tended {
                 let (done, now) = ((end - 1) as u64, Instant::now());
                 self.tend_workers(done, now);
-                w.merger.tend(self.sup, done, now);
+                w.merger.tend(&mut self.d.sup, done, now);
             }
             self.run_orphans();
             mf_id += 1;
@@ -339,26 +337,25 @@ impl Driver<'_, '_, '_, '_> {
         if !self.plan.supervised {
             return;
         }
-        let w = self.workers;
-        let (d, sup) = (&mut *self.d, &mut *self.sup);
+        let (w, d) = (self.workers, &mut *self.d);
         for lane in 0..self.cfg.workers {
             // Stall detection: a stale heartbeat only counts while work
             // is queued — an idle worker's epoch is legitimately still —
             // and while the worker is not inside the merge, whose domain
             // watches it there.
             if !d.lane_dead(lane)
-                && sup.stale(lane, w.beats.read(lane), now)
+                && d.sup.stale(lane, w.beats.read(lane), now)
                 && w.depths[lane].load(Ordering::Relaxed) > 0
                 && !w.merger.holds(lane)
             {
-                sup.heartbeat_misses += 1;
+                d.sup.heartbeat_misses += 1;
                 d.fail_lane(lane);
             }
             if d.lane_dead(lane) {
-                sup.note_death(lane, now, frames_done);
-                if sup.allow_respawn(lane, now) {
+                d.sup.note_death(lane, now, frames_done);
+                if d.sup.allow_respawn(lane, now) {
                     let (tx, rx) = ring::spsc::<MfDesc>(self.cfg.queue_depth);
-                    let inc = sup.on_respawn(lane, now, frames_done);
+                    let inc = d.sup.on_respawn(lane, now, frames_done);
                     d.revive(lane, tx);
                     self.handles.push(w.spawn_worker(lane, inc, rx));
                 }
@@ -377,7 +374,6 @@ impl Driver<'_, '_, '_, '_> {
             workers,
             plan,
             d,
-            sup,
             handles,
         } = self;
         let (merger, n) = (workers.merger, workers.frames.len() as u64);
@@ -394,7 +390,7 @@ impl Driver<'_, '_, '_, '_> {
         let mut deaths_by_lane = vec![0u32; cfg.workers];
         let mut orphaned = vec![false; cfg.workers];
         for (lane, h) in handles {
-            let died = merger.join_tended(h, sup, n).is_err();
+            let died = merger.join_tended(h, &mut d.sup, n).is_err();
             deaths_by_lane[lane] += u32::from(died);
             orphaned[lane] = died;
         }
@@ -413,7 +409,7 @@ impl Driver<'_, '_, '_, '_> {
         // Every producer is gone; keep supervising until every run is
         // merged (a merger kill near the end of the stream is respawned
         // here) or left for final assembly.
-        merger.drain(sup, n);
+        merger.drain(&mut d.sup, n);
         deaths_by_lane
     }
 }
@@ -441,7 +437,6 @@ fn telemetry(
     (pool_recycled, pool_misses): (u64, u64),
     merged: &Assembled,
     d: &Dispatcher<'_>,
-    sup: &Supervisor,
 ) -> Telemetry {
     let mstats = merged.state.engine.stats();
     // Under SCR every arrival at the merger is a transition a lane
@@ -465,11 +460,11 @@ fn telemetry(
         redispatched: d.redispatched,
         fault_drops: d.fault_drops,
         residue: mstats.residue,
-        restarts: sup.restarts,
-        heartbeat_misses: sup.heartbeat_misses + merged.heartbeat_misses,
-        recovery_ns: sup.recovery_ns,
-        merger_restarts: sup.merger_restarts,
-        merger_recovery_ns: sup.merger_recovery_ns,
+        restarts: d.sup.restarts,
+        heartbeat_misses: d.sup.heartbeat_misses,
+        recovery_ns: d.sup.recovery_ns,
+        merger_restarts: d.sup.merger_restarts,
+        merger_recovery_ns: d.sup.merger_recovery_ns,
         snapshot_bytes: merged.dur.snapshot_bytes,
         restore_replayed_offers: merged.dur.replayed,
         replicated_transitions: if scr { merged.state.offers } else { 0 },

@@ -1,24 +1,33 @@
-//! Worker supervision primitives: heartbeat publication and the
-//! restart-budget bookkeeping behind the dispatcher's watchdog.
+//! Worker and merger supervision: heartbeat publication, the one stall
+//! clock, and the restart-budget bookkeeping behind the dispatcher's
+//! watchdog.
 //!
 //! The paper's packet-level parallelism assumes the splitting-core pool
 //! stays healthy; this module is what keeps it that way. Every worker
-//! slot owns one cache-line-padded atomic epoch counter in a
-//! [`HeartbeatBoard`] and bumps it once per dequeued batch. The
-//! dispatcher's watchdog (in `run`) reads the board between
-//! micro-flows: an epoch that has not moved past the configured deadline
-//! *while the slot has work queued* is a missed heartbeat, treated
-//! exactly like a ring disconnect — the lane is failed, its retained
-//! window redispatched, and a replacement thread spawned under the
-//! [`Supervisor`]'s bounded restart budget with per-slot exponential
-//! backoff. When the budget runs dry the engine degrades to
+//! slot, and the merger's, owns one cache-line-padded atomic epoch counter
+//! in a [`HeartbeatBoard`]: a worker bumps it once per dequeued batch,
+//! every holder of the merge lock on entry and per merged run. The
+//! dispatcher's watchdog (in `run` and `merge`) looks at the board between
+//! micro-flows, and `Supervisor::quiet` keeps each slot's stall clock —
+//! the one clock every verdict reads: a worker's stall (an epoch unmoved
+//! past the configured deadline *while the slot has work queued*, treated
+//! exactly like a ring disconnect), the merger's wedge, and the merge's
+//! flush deadline. The clock starts at the first look that finds the epoch
+//! unmoved, not at the last look that saw it move, and a look more than a
+//! deadline after the slot's previous one starts it again. So a stall is
+//! timed only while the watchdog is looking: a watchdog that was away (a
+//! blocking send, a paused process) convicts nobody on its return, and a
+//! real stall is convicted one deadline after the watchdog first sees it.
+//! A failed lane's retained window is redispatched and a replacement
+//! spawned under the [`Supervisor`]'s bounded restart budget with per-slot
+//! exponential backoff. When the budget runs dry the engine degrades to
 //! dispatcher-inline processing instead of wedging.
 //!
 //! The split of responsibilities: this module decides *whether* a slot
-//! may be respawned and accounts for *when* things happened (deaths,
-//! heals, worst-case time-to-recovery, the pre-fault and post-recovery
-//! dispatch windows); the pipeline owns the actual thread spawning and
-//! ring re-wiring, which need the scoped-thread context.
+//! is stalled and may be respawned, and accounts for *when* things
+//! happened (deaths, heals, worst-case time-to-recovery, the pre-fault and
+//! post-recovery dispatch windows); the pipeline owns the actual thread
+//! spawning and ring re-wiring, which need the scoped-thread context.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -67,12 +76,15 @@ impl HeartbeatBoard {
     }
 }
 
-/// Watchdog-side state for one worker slot.
+/// Watchdog-side state for one worker or merger slot.
 struct SlotHealth {
     /// Last epoch observed by the watchdog.
     last_epoch: u64,
-    /// When the epoch last changed (or the slot was last respawned).
-    last_change: Instant,
+    /// The watchdog's previous look at the slot.
+    last_look: Instant,
+    /// The stall clock: the first look that found `last_epoch` unmoved;
+    /// `None` since a look saw it move, or since the slot's last respawn.
+    still_since: Option<Instant>,
     /// Incarnation currently occupying the slot (0 = original spawn).
     incarnation: u64,
     /// Respawns performed for this slot (drives the backoff exponent).
@@ -138,7 +150,8 @@ impl Supervisor {
             slots: (0..n_slots)
                 .map(|_| SlotHealth {
                     last_epoch: 0,
-                    last_change: now,
+                    last_look: now,
+                    still_since: None,
                     incarnation: 0,
                     respawns: 0,
                     next_allowed: now,
@@ -171,21 +184,33 @@ impl Supervisor {
         self.budget_left == 0
     }
 
-    /// Heartbeat check: true when the slot's epoch has not moved for
-    /// longer than the deadline. The caller gates this on the slot
-    /// actually having queued work — an idle worker's epoch is
-    /// legitimately still.
-    pub(crate) fn stale(&mut self, slot: usize, epoch: u64, now: Instant) -> bool {
+    /// How long `slot`'s epoch has stood still as the watchdog's looks
+    /// see it: zero at a look that finds it moved, else the time since the
+    /// first look that found it unmoved. A look more than a deadline after
+    /// the slot's previous one restarts the clock: nobody watched the gap,
+    /// so it is no evidence of a stall. Each call is one look.
+    pub(crate) fn quiet(&mut self, slot: usize, epoch: u64, now: Instant) -> Duration {
         let s = &mut self.slots[slot];
-        if epoch != s.last_epoch {
-            s.last_epoch = epoch;
-            s.last_change = now;
-            return false;
+        let gap = now.saturating_duration_since(s.last_look);
+        let moved = epoch != s.last_epoch;
+        (s.last_epoch, s.last_look) = (epoch, now);
+        if moved || self.interval.is_some_and(|deadline| gap > deadline) {
+            s.still_since = None;
         }
-        match self.interval {
-            Some(deadline) => now.duration_since(s.last_change) > deadline,
-            None => false,
+        if moved {
+            return Duration::ZERO;
         }
+        now.saturating_duration_since(*s.still_since.get_or_insert(now))
+    }
+
+    /// Heartbeat check: true when the slot's stall clock
+    /// ([`Supervisor::quiet`]) has run past the deadline. The caller gates
+    /// this on the slot having work in hand — queued work for a worker, a
+    /// holder inside the critical section for the merger — since an idle
+    /// slot's epoch is legitimately still.
+    pub(crate) fn stale(&mut self, slot: usize, epoch: u64, now: Instant) -> bool {
+        let quiet = self.quiet(slot, epoch, now);
+        self.interval.is_some_and(|deadline| quiet > deadline)
     }
 
     /// Records that the watchdog observed `slot` dead (idempotent until
@@ -225,7 +250,7 @@ impl Supervisor {
         }
         s.incarnation += 1;
         s.respawns += 1;
-        s.last_change = now;
+        s.still_since = None;
         let shift = (s.respawns - 1).min(BACKOFF_SHIFT_CAP);
         s.next_allowed = now + self.backoff * (1u32 << shift);
         self.budget_left -= 1;
@@ -313,10 +338,94 @@ mod tests {
         assert!(!sup.stale(0, 1, t0 + Duration::from_millis(50)));
         // Same epoch, inside the deadline: fine.
         assert!(!sup.stale(0, 1, t0 + Duration::from_millis(55)));
+        // A look inside the deadline keeps the clock running: without one,
+        // the 15 ms gap would be more than a deadline without a look,
+        // which restarts the clock instead.
+        assert!(!sup.stale(0, 1, t0 + Duration::from_millis(62)));
         // Same epoch, past the deadline: stalled.
         assert!(sup.stale(0, 1, t0 + Duration::from_millis(70)));
         // New epoch recovers.
         assert!(!sup.stale(0, 2, t0 + Duration::from_millis(200)));
+    }
+
+    fn ms(t0: Instant, ms: u64) -> Instant {
+        t0 + Duration::from_millis(ms)
+    }
+
+    #[test]
+    fn a_look_after_the_watchdog_was_away_convicts_nobody() {
+        // The diagnosed false verdict: a look 26-41 ms after the previous
+        // one (the watchdog was away: a blocking send, a paused process)
+        // against a 25 ms deadline. It restarts the clock whether the
+        // epoch moved at that previous look or already stood still.
+        let t0 = Instant::now();
+        let mut sup = Supervisor::new(1, Some(Duration::from_millis(25)), 4, Duration::ZERO, t0);
+        assert!(!sup.stale(0, 7, ms(t0, 100)));
+        assert!(!sup.stale(0, 7, ms(t0, 141)));
+        assert_eq!(sup.quiet(0, 7, ms(t0, 141)), Duration::ZERO);
+        assert_eq!(sup.quiet(0, 7, ms(t0, 146)), Duration::from_millis(5));
+        assert!(!sup.stale(0, 7, ms(t0, 180)));
+        // Still unmoved a whole watched deadline after that look: stalled.
+        assert!(!sup.stale(0, 7, ms(t0, 200)));
+        assert!(!sup.stale(0, 7, ms(t0, 205)));
+        assert!(sup.stale(0, 7, ms(t0, 206)));
+    }
+
+    #[test]
+    fn an_epoch_watched_unmoved_past_the_deadline_is_stale() {
+        let t0 = Instant::now();
+        let mut sup = Supervisor::new(1, Some(Duration::from_millis(25)), 4, Duration::ZERO, t0);
+        // The first look at epoch 0 finds it unmoved and starts the clock.
+        for at in (0..=25).step_by(5) {
+            assert!(!sup.stale(0, 0, ms(t0, at)), "at {at} ms");
+        }
+        assert_eq!(sup.quiet(0, 0, ms(t0, 25)), Duration::from_millis(25));
+        assert!(sup.stale(0, 0, ms(t0, 30)));
+        // A move stops the clock; the next unmoved look restarts it.
+        assert!(!sup.stale(0, 1, ms(t0, 90)));
+        assert!(!sup.stale(0, 1, ms(t0, 110)));
+        assert!(!sup.stale(0, 1, ms(t0, 120)));
+        assert!(sup.stale(0, 1, ms(t0, 136)));
+    }
+
+    #[test]
+    fn the_merger_slot_reads_the_same_clock() {
+        let t0 = Instant::now();
+        let mut sup = Supervisor::new(2, Some(Duration::from_millis(10)), 4, Duration::ZERO, t0);
+        sup.watch_merger(1);
+        let looks = [
+            (1, 50),
+            (1, 55),
+            (1, 64),
+            (1, 66),
+            (2, 90),
+            (2, 120),
+            (2, 130),
+        ];
+        for (epoch, at) in looks {
+            assert_eq!(
+                sup.stale(1, epoch, ms(t0, at)),
+                sup.stale(0, epoch, ms(t0, at)),
+                "epoch {epoch} at {at} ms"
+            );
+        }
+        assert!(sup.stale(1, 2, ms(t0, 131)));
+        assert_eq!(sup.quiet(1, 2, ms(t0, 140)), Duration::from_millis(20));
+    }
+
+    #[test]
+    fn a_respawn_restarts_the_clock() {
+        let t0 = Instant::now();
+        let mut sup = Supervisor::new(1, Some(Duration::from_millis(10)), 4, Duration::ZERO, t0);
+        assert!(!sup.stale(0, 3, ms(t0, 0)));
+        assert!(!sup.stale(0, 3, ms(t0, 5)));
+        sup.on_respawn(0, ms(t0, 8), 0);
+        // The replacement inherits epoch 3: its first look starts a fresh
+        // clock rather than finishing the predecessor's.
+        assert!(!sup.stale(0, 3, ms(t0, 12)));
+        assert!(!sup.stale(0, 3, ms(t0, 20)));
+        assert!(!sup.stale(0, 3, ms(t0, 22)));
+        assert!(sup.stale(0, 3, ms(t0, 23)));
     }
 
     #[test]

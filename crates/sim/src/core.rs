@@ -98,11 +98,6 @@ impl CoreSet {
     pub fn cpu(&self) -> &CpuAccounting {
         &self.cpu
     }
-
-    /// Consumes the set, returning the ledger.
-    pub fn into_cpu(self) -> CpuAccounting {
-        self.cpu
-    }
 }
 
 #[cfg(test)]

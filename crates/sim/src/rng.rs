@@ -75,11 +75,6 @@ impl Rng {
         -mean * u.ln()
     }
 
-    /// True with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Normally distributed value (Box–Muller) with given mean and stddev.
     pub fn normal(&mut self, mean: f64, stddev: f64) -> f64 {
         let u1 = (1.0 - self.f64()).max(f64::MIN_POSITIVE);

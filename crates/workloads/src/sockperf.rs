@@ -4,7 +4,7 @@
 //! as the paper's Figures 4, 8 and 9 use.
 
 use mflow_netstack::{
-    FlowSpec, LoadModel, NoiseConfig, PathKind, RunReport, StackConfig, StackSim, Transport,
+    FlowSpec, LoadModel, NoiseConfig, RunReport, StackConfig, StackSim, Transport,
 };
 use mflow_sim::MS;
 
@@ -122,16 +122,6 @@ pub fn latency(
     }
     let (policy, merge) = system.build_single_flow(transport);
     StackSim::try_run(cfg, policy, merge).expect("valid stack config")
-}
-
-/// The motivation experiment of Figure 4 needs the native path under every
-/// policy-capable layout; this helper simply exposes whether a system is
-/// meaningful on a path (FALCON/MFLOW only exist for the overlay).
-pub fn applicable(system: System, path: PathKind) -> bool {
-    match system {
-        System::Native => path == PathKind::Native,
-        _ => path == PathKind::Overlay,
-    }
 }
 
 #[cfg(test)]

@@ -252,7 +252,7 @@ fn degradation_contract_holds_under_every_policy() {
 }
 
 #[test]
-fn losing_every_worker_errs_on_fan_out_and_goes_inline_on_a_chain() {
+fn losing_every_worker_errs_unsupervised() {
     // Unsupervised, a run whose every worker died cannot deliver the
     // remainder. A supervised run's dispatcher takes over instead
     // (`supervision.rs`, `exhausted_budget_degrades_to_dispatcher_inline`).
